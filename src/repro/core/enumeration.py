@@ -25,7 +25,7 @@ import numpy as np
 from repro.core.api import MatchDefinition
 from repro.core.debi import DEBI
 from repro.core.results import Embedding
-from repro.graph.adjacency import DynamicGraph
+from repro.graph.adjacency import DynamicGraph, expand_ranges
 from repro.query.masking import Mask, MaskTable
 from repro.query.matching_order import ExtensionStep, MatchingOrder
 from repro.query.query_graph import WILDCARD_LABEL, QueryGraph
@@ -45,6 +45,10 @@ class WorkUnit:
 _VECTOR_CUTOFF = 8
 
 _EMPTY_CANDIDATES: tuple[list[int], list[int]] = ([], [])
+
+#: shared-pool-cache entry of a pool the columnar kernel has paid for but
+#: (fetching whole steps at once) never held as a per-anchor object
+_CHARGED = object()
 
 
 class EnumerationContext:
@@ -108,16 +112,18 @@ class EnumerationContext:
         # notifications must fire on every pool scan, not once per batch.
         self._candidate_memo: dict | None = None if on_spilled_access is not None else {}
         # Cross-query raw-pool cache, shared by every context of a multi-query
-        # batch: (anchor, direction, label) -> adjacency pool.  The first query
-        # to touch a pool pays the scan (candidates_scanned); later queries
-        # reuse it for free and only pay their own DEBI filtering.  Disabled
-        # alongside the memo when spill notifications are in play.
+        # batch: (direction, label) -> {anchor: adjacency pool}.  The first
+        # query to touch a pool pays the scan (candidates_scanned); later
+        # queries reuse it for free and only pay their own DEBI filtering.
+        # Disabled alongside the memo when spill notifications are in play.
         self._shared_pool_cache: dict | None = (
             None if on_spilled_access is not None else shared_pool_cache
         )
-        # Columnar-kernel caches: int64 array forms of the memoised pools
-        # and the batch id set (built lazily, only when the kernel runs).
-        self._array_memo: dict = {}
+        # Columnar-kernel state: which anchors each (direction, column,
+        # label) step key has already paid for — the kernel's form of the
+        # memo above, keeping the charge without keeping the pools — and
+        # the sorted batch id array (built lazily, only when the kernel runs).
+        self._charged_anchors: dict[tuple, set[int]] = {}
         self._batch_ids_array: np.ndarray | None = None
 
     # ------------------------------------------------------------------ paper API
@@ -141,9 +147,7 @@ class EnumerationContext:
         with an :class:`~repro.graph.edge.EdgeRecord` construction per
         candidate.  Results are memoised per batch.
         """
-        label = step.edge_label
-        if not self._label_partitioned or label == WILDCARD_LABEL:
-            label = None
+        label = self._pool_label(step)
         memo = self._candidate_memo
         if memo is not None:
             key = (anchor_vertex, step.anchor_is_src, step.debi_column, label)
@@ -153,12 +157,13 @@ class EnumerationContext:
         graph = self.graph
         shared = self._shared_pool_cache
         if shared is not None:
-            pool_key = (anchor_vertex, step.anchor_is_src, label)
-            pool = shared.get(pool_key)
-            if pool is None:
-                pool = graph.candidate_pool(anchor_vertex, step.anchor_is_src, label)
-                self.candidates_scanned += len(pool)
-                shared[pool_key] = pool
+            pools = shared.setdefault((step.anchor_is_src, label), {})
+            pool = pools.get(anchor_vertex)
+            if pool is None or pool is _CHARGED:
+                fetched = graph.candidate_pool(anchor_vertex, step.anchor_is_src, label)
+                if pool is None:
+                    self.candidates_scanned += len(fetched)
+                pool = pools[anchor_vertex] = fetched
         else:
             pool = graph.candidate_pool(anchor_vertex, step.anchor_is_src, label)
             self.candidates_scanned += len(pool)
@@ -191,39 +196,75 @@ class EnumerationContext:
             memo[key] = result
         return result
 
-    def get_candidate_arrays(
-        self, step: ExtensionStep, anchor_vertex: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Array view of :meth:`get_candidates_with_endpoints` for the kernel.
-
-        Delegates the fetch (and thus all ``candidates_scanned``
-        accounting and memoisation) to the list-based path, then caches
-        the int64 array conversion per memo key so hot anchors convert
-        once per batch, not once per touching work unit.
-        """
+    def _pool_label(self, step: ExtensionStep) -> int | None:
+        """The adjacency partition a step's pool comes from (None = combined list)."""
         label = step.edge_label
         if not self._label_partitioned or label == WILDCARD_LABEL:
-            label = None
-        key = (anchor_vertex, step.anchor_is_src, step.debi_column, label)
-        cached = self._array_memo.get(key)
-        if cached is not None:
-            return cached
-        ids, verts = self.get_candidates_with_endpoints(step, anchor_vertex)
-        arrays = (
-            np.asarray(ids, dtype=np.int64),
-            np.asarray(verts, dtype=np.int64),
-        )
-        self._array_memo[key] = arrays
-        return arrays
+            return None
+        return label
 
-    def batch_ids_array(self) -> np.ndarray:
-        """The batch's edge ids as a sorted int64 array (cached per context)."""
-        arr = self._batch_ids_array
-        if arr is None:
-            arr = np.sort(np.fromiter(self.batch_edge_ids, dtype=np.int64,
-                                      count=len(self.batch_edge_ids)))
-            self._batch_ids_array = arr
-        return arr
+    def get_candidate_pools(
+        self, step: ExtensionStep, anchors: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The columnar kernel's fetch: every anchor's candidates in one call.
+
+        ``anchors`` are the step's distinct anchor vertices in ascending
+        order.  Returns ``(flat_ids, flat_verts, sizes)``: the DEBI-filtered
+        candidate edge ids of all anchors concatenated in anchor order,
+        the non-anchor endpoint of each, and the number of candidates per
+        anchor.  One ``candidate_pools``, one ``column_mask`` and one
+        ``endpoint_array`` call serve the whole step.
+
+        ``candidates_scanned`` is charged exactly as
+        :meth:`get_candidates_with_endpoints` would over the same anchors:
+        the raw pool size, once per ``(anchor, direction, column, label)``
+        per context, and with a live cross-query cache only for the first
+        context to reach ``(anchor, direction, label)``.
+        """
+        label = self._pool_label(step)
+        ids, sizes = self.graph.candidate_pools(anchors, step.anchor_is_src, label)
+        self._charge_pools(step, label, anchors, sizes)
+        if step.debi_column is not None and ids.size:
+            hit = self.debi.column_mask(ids, step.debi_column)
+            ids, sizes = ids[hit], segment_counts(hit, sizes)
+        return ids, self.graph.endpoint_array(ids, step.anchor_is_src), sizes
+
+    def _charge_pools(
+        self, step: ExtensionStep, label: int | None, anchors: np.ndarray, sizes: np.ndarray
+    ) -> None:
+        seen = self._charged_anchors.setdefault(
+            (step.anchor_is_src, step.debi_column, label), set()
+        )
+        fresh = set(anchors.tolist()).difference(seen)
+        seen |= fresh
+        shared = self._shared_pool_cache
+        if shared is not None and fresh:
+            pools = shared.setdefault((step.anchor_is_src, label), {})
+            fresh = fresh.difference(pools)
+            pools.update(dict.fromkeys(fresh, _CHARGED))
+        if len(fresh) == anchors.size:
+            self.candidates_scanned += int(sizes.sum())
+        elif fresh:
+            rows = np.searchsorted(anchors, np.fromiter(fresh, np.int64, len(fresh)))
+            self.candidates_scanned += int(sizes[rows].sum())
+
+    def in_batch(self, edge_ids: np.ndarray) -> np.ndarray:
+        """Bool mask: which of ``edge_ids`` belong to the current batch.
+
+        A binary search against the sorted batch ids (cached per context);
+        for the few-entry pools of small batches this costs a fraction of
+        ``np.isin``'s fixed overhead.
+        """
+        batch = self._batch_ids_array
+        if batch is None:
+            batch = self._batch_ids_array = np.sort(np.fromiter(
+                self.batch_edge_ids, dtype=np.int64, count=len(self.batch_edge_ids)
+            ))
+        if batch.size == 0:
+            return np.zeros(edge_ids.shape[0], dtype=bool)
+        slot = np.searchsorted(batch, edge_ids)
+        slot[slot == batch.size] = 0
+        return batch[slot] == edge_ids
 
     def verify_nte(
         self,
@@ -444,16 +485,25 @@ def decompose_batch(
     """
     units: list[WorkUnit] = []
     query = context.query
+    graph = context.graph
     tree = context.tree
+    edge_matcher = context.match_def.edge_matcher
+    debi_get = context.debi.get
+    # Per query edge: the DEBI column gating it (None for non-tree edges).
+    q_edges = [
+        (
+            q_edge,
+            tree.tree_edge_for(q_edge.index).column if tree.is_tree_edge(q_edge.index) else None,
+        )
+        for q_edge in query.edges()
+    ]
     for eid in batch_edge_ids:
-        record = context.graph.edge(eid)
-        for q_edge in query.edges():
-            if not context.match_def.edge_matcher(query, context.graph, q_edge, record):
+        record = graph.edge(eid)
+        for q_edge, column in q_edges:
+            if not edge_matcher(query, graph, q_edge, record):
                 continue
-            if tree.is_tree_edge(q_edge.index):
-                column = tree.tree_edge_for(q_edge.index).column
-                if not context.debi.get(eid, column):
-                    continue
+            if column is not None and not debi_get(eid, column):
+                continue
             units.append(WorkUnit(edge_id=eid, start_edge=q_edge.index))
     return units
 
@@ -583,7 +633,7 @@ class EmbeddingArena:
         self.capacity = capacity
         #: geometric growths performed (property-test observability)
         self.grow_events = 0
-        #: how many kernel invocations reused this arena
+        #: kernel invocations (``_columnar_run`` calls) served by this arena
         self.batches_served = 0
         #: widest live block ever held
         self.high_water = 0
@@ -596,7 +646,6 @@ class EmbeddingArena:
 
     def begin(self, node_rows: int, edge_rows: int) -> None:
         """Size the slot dimension for one start-edge group (rows = bound slots)."""
-        self.batches_served += 1
         if node_rows > self._node_rows or edge_rows > self._edge_rows:
             self._node_rows = max(self._node_rows, node_rows)
             self._edge_rows = max(self._edge_rows, edge_rows)
@@ -655,66 +704,94 @@ def columnar_supported(context: EnumerationContext) -> bool:
     )
 
 
+def segment_counts(keep: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """How many ``keep`` entries are set in each of the back-to-back segments of ``sizes``."""
+    running = np.zeros(keep.shape[0] + 1, dtype=np.int64)
+    np.cumsum(keep, out=running[1:])
+    ends = np.cumsum(sizes)
+    return running[ends] - running[ends - sizes]
+
+
 def extend_intersect(
     inv: np.ndarray,
-    order_idx: np.ndarray,
-    group_counts: np.ndarray,
-    pool_ids: list[np.ndarray],
-    pool_verts: list[np.ndarray],
+    pool_ids: np.ndarray,
+    pool_verts: np.ndarray,
     pool_sizes: np.ndarray,
     bound_nodes: np.ndarray,
-    bound_edges: np.ndarray,
-    batch_ids: np.ndarray,
-    masked: bool,
-    injective: bool,
-    root_mask_fn,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One batched extend/intersect step — the kernel seam.
 
-    Cross-joins the live embedding block against the per-anchor candidate
-    pools and applies every vectorizable predicate of the tuple path's
-    extend loop, in the same order: batch masking, edge injectivity,
-    vertex injectivity, root candidacy.  Contiguous arrays in, contiguous
-    arrays out — this single function boundary is where a numba/Cython
-    drop-in would slot, with only ``root_mask_fn`` (a word-gather over
-    the DEBI roots bit-vector) to inline.
+    Cross-joins the live embedding block against the step's flat
+    candidate pool and applies the one predicate that depends on the
+    joined row, vertex injectivity.  Everything that depends on the pool
+    entry alone (DEBI bit, batch masking, root candidacy, degree filter)
+    has already been applied to the pool by the driver.  Contiguous int64
+    arrays in, contiguous int64 arrays out, no callables — this single
+    function boundary is where a numba/Cython drop-in would slot.
 
-    Parameters are precomputed by the driver: ``inv`` maps each live
-    column to its unique-anchor group, ``order_idx`` sorts columns by
-    group, ``group_counts``/``pool_sizes`` describe the join shape, and
-    ``bound_nodes``/``bound_edges`` are the already-bound slot rows of
-    the front block (``(slots, n_live)``).
+    ``inv[c]`` is the anchor group of live column ``c``; group ``g`` owns
+    ``pool_sizes[g]`` consecutive entries of ``pool_ids``/``pool_verts``
+    (candidate edge and the vertex it would bind).  ``bound_nodes`` holds
+    the already-bound vertex rows of the front block, ``(slots, n_live)``,
+    and is empty (zero slots) when the match is not injective.
 
     Returns ``(parents, cand_ids, cand_verts)`` for the surviving
     extensions, where ``parents`` indexes columns of the front block.
     """
-    # Parent column per joined row: columns sorted by anchor group, each
-    # repeated by its group's pool size; candidates tile group-wise.
-    parents = np.repeat(order_idx, pool_sizes[inv[order_idx]])
-    if parents.size == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty.copy(), empty.copy()
-    id_parts: list[np.ndarray] = []
-    vert_parts: list[np.ndarray] = []
-    for j in range(len(pool_sizes)):
-        if pool_sizes[j] and group_counts[j]:
-            id_parts.append(np.tile(pool_ids[j], group_counts[j]))
-            vert_parts.append(np.tile(pool_verts[j], group_counts[j]))
-    cand_ids = np.concatenate(id_parts)
-    cand_verts = np.concatenate(vert_parts)
-
-    keep = np.ones(cand_ids.shape[0], dtype=bool)
-    if masked and batch_ids.size:
-        keep &= ~np.isin(cand_ids, batch_ids)
-    if injective:
-        for row in bound_edges:
-            keep &= cand_ids != row[parents]
-        for row in bound_nodes:
+    # The join is one index gather: column c repeats pool_sizes[inv[c]]
+    # times, and its rows walk its group's slice of the flat pool.
+    row_sizes = pool_sizes[inv]
+    pool_starts = np.cumsum(pool_sizes) - pool_sizes
+    entries = expand_ranges(pool_starts[inv], row_sizes)
+    parents = np.repeat(np.arange(inv.shape[0], dtype=np.int64), row_sizes)
+    cand_verts = pool_verts[entries]
+    if bound_nodes.shape[0] and parents.size:
+        keep = cand_verts != bound_nodes[0][parents]
+        for row in bound_nodes[1:]:
             keep &= cand_verts != row[parents]
-    if root_mask_fn is not None:
-        keep &= root_mask_fn(cand_verts)
-    surv = np.nonzero(keep)[0]
-    return parents[surv], cand_ids[surv], cand_verts[surv]
+        surv = np.nonzero(keep)[0]
+        parents, entries, cand_verts = parents[surv], entries[surv], cand_verts[surv]
+    return parents, pool_ids[entries], cand_verts
+
+
+def _push_down(
+    context: EnumerationContext,
+    step: ExtensionStep,
+    masked: bool,
+    pool_ids: np.ndarray,
+    pool_verts: np.ndarray,
+    pool_sizes: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Apply the tuple path's per-candidate predicates to the pool, before the join.
+
+    Batch masking, root candidacy and the f2/f3 degree filter read only
+    the candidate edge or the vertex it binds, never the partial
+    embedding, and none of them charges a counter — so filtering each
+    pool entry once rejects exactly the joined rows the tuple path
+    rejects one by one.
+    """
+    keep: np.ndarray | None = None
+    if masked:
+        keep = ~context.in_batch(pool_ids)
+    if step.node == context.tree.root:
+        is_root = context.debi.roots_mask(pool_verts)
+        keep = is_root if keep is None else keep & is_root
+    degree_ok = context.degree_filter
+    if degree_ok is not None:
+        # One predicate evaluation per distinct vertex still standing.
+        node = step.node
+        verts = pool_verts if keep is None else pool_verts[keep]
+        uniq, inv = np.unique(verts, return_inverse=True)
+        allowed = np.fromiter(
+            (degree_ok(v, node) for v in uniq.tolist()), dtype=bool, count=uniq.shape[0]
+        )[inv]
+        if keep is None:
+            keep = allowed
+        else:
+            keep[keep] = allowed
+    if keep is None or keep.all():
+        return pool_ids, pool_verts, pool_sizes
+    return pool_ids[keep], pool_verts[keep], segment_counts(keep, pool_sizes)
 
 
 def _columnar_run(
@@ -728,20 +805,20 @@ def _columnar_run(
     ``emit(start_edge, node_slots, edge_slots, nodes, edges, n)`` receives
     the completed embeddings of one start-edge group as arena views:
     ``nodes[i, :n]`` is the data vertex bound to query node
-    ``node_slots[i]``, likewise for edges.  Semantics — predicate order,
-    candidate fetches, verify scans, counter increments — mirror
-    :func:`backtracking_enumerate` exactly; only the iteration order of
-    the produced embeddings differs (breadth-first over the arena instead
-    of depth-first recursion).
+    ``node_slots[i]``, likewise for edges.  Semantics — which candidates
+    are fetched, which rows reach a verify scan, every counter increment —
+    mirror :func:`backtracking_enumerate` exactly.  What differs is where
+    the chargeless predicates run (on the pool, before the join; see
+    :func:`_push_down`) and the order embeddings come out in
+    (breadth-first over the arena instead of depth-first recursion).
     """
     query = context.query
     graph = context.graph
     match_def = context.match_def
     injective = match_def.injective
-    root = context.tree.root
     if arena is None:
         arena = context.arena if context.arena is not None else EmbeddingArena(capacity=256)
-    batch_ids = context.batch_ids_array()
+    arena.batches_served += 1
 
     groups: dict[int, list[int]] = {}
     for unit in units:
@@ -855,35 +932,14 @@ def _columnar_run(
             nodes_f, edges_f = arena.front()
             anchors = nodes_f[slot_of[step.anchor], :n_live]
             uniq, inv = np.unique(anchors, return_inverse=True)
-            pool_ids: list[np.ndarray] = []
-            pool_verts: list[np.ndarray] = []
-            for anchor in uniq:
-                ids, verts = context.get_candidate_arrays(step, int(anchor))
-                pool_ids.append(ids)
-                pool_verts.append(verts)
-            pool_sizes = np.array([p.shape[0] for p in pool_ids], dtype=np.int64)
-            order_idx = np.argsort(inv, kind="stable")
-            group_counts = np.bincount(inv, minlength=len(uniq))
-            root_mask_fn = context.debi.roots_mask if step.node == root else None
-            parents, cand_ids, cand_verts = extend_intersect(
-                inv, order_idx, group_counts, pool_ids, pool_verts, pool_sizes,
-                nodes_f[:bound_nodes, :n_live] if injective else nodes_f[:0, :n_live],
-                edges_f[:bound_edges, :n_live] if injective else edges_f[:0, :n_live],
-                batch_ids,
-                mask.is_masked(step.tree_edge_index),
-                injective,
-                root_mask_fn,
+            pool = context.get_candidate_pools(step, uniq)
+            pool_ids, pool_verts, pool_sizes = _push_down(
+                context, step, mask.is_masked(step.tree_edge_index), *pool
             )
-            if context.degree_filter is not None and parents.size:
-                uniq_v, inv_v = np.unique(cand_verts, return_inverse=True)
-                allowed = np.fromiter(
-                    (context.degree_ok(int(v), step.node) for v in uniq_v),
-                    dtype=bool, count=len(uniq_v),
-                )
-                surv = np.nonzero(allowed[inv_v])[0]
-                parents, cand_ids, cand_verts = (
-                    parents[surv], cand_ids[surv], cand_verts[surv]
-                )
+            parents, cand_ids, cand_verts = extend_intersect(
+                inv, pool_ids, pool_verts, pool_sizes,
+                nodes_f[: bound_nodes if injective else 0, :n_live],
+            )
             m = parents.size
             if m == 0:
                 n_live = 0

@@ -80,7 +80,7 @@ from repro.core.sharding import (
     PartitionStrategy,
 )
 from repro.core.supervisor import PoolSupervisor
-from repro.graph.adjacency import DynamicGraph, GraphError
+from repro.graph.adjacency import DynamicGraph, GraphError, concat_candidate_pools
 from repro.graph.stats import PlaceholderStats
 from repro.query.query_graph import QueryGraph
 from repro.streams.broker import producing
@@ -378,14 +378,24 @@ class ShardScopeGraph:
         self._shard = shard
         self._local = shard.graph
         self._index = shard.index
+        self._forwarded: dict[tuple, np.ndarray] = {}
 
     # --- vertex keyed: local or forwarded -----------------------------
     def candidate_pool(self, vertex: int, out: bool, label: int | None = None):
         if self._router.partition.owner(vertex) == self._index:
             return self._local.candidate_pool(vertex, out, label)
-        packet = self._router.forward_frontier(self._index, vertex, out, label)
-        n = int(packet[3])
-        return packet[4 : 4 + n]
+        # One forward per foreign pool per scope: the graph is frozen for
+        # the scope's lifetime, and the step-batched kernel re-reads a
+        # pool at every step that anchors there.
+        key = (vertex, out, label)
+        pool = self._forwarded.get(key)
+        if pool is None:
+            packet = self._router.forward_frontier(self._index, vertex, out, label)
+            pool = self._forwarded[key] = packet[4 : 4 + int(packet[3])]
+        return pool
+
+    def candidate_pools(self, anchors, out: bool, label: int | None = None):
+        return concat_candidate_pools(self, anchors, out, label)
 
     def find_edges(self, src: int, dst: int, label: int | None = None) -> list[int]:
         owner = self._router.partition.owner(src)

@@ -31,6 +31,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Iterator, Protocol, Sequence, runtime_checkable
 
+from repro.graph.adjacency import concat_candidate_pools
 from repro.utils.validation import ConfigurationError
 
 _MASK64 = (1 << 64) - 1
@@ -221,6 +222,9 @@ class ShardGuardView:
     def candidate_pool(self, vertex: int, out: bool, label: int | None = None):
         self._check(vertex)
         return self._graph.candidate_pool(vertex, out, label)
+
+    def candidate_pools(self, anchors, out: bool, label: int | None = None):
+        return concat_candidate_pools(self, anchors, out, label)
 
     def find_edges(self, src: int, dst: int, label: int | None = None) -> list[int]:
         self._check(src)

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -39,6 +40,32 @@ from repro.utils.validation import GraphError
 
 _EMPTY_IDS: list[int] = []
 _EMPTY_ARRAY = np.empty(0, dtype=np.int64)
+
+
+def expand_ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Indices of the half-open ranges ``[starts[i], starts[i] + sizes[i])``, concatenated.
+
+    The one-gather replacement for a per-range slice-and-concatenate
+    loop: ``array[expand_ranges(starts, sizes)]`` equals
+    ``np.concatenate([array[s:s + n] for s, n in zip(starts, sizes)])``.
+    """
+    ends = np.cumsum(sizes)
+    total = int(ends[-1]) if ends.size else 0
+    return np.arange(total, dtype=np.int64) - np.repeat(ends - sizes - starts, sizes)
+
+
+def concat_candidate_pools(graph, anchors: np.ndarray, out: bool, label: int | None):
+    """``candidate_pools`` for a graph facade that only answers per vertex.
+
+    Calls ``graph.candidate_pool`` once per anchor, so per-vertex routing
+    and ownership checks of the facade still run for every anchor.
+    """
+    pools = [
+        np.asarray(graph.candidate_pool(vertex, out, label), dtype=np.int64)
+        for vertex in anchors.tolist()
+    ]
+    sizes = np.fromiter(map(len, pools), dtype=np.int64, count=len(pools))
+    return (np.concatenate(pools) if pools else _EMPTY_ARRAY), sizes
 
 
 def _coalesce_ranges(indices: Iterable[int]) -> list[tuple[int, int]]:
@@ -424,6 +451,33 @@ class DynamicGraph:
         if out:
             return self.out_edges_with_label(vertex, label)
         return self.in_edges_with_label(vertex, label)
+
+    def candidate_pools(self, anchors: np.ndarray, out: bool, label: int | None = None):
+        """Batched :meth:`candidate_pool`: ``(flat_ids, sizes)`` for an anchor array.
+
+        ``flat_ids`` is the anchors' pools concatenated in anchor order
+        (each in :meth:`candidate_pool` order) and ``sizes[i]`` the length
+        of anchor ``i``'s pool; unknown vertices and empty partitions
+        contribute nothing.  One call per matching-order step replaces
+        one :meth:`candidate_pool` call per distinct anchor.
+        """
+        vertices = anchors.tolist()
+        if label is None:
+            adjacency = self._out if out else self._in
+            pools = [adjacency.get(v, _EMPTY_IDS) for v in vertices]
+            sizes = np.fromiter(map(len, pools), dtype=np.int64, count=len(pools))
+            flat = np.fromiter(
+                chain.from_iterable(pools), dtype=np.int64, count=int(sizes.sum())
+            )
+            return flat, sizes
+        by_label = self._out_by_label if out else self._in_by_label
+        views = []
+        for v in vertices:
+            partitions = by_label.get(v)
+            vec = None if partitions is None else partitions.get(label)
+            views.append(_EMPTY_ARRAY if vec is None else vec.view())
+        sizes = np.fromiter(map(len, views), dtype=np.int64, count=len(views))
+        return (np.concatenate(views) if views else _EMPTY_ARRAY), sizes
 
     def endpoint_array(self, edge_ids: np.ndarray, take_dst: bool) -> np.ndarray:
         """Vectorized endpoint gather: dst (or src) vertex per edge id."""
@@ -1477,6 +1531,48 @@ class CSRGraphView:
         if out:
             return self.out_edges_with_label(vertex, label)
         return self.in_edges_with_label(vertex, label)
+
+    def candidate_pools(self, anchors: np.ndarray, out: bool, label: int | None = None):
+        """Batched :meth:`candidate_pool` (see :meth:`DynamicGraph.candidate_pools`).
+
+        Index arithmetic over the snapshot arrays only: the anchors' CSR
+        ranges (wildcard) or their ``(vertex, label)`` group ranges are
+        located with gathers and expanded into one index array, so no
+        per-anchor slice is ever taken.
+        """
+        snapshot = self._snapshot
+        n = anchors.shape[0]
+        sizes = np.zeros(n, dtype=np.int64)
+        position = np.fromiter(
+            map(self._position.get, anchors.tolist(), repeat(-1)), dtype=np.int64, count=n
+        )
+        known = np.nonzero(position >= 0)[0]
+        if known.size == 0:
+            return _EMPTY_ARRAY, sizes
+        position = position[known]
+        starts = np.zeros(n, dtype=np.int64)
+        if label is None:
+            indptr = snapshot.out_indptr if out else snapshot.in_indptr
+            indices = snapshot.out_indices if out else snapshot.in_indices
+            starts[known] = indptr[position]
+            sizes[known] = indptr[position + 1] - indptr[position]
+            return indices[expand_ranges(starts, sizes)], sizes
+        if out:
+            vptr, labels = snapshot.out_group_vptr, snapshot.out_group_labels
+            indptr, indices = snapshot.out_group_indptr, snapshot.out_label_indices
+        else:
+            vptr, labels = snapshot.in_group_vptr, snapshot.in_group_labels
+            indptr, indices = snapshot.in_group_indptr, snapshot.in_label_indices
+        # Every group of every known anchor, then the (at most one per
+        # anchor) group carrying the step's label.
+        group_counts = vptr[position + 1] - vptr[position]
+        groups = expand_ranges(vptr[position], group_counts)
+        hit = labels[groups] == label
+        owner = np.repeat(known, group_counts)[hit]
+        group = groups[hit]
+        starts[owner] = indptr[group]
+        sizes[owner] = indptr[group + 1] - indptr[group]
+        return indices[expand_ranges(starts, sizes)], sizes
 
     def endpoint_array(self, edge_ids: np.ndarray, take_dst: bool) -> np.ndarray:
         """Vectorized endpoint gather: dst (or src) vertex per edge id."""

@@ -13,7 +13,9 @@ from __future__ import annotations
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.api import DefaultMatchDefinition
 from repro.core.engine import MnemonicEngine
@@ -149,8 +151,6 @@ class TestCSRViewParity:
     def test_endpoint_gather_matches_records(self):
         graph, live = random_mutation_sequence(31, steps=200)
         view = CSRGraphView(graph.export_csr())
-        import numpy as np
-
         ids = np.array([e for e, *_ in live], dtype=np.int64)
         for take_dst in (True, False):
             from_graph = graph.endpoint_array(ids, take_dst).tolist()
@@ -162,6 +162,49 @@ class TestCSRViewParity:
             assert from_view == expected
             assert graph.endpoint_list(ids.tolist(), take_dst) == expected
             assert view.endpoint_list(ids.tolist(), take_dst) == expected
+
+
+# Mutations over a vertex set smaller than the anchors probed below, so
+# some anchors are unknown to the graph; deletes recycle edge ids.
+_mutations = st.lists(
+    st.tuples(
+        st.booleans(),  # delete (when anything is live) or insert
+        st.integers(0, NUM_VERTICES - 1),
+        st.integers(0, NUM_VERTICES - 1),
+        st.integers(0, NUM_LABELS - 1),
+        st.integers(0, 10**6),  # which live edge a delete removes
+    ),
+    max_size=60,
+)
+_anchor_arrays = st.lists(st.integers(0, NUM_VERTICES + 3), max_size=NUM_VERTICES + 4)
+
+
+class TestBatchedPoolFetch:
+    """``candidate_pools`` is the per-anchor ``candidate_pool`` calls, concatenated."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(mutations=_mutations, anchors=_anchor_arrays)
+    def test_equals_per_anchor_concatenation(self, mutations, anchors):
+        graph = DynamicGraph(recycle_edge_ids=True)
+        live: list[int] = []
+        for delete, src, dst, label, pick in mutations:
+            if delete and live:
+                graph.delete_edge(live.pop(pick % len(live)))
+            else:
+                live.append(graph.add_edge(src, dst, label))
+        view = CSRGraphView(graph.export_csr())
+        anchor_array = np.array(anchors, dtype=np.int64)
+        # NUM_LABELS itself is a label no edge carries: every partition empty.
+        for label in (None, *range(NUM_LABELS + 1)):
+            for out in (True, False):
+                expected = [
+                    list(graph.candidate_pool(vertex, out, label)) for vertex in anchors
+                ]
+                for store in (graph, view):
+                    flat, sizes = store.candidate_pools(anchor_array, out, label)
+                    assert flat.dtype == sizes.dtype == np.int64
+                    assert sizes.tolist() == [len(pool) for pool in expected]
+                    assert flat.tolist() == [e for pool in expected for e in pool]
 
 
 class UnpartitionedIsomorphism(DefaultMatchDefinition):
