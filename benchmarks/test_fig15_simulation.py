@@ -38,8 +38,11 @@ def _run_simulation(query, stream):
     for snapshot in engine.initialize_stream(stream):
         # Index maintenance only (no embedding enumeration): insert the batch,
         # apply the expirations, then recompute the relation from DEBI.
-        engine.index_manager.handle_insertions(
-            [engine._insert_event(e) for e in snapshot.insertions])
+        engine.index_manager.handle_insertions([
+            engine.graph.add_edge(e.src, e.dst, e.label, e.timestamp,
+                                  src_label=e.src_label, dst_label=e.dst_label)
+            for e in snapshot.insertions
+        ])
         if snapshot.deletions:
             doomed = []
             for event in snapshot.deletions:

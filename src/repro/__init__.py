@@ -4,8 +4,7 @@ for Streaming Graphs* (Bhattarai & Huang, IPDPS 2022).
 The package is organised as the paper's system diagram (Figure 2):
 
 * :mod:`repro.streams` — snapshot generation from edge streams;
-* :mod:`repro.graph` — dynamic multigraph storage with edge-id recycling
-  and external-memory spill;
+* :mod:`repro.graph` — dynamic multigraph storage with edge-id recycling;
 * :mod:`repro.query` — query graphs, query trees, matching orders, masks;
 * :mod:`repro.core` — DEBI, incremental filtering, parallel enumeration
   and the :class:`~repro.core.engine.MnemonicEngine`;

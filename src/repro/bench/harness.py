@@ -80,7 +80,6 @@ def run_mnemonic_stream(
     window: float | None = None,
     stride: float | None = None,
     parallel: ParallelConfig | None = None,
-    in_memory_window: int | None = None,
     collect_embeddings: bool = False,
     recycle_edge_ids: bool = True,
     pipeline: str = "serial",
@@ -110,7 +109,6 @@ def run_mnemonic_stream(
             batch_size=batch_size,
             window=window,
             stride=stride,
-            in_memory_window=in_memory_window,
         ),
         parallel=parallel or ParallelConfig(),
         collect_embeddings=collect_embeddings,
@@ -146,7 +144,7 @@ def run_mnemonic_stream(
             "fault_stats": engine.fault_stats(),
             "phase_split": result.phase_split(),
         }
-        pool = getattr(engine, "_pool", None)
+        pool = engine.multi._pool
         if pool is not None:
             extra["publish_stats"] = pool.publish_stats
         if storage is not None:

@@ -1,49 +1,38 @@
 """The Mnemonic engine: Algorithm 1 of the paper.
 
-:class:`MnemonicEngine` owns the data graph, DEBI, and the per-query
-precomputation (query tree, matching orders, masks).  Its main loop
-consumes snapshots from a :class:`~repro.streams.SnapshotGenerator`,
-applies the batched insertions and deletions, keeps DEBI consistent
-through the :class:`~repro.core.filtering.IndexManager`, and enumerates
-the newly formed / destroyed embeddings through the user's
+:class:`MnemonicEngine` answers one continuous query over an edge stream:
+snapshots from a :class:`~repro.streams.SnapshotGenerator` are applied as
+batched insertions and deletions, DEBI is kept consistent through the
+:class:`~repro.core.filtering.IndexManager`, and the newly formed /
+destroyed embeddings are enumerated through the user's
 :class:`~repro.core.api.MatchDefinition` in parallel.
 
-The engine also implements the system-level capabilities evaluated in
-the paper: memory recycling statistics (Figure 17), periodic index
-resets, and disk spill of old edges + DEBI rows through
-:class:`~repro.graph.external.ExternalEdgeStore` (Table III).
+The machinery itself — batch loop, worker pool, fault supervision,
+journal and checkpoints — lives in
+:class:`~repro.core.registry.MultiQueryEngine`; :class:`MnemonicEngine`
+is a one-query view over it.  This module also defines the configuration
+and result shapes both engines share.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from repro.core.api import MatchDefinition
-from repro.core.enumeration import EnumerationContext
-from repro.core.parallel import (
-    EnumerationOutcome,
-    ParallelConfig,
-    PoolOwnerMixin,
-    SharedMemoryPool,
-)
-from repro.core.pipeline import BatchPipeline, CompletedBatch, ingest_latency
-from repro.core.registry import QueryRuntime, build_query_runtime
-from repro.core.supervisor import FaultPolicy, PoolSupervisor
+from repro.core.parallel import EnumerationOutcome, ParallelConfig
+from repro.core.registry import MultiQueryEngine, MultiSnapshotResult
 from repro.core.results import Embedding, ResultSet
+from repro.core.supervisor import FaultPolicy
 from repro.graph.adjacency import DynamicGraph
-from repro.graph.external import ExternalEdgeStore
 from repro.query.query_graph import QueryGraph
 from repro.storage.config import StorageConfig
-from repro.storage.runtime import EngineStorage, RecoveredState, StorageError
-from repro.streams.broker import producing
+from repro.storage.runtime import StorageError
 from repro.streams.config import StreamConfig
-from repro.streams.events import EventKind, StreamEvent
+from repro.streams.events import StreamEvent
 from repro.streams.generator import Snapshot, SnapshotGenerator
-from repro.streams.sources import ListSource, StreamSource
+from repro.streams.sources import StreamSource
 from repro.utils.stats import latency_summary
-from repro.utils.timers import Timer
 from repro.utils.validation import ConfigurationError
 
 
@@ -81,7 +70,7 @@ class EngineConfig:
     #: straight to the thread backend, the pre-supervisor behaviour)
     fault: FaultPolicy = field(default_factory=FaultPolicy)
     #: number of engine shards (used by :class:`~repro.core.shard_router.
-    #: ShardedEngine`; MnemonicEngine ignores it and always runs one)
+    #: ShardedEngine`; the other engines ignore it and always run one)
     shards: int = 1
 
     def __post_init__(self) -> None:
@@ -228,14 +217,16 @@ class RunResult:
         return net
 
 
-class MnemonicEngine(PoolOwnerMixin):
+class MnemonicEngine:
     """A programmable, incremental subgraph matching engine for streaming graphs.
 
-    The per-batch loop itself lives in
-    :class:`~repro.core.pipeline.BatchPipeline` (shared with the
-    multi-query engine); this class owns the single-query runtime, the
-    worker pool and the external-memory support, and supplies them to
-    the pipeline through the host hooks.
+    A one-query view over :class:`~repro.core.registry.MultiQueryEngine`,
+    which hosts the batch loop, the worker pool, fault supervision and
+    durable state for any number of standing queries.  This class owns one
+    such engine (``multi``), registers its query there as id 0, exposes
+    that query's precomputation (tree, matching orders, masks, DEBI, index
+    manager) and maps every per-batch result onto the single-query
+    :class:`SnapshotResult` shape.
     """
 
     def __init__(
@@ -245,100 +236,37 @@ class MnemonicEngine(PoolOwnerMixin):
         config: EngineConfig | None = None,
         graph: DynamicGraph | None = None,
         root: int | None = None,
-        _recovered: RecoveredState | None = None,
     ) -> None:
-        self.config = config or EngineConfig()
-        if (
-            self.config.storage is not None
-            and self.config.stream.in_memory_window is not None
-        ):
-            raise ConfigurationError(
-                "config.storage and stream.in_memory_window are mutually "
-                "exclusive: the spillable DEBI replaces the legacy external "
-                "edge store (set storage.debi_hot_rows instead)"
-            )
-        self.graph = graph or DynamicGraph(recycle_edge_ids=self.config.recycle_edge_ids)
+        # Reject a malformed query before the inner engine creates durable state.
+        query.validate()
+        multi = MultiQueryEngine(config, graph=graph, _kind="single")
+        try:
+            # InitializeIndex: a pre-populated graph is indexed right here.
+            multi.register(query, match_def=match_def, root=root)
+            # The persistent pool (process backend) is spawned now, once per
+            # engine lifetime, so worker start-up is set-up cost and not part
+            # of the first batch.
+            multi._ensure_pool()
+        except BaseException:
+            multi.close()
+            raise
+        self._bind(multi)
 
-        # --- InitializeIndex: preprocessing / hyper-parameter selection.
-        # The per-query half (tree, orders, masks, DEBI, index manager) is the
-        # same bundle the multi-query registry builds per standing query; a
-        # pre-populated graph is indexed inside the builder.  On the recovery
-        # path (``open``) the index rebuild is skipped: DEBI content is about
-        # to be restored verbatim from the checkpoint buffers.
-        self.runtime = build_query_runtime(
-            query, match_def, self.graph,
-            use_degree_filter=self.config.use_degree_filter, root=root,
-            rebuild_index=_recovered is None, kernel=self.config.kernel,
-        )
-        self.query = query
-        self.match_def = self.runtime.match_def
-        self.tree = self.runtime.tree
-        self.orders = self.runtime.orders
-        self.masks = self.runtime.masks
-        self.debi = self.runtime.debi
-        self.index_manager = self.runtime.index_manager
-
-        # --- external-memory support (Table III)
-        self.external_store: ExternalEdgeStore | None = None
-        self._spilled_edge_ids: set[int] = set()
-        self._insertion_order: deque[int] = deque()
-        self._fetched_vertices: set[int] = set()
-        if self.config.stream.in_memory_window is not None:
-            self.external_store = ExternalEdgeStore(
-                in_memory_window=self.config.stream.in_memory_window
-            )
-
-        # --- durable state (journal + checkpoints + spillable DEBI).
-        # The DEBI swap happens before the pool spawns so every later
-        # buffer export reads through the tiered matrix.
-        self._storage: EngineStorage | None = None
-        self.recovery_info: dict | None = None
-        if self.config.storage is not None:
-            if _recovered is not None:
-                self._storage = _recovered.storage
-            else:
-                self._storage = EngineStorage.create(self.config.storage, kind="single")
-            if self.config.storage.debi_hot_rows is not None:
-                self.debi.enable_spill(
-                    self._storage.debi_directory(0),
-                    hot_rows=self.config.storage.debi_hot_rows,
-                    segment_rows=self.config.storage.debi_segment_rows,
-                )
-
-        self.timer = Timer()
-        self._snapshot_counter = 0
-        #: end-of-batch footprints captured at mutation time (pipelined runs
-        #: may drain a batch's enumeration only after later mutations)
-        self._footprints: dict[int, tuple[int, int, int]] = {}
-        #: epochs published by pools released earlier in this engine's life
-        self._exports_before_pool = 0
-
-        # --- persistent parallel enumeration pool (process backend).
-        # Spawned once per engine lifetime; each batch republishes the
-        # snapshot into shared memory instead of re-forking workers.  The
-        # supervisor owns respawn/degradation policy across that lifetime.
-        self.query_state = self.runtime.query_state
-        # With an external edge store every context carries spill callbacks
-        # the pool cannot ship across processes, so the pool would never be
-        # used — don't spawn idle workers for that configuration.
-        self._supervisor = PoolSupervisor(
-            self.config.fault,
-            None
-            if self.external_store is not None
-            else (lambda: SharedMemoryPool.create(self.query_state, self.config.parallel)),
-        )
-        self._adopt_pool(self._supervisor.spawn())
-
-        # --- the shared batch-execution loop (serial or pipelined).
-        self._pipeline = BatchPipeline(
-            self, mode=self.config.pipeline, fallback="fork"
-        )
-
-        # A fresh durable engine writes "checkpoint 0" immediately: recovery
-        # then always has a base image carrying the query definition, even
-        # before the first periodic checkpoint.
-        if self._storage is not None and _recovered is None:
-            self._storage.checkpoint_now(self._checkpoint_state)
+    def _bind(self, multi: MultiQueryEngine) -> None:
+        self.multi = multi
+        self.config = multi.config
+        self.graph = multi.graph
+        self.recovery_info = multi.recovery_info
+        self._registered = multi.registry.get(0)
+        self.runtime = runtime = self._registered.runtime
+        self.query = runtime.query
+        self.match_def = runtime.match_def
+        self.tree = runtime.tree
+        self.orders = runtime.orders
+        self.masks = runtime.masks
+        self.debi = runtime.debi
+        self.index_manager = runtime.index_manager
+        self.query_state = runtime.query_state
 
     # ------------------------------------------------------------------ recovery
     @classmethod
@@ -351,152 +279,48 @@ class MnemonicEngine(PoolOwnerMixin):
         ``engine.recovery_info`` reports what happened; clients refeed the
         stream from ``recovery_info["last_sealed_number"] + 1``.
         """
-        from dataclasses import replace
-
-        config = config or EngineConfig()
-        storage_cfg = config.storage or StorageConfig(directory=directory)
-        config = replace(config, storage=replace(storage_cfg, directory=directory))
-        assert config.storage is not None
-        recovered = EngineStorage.open_existing(config.storage, kind="single")
-        # open_existing may fold persisted cold-tier geometry into the config.
-        config = replace(config, storage=recovered.storage.config)
-        state = recovered.checkpoint_state
-        engine = cls(
-            state["query"], match_def=state["match_def"], config=config,
-            graph=state["graph"], root=state["root"], _recovered=recovered,
-        )
-        engine.debi.restore_buffers(**state["debi"])
-        engine._snapshot_counter = state["snapshot_counter"]
-        engine._replay_journal(recovered)
-        recovered.storage.finish_recovery(recovered.info["journal_valid_bytes"])
-        # Re-checkpoint the recovered state: the next restart replays from
-        # here instead of walking the whole journal tail again.
-        recovered.storage.checkpoint_now(engine._checkpoint_state)
-        engine.recovery_info = recovered.info
+        multi = MultiQueryEngine.open(directory, config=config, _kind="single")
+        found = multi.registry.ids()
+        if found != [0]:
+            multi.close()
+            raise StorageError(
+                f"single-query state at {directory} must hold exactly query 0, "
+                f"found query ids {found}"
+            )
+        multi._ensure_pool()
+        engine = cls.__new__(cls)
+        engine._bind(multi)
         return engine
-
-    def _replay_journal(self, recovered: RecoveredState) -> None:
-        from repro.storage.journal import RecordKind
-        from repro.storage.recovery import (
-            events_from_tuples,
-            replay_epoch,
-            replay_insertions,
-        )
-
-        slots = {0: self.runtime}
-        for record in recovered.records:
-            if record.kind is RecordKind.INITIAL:
-                replay_insertions(
-                    self.graph, slots, events_from_tuples(record.data())
-                )
-            elif record.kind is RecordKind.EPOCH:
-                inserts, deletes = record.data()
-                replay_epoch(
-                    self.graph, slots,
-                    events_from_tuples(inserts), events_from_tuples(deletes),
-                )
-            else:
-                raise StorageError(
-                    f"unexpected {record.kind.name} record in a single-query journal"
-                )
-
-    def _checkpoint_state(self) -> dict:
-        """Snapshot everything ``open`` needs (graph, query, DEBI buffers)."""
-        import numpy as np
-
-        buffers = self.debi.export_buffers()
-        return {
-            "kind": "single",
-            "query": self.query,
-            "match_def": self.match_def,
-            "root": self.tree.root,
-            "graph": self.graph,
-            "debi": {
-                "rows": np.array(buffers["rows"], copy=True),
-                "num_rows": buffers["num_rows"],
-                "width": buffers["width"],
-                "roots": np.array(buffers["roots"], copy=True),
-                "root_bits": buffers["root_bits"],
-            },
-            "snapshot_counter": self._snapshot_counter,
-        }
 
     def checkpoint(self) -> None:
         """Force a checkpoint now (outside a run, or between serial batches)."""
-        if self._storage is None:
-            raise ConfigurationError("engine has no storage attached")
-        self._pipeline.flush()
-        if not self._storage.quiescent():
-            raise ConfigurationError(
-                "checkpoint requires a quiescent engine (every applied batch "
-                "delivered); mid-run checkpoints are taken automatically at "
-                "sealed epoch boundaries"
-            )
-        self._storage.checkpoint_now(self._checkpoint_state)
+        self.multi.checkpoint()
 
     def storage_counters(self) -> dict:
         """Journal/checkpoint/spill counters (empty without storage)."""
-        if self._storage is None:
-            return {}
-        counters = self._storage.counters()
-        spill = self.debi.spill_stats()
-        if spill is not None:
-            counters.update(spill)
-        return counters
+        return self.multi.storage_counters()
 
     # ------------------------------------------------------------------ lifecycle
     def close(self) -> None:
         """Release engine resources (the parallel worker pool, if any).
 
-        Idempotent and exception-safe: the pool reference is dropped
-        *before* the shutdown call, so a failure while reaping workers
-        can never leave a half-closed pool attached to the engine (a
-        retry or garbage collection would then double-close it).
-        Engines are also cleaned up on garbage collection, but
-        long-lived applications should close explicitly (or use the
-        engine as a context manager) so worker processes do not outlive
-        their usefulness.
+        Idempotent and exception-safe.  Engines are also cleaned up on
+        garbage collection, but long-lived applications should close
+        explicitly (or use the engine as a context manager) so worker
+        processes do not outlive their usefulness.
         """
-        pipeline = getattr(self, "_pipeline", None)
-        if pipeline is not None and self._pool is not None and self._pool.usable:
-            # A run abandoned mid-stream may still have dispatched epochs;
-            # join them before the segments are unlinked.
-            pipeline.flush()
-        self._harvest_and_close_pool()
-        storage = getattr(self, "_storage", None)
-        if storage is not None:
-            storage.close()
-
-    def _harvest_and_close_pool(self) -> None:
-        """Close the pool(s), folding their epoch counts into the lifetime total.
-
-        Covers both the active pool and any pools the supervisor retired
-        after faults (their snapshot exports must stay visible forever).
-        """
-        pool = self._detach_pool()
-        if pool is not None:
-            self._exports_before_pool += getattr(pool, "publish_count", 0)
-            pool.close()
-        self._exports_before_pool += self._supervisor.release_retired()
+        self.multi.close()
 
     def __enter__(self) -> "MnemonicEngine":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        try:
-            self.close()
-        except Exception:
-            # Teardown trouble must not mask the exception (e.g. a
-            # reset_index() failure) that is already unwinding the block.
-            if exc_type is None:
-                raise
+        self.multi.__exit__(exc_type, exc, tb)
 
     # ------------------------------------------------------------------ initialisation API
     def initialize_stream(self, source: StreamSource | Sequence[StreamEvent]) -> SnapshotGenerator:
         """Wrap ``source`` in a snapshot generator using the engine's stream config."""
-        if isinstance(source, (list, tuple)):
-            source = ListSource(source)
-        return SnapshotGenerator(source, self.config.stream)
+        return self.multi.initialize_stream(source)
 
     def load_initial(self, events: Iterable[StreamEvent | tuple]) -> int:
         """Load an initial graph (insertions only) and index it without enumeration.
@@ -505,278 +329,72 @@ class MnemonicEngine(PoolOwnerMixin):
         the trace as the initial snapshot; this is the corresponding API.
         Returns the number of edges loaded.
         """
-        coerced = [self._coerce_insert(event) for event in events]
-        if coerced and self.config.ingest == "columnar" and hasattr(
-            self.graph, "apply_insert_columns"
-        ):
-            from repro.streams.events import EventColumns
-
-            columns = EventColumns.from_events(EventKind.INSERT, coerced)
-            new_ids = self.graph.apply_insert_columns(
-                columns.src, columns.dst, columns.label, columns.timestamp,
-                columns.src_label, columns.dst_label,
-            )
-            self.pipeline_edges_inserted(new_ids)
-            self.index_manager.handle_insert_columns(
-                new_ids, columns.src, columns.dst, columns.label
-            )
-        else:
-            new_ids = [self._insert_event(event) for event in coerced]
-            self.index_manager.handle_insertions(new_ids)
-        if self._storage is not None:
-            self._storage.note_initial(coerced)
-        return len(new_ids)
-
-    @staticmethod
-    def _coerce_insert(event: StreamEvent | tuple) -> StreamEvent:
-        if isinstance(event, StreamEvent):
-            if event.kind is not EventKind.INSERT:
-                raise ConfigurationError("load_initial only accepts insertion events")
-            return event
-        return StreamEvent.insert(*event)
+        return self.multi.load_initial(events)
 
     # ------------------------------------------------------------------ main loop
     def run(self, source: StreamSource | Sequence[StreamEvent]) -> RunResult:
         """Process the whole stream and return per-snapshot results (Algorithm 1).
 
-        With ``config.pipeline == "pipelined"`` the shared
-        :class:`~repro.core.pipeline.BatchPipeline` overlaps batch k+1's
-        mutation/DEBI/publish work with batch k's pool enumeration;
-        results are identical to the serial mode either way.
-
-        A :class:`~repro.streams.broker.StreamBroker` source is driven
-        end to end: its pull-mode producer thread is started (so event
-        arrival overlaps mutation *and* enumeration), every snapshot is
-        stamped with ingest-to-result latency, and an abandoned run
-        stops the producer instead of leaving it blocked on
-        backpressure.
+        With ``config.pipeline == "pipelined"`` batch k+1's
+        mutation/DEBI/publish work overlaps batch k's pool enumeration;
+        results are identical to the serial mode either way.  A
+        :class:`~repro.streams.broker.StreamBroker` source is driven end
+        to end (see :meth:`~repro.core.registry.MultiQueryEngine.run`).
         """
-        generator = self.initialize_stream(source)
-        with producing(source):
-            result = RunResult()
-            for batch in self._pipeline.run_stream(generator):
-                result.add(self._result_from_batch(batch))
-            return result
+        result = RunResult()
+        for multi in self.multi.run(source).snapshots:
+            result.add(self._view(multi))
+        return result
 
     def process_snapshot(self, snapshot: Snapshot) -> SnapshotResult:
         """Apply one snapshot: insert batch first, then delete batch (serially)."""
-        batch = self._pipeline.process_batch(
-            snapshot.number, snapshot.insertions, snapshot.deletions
-        )
-        self.pipeline_batch_applied(batch)
-        return self._result_from_batch(batch)
+        return self._view(self.multi.process_snapshot(snapshot))
 
     # ------------------------------------------------------------------ one-shot batches
     def batch_inserts(self, events: Iterable[StreamEvent | tuple]) -> SnapshotResult:
         """Insert a batch of edges and return the newly formed embeddings."""
-        events = [self._coerce_insert(e) for e in events]
-        batch = self._pipeline.process_batch(self._snapshot_counter, events, [])
-        self._snapshot_counter += 1
-        if self._storage is not None:
-            self._storage.note_applied()
-        return self._result_from_batch(batch)
+        return self._view(self.multi.batch_inserts(events))
 
     def batch_deletes(self, events: Iterable[StreamEvent | tuple]) -> SnapshotResult:
         """Delete a batch of edges and return the destroyed (negative) embeddings."""
-        coerced = [
-            e if isinstance(e, StreamEvent) else StreamEvent.delete(*e) for e in events
-        ]
-        batch = self._pipeline.process_batch(self._snapshot_counter, [], coerced)
-        self._snapshot_counter += 1
-        if self._storage is not None:
-            self._storage.note_applied()
-        return self._result_from_batch(batch)
+        return self._view(self.multi.batch_deletes(events))
 
-    def _insert_event(self, event: StreamEvent) -> int:
-        edge_id = self.graph.add_edge(
-            event.src, event.dst, event.label, event.timestamp,
-            src_label=event.src_label, dst_label=event.dst_label,
-        )
-        self.pipeline_edge_inserted(edge_id)
-        return edge_id
+    def _view(self, multi: MultiSnapshotResult) -> SnapshotResult:
+        """Query 0's row of a batch result, carrying the batch-level wall clocks.
+
+        The registry's per-query rows report attributable busy time; a
+        single-query engine's ``enumerate_seconds`` has always been the
+        phase wall, and its ``graph_update_seconds`` the shared mutation
+        time, so the figures built on them keep their meaning.
+        """
+        result = multi.per_query[0]
+        result.graph_update_seconds = multi.graph_update_seconds
+        result.enumerate_seconds = multi.enumerate_wall_seconds
+        # The registry keeps each standing query's history for unregister()
+        # to return; this view never unregisters, so it must not let that
+        # history grow with the stream.
+        self._registered.run_result.snapshots.clear()
+        return result
 
     # ------------------------------------------------------------------ pipeline metrics
     @property
     def snapshot_exports(self) -> int:
-        """Shared-memory snapshot publications (epochs) over the engine lifetime.
-
-        Includes pools the supervisor already retired after a fault, so
-        the count is monotonic across respawns.
-        """
-        current = self._pool.publish_count if self._pool is not None else 0
-        return (
-            self._exports_before_pool
-            + self._supervisor.retired_publish_count
-            + current
-        )
+        """Shared-memory snapshot publications (epochs) over the engine lifetime."""
+        return self.multi.snapshot_exports
 
     @property
     def enumeration_phases_with_units(self) -> int:
         """Enumeration phases (insert or delete half of a batch) with >= 1 unit."""
-        return self._pipeline.enumeration_phases_with_units
+        return self.multi.enumeration_phases_with_units
 
     @property
     def pool_enumeration_phases(self) -> int:
         """Phases dispatched to the shared pool — each publishes exactly one epoch."""
-        return self._pipeline.pool_enumeration_phases
-
-    # ------------------------------------------------------------------ pipeline host hooks
-    def pipeline_slots(self) -> dict[int, QueryRuntime]:
-        return {0: self.runtime}
-
-    def pipeline_acquire_pool(self, pipeline: BatchPipeline) -> SharedMemoryPool | None:
-        return self._pool
-
-    def pipeline_pool_broken(self) -> SharedMemoryPool | None:
-        # Retire the broken pool (killing its workers, so leftover chunks
-        # stop burning cores, but keeping its frozen segments alive for
-        # redispatch) and let the supervisor respawn under the budget.
-        replacement = self._supervisor.replace(self._detach_pool())
-        return self._adopt_pool(replacement)
-
-    def pipeline_degraded_backend(self) -> str | None:
-        return self._supervisor.degraded_backend()
-
-    def pipeline_recovery_finished(self, redispatched: int, recovered: int) -> None:
-        self._supervisor.note_recovery(redispatched, recovered)
-        # The retired pools' frozen epochs were all consumed by recovery;
-        # release the segments now, keeping their export counts visible.
-        self._exports_before_pool += self._supervisor.release_retired()
-
-    def pipeline_thread_backend_failed(self) -> None:
-        self._supervisor.thread_backend_failed()
+        return self.multi.pool_enumeration_phases
 
     def fault_stats(self) -> dict[str, object]:
         """Supervision counters: faults, respawns, degradations, level."""
-        stats = self._supervisor.stats.as_dict()
-        stats["level"] = self._supervisor.level
-        return stats
-
-    def pipeline_make_context(
-        self,
-        runtime: QueryRuntime,
-        batch_edge_ids: set[int],
-        positive: bool,
-        shared_pool_cache: dict | None,
-    ) -> EnumerationContext:
-        return runtime.make_context(
-            self.graph,
-            batch_edge_ids,
-            positive,
-            shared_pool_cache=shared_pool_cache,
-            spilled_edge_ids=self._spilled_edge_ids if self.external_store else None,
-            on_spilled_access=self._on_spilled_access if self.external_store else None,
-        )
-
-    def _make_context(self, batch_edge_ids: set[int], positive: bool) -> EnumerationContext:
-        """Build an enumeration context over the live graph for one batch."""
-        return self.pipeline_make_context(
-            self.runtime, batch_edge_ids, positive, shared_pool_cache=None
-        )
-
-    def pipeline_edge_inserted(self, edge_id: int) -> None:
-        # A recycled id may belong to a previously spilled edge; it is live again.
-        self._spilled_edge_ids.discard(edge_id)
-        if self.external_store is not None:
-            self._insertion_order.append(edge_id)
-
-    def pipeline_edges_inserted(self, edge_ids) -> None:
-        """Bulk :meth:`pipeline_edge_inserted` (columnar ingest path)."""
-        if self._spilled_edge_ids:
-            self._spilled_edge_ids.difference_update(edge_ids)
-        if self.external_store is not None:
-            self._insertion_order.extend(edge_ids)
-
-    def pipeline_edge_deleted(self, edge_id: int) -> None:
-        self._spilled_edge_ids.discard(edge_id)
-
-    def pipeline_batch_applied(self, batch: CompletedBatch) -> None:
-        """All of a batch's mutations are applied (enumeration may still run).
-
-        The end-of-batch footprint is captured *here*, at mutation time:
-        in pipelined mode the batch completes (drains) only after later
-        batches' mutations, so reading the graph then would misreport.
-        """
-        self._maybe_spill()
-        self._footprints[batch.number] = (
-            self.graph.num_edges,
-            self.graph.num_placeholders,
-            self.debi.total_bits_set(),
-        )
-        self.graph.stats.sample_snapshot(
-            batch.number, self.graph.num_placeholders, self.graph.num_edges
-        )
-        self._snapshot_counter += 1
-        if self._storage is not None:
-            self._storage.note_applied()
-
-    # ------------------------------------------------------------------ result assembly
-    def _result_from_batch(self, batch: CompletedBatch) -> SnapshotResult:
-        """Map a completed pipeline batch onto the engine's result shape."""
-        result = SnapshotResult(
-            number=batch.number,
-            num_insertions=batch.num_insertions,
-            num_deletions=batch.num_deletions,
-        )
-        collect = self.config.collect_embeddings
-        for phase in batch.phases():
-            query_phase = phase.per_query[0]
-            outcome = query_phase.outcome
-            result.graph_update_seconds += phase.graph_update_seconds
-            result.filter_seconds += query_phase.filter_seconds
-            result.enumerate_seconds += phase.enumerate_wall_seconds
-            result.filter_traversals += query_phase.filter_traversals
-            result.candidates_scanned += query_phase.candidates_scanned
-            result.work_units += query_phase.work_units
-            result.enumeration_outcomes.append(outcome)
-            self._supervisor.record_outcome(outcome)
-            if phase.positive:
-                result.num_positive += outcome.num_embeddings
-                if collect:
-                    result.positive_embeddings.extend(outcome.embeddings)
-            else:
-                result.num_negative += outcome.num_embeddings
-                if collect:
-                    result.negative_embeddings.extend(outcome.embeddings)
-        footprint = self._footprints.pop(batch.number, None)
-        if footprint is not None:
-            result.live_edges, result.edge_placeholders, result.debi_bits = footprint
-        result.ingest_latency_seconds = ingest_latency(batch)
-        if self._storage is not None:
-            # Seal at *delivery*, in stream order: an epoch enters the journal
-            # only once its results reached the client, so recovery replays
-            # exactly the delivered prefix and the client refeeds the rest.
-            self._storage.seal_epoch(
-                batch.number,
-                batch.insert_columns or batch.insert_events,
-                batch.delete_columns or batch.delete_events,
-                self._checkpoint_state,
-            )
-        return result
-
-    def _on_spilled_access(self, edge_id: int) -> None:
-        """Candidate access touched a spilled edge: fetch its vertex's log transaction once."""
-        if self.external_store is None:
-            return
-        record = self.graph.edge(edge_id)
-        if record.src in self._fetched_vertices:
-            return
-        self._fetched_vertices.add(record.src)
-        self.external_store.fetch_vertex(record.src)
-
-    def _maybe_spill(self) -> None:
-        """Move edges older than the in-memory window to the external store."""
-        if self.external_store is None:
-            return
-        window = self.external_store.in_memory_window
-        while len(self._insertion_order) > window:
-            edge_id = self._insertion_order.popleft()
-            if not self.graph.is_alive(edge_id) or edge_id in self._spilled_edge_ids:
-                continue
-            record = self.graph.edge(edge_id)
-            self.external_store.append(record, self.debi.row(edge_id))
-            self._spilled_edge_ids.add(edge_id)
-        self._fetched_vertices.clear()
+        return self.multi.fault_stats()
 
     # ------------------------------------------------------------------ maintenance / metrics
     def reset_index(self) -> None:
@@ -799,9 +417,6 @@ class MnemonicEngine(PoolOwnerMixin):
             "debi_bytes": self.debi.nbytes(),
             "recycled_inserts": self.graph.stats.recycled,
         }
-        if self.external_store is not None:
-            report["spilled_edges"] = self.external_store.spilled_count
-            report["external_bytes"] = self.external_store.stats.bytes_written
         report.update(self.storage_counters())
         return report
 

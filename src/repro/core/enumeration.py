@@ -73,8 +73,6 @@ class EnumerationContext:
         batch_edge_ids: set[int],
         positive: bool = True,
         degree_filter: Callable[[int, int], bool] | None = None,
-        spilled_edge_ids: set[int] | None = None,
-        on_spilled_access: Callable[[int], None] | None = None,
         shared_pool_cache: dict | None = None,
         kernel: str = "columnar",
         arena: "EmbeddingArena | None" = None,
@@ -89,8 +87,6 @@ class EnumerationContext:
         self.batch_edge_ids = batch_edge_ids
         self.positive = positive
         self.degree_filter = degree_filter
-        self.spilled_edge_ids = spilled_edge_ids or set()
-        self.on_spilled_access = on_spilled_access
         #: which enumeration kernel drives default match definitions:
         #: "columnar" (arena-backed batched kernel) or "python" (the
         #: per-tuple reference).  Custom enumerators always run as-is.
@@ -108,17 +104,13 @@ class EnumerationContext:
         # Per-batch memo of (anchor, direction, column, label) -> candidates.
         # Work units within a batch re-anchor at the same vertices heavily,
         # and the graph/DEBI are frozen for the context's lifetime, so the
-        # pools are immutable.  Disabled with an external store: spill
-        # notifications must fire on every pool scan, not once per batch.
-        self._candidate_memo: dict | None = None if on_spilled_access is not None else {}
+        # pools are immutable.
+        self._candidate_memo: dict = {}
         # Cross-query raw-pool cache, shared by every context of a multi-query
         # batch: (direction, label) -> {anchor: adjacency pool}.  The first
         # query to touch a pool pays the scan (candidates_scanned); later
         # queries reuse it for free and only pay their own DEBI filtering.
-        # Disabled alongside the memo when spill notifications are in play.
-        self._shared_pool_cache: dict | None = (
-            None if on_spilled_access is not None else shared_pool_cache
-        )
+        self._shared_pool_cache: dict | None = shared_pool_cache
         # Columnar-kernel state: which anchors each (direction, column,
         # label) step key has already paid for — the kernel's form of the
         # memo above, keeping the charge without keeping the pools — and
@@ -149,11 +141,10 @@ class EnumerationContext:
         """
         label = self._pool_label(step)
         memo = self._candidate_memo
-        if memo is not None:
-            key = (anchor_vertex, step.anchor_is_src, step.debi_column, label)
-            cached = memo.get(key)
-            if cached is not None:
-                return cached
+        key = (anchor_vertex, step.anchor_is_src, step.debi_column, label)
+        cached = memo.get(key)
+        if cached is not None:
+            return cached
         graph = self.graph
         shared = self._shared_pool_cache
         if shared is not None:
@@ -185,15 +176,7 @@ class EnumerationContext:
             hits = arr if column is None else arr[self.debi.column_mask(arr, column)]
             endpoints = graph.endpoint_array(hits, step.anchor_is_src)
             result = (hits.tolist(), endpoints.tolist())
-        if self.on_spilled_access is not None and self.spilled_edge_ids:
-            # Only spilled edges can need a fetch; intersect with the
-            # (small) spill set instead of walking the whole pool.
-            for eid in self.spilled_edge_ids.intersection(
-                pool if isinstance(pool, list) else pool.tolist()
-            ):
-                self.on_spilled_access(eid)
-        if memo is not None:
-            memo[key] = result
+        memo[key] = result
         return result
 
     def _pool_label(self, step: ExtensionStep) -> int | None:
@@ -297,7 +280,6 @@ class EnumerationContext:
         witnesses: list[int] = []
         for eid in self.graph.find_edges(v_src, v_dst):
             self.candidates_scanned += 1
-            self._note_access(eid)
             if masked and eid in self.batch_edge_ids:
                 continue
             if self.match_def.injective and eid in used_edges:
@@ -332,10 +314,6 @@ class EnumerationContext:
         if self.degree_filter is None:
             return True
         return self.degree_filter(vertex, query_node)
-
-    def _note_access(self, edge_id: int) -> None:
-        if self.on_spilled_access is not None and edge_id in self.spilled_edge_ids:
-            self.on_spilled_access(edge_id)
 
 
 def degree_requirements_ok(
@@ -597,17 +575,6 @@ def backtracking_enumerate(context: EnumerationContext, unit: WorkUnit) -> Itera
     yield from verify_chain(order.start_verify_edges, 0, lambda: extend(0))
 
 
-def enumerate_units(context: EnumerationContext, units: Iterable[WorkUnit]) -> list[Embedding]:
-    """Run every unit through the configured kernel (serial helper)."""
-    unit_list = list(units)
-    if columnar_supported(context):
-        return columnar_enumerate(context, unit_list)[0]
-    results: list[Embedding] = []
-    for unit in unit_list:
-        results.extend(context.match_def.enumerate(context, unit))
-    return results
-
-
 # ---------------------------------------------------------------------- columnar kernel
 class EmbeddingArena:
     """Preallocated, double-buffered int64 column blocks for partial embeddings.
@@ -689,9 +656,7 @@ def columnar_supported(context: EnumerationContext) -> bool:
 
     The kernel reproduces exactly the *default* enumerate/accept
     semantics without witness binding; anything customised falls back to
-    the reference path.  Spill-notification contexts are excluded too:
-    their candidate fetches must fire per scan (the memo the kernel
-    leans on is disabled there).
+    the reference path.
     """
     match_def = context.match_def
     return (
@@ -699,8 +664,6 @@ def columnar_supported(context: EnumerationContext) -> bool:
         and type(match_def).enumerate is MatchDefinition.enumerate
         and type(match_def).accept is MatchDefinition.accept
         and not match_def.bind_witnesses
-        and context.on_spilled_access is None
-        and context._candidate_memo is not None
     )
 
 

@@ -24,14 +24,13 @@ Three backends are provided:
     (as raw bit buffers) into a ``multiprocessing.shared_memory``
     segment, and only compact work-unit descriptors and packed embedding
     arrays cross the pipes.  This is the backend that shows real
-    multi-core speedup in Python (Figure 13).  When shared memory is
-    unavailable the engine falls back to per-batch forked workers, and
-    failing that to the thread backend (see ``docs/parallelism.md``).
+    multi-core speedup in Python (Figure 13).  When the pool cannot be
+    spawned the engine enumerates serially; a pool that breaks mid-run is
+    respawned or degraded by the supervisor (see ``docs/parallelism.md``).
 """
 
 from __future__ import annotations
 
-import os
 import queue
 import signal as signal_module
 import threading
@@ -269,63 +268,6 @@ def _run_threads(
     wall = time.perf_counter() - start
     embeddings = [e for bucket in results for e in bucket]
     return EnumerationOutcome(embeddings, stats, wall)
-
-
-# ---------------------------------------------------------------------- legacy process backend
-# Fallback used when the shared-memory pool is unavailable (no
-# multiprocessing.shared_memory, failed spawn, or a context the pool
-# cannot ship, e.g. one wired to the external edge store).  The forked
-# children inherit this module-level slot; only picklable unit chunks
-# travel through the task queue and only embeddings travel back.
-_PROCESS_CONTEXT: "EnumerationContext | None" = None
-
-
-def _process_chunk(chunk: list["WorkUnit"]):
-    from repro.core.enumeration import enumerate_units
-
-    assert _PROCESS_CONTEXT is not None, "process worker used before context installation"
-    context = _PROCESS_CONTEXT
-    start = time.perf_counter()
-    embeddings = enumerate_units(context, chunk)
-    busy = time.perf_counter() - start
-    return embeddings, busy, len(chunk), os.getpid()
-
-
-def _run_processes(
-    context: "EnumerationContext",
-    units: list["WorkUnit"],
-    num_workers: int,
-    chunk_size: int,
-) -> EnumerationOutcome:
-    import multiprocessing as mp
-
-    try:
-        ctx = mp.get_context("fork")
-    except ValueError:
-        # No fork on this platform: fall back to the thread backend, which
-        # is always available and semantically identical.
-        return _run_threads(context, units, num_workers)
-
-    global _PROCESS_CONTEXT
-    _PROCESS_CONTEXT = context
-    chunks = [units[i : i + chunk_size] for i in range(0, len(units), chunk_size)]
-    start = time.perf_counter()
-    stats_by_pid: dict[int, WorkerStats] = {}
-    embeddings: list["Embedding"] = []
-    try:
-        if not chunks:
-            return EnumerationOutcome([], [], 0.0)
-        with ctx.Pool(processes=num_workers) as pool:
-            for produced, busy, nunits, pid in pool.imap_unordered(_process_chunk, chunks):
-                embeddings.extend(produced)
-                st = stats_by_pid.setdefault(pid, WorkerStats(worker_id=pid))
-                st.units_processed += nunits
-                st.embeddings_found += len(produced)
-                st.busy_seconds += busy
-    finally:
-        _PROCESS_CONTEXT = None
-    wall = time.perf_counter() - start
-    return EnumerationOutcome(embeddings, list(stats_by_pid.values()), wall)
 
 
 # ---------------------------------------------------------------------- shared-memory pool
@@ -636,13 +578,11 @@ def _pool_worker_main(
 class SharedMemoryPool:
     """A persistent worker pool enumerating over a shared-memory snapshot.
 
-    One instance lives per :class:`~repro.core.engine.MnemonicEngine`
-    with the ``process`` backend: workers are spawned once, the engine
-    publishes a fresh snapshot before each batch, and chunks of work
-    units are pulled dynamically from a shared queue.  Compare with the
-    legacy per-batch fork path (:func:`_run_processes`), which this
-    design replaces: no repeated worker start-up, no pickling of the
-    graph or of per-embedding object graphs.
+    One instance lives per engine with the ``process`` backend: workers
+    are spawned once, the engine publishes a fresh snapshot before each
+    batch, and chunks of work units are pulled dynamically from a shared
+    queue — no repeated worker start-up, no pickling of the graph or of
+    per-embedding object graphs.
     """
 
     #: seconds between liveness checks while waiting for results
@@ -717,10 +657,9 @@ class SharedMemoryPool:
     ) -> "SharedMemoryPool | None":
         """Spawn a pool serving every query in ``query_states``, or None.
 
-        Returns None (caller falls back to the legacy fork-per-batch or
-        serial path) when shared memory is missing or the workers cannot
-        be spawned — e.g. an unpicklable match definition under the
-        spawn start method.
+        Returns None (the caller enumerates serially) when shared memory
+        is missing or the workers cannot be spawned — e.g. an unpicklable
+        match definition under the spawn start method.
         """
         if config.backend != "process" or config.num_workers <= 1:
             return None
@@ -730,8 +669,8 @@ class SharedMemoryPool:
             return cls(query_states, config.num_workers, config.chunk_size)
         except Exception:
             warnings.warn(
-                "shared-memory pool spawn failed; the process backend will use "
-                f"per-batch forked workers instead:\n{traceback.format_exc()}",
+                "shared-memory pool spawn failed; the process backend will "
+                f"enumerate serially instead:\n{traceback.format_exc()}",
                 RuntimeWarning,
                 stacklevel=2,
             )
@@ -757,15 +696,6 @@ class SharedMemoryPool:
         }
 
     # ------------------------------------------------------------------ execution
-    def run(
-        self,
-        context: "EnumerationContext",
-        units: list["WorkUnit"],
-        collect: bool = True,
-    ) -> EnumerationOutcome:
-        """Publish the context's snapshot and enumerate ``units`` on the pool."""
-        return self.run_multi({0: context}, {0: units}, collect=collect)[0]
-
     def run_multi(
         self,
         contexts: "dict[int, EnumerationContext]",
@@ -1116,46 +1046,18 @@ def run_enumeration(
     context: "EnumerationContext",
     units: Iterable["WorkUnit"],
     config: ParallelConfig,
-    pool: "SharedMemoryPool | None" = None,
     collect: bool = True,
 ) -> EnumerationOutcome:
-    """Enumerate every unit using the configured backend.
+    """Enumerate every unit in the calling process.
 
-    ``pool`` is the engine's persistent shared-memory pool (``process``
-    backend only); when it is missing, broken, or the context cannot be
-    shipped (external-store callbacks), the legacy per-batch fork path
-    runs instead.  ``collect=False`` lets the pool return bare counts.
-    Batches too small to amortise a snapshot publication run serially —
-    for a handful of units the O(V + E) export would dominate.
+    Threads when the thread backend is configured, otherwise serially:
+    the process backend's pool is driven through ``dispatch``/``drain``
+    by :class:`~repro.core.pipeline.BatchPipeline`, and without a pool
+    it enumerates serially too.
     """
     unit_list = list(units)
     if not unit_list:
         return EnumerationOutcome([], [], 0.0)
-    if config.backend == "serial" or config.num_workers == 1:
-        return _run_serial(context, unit_list, collect=collect)
-    if config.backend == "thread":
+    if config.backend == "thread" and config.num_workers > 1:
         return _run_threads(context, unit_list, config.num_workers, collect=collect)
-    if pool is not None and pool.usable and context.on_spilled_access is None:
-        # Publication is O(V + E) (parent export + per-worker view build),
-        # one unit enumerates in roughly the time ~1000 placeholders take
-        # to export, so a batch must carry enough units per worker AND
-        # enough units relative to the graph size to amortise a publish.
-        placeholders = getattr(context.graph, "num_placeholders", 0)
-        if (
-            len(unit_list) < 2 * config.num_workers
-            or len(unit_list) * 1000 < placeholders
-        ):
-            return _run_serial(context, unit_list, collect=collect)
-        try:
-            return pool.run(context, unit_list, collect=collect)
-        except PoolBrokenError as exc:
-            # Shut the survivors down: leftover chunks of the failed batch
-            # must not keep burning cores behind the fallback's back.
-            pool.close()
-            warnings.warn(
-                f"shared-memory pool failed mid-run ({exc}); falling back to "
-                "per-batch forked workers for the rest of this engine's lifetime",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-    return _run_processes(context, unit_list, config.num_workers, config.chunk_size)
+    return _run_serial(context, unit_list, collect=collect)

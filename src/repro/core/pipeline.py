@@ -1,12 +1,11 @@
-"""The shared batch-execution pipeline: one loop body for every engine.
+"""The batch-execution pipeline: the one per-batch loop body.
 
-Historically :class:`~repro.core.engine.MnemonicEngine` and
-:class:`~repro.core.registry.MultiQueryEngine` each carried their own
-copy of the per-batch loop (apply insertions → update DEBI → enumerate;
-resolve deletions → enumerate the doomed embeddings → apply deletions →
-update DEBI).  This module is now the only implementation; the engines
-supply primitive hooks (graph mutators, context construction, pool
-lifecycle) through the :class:`PipelineHost` protocol and consume
+Apply insertions → update DEBI → enumerate; resolve deletions →
+enumerate the doomed embeddings → apply deletions → update DEBI.  The
+host (:class:`~repro.core.registry.MultiQueryEngine`, which
+:class:`~repro.core.engine.MnemonicEngine` wraps as a one-query view)
+supplies the primitives — query runtimes, context construction, pool
+lifecycle — through the :class:`PipelineHost` protocol and consumes
 :class:`CompletedBatch` records.
 
 Two execution modes
@@ -34,8 +33,8 @@ Two execution modes
     result sets stay bit-identical.
 
     Phases that cannot go through the pool (no pool, too small to
-    amortise a publication, spill callbacks) run inline at their stream
-    position, which trivially preserves ordering.
+    amortise a publication) run inline at their stream position, which
+    trivially preserves ordering.
 
 If the pool breaks mid-pipeline the already-dispatched epochs are
 recovered from their *frozen* published segments, which outlive the
@@ -67,7 +66,6 @@ from repro.core.parallel import (
     SharedMemoryPool,
     _run_serial,
     _run_threads,
-    run_enumeration,
 )
 from repro.core.shared_snapshot import SnapshotAttachment
 from repro.utils.validation import ConfigurationError
@@ -100,7 +98,7 @@ class PipelineHost(Protocol):
         ...
 
     def pipeline_acquire_pool(self, pipeline: "BatchPipeline") -> "SharedMemoryPool | None":
-        """The shared-memory pool to enumerate on, or None for the fallbacks.
+        """The shared-memory pool to enumerate on, or None to run in-process.
 
         A host that may *replace* its pool (multi-query registry churn)
         must call ``pipeline.flush()`` before closing the old pool, so
@@ -133,29 +131,6 @@ class PipelineHost(Protocol):
     def pipeline_thread_backend_failed(self) -> None:
         """The degraded thread backend also faulted; the host should step
         down to serial."""
-        ...
-
-    def pipeline_make_context(
-        self,
-        runtime: "QueryRuntime",
-        batch_edge_ids: set[int],
-        positive: bool,
-        shared_pool_cache: dict | None,
-    ) -> "EnumerationContext":
-        """Build one query's enumeration context over the live graph."""
-        ...
-
-    def pipeline_edge_inserted(self, edge_id: int) -> None:
-        """Post-insert bookkeeping hook (e.g. external-store insertion order)."""
-        ...
-
-    def pipeline_edges_inserted(self, edge_ids) -> None:
-        """Bulk :meth:`pipeline_edge_inserted` for the columnar path."""
-        for edge_id in edge_ids:
-            self.pipeline_edge_inserted(edge_id)
-
-    def pipeline_edge_deleted(self, edge_id: int) -> None:
-        """Post-delete bookkeeping hook (e.g. spilled-id set maintenance)."""
         ...
 
     def pipeline_batch_applied(self, batch: "CompletedBatch") -> None:
@@ -262,30 +237,16 @@ class BatchPipeline:
 
     ``mode`` picks serial (default) or pipelined execution for streamed
     runs; one-shot entry points (:meth:`process_batch`) always run
-    serially — there is no next batch to overlap with.  ``fallback``
-    selects what a phase does when the shared-memory pool is absent:
-    ``"fork"`` preserves the single-query engine's legacy per-batch
-    forked workers, ``"simple"`` the multi-query engine's thread/serial
-    degradation.
+    serially — there is no next batch to overlap with.
     """
 
-    def __init__(
-        self,
-        host: PipelineHost,
-        mode: str = "serial",
-        fallback: str = "simple",
-    ) -> None:
+    def __init__(self, host: PipelineHost, mode: str = "serial") -> None:
         if mode not in PIPELINE_MODES:
             raise ConfigurationError(
                 f"pipeline mode must be one of {PIPELINE_MODES}, got {mode!r}"
             )
-        if fallback not in ("fork", "simple"):
-            raise ConfigurationError(
-                f"pipeline fallback must be 'fork' or 'simple', got {fallback!r}"
-            )
         self.host = host
         self.mode = mode
-        self._fallback = fallback
         #: enumeration phases (insert or delete half of a batch) with >= 1 unit
         self.enumeration_phases_with_units = 0
         #: phases that went through the shared pool (inline or dispatched) —
@@ -426,16 +387,14 @@ class BatchPipeline:
                 columns.src, columns.dst, columns.label, columns.timestamp,
                 columns.src_label, columns.dst_label,
             )
-            host.pipeline_edges_inserted(new_ids)
         else:
-            new_ids = []
-            for event in events:
-                edge_id = graph.add_edge(
+            new_ids = [
+                graph.add_edge(
                     event.src, event.dst, event.label, event.timestamp,
                     src_label=event.src_label, dst_label=event.dst_label,
                 )
-                host.pipeline_edge_inserted(edge_id)
-                new_ids.append(edge_id)
+                for event in events
+            ]
         phase.graph_update_seconds += time.perf_counter() - update_start
 
         if columns is not None and all(
@@ -502,8 +461,6 @@ class BatchPipeline:
             ids_arr = np.asarray(doomed_ids, dtype=np.int64)
             for runtime in slots.values():
                 runtime.debi.clear_edges(ids_arr)
-            for edge_id in doomed_ids:
-                host.pipeline_edge_deleted(edge_id)
             deleted = [
                 (record, {qid: masks[i] for qid, masks in mask_lists.items()})
                 for i, record in enumerate(records)
@@ -516,7 +473,6 @@ class BatchPipeline:
                 record = graph.delete_edge(edge_id)
                 for runtime in slots.values():
                     runtime.debi.clear_edge(edge_id)
-                host.pipeline_edge_deleted(edge_id)
                 deleted.append((record, row_masks))
         phase.graph_update_seconds += time.perf_counter() - apply_start
 
@@ -548,7 +504,7 @@ class BatchPipeline:
         """
         from repro.core.enumeration import decompose_batch
 
-        host = self.host
+        graph = self.host.graph
         contexts: dict[int, "EnumerationContext"] = {}
         units: dict[int, list] = {}
         shared_cache: dict | None = {} if len(slots) > 1 else None
@@ -559,8 +515,8 @@ class BatchPipeline:
                 frontier = index(runtime)
                 query_phase.filter_seconds += time.perf_counter() - filter_start
                 query_phase.filter_traversals += frontier.traversed_edges
-            context = host.pipeline_make_context(
-                runtime, batch_ids, positive=positive, shared_pool_cache=shared_cache
+            context = runtime.make_context(
+                graph, batch_ids, positive, shared_pool_cache=shared_cache
             )
             contexts[qid] = context
             units[qid] = decompose_batch(context, ordered_ids)
@@ -598,10 +554,7 @@ class BatchPipeline:
 
         collect = self.host.config.collect_embeddings
         pool = self.host.pipeline_acquire_pool(self)
-        pool_ok = pool is not None and pool.usable and all(
-            ctx.on_spilled_access is None for ctx in contexts.values()
-        )
-        if pool_ok and self._amortized(total_units):
+        if pool is not None and pool.usable and self._amortized(total_units):
             if self._pending and self._pending[0].pool is not pool:
                 # The host swapped pools under us (registry churn):
                 # epochs of the old pool must finish before it goes away.
@@ -644,21 +597,9 @@ class BatchPipeline:
                     self._handle_pool_broken(exc)
                     if phase.complete:
                         return
-        elif pool_ok:
-            # A healthy pool but a phase too small to amortise a snapshot
-            # publication: run serially, as both engines always have — the
-            # legacy per-batch fork fallback is for *absent* pools only
-            # (forking workers for a handful of units would cost far more
-            # than the enumeration itself).
-            start = time.perf_counter()
-            outcomes = {
-                qid: _run_serial(contexts[qid], units[qid], collect=collect)
-                for qid in contexts
-            }
-            self._complete_phase(
-                phase, contexts, outcomes, wall=time.perf_counter() - start
-            )
-            return
+        # No usable pool, or a phase too small to amortise a snapshot
+        # publication (a healthy pool implies the process backend, which
+        # runs serially in-process).
         start = time.perf_counter()
         outcomes = self._enumerate_fallback(contexts, units)
         self._complete_phase(phase, contexts, outcomes, wall=time.perf_counter() - start)
@@ -668,16 +609,17 @@ class BatchPipeline:
         contexts: "dict[int, EnumerationContext]",
         units: "dict[int, list[WorkUnit]]",
     ) -> dict[int, EnumerationOutcome]:
-        """Run a phase without the shared pool (serial/thread/legacy fork).
+        """Run a phase without the shared pool (thread backend or serial).
 
         A host that degraded down the supervision ladder pins the
         backend: ``"thread"`` after the pool respawn budget ran out,
         ``"serial"`` after the thread backend faulted too.  Otherwise the
-        host's configured fallback applies.
+        configured thread backend runs threaded and everything else — a
+        process backend whose pool could not be spawned included — serially.
         """
         parallel = self.host.config.parallel
         collect = self.host.config.collect_embeddings
-        degraded = getattr(self.host, "pipeline_degraded_backend", lambda: None)()
+        degraded = self.host.pipeline_degraded_backend()
         outcomes: dict[int, EnumerationOutcome] = {}
         for qid, context in contexts.items():
             if degraded == "serial":
@@ -685,10 +627,6 @@ class BatchPipeline:
             elif degraded == "thread":
                 outcomes[qid] = self._run_threads_guarded(
                     context, units[qid], max(parallel.num_workers, 2), collect=collect
-                )
-            elif self._fallback == "fork":
-                outcomes[qid] = run_enumeration(
-                    context, units[qid], parallel, pool=None, collect=collect
                 )
             elif parallel.backend == "thread" and parallel.num_workers > 1:
                 outcomes[qid] = self._run_threads_guarded(
@@ -718,9 +656,7 @@ class BatchPipeline:
         except Exception as exc:
             context.candidates_scanned = scanned_before
             context.embeddings_found = found_before
-            notify = getattr(self.host, "pipeline_thread_backend_failed", None)
-            if notify is not None:
-                notify()
+            self.host.pipeline_thread_backend_failed()
             warnings.warn(
                 f"thread-backend enumeration failed ({exc}); this phase "
                 "re-ran serially",
@@ -814,9 +750,7 @@ class BatchPipeline:
                 outcomes,
                 wall=time.perf_counter() - item.dispatched_at,
             )
-        notify = getattr(self.host, "pipeline_recovery_finished", None)
-        if notify is not None:
-            notify(redispatched, recovered)
+        self.host.pipeline_recovery_finished(redispatched, recovered)
         if replacement is None:
             warnings.warn(
                 f"shared-memory pool failed mid-run ({exc}); in-flight epochs "

@@ -2,14 +2,16 @@
 
 The paper's engine answers a single continuous query per stream.  A
 matching *service*, however, evaluates many standing queries against the
-same evolving graph, and running one :class:`~repro.core.engine.MnemonicEngine`
-per query multiplies every per-batch cost by the number of queries: the
-graph is mutated N times, N CSR snapshots are exported for the worker
-pools, and the same adjacency pools are re-scanned once per query.
+same evolving graph, and running one engine per query multiplies every
+per-batch cost by the number of queries: the graph is mutated N times, N
+CSR snapshots are exported for the worker pools, and the same adjacency
+pools are re-scanned once per query.
 
-This module factors the per-query half of the engine out into a
-:class:`QueryRuntime` (tree, matching orders, masks, DEBI, index
-manager) and builds a multi-query engine on top of it:
+This module holds the per-query half of an engine, :class:`QueryRuntime`
+(tree, matching orders, masks, DEBI, index manager), and the one engine
+built on it — :class:`MultiQueryEngine`, the only host of
+:class:`~repro.core.pipeline.BatchPipeline`
+(:class:`~repro.core.engine.MnemonicEngine` is a one-query view over it):
 
 * :class:`QueryRegistry` tracks the standing queries — each with its own
   :class:`~repro.core.api.MatchDefinition`, matching order and result
@@ -53,9 +55,9 @@ from repro.query.matching_order import MatchingOrder, build_matching_orders
 from repro.query.query_graph import QueryGraph
 from repro.query.query_tree import QueryTree
 from repro.streams.broker import producing
-from repro.streams.events import StreamEvent
-from repro.streams.generator import Snapshot, SnapshotGenerator
-from repro.streams.sources import ListSource, StreamSource
+from repro.streams.events import EventColumns, EventKind, StreamEvent, coerce_insert
+from repro.streams.generator import Snapshot, SnapshotGenerator, initialize_stream
+from repro.streams.sources import StreamSource
 from repro.utils.validation import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -72,9 +74,8 @@ class QueryRuntime:
     """The per-query half of an engine: precomputation plus index state.
 
     Built once per (query, match definition) pair by
-    :func:`build_query_runtime`; owned either by a single
-    :class:`~repro.core.engine.MnemonicEngine` or by one registry slot of
-    a :class:`MultiQueryEngine`.
+    :func:`build_query_runtime`; owned by one registry slot of a
+    :class:`MultiQueryEngine`.
     """
 
     query: QueryGraph
@@ -96,8 +97,6 @@ class QueryRuntime:
         batch_edge_ids: set[int],
         positive: bool,
         shared_pool_cache: dict | None = None,
-        spilled_edge_ids: set[int] | None = None,
-        on_spilled_access: Callable[[int], None] | None = None,
     ) -> EnumerationContext:
         """Build an enumeration context over the live graph for one batch."""
         # The f2/f3 label-degree rules require distinct data edges per query
@@ -117,8 +116,6 @@ class QueryRuntime:
             batch_edge_ids=batch_edge_ids,
             positive=positive,
             degree_filter=degree_filter,
-            spilled_edge_ids=spilled_edge_ids,
-            on_spilled_access=on_spilled_access,
             shared_pool_cache=shared_pool_cache,
             kernel=self.kernel,
             arena=self.arena,
@@ -198,9 +195,9 @@ def resolve_deletions(graph: DynamicGraph, events: Sequence[StreamEvent]) -> lis
 
     Among parallel edges the instance with the event's timestamp is
     preferred (sliding windows expire the oldest instance); otherwise the
-    latest one wins.  Shared by :class:`~repro.core.engine.MnemonicEngine`
-    and :class:`MultiQueryEngine` so the two engines can never diverge on
-    which edge a deletion hits.
+    latest one wins.  Shared by the batch pipeline, journal replay and
+    the shard router so they can never diverge on which edge a deletion
+    hits.
     """
     doomed_ids: list[int] = []
     doomed_set: set[int] = set()
@@ -380,8 +377,9 @@ class MultiRunResult:
 class MultiQueryEngine(PoolOwnerMixin):
     """A shared-everything engine evaluating many standing queries per batch.
 
-    Compared with one :class:`~repro.core.engine.MnemonicEngine` per
-    query, a batch costs:
+    The one :class:`~repro.core.pipeline.BatchPipeline` host: it owns the
+    graph, the query registry, the supervised worker pool and the durable
+    state.  Compared with one engine per query, a batch costs:
 
     * **one** graph mutation pass instead of N,
     * **one** DEBI update sweep (per-query index refresh over the same
@@ -394,8 +392,10 @@ class MultiQueryEngine(PoolOwnerMixin):
 
     Use :meth:`register` / :meth:`unregister` at any point, including
     mid-stream; a freshly registered query is indexed against the live
-    graph before its first batch.  The engine is a context manager, like
-    the single-query engine.
+    graph before its first batch.  The engine is a context manager.
+    ``_kind`` is what a durable engine stamps into (and expects from) its
+    state directory's ``meta.json``: the single-query view passes
+    ``"single"``.
     """
 
     def __init__(
@@ -403,17 +403,13 @@ class MultiQueryEngine(PoolOwnerMixin):
         config: "EngineConfig | None" = None,
         graph: DynamicGraph | None = None,
         _recovered=None,
+        _kind: str = "multi",
     ) -> None:
         from repro.core.engine import EngineConfig
         from repro.core.pipeline import BatchPipeline
         from repro.storage.runtime import EngineStorage
 
         self.config = config or EngineConfig()
-        if self.config.stream.in_memory_window is not None:
-            raise ConfigurationError(
-                "the multi-query engine does not support the external edge store; "
-                "use a dedicated MnemonicEngine for spilling workloads"
-            )
         self.graph = graph or DynamicGraph(recycle_edge_ids=self.config.recycle_edge_ids)
         self.registry = QueryRegistry(
             self.graph, use_degree_filter=self.config.use_degree_filter,
@@ -425,7 +421,7 @@ class MultiQueryEngine(PoolOwnerMixin):
             if _recovered is not None:
                 self._storage = _recovered.storage
             else:
-                self._storage = EngineStorage.create(self.config.storage, kind="multi")
+                self._storage = EngineStorage.create(self.config.storage, kind=_kind)
         self._snapshot_counter = 0
         self._adopt_pool(None)
         self._pool_version = -1
@@ -440,11 +436,9 @@ class MultiQueryEngine(PoolOwnerMixin):
                 self.registry.query_states(), self.config.parallel
             ),
         )
-        #: per-batch footprints captured at mutation time (see engine hook)
+        #: per-batch footprints captured at mutation time
         self._footprints: dict[int, tuple[int, int, dict[int, int]]] = {}
-        self._pipeline = BatchPipeline(
-            self, mode=self.config.pipeline, fallback="simple"
-        )
+        self._pipeline = BatchPipeline(self, mode=self.config.pipeline)
         # A fresh durable engine writes "checkpoint 0" (empty registry);
         # REGISTER/UNREGISTER journal records track membership from there.
         if self._storage is not None and _recovered is None:
@@ -592,20 +586,14 @@ class MultiQueryEngine(PoolOwnerMixin):
     # ------------------------------------------------------------------ stream API
     def initialize_stream(self, source: StreamSource | Sequence[StreamEvent]) -> SnapshotGenerator:
         """Wrap ``source`` in a snapshot generator using the engine's stream config."""
-        if isinstance(source, (list, tuple)):
-            source = ListSource(source)
-        return SnapshotGenerator(source, self.config.stream)
+        return initialize_stream(source, self.config.stream)
 
     def load_initial(self, events: Iterable[StreamEvent | tuple]) -> int:
         """Load an initial graph (insertions only) and index every query for it."""
-        from repro.core.engine import MnemonicEngine
-
-        coerced = [MnemonicEngine._coerce_insert(event) for event in events]
+        coerced = [coerce_insert(event) for event in events]
         if coerced and self.config.ingest == "columnar" and hasattr(
             self.graph, "apply_insert_columns"
         ):
-            from repro.streams.events import EventColumns, EventKind
-
             columns = EventColumns.from_events(EventKind.INSERT, coerced)
             new_ids = self.graph.apply_insert_columns(
                 columns.src, columns.dst, columns.label, columns.timestamp,
@@ -638,11 +626,11 @@ class MultiQueryEngine(PoolOwnerMixin):
         per-query results are identical to the serial mode either way.
 
         A :class:`~repro.streams.broker.StreamBroker` source is driven
-        end to end, exactly as in
-        :meth:`~repro.core.engine.MnemonicEngine.run`: its producer
-        thread is started so arrival overlaps processing, snapshots are
+        end to end: its pull-mode producer thread is started (so event
+        arrival overlaps mutation *and* enumeration), every snapshot is
         stamped with ingest-to-result latency, and an abandoned run
-        stops the producer.
+        stops the producer instead of leaving it blocked on
+        backpressure.
         """
         generator = self.initialize_stream(source)
         with producing(source):
@@ -661,9 +649,7 @@ class MultiQueryEngine(PoolOwnerMixin):
 
     def batch_inserts(self, events: Iterable[StreamEvent | tuple]) -> MultiSnapshotResult:
         """Insert a batch of edges; returns the newly formed embeddings per query."""
-        from repro.core.engine import MnemonicEngine
-
-        events = [MnemonicEngine._coerce_insert(e) for e in events]
+        events = [coerce_insert(e) for e in events]
         batch = self._pipeline.process_batch(self._snapshot_counter, events, [])
         self.pipeline_batch_applied(batch)
         return self._deliver(self._result_from_batch(batch))
@@ -712,26 +698,6 @@ class MultiQueryEngine(PoolOwnerMixin):
         stats = self._supervisor.stats.as_dict()
         stats["level"] = self._supervisor.level
         return stats
-
-    def pipeline_make_context(
-        self,
-        runtime: QueryRuntime,
-        batch_edge_ids: set[int],
-        positive: bool,
-        shared_pool_cache: dict | None,
-    ) -> EnumerationContext:
-        return runtime.make_context(
-            self.graph, batch_edge_ids, positive, shared_pool_cache=shared_pool_cache
-        )
-
-    def pipeline_edge_inserted(self, edge_id: int) -> None:
-        pass
-
-    def pipeline_edges_inserted(self, edge_ids) -> None:
-        pass
-
-    def pipeline_edge_deleted(self, edge_id: int) -> None:
-        pass
 
     def pipeline_batch_applied(self, batch: "CompletedBatch") -> None:
         """All of a batch's mutations are applied (enumeration may still run).
@@ -814,7 +780,9 @@ class MultiQueryEngine(PoolOwnerMixin):
                 result.edge_placeholders = placeholders
                 result.debi_bits = debi_bits.get(qid, 0)
         if self._storage is not None:
-            # Seal at delivery, in stream order (see MnemonicEngine).
+            # Seal at *delivery*, in stream order: an epoch enters the journal
+            # only once its results reached the client, so recovery replays
+            # exactly the delivered prefix and the client refeeds the rest.
             self._storage.seal_epoch(
                 batch.number,
                 batch.insert_columns or batch.insert_events,
@@ -847,13 +815,20 @@ class MultiQueryEngine(PoolOwnerMixin):
 
     # ------------------------------------------------------------------ durability
     @classmethod
-    def open(cls, directory, config: "EngineConfig | None" = None) -> "MultiQueryEngine":
-        """Recover a durable multi-query engine from ``directory``.
+    def open(
+        cls, directory, config: "EngineConfig | None" = None, _kind: str = "multi"
+    ) -> "MultiQueryEngine":
+        """Recover a durable engine from ``directory``.
 
+        Loads the newest usable checkpoint, replays the journal tail up to
+        the last sealed epoch (mutations only — no results are re-emitted),
+        truncates any corrupt tail and reopens the journal for appends.
         Registered queries are rebuilt from the checkpoint with their
         original query ids; REGISTER/UNREGISTER journal records replay
         membership changes made after the checkpoint.  Result sinks are
         *not* persisted — reattach them with :meth:`attach_sink`.
+        ``engine.recovery_info`` reports what happened; clients refeed the
+        stream from ``recovery_info["last_sealed_number"] + 1``.
         """
         from dataclasses import replace
 
@@ -864,11 +839,13 @@ class MultiQueryEngine(PoolOwnerMixin):
         config = config or EngineConfig()
         storage_cfg = config.storage or StorageConfig(directory=directory)
         config = replace(config, storage=replace(storage_cfg, directory=directory))
-        recovered = EngineStorage.open_existing(config.storage, kind="multi")
+        recovered = EngineStorage.open_existing(config.storage, kind=_kind)
         # open_existing may fold persisted cold-tier geometry into the config.
         config = replace(config, storage=recovered.storage.config)
         state = recovered.checkpoint_state
-        engine = cls(config=config, graph=state["graph"], _recovered=recovered)
+        engine = cls(
+            config=config, graph=state["graph"], _recovered=recovered, _kind=_kind
+        )
         for entry in state["queries"]:
             engine._restore_query(entry)
         engine.registry._next_id = state["next_id"]
@@ -946,7 +923,6 @@ class MultiQueryEngine(PoolOwnerMixin):
                 },
             })
         return {
-            "kind": "multi",
             "graph": self.graph,
             "next_id": self.registry._next_id,
             "snapshot_counter": self._snapshot_counter,
@@ -967,28 +943,12 @@ class MultiQueryEngine(PoolOwnerMixin):
         self._storage.checkpoint_now(self._checkpoint_state)
 
     def storage_counters(self) -> dict:
-        """Journal/checkpoint counters plus per-engine spill totals."""
+        """Journal/checkpoint counters plus spill totals over every query's DEBI
+        (empty without storage)."""
         if self._storage is None:
             return {}
         counters = self._storage.counters()
-        spilled_rows = disk_bytes = hot_bytes = cold_reads = cold_writes = 0
-        any_spill = False
         for _, registered in self.registry.items():
-            spill = registered.runtime.debi.spill_stats()
-            if spill is None:
-                continue
-            any_spill = True
-            spilled_rows += spill["spilled_rows"]
-            disk_bytes += spill["debi_disk_bytes"]
-            hot_bytes += spill["debi_hot_bytes"]
-            cold_reads += spill["cold_reads"]
-            cold_writes += spill["cold_writes"]
-        if any_spill:
-            counters.update({
-                "spilled_rows": spilled_rows,
-                "debi_disk_bytes": disk_bytes,
-                "debi_hot_bytes": hot_bytes,
-                "cold_reads": cold_reads,
-                "cold_writes": cold_writes,
-            })
+            for key, value in (registered.runtime.debi.spill_stats() or {}).items():
+                counters[key] = counters.get(key, 0) + value
         return counters

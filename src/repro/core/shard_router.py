@@ -84,9 +84,9 @@ from repro.graph.adjacency import DynamicGraph, GraphError, concat_candidate_poo
 from repro.graph.stats import PlaceholderStats
 from repro.query.query_graph import QueryGraph
 from repro.streams.broker import producing
-from repro.streams.events import EventKind, StreamEvent
-from repro.streams.generator import Snapshot, SnapshotGenerator
-from repro.streams.sources import ListSource, StreamSource
+from repro.streams.events import StreamEvent, coerce_insert
+from repro.streams.generator import Snapshot, SnapshotGenerator, initialize_stream
+from repro.streams.sources import StreamSource
 from repro.utils.validation import ConfigurationError
 
 _EMPTY_IDS = np.empty(0, dtype=np.int64)
@@ -764,9 +764,8 @@ class ShardedEngine:
     ``shard_parity``), with mutation, DEBI maintenance, snapshot export,
     and enumeration work split across the shards.
 
-    Not yet sharded: durable storage and the external edge store (both
-    raise), and the pipelined batch mode (runs serial; per-shard pools
-    still overlap *within* each phase).
+    Not yet sharded: durable storage (raises) and the pipelined batch
+    mode (runs serial; per-shard pools still overlap *within* each phase).
     """
 
     def __init__(
@@ -782,10 +781,6 @@ class ShardedEngine:
             raise ConfigurationError(
                 "ShardedEngine does not support durable storage yet; "
                 "run MnemonicEngine with config.storage instead"
-            )
-        if self.config.stream.in_memory_window is not None:
-            raise ConfigurationError(
-                "ShardedEngine does not support the external edge store"
             )
         num_shards = self.config.shards
         self.router = ShardRouter(
@@ -854,13 +849,11 @@ class ShardedEngine:
     def initialize_stream(
         self, source: StreamSource | Sequence[StreamEvent]
     ) -> SnapshotGenerator:
-        if isinstance(source, (list, tuple)):
-            source = ListSource(source)
-        return SnapshotGenerator(source, self.config.stream)
+        return initialize_stream(source, self.config.stream)
 
     def load_initial(self, events: Iterable[StreamEvent | tuple]) -> int:
         """Load and index an initial graph (insertions only), no enumeration."""
-        coerced = [self._coerce_insert(event) for event in events]
+        coerced = [coerce_insert(event) for event in events]
         columns = self._decode_columns(True, coerced)
         if columns is not None:
             new_ids = self.router.insert_columns(columns)
@@ -880,14 +873,6 @@ class ShardedEngine:
 
         kind = EventKind.INSERT if positive else EventKind.DELETE
         return EventColumns.from_events(kind, events)
-
-    @staticmethod
-    def _coerce_insert(event: StreamEvent | tuple) -> StreamEvent:
-        if isinstance(event, StreamEvent):
-            if event.kind is not EventKind.INSERT:
-                raise ConfigurationError("load_initial only accepts insertion events")
-            return event
-        return StreamEvent.insert(*event)
 
     # ------------------------------------------------------------------ main loop
     def run(self, source: StreamSource | Sequence[StreamEvent]) -> RunResult:
@@ -911,7 +896,7 @@ class ShardedEngine:
         )
 
     def batch_inserts(self, events: Iterable[StreamEvent | tuple]) -> SnapshotResult:
-        coerced = [self._coerce_insert(e) for e in events]
+        coerced = [coerce_insert(e) for e in events]
         return self._process_batch(self._snapshot_counter, coerced, [])
 
     def batch_deletes(self, events: Iterable[StreamEvent | tuple]) -> SnapshotResult:

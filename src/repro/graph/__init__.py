@@ -10,8 +10,6 @@ label, and timestamp.  This package provides:
   recycling (the mechanism behind the paper's non-monotonic index size).
 * :class:`repro.graph.attributes.AttributeStore` — per-vertex / per-edge
   attribute columns addressed by id.
-* :class:`repro.graph.external.ExternalEdgeStore` — FIFO in-memory window
-  backed by an on-disk transactional edge log (Table III experiments).
 * :class:`repro.graph.stats.PlaceholderStats` — placeholder / recycling
   counters (Figure 17 experiments).
 """
@@ -19,7 +17,6 @@ label, and timestamp.  This package provides:
 from repro.graph.adjacency import DynamicGraph
 from repro.graph.attributes import AttributeStore
 from repro.graph.edge import EdgeRecord, Endpoint
-from repro.graph.external import ExternalEdgeStore
 from repro.graph.stats import PlaceholderStats
 
 __all__ = [
@@ -27,6 +24,5 @@ __all__ = [
     "AttributeStore",
     "EdgeRecord",
     "Endpoint",
-    "ExternalEdgeStore",
     "PlaceholderStats",
 ]

@@ -152,18 +152,13 @@ class DynamicGraph:
         are reused for later insertions at the same source vertex.  When
         False every insertion allocates a fresh id; this mode exists to
         reproduce the "without reclaiming" curve of Figure 17.
-    track_label_degrees:
-        Retained for API compatibility.  Label degrees are now read off
-        the per-label partition sizes, so they are O(1) regardless of
-        this flag.
     """
 
     #: dirty-vertex fraction above which a full CSR rebuild beats splicing
     INCREMENTAL_EXPORT_MAX_DIRTY_FRACTION = 0.125
 
-    def __init__(self, recycle_edge_ids: bool = True, track_label_degrees: bool = True) -> None:
+    def __init__(self, recycle_edge_ids: bool = True) -> None:
         self.recycle_edge_ids = recycle_edge_ids
-        self.track_label_degrees = track_label_degrees
 
         # Edge columns indexed by edge_id.  The Python lists serve the
         # scalar hot paths (EdgeRecord construction, find_edges); the
@@ -822,10 +817,7 @@ class DynamicGraph:
 
     def copy(self) -> "DynamicGraph":
         """Deep copy of the live graph (dead placeholders are preserved)."""
-        clone = DynamicGraph(
-            recycle_edge_ids=self.recycle_edge_ids,
-            track_label_degrees=self.track_label_degrees,
-        )
+        clone = DynamicGraph(recycle_edge_ids=self.recycle_edge_ids)
         clone._src = list(self._src)
         clone._dst = list(self._dst)
         clone._label = list(self._label)

@@ -44,7 +44,8 @@ from repro.storage.recovery import event_tuples
 from repro.utils.validation import ConfigurationError
 
 ENGINE_KINDS = ("single", "multi")
-FORMAT_VERSION = 1
+#: version 2: one checkpoint-state layout (a list of queries) for both kinds
+FORMAT_VERSION = 2
 
 
 class StorageError(Exception):
@@ -106,11 +107,16 @@ class EngineStorage:
 
     @staticmethod
     def peek_kind(directory: str | Path) -> str:
-        """Read the engine kind from an existing state directory."""
+        """Read the engine kind from an existing state directory (format-checked)."""
         meta_path = Path(directory) / "meta.json"
         if not meta_path.exists():
             raise StorageError(f"no durable state at {directory} (meta.json missing)")
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        if meta.get("format") != FORMAT_VERSION:
+            raise StorageError(
+                f"durable state at {directory} has format version "
+                f"{meta.get('format')!r}; this build reads version {FORMAT_VERSION}"
+            )
         kind = meta.get("kind")
         if kind not in ENGINE_KINDS:
             raise StorageError(f"unrecognised engine kind {kind!r} in {meta_path}")

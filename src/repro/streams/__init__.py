@@ -30,11 +30,17 @@ from repro.streams.config import StreamConfig, StreamType
 from repro.streams.events import (
     EventKind,
     StreamEvent,
+    coerce_insert,
     decode_lsbench_triple,
     encode_lsbench_triple,
 )
 from repro.streams.fanout import FanoutStats, ShardFanout
-from repro.streams.generator import Snapshot, SnapshotBatcher, SnapshotGenerator
+from repro.streams.generator import (
+    Snapshot,
+    SnapshotBatcher,
+    SnapshotGenerator,
+    initialize_stream,
+)
 from repro.streams.sources import (
     CSVTraceSource,
     IterableSource,
@@ -52,6 +58,8 @@ __all__ = [
     "Snapshot",
     "SnapshotBatcher",
     "SnapshotGenerator",
+    "initialize_stream",
+    "coerce_insert",
     "StreamSource",
     "ListSource",
     "IterableSource",

@@ -18,7 +18,7 @@ class StreamType(str, Enum):
 
 @dataclass
 class StreamConfig:
-    """Knobs that customise snapshot generation and retention.
+    """Knobs that customise snapshot generation.
 
     Attributes
     ----------
@@ -51,9 +51,6 @@ class StreamConfig:
         Only used for ``SLIDING_WINDOW`` streams.  Each snapshot then
         contains all events inside the new stride plus deletions of the
         edges that slid out of the window.
-    in_memory_window:
-        When set, the engine spills edges (and their DEBI rows) older
-        than this many events to the external store (Table III).
     """
 
     stream_type: StreamType = StreamType.INSERT_ONLY
@@ -61,7 +58,6 @@ class StreamConfig:
     max_batch_delay: float | None = None
     window: float | None = None
     stride: float | None = None
-    in_memory_window: int | None = None
 
     @property
     def max_batch_size(self) -> int:
@@ -91,5 +87,3 @@ class StreamConfig:
                 raise ConfigurationError(
                     f"stride ({self.stride}) must not exceed window ({self.window})"
                 )
-        if self.in_memory_window is not None:
-            check_positive(self.in_memory_window, "in_memory_window")

@@ -19,6 +19,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from repro.utils.validation import ConfigurationError
+
 
 class EventKind(IntEnum):
     """Whether a stream event inserts or deletes an edge instance."""
@@ -61,6 +63,20 @@ class StreamEvent:
                src_label: int = 0, dst_label: int = 0) -> "StreamEvent":
         """Convenience constructor for a deletion event."""
         return StreamEvent(EventKind.DELETE, src, dst, label, timestamp, src_label, dst_label)
+
+
+def coerce_insert(event: "StreamEvent | tuple") -> StreamEvent:
+    """An insertion event from an event or a bare ``(src, dst[, ...])`` tuple.
+
+    The one coercion behind every engine's ``load_initial`` /
+    ``batch_inserts``: deletion events are rejected, not silently
+    reinterpreted.
+    """
+    if isinstance(event, StreamEvent):
+        if event.kind is not EventKind.INSERT:
+            raise ConfigurationError("expected an insertion event, got a deletion")
+        return event
+    return StreamEvent.insert(*event)
 
 
 @dataclass

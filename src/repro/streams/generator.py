@@ -36,13 +36,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from repro.streams.broker import POLL_TIMEOUT, StreamBroker
 from repro.streams.clock import Clock
 from repro.streams.config import StreamConfig, StreamType
 from repro.streams.events import EventKind, StreamEvent
-from repro.streams.sources import StreamSource
+from repro.streams.sources import ListSource, StreamSource
 from repro.utils.validation import ConfigurationError
 
 
@@ -357,3 +357,12 @@ class SnapshotGenerator:
             pending.append(event)
         if pending and stride_end is not None:
             yield build_snapshot(stride_end)
+
+
+def initialize_stream(
+    source: "StreamSource | Sequence[StreamEvent]", config: StreamConfig
+) -> SnapshotGenerator:
+    """Wrap ``source`` (a stream source or a plain event list) in a snapshot generator."""
+    if isinstance(source, (list, tuple)):
+        source = ListSource(source)
+    return SnapshotGenerator(source, config)

@@ -111,7 +111,7 @@ class TestKernelMatchesReference:
         engine.load_initial(paper_example.initial_events()
                             + paper_example.delta1_events())
         live_ids = [record.edge_id for record in engine.graph.edges()]
-        context = engine._make_context(batch_edge_ids=set(live_ids), positive=True)
+        context = engine.runtime.make_context(engine.graph, batch_edge_ids=set(live_ids), positive=True)
         units = decompose_batch(context, live_ids)
         assert columnar_supported(context)
         embeddings, count = columnar_enumerate(context, units)
@@ -126,10 +126,10 @@ class TestKernelMatchesReference:
         engine.load_initial(paper_example.initial_events()
                             + paper_example.delta1_events())
         live_ids = [record.edge_id for record in engine.graph.edges()]
-        context = engine._make_context(batch_edge_ids=set(live_ids), positive=True)
+        context = engine.runtime.make_context(engine.graph, batch_edge_ids=set(live_ids), positive=True)
         units = decompose_batch(context, live_ids)
         collected, n_collected = columnar_enumerate(context, units, collect=True)
-        context2 = engine._make_context(batch_edge_ids=set(live_ids), positive=True)
+        context2 = engine.runtime.make_context(engine.graph, batch_edge_ids=set(live_ids), positive=True)
         empty, n_counted = columnar_enumerate(context2, decompose_batch(context2, live_ids),
                                               collect=False)
         assert empty == []
@@ -142,10 +142,10 @@ class TestKernelMatchesReference:
         engine = MnemonicEngine(paper_example.query)
         engine.load_initial(paper_example.initial_events())
         live_ids = [record.edge_id for record in engine.graph.edges()]
-        context = engine._make_context(batch_edge_ids=set(live_ids), positive=True)
+        context = engine.runtime.make_context(engine.graph, batch_edge_ids=set(live_ids), positive=True)
         units = decompose_batch(context, live_ids)
         collected, _ = columnar_enumerate(context, units)
-        context2 = engine._make_context(batch_edge_ids=set(live_ids), positive=True)
+        context2 = engine.runtime.make_context(engine.graph, batch_edge_ids=set(live_ids), positive=True)
         payload, count = columnar_enumerate_packed(
             context2, decompose_batch(context2, live_ids))
         unpacked = _unpack_embeddings(payload, positive=True)
@@ -234,13 +234,13 @@ class TestArenaInvariants:
         live_ids = [record.edge_id for record in engine.graph.edges()]
         arena = EmbeddingArena(capacity=8)
         for _ in range(4):
-            context = engine._make_context(batch_edge_ids=set(live_ids), positive=True)
+            context = engine.runtime.make_context(engine.graph, batch_edge_ids=set(live_ids), positive=True)
             units = decompose_batch(context, live_ids)
             columnar_enumerate(context, units, arena=arena)
         assert arena.batches_served == 4  # one per kernel invocation
         grow_after_warmup = arena.grow_events
         for _ in range(3):
-            context = engine._make_context(batch_edge_ids=set(live_ids), positive=True)
+            context = engine.runtime.make_context(engine.graph, batch_edge_ids=set(live_ids), positive=True)
             columnar_enumerate(context, decompose_batch(context, live_ids), arena=arena)
         assert arena.grow_events == grow_after_warmup
         assert arena.high_water <= arena.capacity
@@ -265,7 +265,7 @@ class TestArenaInvariants:
 # ---------------------------------------------------------------------- edge cases
 class TestKernelEdgeCases:
     def _context(self, engine, edge_ids):
-        return engine._make_context(batch_edge_ids=set(edge_ids), positive=True)
+        return engine.runtime.make_context(engine.graph, batch_edge_ids=set(edge_ids), positive=True)
 
     def test_empty_unit_list(self, paper_example):
         engine = MnemonicEngine(paper_example.query)
@@ -332,7 +332,7 @@ class TestKernelEdgeCases:
         engine = MnemonicEngine(paper_example.query,
                                 config=EngineConfig(kernel="columnar"),
                                 match_def=CountingMatcher())
-        context = engine._make_context(batch_edge_ids=set(), positive=True)
+        context = engine.runtime.make_context(engine.graph, batch_edge_ids=set(), positive=True)
         assert not columnar_supported(context)
         result = engine.batch_inserts(paper_example.initial_events())
         reference = MnemonicEngine(paper_example.query,
@@ -344,7 +344,7 @@ class TestKernelEdgeCases:
     def test_python_kernel_config_disables_kernel(self, paper_example):
         engine = MnemonicEngine(paper_example.query,
                                 config=EngineConfig(kernel="python"))
-        context = engine._make_context(batch_edge_ids=set(), positive=True)
+        context = engine.runtime.make_context(engine.graph, batch_edge_ids=set(), positive=True)
         assert not columnar_supported(context)
 
     def test_invalid_kernel_name_rejected(self):
@@ -364,7 +364,7 @@ class TestExtendIntersectSeam:
         engine.load_initial(paper_example.initial_events()
                             + paper_example.delta1_events())
         live_ids = [record.edge_id for record in engine.graph.edges()]
-        context = engine._make_context(batch_edge_ids=set(live_ids), positive=True)
+        context = engine.runtime.make_context(engine.graph, batch_edge_ids=set(live_ids), positive=True)
         units = decompose_batch(context, live_ids)
 
         seen = []

@@ -71,6 +71,22 @@ class TestBatchAPIs:
         assert result.num_negative == 1
         assert not result.negative_embeddings[0].positive
 
+    def test_one_shot_batches_report_the_footprint(self):
+        """batch_inserts / batch_deletes carry the graph + index footprint and
+        sample it for Figure 17, exactly like a streamed batch (they used to
+        report zeros and skip the sample)."""
+        engine = MnemonicEngine(path_query())
+        inserted = engine.batch_inserts(chain_events())
+        assert (inserted.live_edges, inserted.edge_placeholders) == (2, 2)
+        assert inserted.debi_bits == engine.debi.total_bits_set() > 0
+        deleted = engine.batch_deletes([StreamEvent.delete(11, 12, 0)])
+        assert (deleted.live_edges, deleted.edge_placeholders) == (1, 2)
+        assert deleted.debi_bits == engine.debi.total_bits_set()
+        assert engine.graph.stats.snapshots == [
+            {"snapshot": 0, "placeholders": 2, "live_edges": 2},
+            {"snapshot": 1, "placeholders": 2, "live_edges": 1},
+        ]
+
     def test_delete_of_unknown_edge_rejected(self):
         engine = MnemonicEngine(path_query())
         with pytest.raises(ConfigurationError):
@@ -110,6 +126,17 @@ class TestRunLoop:
         assert result.total_positive == 3
         assert result.total_negative == 0
         assert result.total_seconds >= 0.0
+
+    def test_view_keeps_no_history_in_the_registry(self):
+        """The inner registry's per-query history (what unregister() returns)
+        must not grow with the stream behind a single-query engine."""
+        engine = MnemonicEngine(
+            path_query(), config=EngineConfig(stream=StreamConfig(batch_size=2))
+        )
+        result = engine.run(chain_events() + chain_events(base=20))
+        engine.batch_inserts(chain_events(base=30))
+        assert len(result.snapshots) == 2 and result.total_positive == 2
+        assert engine.multi.registry.get(0).run_result.snapshots == []
 
     def test_run_insert_delete_stream(self):
         engine = MnemonicEngine(

@@ -87,7 +87,7 @@ class TestWorkDecomposition:
             StreamEvent.insert(1, 2),
             StreamEvent.insert(2, 3),
         ])
-        context = engine._make_context(batch_edge_ids={0, 1}, positive=True)
+        context = engine.runtime.make_context(engine.graph, batch_edge_ids={0, 1}, positive=True)
         units = decompose_batch(context, [0, 1])
         # Wildcard labels: every edge matches the non-tree query edge regardless of DEBI.
         non_tree_index = engine.tree.non_tree_edges[0].index

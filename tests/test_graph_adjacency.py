@@ -45,13 +45,6 @@ class TestBasicMutations:
         assert graph.in_label_degree(2, 5) == 1
         assert graph.out_label_degree(1, 99) == 0
 
-    def test_label_degrees_without_tracking(self):
-        graph = DynamicGraph(track_label_degrees=False)
-        graph.add_edge(1, 2, label=5)
-        graph.add_edge(1, 3, label=5)
-        assert graph.out_label_degree(1, 5) == 2
-        assert graph.in_label_degree(3, 5) == 1
-
     def test_relabel_vertex_rejected(self):
         graph = DynamicGraph()
         graph.add_vertex(1, 5)

@@ -1,12 +1,7 @@
-"""Unit tests for the attribute store and the external (disk-spill) edge store."""
-
-import os
-
-import pytest
+"""Unit tests for the edge value types and the attribute store."""
 
 from repro.graph.attributes import AttributeStore
 from repro.graph.edge import EdgeRecord, EdgeTriple, Endpoint
-from repro.graph.external import ExternalEdgeStore
 
 
 class TestEdgeTypes:
@@ -51,60 +46,3 @@ class TestAttributeStore:
         store.define("flag", default=False)
         store.set("port", 2, 80)
         assert store.row(2) == {"port": 80, "flag": False}
-
-
-class TestExternalEdgeStore:
-    def _record(self, eid, src=1, dst=2):
-        return EdgeRecord(eid, src, dst, 0, float(eid))
-
-    def test_fifo_retention_and_spill(self, tmp_path):
-        store = ExternalEdgeStore(in_memory_window=5, buffer_capacity=3,
-                                  directory=str(tmp_path))
-        for i in range(12):
-            store.append(self._record(i, src=i % 3), debi_mask=i)
-        assert store.resident_count == 5
-        store.flush()
-        assert store.spilled_count == 7
-        assert store.stats.bytes_written > 0
-        assert any(name.startswith("segment-") for name in os.listdir(tmp_path))
-
-    def test_fetch_vertex_returns_resident_and_spilled(self, tmp_path):
-        store = ExternalEdgeStore(in_memory_window=2, buffer_capacity=2,
-                                  directory=str(tmp_path))
-        for i in range(6):
-            store.append(self._record(i, src=7), debi_mask=i + 1)
-        store.flush()
-        fetched = store.fetch_vertex(7)
-        assert len(fetched) == 6
-        # DEBI masks survive the round-trip.
-        assert sorted(mask for _, mask in fetched) == [1, 2, 3, 4, 5, 6]
-        assert store.stats.fetches == 1
-        assert store.stats.fetched_edges == 6
-
-    def test_fetch_unknown_vertex(self, tmp_path):
-        store = ExternalEdgeStore(in_memory_window=4, directory=str(tmp_path))
-        store.append(self._record(0, src=1))
-        assert store.fetch_vertex(99) == []
-
-    def test_update_mask_only_affects_resident(self, tmp_path):
-        store = ExternalEdgeStore(in_memory_window=10, directory=str(tmp_path))
-        store.append(self._record(0, src=1), debi_mask=0)
-        store.update_mask(0, 0b101)
-        fetched = store.fetch_vertex(1)
-        assert fetched[0][1] == 0b101
-        store.update_mask(12345, 1)  # unknown id: no-op
-
-    def test_memory_bytes_and_close(self, tmp_path):
-        store = ExternalEdgeStore(in_memory_window=3, buffer_capacity=100,
-                                  directory=str(tmp_path))
-        for i in range(5):
-            store.append(self._record(i))
-        assert store.memory_bytes() > 0
-        store.close()  # flushes the pending buffer
-        assert store.stats.spilled_edges == 2
-
-    def test_invalid_configuration(self):
-        with pytest.raises(Exception):
-            ExternalEdgeStore(in_memory_window=0)
-        with pytest.raises(Exception):
-            ExternalEdgeStore(buffer_capacity=0)

@@ -139,30 +139,8 @@ class TestLANLSlidingWindow:
             from repro.core.enumeration import decompose_batch
             from repro.core.parallel import run_enumeration
 
-            ctx = engine._make_context(
+            ctx = engine.runtime.make_context(engine.graph, 
                 batch_edge_ids={r.edge_id for r in engine.graph.edges()}, positive=True)
             units = decompose_batch(ctx, [r.edge_id for r in engine.graph.edges()])
             full = run_enumeration(ctx, units, ParallelConfig())
             assert {e.node_map for e in full.embeddings} == recomputed
-
-
-class TestExternalMemoryIntegration:
-    def test_spill_keeps_results_identical(self):
-        stream = generate_netflow_stream(NetFlowConfig(num_events=800, num_hosts=80, seed=46))
-        graph = graph_from_events(stream[:600])
-        query = QueryGenerator(graph, seed=23).tree_query(3)
-
-        def run(in_memory_window):
-            engine = MnemonicEngine(query, config=EngineConfig(
-                stream=StreamConfig(batch_size=64, in_memory_window=in_memory_window)))
-            engine.load_initial(stream[:600])
-            result = engine.run(stream[600:])
-            return engine, frozenset(e.identity() for e in result.all_positive())
-
-        engine_mem, with_everything = run(None)
-        engine_disk, with_spill = run(100)
-        assert with_everything == with_spill
-        assert engine_disk.external_store is not None
-        assert engine_disk.external_store.spilled_count > 0
-        report = engine_disk.memory_report()
-        assert report["spilled_edges"] > 0

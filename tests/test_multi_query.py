@@ -256,12 +256,6 @@ class TestLifecycle:
         result = engine.batch_inserts(chain_events(base=20))
         assert result.total_embeddings == 1
 
-    def test_rejects_external_store_config(self):
-        with pytest.raises(ConfigurationError):
-            MultiQueryEngine(
-                config=EngineConfig(stream=StreamConfig(in_memory_window=4))
-            )
-
     def test_load_initial_indexes_without_enumerating(self):
         engine = MultiQueryEngine()
         qid = engine.register(path_query())

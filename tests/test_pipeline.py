@@ -146,15 +146,21 @@ class TestEpochDispatch:
             parallel=ParallelConfig(backend="process", num_workers=2, chunk_size=8)
         )
         with MnemonicEngine(query, config=config) as engine:
-            pool = engine._pool
+            pool = engine.multi._pool
             if pool is None:
                 pytest.skip("pool could not spawn in this environment")
             assert pool.max_epochs_in_flight == 2
             engine.load_initial(initial)
             inserts = [e for e in events if e.kind is EventKind.INSERT][:120]
-            ids = [engine._insert_event(e) for e in inserts]
+            ids = [
+                engine.graph.add_edge(
+                    e.src, e.dst, e.label, e.timestamp,
+                    src_label=e.src_label, dst_label=e.dst_label,
+                )
+                for e in inserts
+            ]
             engine.index_manager.handle_insertions(ids)
-            context = engine._make_context(batch_edge_ids=set(ids), positive=True)
+            context = engine.runtime.make_context(engine.graph, batch_edge_ids=set(ids), positive=True)
             from repro.core.enumeration import decompose_batch
 
             units = decompose_batch(context, ids)
@@ -177,25 +183,17 @@ class TestEpochDispatch:
             parallel=ParallelConfig(backend="process", num_workers=2)
         )
         with MnemonicEngine(query, config=config) as engine:
-            if engine._pool is None:
+            if engine.multi._pool is None:
                 pytest.skip("pool could not spawn in this environment")
             with pytest.raises(PoolBrokenError, match="not in flight"):
-                engine._pool.drain(99)
+                engine.multi._pool.drain(99)
 
 
 class TestSmallBatchSerialGate:
-    def test_small_phases_with_healthy_pool_run_serially(self, monkeypatch):
-        """A phase too small to amortise a publication must run serially —
-        never fork per-batch workers while a persistent pool exists."""
+    def test_small_phases_with_healthy_pool_run_serially(self):
+        """A phase too small to amortise a publication must run serially,
+        without publishing a snapshot, while the persistent pool stays up."""
         pytest.importorskip("multiprocessing.shared_memory")
-        import repro.core.pipeline as pipeline_module
-
-        monkeypatch.setattr(
-            pipeline_module, "run_enumeration",
-            lambda *a, **k: pytest.fail(
-                "small batches must not reach the per-batch fork fallback"
-            ),
-        )
         query, initial, events = mixed_workload()
         config = EngineConfig(
             # batch_size 2 stays far below the 2 * num_workers amortisation floor
@@ -203,12 +201,53 @@ class TestSmallBatchSerialGate:
             parallel=ParallelConfig(backend="process", num_workers=2, chunk_size=8),
         )
         with MnemonicEngine(query, config=config) as engine:
-            if engine._pool is None:
+            if engine.multi._pool is None:
                 pytest.skip("pool could not spawn in this environment")
             engine.load_initial(initial)
             result = engine.run(events[:40])
             assert engine.snapshot_exports == 0, "tiny phases must not publish"
+            assert engine.pool_enumeration_phases == 0
+            assert engine.multi._pool.usable
         assert result.total_positive > 0
+
+
+class TestProcessBackendWithoutPool:
+    """The per-batch fork fallback is gone: no pool means serial enumeration."""
+
+    @pytest.mark.parametrize("spawn", ["returns_none", "raises"])
+    def test_runs_serially_with_one_spawn_attempt(self, monkeypatch, recwarn, spawn):
+        pytest.importorskip("multiprocessing.shared_memory")
+        import multiprocessing.pool
+
+        monkeypatch.setattr(
+            multiprocessing.pool.Pool, "__init__",
+            lambda *a, **k: pytest.fail("no per-batch multiprocessing.Pool may be created"),
+        )
+        attempts = []
+        if spawn == "returns_none":
+            monkeypatch.setattr(
+                SharedMemoryPool, "create_multi",
+                classmethod(lambda cls, states, config: attempts.append(1)),
+            )
+        else:
+            def refuse(self, *args, **kwargs):
+                attempts.append(1)
+                raise OSError("fork refused")
+
+            monkeypatch.setattr(SharedMemoryPool, "__init__", refuse)
+        query, initial, events = mixed_workload()
+        sp, sn, serial, _ = run_engine(query, initial, events, "serial")
+        pp, pn, pooled, counters = run_engine(
+            query, initial, events, "serial",
+            parallel=ParallelConfig(backend="process", num_workers=2),
+        )
+        assert sp and sn, "the stream must form and destroy embeddings"
+        assert (pp, pn) == (sp, sn)
+        assert pooled.total_candidates_scanned == serial.total_candidates_scanned
+        assert counters[0] == 0 and counters[2] == 0, "nothing was published or dispatched"
+        assert len(attempts) == 1, "the spawn is attempted once per engine, not per batch"
+        spawn_warnings = [w for w in recwarn if "pool spawn failed" in str(w.message)]
+        assert len(spawn_warnings) == (1 if spawn == "raises" else 0)
 
 
 class TestSnapshotExportAccounting:
@@ -222,7 +261,7 @@ class TestSnapshotExportAccounting:
             parallel=ParallelConfig(backend="process", num_workers=2, chunk_size=8),
         )
         with MnemonicEngine(query, config=config) as engine:
-            if engine._pool is None:
+            if engine.multi._pool is None:
                 pytest.skip("pool could not spawn in this environment")
             engine.load_initial(initial)
             generator = engine.initialize_stream(events)
@@ -230,8 +269,8 @@ class TestSnapshotExportAccounting:
             engine.process_snapshot(first)
             exported = engine.snapshot_exports
             assert exported > 0, "first batch must publish at this scale"
-            engine.pipeline_pool_broken()  # what a mid-run failure triggers
-            assert engine._pool is None
+            engine.multi.pipeline_pool_broken()  # what a mid-run failure triggers
+            assert engine.multi._pool is None
             assert engine.snapshot_exports == exported
 
 
@@ -285,18 +324,18 @@ class TestPoolBrokenRecovery:
         )
         with pytest.warns(RuntimeWarning, match="pool failed"):
             with MnemonicEngine(query, config=config) as engine:
-                if engine._pool is None:
+                if engine.multi._pool is None:
                     pytest.skip("pool could not spawn in this environment")
                 engine.load_initial(initial)
                 results = []
-                for batch in engine._pipeline.run_stream(
+                for batch in engine.multi._pipeline.run_stream(
                     engine.initialize_stream(events)
                 ):
-                    results.append(engine._result_from_batch(batch))
-                    if len(results) == 1 and engine._pool is not None:
+                    results.append(engine.multi._result_from_batch(batch).per_query[0])
+                    if len(results) == 1 and engine.multi._pool is not None:
                         # Kill the whole pool: a single dead worker can go
                         # unnoticed when the survivor drains every chunk.
-                        for worker in engine._pool._workers:
+                        for worker in engine.multi._pool._workers:
                             worker.terminate()
         pos = {e.identity() for s in results for e in s.positive_embeddings}
         neg = {e.identity() for s in results for e in s.negative_embeddings}

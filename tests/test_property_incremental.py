@@ -104,7 +104,7 @@ def _run_incremental(query, events, splits, match_def):
 def _full_enumeration_node_maps(engine):
     """Enumerate the engine's *current* graph through its own DEBI and context."""
     live_ids = [record.edge_id for record in engine.graph.edges()]
-    context = engine._make_context(batch_edge_ids=set(live_ids), positive=True)
+    context = engine.runtime.make_context(engine.graph, batch_edge_ids=set(live_ids), positive=True)
     units = decompose_batch(context, live_ids)
     outcome = run_enumeration(context, units, ParallelConfig())
     return {embedding.node_map for embedding in outcome.embeddings}

@@ -197,8 +197,8 @@ def test_pipelined_crash_mid_stream(tmp_path, delivered):
     directory = tmp_path / "state"
     engine = MnemonicEngine(path_query(), config=make_config(directory, pipeline="pipelined"))
     pre = []
-    for batch in engine._pipeline.run_stream(iter(list(snapshots))):
-        pre.append(engine._result_from_batch(batch))
+    for batch in engine.multi._pipeline.run_stream(iter(list(snapshots))):
+        pre.append(engine.multi._result_from_batch(batch).per_query[0])
         if len(pre) == delivered:
             break  # crash with later batches applied but never delivered
     engine.close()
@@ -398,15 +398,37 @@ def test_fresh_engine_refuses_existing_state(tmp_path):
         MnemonicEngine(path_query(), config=make_config(directory))
 
 
-def test_storage_excludes_external_edge_store():
-    config = EngineConfig(
-        stream=StreamConfig(
-            stream_type=StreamType.INSERT_DELETE, batch_size=BATCH, in_memory_window=16
-        ),
-        storage=StorageConfig(directory="unused"),
-    )
-    with pytest.raises(ConfigurationError):
-        MnemonicEngine(path_query(), config=config)
+@pytest.mark.parametrize("opener", [MnemonicEngine.open, MultiQueryEngine.open, MnemonicService.open])
+def test_previous_format_version_is_rejected(tmp_path, opener):
+    """A state directory written before the single checkpoint layout (format 1)
+    must fail loudly instead of being misread."""
+    import json
+
+    from repro.storage.runtime import StorageError
+
+    directory = tmp_path / "state"
+    engine = MnemonicEngine(path_query(), config=make_config(directory))
+    run_snapshots(engine, snapshots_for(make_stream(seed=2212, length=12)))
+    engine.close()
+    meta_path = directory / "meta.json"
+    meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    assert meta["format"] == 2
+    meta_path.write_text(json.dumps({**meta, "format": 1}), encoding="utf-8")
+    with pytest.raises(StorageError, match="format version 1"):
+        opener(directory)
+
+
+def test_single_query_state_without_its_query_is_rejected(tmp_path):
+    """A "single" directory whose REGISTER record was lost (crash during
+    construction) holds no query 0: open must say so, not hand back an
+    engine without a query."""
+    from repro.storage.runtime import StorageError
+
+    directory = tmp_path / "state"
+    MnemonicEngine(path_query(), config=make_config(directory)).close()
+    (directory / "journal.log").write_bytes(b"")
+    with pytest.raises(StorageError, match="exactly query 0"):
+        MnemonicEngine.open(directory)
 
 
 def test_explicit_checkpoint_requires_quiescence(tmp_path):
@@ -442,8 +464,8 @@ def test_randomized_crash_recovery(tmp_path, rng_seed, pipeline):
     else:
         pre = []
         if crash_at:
-            for batch in engine._pipeline.run_stream(iter(list(snapshots))):
-                pre.append(engine._result_from_batch(batch))
+            for batch in engine.multi._pipeline.run_stream(iter(list(snapshots))):
+                pre.append(engine.multi._result_from_batch(batch).per_query[0])
                 if len(pre) == crash_at:
                     break
     engine.close()

@@ -184,10 +184,6 @@ class TestPartitionPlacement:
         with pytest.raises(ConfigurationError, match="storage"):
             ShardedEngine(query, config=EngineConfig(
                 shards=2, storage=StorageConfig(directory="/tmp/unused")))
-        config = EngineConfig(shards=2)
-        config.stream.in_memory_window = 100
-        with pytest.raises(ConfigurationError, match="external edge store"):
-            ShardedEngine(query, config=config)
 
 
 # ---------------------------------------------------------------------- id parity

@@ -352,12 +352,12 @@ class TestPersistentPool:
             parallel=ParallelConfig(backend="process", num_workers=2, chunk_size=8),
         )
         with MnemonicEngine(query, config=config) as engine:
-            assert isinstance(engine._pool, SharedMemoryPool)
-            pool = engine._pool
+            assert isinstance(engine.multi._pool, SharedMemoryPool)
+            pool = engine.multi._pool
             engine.load_initial(stream[:400])
             result = engine.run(stream[400:])
             assert len(result.snapshots) > 1, "workload must span several batches"
-            assert engine._pool is pool, "pool must persist across batches"
+            assert engine.multi._pool is pool, "pool must persist across batches"
             assert pool.usable
             # Several batches were published through the same writer
             # (batches whose decomposition yields no work skip publication).
@@ -398,7 +398,7 @@ class TestPersistentPool:
         engine, result = run_engine(
             query, stream, ParallelConfig(backend="process", num_workers=2, chunk_size=8)
         )
-        assert engine._pool is None, "pool must not spawn without shared memory"
+        assert engine.multi._pool is None, "pool must not spawn without shared memory"
         _, serial = run_engine(query, stream, ParallelConfig(backend="serial"))
         assert result.total_positive == serial.total_positive
 
@@ -410,4 +410,4 @@ class TestPersistentPool:
         engine = MnemonicEngine(query, config=config)
         engine.close()
         engine.close()
-        assert engine._pool is None
+        assert engine.multi._pool is None

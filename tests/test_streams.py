@@ -6,10 +6,11 @@ from repro.streams.config import StreamConfig, StreamType
 from repro.streams.events import (
     EventKind,
     StreamEvent,
+    coerce_insert,
     decode_lsbench_triple,
     encode_lsbench_triple,
 )
-from repro.streams.generator import SnapshotGenerator
+from repro.streams.generator import SnapshotGenerator, initialize_stream
 from repro.streams.sources import IterableSource, ListSource
 from repro.utils.validation import ConfigurationError
 
@@ -35,6 +36,14 @@ class TestEvents:
         with pytest.raises(ValueError):
             decode_lsbench_triple((-1, 3, 0))
 
+    def test_coerce_insert(self):
+        event = StreamEvent.insert(1, 2, 3, 4.0, 5, 6)
+        assert coerce_insert(event) is event
+        assert coerce_insert((1, 2, 3, 4.0, 5, 6)) == event
+        assert coerce_insert((1, 2)) == StreamEvent.insert(1, 2)
+        with pytest.raises(ConfigurationError, match="insertion"):
+            coerce_insert(StreamEvent.delete(1, 2))
+
 
 class TestStreamConfig:
     def test_defaults(self):
@@ -57,10 +66,6 @@ class TestStreamConfig:
     def test_invalid_batch_size(self):
         with pytest.raises(ConfigurationError):
             StreamConfig(batch_size=0)
-
-    def test_invalid_in_memory_window(self):
-        with pytest.raises(ConfigurationError):
-            StreamConfig(in_memory_window=0)
 
 
 class TestSources:
@@ -87,6 +92,17 @@ class TestSources:
         source = IterableSource(iter([StreamEvent.insert(1, 2)]))
         with pytest.raises(TypeError):
             len(source)
+
+
+class TestInitializeStream:
+    def test_lists_and_sources_batch_alike(self):
+        events = [StreamEvent.insert(i, i + 1) for i in range(5)]
+        config = StreamConfig(batch_size=2)
+        from_list = initialize_stream(events, config)
+        from_source = initialize_stream(ListSource(events), config)
+        assert isinstance(from_list.source, ListSource)
+        assert [s.insertions for s in from_list] == [s.insertions for s in from_source]
+        assert [len(s.insertions) for s in from_list] == [2, 2, 1]
 
 
 class TestInsertOnlySnapshots:
