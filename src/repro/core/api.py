@@ -24,6 +24,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterator
 
+import numpy as np
+
 from repro.graph.adjacency import DynamicGraph
 from repro.graph.edge import EdgeRecord
 from repro.query.query_graph import WILDCARD_LABEL, QueryEdge, QueryGraph
@@ -53,6 +55,47 @@ def default_edge_matcher(
     if q_edge.label != WILDCARD_LABEL and q_edge.label != d_edge.label:
         return False
     return True
+
+
+def vertex_label_columns(
+    graph: DynamicGraph, src: np.ndarray, dst: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The graph's vertex labels of two aligned endpoint columns.
+
+    One ``vertex_label`` lookup per distinct vertex.  The labels must come
+    from the graph, not from event columns: an event carrying label 0
+    keeps a vertex's existing label.
+    """
+    uniq, inverse = np.unique(np.concatenate([src, dst]), return_inverse=True)
+    labels = np.fromiter(
+        map(graph.vertex_label, uniq.tolist()), dtype=np.int64, count=uniq.shape[0]
+    )[inverse]
+    return labels[: src.shape[0]], labels[src.shape[0] :]
+
+
+def default_edge_mask(
+    query: QueryGraph,
+    q_edge: QueryEdge,
+    src_labels: np.ndarray,
+    dst_labels: np.ndarray,
+    edge_labels: np.ndarray,
+) -> np.ndarray:
+    """:func:`default_edge_matcher` over aligned label columns: one bool per data edge."""
+    mask = np.ones(edge_labels.shape[0], dtype=bool)
+    q_src_label = query.node_label(q_edge.src)
+    q_dst_label = query.node_label(q_edge.dst)
+    if q_src_label != WILDCARD_LABEL:
+        mask &= src_labels == q_src_label
+    if q_dst_label != WILDCARD_LABEL:
+        mask &= dst_labels == q_dst_label
+    if q_edge.label != WILDCARD_LABEL:
+        mask &= edge_labels == q_edge.label
+    return mask
+
+
+def uses_default_edge_matcher(match_def: MatchDefinition) -> bool:
+    """May :func:`default_edge_mask` stand in for ``match_def.edge_matcher``?"""
+    return type(match_def).edge_matcher is MatchDefinition.edge_matcher
 
 
 class MatchDefinition:

@@ -22,7 +22,12 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from repro.core.api import MatchDefinition
+from repro.core.api import (
+    MatchDefinition,
+    default_edge_mask,
+    uses_default_edge_matcher,
+    vertex_label_columns,
+)
 from repro.core.debi import DEBI
 from repro.core.results import Embedding
 from repro.graph.adjacency import DynamicGraph, expand_ranges
@@ -459,14 +464,16 @@ def decompose_batch(
     A unit is created for every (updated edge, query edge) pair whose
     labels match.  Tree-edge units additionally require the DEBI bit to be
     set — if it is not, the edge cannot participate in any embedding and
-    the unit would do no work.
+    the unit would do no work.  Units come out batch-edge major, query-edge
+    minor; scheduling, scan counters and embedding order all follow it.
+
+    With the stock ``edge_matcher`` the batch's label columns are gathered
+    once and every query edge is one boolean mask over them (ANDed with one
+    ``column_mask`` for a tree edge); a custom matcher is asked once per pair.
     """
-    units: list[WorkUnit] = []
     query = context.query
     graph = context.graph
     tree = context.tree
-    edge_matcher = context.match_def.edge_matcher
-    debi_get = context.debi.get
     # Per query edge: the DEBI column gating it (None for non-tree edges).
     q_edges = [
         (
@@ -475,15 +482,42 @@ def decompose_batch(
         )
         for q_edge in query.edges()
     ]
-    for eid in batch_edge_ids:
-        record = graph.edge(eid)
-        for q_edge, column in q_edges:
-            if not edge_matcher(query, graph, q_edge, record):
-                continue
-            if column is not None and not debi_get(eid, column):
-                continue
-            units.append(WorkUnit(edge_id=eid, start_edge=q_edge.index))
-    return units
+    if not uses_default_edge_matcher(context.match_def):
+        edge_matcher = context.match_def.edge_matcher
+        debi_get = context.debi.get
+        units: list[WorkUnit] = []
+        for eid in batch_edge_ids:
+            record = graph.edge(eid)
+            for q_edge, column in q_edges:
+                if not edge_matcher(query, graph, q_edge, record):
+                    continue
+                if column is not None and not debi_get(eid, column):
+                    continue
+                units.append(WorkUnit(edge_id=eid, start_edge=q_edge.index))
+        return units
+
+    ids = np.fromiter(batch_edge_ids, dtype=np.int64)
+    if ids.shape[0] == 0:
+        return []
+    src_labels, dst_labels = vertex_label_columns(
+        graph,
+        graph.endpoint_array(ids, take_dst=False),
+        graph.endpoint_array(ids, take_dst=True),
+    )
+    edge_labels = graph.edge_labels(ids)
+    matches = np.empty((ids.shape[0], len(q_edges)), dtype=bool)
+    for q_edge, column in q_edges:
+        mask = default_edge_mask(query, q_edge, src_labels, dst_labels, edge_labels)
+        if column is not None:
+            mask &= context.debi.column_mask(ids, column)
+        matches[:, q_edge.index] = mask
+    # Row-major nonzero is batch-edge major, query-edge minor; a query
+    # edge's index is its position in ``query.edges()``.
+    rows, start_edges = np.nonzero(matches)
+    return [
+        WorkUnit(edge_id, start_edge)
+        for edge_id, start_edge in zip(ids[rows].tolist(), start_edges.tolist())
+    ]
 
 
 # ---------------------------------------------------------------------- backtracking enumerator

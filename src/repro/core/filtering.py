@@ -23,7 +23,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.api import MatchDefinition
+from repro.core.api import (
+    MatchDefinition,
+    default_edge_mask,
+    uses_default_edge_matcher,
+    vertex_label_columns,
+)
 from repro.core.debi import DEBI
 from repro.core.enumeration import degree_requirements_ok
 from repro.core.frontier import UnifiedFrontier
@@ -203,39 +208,18 @@ class IndexManager:
         frontier = UnifiedFrontier()
         ids = np.asarray(new_edge_ids, dtype=np.int64)
         n = int(ids.shape[0])
-        default_matcher = (
-            type(self.match_def).edge_matcher is MatchDefinition.edge_matcher
-        )
-        vertex_label = self.graph.vertex_label
+        default_matcher = uses_default_edge_matcher(self.match_def)
 
         # -- seed: schedule each new edge at every column it matches
         if n and default_matcher:
-            src_arr = np.asarray(src, dtype=np.int64)
-            dst_arr = np.asarray(dst, dtype=np.int64)
             label_arr = np.asarray(label, dtype=np.int64)
-            # vertex labels must come from the graph, not the event columns:
-            # an event carrying label 0 keeps a vertex's existing label
-            uniq, inverse = np.unique(
-                np.concatenate([src_arr, dst_arr]), return_inverse=True
+            src_vlab, dst_vlab = vertex_label_columns(
+                self.graph, np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
             )
-            uniq_labels = np.fromiter(
-                (vertex_label(v) for v in uniq.tolist()),
-                dtype=np.int64, count=int(uniq.shape[0]),
-            )
-            endpoint_labels = uniq_labels[inverse]
-            src_vlab = endpoint_labels[:n]
-            dst_vlab = endpoint_labels[n:]
             for tree_edge in self.tree.tree_edges:
-                q_edge = tree_edge.query_edge
-                mask = np.ones(n, dtype=bool)
-                q_src_label = self.query.node_label(q_edge.src)
-                q_dst_label = self.query.node_label(q_edge.dst)
-                if q_src_label != WILDCARD_LABEL:
-                    mask &= src_vlab == q_src_label
-                if q_dst_label != WILDCARD_LABEL:
-                    mask &= dst_vlab == q_dst_label
-                if q_edge.label != WILDCARD_LABEL:
-                    mask &= label_arr == q_edge.label
+                mask = default_edge_mask(
+                    self.query, tree_edge.query_edge, src_vlab, dst_vlab, label_arr
+                )
                 matched = ids[mask]
                 if matched.shape[0]:
                     frontier.seed_edges(tree_edge.column, matched)
@@ -276,26 +260,11 @@ class IndexManager:
                 child_is_dst = tree_edge.query_edge.src != tree_edge.child
                 e_src = graph.endpoint_array(unset, take_dst=False)
                 e_dst = graph.endpoint_array(unset, take_dst=True)
-                k = int(unset.shape[0])
-                q_edge = tree_edge.query_edge
-                mask = np.ones(k, dtype=bool)
-                if q_edge.label != WILDCARD_LABEL:
-                    mask &= graph.edge_labels(unset) == q_edge.label
-                q_src_label = self.query.node_label(q_edge.src)
-                q_dst_label = self.query.node_label(q_edge.dst)
-                if q_src_label != WILDCARD_LABEL or q_dst_label != WILDCARD_LABEL:
-                    uniq, inverse = np.unique(
-                        np.concatenate([e_src, e_dst]), return_inverse=True
-                    )
-                    uniq_labels = np.fromiter(
-                        (vertex_label(v) for v in uniq.tolist()),
-                        dtype=np.int64, count=int(uniq.shape[0]),
-                    )
-                    endpoint_labels = uniq_labels[inverse]
-                    if q_src_label != WILDCARD_LABEL:
-                        mask &= endpoint_labels[:k] == q_src_label
-                    if q_dst_label != WILDCARD_LABEL:
-                        mask &= endpoint_labels[k:] == q_dst_label
+                src_vlab, dst_vlab = vertex_label_columns(graph, e_src, e_dst)
+                mask = default_edge_mask(
+                    self.query, tree_edge.query_edge, src_vlab, dst_vlab,
+                    graph.edge_labels(unset),
+                )
                 child_eps = (e_dst if child_is_dst else e_src).tolist()
                 parent_eps = (e_src if child_is_dst else e_dst).tolist()
                 unset_list = unset.tolist()

@@ -202,17 +202,18 @@ def resolve_deletions(graph: DynamicGraph, events: Sequence[StreamEvent]) -> lis
     doomed_ids: list[int] = []
     doomed_set: set[int] = set()
     for event in events:
-        ids = [
-            i for i in graph.find_edges(event.src, event.dst, event.label)
-            if i not in doomed_set
-        ]
-        if not ids:
-            raise ConfigurationError(
-                f"deletion of ({event.src}, {event.dst}, {event.label}) "
-                "does not match a live edge"
-            )
-        preferred = [i for i in ids if graph.edge(i).timestamp == event.timestamp]
-        chosen = preferred[0] if preferred else ids[-1]
+        ids = graph.find_edges(event.src, event.dst, event.label)
+        if len(ids) == 1 and ids[0] not in doomed_set:
+            chosen = ids[0]  # no parallel edge: nothing to prefer
+        else:
+            ids = [i for i in ids if i not in doomed_set]
+            if not ids:
+                raise ConfigurationError(
+                    f"deletion of ({event.src}, {event.dst}, {event.label}) "
+                    "does not match a live edge"
+                )
+            preferred = [i for i in ids if graph.edge(i).timestamp == event.timestamp]
+            chosen = preferred[0] if preferred else ids[-1]
         doomed_ids.append(chosen)
         doomed_set.add(chosen)
     return doomed_ids

@@ -1577,6 +1577,10 @@ class CSRGraphView:
         column = self._dst if take_dst else self._src
         return [column[e] for e in edge_ids]
 
+    def edge_labels(self, edge_ids) -> np.ndarray:
+        """Edge-label gather for an id array, without building records."""
+        return self._snapshot.edge_label[edge_ids]
+
     def incident_edges(self, vertex: int) -> Iterator[int]:
         yield from self.out_edges(vertex)
         yield from self.in_edges(vertex)

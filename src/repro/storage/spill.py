@@ -30,6 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.utils.bitset import popcount
 from repro.utils.validation import check_non_negative, check_positive
 
 _WORD_BITS = 64
@@ -280,10 +281,7 @@ class TieredBitMatrix:
             yield base, self._segments[seg][: end - base]
 
     def count(self) -> int:
-        total = 0
-        for _, words in self._live_chunks():
-            total += int(np.unpackbits(np.ascontiguousarray(words).view(np.uint8)).sum())
-        return total
+        return sum(popcount(words) for _, words in self._live_chunks())
 
     def column_count(self, col: int) -> int:
         self._check_col(col)

@@ -41,7 +41,7 @@ from typing import Callable, Iterator, Sequence
 from repro.streams.broker import POLL_TIMEOUT, StreamBroker
 from repro.streams.clock import Clock
 from repro.streams.config import StreamConfig, StreamType
-from repro.streams.events import EventKind, StreamEvent
+from repro.streams.events import EventColumns, EventKind, StreamEvent
 from repro.streams.sources import ListSource, StreamSource
 from repro.utils.validation import ConfigurationError
 
@@ -83,8 +83,6 @@ class Snapshot:
         fan-out and the journal all share the same arrays.
         """
         if self._insert_cols is None and self.insertions:
-            from repro.streams.events import EventColumns, EventKind
-
             self._insert_cols = EventColumns.from_events(
                 EventKind.INSERT, self.insertions
             )
@@ -93,8 +91,6 @@ class Snapshot:
     def delete_columns(self):
         """Decoded int64 columns for ``deletions`` (cached, None when empty)."""
         if self._delete_cols is None and self.deletions:
-            from repro.streams.events import EventColumns, EventKind
-
             self._delete_cols = EventColumns.from_events(
                 EventKind.DELETE, self.deletions
             )
@@ -117,6 +113,11 @@ class SnapshotBatcher:
 
     With ``max_batch_delay=None`` only the size rule fires, which is
     exactly the historical fixed-size behaviour.
+
+    On insert/delete streams a delete cancels the *latest* insertion of
+    the same ``(src, dst, label)`` still pending in the open batch (one
+    index lookup); the other insertions keep their order, and only live
+    events count towards the size cap.
     """
 
     def __init__(
@@ -132,7 +133,13 @@ class SnapshotBatcher:
         self.config = config
         self._insert_delete = config.stream_type is StreamType.INSERT_DELETE
         self._next_number = next_number
-        self._inserts: list[StreamEvent] = []
+        #: pending insertions keyed by arrival number (dicts keep insertion
+        #: order, so removing a cancelled one leaves the survivors in place)
+        self._inserts: dict[int, StreamEvent] = {}
+        self._arrivals = 0
+        #: insert/delete streams only: triple -> arrival numbers of its
+        #: pending insertions, oldest first
+        self._pending_by_triple: dict[tuple[int, int, int], list[int]] = {}
         self._deletes: list[StreamEvent] = []
         #: monotone max event timestamp over the whole stream (not per batch)
         self._watermark = 0.0
@@ -183,17 +190,30 @@ class SnapshotBatcher:
         self._last_arrival = arrival
         if event.timestamp > self._watermark:
             self._watermark = event.timestamp
-        if self._insert_delete and event.kind is EventKind.DELETE:
-            if not self._cancel_matching_insert(event):
+        if event.kind is EventKind.DELETE:
+            # Cancel the latest same-triple insertion pending in this batch,
+            # if any: the pair is a net no-op the engine never sees.
+            triple = (event.src, event.dst, event.label)
+            pending = self._pending_by_triple.get(triple)
+            if pending is None:
                 self._deletes.append(event)
-            elif self.pending_events == 0:
-                # The cancellation emptied the open batch: drop its arrival
-                # stamp, or the dead deadline would pin broker polls to a
-                # zero timeout (a hot spin while idle) and the next event
-                # would seal an empty snapshot with a bogus latency.
-                self._first_arrival = None
+            else:
+                del self._inserts[pending.pop()]
+                if not pending:
+                    del self._pending_by_triple[triple]
+                if self.pending_events == 0:
+                    # The cancellation emptied the open batch: drop its arrival
+                    # stamp, or the dead deadline would pin broker polls to a
+                    # zero timeout (a hot spin while idle) and the next event
+                    # would seal an empty snapshot with a bogus latency.
+                    self._first_arrival = None
         else:
-            self._inserts.append(event)
+            if self._insert_delete:
+                self._pending_by_triple.setdefault(
+                    (event.src, event.dst, event.label), []
+                ).append(self._arrivals)
+            self._inserts[self._arrivals] = event
+            self._arrivals += 1
         if self.pending_events >= self.config.batch_size:
             sealed.append(self._seal(sealed_at=arrival))
         return sealed
@@ -207,24 +227,16 @@ class SnapshotBatcher:
     def _seal(self, sealed_at: float | None) -> Snapshot:
         snapshot = Snapshot(
             self._next_number(),
-            insertions=self._inserts,
+            insertions=list(self._inserts.values()),
             deletions=self._deletes,
             watermark=self._watermark,
             first_arrival=self._first_arrival,
             sealed_at=sealed_at,
         )
-        self._inserts, self._deletes = [], []
+        self._inserts, self._deletes = {}, []
+        self._pending_by_triple.clear()
         self._first_arrival = None
         return snapshot
-
-    def _cancel_matching_insert(self, delete: StreamEvent) -> bool:
-        """Drop the latest same-triple insertion pending in this batch, if any."""
-        inserts = self._inserts
-        for idx in range(len(inserts) - 1, -1, -1):
-            if inserts[idx].as_triple() == delete.as_triple():
-                inserts.pop(idx)
-                return True
-        return False
 
 
 class SnapshotGenerator:

@@ -27,6 +27,18 @@ from repro.utils.validation import check_non_negative, check_positive
 
 _WORD_BITS = 64
 
+#: numpy >= 2.0 has a hardware popcount ufunc; older ones get a byte table
+_bitwise_count = getattr(np, "bitwise_count", None)
+_BYTE_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+
+
+def popcount(words: np.ndarray) -> int:
+    """Total number of set bits in a uint64 word array."""
+    if _bitwise_count is not None:
+        return int(_bitwise_count(words).sum(dtype=np.int64))
+    octets = np.ascontiguousarray(words).view(np.uint8)
+    return int(_BYTE_POPCOUNT[octets].sum(dtype=np.int64))
+
 
 class BitVector:
     """A growable bit vector with O(1) get/set/clear.
@@ -88,7 +100,7 @@ class BitVector:
 
     def count(self) -> int:
         """Return the number of set bits."""
-        return int(np.unpackbits(self._words.view(np.uint8)).sum())
+        return popcount(self._words)
 
     def clear_all(self) -> None:
         """Reset every bit to 0 while keeping the allocated capacity."""
@@ -370,9 +382,7 @@ class BitMatrix:
 
     def count(self) -> int:
         """Total number of set bits across all rows."""
-        if self._nrows == 0:
-            return 0
-        return int(np.unpackbits(self._rows[: self._nrows].view(np.uint8)).sum())
+        return popcount(self._rows[: self._nrows])
 
     def column_count(self, col: int) -> int:
         """Number of rows with bit ``col`` set."""

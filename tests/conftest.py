@@ -24,6 +24,12 @@ from repro.streams.events import StreamEvent
 from repro.utils.rng import make_rng
 
 
+def pytest_configure(config):
+    # CI runs with pytest-timeout; where the plugin is missing its marker must
+    # still be a known one
+    config.addinivalue_line("markers", "timeout(seconds): per-test watchdog (pytest-timeout)")
+
+
 # ---------------------------------------------------------------------- seeded randomness
 @pytest.fixture
 def rng_seed(request) -> int:

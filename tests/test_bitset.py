@@ -1,8 +1,39 @@
 """Unit tests for the numpy-backed bitsets underlying DEBI."""
 
+import numpy as np
 import pytest
 
-from repro.utils.bitset import BitMatrix, BitVector
+from repro.utils import bitset
+from repro.utils.bitset import BitMatrix, BitVector, popcount
+
+
+class TestPopcount:
+    @pytest.fixture(params=["bitwise_count", "byte_table"])
+    def branch(self, request, monkeypatch):
+        """Run a test through one branch of ``popcount``, whatever numpy is installed."""
+        if request.param == "byte_table":
+            monkeypatch.setattr(bitset, "_bitwise_count", None)
+        elif not hasattr(np, "bitwise_count"):
+            pytest.skip("this numpy has no bitwise_count")
+        else:
+            monkeypatch.setattr(bitset, "_bitwise_count", np.bitwise_count)
+
+    def test_matches_python_bit_counting(self, branch, rng):
+        words = rng.integers(0, 2**64, size=1000, dtype=np.uint64)
+        words[:3] = (0, 2**64 - 1, 1 << 63)
+        assert popcount(words) == sum(bin(int(w)).count("1") for w in words)
+        assert popcount(words[::3]) == sum(bin(int(w)).count("1") for w in words[::3])
+        assert popcount(words[:0]) == 0
+
+    def test_counts_behind_vector_and_matrix(self, branch):
+        vector = BitVector()
+        for index in (0, 63, 64, 5000):
+            vector.set(index)
+        assert vector.count() == 4
+        matrix = BitMatrix(width=64)
+        matrix.set_row(2, 2**64 - 1)
+        matrix.set(700, 9)
+        assert matrix.count() == 65
 
 
 class TestBitVector:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.engine import EngineConfig, MnemonicEngine, enumerate_static
 from repro.core.parallel import ParallelConfig
+from repro.core.registry import resolve_deletions
 from repro.graph.adjacency import DynamicGraph
 from repro.query.query_graph import QueryGraph
 from repro.streams.config import StreamConfig, StreamType
@@ -20,6 +21,30 @@ def chain_events(base=10):
         StreamEvent.insert(base, base + 1, src_label=0, dst_label=1),
         StreamEvent.insert(base + 1, base + 2, src_label=1, dst_label=2),
     ]
+
+
+class TestResolveDeletions:
+    def _graph(self):
+        graph = DynamicGraph()
+        ids = [graph.add_edge(1, 2, 0, timestamp=ts) for ts in (5.0, 6.0, 7.0)]
+        ids.append(graph.add_edge(3, 4, 0, timestamp=8.0))
+        return graph, ids
+
+    def test_parallel_edges_prefer_the_timestamp_then_the_latest(self):
+        graph, (oldest, middle, latest, single) = self._graph()
+        events = [
+            StreamEvent.delete(1, 2, 0, timestamp=6.0),   # names the middle instance
+            StreamEvent.delete(3, 4, 0, timestamp=99.0),  # no parallel edge: timestamp ignored
+            StreamEvent.delete(1, 2, 0, timestamp=99.0),  # no instance has it: the latest
+            StreamEvent.delete(1, 2, 0, timestamp=6.0),   # middle is doomed already: one left
+        ]
+        assert resolve_deletions(graph, events) == [middle, single, latest, oldest]
+
+    def test_an_instance_is_doomed_only_once(self):
+        graph, _ = self._graph()
+        for triple, copies in (((3, 4, 0), 2), ((1, 2, 0), 4), ((1, 2, 1), 1)):
+            with pytest.raises(ConfigurationError, match="does not match a live edge"):
+                resolve_deletions(graph, [StreamEvent.delete(*triple)] * copies)
 
 
 class TestConstruction:

@@ -1,9 +1,13 @@
 """Unit tests for embeddings, result sets, work decomposition and enumeration."""
 
+import numpy as np
+import pytest
 
+from repro.core.api import MatchDefinition, default_edge_matcher
 from repro.core.engine import MnemonicEngine, enumerate_static
 from repro.core.enumeration import WorkUnit, decompose_batch
 from repro.core.results import Embedding, ResultSet
+from repro.graph.adjacency import CSRGraphView
 from repro.matchers import HomomorphismMatcher
 from repro.query.query_graph import QueryGraph
 from repro.streams.events import StreamEvent
@@ -92,6 +96,87 @@ class TestWorkDecomposition:
         # Wildcard labels: every edge matches the non-tree query edge regardless of DEBI.
         non_tree_index = engine.tree.non_tree_edges[0].index
         assert any(u.start_edge == non_tree_index for u in units)
+
+
+def per_edge_decompose(context, batch_edge_ids):
+    """Work decomposition as shipped before the masked path: one
+    ``edge_matcher`` call per (batch edge, query edge).  Reference only."""
+    query, graph, tree = context.query, context.graph, context.tree
+    units = []
+    for eid in batch_edge_ids:
+        record = graph.edge(eid)
+        for q_edge in query.edges():
+            if not context.match_def.edge_matcher(query, graph, q_edge, record):
+                continue
+            if tree.is_tree_edge(q_edge.index) and not context.debi.get(
+                eid, tree.tree_edge_for(q_edge.index).column
+            ):
+                continue
+            units.append(WorkUnit(edge_id=eid, start_edge=q_edge.index))
+    return units
+
+
+LABELLED_QUERY = QueryGraph.from_edges(
+    [(0, 1, 1), (1, 2, 2), (2, 0, 1), (1, 3, 2)], node_labels={0: 0, 1: 1, 2: 0, 3: 1}
+)
+#: a wildcard node, a wildcard edge label and a self-loop query edge
+WILDCARD_QUERY = QueryGraph.from_edges([(0, 1, 1), (1, 2), (2, 2, 2)], node_labels={0: 0, 2: 1})
+
+
+def churned_engine(query, seed, match_def=None):
+    """An engine after three insert/delete rounds over six vertices: parallel
+    edges, self-loops and edge ids recycled by the later rounds."""
+    rng = np.random.default_rng(seed)
+    engine = MnemonicEngine(query, match_def=match_def)
+    live: list[StreamEvent] = []
+    for _ in range(3):
+        inserts = [
+            StreamEvent.insert(int(s), int(d), int(lb), src_label=int(s) % 2, dst_label=int(d) % 2)
+            for s, d, lb in zip(
+                rng.integers(0, 6, 40), rng.integers(0, 6, 40), rng.integers(1, 3, 40)
+            )
+        ]
+        engine.batch_inserts(inserts)
+        live.extend(inserts)
+        doomed = [live.pop(int(rng.integers(len(live)))) for _ in range(25)]
+        engine.batch_deletes([StreamEvent.delete(e.src, e.dst, e.label) for e in doomed])
+    assert engine.graph.stats.recycled > 0
+    return engine
+
+
+class TestMaskedDecomposition:
+    @pytest.mark.parametrize(
+        "query", [LABELLED_QUERY, WILDCARD_QUERY], ids=["labelled", "wildcard"]
+    )
+    @pytest.mark.parametrize("seed", range(4))
+    def test_same_units_in_the_same_order_as_the_per_edge_loop(self, query, seed):
+        engine = churned_engine(query, seed)
+        ids = [record.edge_id for record in engine.graph.edges()]
+        np.random.default_rng(seed).shuffle(ids)
+        for graph in (engine.graph, CSRGraphView(engine.graph.export_csr())):
+            context = engine.runtime.make_context(graph, set(ids), positive=True)
+            units = decompose_batch(context, ids)
+            assert units == per_edge_decompose(context, ids)
+            assert units  # the scenario decomposes into something
+            assert all(type(u.edge_id) is int and type(u.start_edge) is int for u in units)
+            assert decompose_batch(context, iter(ids[:7])) == per_edge_decompose(context, ids[:7])
+            assert decompose_batch(context, []) == []
+
+    def test_custom_matcher_is_asked_once_per_batch_edge_and_query_edge(self):
+        class CountingMatcher(MatchDefinition):
+            calls = 0
+
+            def edge_matcher(self, query, graph, q_edge, d_edge):
+                type(self).calls += 1
+                return default_edge_matcher(query, graph, q_edge, d_edge)
+
+        engine = churned_engine(LABELLED_QUERY, seed=0, match_def=CountingMatcher())
+        ids = sorted(record.edge_id for record in engine.graph.edges())
+        context = engine.runtime.make_context(engine.graph, set(ids), positive=True)
+        expected = per_edge_decompose(context, ids)
+        CountingMatcher.calls = 0
+        assert decompose_batch(context, ids) == expected
+        assert CountingMatcher.calls == len(ids) * len(LABELLED_QUERY.edges())
 
 
 class TestEnumerationSemantics:

@@ -1,6 +1,10 @@
 """Unit tests for stream events, configuration and snapshot generation."""
 
+import itertools
+import time
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.streams.config import StreamConfig, StreamType
 from repro.streams.events import (
@@ -10,7 +14,12 @@ from repro.streams.events import (
     decode_lsbench_triple,
     encode_lsbench_triple,
 )
-from repro.streams.generator import SnapshotGenerator, initialize_stream
+from repro.streams.generator import (
+    Snapshot,
+    SnapshotBatcher,
+    SnapshotGenerator,
+    initialize_stream,
+)
 from repro.streams.sources import IterableSource, ListSource
 from repro.utils.validation import ConfigurationError
 
@@ -344,3 +353,161 @@ class TestAdaptiveBatching:
         assert [s.insert_batch_size for s in snapshots] == [2, 2, 1]
         assert [s.first_arrival for s in snapshots] == [0.0, 2.0, 4.0]
         assert [s.sealed_at for s in snapshots] == [1.0, 3.0, 4.0]
+
+
+class QuadraticBatcher:
+    """The insert/delete batcher as shipped before the triple index: the
+    same sealing rules, cancellation by a backward scan of the open batch.
+    Reference for :class:`TestBatcherCancellation` only."""
+
+    def __init__(self, config, next_number):
+        self.config = config
+        self._next_number = next_number
+        self._inserts = []
+        self._deletes = []
+        self._watermark = 0.0
+        self._first_arrival = None
+        self._last_arrival = None
+
+    @property
+    def pending_events(self):
+        return len(self._inserts) + len(self._deletes)
+
+    def offer(self, event, arrival):
+        sealed = []
+        delay = self.config.max_batch_delay
+        if (
+            delay is not None
+            and self._first_arrival is not None
+            and arrival - self._first_arrival >= delay
+        ):
+            sealed.append(self._seal(sealed_at=self._last_arrival))
+        if self._first_arrival is None:
+            self._first_arrival = arrival
+        self._last_arrival = arrival
+        if event.timestamp > self._watermark:
+            self._watermark = event.timestamp
+        if event.kind is EventKind.DELETE:
+            if not self._cancel_matching_insert(event):
+                self._deletes.append(event)
+            elif self.pending_events == 0:
+                self._first_arrival = None
+        else:
+            self._inserts.append(event)
+        if self.pending_events >= self.config.batch_size:
+            sealed.append(self._seal(sealed_at=arrival))
+        return sealed
+
+    def flush(self, sealed_at=None):
+        if self.pending_events == 0:
+            return None
+        return self._seal(sealed_at=sealed_at if sealed_at is not None else self._last_arrival)
+
+    def _seal(self, sealed_at):
+        snapshot = Snapshot(
+            self._next_number(), insertions=self._inserts, deletions=self._deletes,
+            watermark=self._watermark, first_arrival=self._first_arrival, sealed_at=sealed_at,
+        )
+        self._inserts, self._deletes = [], []
+        self._first_arrival = None
+        return snapshot
+
+    def _cancel_matching_insert(self, delete):
+        inserts = self._inserts
+        for idx in range(len(inserts) - 1, -1, -1):
+            if inserts[idx].as_triple() == delete.as_triple():
+                inserts.pop(idx)
+                return True
+        return False
+
+
+def assert_same_snapshot(got, expected):
+    assert (got is None) == (expected is None)
+    if got is None:
+        return
+    assert got.number == expected.number
+    # the same event objects in the same order, not merely equal ones
+    assert [id(e) for e in got.insertions] == [id(e) for e in expected.insertions]
+    assert [id(e) for e in got.deletions] == [id(e) for e in expected.deletions]
+    assert got.watermark == expected.watermark
+    assert got.first_arrival == expected.first_arrival
+    assert got.sealed_at == expected.sealed_at
+
+
+#: (is_delete, src, dst, label, seconds since the previous event, flush afterwards);
+#: two vertices and two labels, so triples repeat and parallel edges are common
+_batcher_steps = st.lists(
+    st.tuples(
+        st.booleans(), st.integers(0, 1), st.integers(0, 1), st.integers(0, 1),
+        st.sampled_from([0.0, 0.25, 1.0, 3.0]), st.sampled_from([False] * 9 + [True]),
+    ),
+    max_size=120,
+)
+
+
+class TestBatcherCancellation:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        steps=_batcher_steps,
+        batch_size=st.integers(1, 64),
+        max_batch_delay=st.sampled_from([None, 0.5, 2.0]),
+    )
+    def test_matches_the_quadratic_scan_snapshot_for_snapshot(
+        self, steps, batch_size, max_batch_delay
+    ):
+        config = StreamConfig(stream_type=StreamType.INSERT_DELETE, batch_size=batch_size,
+                              max_batch_delay=max_batch_delay)
+        batcher = SnapshotBatcher(config, itertools.count().__next__)
+        reference = QuadraticBatcher(config, itertools.count().__next__)
+        now = 0.0
+        for is_delete, src, dst, label, gap, flush_after in steps:
+            now += gap
+            make = StreamEvent.delete if is_delete else StreamEvent.insert
+            event = make(src, dst, label, timestamp=now)
+            got, expected = batcher.offer(event, now), reference.offer(event, now)
+            assert len(got) == len(expected)
+            for a, b in zip(got, expected):
+                assert_same_snapshot(a, b)
+            assert batcher.pending_events == reference.pending_events
+            assert batcher.deadline() == (
+                None if max_batch_delay is None or reference._first_arrival is None
+                else reference._first_arrival + max_batch_delay
+            )
+            if flush_after:
+                assert_same_snapshot(batcher.flush(now + 0.125), reference.flush(now + 0.125))
+                assert batcher.pending_events == reference.pending_events == 0
+        assert_same_snapshot(batcher.flush(), reference.flush())
+
+    def test_cancels_the_latest_of_several_pending_parallel_insertions(self):
+        config = StreamConfig(stream_type=StreamType.INSERT_DELETE, batch_size=100)
+        batcher = SnapshotBatcher(config, itertools.count().__next__)
+        first, other, second, third = (
+            StreamEvent.insert(1, 2, 0, 0.0), StreamEvent.insert(3, 4, 0, 1.0),
+            StreamEvent.insert(1, 2, 0, 2.0), StreamEvent.insert(1, 2, 0, 3.0),
+        )
+        for event in (first, other, second, third):
+            batcher.offer(event, event.timestamp)
+        batcher.offer(StreamEvent.delete(1, 2, 0, 4.0), 4.0)
+        batcher.offer(StreamEvent.delete(1, 2, 0, 5.0), 5.0)
+        assert batcher.pending_events == 2
+        snapshot = batcher.flush()
+        assert [id(e) for e in snapshot.insertions] == [id(first), id(other)]
+        assert snapshot.deletions == []
+
+    @pytest.mark.timeout(10)
+    def test_deletes_of_absent_triples_cost_constant_time_each(self):
+        # A backward scan of the open batch per delete is 9e8 steps here
+        # (minutes); the index answers each one with a single lookup.
+        n = 30_000
+        config = StreamConfig(stream_type=StreamType.INSERT_DELETE, batch_size=10**6)
+        batcher = SnapshotBatcher(config, itertools.count().__next__)
+        inserts = [StreamEvent.insert(i, i + 1, 0, float(i)) for i in range(n)]
+        deletes = [StreamEvent.delete(n + i, i, 0, float(n + i)) for i in range(n)]
+        start = time.perf_counter()
+        for event in inserts + deletes:
+            assert batcher.offer(event, event.timestamp) == []
+        elapsed = time.perf_counter() - start
+        assert batcher.pending_events == 2 * n
+        snapshot = batcher.flush()
+        assert snapshot.insertions == inserts and snapshot.deletions == deletes
+        assert elapsed < 5.0  # the watchdog where pytest-timeout is not installed
