@@ -278,12 +278,16 @@ def run_ingest_parity(stream) -> tuple[dict, list[str]]:
       agree on identity sets;
     * sharded runs (2 shards, per-shard column splits) must agree on
       identity sets and aggregate scan counters;
-    * the raw graph replay must assign the **same edge-id sequence**,
-      including per-source newest-first recycling;
+    * the raw graph replay of the insert+delete stream (batched
+      ``resolve_deletions`` + ``apply_delete_columns`` + insert columns
+      vs per-event ``delete_edge`` / ``add_edge``) must assign the **same
+      edge-id sequence**, including per-source newest-first recycling,
+      and return the same deleted records;
     * the columnar serial mutation+index throughput must clear a floor —
       a deliberately loose one (shared runners), pinned so the path
       cannot silently fall back to per-edge.
     """
+    from repro.core.registry import resolve_deletions
     from repro.graph.adjacency import DynamicGraph
     from repro.streams.events import EventColumns
 
@@ -307,32 +311,41 @@ def run_ingest_parity(stream) -> tuple[dict, list[str]]:
     failures: list[str] = []
     metrics: dict[str, dict] = {}
 
-    # -- edge-id sequence parity on the raw graph (batch-by-batch replay)
+    # -- edge-id sequence parity on the raw graph: the mixed stream batch by
+    #    batch, then its suffix again so those inserts recycle, per source,
+    #    the ids the deletions freed
     per_edge_graph = DynamicGraph()
     columnar_graph = DynamicGraph()
-    events = [e for e in mixed if e.kind is EventKind.INSERT]
-    for lo in range(0, len(events), FIG06_BATCH):
-        batch = events[lo : lo + FIG06_BATCH]
+    replay = mixed + list(suffix)
+    for lo in range(0, len(replay), FIG06_BATCH):
+        batch = replay[lo : lo + FIG06_BATCH]
+        inserts = [e for e in batch if e.kind is EventKind.INSERT]
+        deletes = [e for e in batch if e.kind is EventKind.DELETE]
+        ref_doomed = resolve_deletions(per_edge_graph, deletes)
+        ref_records = [per_edge_graph.delete_edge(eid) for eid in ref_doomed]
+        col_doomed = resolve_deletions(columnar_graph, deletes)
+        col_records = columnar_graph.apply_delete_columns(col_doomed)
         ref_ids = [
             per_edge_graph.add_edge(
                 e.src, e.dst, e.label, e.timestamp,
                 src_label=e.src_label, dst_label=e.dst_label,
             )
-            for e in batch
+            for e in inserts
         ]
-        columns = EventColumns.from_events(EventKind.INSERT, batch)
-        col_ids = [
-            int(i)
-            for i in columnar_graph.apply_insert_columns(
+        col_ids = []
+        if inserts:
+            columns = EventColumns.from_events(EventKind.INSERT, inserts)
+            col_ids = columnar_graph.apply_insert_columns(
                 columns.src, columns.dst, columns.label,
                 columns.timestamp, columns.src_label, columns.dst_label,
             )
-        ]
-        if col_ids != ref_ids:
+        if col_doomed != ref_doomed or col_records != ref_records or col_ids != ref_ids:
             failures.append(
-                f"ingest_parity: edge-id sequence diverged in batch at {lo}"
+                f"ingest_parity: edge ids or deleted records diverged in batch at {lo}"
             )
             break
+    if columnar_graph.stats.recycled == 0:
+        failures.append("ingest_parity: vacuous raw replay (no edge id was recycled)")
 
     for suite, query in workload:
         for stream_name, (events, stream_type) in streams.items():

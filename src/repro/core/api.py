@@ -62,14 +62,12 @@ def vertex_label_columns(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The graph's vertex labels of two aligned endpoint columns.
 
-    One ``vertex_label`` lookup per distinct vertex.  The labels must come
-    from the graph, not from event columns: an event carrying label 0
-    keeps a vertex's existing label.
+    One bulk ``vertex_labels`` gather over the distinct vertices.  The
+    labels must come from the graph, not from event columns: an event
+    carrying label 0 keeps a vertex's existing label.
     """
     uniq, inverse = np.unique(np.concatenate([src, dst]), return_inverse=True)
-    labels = np.fromiter(
-        map(graph.vertex_label, uniq.tolist()), dtype=np.int64, count=uniq.shape[0]
-    )[inverse]
+    labels = graph.vertex_labels(uniq)[inverse]
     return labels[: src.shape[0]], labels[src.shape[0] :]
 
 

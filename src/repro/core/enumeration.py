@@ -30,7 +30,7 @@ from repro.core.api import (
 )
 from repro.core.debi import DEBI
 from repro.core.results import Embedding
-from repro.graph.adjacency import DynamicGraph, expand_ranges
+from repro.graph.adjacency import DynamicGraph, expand_ranges, segment_counts
 from repro.query.masking import Mask, MaskTable
 from repro.query.matching_order import ExtensionStep, MatchingOrder
 from repro.query.query_graph import WILDCARD_LABEL, QueryGraph
@@ -699,14 +699,6 @@ def columnar_supported(context: EnumerationContext) -> bool:
         and type(match_def).accept is MatchDefinition.accept
         and not match_def.bind_witnesses
     )
-
-
-def segment_counts(keep: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """How many ``keep`` entries are set in each of the back-to-back segments of ``sizes``."""
-    running = np.zeros(keep.shape[0] + 1, dtype=np.int64)
-    np.cumsum(keep, out=running[1:])
-    ends = np.cumsum(sizes)
-    return running[ends] - running[ends - sizes]
 
 
 def extend_intersect(

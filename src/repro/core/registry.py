@@ -37,6 +37,7 @@ stay per-query; only the raw adjacency fetch is shared.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from repro.core.api import DefaultMatchDefinition, MatchDefinition
@@ -199,21 +200,35 @@ def resolve_deletions(graph: DynamicGraph, events: Sequence[StreamEvent]) -> lis
     the shard router so they can never diverge on which edge a deletion
     hits.
     """
+    instances = [graph.find_edges(event.src, event.dst, event.label) for event in events]
+    # Parallel instances are told apart by timestamp: one column gather
+    # for the whole batch, and only when some triple is ambiguous at all.
+    stamps: list[float] = []
+    if max(map(len, instances), default=0) > 1:
+        stamps = graph.edge_timestamps(list(chain.from_iterable(instances))).tolist()
     doomed_ids: list[int] = []
     doomed_set: set[int] = set()
-    for event in events:
-        ids = graph.find_edges(event.src, event.dst, event.label)
+    offset = 0
+    for event, ids in zip(events, instances):
         if len(ids) == 1 and ids[0] not in doomed_set:
             chosen = ids[0]  # no parallel edge: nothing to prefer
         else:
-            ids = [i for i in ids if i not in doomed_set]
-            if not ids:
+            chosen = latest = -1
+            for edge_id, stamp in zip(ids, stamps[offset : offset + len(ids)]):
+                if edge_id in doomed_set:
+                    continue
+                if stamp == event.timestamp:
+                    chosen = edge_id
+                    break
+                latest = edge_id
+            if chosen < 0:
+                chosen = latest
+            if chosen < 0:
                 raise ConfigurationError(
                     f"deletion of ({event.src}, {event.dst}, {event.label}) "
                     "does not match a live edge"
                 )
-            preferred = [i for i in ids if graph.edge(i).timestamp == event.timestamp]
-            chosen = preferred[0] if preferred else ids[-1]
+        offset += len(ids)
         doomed_ids.append(chosen)
         doomed_set.add(chosen)
     return doomed_ids

@@ -211,6 +211,11 @@ class RoutedGraph:
             (self.edge(e).label for e in ids), dtype=np.int64, count=len(ids)
         )
 
+    def edge_timestamps(self, edge_ids) -> np.ndarray:
+        return np.fromiter(
+            (self.edge(e).timestamp for e in edge_ids), dtype=np.float64, count=len(edge_ids)
+        )
+
     # --- vertex keyed -------------------------------------------------
     def candidate_pool(self, vertex: int, out: bool, label: int | None = None):
         return self._router.owner_graph(vertex).candidate_pool(vertex, out, label)
@@ -232,6 +237,11 @@ class RoutedGraph:
 
     def vertex_label(self, vertex: int) -> int:
         return self._router.owner_graph(vertex).vertex_label(vertex)
+
+    def vertex_labels(self, vertices) -> np.ndarray:
+        return np.fromiter(
+            map(self.vertex_label, vertices.tolist()), dtype=np.int64, count=len(vertices)
+        )
 
     def has_vertex(self, vertex: int) -> bool:
         return self._router.owner_graph(vertex).has_vertex(vertex)
@@ -425,6 +435,11 @@ class ShardScopeGraph:
 
     def vertex_label(self, vertex: int) -> int:
         return self._owner_graph(vertex).vertex_label(vertex)
+
+    def vertex_labels(self, vertices) -> np.ndarray:
+        return np.fromiter(
+            map(self.vertex_label, vertices.tolist()), dtype=np.int64, count=len(vertices)
+        )
 
     # --- edge-id keyed: local replica or primary ----------------------
     def edge(self, edge_id: int):

@@ -18,7 +18,7 @@ decide *where* things live:
   Vertex labels are final at first sight (``DynamicGraph.add_vertex``
   forbids relabeling), so the cached owner never moves.
 * :class:`EdgeIdAllocator` — the *global* edge-id allocator.  It mirrors
-  ``DynamicGraph._allocate_id`` exactly (per-source free lists, pop from
+  ``DynamicGraph.add_edge``'s id allocation exactly (per-source free lists, pop from
   the back) so a sharded run hands out the same edge ids, in the same
   order, as a single engine consuming the same stream — the property
   the bit-identity gates rest on.
@@ -142,7 +142,7 @@ class PartitionMap:
 class EdgeIdAllocator:
     """Global edge-id allocator shared by every shard.
 
-    Mirrors ``DynamicGraph._allocate_id``: ids of deleted edges are
+    Mirrors ``DynamicGraph.add_edge``'s allocation: ids of deleted edges are
     recycled per source vertex, newest first, exactly as the single
     engine's embedded allocator does — so the id sequence (and with it
     every DEBI row index and embedding identity) is bit-identical

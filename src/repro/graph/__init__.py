@@ -5,9 +5,10 @@ edge instances may connect the same pair of endpoints (e.g. repeated
 NetFlow events) and each instance carries its own identity (``edge_id``),
 label, and timestamp.  This package provides:
 
-* :class:`repro.graph.adjacency.DynamicGraph` — the adjacency-list store
-  with O(1) amortised insertion, swap-with-last deletion, and edge-id
-  recycling (the mechanism behind the paper's non-monotonic index size).
+* :class:`repro.graph.adjacency.DynamicGraph` — the columnar edge store
+  (edge columns plus pooled label-partition arenas) with amortised O(1)
+  insertion, order-preserving batch deletion, and edge-id recycling (the
+  mechanism behind the paper's non-monotonic index size).
 * :class:`repro.graph.attributes.AttributeStore` — per-vertex / per-edge
   attribute columns addressed by id.
 * :class:`repro.graph.stats.PlaceholderStats` — placeholder / recycling

@@ -1,36 +1,63 @@
-"""Dynamic adjacency-list multigraph with label-partitioned candidate storage.
+"""Dynamic labelled multigraph on one columnar edge store.
 
-This is the data-graph storage layer described in Section II-A and the
-"Memory recycling" paragraph of Section IV-A of the paper, extended with
-the label-partitioned layout that makes candidate retrieval proportional
-to the number of *matching* edges rather than to vertex degree:
+This is the data-graph storage layer of Section II-A and the "Memory
+recycling" paragraph of Section IV-A of the paper.  Every edge is stored
+once, and every index over it is a flat numpy column:
 
-* each vertex keeps its outgoing and incoming edge ids twice — once as a
-  combined insertion-ordered list (wildcard scans, ``find_edges``) and
-  once partitioned by edge label into growable int64 numpy arrays, so a
-  labelled query-tree step fetches only same-label candidates in
-  O(matches);
-* per-vertex / per-label degrees fall out of the partition sizes, so the
-  ``f2``/``f3`` label-degree filters are O(1) lookups;
-* each edge *instance* has a unique ``edge_id`` used to address its
-  attributes and its DEBI row; the endpoint columns are mirrored into
-  flat numpy arrays so a whole candidate partition can be DEBI-filtered
-  and endpoint-gathered in one vectorized call;
-* when an edge is deleted it is located in its adjacency list and label
-  partition, swapped with the last entry and popped (O(degree) locate,
-  O(1) removal), and its id is pushed on the free list of its source
-  vertex;
-* when a new edge is later inserted at that vertex the id is reused,
-  which keeps the number of edge placeholders — and therefore the DEBI
-  size — from growing monotonically (Figure 17).
+**Edge columns.**  Growable ``src / dst / label / timestamp / alive``
+arrays indexed by ``edge_id`` are the only copy of an edge.  An id that
+was allocated but holds no live edge (a deleted edge, or a gap below a
+forced id on a shard) is simply a row with ``alive == False``; the number
+of rows is the number of *edge placeholders*, i.e. of DEBI rows.
+
+**Adjacency.**  Per direction, all ``(vertex, label)`` partitions live in
+one pooled int64 *arena*; a partition table (``start / size / capacity``
+columns, one row per partition) says where.  A partition id is found
+through one ``(vertex, label) -> id`` dict and remembered per edge, so
+deletions never search for their partition.
+
+* A labelled candidate pool is the zero-copy slice
+  ``arena[start : start + size]`` — O(matching edges), not O(degree).
+* A wildcard pool is *defined* as the vertex's partitions concatenated in
+  partition creation order; a :class:`CSRGraphView` of an export returns
+  every pool in exactly the same order as the live graph.
+* Degrees (the ``f2``/``f3`` label-degree filters) are ``size`` reads.
+
+**Insertion** groups a batch by partition with one stable argsort; a
+partition that would overflow moves to the arena tail with at least
+doubled capacity (one gather/scatter for all of them), then the new ids
+are scattered behind the old ones.
+
+**Deletion is order-preserving**: the affected partitions are compacted
+in one vectorized pass, so a pool is always *its live edges in insertion
+order*.  The paper words deletion as swap-with-last; that makes the pool
+order depend on the order of the deletes, which a batch would have to
+replay one by one.  Keeping the order makes removals commute — a batch
+result is independent of the order of its ids and ``delete_edge`` is the
+batch of one — and pool-internal order is not part of the engine
+contract (identity sets, edge ids and scan counters are).
+
+**Arena space.**  A moved partition abandons its old range.  Capacities
+double, so the ranges one partition ever abandoned sum to less than its
+current capacity; when the arena is full it is *repacked* — every
+partition laid out afresh, abandoned ranges dropped — into a buffer of
+twice the summed capacity.  Between repacks the arena therefore never
+exceeds that, and a capacity never exceeds ``max(4, 2 * peak size)``.
+
+**Recycling.**  The id of a deleted edge goes on the free list of its
+source vertex and is handed to the next insertion at that vertex, newest
+first, which keeps the number of placeholders — and the DEBI size — from
+growing monotonically (Figure 17).  Stream deletions name a
+``(src, dst, label)`` triple; the triple index resolves it to the live
+parallel instances.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import chain, repeat
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -40,6 +67,14 @@ from repro.utils.validation import GraphError
 
 _EMPTY_IDS: list[int] = []
 _EMPTY_ARRAY = np.empty(0, dtype=np.int64)
+#: rows a growable column starts with — small, so constructing a graph allocates next to nothing
+_INITIAL_ROWS = 16
+#: smallest capacity a non-empty partition is given
+_MIN_CAPACITY = 4
+_EDGE_COLUMNS = (
+    "_src", "_dst", "_label", "_timestamp", "_alive", "_out_part", "_in_part", "_edge_touched"
+)
+_PARTITION_COLUMNS = ("start", "size", "capacity", "vertex_pos", "label")
 
 
 def expand_ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -52,6 +87,14 @@ def expand_ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     ends = np.cumsum(sizes)
     total = int(ends[-1]) if ends.size else 0
     return np.arange(total, dtype=np.int64) - np.repeat(ends - sizes - starts, sizes)
+
+
+def segment_counts(keep: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Sum of ``keep`` (a mask or weights) over each of the back-to-back segments of ``sizes``."""
+    running = np.zeros(keep.shape[0] + 1, dtype=np.int64)
+    np.cumsum(keep, out=running[1:])
+    ends = np.cumsum(sizes)
+    return running[ends] - running[ends - sizes]
 
 
 def concat_candidate_pools(graph, anchors: np.ndarray, out: bool, label: int | None):
@@ -68,78 +111,281 @@ def concat_candidate_pools(graph, anchors: np.ndarray, out: bool, label: int | N
     return (np.concatenate(pools) if pools else _EMPTY_ARRAY), sizes
 
 
-def _coalesce_ranges(indices: Iterable[int]) -> list[tuple[int, int]]:
-    """Turn an index collection into sorted half-open ``(start, stop)`` runs."""
-    ordered = sorted(indices)
-    if not ordered:
+def _coalesce_ranges(ordered: np.ndarray) -> list[tuple[int, int]]:
+    """Turn an ascending index array into half-open ``(start, stop)`` runs."""
+    if ordered.size == 0:
         return []
-    runs: list[tuple[int, int]] = []
-    start = prev = ordered[0]
-    for value in ordered[1:]:
-        if value == prev + 1:
-            prev = value
-            continue
-        runs.append((start, prev + 1))
-        start = prev = value
-    runs.append((start, prev + 1))
-    return runs
+    breaks = np.flatnonzero(np.diff(ordered) != 1)
+    starts = np.concatenate([ordered[:1], ordered[breaks + 1]])
+    stops = np.concatenate([ordered[breaks], ordered[-1:]]) + 1
+    return list(zip(starts.tolist(), stops.tolist()))
 
 
-class IntVector:
-    """A growable int64 numpy array with amortized append and swap-pop delete.
+def _grown(column: np.ndarray, used: int, needed: int) -> np.ndarray:
+    """A copy of ``column`` with at least doubled room for ``needed`` rows; unused rows are zero."""
+    grown = np.zeros(max(needed, 2 * column.shape[0]), dtype=column.dtype)
+    grown[:used] = column[:used]
+    return grown
 
-    The storage unit of one ``(vertex, direction, label)`` adjacency
-    partition.  ``view()`` exposes the live prefix as a zero-copy numpy
-    slice, which is what the vectorized candidate pipeline consumes.
-    """
 
-    __slots__ = ("_data", "_n")
+def _first_duplicate(ids: np.ndarray) -> int | None:
+    ordered = np.sort(ids)
+    repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+    return int(repeated[0]) if repeated.size else None
 
-    def __init__(self, capacity: int = 4) -> None:
-        self._data = np.empty(max(capacity, 1), dtype=np.int64)
-        self._n = 0
 
-    def append(self, value: int) -> None:
-        if self._n == self._data.shape[0]:
-            grown = np.empty(self._data.shape[0] * 2, dtype=np.int64)
-            grown[: self._n] = self._data
-            self._data = grown
-        self._data[self._n] = value
-        self._n += 1
+class _Adjacency:
+    """One direction's adjacency: every ``(vertex, label)`` partition in one int64 arena."""
 
-    def extend(self, values) -> None:
-        """Bulk append (amortized); ``values`` is any int64-coercible sequence."""
-        arr = np.asarray(values, dtype=np.int64)
-        needed = self._n + arr.shape[0]
-        if needed > self._data.shape[0]:
-            capacity = self._data.shape[0]
-            while capacity < needed:
-                capacity *= 2
-            grown = np.empty(capacity, dtype=np.int64)
-            grown[: self._n] = self._data[: self._n]
-            self._data = grown
-        self._data[self._n : needed] = arr
-        self._n = needed
+    def __init__(self, position: dict[int, int]) -> None:
+        #: the graph's vertex -> insertion rank table (shared, not owned)
+        self.position = position
+        self.arena = np.empty(_INITIAL_ROWS, dtype=np.int64)
+        #: arena slots handed out so far: live ranges, their slack, abandoned ranges
+        self.tail = 0
+        #: (vertex, label) -> partition id; ids are dense, in creation order, never reused
+        self.index: dict[tuple[int, int], int] = {}
+        # The partition table, one row per partition id; ``vertex_pos`` is the
+        # owner's position in vertex insertion order (the CSR export's row).
+        self.start = np.zeros(_INITIAL_ROWS, dtype=np.int64)
+        self.size = np.zeros(_INITIAL_ROWS, dtype=np.int64)
+        self.capacity = np.zeros(_INITIAL_ROWS, dtype=np.int64)
+        self.vertex_pos = np.zeros(_INITIAL_ROWS, dtype=np.int64)
+        self.label = np.zeros(_INITIAL_ROWS, dtype=np.int64)
+        # Derived from ``vertex_pos`` on demand (wildcard reads only): vertex
+        # position -> its partition ids in creation order, over the first
+        # ``_grouped`` partitions.
+        self._by_position: dict[int, list[int]] = {}
+        self._grouped = 0
 
-    def swap_pop(self, value: int) -> bool:
-        """Remove one occurrence of ``value`` (swap-with-last); False if absent."""
-        live = self._data[: self._n]
-        hits = np.nonzero(live == value)[0]
-        if hits.shape[0] == 0:
-            return False
-        self._n -= 1
-        live[hits[0]] = self._data[self._n]
-        return True
+    def copy(self, position: dict[int, int]) -> "_Adjacency":
+        clone = _Adjacency(position)
+        clone.arena = self.arena.copy()
+        clone.tail = self.tail
+        clone.index = dict(self.index)
+        for name in _PARTITION_COLUMNS:
+            setattr(clone, name, getattr(self, name).copy())
+        return clone
 
-    def view(self) -> np.ndarray:
-        """Zero-copy int64 view of the live entries (do not mutate)."""
-        return self._data[: self._n]
+    # ------------------------------------------------------------------ partitions
+    def _create(self, keys: list[tuple[int, int]]) -> None:
+        """Append one empty partition per key; ``keys`` are new and distinct."""
+        first = len(self.index)
+        count = first + len(keys)
+        if count > self.start.shape[0]:
+            for name in _PARTITION_COLUMNS:
+                setattr(self, name, _grown(getattr(self, name), first, count))
+        vertices, labels = zip(*keys)
+        self.vertex_pos[first:count] = list(map(self.position.__getitem__, vertices))
+        self.label[first:count] = labels
+        self.index.update(zip(keys, range(first, count)))
 
-    def tolist(self) -> list[int]:
-        return self._data[: self._n].tolist()
+    def partition_id(self, vertex: int, label: int) -> int:
+        part = self.index.get((vertex, label))
+        if part is None:
+            part = len(self.index)
+            self._create([(vertex, label)])
+        return part
 
-    def __len__(self) -> int:
-        return self._n
+    def partition_ids(self, vertices: list[int], labels: list[int]) -> np.ndarray:
+        """The partition of every ``(vertex, label)`` pair, created in pair order if new."""
+        keys = list(zip(vertices, labels))
+        index = self.index
+        parts = list(map(index.get, keys))
+        if None in parts:
+            self._create([key for key in dict.fromkeys(keys) if key not in index])
+            parts = list(map(index.__getitem__, keys))
+        return np.array(parts, dtype=np.int64)
+
+    def _group_by_vertex(self) -> dict[int, list[int]]:
+        """``_by_position``, brought up to date with the partitions created since last asked."""
+        count = len(self.index)
+        if self._grouped < count:
+            grouped = self._by_position
+            created = self.vertex_pos[self._grouped : count].tolist()
+            for part, position in enumerate(created, self._grouped):
+                grouped.setdefault(position, []).append(part)
+            self._grouped = count
+        return self._by_position
+
+    def parts_of(self, vertex: int) -> list[int]:
+        """The partition ids of ``vertex`` in creation order (do not mutate)."""
+        return self._group_by_vertex().get(self.position.get(vertex), _EMPTY_IDS)
+
+    def _relocate(self, parts: np.ndarray, need: np.ndarray) -> None:
+        """Move ``parts`` to the arena tail with room for ``need`` entries, at least doubled."""
+        capacity = np.maximum(np.maximum(need, 2 * self.capacity[parts]), _MIN_CAPACITY)
+        room = int(capacity.sum())
+        if self.tail + room > self.arena.shape[0]:
+            self.capacity[parts] = capacity
+            self._repack()
+            return
+        size = self.size[parts]
+        start = self.tail + np.cumsum(capacity) - capacity
+        self.arena[expand_ranges(start, size)] = self.arena[
+            expand_ranges(self.start[parts], size)
+        ]
+        self.start[parts] = start
+        self.capacity[parts] = capacity
+        self.tail += room
+
+    def _repack(self) -> None:
+        """Lay every partition out afresh in a new arena, dropping abandoned ranges."""
+        count = len(self.index)
+        capacity = self.capacity[:count]
+        size = self.size[:count]
+        start = np.cumsum(capacity) - capacity
+        self.tail = int(capacity.sum())
+        arena = np.empty(max(2 * self.tail, _INITIAL_ROWS), dtype=np.int64)
+        arena[expand_ranges(start, size)] = self.arena[expand_ranges(self.start[:count], size)]
+        self.arena = arena
+        self.start[:count] = start
+
+    # ------------------------------------------------------------------ mutation
+    def append_one(self, part: int, edge_id: int) -> None:
+        """:meth:`append` of one edge, on scalars."""
+        size = self.size.item(part)
+        start = self.start.item(part)
+        if size == self.capacity.item(part):
+            capacity = max(2 * size, _MIN_CAPACITY)
+            self.capacity[part] = capacity
+            if self.tail + capacity > self.arena.shape[0]:
+                self._repack()
+                start = self.start.item(part)
+            else:
+                self.arena[self.tail : self.tail + size] = self.arena[start : start + size]
+                self.start[part] = start = self.tail
+                self.tail += capacity
+        self.arena[start + size] = edge_id
+        self.size[part] = size + 1
+
+    def append(self, edge_parts: np.ndarray, edge_ids: np.ndarray) -> None:
+        """Append ``edge_ids[i]`` to partition ``edge_parts[i]``, batch order kept per partition."""
+        order = np.argsort(edge_parts, kind="stable")
+        grouped = edge_parts[order]
+        first = np.flatnonzero(np.concatenate([[True], grouped[1:] != grouped[:-1]]))
+        parts = grouped[first]
+        counts = np.diff(first, append=grouped.shape[0])
+        size = self.size[parts]
+        need = size + counts
+        overflow = need > self.capacity[parts]
+        if overflow.any():
+            self._relocate(parts[overflow], need[overflow])
+        self.arena[expand_ranges(self.start[parts] + size, counts)] = edge_ids[order]
+        self.size[parts] = need
+
+    def remove_dead(self, edge_parts: np.ndarray, alive: np.ndarray) -> None:
+        """Compact the partitions in ``edge_parts`` down to their live members, order kept."""
+        parts = np.unique(edge_parts)
+        start = self.start[parts]
+        size = self.size[parts]
+        members = self.arena[expand_ranges(start, size)]
+        keep = alive[members]
+        kept = segment_counts(keep, size)
+        self.arena[expand_ranges(start, kept)] = members[keep]
+        self.size[parts] = kept
+
+    def remove_one(self, part: int, edge_id: int) -> None:
+        """:meth:`remove_dead` of one edge, on scalars."""
+        members = self._slice(part)
+        at = int((members == edge_id).argmax())
+        members[at:-1] = members[at + 1 :]
+        self.size[part] = members.shape[0] - 1
+
+    # ------------------------------------------------------------------ reads
+    def _slice(self, part: int) -> np.ndarray:
+        start = self.start.item(part)
+        return self.arena[start : start + self.size.item(part)]
+
+    def pool(self, vertex: int, label: int | None) -> np.ndarray:
+        """The candidate pool of ``vertex``: one partition, or all of them for ``label=None``."""
+        if label is not None:
+            part = self.index.get((vertex, label))
+            return _EMPTY_ARRAY if part is None else self._slice(part)
+        parts = self.parts_of(vertex)
+        if len(parts) == 1:
+            return self._slice(parts[0])
+        return np.concatenate(list(map(self._slice, parts))) if parts else _EMPTY_ARRAY
+
+    def pools(self, vertices: list[int], label: int | None) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`pool` of every vertex: ``(pools concatenated, size per vertex)``."""
+        n = len(vertices)
+        if label is None:
+            positions = map(self.position.get, vertices)
+            owned = list(map(self._group_by_vertex().get, positions, repeat(_EMPTY_IDS)))
+            counts = np.fromiter(map(len, owned), dtype=np.int64, count=n)
+            parts = np.fromiter(
+                chain.from_iterable(owned), dtype=np.int64, count=int(counts.sum())
+            )
+            part_sizes = self.size[parts]
+            flat = self.arena[expand_ranges(self.start[parts], part_sizes)]
+            return flat, segment_counts(part_sizes, counts)
+        parts = np.fromiter(
+            map(self.index.get, zip(vertices, repeat(label)), repeat(-1)),
+            dtype=np.int64,
+            count=n,
+        )
+        known = parts >= 0
+        sizes = np.where(known, self.size[parts], 0)
+        starts = np.where(known, self.start[parts], 0)
+        return self.arena[expand_ranges(starts, sizes)], sizes
+
+    def degree(self, vertex: int) -> int:
+        return sum(map(self.size.item, self.parts_of(vertex)))
+
+    def export(self, num_vertices: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(group_vptr, group_labels, group_indptr, indices)`` over the non-empty partitions.
+
+        Groups are ordered by vertex position, then by partition creation —
+        the order :meth:`pool` concatenates a wildcard pool in.
+        """
+        live = np.flatnonzero(self.size[: len(self.index)])
+        live = live[np.argsort(self.vertex_pos[live], kind="stable")]
+        sizes = self.size[live]
+        group_vptr = np.zeros(num_vertices + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.vertex_pos[live], minlength=num_vertices), out=group_vptr[1:])
+        group_indptr = np.zeros(live.shape[0] + 1, dtype=np.int64)
+        np.cumsum(sizes, out=group_indptr[1:])
+        indices = self.arena[expand_ranges(self.start[live], sizes)]
+        return group_vptr, self.label[live], group_indptr, indices
+
+    def violation(
+        self, live_ids: np.ndarray, edge_part: np.ndarray, endpoint: np.ndarray,
+        edge_label: np.ndarray,
+    ) -> str | None:
+        """The first inconsistency with the edge columns, or None (``check_invariants``)."""
+        count = len(self.index)
+        start, size, capacity = self.start[:count], self.size[:count], self.capacity[:count]
+        if (size > capacity).any():
+            return f"partition {int((size > capacity).argmax())} is larger than its capacity"
+        placed = np.flatnonzero(capacity)
+        placed = placed[np.argsort(start[placed])]
+        stops = start[placed] + capacity[placed]
+        if (start[placed][1:] < stops[:-1]).any():
+            return "two partitions overlap in the arena"
+        if placed.size and not int(stops[-1]) <= self.tail <= self.arena.shape[0]:
+            return "a partition lies beyond the arena tail"
+        keys = list(self.index)
+        if list(self.index.values()) != list(range(count)):
+            return "partition ids are not dense in creation order"
+        owners = [vertex for vertex, _ in keys]
+        if self.vertex_pos[:count].tolist() != [self.position.get(vertex) for vertex in owners]:
+            return "a partition's vertex position disagrees with the vertex table"
+        if self.label[:count].tolist() != [label for _, label in keys]:
+            return "a partition's label column disagrees with its key"
+        members = self.arena[expand_ranges(start, size)]
+        if not np.array_equal(np.sort(members), live_ids):
+            return "the partitions do not hold exactly the live edges"
+        holder = np.repeat(np.arange(count), size)
+        wrong = np.flatnonzero(
+            (edge_part[members] != holder)
+            | (endpoint[members] != np.asarray(owners, dtype=np.int64)[holder])
+            | (edge_label[members] != self.label[:count][holder])
+        )
+        if wrong.size:
+            edge_id, part = int(members[wrong[0]]), int(holder[wrong[0]])
+            return f"edge {edge_id} sits in partition {part}, not its own"
+        return None
 
 
 class DynamicGraph:
@@ -154,37 +400,32 @@ class DynamicGraph:
         reproduce the "without reclaiming" curve of Figure 17.
     """
 
-    #: dirty-vertex fraction above which a full CSR rebuild beats splicing
-    INCREMENTAL_EXPORT_MAX_DIRTY_FRACTION = 0.125
-
     def __init__(self, recycle_edge_ids: bool = True) -> None:
         self.recycle_edge_ids = recycle_edge_ids
 
-        # Edge columns indexed by edge_id.  The Python lists serve the
-        # scalar hot paths (EdgeRecord construction, find_edges); the
-        # numpy mirrors serve the vectorized endpoint gather.
-        self._src: list[int] = []
-        self._dst: list[int] = []
-        self._label: list[int] = []
-        self._timestamp: list[float] = []
-        self._alive: list[bool] = []
-        self._src_col = np.empty(1024, dtype=np.int64)
-        self._dst_col = np.empty(1024, dtype=np.int64)
-
-        # Vertex state.  Combined lists keep insertion order (wildcard
-        # pools, find_edges); partitions key edge ids by edge label.
+        # Edge columns indexed by edge id — the only copy of every edge.
+        # ``_rows`` ids have been allocated so far (live or dead); rows that
+        # were never assigned (beyond ``_rows``, or a gap below a forced id)
+        # are all-zero, i.e. dead.  The ``_*_part`` columns remember each
+        # live edge's partition ids.
+        self._rows = 0
+        self._src = np.zeros(_INITIAL_ROWS, dtype=np.int64)
+        self._dst = np.zeros(_INITIAL_ROWS, dtype=np.int64)
+        self._label = np.zeros(_INITIAL_ROWS, dtype=np.int64)
+        self._timestamp = np.zeros(_INITIAL_ROWS, dtype=np.float64)
+        self._alive = np.zeros(_INITIAL_ROWS, dtype=bool)
+        self._out_part = np.zeros(_INITIAL_ROWS, dtype=np.int64)
+        self._in_part = np.zeros(_INITIAL_ROWS, dtype=np.int64)
+        # Vertices are append-only; a vertex's position is its insertion rank.
         self._vertex_labels: dict[int, int] = {}
-        self._vertex_order: list[int] = []
         self._vertex_position: dict[int, int] = {}
-        self._out: dict[int, list[int]] = defaultdict(list)
-        self._in: dict[int, list[int]] = defaultdict(list)
-        self._out_by_label: dict[int, dict[int, IntVector]] = {}
-        self._in_by_label: dict[int, dict[int, IntVector]] = {}
+        self._out = _Adjacency(self._vertex_position)
+        self._in = _Adjacency(self._vertex_position)
 
-        # Edge-id recycling: free ids keyed by the source vertex that owned them.
+        # Edge-id recycling: free ids keyed by the source vertex that owned
+        # them; the total lets an insert batch skip the recycling replay
+        # when nothing is recyclable.
         self._free_ids: dict[int, list[int]] = defaultdict(list)
-        # Total ids across all free lists: lets the columnar insert path
-        # skip the per-event recycling replay when nothing is recyclable.
         self._num_free_ids = 0
 
         # Resolution of (src, dst, label) triples to live edge ids (multi-edge aware).
@@ -193,45 +434,38 @@ class DynamicGraph:
         self._num_live_edges = 0
         self.stats = PlaceholderStats()
 
-        # Per-epoch delta journal: everything touched since the last CSR
-        # export.  Small batches then splice their changes into the cached
-        # export (see export_csr_delta) instead of rebuilding O(V + E)
-        # arrays from the Python adjacency structures.
-        self._journal_edges: set[int] = set()
-        self._journal_vertices: set[int] = set()
-        self._csr_cache: "CSRSnapshot | None" = None
+        # The delta journal: which edge ids and which vertices (by position)
+        # were touched since the last CSR export, and the (vertices,
+        # placeholders) that export covered — what export_csr_delta needs to
+        # say which element ranges of the new export may differ from it.
+        self._edge_touched = np.zeros(_INITIAL_ROWS, dtype=bool)
+        self._vertex_touched = np.zeros(_INITIAL_ROWS, dtype=bool)
+        self._exported: tuple[int, int] | None = None
         # Monotone export counter: the shared-snapshot writer uses it to
         # detect interloping exports (anything that consumed the journal
         # between two publishes) before trusting a dirty-slice copy.
         self._export_count = 0
 
-    # ------------------------------------------------------------------ pickling
     def __getstate__(self) -> dict:
-        """Drop the transient CSR export cache when pickling (checkpoints).
+        """Drop the export bookkeeping when pickling (checkpoints).
 
-        The cached snapshot is an optimisation keyed to the delta journal;
-        a restored graph starts from a clean full-export state.  Everything
+        A restored graph starts from a clean full-export state.  Everything
         else — including the edge-id free lists, which make replayed
         insertions allocate the same ids the original run used — survives
         the round trip.
         """
         state = self.__dict__.copy()
-        state["_csr_cache"] = None
-        state["_journal_edges"] = set()
-        state["_journal_vertices"] = set()
+        state["_exported"] = None
+        state["_edge_touched"] = np.zeros_like(self._edge_touched)
+        state["_vertex_touched"] = np.zeros_like(self._vertex_touched)
         return state
-
-    def __setstate__(self, state: dict) -> None:
-        state.setdefault("_export_count", 0)
-        self.__dict__.update(state)
 
     # ------------------------------------------------------------------ vertices
     def add_vertex(self, vertex: int, label: int = 0) -> None:
         """Register ``vertex`` with ``label``; later calls may not change the label."""
         existing = self._vertex_labels.get(vertex)
         if existing is None:
-            self._vertex_position[vertex] = len(self._vertex_order)
-            self._vertex_order.append(vertex)
+            self._vertex_position[vertex] = len(self._vertex_labels)
             self._vertex_labels[vertex] = label
         elif existing != label and label != 0:
             raise GraphError(
@@ -244,6 +478,13 @@ class DynamicGraph:
     def vertex_label(self, vertex: int) -> int:
         """Return the label of ``vertex`` (0 for unlabelled/unknown vertices)."""
         return self._vertex_labels.get(vertex, 0)
+
+    def vertex_labels(self, vertices) -> np.ndarray:
+        """:meth:`vertex_label` of every entry of a vertex-id array, as int64."""
+        ids = vertices.tolist() if hasattr(vertices, "tolist") else vertices
+        return np.fromiter(
+            map(self._vertex_labels.get, ids, repeat(0)), dtype=np.int64, count=len(ids)
+        )
 
     def vertices(self) -> Iterator[int]:
         return iter(self._vertex_labels)
@@ -273,102 +514,62 @@ class DynamicGraph:
         partitioned mutation API.  Engine shards share one global id
         space (a router-level allocator hands out ids, so DEBI rows and
         embedding identities agree across shards); a shard storing only
-        part of that space pads the skipped ids with dead placeholder
+        part of that space leaves the skipped ids as dead placeholder
         rows, exactly like deleted-but-unrecycled edges.
         """
+        if edge_id is not None:
+            self._check_forced_ids(np.array([edge_id]))
         self.add_vertex(src, src_label if src_label is not None else self.vertex_label(src))
         self.add_vertex(dst, dst_label if dst_label is not None else self.vertex_label(dst))
-
         if edge_id is None:
-            edge_id = self._allocate_id(src)
-        elif edge_id < len(self._src) and self._alive[edge_id]:
-            raise GraphError(f"edge id {edge_id} is already a live edge")
-        else:
-            while len(self._src) < edge_id:
-                self._src.append(0)
-                self._dst.append(0)
-                self._label.append(0)
-                self._timestamp.append(0.0)
-                self._alive.append(False)
-        if edge_id == len(self._src):
-            self._src.append(src)
-            self._dst.append(dst)
-            self._label.append(label)
-            self._timestamp.append(timestamp)
-            self._alive.append(True)
-        else:
-            self._src[edge_id] = src
-            self._dst[edge_id] = dst
-            self._label[edge_id] = label
-            self._timestamp[edge_id] = timestamp
-            self._alive[edge_id] = True
-        if edge_id >= self._src_col.shape[0]:
-            self._src_col = self._grow_column(self._src_col, edge_id + 1)
-            self._dst_col = self._grow_column(self._dst_col, edge_id + 1)
-        self._src_col[edge_id] = src
-        self._dst_col[edge_id] = dst
-
-        self._out[src].append(edge_id)
-        self._in[dst].append(edge_id)
-        self._partition(self._out_by_label, src, label).append(edge_id)
-        self._partition(self._in_by_label, dst, label).append(edge_id)
+            edge_id = self._rows
+            free = self._free_ids.get(src) if self.recycle_edge_ids else None
+            if free:
+                edge_id = free.pop()
+                self._num_free_ids -= 1
+                self.stats.record_recycle()
+        self._extend_rows(edge_id + 1)
+        self._src[edge_id] = src
+        self._dst[edge_id] = dst
+        self._label[edge_id] = label
+        self._timestamp[edge_id] = timestamp
+        self._alive[edge_id] = True
+        out_part = self._out_part[edge_id] = self._out.partition_id(src, label)
+        self._out.append_one(out_part, edge_id)
+        in_part = self._in_part[edge_id] = self._in.partition_id(dst, label)
+        self._in.append_one(in_part, edge_id)
         self._triple_index[(src, dst, label)].append(edge_id)
         self._num_live_edges += 1
-        self._journal_edges.add(edge_id)
-        self._journal_vertices.add(src)
-        self._journal_vertices.add(dst)
-        self.stats.record_insert(placeholders=len(self._src), live=self._num_live_edges)
+        self._touch(edge_id, out_part, in_part)
+        self.stats.record_insert(placeholders=self._rows, live=self._num_live_edges)
         return edge_id
 
-    @staticmethod
-    def _grow_column(column: np.ndarray, needed: int) -> np.ndarray:
-        grown = np.empty(max(needed, column.shape[0] * 2), dtype=np.int64)
-        grown[: column.shape[0]] = column
-        return grown
+    def _touch(self, edge_ids, out_parts, in_parts) -> None:
+        """Journal edges (ids and their partitions, scalars or arrays) as changed."""
+        if len(self._vertex_labels) > self._vertex_touched.shape[0]:
+            self._vertex_touched = _grown(
+                self._vertex_touched, self._vertex_touched.shape[0], len(self._vertex_labels)
+            )
+        self._edge_touched[edge_ids] = True
+        self._vertex_touched[self._out.vertex_pos[out_parts]] = True
+        self._vertex_touched[self._in.vertex_pos[in_parts]] = True
 
-    @staticmethod
-    def _partition(by_label: dict[int, dict[int, IntVector]], vertex: int, label: int) -> IntVector:
-        partitions = by_label.get(vertex)
-        if partitions is None:
-            partitions = by_label[vertex] = {}
-        vec = partitions.get(label)
-        if vec is None:
-            vec = partitions[label] = IntVector()
-        return vec
-
-    def _allocate_id(self, src: int) -> int:
-        if self.recycle_edge_ids:
-            free = self._free_ids.get(src)
-            if free:
-                self.stats.record_recycle()
-                self._num_free_ids -= 1
-                return free.pop()
-        return len(self._src)
+    def _extend_rows(self, rows: int) -> None:
+        """Make every id below ``rows`` a placeholder (dead and zeroed until assigned)."""
+        if rows > self._src.shape[0]:
+            for name in _EDGE_COLUMNS:
+                setattr(self, name, _grown(getattr(self, name), self._rows, rows))
+        self._rows = max(rows, self._rows)
 
     def delete_edge(self, edge_id: int) -> EdgeRecord:
         """Delete the edge instance ``edge_id`` and return its last record."""
         record = self.edge(edge_id)
-        src, dst, label = record.src, record.dst, record.label
-
-        self._remove_from_list(self._out[src], edge_id)
-        self._remove_from_list(self._in[dst], edge_id)
-        if not self._out_by_label[src][label].swap_pop(edge_id):
-            raise GraphError(f"edge {edge_id} missing from out-label partition")
-        if not self._in_by_label[dst][label].swap_pop(edge_id):
-            raise GraphError(f"edge {edge_id} missing from in-label partition")
-        self._remove_from_list(self._triple_index[(src, dst, label)], edge_id)
-        if not self._triple_index[(src, dst, label)]:
-            del self._triple_index[(src, dst, label)]
-
         self._alive[edge_id] = False
-        self._num_live_edges -= 1
-        if self.recycle_edge_ids:
-            self._free_ids[src].append(edge_id)
-            self._num_free_ids += 1
-        self._journal_edges.add(edge_id)
-        self._journal_vertices.add(src)
-        self._journal_vertices.add(dst)
-        self.stats.record_delete(placeholders=len(self._src), live=self._num_live_edges)
+        out_part, in_part = self._out_part.item(edge_id), self._in_part.item(edge_id)
+        self._out.remove_one(out_part, edge_id)
+        self._in.remove_one(in_part, edge_id)
+        self._touch(edge_id, out_part, in_part)
+        self._forget([record])
         return record
 
     def delete_edge_instance(self, src: int, dst: int, label: int = 0) -> EdgeRecord:
@@ -383,17 +584,6 @@ class DynamicGraph:
             raise GraphError(f"no live edge ({src}, {dst}, {label}) to delete")
         return self.delete_edge(ids[-1])
 
-    @staticmethod
-    def _remove_from_list(lst: list[int], edge_id: int) -> None:
-        # Swap-with-last removal, as described in the paper's memory
-        # recycling paragraph: O(position) to find, O(1) to remove.
-        try:
-            idx = lst.index(edge_id)
-        except ValueError as exc:
-            raise GraphError(f"edge {edge_id} not present in adjacency list") from exc
-        lst[idx] = lst[-1]
-        lst.pop()
-
     # ------------------------------------------------------------------ accessors
     def edge(self, edge_id: int) -> EdgeRecord:
         """Return the :class:`EdgeRecord` for a *live* ``edge_id``."""
@@ -401,51 +591,40 @@ class DynamicGraph:
             raise GraphError(f"edge id {edge_id} is not a live edge")
         return EdgeRecord(
             edge_id,
-            self._src[edge_id],
-            self._dst[edge_id],
-            self._label[edge_id],
-            self._timestamp[edge_id],
+            self._src.item(edge_id),
+            self._dst.item(edge_id),
+            self._label.item(edge_id),
+            self._timestamp.item(edge_id),
         )
 
     def is_alive(self, edge_id: int) -> bool:
-        return 0 <= edge_id < len(self._src) and self._alive[edge_id]
+        return 0 <= edge_id < self._rows and self._alive.item(edge_id)
 
     def out_edges(self, vertex: int) -> list[int]:
-        """Edge ids of live edges leaving ``vertex`` (do not mutate)."""
-        return self._out.get(vertex, [])
+        """Edge ids of live edges leaving ``vertex``, in wildcard-pool order."""
+        return self._out.pool(vertex, None).tolist()
 
     def in_edges(self, vertex: int) -> list[int]:
-        """Edge ids of live edges entering ``vertex`` (do not mutate)."""
-        return self._in.get(vertex, [])
+        """Edge ids of live edges entering ``vertex``, in wildcard-pool order."""
+        return self._in.pool(vertex, None).tolist()
 
     def out_edges_with_label(self, vertex: int, label: int) -> np.ndarray:
         """Live out-edges of ``vertex`` carrying ``label`` (zero-copy int64 view)."""
-        partitions = self._out_by_label.get(vertex)
-        if partitions is None:
-            return _EMPTY_ARRAY
-        vec = partitions.get(label)
-        return _EMPTY_ARRAY if vec is None else vec.view()
+        return self._out.pool(vertex, label)
 
     def in_edges_with_label(self, vertex: int, label: int) -> np.ndarray:
         """Live in-edges of ``vertex`` carrying ``label`` (zero-copy int64 view)."""
-        partitions = self._in_by_label.get(vertex)
-        if partitions is None:
-            return _EMPTY_ARRAY
-        vec = partitions.get(label)
-        return _EMPTY_ARRAY if vec is None else vec.view()
+        return self._in.pool(vertex, label)
 
-    def candidate_pool(self, vertex: int, out: bool, label: int | None = None):
-        """The candidate edge pool for one extension step.
+    def candidate_pool(self, vertex: int, out: bool, label: int | None = None) -> np.ndarray:
+        """The candidate edge pool for one extension step (do not mutate).
 
-        ``label=None`` (wildcard) returns the combined insertion-ordered
-        list; a concrete label returns the zero-copy partition view, so a
-        labelled step touches O(matching edges) instead of O(degree).
+        A concrete label returns the zero-copy partition view, so a
+        labelled step touches O(matching edges) instead of O(degree);
+        ``label=None`` (wildcard) returns the vertex's partitions
+        concatenated in creation order.
         """
-        if label is None:
-            return (self._out if out else self._in).get(vertex, _EMPTY_IDS)
-        if out:
-            return self.out_edges_with_label(vertex, label)
-        return self.in_edges_with_label(vertex, label)
+        return (self._out if out else self._in).pool(vertex, label)
 
     def candidate_pools(self, anchors: np.ndarray, out: bool, label: int | None = None):
         """Batched :meth:`candidate_pool`: ``(flat_ids, sizes)`` for an anchor array.
@@ -453,42 +632,26 @@ class DynamicGraph:
         ``flat_ids`` is the anchors' pools concatenated in anchor order
         (each in :meth:`candidate_pool` order) and ``sizes[i]`` the length
         of anchor ``i``'s pool; unknown vertices and empty partitions
-        contribute nothing.  One call per matching-order step replaces
-        one :meth:`candidate_pool` call per distinct anchor.
+        contribute nothing.  One partition-table gather per matching-order
+        step replaces one :meth:`candidate_pool` call per distinct anchor.
         """
-        vertices = anchors.tolist()
-        if label is None:
-            adjacency = self._out if out else self._in
-            pools = [adjacency.get(v, _EMPTY_IDS) for v in vertices]
-            sizes = np.fromiter(map(len, pools), dtype=np.int64, count=len(pools))
-            flat = np.fromiter(
-                chain.from_iterable(pools), dtype=np.int64, count=int(sizes.sum())
-            )
-            return flat, sizes
-        by_label = self._out_by_label if out else self._in_by_label
-        views = []
-        for v in vertices:
-            partitions = by_label.get(v)
-            vec = None if partitions is None else partitions.get(label)
-            views.append(_EMPTY_ARRAY if vec is None else vec.view())
-        sizes = np.fromiter(map(len, views), dtype=np.int64, count=len(views))
-        return (np.concatenate(views) if views else _EMPTY_ARRAY), sizes
+        return (self._out if out else self._in).pools(anchors.tolist(), label)
 
     def endpoint_array(self, edge_ids: np.ndarray, take_dst: bool) -> np.ndarray:
         """Vectorized endpoint gather: dst (or src) vertex per edge id."""
-        column = self._dst_col if take_dst else self._src_col
-        return column[edge_ids]
+        return (self._dst if take_dst else self._src)[edge_ids]
 
     def endpoint_list(self, edge_ids, take_dst: bool) -> list[int]:
-        """Scalar endpoint gather for small candidate lists."""
-        column = self._dst if take_dst else self._src
-        return [column[e] for e in edge_ids]
+        """:meth:`endpoint_array` for an id list, as Python ints."""
+        return self.endpoint_array(np.asarray(edge_ids, dtype=np.int64), take_dst).tolist()
 
     def edge_labels(self, edge_ids) -> np.ndarray:
         """Edge-label gather for an id array, without building records."""
-        lab = self._label
-        ids = edge_ids.tolist() if hasattr(edge_ids, "tolist") else edge_ids
-        return np.fromiter((lab[e] for e in ids), dtype=np.int64, count=len(ids))
+        return self._label[np.asarray(edge_ids, dtype=np.int64)]
+
+    def edge_timestamps(self, edge_ids) -> np.ndarray:
+        """Timestamp gather for an id array, without building records."""
+        return self._timestamp[np.asarray(edge_ids, dtype=np.int64)]
 
     def incident_edges(self, vertex: int) -> Iterator[int]:
         """All live edge ids touching ``vertex`` (out first, then in)."""
@@ -496,47 +659,50 @@ class DynamicGraph:
         yield from self.in_edges(vertex)
 
     def out_degree(self, vertex: int) -> int:
-        return len(self._out.get(vertex, ()))
+        return self._out.degree(vertex)
 
     def in_degree(self, vertex: int) -> int:
-        return len(self._in.get(vertex, ()))
+        return self._in.degree(vertex)
 
     def degree(self, vertex: int) -> int:
         return self.out_degree(vertex) + self.in_degree(vertex)
 
     def out_label_degree(self, vertex: int, label: int) -> int:
         """Number of live out-edges of ``vertex`` carrying ``label`` (O(1))."""
-        partitions = self._out_by_label.get(vertex)
-        if partitions is None:
-            return 0
-        vec = partitions.get(label)
-        return 0 if vec is None else len(vec)
+        part = self._out.index.get((vertex, label))
+        return 0 if part is None else self._out.size.item(part)
 
     def in_label_degree(self, vertex: int, label: int) -> int:
         """Number of live in-edges of ``vertex`` carrying ``label`` (O(1))."""
-        partitions = self._in_by_label.get(vertex)
-        if partitions is None:
-            return 0
-        vec = partitions.get(label)
-        return 0 if vec is None else len(vec)
+        part = self._in.index.get((vertex, label))
+        return 0 if part is None else self._in.size.item(part)
+
+    def _records(self, ids: np.ndarray) -> Iterator[EdgeRecord]:
+        return map(
+            EdgeRecord,
+            ids.tolist(),
+            self._src[ids].tolist(),
+            self._dst[ids].tolist(),
+            self._label[ids].tolist(),
+            self._timestamp[ids].tolist(),
+        )
 
     def edges(self) -> Iterator[EdgeRecord]:
         """Iterate over all live edge records."""
-        for edge_id in range(len(self._src)):
-            if self._alive[edge_id]:
-                yield EdgeRecord(
-                    edge_id,
-                    self._src[edge_id],
-                    self._dst[edge_id],
-                    self._label[edge_id],
-                    self._timestamp[edge_id],
-                )
+        return self._records(np.flatnonzero(self._alive[: self._rows]))
 
     def find_edges(self, src: int, dst: int, label: int | None = None) -> list[int]:
-        """Return live edge ids from ``src`` to ``dst`` (optionally with ``label``)."""
+        """Return live edge ids from ``src`` to ``dst`` (optionally with ``label``).
+
+        Without a label the ids come in ascending order: witness checks stop
+        at the first match, so their scan counts must not depend on how the
+        store happens to lay a pool out.
+        """
+        triples = self._triple_index
         if label is not None:
-            return list(self._triple_index.get((src, dst, label), ()))
-        return [e for e in self._out.get(src, ()) if self._dst[e] == dst]
+            return list(triples.get((src, dst, label), ()))
+        labels = map(self._out.label.item, self._out.parts_of(src))
+        return sorted(chain.from_iterable(triples.get((src, dst, lb), ()) for lb in labels))
 
     @property
     def num_edges(self) -> int:
@@ -546,9 +712,9 @@ class DynamicGraph:
     @property
     def num_placeholders(self) -> int:
         """Number of edge slots ever allocated (live + dead, i.e. DEBI rows)."""
-        return len(self._src)
+        return self._rows
 
-    # ------------------------------------------------------------------ bulk helpers
+    # ------------------------------------------------------------------ bulk mutation
     def apply_insert_columns(
         self,
         src,
@@ -564,288 +730,225 @@ class DynamicGraph:
         The columnar counterpart of calling :meth:`add_edge` per event.
         Columns are int64 (``timestamp`` float64) arrays of equal length;
         missing columns default to zeros.  The resulting graph state —
-        including the **edge-id sequence** — is bit-identical to the
-        per-edge path: the per-source LIFO free-list replay below hands
-        out exactly the ids :meth:`_allocate_id` would, and fresh ids are
-        consecutive, which is what lets the fresh majority of a batch be
-        appended with one bulk extend per column.
+        including the **edge-id sequence** — is identical to the per-edge
+        path: the per-source LIFO free-list replay below hands out exactly
+        the ids :meth:`add_edge` would, fresh ids are consecutive, and
+        partitions are created in event order.
 
         ``edge_ids`` forces the ids (the sharded path, where a router-level
-        allocator owns the id space); forced ids follow the same pad /
-        overwrite / liveness rules as :meth:`add_edge`.
+        allocator owns the id space).  A forced id that is negative,
+        already live or repeated in the batch is rejected with
+        :class:`GraphError` before anything is mutated.
         """
         src_arr = np.asarray(src, dtype=np.int64)
         n = int(src_arr.shape[0])
         if n == 0:
             return []
         dst_arr = np.asarray(dst, dtype=np.int64)
-        label_arr = (
-            np.zeros(n, dtype=np.int64) if label is None
-            else np.asarray(label, dtype=np.int64)
-        )
+        zeros = np.zeros(n, dtype=np.int64)
+        label_arr = zeros if label is None else np.asarray(label, dtype=np.int64)
         ts_arr = (
             np.zeros(n, dtype=np.float64) if timestamp is None
             else np.asarray(timestamp, dtype=np.float64)
         )
-        slab_arr = (
-            np.zeros(n, dtype=np.int64) if src_label is None
-            else np.asarray(src_label, dtype=np.int64)
-        )
-        dlab_arr = (
-            np.zeros(n, dtype=np.int64) if dst_label is None
-            else np.asarray(dst_label, dtype=np.int64)
-        )
-
+        slab_arr = zeros if src_label is None else np.asarray(src_label, dtype=np.int64)
+        dlab_arr = zeros if dst_label is None else np.asarray(dst_label, dtype=np.int64)
+        if edge_ids is not None:
+            ids_arr = np.asarray(edge_ids, dtype=np.int64)
+            self._check_forced_ids(ids_arr)
         src_list = src_arr.tolist()
         dst_list = dst_arr.tolist()
         label_list = label_arr.tolist()
-        ts_list = ts_arr.tolist()
-
-        # -- vertices (same per-event src-then-dst order and relabel rules
-        #    as add_vertex, so _vertex_order comes out identical)
-        labels = self._vertex_labels
-        order = self._vertex_order
-        position = self._vertex_position
-        slab_list = slab_arr.tolist()
-        dlab_list = dlab_arr.tolist()
-        # Steady-state fast path: every endpoint already registered.  The
-        # per-event loop then only *checks* labels, never mutates, so the
-        # whole pass collapses to one vectorized conflict test per batch
-        # (falling back to the loop to raise the per-event error on a hit).
-        uniq_v, inverse = np.unique(
-            np.concatenate([src_arr, dst_arr]), return_inverse=True
+        # vertices are mentioned in per-event src-then-dst order
+        self._register_vertices(
+            list(chain.from_iterable(zip(src_list, dst_list))),
+            np.stack([slab_arr, dlab_arr], axis=1).ravel().tolist(),
         )
-        known = [labels.get(v) for v in uniq_v.tolist()]
-        if None not in known:
-            existing_ev = np.asarray(known, dtype=np.int64)[inverse]
-            ev_lab = np.concatenate([slab_arr, dlab_arr])
-            conflicts = bool(((ev_lab != 0) & (existing_ev != ev_lab)).any())
-        else:
-            conflicts = True  # new vertices: take the registering loop
-        if conflicts:
-            for i in range(n):
-                for vertex, lab in (
-                    (src_list[i], slab_list[i]),
-                    (dst_list[i], dlab_list[i]),
-                ):
-                    existing = labels.get(vertex)
-                    if existing is None:
-                        position[vertex] = len(order)
-                        order.append(vertex)
-                        labels[vertex] = lab
-                    elif existing != lab and lab != 0:
-                        raise GraphError(
-                            f"vertex {vertex} already has label {existing}, "
-                            f"cannot relabel to {lab}"
-                        )
 
-        # -- edge-id assignment + edge columns
-        old_len = len(self._src)
-        stats = self.stats
-        if edge_ids is not None:
-            ids_arr = np.asarray(edge_ids, dtype=np.int64)
-            ids_list = ids_arr.tolist()
-            # forced ids (shard path): replay add_edge's pad/overwrite rules
-            # event by event — gaps and overwrites are order-sensitive
-            for i, eid in enumerate(ids_list):
-                if eid < len(self._src) and self._alive[eid]:
-                    raise GraphError(f"edge id {eid} is already a live edge")
-                while len(self._src) < eid:
-                    self._src.append(0)
-                    self._dst.append(0)
-                    self._label.append(0)
-                    self._timestamp.append(0.0)
-                    self._alive.append(False)
-                if eid == len(self._src):
-                    self._src.append(src_list[i])
-                    self._dst.append(dst_list[i])
-                    self._label.append(label_list[i])
-                    self._timestamp.append(ts_list[i])
-                    self._alive.append(True)
-                else:
-                    self._src[eid] = src_list[i]
-                    self._dst[eid] = dst_list[i]
-                    self._label[eid] = label_list[i]
-                    self._timestamp[eid] = ts_list[i]
-                    self._alive[eid] = True
-        else:
-            # replay _allocate_id exactly: per-source LIFO recycling first,
-            # then consecutive fresh ids starting at the current length
-            ids_arr = np.empty(n, dtype=np.int64)
-            next_id = old_len
-            num_recycled = 0
-            if self.recycle_edge_ids and self._num_free_ids > 0:
-                free_ids = self._free_ids
-                for i, s in enumerate(src_list):
-                    free = free_ids.get(s)
-                    if free:
-                        ids_arr[i] = free.pop()
-                        stats.record_recycle()
-                        num_recycled += 1
-                    else:
-                        ids_arr[i] = next_id
-                        next_id += 1
+        # -- edge ids: replay add_edge's allocation exactly — per-source LIFO
+        #    recycling first, then consecutive fresh ids from the current end
+        if edge_ids is None:
+            fresh = np.arange(self._rows, self._rows + n, dtype=np.int64)
+            if self.recycle_edge_ids and self._num_free_ids:
+                recycled = [
+                    free.pop() if free else -1
+                    for free in map(self._free_ids.get, src_list)
+                ]
+                ids_arr = np.array(recycled, dtype=np.int64)
+                reused = ids_arr >= 0
+                num_recycled = int(reused.sum())
+                ids_arr[~reused] = fresh[: n - num_recycled]
                 self._num_free_ids -= num_recycled
+                self.stats.recycled += num_recycled
             else:
-                ids_arr[:] = np.arange(old_len, old_len + n, dtype=np.int64)
-                next_id = old_len + n
-            ids_list = ids_arr.tolist()
-            if num_recycled == 0:
-                self._src.extend(src_list)
-                self._dst.extend(dst_list)
-                self._label.extend(label_list)
-                self._timestamp.extend(ts_list)
-                self._alive.extend([True] * n)
-            else:
-                fresh = (ids_arr >= old_len).tolist()
-                self._src.extend(
-                    [src_list[i] for i in range(n) if fresh[i]]
-                )
-                self._dst.extend(
-                    [dst_list[i] for i in range(n) if fresh[i]]
-                )
-                self._label.extend(
-                    [label_list[i] for i in range(n) if fresh[i]]
-                )
-                self._timestamp.extend(
-                    [ts_list[i] for i in range(n) if fresh[i]]
-                )
-                self._alive.extend([True] * (n - num_recycled))
-                for i in range(n):
-                    if fresh[i]:
-                        continue
-                    eid = ids_list[i]
-                    self._src[eid] = src_list[i]
-                    self._dst[eid] = dst_list[i]
-                    self._label[eid] = label_list[i]
-                    self._timestamp[eid] = ts_list[i]
-                    self._alive[eid] = True
+                ids_arr = fresh
+        ids_list = ids_arr.tolist()
 
-        # -- numpy endpoint mirrors: grow once, scatter once
-        max_id = int(ids_arr.max())
-        if max_id >= self._src_col.shape[0]:
-            self._src_col = self._grow_column(self._src_col, max_id + 1)
-            self._dst_col = self._grow_column(self._dst_col, max_id + 1)
-        self._src_col[ids_arr] = src_arr
-        self._dst_col[ids_arr] = dst_arr
+        # -- edge columns: one scatter each
+        self._extend_rows(int(ids_arr.max()) + 1)
+        self._src[ids_arr] = src_arr
+        self._dst[ids_arr] = dst_arr
+        self._label[ids_arr] = label_arr
+        self._timestamp[ids_arr] = ts_arr
+        self._alive[ids_arr] = True
 
-        # -- adjacency: one tight pass, everything hoisted.  Streaming
-        #    batches rarely repeat a (vertex, label) pair often enough for
-        #    group-then-extend to pay for building the groups, so this
-        #    appends straight into the target structures — the same five
-        #    appends add_edge performs, shorn of its per-event overhead
-        #    (id allocation, stats, journal and column scatter all happen
-        #    in bulk above/below).
-        out_adj = self._out
-        in_adj = self._in
-        out_by_label = self._out_by_label
-        in_by_label = self._in_by_label
+        # -- adjacency: group by partition, grow what overflows, scatter the ids
+        out_parts = self._out.partition_ids(src_list, label_list)
+        self._out_part[ids_arr] = out_parts
+        self._out.append(out_parts, ids_arr)
+        in_parts = self._in.partition_ids(dst_list, label_list)
+        self._in_part[ids_arr] = in_parts
+        self._in.append(in_parts, ids_arr)
         triple_index = self._triple_index
-        for eid, s, d, lb in zip(ids_list, src_list, dst_list, label_list):
-            out_adj[s].append(eid)
-            in_adj[d].append(eid)
-            parts = out_by_label.get(s)
-            if parts is None:
-                parts = out_by_label[s] = {}
-            vec = parts.get(lb)
-            if vec is None:
-                vec = parts[lb] = IntVector()
-            vec.append(eid)
-            parts = in_by_label.get(d)
-            if parts is None:
-                parts = in_by_label[d] = {}
-            vec = parts.get(lb)
-            if vec is None:
-                vec = parts[lb] = IntVector()
-            vec.append(eid)
-            triple_index[(s, d, lb)].append(eid)
+        for key, edge_id in zip(zip(src_list, dst_list, label_list), ids_list):
+            triple_index[key].append(edge_id)
 
         # -- accounting (bulk-equivalent to the per-event record_insert calls:
         #    placeholders and live counts grow monotonically within an insert
         #    batch, so the running peak maxes equal the final-value maxes)
         self._num_live_edges += n
-        self._journal_edges.update(ids_list)
-        self._journal_vertices.update(src_list)
-        self._journal_vertices.update(dst_list)
+        self._touch(ids_arr, out_parts, in_parts)
+        stats = self.stats
         stats.inserts += n
-        stats.peak_placeholders = max(stats.peak_placeholders, len(self._src))
+        stats.peak_placeholders = max(stats.peak_placeholders, self._rows)
         stats.peak_live = max(stats.peak_live, self._num_live_edges)
         return ids_list
 
-    def apply_delete_columns(self, edge_ids) -> list[EdgeRecord]:
-        """Delete a batch of edge ids (in order) and return their records.
+    def _check_forced_ids(self, ids: np.ndarray) -> None:
+        if (ids < 0).any():
+            raise GraphError(f"edge id {int(ids.min())} is negative")
+        taken = ids[ids < self._rows]
+        live = taken[self._alive[taken]]
+        if live.size:
+            raise GraphError(f"edge id {int(live[0])} is already a live edge")
+        repeated = _first_duplicate(ids)
+        if repeated is not None:
+            raise GraphError(f"edge id {repeated} is forced twice in one batch")
 
-        Deletion is inherently order-sensitive — swap-pop positions and
-        the per-source free-list order both depend on the event sequence —
-        so this delegates to :meth:`delete_edge` per id; the batch win on
-        the delete side lives in the bulk DEBI mask capture / row clears
-        that the pipeline performs around this call.
+    def _register_vertices(self, vertices: list[int], given: list[int]) -> None:
+        """:meth:`add_vertex` over an event-ordered sequence of (vertex, label) mentions."""
+        labels = self._vertex_labels
+        known = list(map(labels.get, vertices))
+        if None in known:
+            first_given = dict(zip(reversed(vertices), reversed(given)))  # earliest mention wins
+            for vertex in dict.fromkeys(vertices):
+                if vertex not in labels:
+                    self._vertex_position[vertex] = len(labels)
+                    labels[vertex] = first_given[vertex]
+            known = list(map(labels.__getitem__, vertices))
+        given_arr = np.array(given, dtype=np.int64)
+        if given_arr.any():
+            conflict = (given_arr != 0) & (given_arr != np.array(known, dtype=np.int64))
+            if conflict.any():
+                at = int(conflict.argmax())
+                raise GraphError(
+                    f"vertex {vertices[at]} already has label {known[at]}, "
+                    f"cannot relabel to {given[at]}"
+                )
+
+    def apply_delete_columns(self, edge_ids) -> list[EdgeRecord]:
+        """Delete a batch of edge ids and return their records, in batch order.
+
+        An id that is negative, out of range, dead or repeated in the batch
+        is rejected with :class:`GraphError` before anything is mutated.
+        Every affected partition is compacted in one order-preserving pass,
+        so the resulting pools do not depend on the order of ``edge_ids``;
+        the per-source free lists and the triple index are updated in batch
+        order, exactly as per-id :meth:`delete_edge` calls would.
         """
         ids = np.asarray(edge_ids, dtype=np.int64)
-        return [self.delete_edge(eid) for eid in ids.tolist()]
-
-    def apply_insertions(self, triples: Iterable[tuple]) -> list[int]:
-        """Insert many edges; each item is (src, dst, label[, timestamp[, src_label, dst_label]]).
-
-        .. deprecated::
-            Thin shim over :meth:`apply_insert_columns`, kept for callers
-            that still hold per-event tuples.  New code should decode the
-            batch into columns once (``EventColumns``) and call the
-            columnar API directly.
-        """
-        rows = [tuple(item) for item in triples]
-        n = len(rows)
+        n = int(ids.shape[0])
         if n == 0:
             return []
-        src = np.fromiter((r[0] for r in rows), dtype=np.int64, count=n)
-        dst = np.fromiter((r[1] for r in rows), dtype=np.int64, count=n)
-        label = np.fromiter(
-            (r[2] if len(r) > 2 else 0 for r in rows), dtype=np.int64, count=n
-        )
-        timestamp = np.fromiter(
-            (r[3] if len(r) > 3 else 0.0 for r in rows), dtype=np.float64, count=n
-        )
-        src_label = np.fromiter(
-            (r[4] if len(r) > 4 else 0 for r in rows), dtype=np.int64, count=n
-        )
-        dst_label = np.fromiter(
-            (r[5] if len(r) > 5 else 0 for r in rows), dtype=np.int64, count=n
-        )
-        return self.apply_insert_columns(
-            src, dst, label, timestamp, src_label, dst_label
-        )
+        dead = (ids < 0) | (ids >= self._rows)
+        if not dead.any():
+            dead = ~self._alive[ids]
+        if dead.any():
+            raise GraphError(f"edge id {int(ids[dead][0])} is not a live edge")
+        repeated = _first_duplicate(ids)
+        if repeated is not None:
+            raise GraphError(f"edge id {repeated} is deleted twice in one batch")
+
+        records = list(self._records(ids))
+        self._alive[ids] = False
+        out_parts, in_parts = self._out_part[ids], self._in_part[ids]
+        self._out.remove_dead(out_parts, self._alive)
+        self._in.remove_dead(in_parts, self._alive)
+        self._touch(ids, out_parts, in_parts)
+        self._forget(records)
+        return records
+
+    def _forget(self, records: list[EdgeRecord]) -> None:
+        """Everything a delete does besides the columns and partitions, in record order."""
+        triple_index = self._triple_index
+        for edge_id, src, dst, label, _ in records:
+            instances = triple_index[(src, dst, label)]
+            if len(instances) == 1:
+                del triple_index[(src, dst, label)]
+            else:  # swap-with-last: later deletes of the triple resolve against this order
+                instances[instances.index(edge_id)] = instances[-1]
+                instances.pop()
+        if self.recycle_edge_ids:
+            free_ids = self._free_ids
+            for edge_id, src, _, _, _ in records:
+                free_ids[src].append(edge_id)
+            self._num_free_ids += len(records)
+        self._num_live_edges -= len(records)
+        self.stats.deletes += len(records)
+        self.stats.peak_placeholders = max(self.stats.peak_placeholders, self._rows)
 
     def copy(self) -> "DynamicGraph":
         """Deep copy of the live graph (dead placeholders are preserved)."""
         clone = DynamicGraph(recycle_edge_ids=self.recycle_edge_ids)
-        clone._src = list(self._src)
-        clone._dst = list(self._dst)
-        clone._label = list(self._label)
-        clone._timestamp = list(self._timestamp)
-        clone._alive = list(self._alive)
-        clone._src_col = self._src_col.copy()
-        clone._dst_col = self._dst_col.copy()
+        for name in _EDGE_COLUMNS:
+            setattr(clone, name, getattr(self, name).copy())
+        clone._edge_touched[:] = False  # the copy starts with an empty journal
+        clone._rows = self._rows
         clone._vertex_labels = dict(self._vertex_labels)
-        clone._vertex_order = list(self._vertex_order)
-        clone._vertex_position = dict(self._vertex_position)
-        clone._out = defaultdict(list, {k: list(v) for k, v in self._out.items()})
-        clone._in = defaultdict(list, {k: list(v) for k, v in self._in.items()})
-        for source, target in (
-            (self._out_by_label, clone._out_by_label),
-            (self._in_by_label, clone._in_by_label),
-        ):
-            for vertex, partitions in source.items():
-                copied = target[vertex] = {}
-                for label, vec in partitions.items():
-                    fresh = IntVector(capacity=max(len(vec), 1))
-                    fresh._data[: len(vec)] = vec.view()
-                    fresh._n = len(vec)
-                    copied[label] = fresh
+        clone._vertex_position.update(self._vertex_position)
+        clone._out = self._out.copy(clone._vertex_position)
+        clone._in = self._in.copy(clone._vertex_position)
         clone._free_ids = defaultdict(list, {k: list(v) for k, v in self._free_ids.items()})
         clone._num_free_ids = self._num_free_ids
         clone._triple_index = defaultdict(list, {k: list(v) for k, v in self._triple_index.items()})
         clone._num_live_edges = self._num_live_edges
         return clone
+
+    def check_invariants(self) -> None:
+        """Raise :class:`GraphError` naming the first place the structures disagree.
+
+        Cross-checks the edge columns, both partition arenas, the triple
+        index, the free lists and the live-edge count against each other.
+        """
+        rows = self._rows
+        live = np.flatnonzero(self._alive[:rows])
+        if live.shape[0] != self._num_live_edges:
+            raise GraphError(f"{live.shape[0]} alive rows but num_edges is {self._num_live_edges}")
+        for name, adjacency, parts, endpoint in (
+            ("out", self._out, self._out_part, self._src),
+            ("in", self._in, self._in_part, self._dst),
+        ):
+            problem = adjacency.violation(live, parts, endpoint, self._label)
+            if problem is not None:
+                raise GraphError(f"{name}-adjacency: {problem}")
+        if list(self._vertex_position.items()) != list(
+            zip(self._vertex_labels, range(len(self._vertex_labels)))
+        ):
+            raise GraphError("vertex positions are not the vertex insertion ranks")
+        for key, instances in self._triple_index.items():
+            for edge_id in instances:
+                if (self._src[edge_id], self._dst[edge_id], self._label[edge_id]) != key:
+                    raise GraphError(f"triple index entry {key} lists edge {edge_id}")
+        indexed = sorted(chain.from_iterable(self._triple_index.values()))
+        if indexed != live.tolist():
+            raise GraphError("the triple index does not list exactly the live edges")
+        free = list(chain.from_iterable(self._free_ids.values()))
+        if len(free) != self._num_free_ids or len(set(free)) != len(free):
+            raise GraphError(f"free-list count {self._num_free_ids} but {len(free)} ids listed")
+        for src, ids in self._free_ids.items():
+            for edge_id in ids:
+                if not 0 <= edge_id < rows or self._alive[edge_id] or self._src[edge_id] != src:
+                    raise GraphError(f"free id {edge_id} of vertex {src} is live or not its own")
 
     # ------------------------------------------------------------------ flat-array export
     def export_csr(self) -> "CSRSnapshot":
@@ -856,460 +959,114 @@ class DynamicGraph:
         into a ``multiprocessing.shared_memory`` segment with one memcpy
         each and re-attached zero-copy in worker processes, where
         :class:`CSRGraphView` turns them back into the read API of this
-        class.  Two layouts ship side by side so that a view enumerates
-        candidates in exactly the same order as the live graph:
+        class.  Two layouts ship side by side:
 
-        * the combined CSR (``out_indptr``/``out_indices`` and the ``in_``
-          pair) preserves adjacency-list insertion order (wildcard pools);
-        * the label-partitioned CSR groups each vertex's edge ids by edge
-          label in partition order: ``*_group_vptr`` maps a vertex to its
-          range of ``(label, slice)`` groups, ``*_group_labels`` /
+        * the label-partitioned CSR lists each vertex's non-empty
+          partitions in creation order: ``*_group_vptr`` maps a vertex to
+          its range of ``(label, slice)`` groups, ``*_group_labels`` /
           ``*_group_indptr`` describe each group, and ``*_label_indices``
-          holds the edge ids (labelled pools).
+          holds the edge ids (labelled pools);
+        * the combined CSR (``out_indptr``/``out_indices`` and the ``in_``
+          pair) spans a vertex's groups — the wildcard pool — so it shares
+          the edge-id array of the partitioned one.
 
-        The export is cached and the delta journal reset, so a following
-        :meth:`export_csr_delta` only has to splice in what changed.
+        One vectorized pass over the partition tables and one arena gather
+        per direction; a view enumerates every pool in exactly the order
+        of the live graph.  The delta journal is reset.
         """
-        vertex_ids = self._vertex_order
-        num_vertices = len(vertex_ids)
-
-        def build_csr(adj: dict[int, list[int]]) -> tuple[np.ndarray, np.ndarray]:
-            indptr = np.zeros(num_vertices + 1, dtype=np.int64)
-            for i, vid in enumerate(vertex_ids):
-                indptr[i + 1] = indptr[i] + len(adj.get(vid, ()))
-            indices = np.fromiter(
-                (eid for vid in vertex_ids for eid in adj.get(vid, ())),
-                dtype=np.int64,
-                count=int(indptr[-1]),
-            )
-            return indptr, indices
-
-        def build_label_csr(
-            by_label: dict[int, dict[int, IntVector]],
-        ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-            group_vptr = np.zeros(num_vertices + 1, dtype=np.int64)
-            group_labels: list[int] = []
-            group_sizes: list[int] = []
-            chunks: list[np.ndarray] = []
-            for i, vid in enumerate(vertex_ids):
-                partitions = by_label.get(vid)
-                if partitions:
-                    for label, vec in partitions.items():
-                        if len(vec) == 0:
-                            continue
-                        group_labels.append(label)
-                        group_sizes.append(len(vec))
-                        chunks.append(vec.view())
-                group_vptr[i + 1] = len(group_labels)
-            group_indptr = np.zeros(len(group_labels) + 1, dtype=np.int64)
-            np.cumsum(group_sizes, out=group_indptr[1:])
-            indices = (
-                np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
-            )
-            return (
-                group_vptr,
-                np.array(group_labels, dtype=np.int64),
-                group_indptr,
-                indices,
-            )
-
-        out_indptr, out_indices = build_csr(self._out)
-        in_indptr, in_indices = build_csr(self._in)
-        out_group_vptr, out_group_labels, out_group_indptr, out_label_indices = (
-            build_label_csr(self._out_by_label)
-        )
-        in_group_vptr, in_group_labels, in_group_indptr, in_label_indices = (
-            build_label_csr(self._in_by_label)
-        )
-        self._export_count += 1
-        snapshot = CSRSnapshot(
-            vertex_ids=np.array(vertex_ids, dtype=np.int64),
-            vertex_labels=np.fromiter(
-                self._vertex_labels.values(), dtype=np.int64, count=num_vertices
-            ),
-            out_indptr=out_indptr,
-            out_indices=out_indices,
-            in_indptr=in_indptr,
-            in_indices=in_indices,
-            out_group_vptr=out_group_vptr,
-            out_group_labels=out_group_labels,
-            out_group_indptr=out_group_indptr,
-            out_label_indices=out_label_indices,
-            in_group_vptr=in_group_vptr,
-            in_group_labels=in_group_labels,
-            in_group_indptr=in_group_indptr,
-            in_label_indices=in_label_indices,
-            edge_src=self._src_col[: len(self._src)].copy(),
-            edge_dst=self._dst_col[: len(self._dst)].copy(),
-            edge_label=np.array(self._label, dtype=np.int64),
-            edge_timestamp=np.array(self._timestamp, dtype=np.float64),
-            edge_alive=np.array(self._alive, dtype=np.uint8),
-            num_live_edges=self._num_live_edges,
-        )
-        self._csr_cache = snapshot
-        self._journal_edges.clear()
-        self._journal_vertices.clear()
-        return snapshot
+        return self._export(delta=False)
 
     def export_csr_delta(self) -> "CSRSnapshot":
-        """Export the live graph, splicing small deltas into the cached export.
+        """:meth:`export_csr`, plus which element ranges may differ from the last export.
 
-        The delta journal records every edge id and endpoint vertex
-        touched since the last export.  When the dirty-vertex set is a
-        small fraction of the graph the cached arrays are patched —
-        unchanged per-vertex slices are block-copied (memcpy) and only
-        the dirty vertices' adjacency is rebuilt from the Python
-        structures — instead of the full O(V + E) Python-loop rebuild of
-        :meth:`export_csr`.  Falls back to the full rebuild when there is
-        no cache or the batch touched too much of the graph.  The result
-        is always element-identical to :meth:`export_csr`.
+        The arrays are rebuilt in full (and are element-identical to
+        :meth:`export_csr`); the delta journal — every edge id and endpoint
+        vertex touched since the last export — only yields the snapshot's
+        ``dirty`` spec, so the shared-snapshot writer can copy just those
+        ranges.  Nothing before the first dirty vertex changes, so each
+        adjacency array is dirty from that vertex's offset to its end;
+        edge columns are dirty at the touched old ids and the new tail.
+        Without a previous export ``dirty`` is None (everything is new).
         """
-        prev = self._csr_cache
-        num_vertices = len(self._vertex_order)
-        if (
-            prev is None
-            or num_vertices == 0
-            or len(self._journal_vertices)
-            > num_vertices * self.INCREMENTAL_EXPORT_MAX_DIRTY_FRACTION
-        ):
-            return self.export_csr()
-        snapshot = self._splice_csr(prev)
-        self._export_count += 1
-        self._csr_cache = snapshot
-        self._journal_edges.clear()
-        self._journal_vertices.clear()
-        return snapshot
+        return self._export(delta=True)
 
     @property
     def export_count(self) -> int:
-        """Number of CSR exports performed (full or spliced) over this graph's life."""
+        """Number of CSR exports performed over this graph's life."""
         return self._export_count
 
-    def _splice_csr(self, prev: "CSRSnapshot") -> "CSRSnapshot":
-        """Build a fresh :class:`CSRSnapshot` by patching ``prev`` with the journal."""
-        order = self._vertex_order
-        num_vertices = len(order)
-        prev_v = prev.vertex_ids.shape[0]
+    def _export(self, delta: bool) -> "CSRSnapshot":
+        rows = self._rows
+        num_vertices = len(self._vertex_labels)
+        arrays = {
+            "vertex_ids": np.fromiter(self._vertex_labels, dtype=np.int64, count=num_vertices),
+            "vertex_labels": np.fromiter(
+                self._vertex_labels.values(), dtype=np.int64, count=num_vertices
+            ),
+            "edge_src": self._src[:rows].copy(),
+            "edge_dst": self._dst[:rows].copy(),
+            "edge_label": self._label[:rows].copy(),
+            "edge_timestamp": self._timestamp[:rows].copy(),
+            "edge_alive": self._alive[:rows].astype(np.uint8),
+        }
+        for side, adjacency in (("out", self._out), ("in", self._in)):
+            group_vptr, group_labels, group_indptr, indices = adjacency.export(num_vertices)
+            arrays[f"{side}_group_vptr"] = group_vptr
+            arrays[f"{side}_group_labels"] = group_labels
+            arrays[f"{side}_group_indptr"] = group_indptr
+            arrays[f"{side}_label_indices"] = arrays[f"{side}_indices"] = indices
+            arrays[f"{side}_indptr"] = group_indptr[group_vptr]
+        dirty = self._dirty_spec(arrays) if delta and self._exported is not None else None
+        self._exported = (num_vertices, rows)
+        self._export_count += 1
+        self._edge_touched[:rows] = False
+        self._vertex_touched[:num_vertices] = False
+        return CSRSnapshot(**arrays, num_live_edges=self._num_live_edges, dirty=dirty)
 
-        # Vertices are append-only (never relabelled, never removed), so
-        # the previous vertex arrays are a prefix of the new ones.
-        if num_vertices == prev_v:
-            vertex_ids = prev.vertex_ids
-            vertex_labels = prev.vertex_labels
-        else:
-            tail = order[prev_v:]
-            vertex_ids = np.concatenate(
-                [prev.vertex_ids, np.array(tail, dtype=np.int64)]
-            )
-            vertex_labels = np.concatenate(
-                [
-                    prev.vertex_labels,
-                    np.array([self._vertex_labels[v] for v in tail], dtype=np.int64),
-                ]
-            )
-
-        position = self._vertex_position
-        dirty_pos = sorted(
-            p for p in (position[v] for v in self._journal_vertices) if p < prev_v
-        )
-
-        out_indptr, out_indices = self._splice_combined(
-            self._out, prev.out_indptr, prev.out_indices, dirty_pos, prev_v
-        )
-        in_indptr, in_indices = self._splice_combined(
-            self._in, prev.in_indptr, prev.in_indices, dirty_pos, prev_v
-        )
-        out_label = self._splice_label_csr(
-            self._out_by_label,
-            prev.out_group_vptr,
-            prev.out_group_labels,
-            prev.out_group_indptr,
-            prev.out_label_indices,
-            dirty_pos,
-            prev_v,
-        )
-        in_label = self._splice_label_csr(
-            self._in_by_label,
-            prev.in_group_vptr,
-            prev.in_group_labels,
-            prev.in_group_indptr,
-            prev.in_label_indices,
-            dirty_pos,
-            prev_v,
-        )
-
-        prev_n = prev.edge_src.shape[0]
-        n = len(self._src)
-        dirty_old = [e for e in self._journal_edges if e < prev_n]
-        edge_src = self._patch_numpy_column(prev.edge_src, self._src_col, n, dirty_old)
-        edge_dst = self._patch_numpy_column(prev.edge_dst, self._dst_col, n, dirty_old)
-        edge_label = self._patch_list_column(
-            prev.edge_label, self._label, n, dirty_old, np.int64
-        )
-        edge_timestamp = self._patch_list_column(
-            prev.edge_timestamp, self._timestamp, n, dirty_old, np.float64
-        )
-        edge_alive = self._patch_list_column(
-            prev.edge_alive, self._alive, n, dirty_old, np.uint8
-        )
-
-        # Dirty-slice spec for the shared-snapshot writer.  Everything the
-        # splice rebuilt lives at or after the first dirty vertex position
-        # (per-array suffixes); edge columns change only at patched old ids
-        # plus the appended tail.  Conservative supersets are always safe.
-        first_dirty = dirty_pos[0] if dirty_pos else prev_v
+    def _dirty_spec(self, arrays: dict[str, np.ndarray]) -> dict[str, list[tuple[int, int]]]:
+        """Per array, the element ranges that may differ from the previous export."""
+        assert self._exported is not None
+        prev_vertices, prev_rows = self._exported
+        num_vertices = len(self._vertex_labels)
+        touched_vertices = np.flatnonzero(self._vertex_touched[:prev_vertices])
+        first_dirty = int(touched_vertices[0]) if touched_vertices.size else prev_vertices
 
         def suffix(start, stop) -> list[tuple[int, int]]:
             start, stop = int(start), int(stop)
             return [(start, stop)] if start < stop else []
 
-        edge_ranges = _coalesce_ranges(dirty_old)
-        if n > prev_n:
-            edge_ranges.append((prev_n, n))
-        out_g0 = int(out_label[0][first_dirty])
-        in_g0 = int(in_label[0][first_dirty])
-        dirty_spec: dict = {
-            "vertex_ids": suffix(prev_v, num_vertices),
-            "vertex_labels": suffix(prev_v, num_vertices),
-            "out_indptr": suffix(first_dirty, num_vertices + 1),
-            "in_indptr": suffix(first_dirty, num_vertices + 1),
-            "out_indices": suffix(out_indptr[first_dirty], out_indices.shape[0]),
-            "in_indices": suffix(in_indptr[first_dirty], in_indices.shape[0]),
-            "out_group_vptr": suffix(first_dirty, num_vertices + 1),
-            "out_group_labels": suffix(out_g0, out_label[1].shape[0]),
-            "out_group_indptr": suffix(out_g0, out_label[2].shape[0]),
-            "out_label_indices": suffix(
-                out_label[2][out_g0], out_label[3].shape[0]
-            ),
-            "in_group_vptr": suffix(first_dirty, num_vertices + 1),
-            "in_group_labels": suffix(in_g0, in_label[1].shape[0]),
-            "in_group_indptr": suffix(in_g0, in_label[2].shape[0]),
-            "in_label_indices": suffix(in_label[2][in_g0], in_label[3].shape[0]),
-            "edge_src": edge_ranges,
-            "edge_dst": edge_ranges,
-            "edge_label": edge_ranges,
-            "edge_timestamp": edge_ranges,
-            "edge_alive": edge_ranges,
+        touched_edges = np.flatnonzero(self._edge_touched[:prev_rows])
+        edge_ranges = _coalesce_ranges(touched_edges) + suffix(prev_rows, self._rows)
+        spec = {
+            "vertex_ids": suffix(prev_vertices, num_vertices),
+            "vertex_labels": suffix(prev_vertices, num_vertices),
+            **{name: edge_ranges for name in arrays if name.startswith("edge_")},
         }
-
-        return CSRSnapshot(
-            vertex_ids=vertex_ids,
-            vertex_labels=vertex_labels,
-            out_indptr=out_indptr,
-            out_indices=out_indices,
-            in_indptr=in_indptr,
-            in_indices=in_indices,
-            out_group_vptr=out_label[0],
-            out_group_labels=out_label[1],
-            out_group_indptr=out_label[2],
-            out_label_indices=out_label[3],
-            in_group_vptr=in_label[0],
-            in_group_labels=in_label[1],
-            in_group_indptr=in_label[2],
-            in_label_indices=in_label[3],
-            edge_src=edge_src,
-            edge_dst=edge_dst,
-            edge_label=edge_label,
-            edge_timestamp=edge_timestamp,
-            edge_alive=edge_alive,
-            num_live_edges=self._num_live_edges,
-            dirty=dirty_spec,
-        )
-
-    def _splice_combined(
-        self,
-        adj: dict[int, list[int]],
-        prev_indptr: np.ndarray,
-        prev_indices: np.ndarray,
-        dirty_pos: list[int],
-        prev_v: int,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Splice one combined CSR: dirty rows rebuilt, clean runs memcpy'd."""
-        order = self._vertex_order
-        num_vertices = len(order)
-        lengths = np.diff(prev_indptr)
-        if dirty_pos:
-            lengths = lengths.copy()
-            lengths[dirty_pos] = [
-                len(adj.get(order[p], _EMPTY_IDS)) for p in dirty_pos
-            ]
-        if num_vertices > prev_v:
-            lengths = np.concatenate(
-                [
-                    lengths,
-                    np.array(
-                        [len(adj.get(v, _EMPTY_IDS)) for v in order[prev_v:]],
-                        dtype=np.int64,
-                    ),
-                ]
-            )
-        indptr = np.zeros(num_vertices + 1, dtype=np.int64)
-        np.cumsum(lengths, out=indptr[1:])
-        indices = np.empty(int(indptr[-1]), dtype=np.int64)
-        run_start = 0
-        for p in dirty_pos:
-            if p > run_start:
-                indices[indptr[run_start] : indptr[p]] = prev_indices[
-                    prev_indptr[run_start] : prev_indptr[p]
-                ]
-            row = adj.get(order[p], _EMPTY_IDS)
-            if row:
-                indices[indptr[p] : indptr[p + 1]] = row
-            run_start = p + 1
-        if prev_v > run_start:
-            indices[indptr[run_start] : indptr[prev_v]] = prev_indices[
-                prev_indptr[run_start] : prev_indptr[prev_v]
-            ]
-        for i in range(prev_v, num_vertices):
-            row = adj.get(order[i], _EMPTY_IDS)
-            if row:
-                indices[indptr[i] : indptr[i + 1]] = row
-        return indptr, indices
-
-    def _splice_label_csr(
-        self,
-        by_label: dict[int, dict[int, IntVector]],
-        prev_gvptr: np.ndarray,
-        prev_glabels: np.ndarray,
-        prev_gindptr: np.ndarray,
-        prev_indices: np.ndarray,
-        dirty_pos: list[int],
-        prev_v: int,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Splice one label-partitioned CSR at (vertex, label)-group granularity."""
-        order = self._vertex_order
-        num_vertices = len(order)
-
-        def vertex_groups(vertex: int) -> tuple[list[int], list[IntVector]]:
-            partitions = by_label.get(vertex)
-            if not partitions:
-                return [], []
-            labels: list[int] = []
-            vecs: list[IntVector] = []
-            for label, vec in partitions.items():
-                if len(vec):
-                    labels.append(label)
-                    vecs.append(vec)
-            return labels, vecs
-
-        gcounts = np.diff(prev_gvptr)
-        prev_gsizes = np.diff(prev_gindptr)
-        dirty_groups: dict[int, tuple[list[int], list[IntVector]]] = {}
-        if dirty_pos:
-            gcounts = gcounts.copy()
-            for p in dirty_pos:
-                groups = vertex_groups(order[p])
-                dirty_groups[p] = groups
-                gcounts[p] = len(groups[0])
-        tail_groups = [vertex_groups(v) for v in order[prev_v:]]
-        if tail_groups:
-            gcounts = np.concatenate(
-                [
-                    gcounts,
-                    np.array([len(labels) for labels, _ in tail_groups], dtype=np.int64),
-                ]
-            )
-        gvptr = np.zeros(num_vertices + 1, dtype=np.int64)
-        np.cumsum(gcounts, out=gvptr[1:])
-        total_groups = int(gvptr[-1])
-        glabels = np.empty(total_groups, dtype=np.int64)
-        gsizes = np.empty(total_groups, dtype=np.int64)
-
-        def fill_vertex_groups(p: int, groups: tuple[list[int], list[IntVector]]) -> None:
-            labels, vecs = groups
-            g0 = int(gvptr[p])
-            for j, (label, vec) in enumerate(zip(labels, vecs)):
-                glabels[g0 + j] = label
-                gsizes[g0 + j] = len(vec)
-
-        run_start = 0
-        for p in dirty_pos:
-            if p > run_start:
-                glabels[gvptr[run_start] : gvptr[p]] = prev_glabels[
-                    prev_gvptr[run_start] : prev_gvptr[p]
-                ]
-                gsizes[gvptr[run_start] : gvptr[p]] = prev_gsizes[
-                    prev_gvptr[run_start] : prev_gvptr[p]
-                ]
-            fill_vertex_groups(p, dirty_groups[p])
-            run_start = p + 1
-        if prev_v > run_start:
-            glabels[gvptr[run_start] : gvptr[prev_v]] = prev_glabels[
-                prev_gvptr[run_start] : prev_gvptr[prev_v]
-            ]
-            gsizes[gvptr[run_start] : gvptr[prev_v]] = prev_gsizes[
-                prev_gvptr[run_start] : prev_gvptr[prev_v]
-            ]
-        for i, groups in enumerate(tail_groups):
-            fill_vertex_groups(prev_v + i, groups)
-
-        gindptr = np.zeros(total_groups + 1, dtype=np.int64)
-        np.cumsum(gsizes, out=gindptr[1:])
-        indices = np.empty(int(gindptr[-1]), dtype=np.int64)
-
-        def fill_vertex_indices(p: int, groups: tuple[list[int], list[IntVector]]) -> None:
-            _, vecs = groups
-            g0 = int(gvptr[p])
-            for j, vec in enumerate(vecs):
-                indices[gindptr[g0 + j] : gindptr[g0 + j + 1]] = vec.view()
-
-        run_start = 0
-        for p in dirty_pos:
-            if p > run_start:
-                src0 = prev_gindptr[prev_gvptr[run_start]]
-                src1 = prev_gindptr[prev_gvptr[p]]
-                dst0 = gindptr[gvptr[run_start]]
-                indices[dst0 : dst0 + (src1 - src0)] = prev_indices[src0:src1]
-            fill_vertex_indices(p, dirty_groups[p])
-            run_start = p + 1
-        if prev_v > run_start:
-            src0 = prev_gindptr[prev_gvptr[run_start]]
-            src1 = prev_gindptr[prev_gvptr[prev_v]]
-            dst0 = gindptr[gvptr[run_start]]
-            indices[dst0 : dst0 + (src1 - src0)] = prev_indices[src0:src1]
-        for i, groups in enumerate(tail_groups):
-            fill_vertex_indices(prev_v + i, groups)
-        return gvptr, glabels, gindptr, indices
-
-    @staticmethod
-    def _patch_numpy_column(
-        prev_col: np.ndarray, live_col: np.ndarray, n: int, dirty_old: list[int]
-    ) -> np.ndarray:
-        """Edge column rebuilt as: prev prefix (memcpy) + dirty patches + new tail."""
-        prev_n = prev_col.shape[0]
-        col = np.empty(n, dtype=prev_col.dtype)
-        col[:prev_n] = prev_col
-        if n > prev_n:
-            col[prev_n:] = live_col[prev_n:n]
-        if dirty_old:
-            col[dirty_old] = live_col[dirty_old]
-        return col
-
-    @staticmethod
-    def _patch_list_column(
-        prev_col: np.ndarray, live_list: list, n: int, dirty_old: list[int], dtype
-    ) -> np.ndarray:
-        """Like :meth:`_patch_numpy_column` for columns kept as Python lists."""
-        prev_n = prev_col.shape[0]
-        col = np.empty(n, dtype=dtype)
-        col[:prev_n] = prev_col
-        if n > prev_n:
-            col[prev_n:] = live_list[prev_n:]
-        for e in dirty_old:
-            col[e] = live_list[e]
-        return col
+        for side in ("out", "in"):
+            group_indptr = arrays[f"{side}_group_indptr"]
+            first_group = int(arrays[f"{side}_group_vptr"][first_dirty])
+            first_index = group_indptr[first_group]
+            spec[f"{side}_indptr"] = suffix(first_dirty, num_vertices + 1)
+            spec[f"{side}_group_vptr"] = suffix(first_dirty, num_vertices + 1)
+            spec[f"{side}_group_labels"] = suffix(first_group, group_indptr.shape[0] - 1)
+            spec[f"{side}_group_indptr"] = suffix(first_group, group_indptr.shape[0])
+            spec[f"{side}_indices"] = suffix(first_index, group_indptr[-1])
+            spec[f"{side}_label_indices"] = suffix(first_index, group_indptr[-1])
+        return spec
 
     @property
     def journal_size(self) -> tuple[int, int]:
         """(dirty vertices, dirty edges) accumulated since the last CSR export."""
-        return len(self._journal_vertices), len(self._journal_edges)
+        return (
+            int(self._vertex_touched[: len(self._vertex_labels)].sum()),
+            int(self._edge_touched[: self._rows].sum()),
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"DynamicGraph(|V|={self.num_vertices}, |E|={self.num_edges}, "
             f"placeholders={self.num_placeholders})"
         )
-
 
 @dataclass(frozen=True)
 class CSRSnapshot:
@@ -1356,28 +1113,45 @@ class CSRSnapshot:
     )
 
     def arrays(self) -> dict[str, np.ndarray]:
-        """The array fields keyed by name (the shared-memory publication set)."""
+        """The array fields keyed by name, in field order (the shared-memory publication set)."""
         return {
-            "vertex_ids": self.vertex_ids,
-            "vertex_labels": self.vertex_labels,
-            "out_indptr": self.out_indptr,
-            "out_indices": self.out_indices,
-            "in_indptr": self.in_indptr,
-            "in_indices": self.in_indices,
-            "out_group_vptr": self.out_group_vptr,
-            "out_group_labels": self.out_group_labels,
-            "out_group_indptr": self.out_group_indptr,
-            "out_label_indices": self.out_label_indices,
-            "in_group_vptr": self.in_group_vptr,
-            "in_group_labels": self.in_group_labels,
-            "in_group_indptr": self.in_group_indptr,
-            "in_label_indices": self.in_label_indices,
-            "edge_src": self.edge_src,
-            "edge_dst": self.edge_dst,
-            "edge_label": self.edge_label,
-            "edge_timestamp": self.edge_timestamp,
-            "edge_alive": self.edge_alive,
+            spec.name: getattr(self, spec.name)
+            for spec in fields(self)
+            if spec.name not in ("num_live_edges", "dirty")
         }
+
+
+class _CSRSide:
+    """One direction of a :class:`CSRSnapshot`, with its offset arrays as Python lists."""
+
+    def __init__(self, snapshot: CSRSnapshot, side: str) -> None:
+        self.indptr = getattr(snapshot, f"{side}_indptr")
+        self.indices = getattr(snapshot, f"{side}_indices")
+        self.group_vptr = getattr(snapshot, f"{side}_group_vptr")
+        self.group_labels = getattr(snapshot, f"{side}_group_labels")
+        self.group_indptr = getattr(snapshot, f"{side}_group_indptr")
+        self.label_indices = getattr(snapshot, f"{side}_label_indices")
+        self.indptr_list = self.indptr.tolist()
+        self.group_vptr_list = self.group_vptr.tolist()
+        self.group_labels_list = self.group_labels.tolist()
+        self.group_indptr_list = self.group_indptr.tolist()
+        #: vertex position -> its combined pool as a Python list, converted on first use
+        self.pools: dict[int, list[int]] = {}
+
+    def pool(self, pos: int) -> list[int]:
+        edges = self.pools.get(pos)
+        if edges is None:
+            edges = self.pools[pos] = self.indices[
+                self.indptr_list[pos] : self.indptr_list[pos + 1]
+            ].tolist()
+        return edges
+
+    def label_range(self, pos: int, label: int) -> tuple[int, int]:
+        """``(start, stop)`` of the ``(vertex, label)`` group in ``label_indices``."""
+        for group in range(self.group_vptr_list[pos], self.group_vptr_list[pos + 1]):
+            if self.group_labels_list[group] == label:
+                return self.group_indptr_list[group], self.group_indptr_list[group + 1]
+        return 0, 0
 
 
 class CSRGraphView:
@@ -1399,22 +1173,11 @@ class CSRGraphView:
 
     def __init__(self, snapshot: CSRSnapshot) -> None:
         self._snapshot = snapshot
-        ids = snapshot.vertex_ids.tolist()
-        self._position = {vid: i for i, vid in enumerate(ids)}
-        self._vertex_ids = ids
+        self._vertex_ids = snapshot.vertex_ids.tolist()
+        self._position = {vid: i for i, vid in enumerate(self._vertex_ids)}
         self._vertex_label_list = snapshot.vertex_labels.tolist()
-        self._out_indptr = snapshot.out_indptr.tolist()
-        self._in_indptr = snapshot.in_indptr.tolist()
-        self._out_indices = snapshot.out_indices
-        self._in_indices = snapshot.in_indices
-        self._out_group_vptr = snapshot.out_group_vptr.tolist()
-        self._out_group_labels = snapshot.out_group_labels.tolist()
-        self._out_group_indptr = snapshot.out_group_indptr.tolist()
-        self._in_group_vptr = snapshot.in_group_vptr.tolist()
-        self._in_group_labels = snapshot.in_group_labels.tolist()
-        self._in_group_indptr = snapshot.in_group_indptr.tolist()
-        self._out_cache: dict[int, list[int]] = {}
-        self._in_cache: dict[int, list[int]] = {}
+        self._out = _CSRSide(snapshot, "out")
+        self._in = _CSRSide(snapshot, "in")
         self._src = snapshot.edge_src.tolist()
         self._dst = snapshot.edge_dst.tolist()
         self._label = snapshot.edge_label.tolist()
@@ -1428,6 +1191,18 @@ class CSRGraphView:
     def vertex_label(self, vertex: int) -> int:
         pos = self._position.get(vertex)
         return 0 if pos is None else self._vertex_label_list[pos]
+
+    def _positions(self, vertices) -> np.ndarray:
+        """Position of every vertex of an id array (-1 for unknown vertices)."""
+        ids = vertices.tolist() if hasattr(vertices, "tolist") else vertices
+        return np.fromiter(
+            map(self._position.get, ids, repeat(-1)), dtype=np.int64, count=len(ids)
+        )
+
+    def vertex_labels(self, vertices) -> np.ndarray:
+        """:meth:`vertex_label` of every entry of a vertex-id array, as int64."""
+        position = self._positions(vertices)
+        return np.where(position >= 0, self._snapshot.vertex_labels[position], 0)
 
     def vertices(self) -> Iterator[int]:
         return iter(self._vertex_ids)
@@ -1453,76 +1228,34 @@ class CSRGraphView:
 
     def out_edges(self, vertex: int) -> list[int]:
         """Edge ids of live edges leaving ``vertex`` (do not mutate)."""
-        edges = self._out_cache.get(vertex)
-        if edges is None:
-            pos = self._position.get(vertex)
-            if pos is None:
-                return _EMPTY_IDS
-            edges = self._out_indices[
-                self._out_indptr[pos] : self._out_indptr[pos + 1]
-            ].tolist()
-            self._out_cache[vertex] = edges
-        return edges
+        pos = self._position.get(vertex)
+        return _EMPTY_IDS if pos is None else self._out.pool(pos)
 
     def in_edges(self, vertex: int) -> list[int]:
         """Edge ids of live edges entering ``vertex`` (do not mutate)."""
-        edges = self._in_cache.get(vertex)
-        if edges is None:
-            pos = self._position.get(vertex)
-            if pos is None:
-                return _EMPTY_IDS
-            edges = self._in_indices[
-                self._in_indptr[pos] : self._in_indptr[pos + 1]
-            ].tolist()
-            self._in_cache[vertex] = edges
-        return edges
+        pos = self._position.get(vertex)
+        return _EMPTY_IDS if pos is None else self._in.pool(pos)
 
-    def _label_slice(
-        self,
-        vertex: int,
-        label: int,
-        group_vptr: list[int],
-        group_labels: list[int],
-        group_indptr: list[int],
-        indices: np.ndarray,
-    ) -> np.ndarray:
+    def _label_pool(self, side: _CSRSide, vertex: int, label: int) -> np.ndarray:
         pos = self._position.get(vertex)
         if pos is None:
             return _EMPTY_ARRAY
-        for g in range(group_vptr[pos], group_vptr[pos + 1]):
-            if group_labels[g] == label:
-                return indices[group_indptr[g] : group_indptr[g + 1]]
-        return _EMPTY_ARRAY
+        start, stop = side.label_range(pos, label)
+        return side.label_indices[start:stop]
 
     def out_edges_with_label(self, vertex: int, label: int) -> np.ndarray:
         """Live out-edges of ``vertex`` carrying ``label`` (zero-copy int64 view)."""
-        return self._label_slice(
-            vertex,
-            label,
-            self._out_group_vptr,
-            self._out_group_labels,
-            self._out_group_indptr,
-            self._snapshot.out_label_indices,
-        )
+        return self._label_pool(self._out, vertex, label)
 
     def in_edges_with_label(self, vertex: int, label: int) -> np.ndarray:
         """Live in-edges of ``vertex`` carrying ``label`` (zero-copy int64 view)."""
-        return self._label_slice(
-            vertex,
-            label,
-            self._in_group_vptr,
-            self._in_group_labels,
-            self._in_group_indptr,
-            self._snapshot.in_label_indices,
-        )
+        return self._label_pool(self._in, vertex, label)
 
     def candidate_pool(self, vertex: int, out: bool, label: int | None = None):
         """Candidate pool for one extension step (see :meth:`DynamicGraph.candidate_pool`)."""
         if label is None:
             return self.out_edges(vertex) if out else self.in_edges(vertex)
-        if out:
-            return self.out_edges_with_label(vertex, label)
-        return self.in_edges_with_label(vertex, label)
+        return self._label_pool(self._out if out else self._in, vertex, label)
 
     def candidate_pools(self, anchors: np.ndarray, out: bool, label: int | None = None):
         """Batched :meth:`candidate_pool` (see :meth:`DynamicGraph.candidate_pools`).
@@ -1532,45 +1265,34 @@ class CSRGraphView:
         located with gathers and expanded into one index array, so no
         per-anchor slice is ever taken.
         """
-        snapshot = self._snapshot
+        side = self._out if out else self._in
         n = anchors.shape[0]
         sizes = np.zeros(n, dtype=np.int64)
-        position = np.fromiter(
-            map(self._position.get, anchors.tolist(), repeat(-1)), dtype=np.int64, count=n
-        )
+        position = self._positions(anchors)
         known = np.nonzero(position >= 0)[0]
         if known.size == 0:
             return _EMPTY_ARRAY, sizes
         position = position[known]
         starts = np.zeros(n, dtype=np.int64)
         if label is None:
-            indptr = snapshot.out_indptr if out else snapshot.in_indptr
-            indices = snapshot.out_indices if out else snapshot.in_indices
-            starts[known] = indptr[position]
-            sizes[known] = indptr[position + 1] - indptr[position]
-            return indices[expand_ranges(starts, sizes)], sizes
-        if out:
-            vptr, labels = snapshot.out_group_vptr, snapshot.out_group_labels
-            indptr, indices = snapshot.out_group_indptr, snapshot.out_label_indices
-        else:
-            vptr, labels = snapshot.in_group_vptr, snapshot.in_group_labels
-            indptr, indices = snapshot.in_group_indptr, snapshot.in_label_indices
+            starts[known] = side.indptr[position]
+            sizes[known] = side.indptr[position + 1] - side.indptr[position]
+            return side.indices[expand_ranges(starts, sizes)], sizes
         # Every group of every known anchor, then the (at most one per
         # anchor) group carrying the step's label.
-        group_counts = vptr[position + 1] - vptr[position]
-        groups = expand_ranges(vptr[position], group_counts)
-        hit = labels[groups] == label
+        group_counts = side.group_vptr[position + 1] - side.group_vptr[position]
+        groups = expand_ranges(side.group_vptr[position], group_counts)
+        hit = side.group_labels[groups] == label
         owner = np.repeat(known, group_counts)[hit]
         group = groups[hit]
-        starts[owner] = indptr[group]
-        sizes[owner] = indptr[group + 1] - indptr[group]
-        return indices[expand_ranges(starts, sizes)], sizes
+        starts[owner] = side.group_indptr[group]
+        sizes[owner] = side.group_indptr[group + 1] - side.group_indptr[group]
+        return side.label_indices[expand_ranges(starts, sizes)], sizes
 
     def endpoint_array(self, edge_ids: np.ndarray, take_dst: bool) -> np.ndarray:
         """Vectorized endpoint gather: dst (or src) vertex per edge id."""
         snapshot = self._snapshot
-        column = snapshot.edge_dst if take_dst else snapshot.edge_src
-        return column[edge_ids]
+        return (snapshot.edge_dst if take_dst else snapshot.edge_src)[edge_ids]
 
     def endpoint_list(self, edge_ids, take_dst: bool) -> list[int]:
         """Scalar endpoint gather for small candidate lists."""
@@ -1585,64 +1307,41 @@ class CSRGraphView:
         yield from self.out_edges(vertex)
         yield from self.in_edges(vertex)
 
-    def out_degree(self, vertex: int) -> int:
+    def _degree(self, side: _CSRSide, vertex: int, label: int | None) -> int:
         pos = self._position.get(vertex)
         if pos is None:
             return 0
-        return self._out_indptr[pos + 1] - self._out_indptr[pos]
+        if label is None:
+            return side.indptr_list[pos + 1] - side.indptr_list[pos]
+        start, stop = side.label_range(pos, label)
+        return stop - start
+
+    def out_degree(self, vertex: int) -> int:
+        return self._degree(self._out, vertex, None)
 
     def in_degree(self, vertex: int) -> int:
-        pos = self._position.get(vertex)
-        if pos is None:
-            return 0
-        return self._in_indptr[pos + 1] - self._in_indptr[pos]
+        return self._degree(self._in, vertex, None)
 
     def degree(self, vertex: int) -> int:
         return self.out_degree(vertex) + self.in_degree(vertex)
 
-    def _label_group_size(
-        self,
-        vertex: int,
-        label: int,
-        group_vptr: list[int],
-        group_labels: list[int],
-        group_indptr: list[int],
-    ) -> int:
-        pos = self._position.get(vertex)
-        if pos is None:
-            return 0
-        for g in range(group_vptr[pos], group_vptr[pos + 1]):
-            if group_labels[g] == label:
-                return group_indptr[g + 1] - group_indptr[g]
-        return 0
-
     def out_label_degree(self, vertex: int, label: int) -> int:
         """Number of live out-edges with ``label`` (O(labels at vertex))."""
-        return self._label_group_size(
-            vertex, label, self._out_group_vptr, self._out_group_labels, self._out_group_indptr
-        )
+        return self._degree(self._out, vertex, label)
 
     def in_label_degree(self, vertex: int, label: int) -> int:
         """Number of live in-edges with ``label`` (O(labels at vertex))."""
-        return self._label_group_size(
-            vertex, label, self._in_group_vptr, self._in_group_labels, self._in_group_indptr
-        )
+        return self._degree(self._in, vertex, label)
 
     def edges(self) -> Iterator[EdgeRecord]:
         for edge_id, alive in enumerate(self._alive):
             if alive:
-                yield EdgeRecord(
-                    edge_id,
-                    self._src[edge_id],
-                    self._dst[edge_id],
-                    self._label[edge_id],
-                    self._timestamp[edge_id],
-                )
+                yield self.edge(edge_id)
 
     def find_edges(self, src: int, dst: int, label: int | None = None) -> list[int]:
         dsts = self._dst
-        if label is None:
-            return [e for e in self.out_edges(src) if dsts[e] == dst]
+        if label is None:  # ascending, like the live graph
+            return sorted(e for e in self.out_edges(src) if dsts[e] == dst)
         labels = self._label
         return [e for e in self.out_edges(src) if dsts[e] == dst and labels[e] == label]
 

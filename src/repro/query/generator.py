@@ -137,8 +137,10 @@ class QueryGenerator:
         frontier = [start.src, start.dst]
         while len(vertex_set) < num_nodes and frontier:
             pivot = frontier[int(self.rng.integers(len(frontier)))]
+            # Sorted: the sample must not depend on pool-internal order,
+            # which the graph store is free to choose.
             candidates = [
-                eid for eid in graph.incident_edges(pivot)
+                eid for eid in sorted(graph.out_edges(pivot)) + sorted(graph.in_edges(pivot))
                 if (graph.edge(eid).src not in vertex_set) != (graph.edge(eid).dst not in vertex_set)
             ]
             if not candidates:
@@ -166,7 +168,7 @@ class QueryGenerator:
             used_ids = {e.edge_id for e in chosen}
             closing: list = []
             for v in vertices:
-                for eid in graph.out_edges(v):
+                for eid in sorted(graph.out_edges(v)):
                     record = graph.edge(eid)
                     if record.dst in vertex_set and record.edge_id not in used_ids:
                         closing.append(record)

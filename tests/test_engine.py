@@ -1,5 +1,7 @@
 """Unit tests for the Mnemonic engine (configuration, streaming loop, metrics)."""
 
+import random
+
 import pytest
 
 from repro.core.engine import EngineConfig, MnemonicEngine, enumerate_static
@@ -45,6 +47,66 @@ class TestResolveDeletions:
         for triple, copies in (((3, 4, 0), 2), ((1, 2, 0), 4), ((1, 2, 1), 1)):
             with pytest.raises(ConfigurationError, match="does not match a live edge"):
                 resolve_deletions(graph, [StreamEvent.delete(*triple)] * copies)
+
+
+def frozen_resolve_deletions(graph, events):
+    """``resolve_deletions`` as it stood before it read the timestamp column
+    (one ``EdgeRecord`` per parallel instance); frozen here as the reference."""
+    doomed_ids = []
+    doomed_set = set()
+    for event in events:
+        ids = graph.find_edges(event.src, event.dst, event.label)
+        if len(ids) == 1 and ids[0] not in doomed_set:
+            chosen = ids[0]
+        else:
+            ids = [i for i in ids if i not in doomed_set]
+            if not ids:
+                raise ConfigurationError("deletion does not match a live edge")
+            preferred = [i for i in ids if graph.edge(i).timestamp == event.timestamp]
+            chosen = preferred[0] if preferred else ids[-1]
+        doomed_ids.append(chosen)
+        doomed_set.add(chosen)
+    return doomed_ids
+
+
+class TestResolveDeletionsAgainstFrozenReference:
+    """Streams where nearly every deletion is ambiguous: >= 10 parallel
+    instances per triple, equal and unequal timestamps, and one triple
+    deleted many times inside a batch."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_same_ids_batch_after_batch(self, seed):
+        rng = random.Random(seed)
+        triples = [(1, 2, 0), (1, 2, 1), (3, 1, 0), (4, 4, 2)]
+        graph = DynamicGraph()
+        for round_number in range(12):
+            for triple in triples:
+                for _ in range(rng.randrange(10, 16)):
+                    # few distinct stamps: equal timestamps among parallel instances
+                    stamp = float(rng.randrange(4) + 4 * (round_number % 2))
+                    graph.add_edge(*triple, timestamp=stamp)
+            events = [
+                # name the instance's stamp, some other stamp, or one nobody has
+                StreamEvent.delete(
+                    record.src, record.dst, record.label,
+                    timestamp=rng.choice([record.timestamp, float(rng.randrange(8)), -1.0]),
+                )
+                for record in rng.sample(list(graph.edges()), rng.randrange(20, 40))
+            ]
+            doomed = resolve_deletions(graph, events)
+            assert doomed == frozen_resolve_deletions(graph, events)
+            assert len(set(doomed)) == len(doomed)
+            graph.apply_delete_columns(doomed)  # swap-with-last reorders the instance lists
+
+    def test_unmatched_deletion_is_rejected_like_the_reference(self):
+        graph = DynamicGraph()
+        for stamp in range(12):
+            graph.add_edge(1, 2, 0, timestamp=float(stamp))
+        events = [StreamEvent.delete(1, 2, 0, timestamp=3.0)] * 13
+        assert resolve_deletions(graph, events[:12]) == frozen_resolve_deletions(graph, events[:12])
+        for resolve in (resolve_deletions, frozen_resolve_deletions):
+            with pytest.raises(ConfigurationError, match="does not match a live edge"):
+                resolve(graph, events)
 
 
 class TestConstruction:

@@ -1,5 +1,9 @@
 """Unit tests for the dynamic multigraph store (adjacency lists, recycling)."""
 
+import random
+import time
+
+import numpy as np
 import pytest
 
 from repro.graph.adjacency import DynamicGraph
@@ -149,9 +153,9 @@ class TestDeletionAndRecycling:
 
 
 class TestBulkHelpers:
-    def test_apply_insertions(self):
+    def test_apply_insert_columns(self):
         graph = DynamicGraph()
-        ids = graph.apply_insertions([(1, 2, 0), (2, 3, 1, 5.0)])
+        ids = graph.apply_insert_columns([1, 2], [2, 3], [0, 1], [0.0, 5.0])
         assert len(ids) == 2
         assert graph.edge(ids[1]).timestamp == 5.0
 
@@ -174,15 +178,93 @@ class TestBulkHelpers:
         assert graph.stats.peak_live == 1
 
 
+def graph_state(graph):
+    """Everything a rejected batch must leave untouched."""
+    graph.check_invariants()
+    vertices = list(graph.vertices())
+    return (
+        graph.num_edges,
+        graph.num_placeholders,
+        graph._num_free_ids,
+        list(graph.edges()),
+        {
+            (v, out, label): graph.candidate_pool(v, out, label).tolist()
+            for v in vertices for out in (True, False) for label in (None, 0, 1)
+        },
+    )
+
+
+class TestRejectedBatchesMutateNothing:
+    """A bad id anywhere in a batch is rejected before anything is applied —
+    the pipeline has already captured DEBI row masks for the whole batch."""
+
+    @staticmethod
+    def populated(recycle=True):
+        graph = DynamicGraph(recycle_edge_ids=recycle)
+        ids = graph.apply_insert_columns([1, 1, 2, 3, 3], [2, 3, 3, 1, 1], [0, 1, 0, 0, 0])
+        graph.delete_edge(ids[1])  # one dead placeholder, one free id
+        return graph, ids
+
+    @pytest.mark.parametrize("bad", ["dead", "negative", "out_of_range", "duplicate"])
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_delete_batch(self, bad, position):
+        graph, ids = self.populated()
+        good = [ids[0], ids[3]]
+        culprit = {"dead": ids[1], "negative": -1, "out_of_range": 99, "duplicate": ids[3]}[bad]
+        batch = good[:position] + [culprit] + good[position:]
+        before = graph_state(graph)
+        with pytest.raises(GraphError, match=str(culprit)):
+            graph.apply_delete_columns(batch)
+        assert graph_state(graph) == before
+        assert len(graph.apply_delete_columns(good)) == 2  # the good ids were still deletable
+
+    @pytest.mark.parametrize("bad", ["live", "negative", "duplicate"])
+    def test_forced_insert_batch(self, bad):
+        graph, ids = self.populated(recycle=False)
+        forced = {"live": [7, ids[2], 9], "negative": [7, -3, 9], "duplicate": [7, 9, 7]}[bad]
+        before = graph_state(graph)
+        with pytest.raises(GraphError):
+            graph.apply_insert_columns([5, 6, 7], [6, 7, 5], [0, 0, 0], edge_ids=forced)
+        assert graph_state(graph) == before
+        assert not graph.has_vertex(5), "rejected before the batch registered its vertices"
+        # dead ids and ids beyond the end (leaving a gap of dead rows) are fine
+        assert graph.apply_insert_columns(
+            [5, 6, 7], [6, 7, 5], [0, 0, 0], edge_ids=[ids[1], 7, 9]
+        ) == [ids[1], 7, 9]
+        assert graph.num_placeholders == 10
+        assert [graph.is_alive(e) for e in (5, 6, 8)] == [False, False, False]
+        graph.check_invariants()
+
+
+class TestHubVertex:
+    @pytest.mark.timeout(5)
+    def test_insert_and_delete_of_a_hub_are_linear(self):
+        """40 000 same-label out-edges of one vertex, inserted and deleted as
+        single batches: seconds with a per-id scan of the partition, tens of
+        milliseconds with one compaction pass."""
+        n = 40_000
+        graph = DynamicGraph()
+        start = time.perf_counter()
+        ids = graph.apply_insert_columns(np.zeros(n, dtype=np.int64), np.arange(1, n + 1))
+        assert graph.out_label_degree(0, 0) == n
+        survivors = ids[::1000]
+        doomed = sorted(set(ids) - set(survivors), key=lambda e: (e * 7919) % n)
+        assert len(graph.apply_delete_columns(doomed)) == n - len(survivors)
+        elapsed = time.perf_counter() - start
+        assert graph.out_edges(0) == survivors, "survivors keep their insertion order"
+        assert graph.num_edges == len(survivors)
+        graph.check_invariants()
+        assert elapsed < 2.0, f"hub insert+delete took {elapsed:.2f}s"
+
+
 class TestIncrementalCSRExport:
-    """The delta journal + spliced export must be element-identical to a
-    full rebuild, for every mix of inserts, deletes, recycled ids and
-    brand-new vertices."""
+    """The delta export must be element-identical to a full export, and its
+    ``dirty`` spec must cover every element that differs from the previous
+    export, for every mix of inserts, deletes, recycled ids and brand-new
+    vertices."""
 
     @staticmethod
     def assert_snapshots_equal(a, b):
-        import numpy as np
-
         for key, arr in a.arrays().items():
             assert np.array_equal(arr, b.arrays()[key]), key
         assert a.num_live_edges == b.num_live_edges
@@ -197,83 +279,58 @@ class TestIncrementalCSRExport:
         graph.delete_edge(eid)
         assert graph.journal_size == (2, 1)
 
-    def test_delta_without_cache_falls_back_to_full(self):
+    def test_delta_without_previous_export_is_fully_dirty(self):
         graph = DynamicGraph()
         graph.add_edge(1, 2, label=3)
         snapshot = graph.export_csr_delta()
         assert snapshot.num_live_edges == 1
+        assert snapshot.dirty is None
         assert graph.journal_size == (0, 0)
+        assert graph.export_csr_delta().dirty is not None
 
-    def test_small_delta_is_spliced(self, monkeypatch):
-        graph = DynamicGraph()
-        for i in range(60):
-            graph.add_edge(i, (i + 1) % 60, label=i % 3, timestamp=float(i))
-        graph.export_csr()
-        calls = []
-        original = DynamicGraph._splice_csr
-
-        def counting(self, prev):
-            calls.append(prev)
-            return original(self, prev)
-
-        monkeypatch.setattr(DynamicGraph, "_splice_csr", counting)
-        graph.add_edge(5, 7, label=1, timestamp=99.0)
-        delta = graph.export_csr_delta()
-        assert len(calls) == 1, "small batch must take the splice path"
-        self.assert_snapshots_equal(delta, graph.copy().export_csr())
-
-    def test_large_delta_falls_back_to_full_rebuild(self, monkeypatch):
-        graph = DynamicGraph()
-        for i in range(20):
-            graph.add_edge(i, i + 1, label=0)
-        graph.export_csr()
-        monkeypatch.setattr(
-            DynamicGraph, "_splice_csr",
-            lambda self, prev: pytest.fail("large batch must rebuild fully"),
-        )
-        for i in range(20):  # touches most vertices
-            graph.add_edge(i, i + 2, label=1)
-        snapshot = graph.export_csr_delta()
-        assert snapshot.num_live_edges == 40
-
-    def test_randomised_splice_parity(self):
-        import random
-
-        import numpy as np
-
+    def test_dirty_spec_covers_every_changed_element(self):
+        """200 random insert/delete rounds: whatever differs element-wise from
+        the previous export lies inside the ranges the delta export reports."""
         rng = random.Random(5)
         graph = DynamicGraph()
-        edges = []
-        for _ in range(1500):
-            e = graph.add_edge(
+        edges = [
+            graph.add_edge(
                 rng.randrange(300), rng.randrange(300),
                 label=rng.randrange(4), timestamp=rng.random(),
             )
-            edges.append(e)
-        graph.export_csr()
-        spliced = 0
-        for _ in range(40):
+            for _ in range(1500)
+        ]
+        previous = graph.export_csr()
+        narrow = 0
+        for _ in range(200):
             for _ in range(rng.randrange(6)):
                 v = rng.randrange(320)  # occasionally a brand-new vertex
-                e = graph.add_edge(v, rng.randrange(320), label=rng.randrange(4),
+                edges.append(
+                    graph.add_edge(v, rng.randrange(320), label=rng.randrange(4),
                                    timestamp=rng.random())
-                edges.append(e)
+                )
             rng.shuffle(edges)
-            for _ in range(rng.randrange(4)):
-                if edges:
-                    e = edges.pop()
-                    if graph.is_alive(e):
-                        graph.delete_edge(e)  # recycles ids
-            before = graph.journal_size
+            doomed = [edges.pop() for _ in range(min(rng.randrange(4), len(edges)))]
+            graph.apply_delete_columns(doomed)  # recycles ids
             delta = graph.export_csr_delta()
-            if 0 < before[0] <= 300 * DynamicGraph.INCREMENTAL_EXPORT_MAX_DIRTY_FRACTION:
-                spliced += 1
-            self.assert_snapshots_equal(delta, graph.copy().export_csr())
             assert graph.journal_size == (0, 0)
-            # Arrays are fresh objects: the cached previous snapshot is
-            # never patched in place (consumers may still hold it).
-            assert delta.edge_src.flags.owndata or delta.edge_src.base is None
-        assert spliced > 20, f"splice path under-exercised ({spliced}/40 rounds)"
+            self.assert_snapshots_equal(delta, graph.copy().export_csr())
+            for key, new in delta.arrays().items():
+                old = previous.arrays()[key]
+                covered = np.zeros(new.shape[0], dtype=bool)
+                for start, stop in delta.dirty[key]:
+                    assert 0 <= start < stop <= new.shape[0], key
+                    covered[start:stop] = True
+                assert covered[old.shape[0]:].all(), f"{key}: appended tail not dirty"
+                shared = min(old.shape[0], new.shape[0])
+                changed = old[:shared] != new[:shared]
+                assert not (changed & ~covered[:shared]).any(), key
+            narrow += delta.dirty["out_indices"] != [(0, delta.out_indices.shape[0])]
+            # Arrays are fresh objects: a previous snapshot is never patched
+            # in place (consumers may still hold it).
+            assert not np.shares_memory(delta.edge_src, previous.edge_src)
+            previous = delta
+        assert narrow > 150, f"the dirty spec rarely spares a clean prefix ({narrow}/200)"
 
     def test_recycled_id_changes_are_patched(self):
         graph = DynamicGraph()

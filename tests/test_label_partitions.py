@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.api import DefaultMatchDefinition
 from repro.core.engine import MnemonicEngine
-from repro.graph.adjacency import CSRGraphView, DynamicGraph, IntVector
+from repro.graph.adjacency import CSRGraphView, DynamicGraph
 from repro.query.query_graph import QueryGraph
 from repro.streams.events import StreamEvent
 
@@ -107,19 +107,6 @@ class TestPartitionInvariants:
         # Unknown vertex / label never allocated.
         assert graph.out_edges_with_label(99, 0).tolist() == []
         assert graph.in_label_degree(99, 0) == 0
-
-
-class TestIntVector:
-    def test_append_grow_and_swap_pop(self):
-        vec = IntVector(capacity=2)
-        for i in range(20):
-            vec.append(i)
-        assert len(vec) == 20
-        assert vec.tolist() == list(range(20))
-        assert vec.swap_pop(5)
-        assert not vec.swap_pop(5)
-        assert len(vec) == 19
-        assert set(vec.tolist()) == set(range(20)) - {5}
 
 
 class TestCSRViewParity:
