@@ -17,21 +17,14 @@ sets must be identical to the independent runs, and the process-backend
 pass must publish exactly one shared-memory snapshot per enumeration
 phase (instead of one per query per batch).
 
-The ``kernel_parity`` gate protects the columnar enumeration kernel: on
-the fig06 insert-only stream and a fig08-style insert+delete stream, the
-arena-backed kernel (``EngineConfig(kernel="columnar")``) must produce
-positive and negative identity sets bit-identical to the tuple-at-a-time
-reference (``kernel="python"``), under both the serial and the process
-backend, and the serial runs must agree on ``candidates_scanned`` to the
-digit (the kernel batches the same scans, it must not add or skip any).
-
-The ``ingest_parity`` gate protects the columnar ingest path
-(``EngineConfig(ingest="columnar")``): serial runs must match the
-per-edge reference on identity sets *and* scan counters to the digit,
-pipelined and sharded runs on identity sets (sharded also on aggregate
-counters), the raw graph replay must assign identical edge-id sequences
-(recycling included), and the columnar mutation+index throughput must
-clear a loose events/sec floor so the path cannot silently degrade.
+The ``kernel_parity`` rows (the name is the baseline file's) run the
+fig06 insert-only stream and a fig08-style insert+delete stream on the
+serial and the process backend: the pool run must produce positive and
+negative identity sets bit-identical to the serial run, and both rows'
+``candidates_scanned`` are gated against the baseline.  The comparison
+with the tuple-at-a-time reference — every match definition, to the
+digit — is a tier-1 test (``tests/test_columnar_kernel.py``), as is
+ingest parity with a per-edge loop (``tests/test_columnar_ingest.py``).
 
 The ``pipeline_parity`` gate protects the pipelined execution mode: on
 an insert+delete stream, ``pipeline="pipelined"`` must produce
@@ -60,7 +53,7 @@ mid-stream (1..3 faults, serial and pipelined modes) must complete with
 result sets bit-identical to the fault-free run and at least one
 recorded respawn; a hung worker must be cut off by the epoch deadline
 (no deadlock) and recovered the same way; and exhausting the respawn
-budget must degrade to the thread backend while still matching the
+budget must degrade to serial enumeration while still matching the
 fault-free results.
 
 Usage::
@@ -103,11 +96,6 @@ MULTI_QUERY_GRAPH_SIZES = (5, 6)
 
 #: allowed relative growth of candidates_scanned before the job fails
 REGRESSION_TOLERANCE = 0.20
-
-#: minimum mutation+index events/sec for the columnar serial ingest path.
-#: Local runs clear ~10x this; the slack absorbs shared-runner noise while
-#: still catching an accidental fall-back to the per-edge path.
-INGEST_THROUGHPUT_FLOOR = 10_000.0
 
 #: figures gated against perf_baseline.json.  service_parity is excluded:
 #: its adaptive rows batch by arrival time, so their scan counts shift a
@@ -182,15 +170,12 @@ def negative_identities(run_result) -> set:
 
 
 def run_kernel_parity(stream) -> tuple[dict, list[str]]:
-    """The columnar-kernel gate: arena kernel vs the tuple reference.
+    """Serial vs process pool on two streams; the rows the baseline calls ``kernel_parity``.
 
-    Two streams (fig06 insert-only; a fig08-style insert+delete mix) and
-    two backends (serial; process pool) per suite.  Every columnar run's
-    positive and negative identity sets must equal the ``kernel="python"``
-    reference bit-for-bit, and the serial runs must agree on
-    ``candidates_scanned`` exactly: the kernel batches the same candidate
-    fetches the tuple path performs one row at a time, so any drift means
-    a pruning predicate fired at the wrong point.
+    Two streams (fig06 insert-only; a fig08-style insert+delete mix) per
+    suite.  The pool run's positive and negative identity sets must equal
+    the serial run's bit-for-bit; ``candidates_scanned`` of both goes to
+    the baseline comparison.
     """
     workload = build_query_workload(
         stream, tree_sizes=(3, 6, 9), graph_sizes=(6,),
@@ -213,247 +198,33 @@ def run_kernel_parity(stream) -> tuple[dict, list[str]]:
     metrics: dict[str, dict] = {}
     for suite, query in workload:
         for stream_name, (events, stream_type) in streams.items():
-            reference = run_mnemonic_stream(
-                query, events, initial_prefix=prefix, batch_size=FIG06_BATCH,
-                stream_type=stream_type, collect_embeddings=True,
-                kernel="python", query_name=suite,
-            )
-            ref_pos = positive_identities(reference.run_result)
-            ref_neg = negative_identities(reference.run_result)
-            if not ref_pos:
-                failures.append(
-                    f"kernel_parity/{suite}.{stream_name}: vacuous gate "
-                    "(reference produced no positive embeddings)"
-                )
-            for backend_name, kwargs in (
-                ("serial", {}),
-                ("process", {"parallel": parallel}),
-            ):
-                run = run_mnemonic_stream(
+            runs = {
+                backend_name: run_mnemonic_stream(
                     query, events, initial_prefix=prefix, batch_size=FIG06_BATCH,
                     stream_type=stream_type, collect_embeddings=True,
-                    kernel="columnar", query_name=suite, **kwargs,
+                    query_name=suite, **kwargs,
                 )
-                label = f"kernel_parity/{suite}.{stream_name}.{backend_name}"
-                if positive_identities(run.run_result) != ref_pos:
-                    failures.append(
-                        f"{label}: positive results differ from the tuple reference"
-                    )
-                if negative_identities(run.run_result) != ref_neg:
-                    failures.append(
-                        f"{label}: negative results differ from the tuple reference"
-                    )
-                if (
-                    backend_name == "serial"
-                    and run.extra["candidates_scanned"]
-                    != reference.extra["candidates_scanned"]
-                ):
-                    failures.append(
-                        f"{label}: candidates_scanned diverged from the reference "
-                        f"({reference.extra['candidates_scanned']} -> "
-                        f"{run.extra['candidates_scanned']})"
-                    )
+                for backend_name, kwargs in (("serial", {}), ("process", {"parallel": parallel}))
+            }
+            serial = runs["serial"]
+            label = f"kernel_parity/{suite}.{stream_name}"
+            if not positive_identities(serial.run_result):
+                failures.append(f"{label}: vacuous gate (no positive embeddings)")
+            if positive_identities(runs["process"].run_result) != positive_identities(
+                serial.run_result
+            ):
+                failures.append(f"{label}.process: positive results differ from serial")
+            if negative_identities(runs["process"].run_result) != negative_identities(
+                serial.run_result
+            ):
+                failures.append(f"{label}.process: negative results differ from serial")
+            for backend_name, run in runs.items():
                 metrics[f"{suite}.{stream_name}.{backend_name}"] = {
                     "seconds": run.seconds,
-                    "reference_seconds": reference.seconds,
                     "candidates_scanned": run.extra["candidates_scanned"],
                     "positive": run.embeddings,
                     "negative": run.negative_embeddings,
                 }
-    return metrics, failures
-
-
-def run_ingest_parity(stream) -> tuple[dict, list[str]]:
-    """The columnar-ingest gate: vectorized batch mutations vs per-edge.
-
-    ``EngineConfig(ingest="columnar")`` decodes each sealed batch into
-    int64 columns and applies graph mutation, DEBI/index maintenance and
-    snapshot publication in bulk; the contract is **bit-identity** with
-    the per-edge reference path, not mere result equality:
-
-    * serial runs must agree on positive and negative identity sets AND
-      on ``candidates_scanned`` / ``filter_traversals`` to the digit
-      (insert-only and insert+delete streams);
-    * pipelined runs (process pool, dirty-slice publication active) must
-      agree on identity sets;
-    * sharded runs (2 shards, per-shard column splits) must agree on
-      identity sets and aggregate scan counters;
-    * the raw graph replay of the insert+delete stream (batched
-      ``resolve_deletions`` + ``apply_delete_columns`` + insert columns
-      vs per-event ``delete_edge`` / ``add_edge``) must assign the **same
-      edge-id sequence**, including per-source newest-first recycling,
-      and return the same deleted records;
-    * the columnar serial mutation+index throughput must clear a floor —
-      a deliberately loose one (shared runners), pinned so the path
-      cannot silently fall back to per-edge.
-    """
-    from repro.core.registry import resolve_deletions
-    from repro.graph.adjacency import DynamicGraph
-    from repro.streams.events import EventColumns
-
-    workload = build_query_workload(
-        stream, tree_sizes=(3, 6), graph_sizes=(),
-        queries_per_suite=1, prefix=2000, seed=11,
-    )
-    prefix = len(stream) - FIG06_SUFFIX
-    suffix = stream[prefix:]
-    deletes = [
-        StreamEvent.delete(e.src, e.dst, e.label, timestamp=e.timestamp)
-        for e in suffix[::2]
-        if e.kind is EventKind.INSERT
-    ]
-    mixed = list(stream[:prefix]) + list(suffix) + deletes
-    streams = {
-        "insert": (list(stream), StreamType.INSERT_ONLY),
-        "mixed": (mixed, StreamType.INSERT_DELETE),
-    }
-    parallel = ParallelConfig(backend="process", num_workers=2, chunk_size=32)
-    failures: list[str] = []
-    metrics: dict[str, dict] = {}
-
-    # -- edge-id sequence parity on the raw graph: the mixed stream batch by
-    #    batch, then its suffix again so those inserts recycle, per source,
-    #    the ids the deletions freed
-    per_edge_graph = DynamicGraph()
-    columnar_graph = DynamicGraph()
-    replay = mixed + list(suffix)
-    for lo in range(0, len(replay), FIG06_BATCH):
-        batch = replay[lo : lo + FIG06_BATCH]
-        inserts = [e for e in batch if e.kind is EventKind.INSERT]
-        deletes = [e for e in batch if e.kind is EventKind.DELETE]
-        ref_doomed = resolve_deletions(per_edge_graph, deletes)
-        ref_records = [per_edge_graph.delete_edge(eid) for eid in ref_doomed]
-        col_doomed = resolve_deletions(columnar_graph, deletes)
-        col_records = columnar_graph.apply_delete_columns(col_doomed)
-        ref_ids = [
-            per_edge_graph.add_edge(
-                e.src, e.dst, e.label, e.timestamp,
-                src_label=e.src_label, dst_label=e.dst_label,
-            )
-            for e in inserts
-        ]
-        col_ids = []
-        if inserts:
-            columns = EventColumns.from_events(EventKind.INSERT, inserts)
-            col_ids = columnar_graph.apply_insert_columns(
-                columns.src, columns.dst, columns.label,
-                columns.timestamp, columns.src_label, columns.dst_label,
-            )
-        if col_doomed != ref_doomed or col_records != ref_records or col_ids != ref_ids:
-            failures.append(
-                f"ingest_parity: edge ids or deleted records diverged in batch at {lo}"
-            )
-            break
-    if columnar_graph.stats.recycled == 0:
-        failures.append("ingest_parity: vacuous raw replay (no edge id was recycled)")
-
-    for suite, query in workload:
-        for stream_name, (events, stream_type) in streams.items():
-            reference = run_mnemonic_stream(
-                query, events, initial_prefix=prefix, batch_size=FIG06_BATCH,
-                stream_type=stream_type, collect_embeddings=True,
-                ingest="per_edge", query_name=suite,
-            )
-            ref_pos = positive_identities(reference.run_result)
-            ref_neg = negative_identities(reference.run_result)
-            if not ref_pos:
-                failures.append(
-                    f"ingest_parity/{suite}.{stream_name}: vacuous gate "
-                    "(per-edge reference produced no positive embeddings)"
-                )
-            run = run_mnemonic_stream(
-                query, events, initial_prefix=prefix, batch_size=FIG06_BATCH,
-                stream_type=stream_type, collect_embeddings=True,
-                ingest="columnar", query_name=suite,
-            )
-            label = f"ingest_parity/{suite}.{stream_name}.serial"
-            if positive_identities(run.run_result) != ref_pos:
-                failures.append(f"{label}: positive results differ from per-edge")
-            if negative_identities(run.run_result) != ref_neg:
-                failures.append(f"{label}: negative results differ from per-edge")
-            for counter in ("candidates_scanned", "filter_traversals"):
-                if run.extra[counter] != reference.extra[counter]:
-                    failures.append(
-                        f"{label}: {counter} diverged "
-                        f"({reference.extra[counter]} -> {run.extra[counter]})"
-                    )
-            split = run.extra["phase_split"]
-            ingest_seconds = split["update_seconds"] + split["filter_seconds"]
-            events_in_suffix = len(events) - prefix
-            throughput = (
-                events_in_suffix / ingest_seconds if ingest_seconds > 0 else 0.0
-            )
-            if throughput < INGEST_THROUGHPUT_FLOOR:
-                failures.append(
-                    f"{label}: mutation+index throughput {throughput:,.0f} ev/s "
-                    f"below the {INGEST_THROUGHPUT_FLOOR:,.0f} ev/s floor"
-                )
-            metrics[f"{suite}.{stream_name}.serial"] = {
-                "seconds": run.seconds,
-                "per_edge_seconds": reference.seconds,
-                "candidates_scanned": run.extra["candidates_scanned"],
-                "filter_traversals": run.extra["filter_traversals"],
-                "ingest_events_per_second": throughput,
-                "phase_split": split,
-            }
-
-            # pipelined: dirty-slice publication is live (process pool)
-            pipe_runs = {}
-            for ingest in ("per_edge", "columnar"):
-                pipe_runs[ingest] = run_mnemonic_stream(
-                    query, events, initial_prefix=prefix, batch_size=FIG06_BATCH,
-                    stream_type=stream_type, collect_embeddings=True,
-                    parallel=parallel, pipeline="pipelined",
-                    ingest=ingest, query_name=suite,
-                )
-            label = f"ingest_parity/{suite}.{stream_name}.pipelined"
-            if positive_identities(
-                pipe_runs["columnar"].run_result
-            ) != positive_identities(pipe_runs["per_edge"].run_result):
-                failures.append(f"{label}: positive results differ from per-edge")
-            if negative_identities(
-                pipe_runs["columnar"].run_result
-            ) != negative_identities(pipe_runs["per_edge"].run_result):
-                failures.append(f"{label}: negative results differ from per-edge")
-            metrics[f"{suite}.{stream_name}.pipelined"] = {
-                "seconds": pipe_runs["columnar"].seconds,
-                "per_edge_seconds": pipe_runs["per_edge"].seconds,
-                "candidates_scanned": pipe_runs["columnar"].extra["candidates_scanned"],
-                "publish_stats": pipe_runs["columnar"].extra.get("publish_stats"),
-            }
-
-            # sharded: per-shard column splits, mirrored DEBI bulk updates
-            shard_runs = {}
-            for ingest in ("per_edge", "columnar"):
-                shard_runs[ingest] = run_sharded_stream(
-                    query, events, shards=2, initial_prefix=prefix,
-                    batch_size=FIG06_BATCH, stream_type=stream_type,
-                    collect_embeddings=True, ingest=ingest, query_name=suite,
-                )
-            label = f"ingest_parity/{suite}.{stream_name}.sharded"
-            if positive_identities(
-                shard_runs["columnar"].run_result
-            ) != positive_identities(shard_runs["per_edge"].run_result):
-                failures.append(f"{label}: positive results differ from per-edge")
-            if negative_identities(
-                shard_runs["columnar"].run_result
-            ) != negative_identities(shard_runs["per_edge"].run_result):
-                failures.append(f"{label}: negative results differ from per-edge")
-            for counter in ("candidates_scanned", "filter_traversals"):
-                if (
-                    shard_runs["columnar"].extra[counter]
-                    != shard_runs["per_edge"].extra[counter]
-                ):
-                    failures.append(
-                        f"{label}: {counter} diverged "
-                        f"({shard_runs['per_edge'].extra[counter]} -> "
-                        f"{shard_runs['columnar'].extra[counter]})"
-                    )
-            metrics[f"{suite}.{stream_name}.sharded"] = {
-                "seconds": shard_runs["columnar"].seconds,
-                "per_edge_seconds": shard_runs["per_edge"].seconds,
-                "candidates_scanned": shard_runs["columnar"].extra["candidates_scanned"],
-            }
     return metrics, failures
 
 
@@ -884,7 +655,7 @@ def run_self_healing_parity(stream) -> tuple[dict, list[str]]:
       deadline must cut the drain off (no deadlock), counted in
       ``deadline_expiries``, and recovery proceeds as for a kill;
     * ``exhausted``: more kills than the respawn budget; the engine must
-      degrade to the thread backend (recorded in ``degradations``) and
+      degrade to serial enumeration (recorded in ``degradations``) and
       still match the fault-free results.
 
     Not baseline-gated (like service_parity): the invariants are
@@ -989,13 +760,13 @@ def run_self_healing_parity(stream) -> tuple[dict, list[str]]:
             )
             stats = run.extra["fault_stats"]
             check_identity(label, run, base_pos, base_neg)
-            if stats["level"] != "thread":
+            if stats["level"] != "serial":
                 failures.append(
-                    f"{label}: expected degradation to the thread backend, "
+                    f"{label}: expected degradation to serial enumeration, "
                     f"got level={stats['level']!r} ({stats})"
                 )
-            if "process->thread" not in stats["degradations"]:
-                failures.append(f"{label}: missing process->thread transition ({stats})")
+            if "process->serial" not in stats["degradations"]:
+                failures.append(f"{label}: missing process->serial transition ({stats})")
             metrics[f"{suite}.{mode}.exhausted"] = {
                 "seconds": run.seconds,
                 "candidates_scanned": run.extra["candidates_scanned"],
@@ -1132,14 +903,12 @@ def main(argv: list[str] | None = None) -> int:
     stream, workload = build_workload()
     multi_metrics, sharing_failures = run_multi_query(stream)
     kernel_metrics, kernel_failures = run_kernel_parity(stream)
-    ingest_metrics, ingest_failures = run_ingest_parity(stream)
     shard_metrics, shard_failures = run_shard_parity(stream)
     parity_metrics, parity_failures = run_pipeline_parity(stream)
     service_metrics, service_failures = run_service_parity(stream)
     durability_metrics, durability_failures = run_durability_parity(stream)
     healing_metrics, healing_failures = run_self_healing_parity(stream)
     sharing_failures.extend(kernel_failures)
-    sharing_failures.extend(ingest_failures)
     sharing_failures.extend(shard_failures)
     sharing_failures.extend(parity_failures)
     sharing_failures.extend(service_failures)
@@ -1150,7 +919,6 @@ def main(argv: list[str] | None = None) -> int:
         "fig08": run_fig08(stream, workload),
         "multi_query": multi_metrics,
         "kernel_parity": kernel_metrics,
-        "ingest_parity": ingest_metrics,
         "shard_parity": shard_metrics,
         "pipeline_parity": parity_metrics,
         "service_parity": service_metrics,
@@ -1169,7 +937,7 @@ def main(argv: list[str] | None = None) -> int:
             )
 
     if sharing_failures:
-        print("multi-query sharing / kernel / ingest / shard / pipeline / "
+        print("multi-query sharing / backend / shard / pipeline / "
               "service / durability / self-healing parity gate FAILED:",
               file=sys.stderr)
         for line in sharing_failures:

@@ -3,10 +3,10 @@
 The paper samples per-core CPU usage while a T_9 query is processed and
 shows that Mnemonic keeps all cores busy (fine-grained pull-based work
 units) whereas TurboFlux is strictly sequential.  The reproduction runs
-the same stream with a 4-worker pull-based pool, derives the utilisation
-timeline from the workers' busy intervals, and contrasts it with the
-sequential baseline (which by construction can keep at most one worker
-busy, i.e. 1/4 of the pool).
+the same stream on the 4-worker pull-based process pool, derives the
+utilisation timeline from the workers' busy intervals, and contrasts it
+with the sequential baseline (which by construction can keep at most one
+worker busy, i.e. 1/4 of the pool).
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ def _run(stream, workload):
     prefix = len(stream) - SUFFIX
     mnemonic = run_mnemonic_stream(
         query, stream, initial_prefix=prefix, batch_size=BATCH_SIZE, query_name=suite,
-        parallel=ParallelConfig(backend="thread", num_workers=WORKERS),
+        parallel=ParallelConfig(backend="process", num_workers=WORKERS),
     )
     turboflux = run_turboflux_stream(query, stream, initial_prefix=prefix, query_name=suite)
     series = cpu_usage_timeline(mnemonic.run_result, buckets=20)

@@ -1,18 +1,15 @@
-"""Figure 7 companion: ingest throughput of the columnar mutation path.
+"""Figure 7 companion: ingest throughput of the mutation path.
 
-The paper's update/filter/enumerate CPU split (fig07) motivates the
-columnar ingest path: graph mutation and DEBI maintenance are the two
-phases a streaming system pays on *every* batch, enumeration only where
-matches exist.  This benchmark runs the same fig06 netflow stream from a
-cold graph under both ingest modes (``per_edge`` — one ``add_edge`` /
-matcher pass per event — and ``columnar`` — one decoded column batch)
+The paper's update/filter/enumerate CPU split (fig07) is why ingest is
+columnar: graph mutation and DEBI maintenance are the two phases a
+streaming system pays on *every* batch, enumeration only where matches
+exist.  This benchmark runs the fig06 netflow stream from a cold graph
 and tables the phase split, the ingest wall (update + filter) and the
-derived events/sec per batch size.
+derived events/sec per batch size.  (Bit-identity with a per-edge loop is
+a test: ``tests/test_columnar_ingest.py``.)
 
-Embedding counts must be identical across modes (the `ingest_parity`
-perf-smoke gate checks the full identity sets and scan counters to the
-digit); here the shape check is the headline claim: batching pays, i.e.
-the columnar path is faster at every measured batch size.
+The shape check is that batching pays: a larger batch amortises the
+per-batch fixed costs, so events/sec must not fall as the batch grows.
 """
 
 from __future__ import annotations
@@ -24,9 +21,8 @@ from repro.bench.harness import run_mnemonic_stream
 from repro.bench.reporting import format_table
 
 BATCH_SIZES = (256, 512, 1024)
-MODES = ("per_edge", "columnar")
-#: best-of samples per (batch, mode) cell — one sample is too exposed to a
-#: stray GC pause to compare two ~30 ms walls
+#: best-of samples per batch size — one sample is too exposed to a stray GC
+#: pause to compare two ~30 ms walls
 SAMPLES = 3
 
 
@@ -39,51 +35,35 @@ def _pick_query(workload):
 def _run(stream, workload):
     suite, query = _pick_query(workload)
     rows = []
-    speedups = {}
     for batch in BATCH_SIZES:
-        per_mode = {}
-        for mode in MODES:
-            samples = []
-            for _ in range(SAMPLES):
-                run = run_mnemonic_stream(
-                    query, stream, initial_prefix=0, batch_size=batch,
-                    query_name=suite, ingest=mode,
-                )
-                split = run.extra["phase_split"]
-                ingest_wall = split["update_seconds"] + split["filter_seconds"]
-                samples.append((run, split, ingest_wall))
-            per_mode[mode] = min(samples, key=lambda s: s[2])
-            run, split, ingest_wall = per_mode[mode]
-            rows.append([
-                batch, mode,
-                split["update_seconds"], split["filter_seconds"],
-                split["enumerate_seconds"], ingest_wall,
-                len(stream) / ingest_wall, run.embeddings,
-            ])
-        speedups[batch] = per_mode["per_edge"][2] / per_mode["columnar"][2]
-        assert per_mode["per_edge"][0].embeddings == per_mode["columnar"][0].embeddings
-    return suite, rows, speedups
+        samples = []
+        for _ in range(SAMPLES):
+            run = run_mnemonic_stream(
+                query, stream, initial_prefix=0, batch_size=batch, query_name=suite,
+            )
+            split = run.extra["phase_split"]
+            samples.append((split["update_seconds"] + split["filter_seconds"], split, run))
+        ingest_wall, split, run = min(samples, key=lambda s: s[0])
+        rows.append([
+            batch, split["update_seconds"], split["filter_seconds"],
+            split["enumerate_seconds"], ingest_wall,
+            len(stream) / ingest_wall, run.embeddings,
+        ])
+    return suite, rows
 
 
 @pytest.mark.benchmark(group="fig07")
 def test_fig07_ingest_throughput(benchmark, netflow_workload):
     stream, workload = netflow_workload
-    suite, rows, speedups = benchmark.pedantic(
-        _run, args=(stream, workload), rounds=1, iterations=1
-    )
+    suite, rows = benchmark.pedantic(_run, args=(stream, workload), rounds=1, iterations=1)
     text = format_table(
         f"Figure 7 companion - ingest phase split and throughput ({suite}, cold graph)",
-        ["batch", "ingest", "update_s", "filter_s", "enumerate_s",
+        ["batch", "update_s", "filter_s", "enumerate_s",
          "ingest_wall_s", "events_per_s", "embeddings"],
         rows,
     )
-    text += "\n" + "\n".join(
-        f"columnar ingest speedup @ batch {batch}: {speedup:.2f}x"
-        for batch, speedup in sorted(speedups.items())
-    )
     write_result("fig07_ingest_throughput", text)
-    # Shape check only (wall-clock on shared runners is noisy): batching
-    # must pay at every measured batch size.  The calibrated >=2x claim
-    # at batch >= 512 is recorded by perf_trend in BENCH_ingest.json.
-    for batch, speedup in speedups.items():
-        assert speedup > 1.0, f"columnar ingest slower at batch {batch}"
+    assert len({row[6] for row in rows}) == 1, "embedding count depends on the batch size"
+    # Shape check only (wall-clock on shared runners is noisy): the largest
+    # batch must ingest at least as fast as the smallest.
+    assert rows[-1][5] > rows[0][5], f"batching does not pay: {rows}"

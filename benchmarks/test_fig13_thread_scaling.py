@@ -2,32 +2,26 @@
 
 The paper parallelises frontier computation, filtering and enumeration
 with OpenMP and reports a 5.22x average speedup at 24 threads.  This
-benchmark sweeps worker counts for both enumeration kernels:
+benchmark sweeps the worker count of the one parallel backend, the
+shared-memory ``process`` pool, against ``serial``.
 
-* ``python`` (the tuple-at-a-time reference) — enumeration dominates the
-  batch, so the shared-memory ``process`` backend turns cores into real
-  wall-clock speedup, which is the paper's Figure 13 claim; the
-  ``thread`` backend stays flat around 1x (the GIL serialises the
-  workers — documented deviation, see EXPERIMENTS.md);
-* ``columnar`` (the default arena-backed kernel) — the serial pass is
-  several times faster than the reference, which shrinks enumeration to
-  the point where snapshot publication and IPC no longer amortise at
-  this workload scale: the parallel backends must merely stay close to
-  serial, not beat it.  The kernel's own single-thread win is asserted
-  instead.
+What it shows here is the mechanism, not the paper's result: the serial
+kernel finishes this batch in tens of milliseconds, so one snapshot
+publication plus the IPC round trip costs several times the enumeration
+it distributes, and every pool row is slower than serial at this scale
+(``benchmarks/e2e``'s ``netflow-pool-pipelined`` measures the same at
+20k events).  The assertions therefore pin correctness — every row finds
+the same embeddings — and that the one-worker configuration, which runs
+the serial path, costs what serial costs.  A native thread backend is
+not measured because there is none: Python threads convoy on the GIL
+around the kernel's short numpy calls (see ``docs/parallelism.md``).
 
 The workload is a single large insertion batch of the most
 enumeration-heavy suite so that worker start-up costs are amortised the
-same way the paper's per-query measurement does.  The speedup
-assertions are aggregate (per-cell thresholds proved flaky on loaded
-hosts) and the multi-core requirement is gated on the cores this
-process may actually use: a single-core CI runner cannot show wall-clock
-speedup for any backend.
+same way the paper's per-query measurement does.
 """
 
 from __future__ import annotations
-
-import os
 
 import pytest
 
@@ -38,20 +32,6 @@ from repro.core.parallel import ParallelConfig
 
 WORKER_COUNTS = (1, 2, 4, 8)
 SUFFIX = 800
-KERNELS = ("columnar", "python")
-
-#: single-thread floor for the columnar kernel over the reference on the
-#: enumeration-heavy suite (the measured ratio is ~3-5x; the floor keeps
-#: headroom for loaded hosts)
-KERNEL_SPEEDUP_FLOOR = 2.0
-
-
-def _effective_cores() -> int:
-    """Cores this process is allowed to run on (affinity beats cpu_count)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
 
 
 def _pick_query(workload):
@@ -63,86 +43,30 @@ def _pick_query(workload):
 def _run(stream, workload):
     suite, query = _pick_query(workload)
     prefix = len(stream) - SUFFIX
-    rows = []
-    speedups: dict[str, dict[str, dict[int, float]]] = {
-        kernel: {"thread": {}, "process": {}} for kernel in KERNELS
-    }
-    baselines: dict[str, float] = {}
-    for kernel in KERNELS:
-        baseline = run_mnemonic_stream(query, stream, initial_prefix=prefix,
-                                       batch_size=SUFFIX, kernel=kernel,
-                                       query_name=suite)
-        baselines[kernel] = baseline.seconds
-        rows.append([suite, kernel, "serial", 1, baseline.seconds, 1.0])
-        for backend in ("thread", "process"):
-            for workers in WORKER_COUNTS:
-                run = run_mnemonic_stream(
-                    query, stream, initial_prefix=prefix, batch_size=SUFFIX,
-                    kernel=kernel, query_name=suite,
-                    parallel=ParallelConfig(backend=backend, num_workers=workers,
-                                            chunk_size=16),
-                )
-                speedup = baseline.seconds / run.seconds if run.seconds > 0 else 0.0
-                speedups[kernel][backend][workers] = speedup
-                rows.append([suite, kernel, backend, workers, run.seconds, speedup])
-    return rows, speedups, baselines
+    baseline = run_mnemonic_stream(query, stream, initial_prefix=prefix,
+                                   batch_size=SUFFIX, query_name=suite)
+    rows = [[suite, "serial", 1, baseline.seconds, 1.0, baseline.embeddings]]
+    for workers in WORKER_COUNTS:
+        run = run_mnemonic_stream(
+            query, stream, initial_prefix=prefix, batch_size=SUFFIX, query_name=suite,
+            parallel=ParallelConfig(backend="process", num_workers=workers, chunk_size=16),
+        )
+        speedup = baseline.seconds / run.seconds if run.seconds > 0 else 0.0
+        rows.append([suite, "process", workers, run.seconds, speedup, run.embeddings])
+    return rows
 
 
 @pytest.mark.benchmark(group="fig13")
 def test_fig13_thread_scaling(benchmark, netflow_workload):
     stream, workload = netflow_workload
-    rows, speedups, baselines = benchmark.pedantic(
-        _run, args=(stream, workload), rounds=1, iterations=1
-    )
+    rows = benchmark.pedantic(_run, args=(stream, workload), rounds=1, iterations=1)
     table = format_table(
         "Figure 13 - speedup over worker count (single large batch)",
-        ["suite", "kernel", "backend", "workers", "runtime_s", "speedup_vs_serial"],
+        ["suite", "backend", "workers", "runtime_s", "speedup_vs_serial", "embeddings"],
         rows,
     )
     write_result("fig13_thread_scaling", table)
-
-    # The columnar kernel's single-thread win is what moved the goalposts
-    # for the parallel rows; pin it so a silent fallback to the tuple
-    # path (which would also "fix" the parallel ratios) cannot pass.
-    kernel_speedup = baselines["python"] / baselines["columnar"]
-    assert kernel_speedup >= KERNEL_SPEEDUP_FLOOR, (
-        f"columnar kernel only {kernel_speedup:.2f}x over the reference "
-        f"(floor {KERNEL_SPEEDUP_FLOOR}x): {baselines}"
-    )
-
-    # Reference kernel: enumeration dominates, so the backends must show
-    # the paper's shape — threads flat but not collapsed, the
-    # shared-memory process pool turning real cores into real speedup.
-    best_python = max(max(v.values()) for v in speedups["python"].values())
-    assert best_python > 0.9
-    for backend, values in speedups["python"].items():
-        mean = sum(values.values()) / len(values)
-        assert mean > 0.5, f"python/{backend} backend collapsed: {values}"
-    cores = _effective_cores()
-    if cores >= 4:
-        assert speedups["python"]["process"][4] >= 1.5, (
-            f"shared-memory backend too slow on {cores} cores: "
-            f"{speedups['python']['process']}"
-        )
-    elif cores >= 2:
-        # Same tolerance as the "best > 0.9" check: publication + IPC noise
-        # on a loaded 2-core host must not fail a healthy backend.
-        assert speedups["python"]["process"][2] >= 0.9, (
-            f"shared-memory backend slower than serial on {cores} cores: "
-            f"{speedups['python']['process']}"
-        )
-
-    # Columnar kernel: the serial pass finishes this batch in tens of
-    # milliseconds, so publication/IPC cannot amortise — the requirement
-    # is that no backend collapses, not that it wins.  The thread backend
-    # delegates kernel-eligible batches to one whole-batch kernel call
-    # (GIL convoying made per-unit threading strictly slower), so its
-    # rows must track serial; the process rows pay a fixed publication
-    # cost that dominates at this scale (larger batches are where the
-    # pool still pays off, see docs/parallelism.md).
-    best_columnar = max(max(v.values()) for v in speedups["columnar"].values())
-    assert best_columnar > 0.7, f"columnar parallel collapsed: {speedups['columnar']}"
-    thread_mean = sum(speedups["columnar"]["thread"].values()) / len(WORKER_COUNTS)
-    assert thread_mean > 0.5, (
-        f"columnar/thread backend collapsed: {speedups['columnar']['thread']}"
-    )
+    assert rows[0][5] > 0
+    assert {row[5] for row in rows} == {rows[0][5]}, "a backend found different embeddings"
+    one_worker = rows[1]
+    assert one_worker[4] > 0.5, f"process@1 runs the serial path but cost {one_worker[3]:.3f}s"

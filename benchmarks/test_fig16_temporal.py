@@ -11,20 +11,35 @@ stored-partials count (its memory-cost signature).
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from benchmarks.conftest import write_result
 from repro.bench.harness import run_litcs_stream, run_mnemonic_stream
 from repro.bench.reporting import format_table
 from repro.matchers import TemporalIsomorphismMatcher
+from repro.query.query_graph import QueryGraph
 
 BATCH_SIZE = 256
 SUFFIX = 1500
 
 
+def _parallel_edge_query(stream) -> QueryGraph:
+    """Label 0 then label 1 between the node types of the stream's busiest vertex pair."""
+    src, dst = Counter((e.src, e.dst) for e in stream).most_common(1)[0][0]
+    event = next(e for e in stream if (e.src, e.dst) == (src, dst))
+    query = QueryGraph()
+    query.add_node(0, event.src_label)
+    query.add_node(1, event.dst_label)
+    query.add_edge(0, 1, label=0, time_rank=0)
+    query.add_edge(0, 1, label=1, time_rank=1)
+    return query
+
+
 def _run(stream, workload):
     rows = []
-    for suite, query in workload:
+    for suite, query in [*workload, ("P_2", _parallel_edge_query(stream))]:
         prefix = len(stream) - SUFFIX
         mnemonic = run_mnemonic_stream(
             query, stream, match_def=TemporalIsomorphismMatcher(),
@@ -58,3 +73,5 @@ def test_fig16_temporal(benchmark, lanl_workload):
         assert row[4] >= row[5]
         # The baseline's memory signature: it stores partial embeddings.
         assert row[6] >= 0
+    parallel = rows[-1]
+    assert parallel[4] == parallel[5] > 0

@@ -12,14 +12,14 @@ B, B with C, and C back with A — but we only care about *recent, heavy*
 interactions, so the custom matcher restricts candidate edges to a set
 of "engagement" activity types and the enumerator definition stays the
 standard homomorphism.  Positive and negative (retracted) matches are
-reported per batch, and the run is parallelised with a thread pool.
+reported per batch.
 
 Run with::
 
     python examples/social_network_monitoring.py
 """
 
-from repro import EngineConfig, MnemonicEngine, ParallelConfig, QueryGraph, StreamConfig
+from repro import EngineConfig, MnemonicEngine, QueryGraph, StreamConfig
 from repro.core.api import MatchDefinition, default_edge_matcher
 from repro.datasets import LSBenchConfig, generate_lsbench_stream
 from repro.streams.config import StreamType
@@ -59,7 +59,6 @@ def main() -> None:
         match_def=EngagementMatcher(),
         config=EngineConfig(
             stream=StreamConfig(stream_type=StreamType.INSERT_DELETE, batch_size=1024),
-            parallel=ParallelConfig(backend="thread", num_workers=4),
         ),
     )
 

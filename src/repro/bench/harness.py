@@ -85,8 +85,6 @@ def run_mnemonic_stream(
     pipeline: str = "serial",
     storage: "StorageConfig | None" = None,
     fault: FaultPolicy | None = None,
-    kernel: str = "columnar",
-    ingest: str = "columnar",
     query_name: str = "query",
 ) -> BenchRun:
     """Run the Mnemonic engine over ``stream`` and time the streaming part.
@@ -116,8 +114,6 @@ def run_mnemonic_stream(
         pipeline=pipeline,
         storage=storage,
         fault=fault or FaultPolicy(),
-        kernel=kernel,
-        ingest=ingest,
     )
     # Engine construction spawns the persistent worker pool (process
     # backend), so pool start-up is part of setup — not of the measured
@@ -175,8 +171,6 @@ def run_sharded_stream(
     parallel: ParallelConfig | None = None,
     collect_embeddings: bool = False,
     recycle_edge_ids: bool = True,
-    kernel: str = "columnar",
-    ingest: str = "columnar",
     strategy=None,
     query_name: str = "query",
 ) -> BenchRun:
@@ -194,8 +188,6 @@ def run_sharded_stream(
         parallel=parallel or ParallelConfig(),
         collect_embeddings=collect_embeddings,
         recycle_edge_ids=recycle_edge_ids,
-        kernel=kernel,
-        ingest=ingest,
         shards=shards,
     )
     engine = ShardedEngine(query, match_def=match_def, config=config, strategy=strategy)
@@ -247,7 +239,6 @@ def run_service_stream(
     clock: Clock | None = None,
     overload: str = "block",
     fault: FaultPolicy | None = None,
-    kernel: str = "columnar",
     query_name: str = "query",
 ) -> BenchRun:
     """Run the engine behind a :class:`~repro.streams.broker.StreamBroker`.
@@ -274,7 +265,6 @@ def run_service_stream(
         collect_embeddings=collect_embeddings,
         pipeline=pipeline,
         fault=fault or FaultPolicy(),
-        kernel=kernel,
     )
     engine = MnemonicEngine(query, match_def=match_def, config=config)
     try:
@@ -351,7 +341,6 @@ def run_multi_query_stream(
     parallel: ParallelConfig | None = None,
     collect_embeddings: bool = False,
     pipeline: str = "serial",
-    kernel: str = "columnar",
     query_names_unique: bool = True,
 ) -> MultiQueryBenchRun:
     """Run every query as a standing query of one shared multi-query engine.
@@ -368,7 +357,6 @@ def run_multi_query_stream(
         parallel=parallel or ParallelConfig(),
         collect_embeddings=collect_embeddings,
         pipeline=pipeline,
-        kernel=kernel,
     )
     with MultiQueryEngine(config=config) as engine:
         name_by_id = {

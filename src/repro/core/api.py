@@ -1,28 +1,42 @@
 """The programmable surface of Mnemonic.
 
 The paper's key usability claim is that a new subgraph-matching variant
-only requires two application-defined functions (Figure 3/4):
+needs only a few application-defined functions on top of one engine
+(Figures 3/4, 14-16).  Here they are the overridable members of
+:class:`MatchDefinition`:
 
 ``edge_matcher(query, graph, q_edge, d_edge)``
     Decides whether a data edge is a candidate match for a query edge,
     based on node/edge labels or any other attribute.  It controls what
-    goes into DEBI.
+    goes into DEBI and which data edges may witness a non-tree query edge.
 
-``enumerate(context, unit)``
-    Consumes a work unit (one new/deleted data edge pinned onto one
-    query edge) and yields embeddings, using the context's
-    ``get_candidates`` / ``verify_nte`` / ``save_embedding`` helpers.
-    The default implementation is the backtracking join of Figure 4.
+``root_matcher(query, graph, root, vertex)``
+    Decides whether a data vertex may be the image of the root query node.
 
-Both are bundled in a :class:`MatchDefinition`.  The library ships the
-variants evaluated in the paper (isomorphism, homomorphism, dual/strong
-simulation, time-constrained isomorphism) in :mod:`repro.matchers`, all
-expressed through this interface.
+``accept(context, embedding)``
+    A final predicate over each complete embedding (the temporal-order
+    check of time-constrained isomorphism).  Overriding it costs one
+    :class:`~repro.core.results.Embedding` record per finished candidate.
+
+``injective`` / ``bind_witnesses`` / ``label_partitioned``
+    Matching semantics as class attributes: distinct data vertices per
+    query node or not (isomorphism vs homomorphism), non-tree query edges
+    bound to explicit data edges or merely checked, and whether candidate
+    pools may be narrowed to the query edge's label partition.
+
+Enumeration itself is not a hook: every definition runs through the one
+columnar kernel of :mod:`repro.core.enumeration`, specialised by the
+members above.  The library ships the variants evaluated in the paper
+(isomorphism, homomorphism, time-constrained isomorphism) in
+:mod:`repro.matchers`, all expressed through this interface; dual and
+strong simulation compute a node relation rather than embeddings and are
+seeded from the engine's DEBI instead
+(:func:`repro.matchers.simulation.dual_simulation_from_debi`).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -31,7 +45,7 @@ from repro.graph.edge import EdgeRecord
 from repro.query.query_graph import WILDCARD_LABEL, QueryEdge, QueryGraph
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.enumeration import EnumerationContext, WorkUnit
+    from repro.core.enumeration import EnumerationContext
     from repro.core.results import Embedding
 
 
@@ -97,22 +111,21 @@ def uses_default_edge_matcher(match_def: MatchDefinition) -> bool:
 
 
 class MatchDefinition:
-    """Base class bundling the two user functions plus matching options.
+    """Base class bundling the user functions plus matching options.
 
     Subclass and override what the target variant needs:
 
     * :meth:`edge_matcher` — candidate condition (drives DEBI content);
+    * :meth:`root_matcher` — candidate condition for the root query node;
     * :meth:`accept` — final predicate over a complete embedding
       (e.g. the temporal-order check of time-constrained isomorphism);
     * :attr:`injective` — ``True`` enforces distinct data vertices per
       query node (isomorphism), ``False`` allows reuse (homomorphism);
     * :attr:`bind_witnesses` — when ``True`` non-tree constraints are
-      bound to explicit witness edges and enumerated (needed when
-      :meth:`accept` inspects every query edge's data edge, e.g. the
+      bound to explicit witness edges, one embedding per witness (needed
+      when :meth:`accept` inspects every query edge's data edge, e.g. the
       temporal variant); when ``False`` they are boolean checks, as in
       the paper's Figure 4.
-    * :meth:`enumerate` — replace the whole enumeration strategy
-      (the simulation variants do this).
     * :attr:`label_partitioned` — promise that :meth:`edge_matcher`
       rejects any data edge whose label differs from a non-wildcard
       query edge label (true for anything that delegates to
@@ -149,19 +162,12 @@ class MatchDefinition:
 
     # ------------------------------------------------------------------ enumeration
     def accept(self, context: "EnumerationContext", embedding: "Embedding") -> bool:
-        """Final filter applied to every complete embedding (default: accept)."""
-        return True
+        """Final filter applied to every complete embedding (default: accept).
 
-    def enumerate(self, context: "EnumerationContext", unit: "WorkUnit") -> Iterator["Embedding"]:
-        """Produce the embeddings for one work unit.
-
-        The default delegates to the generic backtracking enumerator,
-        which is the implementation of the paper's Figure 4 specialised
-        by :attr:`injective`, :attr:`bind_witnesses` and :meth:`accept`.
+        ``context.query`` and ``context.graph`` give read access to the
+        query and to the data graph the embedding was found in.
         """
-        from repro.core.enumeration import backtracking_enumerate
-
-        yield from backtracking_enumerate(context, unit)
+        return True
 
 
 class DefaultMatchDefinition(MatchDefinition):

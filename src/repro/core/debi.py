@@ -148,20 +148,11 @@ class DEBI:
         ids = np.asarray(edge_ids, dtype=np.int64)
         return self._bits.get_rows(ids).tolist()
 
-    def filter_candidates(self, edge_ids, column: int) -> list[int]:
-        """Return the subset of ``edge_ids`` whose bit at ``column`` is set.
-
-        Vectorized over the whole adjacency list — this is what
-        ``getCandidates`` calls on every extension step.
-        """
-        return self._bits.filter_rows_with_column(edge_ids, column)
-
     def column_mask(self, edge_ids, column: int):
         """Vectorized bit test: bool mask over an int64 array of edge ids.
 
-        The array half of :meth:`filter_candidates`; the enumeration hot
-        path uses it to filter a whole adjacency partition and gather the
-        surviving endpoints in one fused step.
+        The enumeration hot path uses it to filter a whole step's candidate
+        pools and gather the surviving endpoints in one fused step.
         """
         return self._bits.column_mask(edge_ids, column)
 

@@ -53,37 +53,17 @@ class EngineConfig:
     recycle_edge_ids: bool = True
     #: keep embeddings in the per-snapshot results (disable to only count)
     collect_embeddings: bool = True
-    #: enumeration kernel: "columnar" runs the arena-backed batched kernel
-    #: (falls back per-batch when a custom MatchDefinition overrides the
-    #: enumerate/accept hooks); "python" forces the tuple-at-a-time
-    #: reference path
-    kernel: str = "columnar"
-    #: ingest path: "columnar" decodes each batch once into contiguous
-    #: columns and applies graph/DEBI/index mutations with vectorized bulk
-    #: operations; "per_edge" forces the event-at-a-time reference path.
-    #: Both produce bit-identical edge ids, index bits and scan counters.
-    ingest: str = "columnar"
     #: durable state: journal + checkpoints + spillable DEBI (None = volatile)
     storage: StorageConfig | None = None
     #: how pool faults are handled: respawn budget, backoff, epoch deadline
     #: (the default policy performs no respawns — a broken pool degrades
-    #: straight to the thread backend, the pre-supervisor behaviour)
+    #: straight to serial enumeration)
     fault: FaultPolicy = field(default_factory=FaultPolicy)
     #: number of engine shards (used by :class:`~repro.core.shard_router.
     #: ShardedEngine`; the other engines ignore it and always run one)
     shards: int = 1
 
     def __post_init__(self) -> None:
-        if self.kernel not in ("columnar", "python"):
-            raise ConfigurationError(
-                f"unknown enumeration kernel {self.kernel!r}; "
-                "expected 'columnar' or 'python'"
-            )
-        if self.ingest not in ("columnar", "per_edge"):
-            raise ConfigurationError(
-                f"unknown ingest path {self.ingest!r}; "
-                "expected 'columnar' or 'per_edge'"
-            )
         if self.shards < 1:
             raise ConfigurationError(f"shards must be >= 1, got {self.shards}")
 

@@ -1,10 +1,16 @@
-"""Embedding enumeration: work decomposition and the backtracking driver.
+"""Embedding enumeration: work decomposition and the columnar kernel.
 
 Section VI of the paper.  After DEBI has been updated for a batch, every
 (updated data edge, matching query edge) pair becomes a *work unit*: an
 initial one-edge embedding that is extended to full embeddings by a
-backtracking join over DEBI candidates.  Work units are independent, so
-they are distributed over workers (see :mod:`repro.core.parallel`).
+join over DEBI candidates.  Work units are independent, so they are
+distributed over workers (see :mod:`repro.core.parallel`).
+
+Every :class:`~repro.core.api.MatchDefinition` enumerates through the one
+kernel in this module (:func:`columnar_enumerate` and its packed twin):
+the units of a batch are grouped by start edge and each group advances
+as one block of partial embeddings — one candidate fetch, one join and
+one witness lookup per matching-order step for the whole block.
 
 Duplicate elimination follows the masking rule described in
 :mod:`repro.query.masking`: the unit starting at query-edge position
@@ -12,13 +18,15 @@ Duplicate elimination follows the masking rule described in
 current batch, and a unit starting at a *non-tree* position additionally
 requires that the pinned constraint has no witness outside the batch.
 Under this rule every newly formed (or destroyed) embedding is emitted
-by exactly one work unit.
+by exactly one work unit.  When the match definition binds witnesses the
+pinned edge is part of the embedding's identity, so the second condition
+does not apply: another witness makes another embedding.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -31,9 +39,9 @@ from repro.core.api import (
 from repro.core.debi import DEBI
 from repro.core.results import Embedding
 from repro.graph.adjacency import DynamicGraph, expand_ranges, segment_counts
-from repro.query.masking import Mask, MaskTable
+from repro.query.masking import MaskTable
 from repro.query.matching_order import ExtensionStep, MatchingOrder
-from repro.query.query_graph import WILDCARD_LABEL, QueryGraph
+from repro.query.query_graph import WILDCARD_LABEL, QueryEdge, QueryGraph
 from repro.query.query_tree import QueryTree
 from repro.utils.validation import check_positive
 
@@ -46,24 +54,12 @@ class WorkUnit:
     start_edge: int
 
 
-#: below this pool size the scalar path beats numpy round-trips
-_VECTOR_CUTOFF = 8
-
-_EMPTY_CANDIDATES: tuple[list[int], list[int]] = ([], [])
-
-#: shared-pool-cache entry of a pool the columnar kernel has paid for but
-#: (fetching whole steps at once) never held as a per-anchor object
-_CHARGED = object()
-
-
 class EnumerationContext:
-    """Everything a work unit needs to enumerate embeddings.
+    """Everything the kernel needs to enumerate one batch's embeddings.
 
-    The context also exposes the three paper API calls used by custom
-    enumerators: :meth:`get_candidates`, :meth:`verify_nte` and
-    :meth:`save_embedding` (the latter simply builds the
-    :class:`~repro.core.results.Embedding` record; collection is handled
-    by the caller of the enumerator generator).
+    A context is built per (query, batch phase); the graph and DEBI it
+    wraps are frozen for its lifetime.  It also carries the two counters
+    the engine reports: ``candidates_scanned`` and ``embeddings_found``.
     """
 
     def __init__(
@@ -79,7 +75,6 @@ class EnumerationContext:
         positive: bool = True,
         degree_filter: Callable[[int, int], bool] | None = None,
         shared_pool_cache: dict | None = None,
-        kernel: str = "columnar",
         arena: "EmbeddingArena | None" = None,
     ) -> None:
         self.query = query
@@ -92,11 +87,7 @@ class EnumerationContext:
         self.batch_edge_ids = batch_edge_ids
         self.positive = positive
         self.degree_filter = degree_filter
-        #: which enumeration kernel drives default match definitions:
-        #: "columnar" (arena-backed batched kernel) or "python" (the
-        #: per-tuple reference).  Custom enumerators always run as-is.
-        self.kernel = kernel
-        #: reusable column arena for the columnar kernel (None = transient)
+        #: reusable column arena for the kernel (None = transient)
         self.arena = arena
         #: number of candidate edges inspected (enumeration-side traversal metric)
         self.candidates_scanned = 0
@@ -106,83 +97,17 @@ class EnumerationContext:
         # partition only when the match definition promises its
         # edge_matcher implies label equality (see MatchDefinition).
         self._label_partitioned = getattr(match_def, "label_partitioned", True)
-        # Per-batch memo of (anchor, direction, column, label) -> candidates.
-        # Work units within a batch re-anchor at the same vertices heavily,
-        # and the graph/DEBI are frozen for the context's lifetime, so the
-        # pools are immutable.
-        self._candidate_memo: dict = {}
-        # Cross-query raw-pool cache, shared by every context of a multi-query
-        # batch: (direction, label) -> {anchor: adjacency pool}.  The first
-        # query to touch a pool pays the scan (candidates_scanned); later
-        # queries reuse it for free and only pay their own DEBI filtering.
-        self._shared_pool_cache: dict | None = shared_pool_cache
-        # Columnar-kernel state: which anchors each (direction, column,
-        # label) step key has already paid for — the kernel's form of the
-        # memo above, keeping the charge without keeping the pools — and
-        # the sorted batch id array (built lazily, only when the kernel runs).
+        # Which anchors each (direction, column, label) step key has already
+        # paid for.  Work units within a batch re-anchor at the same vertices
+        # heavily; a pool is charged once per key per context.
         self._charged_anchors: dict[tuple, set[int]] = {}
+        # Cross-query variant, shared by every context of a multi-query
+        # batch: (direction, label) -> anchors some query has paid for.  The
+        # first query to touch a pool pays the scan; later queries reuse it
+        # for free and only pay their own DEBI filtering.
+        self._shared_pool_cache: dict | None = shared_pool_cache
+        # The sorted batch id array (built lazily, only when a mask needs it).
         self._batch_ids_array: np.ndarray | None = None
-
-    # ------------------------------------------------------------------ paper API
-    def get_candidates(self, step: ExtensionStep, anchor_vertex: int) -> list[int]:
-        """DEBI-filtered candidate edges for ``step`` anchored at ``anchor_vertex``.
-
-        Returns a fresh list (callers may mutate it); the memoised pair
-        behind it is shared and must stay untouched.
-        """
-        return list(self.get_candidates_with_endpoints(step, anchor_vertex)[0])
-
-    def get_candidates_with_endpoints(
-        self, step: ExtensionStep, anchor_vertex: int
-    ) -> tuple[list[int], list[int]]:
-        """Fused candidate fetch: ``(edge_ids, new_vertices)`` for one step.
-
-        Pulls the anchor's adjacency partition for the step's edge label
-        (the whole list for wildcard steps), filters it against the
-        step's DEBI column, and gathers the non-anchor endpoint of every
-        survivor — one vectorized pass instead of a per-edge Python loop
-        with an :class:`~repro.graph.edge.EdgeRecord` construction per
-        candidate.  Results are memoised per batch.
-        """
-        label = self._pool_label(step)
-        memo = self._candidate_memo
-        key = (anchor_vertex, step.anchor_is_src, step.debi_column, label)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        graph = self.graph
-        shared = self._shared_pool_cache
-        if shared is not None:
-            pools = shared.setdefault((step.anchor_is_src, label), {})
-            pool = pools.get(anchor_vertex)
-            if pool is None or pool is _CHARGED:
-                fetched = graph.candidate_pool(anchor_vertex, step.anchor_is_src, label)
-                if pool is None:
-                    self.candidates_scanned += len(fetched)
-                pool = pools[anchor_vertex] = fetched
-        else:
-            pool = graph.candidate_pool(anchor_vertex, step.anchor_is_src, label)
-            self.candidates_scanned += len(pool)
-        n = len(pool)
-        column = step.debi_column
-        if n == 0:
-            result = _EMPTY_CANDIDATES
-        elif n < _VECTOR_CUTOFF:
-            pool_list = pool if isinstance(pool, list) else pool.tolist()
-            if column is None:
-                # Copy: the wildcard pool IS the live adjacency list, and
-                # the result may be memoised / handed to callers.
-                ids = list(pool_list)
-            else:
-                ids = self.debi.filter_candidates(pool_list, column)
-            result = (ids, graph.endpoint_list(ids, step.anchor_is_src))
-        else:
-            arr = pool if isinstance(pool, np.ndarray) else np.asarray(pool, dtype=np.int64)
-            hits = arr if column is None else arr[self.debi.column_mask(arr, column)]
-            endpoints = graph.endpoint_array(hits, step.anchor_is_src)
-            result = (hits.tolist(), endpoints.tolist())
-        memo[key] = result
-        return result
 
     def _pool_label(self, step: ExtensionStep) -> int | None:
         """The adjacency partition a step's pool comes from (None = combined list)."""
@@ -194,7 +119,7 @@ class EnumerationContext:
     def get_candidate_pools(
         self, step: ExtensionStep, anchors: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The columnar kernel's fetch: every anchor's candidates in one call.
+        """The kernel's fetch: every anchor's candidates in one call.
 
         ``anchors`` are the step's distinct anchor vertices in ascending
         order.  Returns ``(flat_ids, flat_verts, sizes)``: the DEBI-filtered
@@ -203,11 +128,10 @@ class EnumerationContext:
         anchor.  One ``candidate_pools``, one ``column_mask`` and one
         ``endpoint_array`` call serve the whole step.
 
-        ``candidates_scanned`` is charged exactly as
-        :meth:`get_candidates_with_endpoints` would over the same anchors:
-        the raw pool size, once per ``(anchor, direction, column, label)``
-        per context, and with a live cross-query cache only for the first
-        context to reach ``(anchor, direction, label)``.
+        ``candidates_scanned`` is charged the raw pool size, once per
+        ``(anchor, direction, column, label)`` per context, and with a
+        live cross-query cache only for the first context to reach
+        ``(anchor, direction, label)``.
         """
         label = self._pool_label(step)
         ids, sizes = self.graph.candidate_pools(anchors, step.anchor_is_src, label)
@@ -227,9 +151,9 @@ class EnumerationContext:
         seen |= fresh
         shared = self._shared_pool_cache
         if shared is not None and fresh:
-            pools = shared.setdefault((step.anchor_is_src, label), {})
-            fresh = fresh.difference(pools)
-            pools.update(dict.fromkeys(fresh, _CHARGED))
+            paid = shared.setdefault((step.anchor_is_src, label), set())
+            fresh = fresh.difference(paid)
+            paid |= fresh
         if len(fresh) == anchors.size:
             self.candidates_scanned += int(sizes.sum())
         elif fresh:
@@ -254,71 +178,36 @@ class EnumerationContext:
         slot[slot == batch.size] = 0
         return batch[slot] == edge_ids
 
-    def verify_nte(
-        self,
-        query_edge_index: int,
-        node_map: dict[int, int],
-        mask: Mask,
-        used_edges: set[int],
-    ) -> list[int]:
-        """Witness edges for a query edge whose endpoints are both bound.
+    def edge_match_mask(self, q_edge: QueryEdge, edge_ids: np.ndarray) -> np.ndarray:
+        """``match_def.edge_matcher(q_edge, ·)`` over an edge-id array, as a bool mask.
 
-        Respects the duplicate-elimination mask (masked positions may only
-        use witnesses outside the current batch).  Returns at most one
-        witness unless the match definition binds witnesses explicitly.
+        The stock matcher is three label-column comparisons; a custom one
+        is asked once per distinct edge.
         """
-        q_edge = self.query.edge(query_edge_index)
-        return self.verify_witnesses(
-            q_edge, node_map[q_edge.src], node_map[q_edge.dst],
-            mask.is_masked(query_edge_index), used_edges,
-        )
+        graph = self.graph
+        if uses_default_edge_matcher(self.match_def):
+            src_labels, dst_labels = vertex_label_columns(
+                graph,
+                graph.endpoint_array(edge_ids, take_dst=False),
+                graph.endpoint_array(edge_ids, take_dst=True),
+            )
+            return default_edge_mask(
+                self.query, q_edge, src_labels, dst_labels, graph.edge_labels(edge_ids)
+            )
+        distinct, inverse = np.unique(edge_ids, return_inverse=True)
+        matcher = self.match_def.edge_matcher
+        return np.fromiter(
+            (matcher(self.query, graph, q_edge, graph.edge(e)) for e in distinct.tolist()),
+            dtype=bool,
+            count=distinct.shape[0],
+        )[inverse]
 
-    def verify_witnesses(
-        self, q_edge, v_src: int, v_dst: int, masked: bool, used_edges: set[int]
-    ) -> list[int]:
-        """Endpoint-based core of :meth:`verify_nte`.
-
-        Split out so the columnar kernel can verify a constraint for one
-        arena row without materialising a ``node_map`` dict; scanning and
-        counting are byte-identical to the tuple path by construction.
-        """
-        witnesses: list[int] = []
-        for eid in self.graph.find_edges(v_src, v_dst):
-            self.candidates_scanned += 1
-            if masked and eid in self.batch_edge_ids:
-                continue
-            if self.match_def.injective and eid in used_edges:
-                continue
-            record = self.graph.edge(eid)
-            if self.match_def.edge_matcher(self.query, self.graph, q_edge, record):
-                witnesses.append(eid)
-                if not self.match_def.bind_witnesses:
-                    break
-        return witnesses
-
-    def save_embedding(
-        self, node_map: dict[int, int], edge_map: dict[int, int], start_edge: int
-    ) -> Embedding:
-        """Materialise an embedding record (paper's ``saveEmbedding``)."""
-        self.embeddings_found += 1
-        return Embedding.build(node_map, edge_map, start_edge, positive=self.positive)
-
-    # ------------------------------------------------------------------ helpers
-    def has_non_batch_witness(self, query_edge_index: int, src_vertex: int, dst_vertex: int,
-                              exclude_edge: int) -> bool:
-        """Is the constraint already witnessed by an edge outside the batch?"""
-        q_edge = self.query.edge(query_edge_index)
-        for eid in self.graph.find_edges(src_vertex, dst_vertex):
-            if eid == exclude_edge or eid in self.batch_edge_ids:
-                continue
-            if self.match_def.edge_matcher(self.query, self.graph, q_edge, self.graph.edge(eid)):
-                return True
-        return False
-
-    def degree_ok(self, vertex: int, query_node: int) -> bool:
-        if self.degree_filter is None:
-            return True
-        return self.degree_filter(vertex, query_node)
+    def degree_mask(self, vertices: np.ndarray, query_node: int) -> np.ndarray:
+        """The f2/f3 degree filter over a vertex array: one evaluation per distinct vertex."""
+        values = vertices.tolist()
+        degree_ok = self.degree_filter
+        verdict = {v: degree_ok(v, query_node) for v in set(values)}
+        return np.fromiter(map(verdict.__getitem__, values), dtype=bool, count=len(values))
 
 
 def degree_requirements_ok(
@@ -397,7 +286,6 @@ class QueryState:
     use_degree_filter: bool = True
     out_requirements: dict = field(default_factory=dict)
     in_requirements: dict = field(default_factory=dict)
-    kernel: str = "columnar"
 
     @classmethod
     def build(
@@ -408,7 +296,6 @@ class QueryState:
         masks: MaskTable,
         match_def: MatchDefinition,
         use_degree_filter: bool,
-        kernel: str = "columnar",
     ) -> "QueryState":
         return cls(
             query=query,
@@ -419,7 +306,6 @@ class QueryState:
             use_degree_filter=use_degree_filter,
             out_requirements={u: query.out_label_requirement(u) for u in query.nodes()},
             in_requirements={u: query.in_label_requirement(u) for u in query.nodes()},
-            kernel=kernel,
         )
 
     def make_context(
@@ -449,7 +335,6 @@ class QueryState:
             positive=positive,
             degree_filter=degree_filter,
             shared_pool_cache=shared_pool_cache,
-            kernel=self.kernel,
             arena=arena,
         )
 
@@ -518,95 +403,6 @@ def decompose_batch(
         WorkUnit(edge_id, start_edge)
         for edge_id, start_edge in zip(ids[rows].tolist(), start_edges.tolist())
     ]
-
-
-# ---------------------------------------------------------------------- backtracking enumerator
-def backtracking_enumerate(context: EnumerationContext, unit: WorkUnit) -> Iterator[Embedding]:
-    """The default enumerator (the paper's Figure 4, generalised).
-
-    Pins ``unit.edge_id`` onto ``unit.start_edge``, then binds the
-    remaining query nodes following the cached matching order, consulting
-    DEBI for tree-edge candidates and verifying every other constraint
-    between bound nodes.  Injectivity, witness binding and the final
-    ``accept`` predicate come from the match definition.
-    """
-    query = context.query
-    graph = context.graph
-    match_def = context.match_def
-    order = context.orders[unit.start_edge]
-    mask = context.masks.mask_for(unit.start_edge)
-
-    record = graph.edge(unit.edge_id)
-    start_edge = query.edge(unit.start_edge)
-    if not match_def.edge_matcher(query, graph, start_edge, record):
-        return
-    if match_def.injective and start_edge.src != start_edge.dst and record.src == record.dst:
-        return
-    if start_edge.src == start_edge.dst and record.src != record.dst:
-        return
-
-    # Duplicate elimination for non-tree starts: the pinned constraint must
-    # not already be witnessed outside the batch (see repro.query.masking).
-    if mask.require_no_old_witness and context.has_non_batch_witness(
-        unit.start_edge, record.src, record.dst, exclude_edge=record.edge_id
-    ):
-        return
-
-    node_map: dict[int, int] = {start_edge.src: record.src, start_edge.dst: record.dst}
-    edge_map: dict[int, int] = {unit.start_edge: record.edge_id}
-
-    if not context.degree_ok(record.src, start_edge.src):
-        return
-    if not context.degree_ok(record.dst, start_edge.dst):
-        return
-
-    def verify_chain(verify_edges: tuple[int, ...], position: int, continuation):
-        if position == len(verify_edges):
-            yield from continuation()
-            return
-        q_index = verify_edges[position]
-        witnesses = context.verify_nte(q_index, node_map, mask, set(edge_map.values()))
-        if not witnesses:
-            return
-        if match_def.bind_witnesses:
-            for witness in witnesses:
-                edge_map[q_index] = witness
-                yield from verify_chain(verify_edges, position + 1, continuation)
-                del edge_map[q_index]
-        else:
-            yield from verify_chain(verify_edges, position + 1, continuation)
-
-    def extend(step_index: int):
-        if step_index == len(order.steps):
-            embedding = context.save_embedding(node_map, edge_map, unit.start_edge)
-            if match_def.accept(context, embedding):
-                yield embedding
-            else:
-                context.embeddings_found -= 1
-            return
-        step = order.steps[step_index]
-        anchor_vertex = node_map[step.anchor]
-        masked = mask.is_masked(step.tree_edge_index)
-        used_edges = set(edge_map.values())
-        cand_ids, cand_vertices = context.get_candidates_with_endpoints(step, anchor_vertex)
-        for eid, new_vertex in zip(cand_ids, cand_vertices):
-            if masked and eid in context.batch_edge_ids:
-                continue
-            if match_def.injective and eid in used_edges:
-                continue
-            if match_def.injective and new_vertex in node_map.values():
-                continue
-            if step.node == context.tree.root and not context.debi.is_root(new_vertex):
-                continue
-            if not context.degree_ok(new_vertex, step.node):
-                continue
-            node_map[step.node] = new_vertex
-            edge_map[step.tree_edge_index] = eid
-            yield from verify_chain(step.verify_edges, 0, lambda i=step_index: extend(i + 1))
-            del node_map[step.node]
-            del edge_map[step.tree_edge_index]
-
-    yield from verify_chain(order.start_verify_edges, 0, lambda: extend(0))
 
 
 # ---------------------------------------------------------------------- columnar kernel
@@ -685,22 +481,6 @@ class EmbeddingArena:
         self._back = 1 - self._back
 
 
-def columnar_supported(context: EnumerationContext) -> bool:
-    """May the columnar kernel replace the tuple path for this context?
-
-    The kernel reproduces exactly the *default* enumerate/accept
-    semantics without witness binding; anything customised falls back to
-    the reference path.
-    """
-    match_def = context.match_def
-    return (
-        context.kernel == "columnar"
-        and type(match_def).enumerate is MatchDefinition.enumerate
-        and type(match_def).accept is MatchDefinition.accept
-        and not match_def.bind_witnesses
-    )
-
-
 def extend_intersect(
     inv: np.ndarray,
     pool_ids: np.ndarray,
@@ -751,13 +531,13 @@ def _push_down(
     pool_verts: np.ndarray,
     pool_sizes: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Apply the tuple path's per-candidate predicates to the pool, before the join.
+    """Apply the per-candidate predicates to the pool, before the join.
 
     Batch masking, root candidacy and the f2/f3 degree filter read only
     the candidate edge or the vertex it binds, never the partial
     embedding, and none of them charges a counter — so filtering each
-    pool entry once rejects exactly the joined rows the tuple path
-    rejects one by one.
+    pool entry once rejects exactly the joined rows a row-at-a-time
+    enumerator rejects one by one.
     """
     keep: np.ndarray | None = None
     if masked:
@@ -765,15 +545,9 @@ def _push_down(
     if step.node == context.tree.root:
         is_root = context.debi.roots_mask(pool_verts)
         keep = is_root if keep is None else keep & is_root
-    degree_ok = context.degree_filter
-    if degree_ok is not None:
-        # One predicate evaluation per distinct vertex still standing.
-        node = step.node
+    if context.degree_filter is not None:
         verts = pool_verts if keep is None else pool_verts[keep]
-        uniq, inv = np.unique(verts, return_inverse=True)
-        allowed = np.fromiter(
-            (degree_ok(v, node) for v in uniq.tolist()), dtype=bool, count=uniq.shape[0]
-        )[inv]
+        allowed = context.degree_mask(verts, step.node)
         if keep is None:
             keep = allowed
         else:
@@ -783,28 +557,202 @@ def _push_down(
     return pool_ids[keep], pool_verts[keep], segment_counts(keep, pool_sizes)
 
 
+def _witness_candidates(
+    context: EnumerationContext,
+    q_edge: QueryEdge,
+    masked: bool,
+    srcs: np.ndarray,
+    dsts: np.ndarray,
+    used: Iterable[np.ndarray],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every data edge between the rows' bound endpoints, and which may witness ``q_edge``.
+
+    Row ``r`` has ``srcs[r]`` and ``dsts[r]`` bound to the query edge's
+    endpoints; ``used`` holds the edge ids the row may not reuse, one row
+    of it per bound edge slot (no rows when the match is not injective).
+    Returns ``(ids, rows, ok, sizes)``: row ``r`` owns ``sizes[r]``
+    consecutive entries of ``ids`` in ascending order, ``rows`` names each
+    entry's row and ``ok`` marks the entries that pass the batch mask, the
+    reuse check and the edge matcher.
+    """
+    ids, sizes = context.graph.find_edges_batch(srcs, dsts)
+    rows = np.repeat(np.arange(sizes.shape[0], dtype=np.int64), sizes)
+    ok = context.edge_match_mask(q_edge, ids)
+    if masked:
+        ok &= ~context.in_batch(ids)
+    for slot in used:
+        ok &= ids != slot[rows]
+    return ids, rows, ok, sizes
+
+
+class _Frontier:
+    """The live block of one start-edge group's partial embeddings, on an arena.
+
+    Column ``c`` of the arena's front block is one partial embedding:
+    ``nodes[i, c]`` is the data vertex bound to query node
+    ``node_slots[i]`` and ``edges[j, c]`` the data edge bound to query
+    edge ``edge_slots[j]``.  :meth:`take` is the only way the block
+    changes: it gathers a selection of columns into the back block,
+    optionally binds one more node and/or edge slot, and swaps.
+    """
+
+    __slots__ = ("arena", "n", "node_slots", "edge_slots")
+
+    def __init__(
+        self,
+        arena: EmbeddingArena,
+        query: QueryGraph,
+        start: QueryEdge,
+        srcs: np.ndarray,
+        dsts: np.ndarray,
+        edge_ids: np.ndarray,
+    ) -> None:
+        """Pin ``edge_ids`` (with endpoints ``srcs -> dsts``) onto the start edge."""
+        self.arena = arena
+        self.n = int(edge_ids.shape[0])
+        self.node_slots = [start.src] if start.src == start.dst else [start.src, start.dst]
+        self.edge_slots = [start.index]
+        arena.begin(query.num_nodes, query.num_edges)
+        arena.reserve(self.n)
+        nodes, edges = arena.back()
+        nodes[0, : self.n] = srcs
+        if start.src != start.dst:
+            nodes[1, : self.n] = dsts
+        edges[0, : self.n] = edge_ids
+        arena.swap()
+
+    @property
+    def start_edge(self) -> int:
+        return self.edge_slots[0]
+
+    @property
+    def nodes(self) -> np.ndarray:
+        """The bound vertex rows, ``(len(node_slots), n)``."""
+        return self.arena.front()[0][: len(self.node_slots), : self.n]
+
+    @property
+    def edges(self) -> np.ndarray:
+        """The bound edge rows, ``(len(edge_slots), n)``."""
+        return self.arena.front()[1][: len(self.edge_slots), : self.n]
+
+    def node(self, query_node: int) -> np.ndarray:
+        return self.nodes[self.node_slots.index(query_node)]
+
+    def take(
+        self,
+        columns: np.ndarray,
+        node: tuple[int, np.ndarray] | None = None,
+        edge: tuple[int, np.ndarray] | None = None,
+    ) -> None:
+        """Keep ``columns`` (repeats fan a column out) and bind the given new slots."""
+        nodes_f, edges_f = self.nodes, self.edges
+        m = int(columns.shape[0])
+        self.arena.reserve(m)
+        nodes_b, edges_b = self.arena.back()
+        for slot, row in enumerate(nodes_f):
+            np.take(row, columns, out=nodes_b[slot, :m])
+        for slot, row in enumerate(edges_f):
+            np.take(row, columns, out=edges_b[slot, :m])
+        if node is not None:
+            nodes_b[len(self.node_slots), :m] = node[1]
+            self.node_slots.append(node[0])
+        if edge is not None:
+            edges_b[len(self.edge_slots), :m] = edge[1]
+            self.edge_slots.append(edge[0])
+        self.arena.swap()
+        self.n = m
+
+
+def _verify(context: EnumerationContext, frontier: _Frontier, q_indexes: Iterable[int]) -> None:
+    """Check (or bind) the query edges ``q_indexes``, whose endpoints every row has bound.
+
+    One witness lookup per query edge for the whole block.  Without
+    witness binding a row survives when some data edge witnesses the
+    constraint; with it the row fans out, one column per witness, and the
+    witness fills the query edge's slot.  ``candidates_scanned`` grows as
+    a front-to-back scan of each row's run would: up to and including the
+    first witness, or the whole run when there is none or all are bound.
+    """
+    match_def = context.match_def
+    mask = context.masks.mask_for(frontier.start_edge)
+    for q_index in q_indexes:
+        if frontier.n == 0:
+            return
+        q_edge = context.query.edge(q_index)
+        ids, rows, ok, sizes = _witness_candidates(
+            context,
+            q_edge,
+            mask.is_masked(q_index),
+            frontier.node(q_edge.src),
+            frontier.node(q_edge.dst),
+            frontier.edges if match_def.injective else (),
+        )
+        hits = np.flatnonzero(ok)
+        context.candidates_scanned += int(ids.shape[0])
+        if match_def.bind_witnesses:
+            frontier.take(rows[hits], edge=(q_index, ids[hits]))
+            continue
+        hit_rows = rows[hits]
+        first = np.ones(hits.shape[0], dtype=bool)
+        first[1:] = hit_rows[1:] != hit_rows[:-1]
+        hits, hit_rows = hits[first], hit_rows[first]
+        # what lies behind a row's first witness is never read
+        context.candidates_scanned -= int((np.cumsum(sizes)[hit_rows] - 1 - hits).sum())
+        if hit_rows.shape[0] < frontier.n:
+            frontier.take(hit_rows)
+
+
+def _decode(frontier: _Frontier, positive: bool) -> list[Embedding]:
+    """One :class:`Embedding` per column of a finished block."""
+    node_cols = sorted(zip(frontier.node_slots, frontier.nodes.tolist()))
+    edge_cols = sorted(zip(frontier.edge_slots, frontier.edges.tolist()))
+    start_edge = frontier.start_edge
+    return [
+        Embedding(
+            node_map=tuple((q, col[r]) for q, col in node_cols),
+            edge_map=tuple((q, col[r]) for q, col in edge_cols),
+            start_edge=start_edge,
+            positive=positive,
+        )
+        for r in range(frontier.n)
+    ]
+
+
 def _columnar_run(
     context: EnumerationContext,
     units: list[WorkUnit],
     emit,
     arena: "EmbeddingArena | None" = None,
 ) -> None:
-    """Drive the columnar kernel over ``units``, calling ``emit`` per group.
+    """Drive the kernel over ``units``, calling ``emit`` per start-edge group.
 
-    ``emit(start_edge, node_slots, edge_slots, nodes, edges, n)`` receives
-    the completed embeddings of one start-edge group as arena views:
-    ``nodes[i, :n]`` is the data vertex bound to query node
-    ``node_slots[i]``, likewise for edges.  Semantics — which candidates
-    are fetched, which rows reach a verify scan, every counter increment —
-    mirror :func:`backtracking_enumerate` exactly.  What differs is where
-    the chargeless predicates run (on the pool, before the join; see
-    :func:`_push_down`) and the order embeddings come out in
-    (breadth-first over the arena instead of depth-first recursion).
+    ``emit(frontier, decoded)`` receives the completed embeddings of one
+    group as a :class:`_Frontier` over arena views — ``frontier.nodes[i]``
+    is the data vertex bound to query node ``frontier.node_slots[i]`` in
+    every embedding, likewise for edges — valid until it returns.  ``decoded``
+    is the same block as :class:`Embedding` records when the kernel had to
+    build them (an overridden ``accept``), else None.
+
+    ``units`` are :func:`decompose_batch`'s: each unit's data edge already
+    satisfies the edge matcher for its start edge (and, for a tree edge,
+    has its DEBI bit).  Per group: pin the unit edges onto the start
+    edge, verify the other query edges between its endpoints, then per
+    matching-order step fetch the candidates of every distinct anchor at
+    once, filter them (:func:`_push_down`), join
+    (:func:`extend_intersect`) and verify the query edges the new node
+    closes.  Predicates that charge no counter run wherever a whole
+    column can be tested at once; the charging ones (pool fetches, witness
+    scans) see exactly the rows a row-at-a-time backtracking enumerator
+    would bring to them, so ``candidates_scanned`` equals that
+    enumerator's to the digit (``tests/reference``).
     """
     query = context.query
     graph = context.graph
     match_def = context.match_def
     injective = match_def.injective
+    bind = match_def.bind_witnesses
+    # An overridden accept is the one slow path: it needs Embedding records.
+    custom_accept = type(match_def).accept is not MatchDefinition.accept
     if arena is None:
         arena = context.arena if context.arena is not None else EmbeddingArena(capacity=256)
     arena.batches_served += 1
@@ -819,182 +767,59 @@ def _columnar_run(
         q_start = query.edge(start_edge)
         self_loop_query = q_start.src == q_start.dst
 
-        # -- start pinning.  The shape predicate (self-loop agreement) is
-        # evaluated as one vectorized mask over batched endpoint gathers,
-        # and the f2/f3 degree checks run once per *unique* endpoint
-        # instead of once per unit; both are chargeless predicates, so
-        # reordering them around the equally chargeless edge_matcher /
-        # has_non_batch_witness keeps the set of rows reaching each
-        # charging verify_witnesses call — and with it every counter —
-        # identical to the tuple path.
-        eids_arr = np.asarray(edge_ids, dtype=np.int64)
-        srcs_arr = graph.endpoint_array(eids_arr, False)
-        dsts_arr = graph.endpoint_array(eids_arr, True)
-        loops = srcs_arr == dsts_arr
+        # -- start pinning: every predicate here is chargeless, so each is
+        # one mask over the group's unit edges.
+        eids = np.asarray(edge_ids, dtype=np.int64)
+        srcs = graph.endpoint_array(eids, False)
+        dsts = graph.endpoint_array(eids, True)
         if self_loop_query:
-            shape_ok = loops
+            keep = srcs == dsts
         elif injective:
-            shape_ok = ~loops
+            keep = srcs != dsts
         else:
-            shape_ok = np.ones(eids_arr.size, dtype=bool)
-        src_list = srcs_arr.tolist()
-        dst_list = dsts_arr.tolist()
-
-        survivors: list[int] = []
-        for i in np.nonzero(shape_ok)[0].tolist():
-            eid = edge_ids[i]
-            if not match_def.edge_matcher(query, graph, q_start, graph.edge(eid)):
-                continue
-            if mask.require_no_old_witness and context.has_non_batch_witness(
-                start_edge, src_list[i], dst_list[i], exclude_edge=eid
-            ):
-                continue
-            survivors.append(i)
-
-        if survivors and context.degree_filter is not None:
-            # Memoised per (vertex, query node); deduplicating first makes
-            # the batch pay one predicate evaluation per distinct endpoint.
-            src_allowed = {
-                v: context.degree_ok(v, q_start.src)
-                for v in {src_list[i] for i in survivors}
-            }
-            dst_allowed = {
-                v: context.degree_ok(v, q_start.dst)
-                for v in {dst_list[i] for i in survivors}
-            }
-            survivors = [
-                i for i in survivors
-                if src_allowed[src_list[i]] and dst_allowed[dst_list[i]]
-            ]
-
-        start_specs = [
-            (
-                query.edge(q_index),
-                mask.is_masked(q_index),
-                query.edge(q_index).src == q_start.src,
-                query.edge(q_index).dst == q_start.src,
+            keep = np.ones(eids.shape[0], dtype=bool)
+        if mask.require_no_old_witness and not bind:
+            # The pinned constraint already held before the batch: the node
+            # mapping is not new (or, on deletes, not destroyed).
+            _, rows, ok, _ = _witness_candidates(context, q_start, True, srcs, dsts, ())
+            keep[rows[ok]] = False
+        if context.degree_filter is not None:
+            pinned = np.flatnonzero(keep)
+            keep[pinned] = context.degree_mask(srcs[pinned], q_start.src) & context.degree_mask(
+                dsts[pinned], q_start.dst
             )
-            for q_index in order.start_verify_edges
-        ]
-        pinned_src: list[int] = []
-        pinned_dst: list[int] = []
-        pinned_eid: list[int] = []
-        for i in survivors:
-            eid = edge_ids[i]
-            if start_specs:
-                ok = True
-                for q_edge, q_masked, src_is_start_src, dst_is_start_src in start_specs:
-                    v_src = src_list[i] if src_is_start_src else dst_list[i]
-                    v_dst = src_list[i] if dst_is_start_src else dst_list[i]
-                    if not context.verify_witnesses(
-                        q_edge, v_src, v_dst, q_masked, {eid}
-                    ):
-                        ok = False
-                        break
-                if not ok:
-                    continue
-            pinned_src.append(src_list[i])
-            pinned_dst.append(dst_list[i])
-            pinned_eid.append(eid)
-
-        n_live = len(pinned_eid)
-        if n_live == 0:
+        if not keep.any():
             continue
-
-        node_slots = [q_start.src] if self_loop_query else [q_start.src, q_start.dst]
-        edge_slots = [start_edge] + [st.tree_edge_index for st in order.steps]
-        slot_of = {node: i for i, node in enumerate(node_slots)}
-        total_node_slots = len(node_slots) + len(order.steps)
-
-        arena.begin(total_node_slots, len(edge_slots))
-        arena.reserve(n_live)
-        nodes_b, edges_b = arena.back()
-        nodes_b[0, :n_live] = pinned_src
-        if not self_loop_query:
-            nodes_b[1, :n_live] = pinned_dst
-        edges_b[0, :n_live] = pinned_eid
-        arena.swap()
-        bound_nodes = len(node_slots)
-        bound_edges = 1
-
+        frontier = _Frontier(arena, query, q_start, srcs[keep], dsts[keep], eids[keep])
+        _verify(context, frontier, order.start_verify_edges)
         for step in order.steps:
-            nodes_f, edges_f = arena.front()
-            anchors = nodes_f[slot_of[step.anchor], :n_live]
-            uniq, inv = np.unique(anchors, return_inverse=True)
+            if frontier.n == 0:
+                break
+            uniq, inv = np.unique(frontier.node(step.anchor), return_inverse=True)
             pool = context.get_candidate_pools(step, uniq)
             pool_ids, pool_verts, pool_sizes = _push_down(
                 context, step, mask.is_masked(step.tree_edge_index), *pool
             )
+            nodes = frontier.nodes
             parents, cand_ids, cand_verts = extend_intersect(
-                inv, pool_ids, pool_verts, pool_sizes,
-                nodes_f[: bound_nodes if injective else 0, :n_live],
+                inv, pool_ids, pool_verts, pool_sizes, nodes if injective else nodes[:0]
             )
-            m = parents.size
-            if m == 0:
-                n_live = 0
-                break
-            arena.reserve(m)
-            nodes_b, edges_b = arena.back()
-            for s in range(bound_nodes):
-                np.take(nodes_f[s, :n_live], parents, out=nodes_b[s, :m])
-            nodes_b[bound_nodes, :m] = cand_verts
-            for s in range(bound_edges):
-                np.take(edges_f[s, :n_live], parents, out=edges_b[s, :m])
-            edges_b[bound_edges, :m] = cand_ids
-            arena.swap()
-            node_slots.append(step.node)
-            slot_of[step.node] = bound_nodes
-            bound_nodes += 1
-            bound_edges += 1
-            n_live = m
+            frontier.take(
+                parents, node=(step.node, cand_verts), edge=(step.tree_edge_index, cand_ids)
+            )
+            _verify(context, frontier, step.verify_edges)
 
-            if step.verify_edges and n_live:
-                nodes_f, edges_f = arena.front()
-                # Bulk-gather the columns the scan reads — per-spec endpoint
-                # rows and the used-edge matrix transposed to row-major —
-                # as Python ints up front, so the remaining per-row work is
-                # only the (charging) witness scans themselves.
-                verify_specs = [
-                    (
-                        query.edge(qi),
-                        mask.is_masked(qi),
-                        nodes_f[slot_of[query.edge(qi).src], :n_live].tolist(),
-                        nodes_f[slot_of[query.edge(qi).dst], :n_live].tolist(),
-                    )
-                    for qi in step.verify_edges
-                ]
-                used_rows = edges_f[:bound_edges, :n_live].T.tolist()
-                keep_rows = np.ones(n_live, dtype=bool)
-                any_removed = False
-                for r in range(n_live):
-                    used = set(used_rows[r])
-                    for q_edge, q_masked, row_srcs, row_dsts in verify_specs:
-                        if not context.verify_witnesses(
-                            q_edge, row_srcs[r], row_dsts[r], q_masked, used,
-                        ):
-                            keep_rows[r] = False
-                            any_removed = True
-                            break
-                if any_removed:
-                    surv = np.nonzero(keep_rows)[0]
-                    m = surv.size
-                    if m == 0:
-                        n_live = 0
-                        break
-                    arena.reserve(m)
-                    nodes_b, edges_b = arena.back()
-                    for s in range(bound_nodes):
-                        np.take(nodes_f[s, :n_live], surv, out=nodes_b[s, :m])
-                    for s in range(bound_edges):
-                        np.take(edges_f[s, :n_live], surv, out=edges_b[s, :m])
-                    arena.swap()
-                    n_live = m
-
-        if n_live == 0:
+        decoded = None
+        if custom_accept and frontier.n:
+            decoded = _decode(frontier, context.positive)
+            accepted = [match_def.accept(context, embedding) for embedding in decoded]
+            if not all(accepted):
+                frontier.take(np.flatnonzero(accepted))
+                decoded = [e for e, ok in zip(decoded, accepted) if ok]
+        if frontier.n == 0:
             continue
-        context.embeddings_found += n_live
-        nodes_f, edges_f = arena.front()
-        emit(start_edge, node_slots, edge_slots, nodes_f, edges_f, n_live)
+        context.embeddings_found += frontier.n
+        emit(frontier, decoded)
 
 
 def columnar_enumerate(
@@ -1003,34 +828,19 @@ def columnar_enumerate(
     collect: bool = True,
     arena: "EmbeddingArena | None" = None,
 ) -> tuple[list[Embedding], int]:
-    """Run ``units`` through the columnar kernel; return ``(embeddings, count)``.
+    """Run ``units`` through the kernel; return ``(embeddings, count)``.
 
-    With ``collect=False`` no :class:`Embedding` objects are built at all
-    (the caller only wants counts — the harness's default), which is
-    where most of the kernel's single-thread win over the tuple path
-    comes from on count-only workloads.
+    With ``collect=False`` no :class:`Embedding` objects are built (the
+    caller only wants counts — the harness's default) unless an
+    overridden ``accept`` needs them.
     """
     results: list[Embedding] = []
     counts = [0]
 
-    def emit(start_edge, node_slots, edge_slots, nodes, edges, n):
-        counts[0] += n
-        if not collect:
-            return
-        node_order = sorted(range(len(node_slots)), key=node_slots.__getitem__)
-        edge_order = sorted(range(len(edge_slots)), key=edge_slots.__getitem__)
-        node_cols = [(node_slots[j], nodes[j, :n].tolist()) for j in node_order]
-        edge_cols = [(edge_slots[j], edges[j, :n].tolist()) for j in edge_order]
-        positive = context.positive
-        for r in range(n):
-            results.append(
-                Embedding(
-                    node_map=tuple((q, col[r]) for q, col in node_cols),
-                    edge_map=tuple((q, col[r]) for q, col in edge_cols),
-                    start_edge=start_edge,
-                    positive=positive,
-                )
-            )
+    def emit(frontier, decoded):
+        counts[0] += frontier.n
+        if collect:
+            results.extend(_decode(frontier, context.positive) if decoded is None else decoded)
 
     _columnar_run(context, units, emit, arena=arena)
     return results, counts[0]
@@ -1046,29 +856,32 @@ def columnar_enumerate_packed(
     The layout per embedding is the one :mod:`repro.core.parallel` ships
     over the pool pipes — ``[start_edge, n_node_pairs, n_edge_pairs,
     (qnode, vertex)* sorted, (qedge, eid)* sorted]`` — assembled straight
-    from the arena columns, so the process backend's separate pack step
-    disappears for kernel-eligible chunks.
+    from the arena columns, so pool workers never build per-embedding
+    objects for it.
     """
     parts: list[np.ndarray] = []
     counts = [0]
 
-    def emit(start_edge, node_slots, edge_slots, nodes, edges, n):
+    def emit(frontier, decoded):
+        n = frontier.n
         counts[0] += n
+        node_slots, edge_slots = frontier.node_slots, frontier.edge_slots
+        nodes, edges = frontier.nodes, frontier.edges
         n_nodes = len(node_slots)
         n_edges = len(edge_slots)
         width = 3 + 2 * n_nodes + 2 * n_edges
         block = np.empty((n, width), dtype=np.int64)
-        block[:, 0] = start_edge
+        block[:, 0] = frontier.start_edge
         block[:, 1] = n_nodes
         block[:, 2] = n_edges
         col = 3
         for j in sorted(range(n_nodes), key=node_slots.__getitem__):
             block[:, col] = node_slots[j]
-            block[:, col + 1] = nodes[j, :n]
+            block[:, col + 1] = nodes[j]
             col += 2
         for j in sorted(range(n_edges), key=edge_slots.__getitem__):
             block[:, col] = edge_slots[j]
-            block[:, col + 1] = edges[j, :n]
+            block[:, col + 1] = edges[j]
             col += 2
         parts.append(block.reshape(-1))
 

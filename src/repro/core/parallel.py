@@ -5,17 +5,11 @@ Embedding enumeration is embarrassingly parallel across work units
 scheme: fine-grained units + dynamic pulling give good load balance on
 power-law graphs where a few units dominate.
 
-Three backends are provided:
+Two backends are provided:
 
 ``serial``
-    Run units in order on the calling thread (baseline, deterministic).
-
-``thread``
-    A pool of Python threads pulling units from a shared queue.  This is
-    the faithful reproduction of the paper's OpenMP dynamic scheduling,
-    but wall-clock speedup is bounded by the GIL for this pure-Python
-    enumerator; the per-worker busy-time statistics (Figure 7) remain
-    meaningful because they measure scheduling balance, not the GIL.
+    Run the batch's units as one kernel call on the calling thread
+    (baseline, deterministic).
 
 ``process``
     A *persistent* pool of worker processes over a shared-memory
@@ -23,22 +17,25 @@ Three backends are provided:
     batch the engine publishes the graph (as flat CSR arrays) and DEBI
     (as raw bit buffers) into a ``multiprocessing.shared_memory``
     segment, and only compact work-unit descriptors and packed embedding
-    arrays cross the pipes.  This is the backend that shows real
-    multi-core speedup in Python (Figure 13).  When the pool cannot be
-    spawned the engine enumerates serially; a pool that breaks mid-run is
-    respawned or degraded by the supervisor (see ``docs/parallelism.md``).
+    arrays cross the pipes.  When the pool cannot be spawned the engine
+    enumerates serially; a pool that breaks mid-run is respawned or
+    degraded by the supervisor (see ``docs/parallelism.md``).
+
+There is no thread backend: the kernel is a sequence of short numpy
+calls, so Python threads convoy on the GIL and every measured thread
+count ran at 0.90-0.96x of ``serial``.  One returns only with a
+GIL-releasing kernel step and a measured win (ROADMAP item 2).
 """
 
 from __future__ import annotations
 
 import queue
 import signal as signal_module
-import threading
 import time
 import traceback
 import warnings
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 from repro.core.shared_snapshot import (
     SharedSnapshotWriter,
@@ -63,31 +60,25 @@ class ParallelConfig:
     Attributes
     ----------
     backend:
-        One of ``"serial"``, ``"thread"`` or ``"process"``.
+        ``"serial"`` or ``"process"``.
 
-        * ``"serial"`` (default) runs units in order on the calling
-          thread — deterministic, zero overhead, the right choice for
-          small batches and for debugging.
-        * ``"thread"`` reproduces the paper's OpenMP dynamic scheduling
-          with Python threads.  Its worker-balance statistics (Figure 7)
-          are meaningful, but the GIL bounds wall-clock speedup near 1x
-          for this pure-Python enumerator.
-        * ``"process"`` uses the persistent shared-memory worker pool and
-          is the only backend that turns extra cores into wall-clock
-          speedup (Figure 13).  Worth it once per-batch enumeration time
-          dominates the per-batch publication cost (roughly: thousands of
-          work units or embeddings per batch).
+        * ``"serial"`` (default) runs each batch's units as one kernel
+          call on the calling thread — deterministic, zero overhead, and
+          on every workload measured so far the fastest.
+        * ``"process"`` uses the persistent shared-memory worker pool.
+          It pays one snapshot publication per batch, so it can only win
+          once per-batch enumeration time dominates that cost (roughly:
+          thousands of work units or embeddings per batch).
     num_workers:
-        Number of workers for the thread / process backends.  ``1``
-        always degenerates to the serial path.  More workers than
-        physical cores does not help the process backend.
+        Number of pool workers for the process backend.  ``1`` always
+        degenerates to the serial path.  More workers than physical
+        cores does not help.
     chunk_size:
         Work units per task message for the process backend.  Chunks are
         pulled dynamically, so smaller chunks improve load balance on
         skewed (power-law) unit costs while larger chunks amortise the
         per-message queue overhead; the default suits batches of a few
-        hundred to a few thousand units.  Ignored by the serial and
-        thread backends (threads pull single units).
+        hundred to a few thousand units.  Ignored by the serial backend.
     """
 
     backend: str = "serial"
@@ -96,9 +87,10 @@ class ParallelConfig:
     chunk_size: int = 64
 
     def __post_init__(self) -> None:
-        if self.backend not in ("serial", "thread", "process"):
+        if self.backend not in ("serial", "process"):
             raise ConfigurationError(
-                f"backend must be 'serial', 'thread' or 'process', got {self.backend!r}"
+                f"backend must be 'serial' or 'process', got {self.backend!r} "
+                "(the thread backend ran the same single kernel call as 'serial'; use that)"
             )
         check_positive(self.num_workers, "num_workers")
         check_positive(self.chunk_size, "chunk_size")
@@ -159,115 +151,27 @@ class EnumerationOutcome:
 
 
 # ---------------------------------------------------------------------- serial backend
-def _run_serial(
+def run_serial(
     context: "EnumerationContext", units: list["WorkUnit"], collect: bool = True
 ) -> EnumerationOutcome:
-    from repro.core.enumeration import columnar_enumerate, columnar_supported
+    """Enumerate ``units`` with one kernel call in the calling process.
+
+    The whole unit list runs through one batched kernel invocation;
+    per-unit busy intervals would be fiction, so the batch is one
+    interval and every unit counts as processed.
+    """
+    from repro.core.enumeration import columnar_enumerate
 
     stats = WorkerStats(worker_id=0)
     start = time.perf_counter()
-    if columnar_supported(context):
-        # The whole unit list runs through one batched kernel invocation;
-        # per-unit busy intervals would be fiction, so the batch is one
-        # interval and every unit counts as processed.
-        embeddings, found = columnar_enumerate(context, units, collect=collect)
-        wall = time.perf_counter() - start
-        stats.units_processed = len(units)
-        stats.embeddings_found = found
-        stats.busy_seconds = wall
-        if units:
-            stats.busy_intervals.append((0.0, wall))
-        return EnumerationOutcome(embeddings, [stats], wall, num_embeddings=found)
-    embeddings = []
-    for unit in units:
-        unit_start = time.perf_counter()
-        produced = list(context.match_def.enumerate(context, unit))
-        unit_end = time.perf_counter()
-        embeddings.extend(produced)
-        stats.units_processed += 1
-        stats.embeddings_found += len(produced)
-        stats.busy_seconds += unit_end - unit_start
-        stats.busy_intervals.append((unit_start - start, unit_end - start))
+    embeddings, found = columnar_enumerate(context, units, collect=collect)
     wall = time.perf_counter() - start
-    return EnumerationOutcome(embeddings, [stats], wall)
-
-
-# ---------------------------------------------------------------------- thread backend
-def _run_threads(
-    context: "EnumerationContext",
-    units: list["WorkUnit"],
-    num_workers: int,
-    collect: bool = True,
-) -> EnumerationOutcome:
-    from repro.core.enumeration import columnar_enumerate, columnar_supported
-
-    if columnar_supported(context):
-        # Worker threads cannot speed the kernel up — the GIL serialises
-        # them — and measurably slow it down: the kernel's many short
-        # numpy steps each release and reacquire the GIL, so two threads
-        # convoy on the lock and the batch runs several times *slower*
-        # than serial.  One whole-batch kernel call on the calling thread
-        # is strictly better, so the thread backend degenerates to it.
-        # The per-unit fault hook still fires on the same schedule, so
-        # chaos plans targeting this backend behave unchanged.
-        stats = WorkerStats(worker_id=0)
-        start = time.perf_counter()
-        for _ in units:
-            fault_injection.thread_unit()
-        embeddings, found = columnar_enumerate(context, units, collect=collect)
-        wall = time.perf_counter() - start
-        stats.units_processed = len(units)
-        stats.embeddings_found = found
-        stats.busy_seconds = wall
-        if units:
-            stats.busy_intervals.append((0.0, wall))
-        return EnumerationOutcome(embeddings, [stats], wall, num_embeddings=found)
-
-    work: "queue.SimpleQueue[WorkUnit | None]" = queue.SimpleQueue()
-    for unit in units:
-        work.put(unit)
-    for _ in range(num_workers):
-        work.put(None)
-
-    results: list[list["Embedding"]] = [[] for _ in range(num_workers)]
-    stats = [WorkerStats(worker_id=i) for i in range(num_workers)]
-    failures: list[BaseException] = []
-    start = time.perf_counter()
-
-    def worker(worker_id: int) -> None:
-        local = results[worker_id]
-        st = stats[worker_id]
-        while True:
-            unit = work.get()
-            if unit is None:
-                return
-            try:
-                fault_injection.thread_unit()
-                unit_start = time.perf_counter()
-                produced = list(context.match_def.enumerate(context, unit))
-                unit_end = time.perf_counter()
-            except BaseException as exc:
-                # A dying thread must not silently swallow its units: record
-                # the failure so the caller can re-raise instead of
-                # returning a partial (and wrong) result set.
-                failures.append(exc)
-                return
-            local.extend(produced)
-            st.units_processed += 1
-            st.embeddings_found += len(produced)
-            st.busy_seconds += unit_end - unit_start
-            st.busy_intervals.append((unit_start - start, unit_end - start))
-
-    threads = [threading.Thread(target=worker, args=(i,), daemon=True) for i in range(num_workers)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    if failures:
-        raise failures[0]
-    wall = time.perf_counter() - start
-    embeddings = [e for bucket in results for e in bucket]
-    return EnumerationOutcome(embeddings, stats, wall)
+    stats.units_processed = len(units)
+    stats.embeddings_found = found
+    stats.busy_seconds = wall
+    if units:
+        stats.busy_intervals.append((0.0, wall))
+    return EnumerationOutcome(embeddings, [stats], wall, num_embeddings=found)
 
 
 # ---------------------------------------------------------------------- shared-memory pool
@@ -386,30 +290,14 @@ class DrainedEpoch:
     escaped: "dict[int, list[WorkUnit]]" = field(default_factory=dict)
 
 
-def _pack_embeddings(embeddings: list["Embedding"]) -> "np.ndarray":
-    """Pack embeddings into one flat int64 array for cheap IPC.
+def _unpack_embeddings(packed, positive: bool) -> list["Embedding"]:
+    """Rebuild :class:`Embedding` records from a packed int64 array.
 
-    Layout per embedding:
+    Layout per embedding (written by ``columnar_enumerate_packed``):
     ``[start_edge, n_node_pairs, n_edge_pairs, (qnode, vertex)*, (qedge, eid)*]``.
     Pickling one numpy array is a single buffer copy, versus one object
     graph walk per embedding for lists of tuples.
     """
-    import numpy as np
-
-    flat: list[int] = []
-    for e in embeddings:
-        flat.append(e.start_edge)
-        flat.append(len(e.node_map))
-        flat.append(len(e.edge_map))
-        for pair in e.node_map:
-            flat.extend(pair)
-        for pair in e.edge_map:
-            flat.extend(pair)
-    return np.array(flat, dtype=np.int64)
-
-
-def _unpack_embeddings(packed, positive: bool) -> list["Embedding"]:
-    """Rebuild :class:`Embedding` records from a packed int64 array."""
     from repro.core.results import Embedding
 
     data = packed.tolist()
@@ -456,7 +344,6 @@ def _pool_worker_main(
         WorkUnit,
         columnar_enumerate,
         columnar_enumerate_packed,
-        columnar_supported,
     )
     from repro.core.sharding import CrossShardAccess, ShardGuardView
 
@@ -516,38 +403,27 @@ def _pool_worker_main(
                     contexts[query_id] = context
                 scanned_before = context.candidates_scanned
                 chunk_start = time.perf_counter()
-                if columnar_supported(context):
+                # Fault injection fires per unit so chaos tests can aim at
+                # a schedule point inside the chunk.
+                units = []
+                for edge_id, start_edge in chunk.tolist():
+                    fault_injection.worker_unit(worker_id)
+                    units.append(WorkUnit(edge_id, start_edge))
+                arena = arenas.get(query_id)
+                if arena is None:
+                    arena = arenas[query_id] = EmbeddingArena()
+                if collect:
                     # The kernel emits the packed IPC layout straight from
-                    # the arena — the tuple path's separate pack step is
-                    # gone.  Fault injection still fires per unit so chaos
-                    # tests exercise the same schedule points.
-                    units = []
-                    for edge_id, start_edge in chunk.tolist():
-                        fault_injection.worker_unit(worker_id)
-                        units.append(WorkUnit(edge_id, start_edge))
-                    arena = arenas.get(query_id)
-                    if arena is None:
-                        arena = arenas[query_id] = EmbeddingArena()
-                    if collect:
-                        payload, n_found = columnar_enumerate_packed(
-                            context, units, arena=arena
-                        )
-                    else:
-                        payload = None
-                        _, n_found = columnar_enumerate(
-                            context, units, collect=False, arena=arena
-                        )
-                    chunk_end = time.perf_counter()
+                    # the arena.
+                    payload, n_found = columnar_enumerate_packed(
+                        context, units, arena=arena
+                    )
                 else:
-                    embeddings: list["Embedding"] = []
-                    for edge_id, start_edge in chunk.tolist():
-                        fault_injection.worker_unit(worker_id)
-                        embeddings.extend(
-                            context.match_def.enumerate(context, WorkUnit(edge_id, start_edge))
-                        )
-                    chunk_end = time.perf_counter()
-                    n_found = len(embeddings)
-                    payload = _pack_embeddings(embeddings) if collect else None
+                    payload = None
+                    _, n_found = columnar_enumerate(
+                        context, units, collect=False, arena=arena
+                    )
+                chunk_end = time.perf_counter()
                 result_queue.put(fault_injection.worker_message((
                     "ok",
                     epoch,
@@ -1039,25 +915,3 @@ class SharedMemoryPool:
                 except Exception:  # pragma: no cover - queue already torn down
                     pass
         self._writer.close()
-
-
-# ---------------------------------------------------------------------- dispatcher
-def run_enumeration(
-    context: "EnumerationContext",
-    units: Iterable["WorkUnit"],
-    config: ParallelConfig,
-    collect: bool = True,
-) -> EnumerationOutcome:
-    """Enumerate every unit in the calling process.
-
-    Threads when the thread backend is configured, otherwise serially:
-    the process backend's pool is driven through ``dispatch``/``drain``
-    by :class:`~repro.core.pipeline.BatchPipeline`, and without a pool
-    it enumerates serially too.
-    """
-    unit_list = list(units)
-    if not unit_list:
-        return EnumerationOutcome([], [], 0.0)
-    if config.backend == "thread" and config.num_workers > 1:
-        return _run_threads(context, unit_list, config.num_workers, collect=collect)
-    return _run_serial(context, unit_list, collect=collect)

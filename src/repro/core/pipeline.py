@@ -64,8 +64,7 @@ from repro.core.parallel import (
     EnumerationOutcome,
     PoolBrokenError,
     SharedMemoryPool,
-    _run_serial,
-    _run_threads,
+    run_serial,
 )
 from repro.core.shared_snapshot import SnapshotAttachment
 from repro.utils.validation import ConfigurationError
@@ -118,19 +117,9 @@ class PipelineHost(Protocol):
         """
         ...
 
-    def pipeline_degraded_backend(self) -> str | None:
-        """None while healthy, else the degradation-ladder rung to run on
-        (``"thread"`` or ``"serial"``)."""
-        ...
-
     def pipeline_recovery_finished(self, redispatched: int, recovered: int) -> None:
         """Recovery accounting: epochs redispatched to a replacement pool
         vs recovered parent-side."""
-        ...
-
-    def pipeline_thread_backend_failed(self) -> None:
-        """The degraded thread backend also faulted; the host should step
-        down to serial."""
         ...
 
     def pipeline_batch_applied(self, batch: "CompletedBatch") -> None:
@@ -190,9 +179,8 @@ class CompletedBatch:
     #: epoch at delivery time (sealing happens in stream order)
     insert_events: "Sequence[StreamEvent]" = ()
     delete_events: "Sequence[StreamEvent]" = ()
-    #: the columnar decodes of the same events (when the batch ran through
-    #: the columnar ingest path) — durable engines seal the journal epoch
-    #: straight from these, skipping the per-event tuple walk
+    #: the columnar decodes of the same events — durable engines seal the
+    #: journal epoch straight from these, skipping the per-event tuple walk
     insert_columns: "object | None" = None
     delete_columns: "object | None" = None
 
@@ -272,13 +260,9 @@ class BatchPipeline:
         batch.insert_columns = self._decode_columns(True, insertions)
         batch.delete_columns = self._decode_columns(False, deletions)
         if insertions:
-            batch.insert_phase = self._run_insert_phase(
-                insertions, overlap=False, columns=batch.insert_columns
-            )
+            batch.insert_phase = self._run_insert_phase(batch.insert_columns, overlap=False)
         if deletions:
-            batch.delete_phase = self._run_delete_phase(
-                deletions, overlap=False, columns=batch.delete_columns
-            )
+            batch.delete_phase = self._run_delete_phase(deletions, overlap=False)
         return batch
 
     def run_stream(self, snapshots: Iterable["Snapshot"]) -> Iterator[CompletedBatch]:
@@ -308,21 +292,16 @@ class BatchPipeline:
                 first_arrival=snapshot.first_arrival,
                 insert_events=tuple(snapshot.insertions),
                 delete_events=tuple(snapshot.deletions),
+                # Sealed snapshots cache their own decode — reuse it so an
+                # ingest tier that already decoded (fan-out, journal) shares
+                # the arrays with the engine.
+                insert_columns=snapshot.insert_columns(),
+                delete_columns=snapshot.delete_columns(),
             )
-            # Sealed snapshots cache their own decode — reuse it so an
-            # ingest tier that already decoded (fan-out, journal) shares
-            # the arrays with the engine.
-            if self._columnar_enabled():
-                batch.insert_columns = snapshot.insert_columns()
-                batch.delete_columns = snapshot.delete_columns()
             if snapshot.insertions:
-                batch.insert_phase = self._run_insert_phase(
-                    snapshot.insertions, overlap=True, columns=batch.insert_columns
-                )
+                batch.insert_phase = self._run_insert_phase(batch.insert_columns, overlap=True)
             if snapshot.deletions:
-                batch.delete_phase = self._run_delete_phase(
-                    snapshot.deletions, overlap=True, columns=batch.delete_columns
-                )
+                batch.delete_phase = self._run_delete_phase(snapshot.deletions, overlap=True)
             self.host.pipeline_batch_applied(batch)
             inflight.append(batch)
             while inflight and inflight[0].complete:
@@ -348,24 +327,14 @@ class BatchPipeline:
             self._drain_oldest()
 
     # ------------------------------------------------------------------ columnar ingest
-    def _columnar_enabled(self) -> bool:
-        """Does the host want (and its graph support) the columnar ingest path?"""
-        graph = self.host.graph
-        return (
-            getattr(self.host.config, "ingest", "columnar") == "columnar"
-            and hasattr(graph, "apply_insert_columns")
-            and hasattr(graph, "apply_delete_columns")
-        )
+    @staticmethod
+    def _decode_columns(positive: bool, events: Sequence["StreamEvent"]):
+        """Decode one phase's events into :class:`EventColumns` (None without events).
 
-    def _decode_columns(self, positive: bool, events: Sequence["StreamEvent"]):
-        """Decode one phase's events into :class:`EventColumns`, or None.
-
-        None means the phase runs on the per-edge reference path (columnar
-        ingest disabled, no events, or an unsupported graph).  The decode
-        happens once per batch; the graph apply, the DEBI/index update and
-        the journal seal all reuse the same arrays.
+        The decode happens once per batch; the graph apply, the DEBI/index
+        update and the journal seal all reuse the same arrays.
         """
-        if not events or not self._columnar_enabled():
+        if not events:
             return None
         from repro.streams.events import EventColumns, EventKind
 
@@ -373,51 +342,33 @@ class BatchPipeline:
         return EventColumns.from_events(kind, events)
 
     # ------------------------------------------------------------------ insert phase
-    def _run_insert_phase(
-        self, events: Sequence["StreamEvent"], overlap: bool, columns=None
-    ) -> PhaseOutcome:
+    def _run_insert_phase(self, columns, overlap: bool) -> PhaseOutcome:
         host = self.host
-        graph = host.graph
         slots = host.pipeline_slots()
-        phase = PhaseOutcome(positive=True, num_events=len(events))
+        phase = PhaseOutcome(positive=True, num_events=len(columns))
 
         update_start = time.perf_counter()
-        if columns is not None:
-            new_ids = graph.apply_insert_columns(
-                columns.src, columns.dst, columns.label, columns.timestamp,
-                columns.src_label, columns.dst_label,
-            )
-        else:
-            new_ids = [
-                graph.add_edge(
-                    event.src, event.dst, event.label, event.timestamp,
-                    src_label=event.src_label, dst_label=event.dst_label,
-                )
-                for event in events
-            ]
+        new_ids = host.graph.apply_insert_columns(
+            columns.src, columns.dst, columns.label, columns.timestamp,
+            columns.src_label, columns.dst_label,
+        )
         phase.graph_update_seconds += time.perf_counter() - update_start
 
-        if columns is not None and all(
-            hasattr(rt.index_manager, "handle_insert_columns")
-            for rt in slots.values()
-        ):
-            ids_arr = np.asarray(new_ids, dtype=np.int64)
-            index = lambda runtime: runtime.index_manager.handle_insert_columns(
+        ids_arr = np.asarray(new_ids, dtype=np.int64)
+
+        def index(runtime):
+            return runtime.index_manager.handle_insert_columns(
                 ids_arr, columns.src, columns.dst, columns.label
             )
-        else:
-            index = lambda runtime: runtime.index_manager.handle_insertions(new_ids)
-        batch_ids = set(new_ids)
+
         contexts, units = self._index_and_decompose(
-            slots, phase, batch_ids, new_ids, positive=True, index=index,
+            slots, phase, set(new_ids), new_ids, positive=True, index=index,
         )
         self._enumerate_phase(phase, slots, contexts, units, overlap=overlap)
         return phase
 
     # ------------------------------------------------------------------ delete phase
-    def _run_delete_phase(
-        self, events: Sequence["StreamEvent"], overlap: bool, columns=None
-    ) -> PhaseOutcome:
+    def _run_delete_phase(self, events: Sequence["StreamEvent"], overlap: bool) -> PhaseOutcome:
         from repro.core.registry import resolve_deletions
 
         host = self.host
@@ -439,41 +390,22 @@ class BatchPipeline:
         )
         self._enumerate_phase(phase, slots, contexts, units, overlap=overlap)
 
-        # One mutation pass: capture every query's row mask, delete the
-        # edge once, clear every query's DEBI row.  In pipelined mode
-        # this runs while the workers are still enumerating the epoch
-        # published above — they read the frozen pre-delete snapshot.
+        # One mutation pass: gather every query's row masks (reads are
+        # unaffected by the graph deletes), apply the deletes in event
+        # order (free-list parity), then clear all DEBI rows with one bulk
+        # write per query.  In pipelined mode this runs while the workers
+        # are still enumerating the epoch published above — they read the
+        # frozen pre-delete snapshot.
         apply_start = time.perf_counter()
-        deleted: list[tuple] = []
-        if (
-            columns is not None
-            and doomed_ids
-            and all(hasattr(rt.debi, "rows") for rt in slots.values())
-        ):
-            # Columnar variant: gather every query's row masks in one
-            # vectorized pass (reads are unaffected by the graph deletes),
-            # apply the deletes in event order (free-list parity), then
-            # clear all DEBI rows with one bulk write per query.
-            mask_lists = {
-                qid: runtime.debi.rows(doomed_ids) for qid, runtime in slots.items()
-            }
-            records = graph.apply_delete_columns(doomed_ids)
-            ids_arr = np.asarray(doomed_ids, dtype=np.int64)
-            for runtime in slots.values():
-                runtime.debi.clear_edges(ids_arr)
-            deleted = [
-                (record, {qid: masks[i] for qid, masks in mask_lists.items()})
-                for i, record in enumerate(records)
-            ]
-        else:
-            for edge_id in doomed_ids:
-                row_masks = {
-                    qid: runtime.debi.row(edge_id) for qid, runtime in slots.items()
-                }
-                record = graph.delete_edge(edge_id)
-                for runtime in slots.values():
-                    runtime.debi.clear_edge(edge_id)
-                deleted.append((record, row_masks))
+        mask_lists = {qid: runtime.debi.rows(doomed_ids) for qid, runtime in slots.items()}
+        records = graph.apply_delete_columns(doomed_ids)
+        ids_arr = np.asarray(doomed_ids, dtype=np.int64)
+        for runtime in slots.values():
+            runtime.debi.clear_edges(ids_arr)
+        deleted = [
+            (record, {qid: masks[i] for qid, masks in mask_lists.items()})
+            for i, record in enumerate(records)
+        ]
         phase.graph_update_seconds += time.perf_counter() - apply_start
 
         for qid, runtime in slots.items():
@@ -598,72 +530,13 @@ class BatchPipeline:
                     if phase.complete:
                         return
         # No usable pool, or a phase too small to amortise a snapshot
-        # publication (a healthy pool implies the process backend, which
-        # runs serially in-process).
+        # publication: one serial kernel call per query.
         start = time.perf_counter()
-        outcomes = self._enumerate_fallback(contexts, units)
+        outcomes = {
+            qid: run_serial(context, units[qid], collect=collect)
+            for qid, context in contexts.items()
+        }
         self._complete_phase(phase, contexts, outcomes, wall=time.perf_counter() - start)
-
-    def _enumerate_fallback(
-        self,
-        contexts: "dict[int, EnumerationContext]",
-        units: "dict[int, list[WorkUnit]]",
-    ) -> dict[int, EnumerationOutcome]:
-        """Run a phase without the shared pool (thread backend or serial).
-
-        A host that degraded down the supervision ladder pins the
-        backend: ``"thread"`` after the pool respawn budget ran out,
-        ``"serial"`` after the thread backend faulted too.  Otherwise the
-        configured thread backend runs threaded and everything else — a
-        process backend whose pool could not be spawned included — serially.
-        """
-        parallel = self.host.config.parallel
-        collect = self.host.config.collect_embeddings
-        degraded = self.host.pipeline_degraded_backend()
-        outcomes: dict[int, EnumerationOutcome] = {}
-        for qid, context in contexts.items():
-            if degraded == "serial":
-                outcomes[qid] = _run_serial(context, units[qid], collect=collect)
-            elif degraded == "thread":
-                outcomes[qid] = self._run_threads_guarded(
-                    context, units[qid], max(parallel.num_workers, 2), collect=collect
-                )
-            elif parallel.backend == "thread" and parallel.num_workers > 1:
-                outcomes[qid] = self._run_threads_guarded(
-                    context, units[qid], parallel.num_workers, collect=collect
-                )
-            else:
-                outcomes[qid] = _run_serial(context, units[qid], collect=collect)
-        return outcomes
-
-    def _run_threads_guarded(
-        self,
-        context: "EnumerationContext",
-        units: "list[WorkUnit]",
-        num_workers: int,
-        collect: bool = True,
-    ) -> EnumerationOutcome:
-        """Thread-backend enumeration that degrades to serial on a fault.
-
-        The context-side counters mutate as units enumerate, so a failed
-        thread run must roll them back before the serial re-run — else
-        the surviving threads' partial work would be double-counted.
-        """
-        scanned_before = context.candidates_scanned
-        found_before = context.embeddings_found
-        try:
-            return _run_threads(context, units, num_workers, collect=collect)
-        except Exception as exc:
-            context.candidates_scanned = scanned_before
-            context.embeddings_found = found_before
-            self.host.pipeline_thread_backend_failed()
-            warnings.warn(
-                f"thread-backend enumeration failed ({exc}); this phase "
-                "re-ran serially",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            return _run_serial(context, units, collect=collect)
 
     def _complete_phase(
         self,
@@ -755,7 +628,7 @@ class BatchPipeline:
             warnings.warn(
                 f"shared-memory pool failed mid-run ({exc}); in-flight epochs "
                 "were recovered from their published snapshots and enumeration "
-                "falls back to the non-pool path",
+                "continues serially",
                 RuntimeWarning,
                 stacklevel=3,
             )
@@ -782,7 +655,7 @@ class BatchPipeline:
                     descriptor["positive"],
                     shared_pool_cache=shared_cache,
                 )
-                outcome = _run_serial(context, unit_list)
+                outcome = run_serial(context, unit_list)
                 original = pending.contexts[qid]
                 original.candidates_scanned += context.candidates_scanned
                 original.embeddings_found += outcome.num_embeddings

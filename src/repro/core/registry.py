@@ -24,10 +24,10 @@ built on it — :class:`MultiQueryEngine`, the only host of
   query's work units (see :meth:`~repro.core.parallel.SharedMemoryPool.run_multi`).
 * Candidate scans are shared across queries: every enumeration context
   of a batch hands the same *shared pool cache* to
-  :meth:`~repro.core.enumeration.EnumerationContext.get_candidates_with_endpoints`,
-  so an adjacency partition fetched for one query is reused (and its
-  ``candidates_scanned`` cost not re-charged) by every other query that
-  anchors at the same ``(vertex, direction, edge label)``.
+  :meth:`~repro.core.enumeration.EnumerationContext.get_candidate_pools`,
+  so an adjacency partition scanned for one query is not re-charged
+  (``candidates_scanned``) to any other query that anchors at the same
+  ``(vertex, direction, edge label)``.
 
 Per-query results are byte-identical to what N independent engines
 would produce: DEBI filtering, duplicate elimination and acceptance all
@@ -88,9 +88,8 @@ class QueryRuntime:
     index_manager: IndexManager
     query_state: QueryState
     use_degree_filter: bool = True
-    kernel: str = "columnar"
-    #: reusable embedding arena for the columnar kernel's serial path
-    arena: "EmbeddingArena | None" = None
+    #: reusable embedding arena for the kernel's serial path
+    arena: EmbeddingArena = field(default_factory=EmbeddingArena)
 
     def make_context(
         self,
@@ -118,7 +117,6 @@ class QueryRuntime:
             positive=positive,
             degree_filter=degree_filter,
             shared_pool_cache=shared_pool_cache,
-            kernel=self.kernel,
             arena=self.arena,
         )
 
@@ -130,7 +128,6 @@ def build_query_runtime(
     use_degree_filter: bool = True,
     root: int | None = None,
     rebuild_index: bool = True,
-    kernel: str = "columnar",
 ) -> QueryRuntime:
     """InitializeIndex for one query over ``graph`` (tree, orders, masks, DEBI).
 
@@ -162,7 +159,6 @@ def build_query_runtime(
         masks=masks,
         match_def=match_def,
         use_degree_filter=use_degree_filter,
-        kernel=kernel,
     )
     return QueryRuntime(
         query=query,
@@ -174,8 +170,6 @@ def build_query_runtime(
         index_manager=index_manager,
         query_state=query_state,
         use_degree_filter=use_degree_filter,
-        kernel=kernel,
-        arena=EmbeddingArena() if kernel == "columnar" else None,
     )
 
 
@@ -244,15 +238,9 @@ class QueryRegistry:
     worker-side query states are stale.
     """
 
-    def __init__(
-        self,
-        graph: DynamicGraph,
-        use_degree_filter: bool = True,
-        kernel: str = "columnar",
-    ) -> None:
+    def __init__(self, graph: DynamicGraph, use_degree_filter: bool = True) -> None:
         self.graph = graph
         self.use_degree_filter = use_degree_filter
-        self.kernel = kernel
         self._queries: dict[int, RegisteredQuery] = {}
         self._next_id = 0
         #: bumped on register/unregister; consumed by the pool owner
@@ -273,7 +261,7 @@ class QueryRegistry:
         runtime = build_query_runtime(
             query, match_def, self.graph,
             use_degree_filter=self.use_degree_filter, root=root,
-            rebuild_index=rebuild_index, kernel=self.kernel,
+            rebuild_index=rebuild_index,
         )
         query_id = self._next_id
         self._next_id += 1
@@ -428,8 +416,7 @@ class MultiQueryEngine(PoolOwnerMixin):
         self.config = config or EngineConfig()
         self.graph = graph or DynamicGraph(recycle_edge_ids=self.config.recycle_edge_ids)
         self.registry = QueryRegistry(
-            self.graph, use_degree_filter=self.config.use_degree_filter,
-            kernel=self.config.kernel,
+            self.graph, use_degree_filter=self.config.use_degree_filter
         )
         self._storage = None
         self.recovery_info: dict | None = None
@@ -577,7 +564,7 @@ class MultiQueryEngine(PoolOwnerMixin):
             return None
         if len(self.registry) == 0:
             return None
-        if self._supervisor.degraded_backend() is not None:
+        if self._supervisor.level != "process":
             # Fault-degraded engines stay off the process backend even
             # across registry churn; the ladder is one-way per engine.
             return None
@@ -607,9 +594,8 @@ class MultiQueryEngine(PoolOwnerMixin):
     def load_initial(self, events: Iterable[StreamEvent | tuple]) -> int:
         """Load an initial graph (insertions only) and index every query for it."""
         coerced = [coerce_insert(event) for event in events]
-        if coerced and self.config.ingest == "columnar" and hasattr(
-            self.graph, "apply_insert_columns"
-        ):
+        new_ids: list[int] = []
+        if coerced:
             columns = EventColumns.from_events(EventKind.INSERT, coerced)
             new_ids = self.graph.apply_insert_columns(
                 columns.src, columns.dst, columns.label, columns.timestamp,
@@ -619,16 +605,6 @@ class MultiQueryEngine(PoolOwnerMixin):
                 registered.runtime.index_manager.handle_insert_columns(
                     new_ids, columns.src, columns.dst, columns.label
                 )
-        else:
-            new_ids = [
-                self.graph.add_edge(
-                    event.src, event.dst, event.label, event.timestamp,
-                    src_label=event.src_label, dst_label=event.dst_label,
-                )
-                for event in coerced
-            ]
-            for _, registered in self.registry.items():
-                registered.runtime.index_manager.handle_insertions(new_ids)
         if self._storage is not None:
             self._storage.note_initial(coerced)
         return len(new_ids)
@@ -699,15 +675,9 @@ class MultiQueryEngine(PoolOwnerMixin):
         replacement = self._supervisor.replace(self._detach_pool())
         return self._adopt_pool(replacement)
 
-    def pipeline_degraded_backend(self) -> str | None:
-        return self._supervisor.degraded_backend()
-
     def pipeline_recovery_finished(self, redispatched: int, recovered: int) -> None:
         self._supervisor.note_recovery(redispatched, recovered)
         self._exports_before_pool += self._supervisor.release_retired()
-
-    def pipeline_thread_backend_failed(self) -> None:
-        self._supervisor.thread_backend_failed()
 
     def fault_stats(self) -> dict[str, object]:
         """Supervision counters: faults, respawns, degradations, level."""

@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import time
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -69,7 +69,7 @@ from repro.core.parallel import (
     PoolBrokenError,
     PoolOwnerMixin,
     SharedMemoryPool,
-    _run_serial,
+    run_serial,
 )
 from repro.core.registry import build_query_runtime, resolve_deletions
 from repro.core.results import Embedding
@@ -80,11 +80,16 @@ from repro.core.sharding import (
     PartitionStrategy,
 )
 from repro.core.supervisor import PoolSupervisor
-from repro.graph.adjacency import DynamicGraph, GraphError, concat_candidate_pools
+from repro.graph.adjacency import (
+    DynamicGraph,
+    GraphError,
+    concat_candidate_pools,
+    concat_find_edges,
+)
 from repro.graph.stats import PlaceholderStats
 from repro.query.query_graph import QueryGraph
 from repro.streams.broker import producing
-from repro.streams.events import StreamEvent, coerce_insert
+from repro.streams.events import EventColumns, EventKind, StreamEvent, coerce_insert
 from repro.streams.generator import Snapshot, SnapshotGenerator, initialize_stream
 from repro.streams.sources import StreamSource
 from repro.utils.validation import ConfigurationError
@@ -199,11 +204,6 @@ class RoutedGraph:
 
     def endpoint_array(self, edge_ids, take_dst: bool) -> np.ndarray:
         return self._router.gather_endpoints(-1, edge_ids, take_dst)
-
-    def endpoint_list(self, edge_ids, take_dst: bool) -> list[int]:
-        return self._router.gather_endpoints(
-            -1, np.asarray(list(edge_ids), dtype=np.int64), take_dst
-        ).tolist()
 
     def edge_labels(self, edge_ids) -> np.ndarray:
         ids = edge_ids.tolist() if hasattr(edge_ids, "tolist") else list(edge_ids)
@@ -414,6 +414,9 @@ class ShardScopeGraph:
         self._router.frontier.lookups += 1
         return self._router.shards[owner].graph.find_edges(src, dst, label)
 
+    def find_edges_batch(self, srcs, dsts):
+        return concat_find_edges(self, srcs, dsts)
+
     def _owner_graph(self, vertex: int) -> DynamicGraph:
         owner = self._router.partition.owner(vertex)
         if owner == self._index:
@@ -452,11 +455,6 @@ class ShardScopeGraph:
 
     def endpoint_array(self, edge_ids, take_dst: bool) -> np.ndarray:
         return self._router.gather_endpoints(self._index, edge_ids, take_dst)
-
-    def endpoint_list(self, edge_ids, take_dst: bool) -> list[int]:
-        return self._router.gather_endpoints(
-            self._index, np.asarray(list(edge_ids), dtype=np.int64), take_dst
-        ).tolist()
 
     def edge_labels(self, edge_ids) -> np.ndarray:
         ids = edge_ids.tolist() if hasattr(edge_ids, "tolist") else list(edge_ids)
@@ -502,12 +500,6 @@ class ShardScopeDEBI:
 
     def column_mask(self, edge_ids, column: int) -> np.ndarray:
         return self._router.debi_column_mask(self._index, edge_ids, column)
-
-    def filter_candidates(self, edge_ids, column: int) -> list[int]:
-        ids = np.asarray(edge_ids, dtype=np.int64)
-        if ids.size == 0:
-            return []
-        return ids[self._router.debi_column_mask(self._index, ids, column)].tolist()
 
     def get(self, edge_id: int, column: int) -> bool:
         if self._shard.graph.is_alive(edge_id):
@@ -584,50 +576,17 @@ class ShardRouter:
                 yield edge_id
 
     # ------------------------------------------------------------------ mutations
-    def insert_edge(self, event: StreamEvent) -> int:
-        """Route one insertion to the shard(s) owning its endpoints."""
-        src_owner = self.partition.touch(event.src, event.src_label)
-        dst_owner = self.partition.touch(event.dst, event.dst_label)
-        recycled_before = self.allocator.recycled
-        edge_id = self.allocator.allocate(event.src)
-        if self.allocator.recycled != recycled_before:
-            self.stats.record_recycle()
-        self._ensure_capacity(edge_id)
-        primary = self.shards[src_owner]
-        primary.graph.add_edge(
-            event.src, event.dst, event.label, event.timestamp,
-            src_label=event.src_label, dst_label=event.dst_label,
-            edge_id=edge_id,
-        )
-        primary.mutations_applied += 1
-        self._primary[edge_id] = src_owner
-        if dst_owner != src_owner:
-            secondary = self.shards[dst_owner]
-            secondary.graph.add_edge(
-                event.src, event.dst, event.label, event.timestamp,
-                src_label=event.src_label, dst_label=event.dst_label,
-                edge_id=edge_id,
-            )
-            secondary.mutations_applied += 1
-            self._secondary[edge_id] = dst_owner
-        else:
-            self._secondary[edge_id] = -1
-        self.num_edges += 1
-        self.stats.record_insert(
-            placeholders=self.allocator.num_placeholders, live=self.num_edges
-        )
-        return edge_id
-
     def insert_columns(self, columns) -> list[int]:
-        """Columnar :meth:`insert_edge`: one routed batch, bit-identical ids.
+        """Route one insert batch to the shards owning its endpoints; returns the edge ids.
 
-        Placement and id allocation replay the per-event path exactly
-        (ownership is first-touch order-sensitive, the allocator's
-        per-source free lists are LIFO), then each shard receives its
-        events as one pre-split column batch — the primary rows plus the
-        boundary rows it stores as secondary replica, in event order —
-        applied with one :meth:`DynamicGraph.apply_insert_columns` call
-        under forced edge ids.
+        Placement and id allocation run event by event (ownership is
+        first-touch order-sensitive, the allocator's per-source free
+        lists are LIFO), so the ids are the ones a single engine would
+        hand out.  Each shard then receives its events as one pre-split
+        column batch — the primary rows plus the boundary rows it stores
+        as secondary replica, in event order — applied with one
+        :meth:`DynamicGraph.apply_insert_columns` call under forced edge
+        ids.
         """
         src_list = columns.src.tolist()
         dst_list = columns.dst.tolist()
@@ -812,7 +771,7 @@ class ShardedEngine:
         scratch = build_query_runtime(
             query, match_def, DynamicGraph(recycle_edge_ids=False),
             use_degree_filter=self.config.use_degree_filter, root=root,
-            rebuild_index=False, kernel=self.config.kernel,
+            rebuild_index=False,
         )
         self.query = query
         self.match_def = scratch.match_def
@@ -823,8 +782,7 @@ class ShardedEngine:
 
         for shard in self.shards:
             shard.debi = DEBI(self.tree)
-            if self.config.kernel == "columnar":
-                shard.arena = EmbeddingArena()
+            shard.arena = EmbeddingArena()
         self.routed_graph = RoutedGraph(self.router)
         self.routed_debi = RoutedDEBI(self.router)
         self.index_manager = IndexManager(
@@ -869,25 +827,14 @@ class ShardedEngine:
     def load_initial(self, events: Iterable[StreamEvent | tuple]) -> int:
         """Load and index an initial graph (insertions only), no enumeration."""
         coerced = [coerce_insert(event) for event in events]
-        columns = self._decode_columns(True, coerced)
-        if columns is not None:
-            new_ids = self.router.insert_columns(columns)
-            self.index_manager.handle_insert_columns(
-                new_ids, columns.src, columns.dst, columns.label
-            )
-        else:
-            new_ids = [self.router.insert_edge(event) for event in coerced]
-            self.index_manager.handle_insertions(new_ids)
+        if not coerced:
+            return 0
+        columns = EventColumns.from_events(EventKind.INSERT, coerced)
+        new_ids = self.router.insert_columns(columns)
+        self.index_manager.handle_insert_columns(
+            new_ids, columns.src, columns.dst, columns.label
+        )
         return len(new_ids)
-
-    def _decode_columns(self, positive: bool, events: Sequence[StreamEvent]):
-        """One batch's columnar decode, or None on the per-edge reference path."""
-        if not events or self.config.ingest != "columnar":
-            return None
-        from repro.streams.events import EventColumns, EventKind
-
-        kind = EventKind.INSERT if positive else EventKind.DELETE
-        return EventColumns.from_events(kind, events)
 
     # ------------------------------------------------------------------ main loop
     def run(self, source: StreamSource | Sequence[StreamEvent]) -> RunResult:
@@ -902,12 +849,9 @@ class ShardedEngine:
     def process_snapshot(self, snapshot: Snapshot) -> SnapshotResult:
         # Sealed batches cache their columnar decode; reuse it so the
         # fan-out tier and the engine never decode the same batch twice.
-        columns = (
-            snapshot.insert_columns() if self.config.ingest == "columnar" else None
-        )
         return self._process_batch(
             snapshot.number, snapshot.insertions, snapshot.deletions,
-            insert_columns=columns,
+            insert_columns=snapshot.insert_columns(),
         )
 
     def batch_inserts(self, events: Iterable[StreamEvent | tuple]) -> SnapshotResult:
@@ -935,26 +879,16 @@ class ShardedEngine:
             num_deletions=len(delete_events),
         )
         if insert_events:
-            columns = (
-                insert_columns
-                if insert_columns is not None
-                else self._decode_columns(True, insert_events)
-            )
+            columns = insert_columns or EventColumns.from_events(EventKind.INSERT, insert_events)
             start = time.perf_counter()
-            if columns is not None:
-                new_ids = self.router.insert_columns(columns)
-            else:
-                new_ids = [self.router.insert_edge(event) for event in insert_events]
+            new_ids = self.router.insert_columns(columns)
             result.graph_update_seconds += time.perf_counter() - start
 
             start = time.perf_counter()
-            if columns is not None:
-                self.index_manager.handle_insert_columns(
-                    np.asarray(new_ids, dtype=np.int64),
-                    columns.src, columns.dst, columns.label,
-                )
-            else:
-                self.index_manager.handle_insertions(new_ids)
+            self.index_manager.handle_insert_columns(
+                np.asarray(new_ids, dtype=np.int64),
+                columns.src, columns.dst, columns.label,
+            )
             result.filter_seconds += time.perf_counter() - start
             result.filter_traversals += self.index_manager.last_batch_traversals
 
@@ -970,27 +904,17 @@ class ShardedEngine:
             self._enumerate_phase(set(doomed), positive=False, result=result)
 
             start = time.perf_counter()
-            deleted: list[tuple] = []
-            if doomed and self.config.ingest == "columnar":
-                # Bulk variant of the loop below: capture every row mask and
-                # clear the mirrored bits while the router still knows each
-                # replica set, then retire the ids in event order so the
-                # free-list replay stays bit-identical to the per-edge path.
-                row_masks = self.routed_debi.rows(doomed)
-                self.routed_debi.clear_edges(np.asarray(doomed, dtype=np.int64))
-                for edge_id, row_mask in zip(doomed, row_masks):
-                    record = self.router.delete_edge(edge_id)
-                    deleted.append((record, row_mask))
-            else:
-                for edge_id in doomed:
-                    row_mask = self.routed_debi.row(edge_id)
-                    # Clear the mirrored bits while the router still knows the
-                    # replica set; delete_edge retires the id from the shard
-                    # map, after which the replicas are unreachable and a
-                    # recycled id would inherit stale bits.
-                    self.routed_debi.clear_edge(edge_id)
-                    record = self.router.delete_edge(edge_id)
-                    deleted.append((record, row_mask))
+            # Capture every row mask and clear the mirrored bits while the
+            # router still knows each replica set (delete_edge retires the id
+            # from the shard map, after which a recycled id would inherit
+            # stale bits), then retire the ids in event order so the
+            # free-list replay matches the single engine's.
+            row_masks = self.routed_debi.rows(doomed)
+            self.routed_debi.clear_edges(np.asarray(doomed, dtype=np.int64))
+            deleted = [
+                (self.router.delete_edge(edge_id), row_mask)
+                for edge_id, row_mask in zip(doomed, row_masks)
+            ]
             result.graph_update_seconds += time.perf_counter() - start
 
             start = time.perf_counter()
@@ -1069,7 +993,7 @@ class ShardedEngine:
                     continue
                 except PoolBrokenError:
                     shard.pool_broken()
-            outcomes[shard_index] = _run_serial(context, shard_units, collect)
+            outcomes[shard_index] = run_serial(context, shard_units, collect)
 
         # Gather: drain each shard's epoch; units the workers escaped
         # (cross-shard frontier) re-run here with forwarding.
@@ -1090,7 +1014,7 @@ class ShardedEngine:
                 escaped = by_shard[shard_index]
             if escaped:
                 self.router.frontier.escaped_units += len(escaped)
-                rerun = _run_serial(context, escaped, collect)
+                rerun = run_serial(context, escaped, collect)
                 if outcome is None:
                     outcome = rerun
                 else:

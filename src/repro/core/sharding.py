@@ -31,7 +31,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Iterator, Protocol, Sequence, runtime_checkable
 
-from repro.graph.adjacency import concat_candidate_pools
+from repro.graph.adjacency import concat_candidate_pools, concat_find_edges
 from repro.utils.validation import ConfigurationError
 
 _MASK64 = (1 << 64) - 1
@@ -229,6 +229,9 @@ class ShardGuardView:
     def find_edges(self, src: int, dst: int, label: int | None = None) -> list[int]:
         self._check(src)
         return self._graph.find_edges(src, dst, label)
+
+    def find_edges_batch(self, srcs, dsts):
+        return concat_find_edges(self, srcs, dsts)
 
     def out_degree(self, vertex: int) -> int:
         self._check(vertex)

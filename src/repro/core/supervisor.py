@@ -19,9 +19,9 @@ lifecycle:
   a drain may wait on a wedged worker before the pool is declared broken
   (and the normal respawn path takes over).
 * **Degradation ladder** — when the retry budget is exhausted the
-  supervisor steps down ``process -> thread -> serial`` instead of
-  failing, and every transition is counted and surfaced through
-  ``fault_stats()`` on the engines and the service.
+  supervisor steps down ``process -> serial`` instead of failing, and
+  the transition is counted and surfaced through ``fault_stats()`` on
+  the engines and the service.
 
 Retired pools are kept (terminated, but with their shared-memory writer
 alive) until their frozen epochs are no longer needed, then released;
@@ -43,7 +43,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations only
 
 #: The backends the supervisor steps through when a crash loop exhausts
 #: the respawn budget.  Transitions are one-way within a supervisor.
-DEGRADATION_LADDER = ("process", "thread", "serial")
+DEGRADATION_LADDER = ("process", "serial")
 
 
 @dataclass(frozen=True)
@@ -51,10 +51,10 @@ class FaultPolicy:
     """How the execution layer reacts to worker faults.
 
     The default policy is conservative: no respawns (``max_respawns=0``),
-    no deadline.  A broken pool then degrades immediately to the thread
-    backend, which matches the pre-supervisor behaviour of "recover
-    parent-side and stop using the pool".  Opting into self-healing is
-    one knob: ``FaultPolicy(max_respawns=3)``.
+    no deadline.  A broken pool then degrades immediately to serial
+    enumeration: recover the in-flight epochs parent-side and stop using
+    the pool.  Opting into self-healing is one knob:
+    ``FaultPolicy(max_respawns=3)``.
     """
 
     #: replacement pools to attempt per engine before degrading
@@ -107,7 +107,7 @@ class SupervisorStats:
     recovered_epochs: int = 0
     #: epoch drains aborted by ``epoch_deadline_seconds``
     deadline_expiries: int = 0
-    #: one entry per ladder step, e.g. ``"process->thread"``
+    #: one entry per ladder step, e.g. ``"process->serial"``
     degradations: list[str] = field(default_factory=list)
 
     def as_dict(self) -> dict[str, object]:
@@ -142,8 +142,7 @@ class PoolSupervisor:
         self.stats = SupervisorStats()
         #: current rung of :data:`DEGRADATION_LADDER`.  Starts at
         #: "process" even for hosts that never spawn a pool (no factory):
-        #: the level tracks *fault-driven* degradation only, and such
-        #: hosts keep their configured fallback until a fault occurs.
+        #: the level tracks *fault-driven* degradation only.
         self.level = "process"
         self._respawns_used = 0
         self._generation = 0
@@ -164,7 +163,7 @@ class PoolSupervisor:
         """Retire ``broken`` and try to spawn a replacement under the budget.
 
         Returns the replacement pool, or ``None`` when the budget is
-        exhausted (the supervisor then degrades to the thread backend).
+        exhausted (the supervisor then degrades to serial enumeration).
         The broken pool is terminated but *kept* — its shared-memory
         segments stay alive so in-flight epochs can be redispatched, and
         its ``publish_count`` stays visible until :meth:`release_retired`.
@@ -184,22 +183,9 @@ class PoolSupervisor:
                 self.stats.respawns += 1
                 return self.note_spawn(replacement)
         if self.level == "process":
-            self._degrade("thread")
+            self.stats.degradations.append("process->serial")
+            self.level = "serial"
         return None
-
-    def thread_backend_failed(self) -> None:
-        """The thread backend also faulted: step down to serial."""
-        self.stats.faults += 1
-        if self.level == "thread":
-            self._degrade("serial")
-
-    def degraded_backend(self) -> str | None:
-        """``None`` while healthy, else the ladder rung to run on."""
-        return None if self.level == "process" else self.level
-
-    def _degrade(self, to_level: str) -> None:
-        self.stats.degradations.append(f"{self.level}->{to_level}")
-        self.level = to_level
 
     def note_spawn(self, pool: "SharedMemoryPool | None") -> "SharedMemoryPool | None":
         if pool is not None:

@@ -111,6 +111,39 @@ def concat_candidate_pools(graph, anchors: np.ndarray, out: bool, label: int | N
     return (np.concatenate(pools) if pools else _EMPTY_ARRAY), sizes
 
 
+def edges_between(graph, srcs: np.ndarray, dsts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``find_edges_batch`` from a graph's ``candidate_pools`` and ``endpoint_array``.
+
+    Each distinct source's wildcard out-pool is gathered once and sorted by
+    ``(source, destination, edge id)``; a pair's edges are then one
+    contiguous, ascending run found by binary search, so the work follows
+    the sources' out-degrees, not pairs times out-degree.
+    """
+    sources, src_rank = np.unique(srcs, return_inverse=True)
+    pool_ids, pool_sizes = graph.candidate_pools(sources, True, None)
+    pool_dsts = graph.endpoint_array(pool_ids, True)
+    targets, dst_rank = np.unique(np.concatenate([dsts, pool_dsts]), return_inverse=True)
+    width = targets.shape[0]
+    pool_keys = np.repeat(np.arange(sources.shape[0]), pool_sizes) * width + dst_rank[dsts.shape[0] :]
+    order = np.lexsort((pool_ids, pool_keys))
+    pool_keys = pool_keys[order]
+    pair_keys = src_rank * width + dst_rank[: dsts.shape[0]]
+    first = np.searchsorted(pool_keys, pair_keys, side="left")
+    sizes = np.searchsorted(pool_keys, pair_keys, side="right") - first
+    return pool_ids[order[expand_ranges(first, sizes)]], sizes
+
+
+def concat_find_edges(graph, srcs: np.ndarray, dsts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``find_edges_batch`` for a graph facade that only answers per pair.
+
+    Calls ``graph.find_edges`` once per pair, so per-vertex routing and
+    ownership checks of the facade still run for every pair.
+    """
+    runs = list(map(graph.find_edges, srcs.tolist(), dsts.tolist()))
+    sizes = np.fromiter(map(len, runs), dtype=np.int64, count=len(runs))
+    return np.fromiter(chain.from_iterable(runs), dtype=np.int64, count=int(sizes.sum())), sizes
+
+
 def _coalesce_ranges(ordered: np.ndarray) -> list[tuple[int, int]]:
     """Turn an ascending index array into half-open ``(start, stop)`` runs."""
     if ordered.size == 0:
@@ -641,10 +674,6 @@ class DynamicGraph:
         """Vectorized endpoint gather: dst (or src) vertex per edge id."""
         return (self._dst if take_dst else self._src)[edge_ids]
 
-    def endpoint_list(self, edge_ids, take_dst: bool) -> list[int]:
-        """:meth:`endpoint_array` for an id list, as Python ints."""
-        return self.endpoint_array(np.asarray(edge_ids, dtype=np.int64), take_dst).tolist()
-
     def edge_labels(self, edge_ids) -> np.ndarray:
         """Edge-label gather for an id array, without building records."""
         return self._label[np.asarray(edge_ids, dtype=np.int64)]
@@ -703,6 +732,14 @@ class DynamicGraph:
             return list(triples.get((src, dst, label), ()))
         labels = map(self._out.label.item, self._out.parts_of(src))
         return sorted(chain.from_iterable(triples.get((src, dst, lb), ()) for lb in labels))
+
+    def find_edges_batch(self, srcs: np.ndarray, dsts: np.ndarray):
+        """Batched :meth:`find_edges` without a label: ``(flat_ids, sizes)`` for pair arrays.
+
+        ``flat_ids`` is the live edge ids from ``srcs[i]`` to ``dsts[i]``,
+        ascending, concatenated in pair order, and ``sizes[i]`` their number.
+        """
+        return edges_between(self, srcs, dsts)
 
     @property
     def num_edges(self) -> int:
@@ -1158,17 +1195,13 @@ class CSRGraphView:
     """Read-only :class:`DynamicGraph` lookalike over :class:`CSRSnapshot` arrays.
 
     Worker processes build one per published snapshot.  The snapshot
-    arrays are zero-copy views into the shared-memory segment; because
-    the backtracking enumerator is a pure-Python loop, the view converts
-    what it touches into plain Python ints (numpy scalars are ~3x slower
-    to index, hash and compare there).  Adjacency slices are converted
-    lazily per vertex — a worker only materialises the neighbourhoods
-    its work units actually visit — while the edge scalar columns are
-    converted once up front because the hot loop indexes them by
-    arbitrary edge id.  Labelled candidate pools stay numpy: the fused
-    pipeline filters and gathers them vectorized, so no per-edge Python
-    conversion happens for them.  Mutating methods are intentionally
-    absent.
+    arrays are zero-copy views into the shared-memory segment, and the
+    batched reads the kernel uses (``candidate_pools``, ``endpoint_array``,
+    ``find_edges_batch``, the label gathers) are index arithmetic over
+    them.  The scalar API answers from plain Python ints (numpy scalars
+    are ~3x slower to index, hash and compare): adjacency slices are
+    converted lazily per vertex, the edge scalar columns once up front.
+    Mutating methods are intentionally absent.
     """
 
     def __init__(self, snapshot: CSRSnapshot) -> None:
@@ -1294,11 +1327,6 @@ class CSRGraphView:
         snapshot = self._snapshot
         return (snapshot.edge_dst if take_dst else snapshot.edge_src)[edge_ids]
 
-    def endpoint_list(self, edge_ids, take_dst: bool) -> list[int]:
-        """Scalar endpoint gather for small candidate lists."""
-        column = self._dst if take_dst else self._src
-        return [column[e] for e in edge_ids]
-
     def edge_labels(self, edge_ids) -> np.ndarray:
         """Edge-label gather for an id array, without building records."""
         return self._snapshot.edge_label[edge_ids]
@@ -1344,6 +1372,10 @@ class CSRGraphView:
             return sorted(e for e in self.out_edges(src) if dsts[e] == dst)
         labels = self._label
         return [e for e in self.out_edges(src) if dsts[e] == dst and labels[e] == label]
+
+    def find_edges_batch(self, srcs: np.ndarray, dsts: np.ndarray):
+        """Batched :meth:`find_edges` (see :meth:`DynamicGraph.find_edges_batch`)."""
+        return edges_between(self, srcs, dsts)
 
     @property
     def num_edges(self) -> int:

@@ -4,8 +4,10 @@ Query edges carry a ``time_rank``; an embedding is accepted only when
 the timestamps of its data edges respect the ranks' order — edges with a
 smaller rank must not be newer than edges with a larger rank.  Because
 the predicate inspects the data edge bound to *every* query edge, the
-matcher enables witness binding so non-tree constraints are materialised
-instead of being boolean checks.
+matcher enables witness binding: a non-tree query edge is bound to each
+data edge that can witness it, one embedding per witness, instead of
+being a boolean check.  The order test itself is the overridden
+``accept``, which the kernel applies to the finished embeddings.
 """
 
 from __future__ import annotations
@@ -43,9 +45,7 @@ class TemporalIsomorphismMatcher(MatchDefinition):
             if q_edge.time_rank is None:
                 continue
             data_edge_id = edge_map.get(q_edge.index)
-            if data_edge_id is None:
-                # The constraint edge was not bound (should not happen with
-                # bind_witnesses=True); be conservative and reject.
+            if data_edge_id is None:  # a subclass switched bind_witnesses off
                 return False
             ranked.append((q_edge.time_rank, context.graph.edge(data_edge_id).timestamp))
         ranked.sort(key=lambda item: item[0])

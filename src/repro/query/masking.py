@@ -12,7 +12,10 @@ For non-tree start edges one extra condition is required (and encoded in
 :attr:`MaskTable.require_no_old_witness`): the pinned non-tree constraint
 must have *no* pre-existing witness, otherwise the same node mapping
 would also be reachable from a later start position using the old
-witness, producing a duplicate.
+witness, producing a duplicate.  (The kernel waives this condition for
+match definitions that bind witnesses: there the pinned edge is part of
+the embedding's identity, so a different witness is a different
+embedding, not a duplicate.)
 
 The canonical position of a query edge is simply its index in the query
 graph, matching the paper's Table I layout.

@@ -14,7 +14,7 @@ tree — to an already-bound node:
 Each :class:`ExtensionStep` also lists the *verification edges*: every
 query edge (tree or non-tree) between the newly bound node and nodes
 bound earlier, other than the tree edge used for the extension.  Those
-are the constraints the enumerator checks with ``verify_nte``.
+are the constraints the kernel checks (or binds) with one witness lookup each.
 """
 
 from __future__ import annotations

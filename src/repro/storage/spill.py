@@ -17,7 +17,7 @@ segment ``(r - hot_rows) // segment_rows`` at offset
 at construction — cold content is always reconstructed from checkpoint +
 journal replay, never trusted from a previous process.
 
-Vectorized bulk operations (``column_mask``, ``filter_rows_with_column``)
+Vectorized bulk operations (``column_mask``, ``set_rows_col``, ...)
 split their row index arrays into the hot part (one gather) and cold
 parts grouped by segment (one gather per touched segment), so streaming
 enumeration over a mostly-hot working set stays a handful of numpy calls.
@@ -189,15 +189,6 @@ class TieredBitMatrix:
             gathered[cold] = vals
             self.cold_reads += int(np.count_nonzero(cold))
         return gathered
-
-    def filter_rows_with_column(self, rows, col: int) -> list[int]:
-        self._check_col(col)
-        n = len(rows)
-        if n == 0:
-            return []
-        idx = np.asarray(rows, dtype=np.int64)
-        hits = (self._gather(idx) & np.uint64(1 << col)) != 0
-        return [int(r) for r, hit in zip(rows, hits) if hit]
 
     def column_mask(self, rows: np.ndarray, col: int) -> np.ndarray:
         self._check_col(col)

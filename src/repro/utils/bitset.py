@@ -305,30 +305,6 @@ class BitMatrix:
         self._nrows = nrows
 
     # -- bulk operations ----------------------------------------------------
-    def filter_rows_with_column(self, rows, col: int) -> list[int]:
-        """Return the subset of ``rows`` whose bit ``col`` is set (vectorized).
-
-        This is the hot path of candidate fetching during enumeration: the
-        adjacency list of the anchor vertex is filtered against one DEBI
-        column.  A single vectorized gather-and-mask replaces per-row
-        scalar lookups.
-        """
-        self._check_col(col)
-        n = len(rows)
-        if n == 0:
-            return []
-        if n < 8:  # small lists: plain Python is faster than array round-trips
-            mask = 1 << col
-            limit = self._nrows
-            rows_arr = self._rows
-            return [r for r in rows if r < limit and int(rows_arr[r]) & mask]
-        idx = np.asarray(rows, dtype=np.int64)
-        valid = idx < self._nrows
-        gathered = np.zeros(n, dtype=np.uint64)
-        gathered[valid] = self._rows[idx[valid]]
-        hits = (gathered & np.uint64(1 << col)) != 0
-        return [int(r) for r, hit in zip(rows, hits) if hit]
-
     def column_mask(self, rows: np.ndarray, col: int) -> np.ndarray:
         """Boolean mask over ``rows`` (int64 array): is bit ``col`` set per row?
 

@@ -28,9 +28,7 @@ armed: :func:`pool_spawning` (called by the pool constructor, in the
 parent, before the workers fork) consumes one budget unit and freezes
 the armed state the children inherit, so "kill one worker in each of the
 first k generations" is expressed as ``FaultPlan(kill_at_unit=1,
-kills=k)``.  A fourth budget, ``thread_failures``, fires in-process on
-the thread backend (:func:`thread_unit`) to exercise the
-``thread -> serial`` rung of the degradation ladder.
+kills=k)``.
 
 Every hook is a no-op (one module-attribute check) when no plan is
 installed, so production runs pay nothing.
@@ -43,10 +41,6 @@ import signal
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-
-
-class InjectedFault(RuntimeError):
-    """Raised by the in-process fault hooks (thread backend injection)."""
 
 
 @dataclass
@@ -71,8 +65,6 @@ class FaultPlan:
     #: replace one result tuple with a torn one, for ``torn_messages`` generations
     torn_at_unit: int | None = None
     torn_messages: int = 0
-    #: raise :class:`InjectedFault` from a thread-backend worker, in-process
-    thread_failures: int = 0
 
 
 @dataclass
@@ -176,12 +168,3 @@ def worker_message(message: tuple) -> tuple:
         # right in-flight state before choking on the missing payload.
         return message[:3]
     return message
-
-
-# ---------------------------------------------------------------------- in-process hooks
-def thread_unit() -> None:
-    """Per-unit hook on the thread backend: raise one armed failure."""
-    if _PLAN is None or _PLAN.thread_failures <= 0:
-        return
-    _PLAN.thread_failures -= 1
-    raise InjectedFault("injected thread-backend failure")

@@ -73,21 +73,21 @@ def brute_force_node_maps(
 
     Only practical for tiny graphs; used as the ground truth oracle.
     """
-    vertices = list(graph.vertices())
     query_nodes = list(query.nodes())
+    # Label-compatible vertices per query node: the product only ranges over those.
+    candidates = [
+        [
+            v for v in graph.vertices()
+            if query.node_label(u) in (WILDCARD_LABEL, graph.vertex_label(v))
+        ]
+        for u in query_nodes
+    ]
     results: set[tuple[tuple[int, int], ...]] = set()
-    for assignment in itertools.product(vertices, repeat=len(query_nodes)):
+    for assignment in itertools.product(*candidates):
         node_map = dict(zip(query_nodes, assignment))
         if injective and len(set(assignment)) != len(assignment):
             continue
         ok = True
-        for u in query_nodes:
-            label = query.node_label(u)
-            if label != WILDCARD_LABEL and graph.vertex_label(node_map[u]) != label:
-                ok = False
-                break
-        if not ok:
-            continue
         for q_edge in query.edges():
             src, dst = node_map[q_edge.src], node_map[q_edge.dst]
             witnesses = [

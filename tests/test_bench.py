@@ -108,7 +108,7 @@ class TestHarnessRunners:
         query, stream = workload
         run = run_mnemonic_stream(
             query, stream, initial_prefix=700, batch_size=32,
-            parallel=ParallelConfig(backend="thread", num_workers=2),
+            parallel=ParallelConfig(backend="process", num_workers=2),
         )
         assert run.seconds > 0
 
@@ -125,7 +125,7 @@ class TestMetrics:
     def test_cpu_usage_timeline(self, workload):
         query, stream = workload
         run = run_mnemonic_stream(query, stream, initial_prefix=600, batch_size=64,
-                                  parallel=ParallelConfig(backend="thread", num_workers=2))
+                                  parallel=ParallelConfig(backend="process", num_workers=2))
         series = cpu_usage_timeline(run.run_result, buckets=10)
         assert len(series) == 10
         assert all(0.0 <= value <= 1.0 for _, value in series)

@@ -5,7 +5,7 @@ message-corrupting pool workers must never change a result.  With a
 respawn budget the supervisor replaces the pool and redispatches the
 in-flight epochs from their frozen shared-memory segments, so recovery
 is bit-identical to a fault-free run; when the budget is exhausted the
-engine degrades ``process -> thread -> serial``, still bit-identical.
+engine degrades ``process -> serial``, still bit-identical.
 
 Faults are injected deterministically through ``repro.utils.faults``:
 the plan is armed in the parent, consumed per pool *generation* at
@@ -172,9 +172,9 @@ class TestDeadlines:
 
 
 class TestDegradationLadder:
-    def test_budget_exhaustion_degrades_to_thread_backend(self, chaos_baseline):
-        """More kills than respawns: the run must finish on the thread
-        backend with the degradation recorded — and identical results."""
+    def test_budget_exhaustion_degrades_to_serial(self, chaos_baseline):
+        """More kills than respawns: the run must finish enumerating
+        serially with the degradation recorded — and identical results."""
         query, initial, events, base_pos, base_neg = chaos_baseline
         policy = FaultPolicy(max_respawns=1, backoff_initial_seconds=0.0)
         with pytest.warns(RuntimeWarning, match="pool failed"):
@@ -184,8 +184,8 @@ class TestDegradationLadder:
                 )
         assert pos == base_pos
         assert neg == base_neg
-        assert stats["level"] == "thread"
-        assert stats["degradations"] == ["process->thread"]
+        assert stats["level"] == "serial"
+        assert stats["degradations"] == ["process->serial"]
         assert stats["respawns"] == 1
 
     def test_degraded_run_unlinks_every_shared_segment(self, chaos_baseline):
@@ -207,40 +207,15 @@ class TestDegradationLadder:
         after = {n for n in os.listdir("/dev/shm") if n.startswith("mnemonic_")}
         assert after - before == set()
 
-    def test_thread_failure_steps_down_to_serial(self, chaos_baseline):
-        """The last rung: a thread-backend fault re-runs the phase
-        serially and pins the engine to the serial backend."""
-        query, initial, events, base_pos, base_neg = chaos_baseline
-        policy = FaultPolicy(max_respawns=0)  # first kill exhausts the budget
-        with pytest.warns(RuntimeWarning) as captured:
-            with faults.injected(
-                faults.FaultPlan(kill_at_unit=2, kills=1, thread_failures=1)
-            ):
-                pos, neg, stats, _ = run_engine(
-                    query, initial, events, parallel=POOL, fault=policy
-                )
-        messages = [str(w.message) for w in captured]
-        assert any("pool failed" in m for m in messages)
-        assert any("thread-backend enumeration failed" in m for m in messages)
-        assert pos == base_pos
-        assert neg == base_neg
-        assert stats["level"] == "serial"
-        assert stats["degradations"] == ["process->thread", "thread->serial"]
-
     def test_degradation_is_one_way(self):
         supervisor = PoolSupervisor(FaultPolicy(), factory=None)
-        assert supervisor.degraded_backend() is None
+        assert supervisor.level == "process"
         assert supervisor.replace(None) is None
-        assert supervisor.level == "thread"
-        supervisor.thread_backend_failed()
         assert supervisor.level == "serial"
         # Further faults cannot climb back up or step anywhere new.
-        supervisor.thread_backend_failed()
+        assert supervisor.replace(None) is None
         assert supervisor.level == "serial"
-        assert supervisor.stats.degradations == [
-            "process->thread",
-            "thread->serial",
-        ]
+        assert supervisor.stats.degradations == ["process->serial"]
 
 
 class TestTornMessages:
@@ -471,14 +446,6 @@ class TestFaultInjectionFramework:
         faults.worker_unit(0)
         message = ("ok",) * 10
         assert faults.worker_message(message) is message
-        faults.thread_unit()  # must not raise
-
-    def test_thread_budget_raises_then_exhausts(self):
-        faults.install(faults.FaultPlan(thread_failures=1))
-        with pytest.raises(faults.InjectedFault):
-            faults.thread_unit()
-        faults.thread_unit()  # budget spent: no second failure
-        faults.clear()
 
 
 class TestServiceFaultStats:

@@ -1,17 +1,21 @@
-"""Columnar ingest parity: vectorized batch mutations vs the per-edge path.
+"""Columnar ingest parity: vectorized batch mutations vs the per-edge loop.
 
-The columnar ingest path (``EngineConfig.ingest="columnar"``) must be
-*bit-identical* to the per-edge reference — same edge-id sequences
-(including per-source newest-first recycling), same DEBI bits, same scan
-counters, same published snapshot bytes.  These tests pin that contract:
+The engine applies every batch as column arrays; it must be
+*bit-identical* to applying the events one by one — same edge-id
+sequences (including per-source newest-first recycling), same DEBI
+bits, same scan and traversal counters, same published snapshot bytes.
+These tests pin that contract:
 
 1. **Graph parity (property)** — ``apply_insert_columns`` /
    ``apply_delete_columns`` replay exactly as a per-event
    ``add_edge`` / ``delete_edge`` loop: same returned ids, same CSR
    export, across random streams with duplicate parallel edges and
    recycling.
-2. **Engine parity (property)** — full runs, columnar vs per-edge:
-   identical positive/negative identity sets and per-snapshot counters.
+2. **Engine parity (property)** — full runs on the serial engine, the
+   process pool and two shards against the per-edge reference engine
+   (``tests/reference/tuple_kernel.py``): identical positive/negative
+   identity sets per batch, and on the serial engine identical
+   counters, live-edge counts and DEBI content.
 3. **Edge cases** — duplicate parallel edges in one batch,
    delete-then-reinsert hitting a recycled id, empty batches.
 4. **Publish regimes** — dirty-slice publication is byte-identical to a
@@ -27,14 +31,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import ShardedEngine
 from repro.core.debi import DEBI
 from repro.core.engine import EngineConfig, MnemonicEngine
+from repro.core.parallel import ParallelConfig
 from repro.core.shared_snapshot import SharedSnapshotWriter, SnapshotAttachment
 from repro.graph.adjacency import DynamicGraph
 from repro.query.query_graph import QueryGraph
 from repro.query.query_tree import QueryTree
 from repro.streams.events import EventColumns, EventKind, StreamEvent
-from repro.utils.validation import ConfigurationError
+from tests.reference.tuple_kernel import ReferenceEngine
 
 # ---------------------------------------------------------------------- strategies
 _VERTICES = list(range(6))
@@ -141,48 +147,60 @@ def test_columnar_graph_parity(ops, size):
 
 
 # ---------------------------------------------------------------------- engine parity
-def _run_engine(query, events, batch_size, ingest):
-    from repro.streams.generator import StreamType
-
-    config = EngineConfig(ingest=ingest)
-    config.stream.batch_size = batch_size
-    config.stream.stream_type = StreamType.INSERT_DELETE
-    engine = MnemonicEngine(query, config=config)
-    try:
-        result = engine.run(events)
-        identities = []
-        counters = []
-        for snap in result.snapshots:
-            identities.append(
-                (
-                    snap.number,
-                    frozenset(e.identity() for e in snap.positive_embeddings),
-                    frozenset(e.identity() for e in snap.negative_embeddings),
-                )
-            )
-            counters.append(
-                (
-                    snap.number, snap.candidates_scanned, snap.filter_traversals,
-                    snap.num_positive, snap.num_negative,
-                    snap.live_edges, snap.debi_bits,
-                )
-            )
-        return identities, counters
-    finally:
-        engine.close()
+_ENGINES = {
+    "serial": lambda query: MnemonicEngine(query),
+    "process": lambda query: MnemonicEngine(query, config=EngineConfig(
+        parallel=ParallelConfig(backend="process", num_workers=2, chunk_size=4))),
+    "2-shards": lambda query: ShardedEngine(query, config=EngineConfig(shards=2)),
+}
 
 
-@settings(max_examples=15, deadline=None)
+def _replay(engine, batches, row):
+    trace = []
+    for batch in batches:
+        inserts = [e for e in batch if e.kind is EventKind.INSERT]
+        deletes = [e for e in batch if e.kind is EventKind.DELETE]
+        if inserts:
+            trace.append(row(engine.batch_inserts(inserts)))
+        if deletes:
+            trace.append(row(engine.batch_deletes(deletes)))
+    return trace
+
+
+def _identities(embeddings):
+    return frozenset(e.identity() for e in embeddings)
+
+
+@pytest.mark.parametrize("engine_name", _ENGINES)
+@settings(max_examples=10, deadline=None)
 @given(ops=_event_ops, size=_batch_sizes)
-def test_columnar_engine_parity(ops, size):
-    """Full engine runs agree to the digit between ingest modes."""
-    events = _materialise_events(ops)
+def test_columnar_engine_parity(engine_name, ops, size):
+    """Column batches leave every engine where the per-edge loop leaves the reference."""
+    batches = _split(_materialise_events(ops), size)
     query = QueryGraph.from_edges(
         [(0, 1), (1, 2)], node_labels={0: 0, 1: 1, 2: 0}
     )
-    ref = _run_engine(query, events, size, "per_edge")
-    col = _run_engine(query, events, size, "columnar")
-    assert ref == col
+    reference = ReferenceEngine([(query, None)])
+    expected = _replay(
+        reference, batches,
+        lambda result: _identities(result[0][0]),
+    )
+    with _ENGINES[engine_name](query) as engine:
+        found = _replay(
+            engine, batches,
+            lambda r: _identities(r.positive_embeddings + r.negative_embeddings),
+        )
+        assert found == expected
+        if engine_name == "serial":
+            ref_graph, ref_runtime = reference.graph, reference.runtimes[0]
+            assert engine.index_manager.total_traversals == ref_runtime.index_manager.total_traversals
+            assert engine.graph.num_edges == ref_graph.num_edges
+            assert engine.graph.num_placeholders == ref_graph.num_placeholders
+            assert engine.graph.stats.recycled == ref_graph.stats.recycled
+            for key, expected_array in _graph_state(ref_graph).items():
+                assert np.array_equal(_graph_state(engine.graph)[key], expected_array), key
+            ids = np.arange(ref_graph.num_placeholders)
+            assert engine.debi.rows(ids) == ref_runtime.debi.rows(ids)
 
 
 # ---------------------------------------------------------------------- edge cases
@@ -244,17 +262,12 @@ def test_empty_batches():
     assert EventColumns.from_events(EventKind.INSERT, []) is not None or True
 
     query = QueryGraph.from_edges([(0, 1)], node_labels={0: 0, 1: 1})
-    engine = MnemonicEngine(query, config=EngineConfig(ingest="columnar"))
+    engine = MnemonicEngine(query)
     try:
         snap = engine.batch_inserts([])
         assert snap.num_positive == 0 and snap.num_insertions == 0
     finally:
         engine.close()
-
-
-def test_ingest_knob_validated():
-    with pytest.raises(ConfigurationError):
-        EngineConfig(ingest="nope")
 
 
 # ---------------------------------------------------------------------- publish regimes

@@ -1,13 +1,15 @@
-"""Property and edge-case tests for the columnar enumeration kernel.
+"""Differential, property and edge-case tests for the enumeration kernel.
 
-The kernel's contract is strict: for any supported context it must
-reproduce the tuple-at-a-time reference path **exactly** — the same
-embeddings (as identity sets; the kernel emits breadth-first, the
-reference depth-first), the same ``candidates_scanned`` totals, and the
-same behaviour at every degenerate input (no units, no candidates,
-duplicate-vertex rejections).  The arena that backs it must grow
-geometrically, never shrink, and be reusable across batches without
-further allocation.
+The kernel's contract is strict: for every match definition, stream
+shape and engine it must reproduce the tuple-at-a-time reference
+(``tests/reference/tuple_kernel.py``: per-edge ingest, depth-first
+backtracking) **exactly** — the same positive and negative embeddings
+batch for batch (as identity sets; the kernel emits breadth-first, the
+reference depth-first), on the serial engine the same
+``candidates_scanned`` to the digit, and the same behaviour at every
+degenerate input (no units, no candidates, duplicate-vertex
+rejections).  The arena that backs it must grow geometrically, never
+shrink, and be reusable across batches without further allocation.
 """
 
 from __future__ import annotations
@@ -15,29 +17,83 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import ShardedEngine
+from repro.core.api import MatchDefinition, default_edge_matcher
 from repro.core.engine import EngineConfig, MnemonicEngine
 from repro.core.enumeration import (
     EmbeddingArena,
     columnar_enumerate,
     columnar_enumerate_packed,
-    columnar_supported,
     decompose_batch,
 )
-from repro.matchers import HomomorphismMatcher, IsomorphismMatcher
+from repro.core.parallel import ParallelConfig
+from repro.core.registry import MultiQueryEngine
+from repro.matchers import (
+    HomomorphismMatcher,
+    IsomorphismMatcher,
+    TemporalIsomorphismMatcher,
+)
 from repro.query.query_graph import QueryGraph
 from repro.streams.events import StreamEvent
+from repro.utils.validation import ConfigurationError
+from tests.reference.tuple_kernel import ReferenceEngine
+
 
 # ---------------------------------------------------------------------- helpers
+def _query(edges, node_labels=None):
+    """``edges`` are ``(src, dst, label, time_rank)``; label -1 is the wildcard."""
+    query = QueryGraph()
+    for node in sorted({n for edge in edges for n in edge[:2]}):
+        query.add_node(node, (node_labels or {}).get(node, -1))
+    for src, dst, label, rank in edges:
+        query.add_edge(src, dst, label=label, time_rank=rank)
+    return query
+
+
+#: a path, a triangle (one non-tree edge), a star, and two *parallel* query
+#: edges feeding a third — the shape whose second parallel edge is always a
+#: non-tree edge between already bound nodes
 _QUERIES = [
-    QueryGraph.from_edges([(0, 1), (1, 2)], node_labels={0: 0, 1: 1, 2: 0}),
-    QueryGraph.from_edges([(0, 1), (1, 2), (2, 0)], node_labels={0: 0, 1: 1, 2: 0}),
-    QueryGraph.from_edges([(0, 1), (0, 2), (3, 0)], node_labels={0: 1, 1: 0, 2: 0, 3: 0}),
-    QueryGraph.from_edges([(0, 1), (1, 2), (1, 3)]),
+    _query([(0, 1, -1, 0), (1, 2, -1, 1)], {0: 0, 1: 1, 2: 0}),
+    _query([(0, 1, -1, 0), (1, 2, -1, 1), (2, 0, -1, 2)], {0: 0, 1: 1, 2: 0}),
+    _query([(0, 1, -1, 1), (0, 2, -1, 0), (3, 0, -1, None)], {0: 1, 1: 0, 2: 0, 3: 0}),
+    _query([(0, 1, 0, 0), (0, 1, 1, 1), (1, 2, -1, 2)]),
+    _query([(0, 1, -1, 0), (0, 1, -1, 1)]),
 ]
 
 
-def _random_events(rng, num_events, num_vertices=8, num_labels=2):
-    """A random insert/delete stream over a small labelled vertex set."""
+class AcceptSomeMatcher(IsomorphismMatcher):
+    """An overridden ``accept`` that reads both the embedding and the data graph."""
+
+    def accept(self, context, embedding):
+        stamps = sum(context.graph.edge(e).timestamp for e in embedding.edges().values())
+        return (sum(embedding.nodes().values()) + int(stamps)) % 3 != 0
+
+
+class EvenTimestampMatcher(MatchDefinition):
+    """An overridden ``edge_matcher``: label equality plus an attribute test."""
+
+    def edge_matcher(self, query, graph, q_edge, d_edge):
+        return default_edge_matcher(query, graph, q_edge, d_edge) and int(d_edge.timestamp) % 2 == 0
+
+
+_MATCHERS = {
+    "isomorphism": IsomorphismMatcher,
+    "homomorphism": HomomorphismMatcher,
+    "temporal": TemporalIsomorphismMatcher,
+    "temporal-strict": lambda: TemporalIsomorphismMatcher(strict=True),
+    "custom-accept": AcceptSomeMatcher,
+    "custom-edge-matcher": EvenTimestampMatcher,
+}
+
+
+def _random_events(rng, num_events, deletes=True, num_vertices=8, num_labels=2):
+    """A random multigraph stream over a small labelled vertex set.
+
+    Timestamps are small integers, so ties and out-of-order arrivals are
+    common; deletions name a live triple and are followed by inserts at the
+    same sources, so freed edge ids get recycled.
+    """
     vertex_label = {v: v % 2 for v in range(num_vertices)}
     live: dict[tuple, int] = {}
     events = []
@@ -46,8 +102,8 @@ def _random_events(rng, num_events, num_vertices=8, num_labels=2):
         if src == dst:
             continue
         label = int(rng.integers(0, num_labels))
-        if rng.random() < 0.8 or not live.get((src, dst, label)):
-            events.append(StreamEvent.insert(src, dst, label, 0.0,
+        if not deletes or rng.random() < 0.75 or not live.get((src, dst, label)):
+            events.append(StreamEvent.insert(src, dst, label, float(rng.integers(0, 6)),
                                              vertex_label[src], vertex_label[dst]))
             live[(src, dst, label)] = live.get((src, dst, label), 0) + 1
         else:
@@ -68,58 +124,88 @@ def _identities(embeddings):
     return {e.identity() for e in embeddings}
 
 
-def _run_engine(query, batched_events, kernel, match_def=None):
-    """Feed batches through one engine; return per-batch identity sets + scans."""
-    engine = MnemonicEngine(query, config=EngineConfig(kernel=kernel),
-                            match_def=match_def)
-    positives, negatives, scanned = [], [], 0
+def _replay(engine, batched_events, rows):
+    """Feed batches through ``engine``; ``rows(result)`` yields per-query
+    ``(positive, negative, candidates_scanned)`` triples of one batch result."""
+    trace = []
     for batch in batched_events:
         inserts = [e for e in batch if e.is_insert]
         deletes = [e for e in batch if e.is_delete]
         if inserts:
-            result = engine.batch_inserts(inserts)
-            positives.append(_identities(result.positive_embeddings))
-            scanned += result.candidates_scanned
+            trace.append(("+", rows(engine.batch_inserts(inserts))))
         if deletes:
-            result = engine.batch_deletes(deletes)
-            negatives.append(_identities(result.negative_embeddings))
-            scanned += result.candidates_scanned
-    return engine, positives, negatives, scanned
+            trace.append(("-", rows(engine.batch_deletes(deletes))))
+    return trace
+
+
+def _product_rows(result):
+    return [(
+        _identities(result.positive_embeddings), _identities(result.negative_embeddings),
+        result.candidates_scanned,
+    )]
+
+
+def _multi_rows(result):
+    return [row for _, per_query in sorted(result.per_query.items())
+            for row in _product_rows(per_query)]
+
+
+def _reference_rows(result):
+    return [
+        (_identities(e for e in found if e.positive),
+         _identities(e for e in found if not e.positive), scanned)
+        for found, scanned in result
+    ]
+
+
+def _reference_trace(queries, batched_events):
+    return _replay(ReferenceEngine(queries), batched_events, _reference_rows)
+
+
+def _without_scans(trace):
+    return [(sign, [(pos, neg) for pos, neg, _ in rows]) for sign, rows in trace]
 
 
 # ---------------------------------------------------------------------- kernel == reference
-class TestKernelMatchesReference:
-    @pytest.mark.parametrize("query_index", range(len(_QUERIES)))
-    @pytest.mark.parametrize("injective", [True, False])
-    def test_randomized_streams_agree_batch_for_batch(self, rng, query_index, injective):
-        """Columnar and reference engines agree on every batch's results."""
-        query = _QUERIES[query_index]
-        match_def = IsomorphismMatcher() if injective else HomomorphismMatcher()
-        events = _random_events(rng, num_events=60)
-        splits = list(_batches(events, rng))
-        _, col_pos, col_neg, col_scans = _run_engine(
-            query, splits, "columnar", type(match_def)())
-        _, ref_pos, ref_neg, ref_scans = _run_engine(
-            query, splits, "python", type(match_def)())
-        assert col_pos == ref_pos
-        assert col_neg == ref_neg
-        assert col_scans == ref_scans
+_ENGINES = {
+    "serial": lambda query, match_def: MnemonicEngine(query, match_def=match_def),
+    "process": lambda query, match_def: MnemonicEngine(
+        query, match_def=match_def,
+        config=EngineConfig(parallel=ParallelConfig(backend="process", num_workers=2,
+                                                    chunk_size=4)),
+    ),
+    "2-shards": lambda query, match_def: ShardedEngine(
+        query, match_def=match_def, config=EngineConfig(shards=2)
+    ),
+}
 
-    def test_kernel_level_parity_on_full_enumeration(self, rng, paper_example):
-        """columnar_enumerate over the live graph == the tuple enumerate loop."""
-        engine = MnemonicEngine(paper_example.query)
-        engine.load_initial(paper_example.initial_events()
-                            + paper_example.delta1_events())
-        live_ids = [record.edge_id for record in engine.graph.edges()]
-        context = engine.runtime.make_context(engine.graph, batch_edge_ids=set(live_ids), positive=True)
-        units = decompose_batch(context, live_ids)
-        assert columnar_supported(context)
-        embeddings, count = columnar_enumerate(context, units)
-        reference = [
-            e for unit in units for e in context.match_def.enumerate(context, unit)
-        ]
-        assert count == len(embeddings) == len(reference)
-        assert _identities(embeddings) == _identities(reference)
+
+class TestKernelMatchesReference:
+    @pytest.mark.parametrize("engine_name", _ENGINES)
+    @pytest.mark.parametrize("deletes", [False, True], ids=["insert-only", "insert+delete"])
+    @pytest.mark.parametrize("matcher", _MATCHERS)
+    def test_randomized_streams_agree_batch_for_batch(self, rng, matcher, deletes, engine_name):
+        """Product and reference agree on every batch of every query shape."""
+        events = _random_events(rng, num_events=90, deletes=deletes)
+        # the pool needs a few units per batch before it publishes a snapshot
+        splits = list(_batches(events, rng, max_batch=14 if engine_name == "process" else 7))
+        pool_phases = embeddings = 0
+        for query in _QUERIES:
+            expected = _reference_trace([(query, _MATCHERS[matcher]())], splits)
+            with _ENGINES[engine_name](query, _MATCHERS[matcher]()) as engine:
+                found = _replay(engine, splits, _product_rows)
+                if engine_name == "serial":
+                    assert found == expected
+                    if deletes:
+                        assert engine.graph.stats.recycled > 0
+                else:
+                    assert _without_scans(found) == _without_scans(expected)
+                if engine_name == "process":
+                    pool_phases += engine.pool_enumeration_phases
+            embeddings += sum(len(pos) + len(neg) for _, rows in expected for pos, neg, _ in rows)
+        assert embeddings > 0, "vacuous: the reference found nothing"
+        if engine_name == "process":
+            assert pool_phases > 0, "vacuous: no batch went through the worker pool"
 
     def test_count_only_matches_collected_count(self, paper_example):
         engine = MnemonicEngine(paper_example.query)
@@ -133,7 +219,19 @@ class TestKernelMatchesReference:
         empty, n_counted = columnar_enumerate(context2, decompose_batch(context2, live_ids),
                                               collect=False)
         assert empty == []
-        assert n_counted == n_collected == len(collected)
+        assert n_counted == n_collected == len(collected) > 0
+
+    def test_count_only_still_applies_a_custom_accept(self, rng):
+        """``collect=False`` may skip building records only when nobody reads them."""
+        events = [e for e in _random_events(rng, num_events=60, deletes=False)]
+        for query in _QUERIES:
+            counted = MnemonicEngine(query, match_def=AcceptSomeMatcher(),
+                                     config=EngineConfig(collect_embeddings=False))
+            collected = MnemonicEngine(query, match_def=AcceptSomeMatcher())
+            unfiltered = MnemonicEngine(query)
+            n = counted.batch_inserts(events).num_positive
+            assert n == len(collected.batch_inserts(events).positive_embeddings)
+            assert n <= unfiltered.batch_inserts(events).num_positive
 
     def test_packed_layout_roundtrips(self, paper_example):
         """The arena's direct IPC emission unpacks to the collected embeddings."""
@@ -154,57 +252,27 @@ class TestKernelMatchesReference:
 
 
 # ---------------------------------------------------------------------- shared-cache charging
-class _CustomAccept(IsomorphismMatcher):
-    """Overrides a hook, so its query always runs the tuple path."""
-
-    def accept(self, context, embedding):
-        return True
-
-
 class TestSharedPoolCacheCharging:
     """Several queries on one engine share raw pools: the first query to
-    reach a pool pays for it.  Who pays what must not depend on the kernel."""
-
-    def _run(self, kernel, events, match_defs):
-        from repro.core.registry import MultiQueryEngine
-        from repro.streams.config import StreamConfig, StreamType
-
-        config = EngineConfig(
-            kernel=kernel,
-            stream=StreamConfig(stream_type=StreamType.INSERT_DELETE, batch_size=9),
-        )
-        with MultiQueryEngine(config=config) as engine:
-            ids = [
-                engine.register(query, match_def=make())
-                for query, make in zip(_QUERIES, match_defs)
-            ]
-            run = engine.run(list(events))
-        return [
-            (
-                {e.identity() for s in run.per_query[q].snapshots for e in s.positive_embeddings},
-                {e.identity() for s in run.per_query[q].snapshots for e in s.negative_embeddings},
-                run.per_query[q].total_candidates_scanned,
-            )
-            for q in ids
-        ]
+    reach a pool pays for it.  Who pays what is part of the contract."""
 
     @pytest.mark.parametrize("match_defs", [
-        pytest.param([IsomorphismMatcher] * 4, id="all-columnar"),
-        pytest.param([IsomorphismMatcher, _CustomAccept, HomomorphismMatcher, IsomorphismMatcher],
-                     id="tuple-path-query-in-the-middle"),
+        pytest.param([IsomorphismMatcher] * 4, id="all-stock"),
+        pytest.param([IsomorphismMatcher, AcceptSomeMatcher, HomomorphismMatcher,
+                      TemporalIsomorphismMatcher], id="mixed-definitions"),
     ])
     def test_per_query_scans_match_reference_to_the_digit(self, rng, match_defs):
         events = _random_events(rng, num_events=120)
-        columnar = self._run("columnar", events, match_defs)
-        reference = self._run("python", events, match_defs)
-        assert sum(len(pos) for pos, _, _ in reference) > 0
-        assert sum(len(neg) for _, neg, _ in reference) > 0
-        for (col_pos, col_neg, col_scans), (ref_pos, ref_neg, ref_scans) in zip(
-            columnar, reference
-        ):
-            assert col_pos == ref_pos
-            assert col_neg == ref_neg
-            assert col_scans == ref_scans
+        splits = list(_batches(events, rng, max_batch=9))
+        queries = [(query, make()) for query, make in zip(_QUERIES, match_defs)]
+        expected = _reference_trace(queries, splits)
+        with MultiQueryEngine() as engine:
+            for query, make in zip(_QUERIES, match_defs):
+                engine.register(query, match_def=make())
+            found = _replay(engine, splits, _multi_rows)
+        assert sum(len(pos) for sign, rows in expected for pos, _, _ in rows) > 0
+        assert sum(len(neg) for sign, rows in expected for _, neg, _ in rows) > 0
+        assert found == expected
 
 
 # ---------------------------------------------------------------------- arena invariants
@@ -229,7 +297,7 @@ class TestArenaInvariants:
         """Steady-state batches reuse the arena: grow_events stays flat."""
         query = _QUERIES[0]
         events = [e for e in _random_events(rng, num_events=40) if e.is_insert]
-        engine = MnemonicEngine(query, config=EngineConfig(kernel="columnar"))
+        engine = MnemonicEngine(query)
         engine.load_initial(events)
         live_ids = [record.edge_id for record in engine.graph.edges()]
         arena = EmbeddingArena(capacity=8)
@@ -282,15 +350,12 @@ class TestKernelEdgeCases:
         """A start edge whose extension step has no candidates yields nothing."""
         query = QueryGraph.from_edges([(0, 1), (1, 2)],
                                       node_labels={0: 0, 1: 1, 2: 0})
-        engine = MnemonicEngine(query, config=EngineConfig(kernel="columnar"))
         # One matching start edge (0-label -> 1-label) and no second hop.
-        result = engine.batch_inserts(
-            [StreamEvent.insert(10, 11, 0, 0.0, 0, 1)]
-        )
+        events = [StreamEvent.insert(10, 11, 0, 0.0, 0, 1)]
+        result = MnemonicEngine(query).batch_inserts(events)
         assert result.positive_embeddings == []
-        reference = MnemonicEngine(query, config=EngineConfig(kernel="python"))
-        ref = reference.batch_inserts([StreamEvent.insert(10, 11, 0, 0.0, 0, 1)])
-        assert result.candidates_scanned == ref.candidates_scanned
+        [(found, scanned)] = ReferenceEngine([(query, None)]).batch_inserts(events)
+        assert found == [] and result.candidates_scanned == scanned
 
     def test_duplicate_vertex_rejected_under_isomorphism(self):
         """A 2-cycle cannot embed a 3-path injectively; it can homomorphically."""
@@ -299,14 +364,10 @@ class TestKernelEdgeCases:
             StreamEvent.insert(10, 11, 0, 0.0, 0, 0),
             StreamEvent.insert(11, 10, 0, 0.0, 0, 0),
         ]
-        for kernel in ("columnar", "python"):
-            iso = MnemonicEngine(query, config=EngineConfig(kernel=kernel),
-                                 match_def=IsomorphismMatcher())
-            assert iso.batch_inserts(list(events)).positive_embeddings == []
-            homo = MnemonicEngine(query, config=EngineConfig(kernel=kernel),
-                                  match_def=HomomorphismMatcher())
-            homo_result = homo.batch_inserts(list(events))
-            assert len(homo_result.positive_embeddings) == 2
+        iso = MnemonicEngine(query, match_def=IsomorphismMatcher())
+        assert iso.batch_inserts(list(events)).positive_embeddings == []
+        homo = MnemonicEngine(query, match_def=HomomorphismMatcher())
+        assert len(homo.batch_inserts(list(events)).positive_embeddings) == 2
 
     def test_duplicate_edge_witnesses_stay_distinct(self):
         """Parallel edges are distinct witnesses: the kernel must keep both."""
@@ -315,43 +376,40 @@ class TestKernelEdgeCases:
             StreamEvent.insert(10, 11, 0, 0.0, 0, 0),
             StreamEvent.insert(10, 11, 0, 0.0, 0, 0),
         ]
-        for kernel in ("columnar", "python"):
-            engine = MnemonicEngine(query, config=EngineConfig(kernel=kernel))
-            result = engine.batch_inserts(list(events))
-            assert len(result.positive_embeddings) == 2
-            assert len(_identities(result.positive_embeddings)) == 2
+        result = MnemonicEngine(query).batch_inserts(list(events))
+        assert len(result.positive_embeddings) == 2
+        assert len(_identities(result.positive_embeddings)) == 2
 
-    def test_unsupported_contexts_fall_back(self, paper_example):
-        """Custom match definitions run the reference path, same answers."""
-        from repro.core.enumeration import MatchDefinition
+    def test_bound_witnesses_fan_out_and_fill_every_edge_slot(self):
+        """With witness binding a row becomes one embedding per witness."""
+        query = _QUERIES[4]  # two parallel query edges: one is a non-tree edge
+        events = [StreamEvent.insert(10, 11, 0, 1.0, 0, 0)] * 3
+        checked = MnemonicEngine(query).batch_inserts(events)
+        bound = MnemonicEngine(query, match_def=TemporalIsomorphismMatcher()).batch_inserts(events)
+        # checked: one embedding per tree-edge binding, some other edge witnesses;
+        # bound: every ordered pair of distinct data edges
+        assert len(checked.positive_embeddings) == 3
+        assert all(len(e.edges()) == 1 for e in checked.positive_embeddings)
+        assert {tuple(sorted(e.edges().items())) for e in bound.positive_embeddings} == {
+            ((0, a), (1, b)) for a in range(3) for b in range(3) if a != b
+        }
 
-        class CountingMatcher(IsomorphismMatcher):
-            def accept(self, context, embedding):  # overridden hook
-                return MatchDefinition.accept(self, context, embedding)
 
-        engine = MnemonicEngine(paper_example.query,
-                                config=EngineConfig(kernel="columnar"),
-                                match_def=CountingMatcher())
-        context = engine.runtime.make_context(engine.graph, batch_edge_ids=set(), positive=True)
-        assert not columnar_supported(context)
-        result = engine.batch_inserts(paper_example.initial_events())
-        reference = MnemonicEngine(paper_example.query,
-                                   config=EngineConfig(kernel="python"))
-        ref = reference.batch_inserts(paper_example.initial_events())
-        assert _identities(result.positive_embeddings) == _identities(
-            ref.positive_embeddings)
+class TestRemovedSelectors:
+    """One kernel, one ingest path, two backends: the old selectors are gone."""
 
-    def test_python_kernel_config_disables_kernel(self, paper_example):
-        engine = MnemonicEngine(paper_example.query,
-                                config=EngineConfig(kernel="python"))
-        context = engine.runtime.make_context(engine.graph, batch_edge_ids=set(), positive=True)
-        assert not columnar_supported(context)
+    def test_engine_config_has_no_kernel_or_ingest(self):
+        with pytest.raises(TypeError, match="kernel"):
+            EngineConfig(kernel="python")
+        with pytest.raises(TypeError, match="ingest"):
+            EngineConfig(ingest="per_edge")
 
-    def test_invalid_kernel_name_rejected(self):
-        from repro.utils.validation import ConfigurationError
+    def test_thread_backend_names_its_replacement(self):
+        with pytest.raises(ConfigurationError, match="'serial'"):
+            ParallelConfig(backend="thread")
 
-        with pytest.raises(ConfigurationError):
-            EngineConfig(kernel="simd")
+    def test_match_definition_has_no_enumerate_hook(self):
+        assert not hasattr(MatchDefinition, "enumerate")
 
 
 # ---------------------------------------------------------------------- seam contract

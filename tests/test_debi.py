@@ -1,5 +1,6 @@
 """Unit tests for the DEBI bitmap index."""
 
+import numpy as np
 import pytest
 
 from repro.core.debi import DEBI
@@ -69,19 +70,17 @@ class TestDEBI:
         debi.set(10_000, 0)
         assert debi.nbytes() > before
 
-    def test_filter_candidates_matches_scalar_gets(self, tree):
+    def test_column_mask_matches_scalar_gets(self, tree):
         debi = DEBI(tree)
         for eid in (0, 3, 9, 64, 200):
             debi.set(eid, 1)
-        pool = list(range(250))
-        filtered = debi.filter_candidates(pool, 1)
-        assert filtered == [eid for eid in pool if debi.get(eid, 1)]
-        # Small pools take the scalar path; results must be identical.
-        assert debi.filter_candidates([0, 1, 2, 3], 1) == [0, 3]
-        assert debi.filter_candidates([], 1) == []
+        pool = np.arange(250)
+        assert pool[debi.column_mask(pool, 1)].tolist() == [
+            eid for eid in pool.tolist() if debi.get(eid, 1)
+        ]
+        assert debi.column_mask(np.empty(0, dtype=np.int64), 1).tolist() == []
         # Rows never written are treated as zero.
-        assert debi.filter_candidates([10_000, 20_000, 30_000, 40_000,
-                                       50_000, 60_000, 70_000, 80_000, 90_000], 1) == []
+        assert not debi.column_mask(np.arange(10_000, 100_000, 10_000), 1).any()
 
     def test_single_edge_query_still_valid(self):
         query = QueryGraph.from_edges([(0, 1)])

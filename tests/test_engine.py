@@ -288,7 +288,7 @@ class TestRunLoop:
         assert engine.debi.total_bits_set() == report["debi_bits_set"]
 
     def test_parallel_engine_configuration(self):
-        config = EngineConfig(parallel=ParallelConfig(backend="thread", num_workers=2))
+        config = EngineConfig(parallel=ParallelConfig(backend="process", num_workers=2))
         engine = MnemonicEngine(path_query(), config=config)
         result = engine.batch_inserts(chain_events())
         assert result.num_positive == 1

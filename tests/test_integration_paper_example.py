@@ -74,7 +74,7 @@ class TestPaperExample:
     def test_whole_stream_through_snapshot_generator(self, paper_example):
         config = EngineConfig(
             stream=StreamConfig(stream_type=StreamType.INSERT_DELETE, batch_size=3),
-            parallel=ParallelConfig(backend="thread", num_workers=2),
+            parallel=ParallelConfig(backend="process", num_workers=2),
         )
         engine = MnemonicEngine(paper_example.query, match_def=IsomorphismMatcher(),
                                 config=config, root=0)

@@ -56,7 +56,7 @@ class TestNetFlowPipeline:
     def test_parallel_backends_equal_serial(self, setup):
         stream, query = setup
         outputs = []
-        for parallel in (ParallelConfig(), ParallelConfig(backend="thread", num_workers=4),
+        for parallel in (ParallelConfig(), ParallelConfig(backend="process", num_workers=4),
                          ParallelConfig(backend="process", num_workers=2, chunk_size=16)):
             engine = MnemonicEngine(query, config=EngineConfig(
                 stream=StreamConfig(batch_size=64), parallel=parallel))
@@ -137,10 +137,10 @@ class TestLANLSlidingWindow:
             assert recomputed == live_maps
             # The engine's DEBI-backed view must agree with the recomputation.
             from repro.core.enumeration import decompose_batch
-            from repro.core.parallel import run_enumeration
+            from repro.core.parallel import run_serial
 
             ctx = engine.runtime.make_context(engine.graph, 
                 batch_edge_ids={r.edge_id for r in engine.graph.edges()}, positive=True)
             units = decompose_batch(ctx, [r.edge_id for r in engine.graph.edges()])
-            full = run_enumeration(ctx, units, ParallelConfig())
+            full = run_serial(ctx, units)
             assert {e.node_map for e in full.embeddings} == recomputed

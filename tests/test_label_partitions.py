@@ -147,8 +147,6 @@ class TestCSRViewParity:
             ]
             assert from_graph == expected
             assert from_view == expected
-            assert graph.endpoint_list(ids.tolist(), take_dst) == expected
-            assert view.endpoint_list(ids.tolist(), take_dst) == expected
 
 
 # Mutations over a vertex set smaller than the anchors probed below, so

@@ -1,6 +1,11 @@
 """Unit tests for the matching variants programmed on the Mnemonic API."""
 
+from types import SimpleNamespace
 
+import pytest
+
+from benchmarks.e2e import oracle
+from repro.bench.harness import run_litcs_stream
 from repro.core.api import DefaultMatchDefinition, MatchDefinition, default_edge_matcher
 from repro.core.engine import MnemonicEngine, enumerate_static
 from repro.graph.adjacency import DynamicGraph
@@ -10,7 +15,7 @@ from repro.matchers import (
     TemporalIsomorphismMatcher,
 )
 from repro.query.query_graph import WILDCARD_LABEL, QueryGraph
-from repro.streams.events import StreamEvent
+from repro.streams.events import EventKind, StreamEvent
 from tests.conftest import brute_force_node_maps, graph_from_tuples
 
 
@@ -167,6 +172,95 @@ class TestTemporalIsomorphism:
             StreamEvent.insert(11, 13, timestamp=1.0, src_label=1, dst_label=2)
         ])
         assert third.num_positive == 0
+
+
+class TestParallelQueryEdges:
+    """Two query edges between one node pair: whichever the tree leaves out is a
+    non-tree edge between bound nodes, and under witness binding each of its
+    witnesses is an embedding of its own — also when an older witness exists.
+    (The engine used to find 0 of the 6 embeddings below once the data edges
+    arrived in separate batches.)"""
+
+    @staticmethod
+    def _query(first_label, second_label):
+        query = QueryGraph()
+        query.add_node(0, 1)
+        query.add_node(1, 2)
+        query.add_edge(0, 1, label=first_label, time_rank=0)
+        query.add_edge(0, 1, label=second_label, time_rank=1)
+        return query
+
+    @staticmethod
+    def _edge(src, dst, label, timestamp):
+        return StreamEvent.insert(src, dst, label, float(timestamp), src_label=1, dst_label=2)
+
+    @staticmethod
+    def _replay(query, events, chunk):
+        """Stream order, at most ``chunk`` events per batch, inserts and deletes apart."""
+        engine = MnemonicEngine(query, match_def=TemporalIsomorphismMatcher())
+        positives, negatives = [], []
+        position = 0
+        while position < len(events):
+            kind = events[position].kind
+            batch = []
+            while position < len(events) and len(batch) < chunk and events[position].kind is kind:
+                batch.append(events[position])
+                position += 1
+            if kind is EventKind.INSERT:
+                positives += engine.batch_inserts(batch).positive_embeddings
+            else:
+                negatives += engine.batch_deletes(batch).negative_embeddings
+        return positives, negatives
+
+    @pytest.mark.parametrize("chunk", [1, 2, 64])
+    @pytest.mark.parametrize("with_deletes", [False, True], ids=["insert-only", "insert+delete"])
+    def test_agrees_with_li_tcs(self, chunk, with_deletes):
+        query = self._query(5, 5)
+        events = [self._edge(10, 11, 5, t) for t in range(4)]
+        expected = 6  # every time-ordered pair of the four parallel edges
+        if with_deletes:
+            # drop the oldest instance (both systems resolve to it), then one more edge
+            events += [StreamEvent.delete(10, 11, 5, timestamp=0.0), self._edge(10, 11, 5, 4)]
+            expected += 3
+        positives, negatives = self._replay(query, events, chunk)
+        assert len(positives) == run_litcs_stream(query, events).embeddings == expected
+        assert len({e.identity() for e in positives}) == expected
+        assert len(negatives) == (3 if with_deletes else 0)
+
+    @pytest.mark.parametrize("chunk", [1, 3, 64])
+    @pytest.mark.parametrize("with_deletes", [False, True], ids=["insert-only", "insert+delete"])
+    def test_agrees_with_the_repro_free_oracle(self, chunk, with_deletes):
+        """Label 5 always precedes label 6 in time, so the order constraint holds
+        wherever both labels exist and the oracle's untimed node maps apply."""
+        query = self._query(5, 6)
+        events = [
+            self._edge(10, 11, 5, 0), self._edge(10, 11, 5, 1), self._edge(20, 21, 5, 2),
+            self._edge(30, 31, 5, 3),                                   # never gets a 6
+            self._edge(10, 11, 6, 4), self._edge(20, 21, 6, 5), self._edge(10, 11, 6, 6),
+            self._edge(40, 41, 6, 7),                                   # never had a 5
+        ]
+        if with_deletes:
+            events += [
+                StreamEvent.delete(20, 21, 6, timestamp=5.0),           # (20, 21) stops matching
+                StreamEvent.delete(10, 11, 6, timestamp=4.0),           # (10, 11) keeps one 6
+                self._edge(30, 31, 6, 8),                               # (30, 31) starts matching
+            ]
+        positives, negatives = self._replay(query, events, chunk)
+        destroyed = {(e.node_map, e.edge_map) for e in negatives}
+        net = {e.node_map for e in positives if (e.node_map, e.edge_map) not in destroyed}
+
+        table = SimpleNamespace(
+            kind=[int(e.kind is EventKind.DELETE) for e in events],
+            src=[e.src for e in events], dst=[e.dst for e in events],
+            label=[e.label for e in events], timestamp=[e.timestamp for e in events],
+            src_label=[1] * len(events), dst_label=[2] * len(events),
+        )
+        live, vertex_label = oracle.live_edges(
+            table, "insert_delete" if with_deletes else "insert_only"
+        )
+        expected = oracle.node_mappings(({0: 1, 1: 2}, [(0, 1, 5), (0, 1, 6)]), live, vertex_label)
+        assert net == expected
+        assert len(expected) == 2
 
 
 class TestCustomMatchDefinition:

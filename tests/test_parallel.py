@@ -20,9 +20,9 @@ def build_workload():
 def run_with(parallel: ParallelConfig):
     query, stream = build_workload()
     config = EngineConfig(stream=StreamConfig(batch_size=128), parallel=parallel)
-    engine = MnemonicEngine(query, config=config)
-    engine.load_initial(stream[:400])
-    result = engine.run(stream[400:])
+    with MnemonicEngine(query, config=config) as engine:
+        engine.load_initial(stream[:400])
+        result = engine.run(stream[400:])
     return {e.identity() for s in result.snapshots for e in s.positive_embeddings}, result
 
 
@@ -30,6 +30,12 @@ class TestParallelConfig:
     def test_invalid_backend_rejected(self):
         with pytest.raises(ConfigurationError):
             ParallelConfig(backend="gpu")
+
+    def test_exactly_two_backends(self):
+        assert ParallelConfig().backend == "serial"
+        assert ParallelConfig(backend="process").backend == "process"
+        with pytest.raises(ConfigurationError, match="'serial' or 'process'"):
+            ParallelConfig(backend="thread")
 
     def test_invalid_worker_count_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -84,25 +90,21 @@ class TestUtilisationEdgeCases:
 
 
 class TestBackendsAgree:
-    @pytest.mark.parametrize("backend,workers", [("thread", 4), ("process", 2)])
-    def test_backend_matches_serial(self, backend, workers):
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_process_backend_matches_serial(self, workers):
         serial_embeddings, serial_result = run_with(ParallelConfig(backend="serial"))
         other_embeddings, other_result = run_with(
-            ParallelConfig(backend=backend, num_workers=workers, chunk_size=8)
+            ParallelConfig(backend="process", num_workers=workers, chunk_size=8)
         )
         assert other_embeddings == serial_embeddings
         assert serial_result.total_positive == other_result.total_positive
 
-    def test_worker_stats_recorded(self):
-        _, result = run_with(ParallelConfig(backend="thread", num_workers=3))
+    @pytest.mark.parametrize("parallel", [
+        ParallelConfig(), ParallelConfig(backend="process", num_workers=3, chunk_size=8),
+    ], ids=["serial", "process"])
+    def test_worker_stats_recorded(self, parallel):
+        _, result = run_with(parallel)
         outcomes = [o for s in result.snapshots for o in s.enumeration_outcomes if o.worker_stats]
         assert outcomes, "expected at least one enumeration outcome with worker stats"
         assert any(w.units_processed > 0 for o in outcomes for w in o.worker_stats)
         assert all(0.0 <= o.mean_utilisation() <= 1.0 for o in outcomes)
-
-    def test_empty_unit_list(self):
-        from repro.core.parallel import run_enumeration
-
-        outcome = run_enumeration(None, [], ParallelConfig(backend="thread", num_workers=2))
-        assert outcome.embeddings == []
-        assert outcome.wall_seconds == 0.0

@@ -22,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.engine import EngineConfig, MnemonicEngine
 from repro.core.enumeration import decompose_batch
-from repro.core.parallel import ParallelConfig, run_enumeration
+from repro.core.parallel import run_serial
 from repro.matchers import HomomorphismMatcher, IsomorphismMatcher
 from repro.query.query_graph import QueryGraph
 from repro.streams.events import StreamEvent
@@ -106,7 +106,7 @@ def _full_enumeration_node_maps(engine):
     live_ids = [record.edge_id for record in engine.graph.edges()]
     context = engine.runtime.make_context(engine.graph, batch_edge_ids=set(live_ids), positive=True)
     units = decompose_batch(context, live_ids)
-    outcome = run_enumeration(context, units, ParallelConfig())
+    outcome = run_serial(context, units)
     return {embedding.node_map for embedding in outcome.embeddings}
 
 

@@ -5,7 +5,9 @@ design decision, not a side effect: a change that adds a name or a knob
 has to edit the lists below, which makes it a visible line in the diff.
 """
 
+import ast
 import dataclasses
+from pathlib import Path
 
 import repro
 import repro.graph
@@ -24,7 +26,7 @@ REPRO_ALL = {
 GRAPH_ALL = {"DynamicGraph", "AttributeStore", "EdgeRecord", "Endpoint", "PlaceholderStats"}
 ENGINE_CONFIG_FIELDS = {
     "stream", "parallel", "pipeline", "use_degree_filter", "recycle_edge_ids",
-    "collect_embeddings", "kernel", "ingest", "storage", "fault", "shards",
+    "collect_embeddings", "storage", "fault", "shards",
 }
 STREAM_CONFIG_FIELDS = {"stream_type", "batch_size", "max_batch_delay", "window", "stride"}
 PARALLEL_CONFIG_FIELDS = {"backend", "num_workers", "chunk_size"}
@@ -48,3 +50,21 @@ def test_config_fields():
     assert field_names(EngineConfig) == ENGINE_CONFIG_FIELDS
     assert field_names(StreamConfig) == STREAM_CONFIG_FIELDS
     assert field_names(ParallelConfig) == PARALLEL_CONFIG_FIELDS
+
+
+def test_product_does_not_import_test_code():
+    """References live under ``tests/``; the product is checked against them, never built on them."""
+    offenders = []
+    for path in Path(repro.__file__).parent.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            offenders += [
+                f"{path}: {module}" for module in modules
+                if module.split(".")[0] in ("tests", "benchmarks")
+            ]
+    assert offenders == []

@@ -8,6 +8,7 @@ pool reuse across engine batches, and graceful fallback when
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.debi import DEBI
@@ -15,7 +16,6 @@ from repro.core.engine import EngineConfig, MnemonicEngine
 from repro.core.parallel import (
     ParallelConfig,
     SharedMemoryPool,
-    _pack_embeddings,
     _unpack_embeddings,
 )
 from repro.core.results import Embedding
@@ -115,7 +115,7 @@ class TestBitsetBufferRoundTrip:
         assert len(clone) == len(matrix)
         for row in range(nrows):
             assert clone.get_row(row) == matrix.get_row(row)
-        assert clone.filter_rows_with_column([0, 9], 4) == [9]
+        assert clone.column_mask(np.array([0, 9]), 4).tolist() == [False, True]
         assert clone.count() == matrix.count()
 
 
@@ -309,7 +309,9 @@ class TestDoubleBufferedWriter:
 
 
 class TestEmbeddingPacking:
-    def test_pack_unpack_round_trip(self):
+    def test_unpack_reads_the_kernel_layout(self):
+        """``[start_edge, n_nodes, n_edges, (qnode, vertex)*, (qedge, eid)*]`` per embedding
+        (``columnar_enumerate_packed`` writes it; see test_columnar_kernel for the round trip)."""
         embeddings = [
             Embedding(node_map=((0, 10), (1, 11)), edge_map=((0, 5),), start_edge=0),
             Embedding(
@@ -318,14 +320,17 @@ class TestEmbeddingPacking:
                 start_edge=2,
             ),
         ]
-        packed = _pack_embeddings(embeddings)
-        restored = _unpack_embeddings(packed, positive=True)
-        assert restored == embeddings
+        packed = np.array(
+            [0, 2, 1, 0, 10, 1, 11, 0, 5]
+            + [2, 3, 3, 0, 7, 1, 8, 2, 9, 0, 1, 1, 2, 2, 3],
+            dtype=np.int64,
+        )
+        assert _unpack_embeddings(packed, positive=True) == embeddings
         negatives = _unpack_embeddings(packed, positive=False)
         assert all(not e.positive for e in negatives)
 
     def test_empty(self):
-        assert _unpack_embeddings(_pack_embeddings([]), positive=True) == []
+        assert _unpack_embeddings(np.empty(0, dtype=np.int64), positive=True) == []
 
 
 def pool_workload():

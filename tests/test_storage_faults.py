@@ -312,9 +312,6 @@ def test_tiered_matrix_randomized_parity(tmp_path, rng_seed):
             np.testing.assert_array_equal(
                 tiered.column_mask(probe, col), reference.column_mask(probe, col)
             )
-            rows = [int(r) for r in probe]
-            assert tiered.filter_rows_with_column(rows, col) == \
-                reference.filter_rows_with_column(rows, col)
         else:
             if rng.random() < 0.2:
                 tiered.remap()  # flush + reopen every segment mid-soup
