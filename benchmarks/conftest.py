@@ -35,12 +35,47 @@ TREE_SUITES = (3, 6, 9)
 GRAPH_SUITES = (6,)
 
 
+def _is_timing(cell: str) -> bool:
+    """A cell that parses as a number but not as an integer: a wall-clock reading or a ratio of two."""
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return not cell.lstrip("+-").isdigit()
+
+
+def _only_timings_moved(old: str, new: str) -> bool:
+    """Do two rendered tables hold the same cells except for non-integer floats?
+
+    Column widths and rule lengths follow the cells, so layout is ignored.
+    """
+    def cells(text: str) -> list[str]:
+        return [cell for cell in text.split() if cell.strip("-")]
+
+    before, after = cells(old), cells(new)
+    return len(before) == len(after) and all(
+        a == b or (_is_timing(a) and _is_timing(b)) for a, b in zip(before, after)
+    )
+
+
 def write_result(name: str, text: str) -> None:
-    """Persist a rendered table under benchmarks/results/ and echo it."""
+    """Persist a rendered table under benchmarks/results/ and echo it.
+
+    The checked-in tables are rewritten only when something countable
+    moved — embeddings, scans, traversals, a backend name.  Wall-clock
+    jitter alone leaves the file (and the working tree) untouched; the
+    fresh timings are still echoed.
+    """
     os.makedirs(RESULTS_DIR, exist_ok=True)
     path = os.path.join(RESULTS_DIR, f"{name}.txt")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            unchanged = _only_timings_moved(fh.read(), text)
+    except FileNotFoundError:
+        unchanged = False
+    if not unchanged:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
     print("\n" + text)
 
 

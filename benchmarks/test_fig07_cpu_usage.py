@@ -58,7 +58,7 @@ def test_fig07_cpu_usage(benchmark, netflow_workload):
     text += (
         f"\nmean worker utilisation (Mnemonic, pull-based): {mean_util:.2f}"
         f"\nsequential baseline utilisation bound (1/{WORKERS} workers): {1.0 / WORKERS:.2f}"
-        f"\nTurboFlux runtime {turboflux.seconds:.3f}s vs Mnemonic {mnemonic.seconds:.3f}s"
+        f"\nTurboFlux runtime {turboflux.seconds:.3f} s vs Mnemonic {mnemonic.seconds:.3f} s"
     )
     write_result("fig07_cpu_usage", text)
     # Shape check: the pull-based decomposition keeps the pool busier than a

@@ -32,6 +32,12 @@ from repro.bench.reporting import format_table
 
 SHARD_COUNTS = (1, 2, 4, 8)
 SUFFIX = 800
+#: cross-shard traffic of the T_9 run per shard count: (frontier_forwards,
+#: frontier_rows, frontier_lookups).  Forwards and rows are what they were
+#: before the degree filter read degrees in batches (PR 16); lookups were
+#: 1750 / 3461 / 4735 then, when a scope re-probed a foreign vertex's degree
+#: once per query node that tested it.
+FRONTIER_TRAFFIC = {1: (0, 0, 0), 2: (335, 843, 1298), 4: (627, 1613, 2693), 8: (827, 2132, 3844)}
 
 
 def _effective_cores() -> int:
@@ -127,6 +133,13 @@ def test_fig13_shard_scaling(benchmark, netflow_workload):
         "hash partitioning at shards=2 produced no cross-shard frontier "
         "traffic; the scatter-gather path was never exercised"
     )
+
+    # The traffic itself is deterministic; how the kernel batches its reads
+    # must not change what crosses a shard boundary.
+    for shards, sample in samples.items():
+        frontier = sample["run"].extra["frontier"]
+        assert (frontier["frontier_forwards"], frontier["frontier_rows"],
+                frontier["frontier_lookups"]) == FRONTIER_TRAFFIC[shards], f"shards={shards}"
 
     # Wall-clock: serial shard execution adds routing and forwarding
     # overhead on one core, so the honest bound is "did not collapse",

@@ -26,7 +26,7 @@ does not apply: another witness makes another embedding.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -73,7 +73,7 @@ class EnumerationContext:
         match_def: MatchDefinition,
         batch_edge_ids: set[int],
         positive: bool = True,
-        degree_filter: Callable[[int, int], bool] | None = None,
+        degree_requirements: dict[int, list[tuple]] | None = None,
         shared_pool_cache: dict | None = None,
         arena: "EmbeddingArena | None" = None,
     ) -> None:
@@ -86,7 +86,8 @@ class EnumerationContext:
         self.match_def = match_def
         self.batch_edge_ids = batch_edge_ids
         self.positive = positive
-        self.degree_filter = degree_filter
+        #: the f2/f3 filter's table (:attr:`QueryState.degree_table`); None = filter off
+        self.degree_requirements = degree_requirements
         #: reusable column arena for the kernel (None = transient)
         self.arena = arena
         #: number of candidate edges inspected (enumeration-side traversal metric)
@@ -203,67 +204,22 @@ class EnumerationContext:
         )[inverse]
 
     def degree_mask(self, vertices: np.ndarray, query_node: int) -> np.ndarray:
-        """The f2/f3 degree filter over a vertex array: one evaluation per distinct vertex."""
-        values = vertices.tolist()
-        degree_ok = self.degree_filter
-        verdict = {v: degree_ok(v, query_node) for v in set(values)}
-        return np.fromiter(map(verdict.__getitem__, values), dtype=bool, count=len(values))
+        """The paper's f2/f3 rule over a vertex array.
 
-
-def degree_requirements_ok(
-    graph, out_requirements: dict, in_requirements: dict, vertex: int, query_node: int
-) -> bool:
-    """The paper's f2/f3 rule: the data vertex's per-label degrees must
-    cover the query node's requirements.
-
-    Shared by the live-graph path
-    (:meth:`~repro.core.filtering.IndexManager.degree_ok`) and the
-    worker-side :class:`ArrayDegreeFilter`, so both backends prune
-    identically by construction.
-    """
-    for label, needed in out_requirements[query_node].items():
-        if label == WILDCARD_LABEL:
-            if graph.out_degree(vertex) < needed:
-                return False
-        elif graph.out_label_degree(vertex, label) < needed:
-            return False
-    for label, needed in in_requirements[query_node].items():
-        if label == WILDCARD_LABEL:
-            if graph.in_degree(vertex) < needed:
-                return False
-        elif graph.in_label_degree(vertex, label) < needed:
-            return False
-    return True
-
-
-class ArrayDegreeFilter:
-    """The f2/f3 label-degree check over an array-view graph, memoised.
-
-    Worker processes cannot call the parent's
-    :meth:`~repro.core.filtering.IndexManager.degree_ok` (it closes over
-    live parent objects), so they rebuild the same predicate from the
-    per-query-node label requirements and the attached
-    :class:`~repro.graph.adjacency.CSRGraphView`.  The view computes
-    label degrees by scanning an adjacency slice, so results are memoised
-    per ``(vertex, query node)`` pair — candidate vertices repeat heavily
-    within a batch.
-    """
-
-    def __init__(self, graph, out_requirements: dict, in_requirements: dict) -> None:
-        self._graph = graph
-        self._out_req = out_requirements
-        self._in_req = in_requirements
-        self._memo: dict[tuple[int, int], bool] = {}
-
-    def __call__(self, vertex: int, query_node: int) -> bool:
-        key = (vertex, query_node)
-        cached = self._memo.get(key)
-        if cached is None:
-            cached = degree_requirements_ok(
-                self._graph, self._out_req, self._in_req, vertex, query_node
-            )
-            self._memo[key] = cached
-        return cached
+        A data vertex may bind ``query_node`` only if its per-label out- and
+        in-degrees cover the query node's.  One ``label_degrees`` read per
+        requirement, over the vertices no earlier requirement rejected,
+        whatever graph the context is over.
+        """
+        ok: np.ndarray | None = None
+        for out, label, needed in self.degree_requirements[query_node]:
+            pending = vertices if ok is None else vertices[ok]
+            enough = self.graph.label_degrees(pending, out, label) >= needed
+            if ok is None:
+                ok = enough
+            else:
+                ok[ok] = enough
+        return np.ones(vertices.shape[0], dtype=bool) if ok is None else ok
 
 
 @dataclass
@@ -273,9 +229,9 @@ class QueryState:
     Everything here is fixed for the engine's lifetime (the query and its
     precomputation), so the persistent pool sends it a single time at
     spawn; per-batch messages then carry only the shared-memory snapshot
-    descriptor and work-unit arrays.  :meth:`make_context` is the
-    worker-side factory that combines this state with the attached
-    array views into a ready-to-enumerate :class:`EnumerationContext`.
+    descriptor and work-unit arrays.  :meth:`make_context` is the one
+    factory of :class:`EnumerationContext`: the parent, the workers and
+    the shard scopes combine this state with their graph and DEBI views.
     """
 
     query: QueryGraph
@@ -284,8 +240,8 @@ class QueryState:
     masks: MaskTable
     match_def: MatchDefinition
     use_degree_filter: bool = True
-    out_requirements: dict = field(default_factory=dict)
-    in_requirements: dict = field(default_factory=dict)
+    #: query node -> its ``(out, edge label or None for any, needed degree)`` requirements
+    degree_table: dict[int, list[tuple[bool, int | None, int]]] = field(default_factory=dict)
 
     @classmethod
     def build(
@@ -304,8 +260,17 @@ class QueryState:
             masks=masks,
             match_def=match_def,
             use_degree_filter=use_degree_filter,
-            out_requirements={u: query.out_label_requirement(u) for u in query.nodes()},
-            in_requirements={u: query.in_label_requirement(u) for u in query.nodes()},
+            degree_table={
+                node: [
+                    (out, None if label == WILDCARD_LABEL else label, needed)
+                    for out, requirement in (
+                        (True, query.out_label_requirement(node)),
+                        (False, query.in_label_requirement(node)),
+                    )
+                    for label, needed in requirement.items()
+                ]
+                for node in query.nodes()
+            },
         )
 
     def make_context(
@@ -317,12 +282,7 @@ class QueryState:
         shared_pool_cache: dict | None = None,
         arena: "EmbeddingArena | None" = None,
     ) -> EnumerationContext:
-        """Build an array-view enumeration context for one published snapshot."""
-        degree_filter = None
-        if self.use_degree_filter and self.match_def.injective:
-            degree_filter = ArrayDegreeFilter(
-                graph, self.out_requirements, self.in_requirements
-            )
+        """Build an enumeration context over ``graph`` (live, array view or shard scope)."""
         return EnumerationContext(
             query=self.query,
             tree=self.tree,
@@ -333,10 +293,20 @@ class QueryState:
             match_def=self.match_def,
             batch_edge_ids=batch_edge_ids,
             positive=positive,
-            degree_filter=degree_filter,
+            degree_requirements=self.degree_requirements(),
             shared_pool_cache=shared_pool_cache,
             arena=arena,
         )
+
+    def degree_requirements(self) -> dict[int, list[tuple]] | None:
+        """The f2/f3 table the kernel filters with, or None.
+
+        The label-degree rules require distinct data edges per query edge,
+        which only holds under injective matching; for homomorphism a single
+        data edge may witness several query edges, so the filter would
+        wrongly prune valid embeddings.
+        """
+        return self.degree_table if self.use_degree_filter and self.match_def.injective else None
 
 
 # ---------------------------------------------------------------------- work decomposition
@@ -545,7 +515,7 @@ def _push_down(
     if step.node == context.tree.root:
         is_root = context.debi.roots_mask(pool_verts)
         keep = is_root if keep is None else keep & is_root
-    if context.degree_filter is not None:
+    if context.degree_requirements is not None:
         verts = pool_verts if keep is None else pool_verts[keep]
         allowed = context.degree_mask(verts, step.node)
         if keep is None:
@@ -592,11 +562,13 @@ class _Frontier:
     ``nodes[i, c]`` is the data vertex bound to query node
     ``node_slots[i]`` and ``edges[j, c]`` the data edge bound to query
     edge ``edge_slots[j]``.  :meth:`take` is the only way the block
-    changes: it gathers a selection of columns into the back block,
-    optionally binds one more node and/or edge slot, and swaps.
+    changes: it selects columns of it and optionally binds one more node
+    and/or edge slot.  The gather into the back block runs when the block
+    is next read — a finished block whose rows nobody reads (the caller
+    only counts) is never copied.
     """
 
-    __slots__ = ("arena", "n", "node_slots", "edge_slots")
+    __slots__ = ("arena", "n", "node_slots", "edge_slots", "_taken")
 
     def __init__(
         self,
@@ -612,6 +584,8 @@ class _Frontier:
         self.n = int(edge_ids.shape[0])
         self.node_slots = [start.src] if start.src == start.dst else [start.src, start.dst]
         self.edge_slots = [start.index]
+        #: the take not gathered yet: (columns, new node row | None, new edge row | None)
+        self._taken: tuple | None = None
         arena.begin(query.num_nodes, query.num_edges)
         arena.reserve(self.n)
         nodes, edges = arena.back()
@@ -628,11 +602,13 @@ class _Frontier:
     @property
     def nodes(self) -> np.ndarray:
         """The bound vertex rows, ``(len(node_slots), n)``."""
+        self._gather()
         return self.arena.front()[0][: len(self.node_slots), : self.n]
 
     @property
     def edges(self) -> np.ndarray:
         """The bound edge rows, ``(len(edge_slots), n)``."""
+        self._gather()
         return self.arena.front()[1][: len(self.edge_slots), : self.n]
 
     def node(self, query_node: int) -> np.ndarray:
@@ -645,22 +621,35 @@ class _Frontier:
         edge: tuple[int, np.ndarray] | None = None,
     ) -> None:
         """Keep ``columns`` (repeats fan a column out) and bind the given new slots."""
-        nodes_f, edges_f = self.nodes, self.edges
-        m = int(columns.shape[0])
-        self.arena.reserve(m)
-        nodes_b, edges_b = self.arena.back()
-        for slot, row in enumerate(nodes_f):
-            np.take(row, columns, out=nodes_b[slot, :m])
-        for slot, row in enumerate(edges_f):
-            np.take(row, columns, out=edges_b[slot, :m])
+        self._gather()  # columns index the block as the last take left it
+        self._taken = (columns, node and node[1], edge and edge[1])
         if node is not None:
-            nodes_b[len(self.node_slots), :m] = node[1]
             self.node_slots.append(node[0])
         if edge is not None:
-            edges_b[len(self.edge_slots), :m] = edge[1]
             self.edge_slots.append(edge[0])
+        self.n = int(columns.shape[0])
+
+    def _gather(self) -> None:
+        """Carry out the recorded take: front block -> back block, then swap."""
+        if self._taken is None:
+            return
+        columns, new_node, new_edge = self._taken
+        self._taken = None
+        m = self.n
+        nodes_f, edges_f = self.arena.front()
+        self.arena.reserve(m)
+        nodes_b, edges_b = self.arena.back()
+        node_rows = len(self.node_slots) - (new_node is not None)
+        edge_rows = len(self.edge_slots) - (new_edge is not None)
+        for slot in range(node_rows):
+            np.take(nodes_f[slot], columns, out=nodes_b[slot, :m])
+        for slot in range(edge_rows):
+            np.take(edges_f[slot], columns, out=edges_b[slot, :m])
+        if new_node is not None:
+            nodes_b[node_rows, :m] = new_node
+        if new_edge is not None:
+            edges_b[edge_rows, :m] = new_edge
         self.arena.swap()
-        self.n = m
 
 
 def _verify(context: EnumerationContext, frontier: _Frontier, q_indexes: Iterable[int]) -> None:
@@ -783,7 +772,7 @@ def _columnar_run(
             # mapping is not new (or, on deletes, not destroyed).
             _, rows, ok, _ = _witness_candidates(context, q_start, True, srcs, dsts, ())
             keep[rows[ok]] = False
-        if context.degree_filter is not None:
+        if context.degree_requirements is not None:
             pinned = np.flatnonzero(keep)
             keep[pinned] = context.degree_mask(srcs[pinned], q_start.src) & context.degree_mask(
                 dsts[pinned], q_start.dst

@@ -15,8 +15,14 @@ is maintained analogously for the root query node.
 Both are propagated bottom-up along the query tree using the
 :class:`repro.core.frontier.UnifiedFrontier`, so that every affected
 (edge, column) pair is evaluated once per batch regardless of how many
-updated edges share the same affected region.  The paper's ``f2/f3``
-label-degree rules are applied as an optional cheap local pre-filter.
+updated edges share the same affected region.
+
+The paper's ``f2/f3`` label-degree rules are *not* part of the bit
+definition: they depend on vertex degrees, whose growth the frontier does
+not track, so folding them into the index could leave stale zero bits
+behind (missed embeddings).  They prune at enumeration time instead
+(:meth:`~repro.core.enumeration.EnumerationContext.degree_mask`), where
+the current degree is always available.
 """
 
 from __future__ import annotations
@@ -30,11 +36,10 @@ from repro.core.api import (
     vertex_label_columns,
 )
 from repro.core.debi import DEBI
-from repro.core.enumeration import degree_requirements_ok
 from repro.core.frontier import UnifiedFrontier
-from repro.graph.adjacency import DynamicGraph
+from repro.graph.adjacency import DynamicGraph, segment_counts
 from repro.graph.edge import EdgeRecord
-from repro.query.query_graph import WILDCARD_LABEL, QueryGraph
+from repro.query.query_graph import WILDCARD_LABEL, QueryEdge, QueryGraph
 from repro.query.query_tree import QueryTree, TreeEdge
 
 
@@ -48,14 +53,12 @@ class IndexManager:
         graph: DynamicGraph,
         debi: DEBI,
         match_def: MatchDefinition,
-        use_degree_filter: bool = True,
     ) -> None:
         self.query = query
         self.tree = tree
         self.graph = graph
         self.debi = debi
         self.match_def = match_def
-        self.use_degree_filter = use_degree_filter
         #: cumulative number of (edge, column) evaluations across all batches
         self.total_traversals = 0
         #: evaluations performed by the most recent batch
@@ -65,9 +68,6 @@ class IndexManager:
         self._columns_bottom_up: list[TreeEdge] = sorted(
             tree.tree_edges, key=lambda te: -tree.depth[te.child]
         )
-        # Label-degree requirements of each query node (f2/f3 pre-filter).
-        self._out_req = {u: query.out_label_requirement(u) for u in query.nodes()}
-        self._in_req = {u: query.in_label_requirement(u) for u in query.nodes()}
         # Candidate scans may restrict to the tree edge's label partition
         # when the matcher guarantees label equality: a DEBI bit can only
         # be (or become) set on a label-matching edge, so edges outside
@@ -85,226 +85,132 @@ class IndexManager:
         """The data vertex that plays the role of ``tree_edge.parent``."""
         return record.dst if tree_edge.query_edge.src == tree_edge.child else record.src
 
-    def edges_with_child_at(self, vertex: int, tree_edge: TreeEdge):
-        """Data edges that could map ``tree_edge`` with child endpoint ``vertex``."""
-        return self._candidate_scan(vertex, tree_edge.query_edge.src == tree_edge.child, tree_edge)
+    def _scan_label(self, tree_edge: TreeEdge) -> int | None:
+        """The adjacency partition a filtering pass must evaluate for ``tree_edge``.
 
-    def edges_with_parent_at(self, vertex: int, tree_edge: TreeEdge):
-        """Data edges that could map ``tree_edge`` with parent endpoint ``vertex``."""
-        return self._candidate_scan(vertex, tree_edge.query_edge.src == tree_edge.parent, tree_edge)
-
-    def _candidate_scan(self, vertex: int, out: bool, tree_edge: TreeEdge):
-        """The adjacency pool a filtering pass must evaluate for ``tree_edge``.
-
-        Restricted to the edge-label partition when the matcher implies
-        label equality — edges with a different label can never hold (or
-        gain) the column's bit, so skipping them changes no bit.
+        The edge-label partition when the matcher implies label equality —
+        edges with a different label can never hold (or gain) the column's
+        bit, so skipping them changes no bit — else None, the whole pool.
         """
         label = tree_edge.query_edge.label
-        if not self._label_partitioned or label == WILDCARD_LABEL:
-            label = None
-        pool = self.graph.candidate_pool(vertex, out, label)
-        return pool if isinstance(pool, list) else pool.tolist()
+        return label if self._label_partitioned and label != WILDCARD_LABEL else None
 
-    def _pool_array(self, vertex: int, out: bool, tree_edge: TreeEdge) -> np.ndarray:
-        """:meth:`_candidate_scan` as an int64 array (no list round-trip)."""
-        label = tree_edge.query_edge.label
-        if not self._label_partitioned or label == WILDCARD_LABEL:
-            label = None
-        pool = self.graph.candidate_pool(vertex, out, label)
-        if isinstance(pool, np.ndarray):
-            return pool
-        return np.asarray(pool, dtype=np.int64)
+    def _edge_masks(self, edge_ids: np.ndarray, src: np.ndarray, dst: np.ndarray, label):
+        """``query edge -> bool mask``: the edge matcher over edges given as aligned columns.
+
+        The stock matcher is three label-column comparisons per query edge
+        over one vertex-label gather; a custom one is asked edge by edge.
+        """
+        query, graph = self.query, self.graph
+        if uses_default_edge_matcher(self.match_def):
+            src_vlab, dst_vlab = vertex_label_columns(graph, src, dst)
+            return lambda q_edge: default_edge_mask(query, q_edge, src_vlab, dst_vlab, label)
+        matcher = self.match_def.edge_matcher
+        records = list(map(graph.edge, edge_ids.tolist()))
+
+        def custom(q_edge: QueryEdge) -> np.ndarray:
+            verdicts = (matcher(query, graph, q_edge, record) for record in records)
+            return np.fromiter(verdicts, dtype=bool, count=len(records))
+
+        return custom
 
     # ------------------------------------------------------------------ consistency predicates
     def down_ok(self, vertex: int, query_node: int) -> bool:
-        """Does ``vertex`` have supported candidate edges for every child of ``query_node``?"""
+        """:meth:`down_mask` of one vertex, through the scalar graph and DEBI reads."""
         for child in self.tree.children[query_node]:
             child_te = self.tree.tree_edge_by_child[child]
-            column = child_te.column
-            supported = False
-            for eid in self.edges_with_parent_at(vertex, child_te):
-                if self.debi.get(eid, column):
-                    supported = True
-                    break
-            if not supported:
+            pool = self.graph.candidate_pool(
+                vertex, child_te.query_edge.src == child_te.parent, self._scan_label(child_te)
+            )
+            if not any(self.debi.get(int(eid), child_te.column) for eid in pool):
                 return False
         return True
 
-    def degree_ok(self, vertex: int, query_node: int) -> bool:
-        """The paper's f2/f3 check: per-label degree of the data vertex must cover the query node's."""
-        if not self.use_degree_filter:
-            return True
-        return degree_requirements_ok(
-            self.graph, self._out_req, self._in_req, vertex, query_node
-        )
+    def down_mask(self, vertices: np.ndarray, query_node: int) -> np.ndarray:
+        """Which ``vertices`` have a supported candidate edge for every child of ``query_node``?
 
-    def _bit_should_be_set(self, record: EdgeRecord, tree_edge: TreeEdge) -> bool:
-        """Evaluate the DEBI definition for one (edge, column) pair.
-
-        Note that the label-degree rules (``degree_ok``) are *not* part of
-        the bit definition: they depend on vertex degrees, whose growth is
-        not tracked by the frontier, so folding them into the index could
-        leave stale zero bits behind (missed embeddings).  They are applied
-        as an enumeration-time pruning check instead, where the current
-        degree is always available.
+        Per child column one pool fetch and one DEBI bit test, over the
+        vertices no earlier child rejected.
         """
-        if not self.match_def.edge_matcher(self.query, self.graph, tree_edge.query_edge, record):
-            return False
-        child_vertex = self.child_endpoint(record, tree_edge)
-        return self.down_ok(child_vertex, tree_edge.child)
+        ok: np.ndarray | None = None
+        for child in self.tree.children[query_node]:
+            child_te = self.tree.tree_edge_by_child[child]
+            ids, sizes = self.graph.candidate_pools(
+                vertices if ok is None else vertices[ok],
+                child_te.query_edge.src == child_te.parent,
+                self._scan_label(child_te),
+            )
+            supported = segment_counts(self.debi.column_mask(ids, child_te.column), sizes) > 0
+            if ok is None:
+                ok = supported
+            else:
+                ok[ok] = supported
+        return np.ones(vertices.shape[0], dtype=bool) if ok is None else ok
 
     # ------------------------------------------------------------------ insertions
-    def handle_insertions(self, new_edge_ids: list[int]) -> UnifiedFrontier:
-        """Set DEBI bits for a batch of already-inserted edges and propagate upward."""
-        frontier = UnifiedFrontier()
-        # Seed: each new edge is scheduled at every column it label-matches.
-        for eid in new_edge_ids:
-            record = self.graph.edge(eid)
-            for tree_edge in self.tree.tree_edges:
-                if self.match_def.edge_matcher(self.query, self.graph, tree_edge.query_edge, record):
-                    frontier.seed_edge(tree_edge.column, eid)
-
-        for tree_edge in self._columns_bottom_up:
-            parts = [frontier.edges_for(tree_edge.column)]
-            # Edges whose child endpoint just gained downward support.
-            for vertex in frontier.vertices_for(tree_edge.child).tolist():
-                pool = self.edges_with_child_at(vertex, tree_edge)
-                if pool:
-                    parts.append(np.asarray(pool, dtype=np.int64))
-            candidates = (
-                np.unique(np.concatenate(parts)) if len(parts) > 1 else parts[0]
-            )
-            for eid in candidates.tolist():
-                frontier.count_traversal()
-                if self.debi.get(eid, tree_edge.column):
-                    continue
-                record = self.graph.edge(eid)
-                if not self._bit_should_be_set(record, tree_edge):
-                    continue
-                self.debi.set(eid, tree_edge.column)
-                parent_vertex = self.parent_endpoint(record, tree_edge)
-                frontier.seed_vertex(tree_edge.parent, parent_vertex)
-
-        self._refresh_roots_after_insert(frontier)
-        self.total_traversals += frontier.traversed_edges
-        self.last_batch_traversals = frontier.traversed_edges
-        return frontier
+    def handle_insertions(self, new_edge_ids) -> UnifiedFrontier:
+        """:meth:`handle_insert_columns` of already-inserted edges named by id alone."""
+        ids = np.asarray(new_edge_ids, dtype=np.int64)
+        graph = self.graph
+        return self.handle_insert_columns(
+            ids, graph.endpoint_array(ids, False), graph.endpoint_array(ids, True),
+            graph.edge_labels(ids),
+        )
 
     def handle_insert_columns(self, new_edge_ids, src, dst, label) -> UnifiedFrontier:
-        """Columnar :meth:`handle_insertions`: same final DEBI state and counters.
+        """Set DEBI bits for a batch of already-inserted edges and propagate upward.
 
         ``src``/``dst``/``label`` are the decoded int64 event columns
-        aligned with ``new_edge_ids``.  For the default (label-equality)
-        matcher the seed step becomes one boolean mask per query-tree
-        column instead of ``|batch| x |columns|`` Python matcher calls,
-        and the propagation step evaluates whole candidate arrays with a
-        vectorized skip mask, a vectorized label matcher and a per-column
-        ``down_ok`` memo.  The memo is parity-safe because ``down_ok`` of
-        a column's child reads only strictly deeper columns, which are
-        final before the column's pass starts.  Custom matchers fall back
-        to per-edge evaluation (identical to :meth:`handle_insertions`).
+        aligned with ``new_edge_ids``.  Every new edge is scheduled at the
+        columns it matches; then, deepest column first, one pass evaluates
+        the column's scheduled edges plus the edges whose child endpoint
+        just gained downward support: a skip mask for the bits already
+        set, the edge matcher and one :meth:`down_mask` over the child
+        endpoints.  ``down`` of a column's child reads only strictly deeper
+        columns, which are final before the column's pass starts, so the
+        whole pass can be decided at once.
         """
         frontier = UnifiedFrontier()
         ids = np.asarray(new_edge_ids, dtype=np.int64)
-        n = int(ids.shape[0])
-        default_matcher = uses_default_edge_matcher(self.match_def)
-
-        # -- seed: schedule each new edge at every column it matches
-        if n and default_matcher:
-            label_arr = np.asarray(label, dtype=np.int64)
-            src_vlab, dst_vlab = vertex_label_columns(
-                self.graph, np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
+        if ids.shape[0]:
+            matches = self._edge_masks(
+                ids, np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64),
+                np.asarray(label, dtype=np.int64),
             )
             for tree_edge in self.tree.tree_edges:
-                mask = default_edge_mask(
-                    self.query, tree_edge.query_edge, src_vlab, dst_vlab, label_arr
-                )
-                matched = ids[mask]
+                matched = ids[matches(tree_edge.query_edge)]
                 if matched.shape[0]:
                     frontier.seed_edges(tree_edge.column, matched)
-        elif n:
-            for eid in ids.tolist():
-                record = self.graph.edge(eid)
-                for tree_edge in self.tree.tree_edges:
-                    if self.match_def.edge_matcher(
-                        self.query, self.graph, tree_edge.query_edge, record
-                    ):
-                        frontier.seed_edge(tree_edge.column, eid)
 
-        # -- propagate bottom-up, one batched pass per column
         debi = self.debi
         graph = self.graph
         for tree_edge in self._columns_bottom_up:
-            parts = [frontier.edges_for(tree_edge.column)]
-            for vertex in frontier.vertices_for(tree_edge.child).tolist():
-                pool = self._pool_array(
-                    vertex, tree_edge.query_edge.src == tree_edge.child, tree_edge
+            child_is_src = tree_edge.query_edge.src == tree_edge.child
+            candidates = frontier.edges_for(tree_edge.column)
+            supported = frontier.vertices_for(tree_edge.child)
+            if supported.shape[0]:
+                pools, _ = graph.candidate_pools(
+                    supported, child_is_src, self._scan_label(tree_edge)
                 )
-                if pool.shape[0]:
-                    parts.append(pool)
-            candidates = (
-                np.unique(np.concatenate(parts)) if len(parts) > 1 else parts[0]
-            )
-            num_candidates = int(candidates.shape[0])
-            if num_candidates == 0:
+                candidates = np.unique(np.concatenate([candidates, pools]))
+            if candidates.shape[0] == 0:
                 continue
-            # one evaluation per candidate, exactly like the per-edge loop
-            frontier.count_traversal(num_candidates)
+            # one evaluation per candidate, already set or not
+            frontier.count_traversal(int(candidates.shape[0]))
             unset = candidates[~debi.column_mask(candidates, tree_edge.column)]
             if unset.shape[0] == 0:
                 continue
-            newly: list[int] = []
-            down_memo: dict[int, bool] = {}
-            if default_matcher:
-                child_is_dst = tree_edge.query_edge.src != tree_edge.child
-                e_src = graph.endpoint_array(unset, take_dst=False)
-                e_dst = graph.endpoint_array(unset, take_dst=True)
-                src_vlab, dst_vlab = vertex_label_columns(graph, e_src, e_dst)
-                mask = default_edge_mask(
-                    self.query, tree_edge.query_edge, src_vlab, dst_vlab,
-                    graph.edge_labels(unset),
-                )
-                child_eps = (e_dst if child_is_dst else e_src).tolist()
-                parent_eps = (e_src if child_is_dst else e_dst).tolist()
-                unset_list = unset.tolist()
-                seeded_parents: list[int] = []
-                down_ok = self.down_ok
-                child_node = tree_edge.child
-                for i in np.nonzero(mask)[0].tolist():
-                    child_vertex = child_eps[i]
-                    ok = down_memo.get(child_vertex)
-                    if ok is None:
-                        ok = down_memo[child_vertex] = down_ok(
-                            child_vertex, child_node
-                        )
-                    if not ok:
-                        continue
-                    newly.append(unset_list[i])
-                    seeded_parents.append(parent_eps[i])
-                if seeded_parents:
-                    frontier.seed_vertices(tree_edge.parent, seeded_parents)
-            else:
-                for eid in unset.tolist():
-                    record = graph.edge(eid)
-                    if not self.match_def.edge_matcher(
-                        self.query, graph, tree_edge.query_edge, record
-                    ):
-                        continue
-                    child_vertex = self.child_endpoint(record, tree_edge)
-                    ok = down_memo.get(child_vertex)
-                    if ok is None:
-                        ok = down_memo[child_vertex] = self.down_ok(
-                            child_vertex, tree_edge.child
-                        )
-                    if not ok:
-                        continue
-                    newly.append(eid)
-                    frontier.seed_vertex(
-                        tree_edge.parent, self.parent_endpoint(record, tree_edge)
-                    )
-            if newly:
-                debi.set_edges(np.asarray(newly, dtype=np.int64), tree_edge.column)
+            e_src = graph.endpoint_array(unset, take_dst=False)
+            e_dst = graph.endpoint_array(unset, take_dst=True)
+            matches = self._edge_masks(unset, e_src, e_dst, graph.edge_labels(unset))
+            matched = np.flatnonzero(matches(tree_edge.query_edge))
+            child_eps, parent_eps = (e_src, e_dst) if child_is_src else (e_dst, e_src)
+            if self.tree.children[tree_edge.child]:  # endpoints repeat: decide each once
+                child_vertices, inverse = np.unique(child_eps[matched], return_inverse=True)
+                matched = matched[self.down_mask(child_vertices, tree_edge.child)[inverse]]
+            if matched.shape[0]:
+                debi.set_edges(unset[matched], tree_edge.column)
+                frontier.seed_vertices(tree_edge.parent, parent_eps[matched])
 
         self._refresh_roots_after_insert(frontier)
         self.total_traversals += frontier.traversed_edges
@@ -313,14 +219,14 @@ class IndexManager:
 
     def _refresh_roots_after_insert(self, frontier: UnifiedFrontier) -> None:
         root = self.tree.root
-        for vertex in frontier.vertices_for(root).tolist():
-            frontier.count_traversal()
-            if self.debi.is_root(vertex):
-                continue
-            if not self.match_def.root_matcher(self.query, self.graph, root, vertex):
-                continue
-            if self.down_ok(vertex, root):
-                self.debi.set_root(vertex)
+        vertices = frontier.vertices_for(root)
+        frontier.count_traversal(int(vertices.shape[0]))
+        fresh = vertices[~self.debi.roots_mask(vertices)]
+        root_matcher = self.match_def.root_matcher
+        matched = [v for v in fresh.tolist() if root_matcher(self.query, self.graph, root, v)]
+        fresh = np.asarray(matched, dtype=np.int64)
+        for vertex in fresh[self.down_mask(fresh, root)].tolist():
+            self.debi.set_root(vertex)
 
     # ------------------------------------------------------------------ deletions
     def handle_deletions(self, deleted: list[tuple[EdgeRecord, int]]) -> UnifiedFrontier:
@@ -337,29 +243,39 @@ class IndexManager:
                     parent_vertex = self.parent_endpoint(record, tree_edge)
                     frontier.seed_vertex(tree_edge.parent, parent_vertex)
 
-        # Re-check down-consistency from the deepest affected query node upward.
+        # Re-check down-consistency from the deepest affected query node
+        # upward.  A level's verdicts read only deeper columns, so they are
+        # all taken before any of its bits is cleared.
+        debi = self.debi
+        graph = self.graph
         nodes_bottom_up = sorted(self.tree.bfs_order, key=lambda u: -self.tree.depth[u])
         for node in nodes_bottom_up:
-            vertices = frontier.vertices_for(node).tolist()
-            if not vertices:
+            vertices = frontier.vertices_for(node)
+            if vertices.shape[0] == 0:
                 continue
+            frontier.count_traversal(int(vertices.shape[0]))
             if node == self.tree.root:
-                for vertex in vertices:
-                    frontier.count_traversal()
-                    if self.debi.is_root(vertex) and not self.down_ok(vertex, node):
-                        self.debi.clear_root(vertex)
+                rooted = vertices[debi.roots_mask(vertices)]
+                for vertex in rooted[~self.down_mask(rooted, node)].tolist():
+                    debi.clear_root(vertex)
                 continue
+            # Every edge that maps the node's tree edge onto an unsupported
+            # vertex loses its bit, and its parent endpoint is re-checked.
             tree_edge = self.tree.tree_edge_by_child[node]
-            for vertex in vertices:
-                frontier.count_traversal()
-                if self.down_ok(vertex, node):
-                    continue
-                for eid in self.edges_with_child_at(vertex, tree_edge):
-                    frontier.count_traversal()
-                    if self.debi.get(eid, tree_edge.column):
-                        self.debi.clear(eid, tree_edge.column)
-                        record = self.graph.edge(eid)
-                        frontier.seed_vertex(tree_edge.parent, self.parent_endpoint(record, tree_edge))
+            child_is_src = tree_edge.query_edge.src == tree_edge.child
+            unsupported = vertices[~self.down_mask(vertices, node)]
+            if unsupported.shape[0] == 0:
+                continue
+            pools, _ = graph.candidate_pools(
+                unsupported, child_is_src, self._scan_label(tree_edge)
+            )
+            frontier.count_traversal(int(pools.shape[0]))
+            stale = pools[debi.column_mask(pools, tree_edge.column)]
+            for edge_id in stale.tolist():
+                debi.clear(edge_id, tree_edge.column)
+            frontier.seed_vertices(
+                tree_edge.parent, graph.endpoint_array(stale, take_dst=child_is_src)
+            )
 
         self.total_traversals += frontier.traversed_edges
         self.last_batch_traversals = frontier.traversed_edges

@@ -87,7 +87,6 @@ class QueryRuntime:
     debi: DEBI
     index_manager: IndexManager
     query_state: QueryState
-    use_degree_filter: bool = True
     #: reusable embedding arena for the kernel's serial path
     arena: EmbeddingArena = field(default_factory=EmbeddingArena)
 
@@ -99,25 +98,8 @@ class QueryRuntime:
         shared_pool_cache: dict | None = None,
     ) -> EnumerationContext:
         """Build an enumeration context over the live graph for one batch."""
-        # The f2/f3 label-degree rules require distinct data edges per query
-        # edge, which only holds under injective matching; for homomorphism a
-        # single data edge may witness several query edges, so the filter
-        # would wrongly prune valid embeddings.
-        use_degree = self.use_degree_filter and self.match_def.injective
-        degree_filter = self.index_manager.degree_ok if use_degree else None
-        return EnumerationContext(
-            query=self.query,
-            tree=self.tree,
-            graph=graph,
-            debi=self.debi,
-            orders=self.orders,
-            masks=self.masks,
-            match_def=self.match_def,
-            batch_edge_ids=batch_edge_ids,
-            positive=positive,
-            degree_filter=degree_filter,
-            shared_pool_cache=shared_pool_cache,
-            arena=self.arena,
+        return self.query_state.make_context(
+            graph, self.debi, batch_edge_ids, positive, shared_pool_cache, self.arena
         )
 
 
@@ -147,9 +129,7 @@ def build_query_runtime(
     orders = build_matching_orders(query, tree)
     masks = MaskTable(query, tree)
     debi = DEBI(tree)
-    index_manager = IndexManager(
-        query, tree, graph, debi, match_def, use_degree_filter=use_degree_filter
-    )
+    index_manager = IndexManager(query, tree, graph, debi, match_def)
     if rebuild_index and graph.num_edges:
         index_manager.rebuild()
     query_state = QueryState.build(
@@ -169,7 +149,6 @@ def build_query_runtime(
         debi=debi,
         index_manager=index_manager,
         query_state=query_state,
-        use_degree_filter=use_degree_filter,
     )
 
 

@@ -85,6 +85,7 @@ from repro.graph.adjacency import (
     GraphError,
     concat_candidate_pools,
     concat_find_edges,
+    concat_label_degrees,
 )
 from repro.graph.stats import PlaceholderStats
 from repro.query.query_graph import QueryGraph
@@ -219,6 +220,12 @@ class RoutedGraph:
     # --- vertex keyed -------------------------------------------------
     def candidate_pool(self, vertex: int, out: bool, label: int | None = None):
         return self._router.owner_graph(vertex).candidate_pool(vertex, out, label)
+
+    def candidate_pools(self, anchors, out: bool, label: int | None = None):
+        return concat_candidate_pools(self, anchors, out, label)
+
+    def label_degrees(self, vertices, out: bool, label: int | None = None):
+        return concat_label_degrees(self, vertices, out, label)
 
     def find_edges(self, src: int, dst: int, label: int | None = None) -> list[int]:
         return self._router.owner_graph(src).find_edges(src, dst, label)
@@ -389,6 +396,7 @@ class ShardScopeGraph:
         self._local = shard.graph
         self._index = shard.index
         self._forwarded: dict[tuple, np.ndarray] = {}
+        self._degrees: dict[tuple, dict[int, int]] = {}
 
     # --- vertex keyed: local or forwarded -----------------------------
     def candidate_pool(self, vertex: int, out: bool, label: int | None = None):
@@ -406,6 +414,17 @@ class ShardScopeGraph:
 
     def candidate_pools(self, anchors, out: bool, label: int | None = None):
         return concat_candidate_pools(self, anchors, out, label)
+
+    def label_degrees(self, vertices, out: bool, label: int | None = None):
+        # One probe per vertex per scope, for the reason pools are forwarded
+        # once: the degree filter re-tests a vertex at every step reaching it.
+        known = self._degrees.setdefault((out, label), {})
+        asked = vertices.tolist()
+        fresh = [vertex for vertex in dict.fromkeys(asked) if vertex not in known]
+        if fresh:
+            probed = concat_label_degrees(self, np.array(fresh, dtype=np.int64), out, label)
+            known.update(zip(fresh, probed.tolist()))
+        return np.fromiter(map(known.__getitem__, asked), dtype=np.int64, count=len(asked))
 
     def find_edges(self, src: int, dst: int, label: int | None = None) -> list[int]:
         owner = self._router.partition.owner(src)
@@ -787,7 +806,7 @@ class ShardedEngine:
         self.routed_debi = RoutedDEBI(self.router)
         self.index_manager = IndexManager(
             query, self.tree, self.routed_graph, self.routed_debi,  # type: ignore[arg-type]
-            self.match_def, use_degree_filter=self.config.use_degree_filter,
+            self.match_def,
         )
 
         # Per-shard supervised pools (process backend only): one

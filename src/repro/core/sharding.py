@@ -31,7 +31,11 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Iterator, Protocol, Sequence, runtime_checkable
 
-from repro.graph.adjacency import concat_candidate_pools, concat_find_edges
+from repro.graph.adjacency import (
+    concat_candidate_pools,
+    concat_find_edges,
+    concat_label_degrees,
+)
 from repro.utils.validation import ConfigurationError
 
 _MASK64 = (1 << 64) - 1
@@ -225,6 +229,9 @@ class ShardGuardView:
 
     def candidate_pools(self, anchors, out: bool, label: int | None = None):
         return concat_candidate_pools(self, anchors, out, label)
+
+    def label_degrees(self, vertices, out: bool, label: int | None = None):
+        return concat_label_degrees(self, vertices, out, label)
 
     def find_edges(self, src: int, dst: int, label: int | None = None) -> list[int]:
         self._check(src)

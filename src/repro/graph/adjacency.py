@@ -111,6 +111,20 @@ def concat_candidate_pools(graph, anchors: np.ndarray, out: bool, label: int | N
     return (np.concatenate(pools) if pools else _EMPTY_ARRAY), sizes
 
 
+def concat_label_degrees(graph, vertices: np.ndarray, out: bool, label: int | None) -> np.ndarray:
+    """``label_degrees`` for a graph facade that only answers per vertex.
+
+    Calls the facade's scalar degree read once per vertex, so per-vertex
+    routing and ownership checks of the facade still run for every one.
+    """
+    if label is None:
+        degrees = map(graph.out_degree if out else graph.in_degree, vertices.tolist())
+    else:
+        scalar = graph.out_label_degree if out else graph.in_label_degree
+        degrees = map(scalar, vertices.tolist(), repeat(label))
+    return np.fromiter(degrees, dtype=np.int64, count=vertices.shape[0])
+
+
 def edges_between(graph, srcs: np.ndarray, dsts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``find_edges_batch`` from a graph's ``candidate_pools`` and ``endpoint_array``.
 
@@ -340,8 +354,14 @@ class _Adjacency:
             return self._slice(parts[0])
         return np.concatenate(list(map(self._slice, parts))) if parts else _EMPTY_ARRAY
 
-    def pools(self, vertices: list[int], label: int | None) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`pool` of every vertex: ``(pools concatenated, size per vertex)``."""
+    def locate(
+        self, vertices: list[int], label: int | None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Where the pools of ``vertices`` lie: ``(partitions, their sizes, pool size per vertex)``.
+
+        ``label=None`` lists all of a vertex's partitions in creation order;
+        a label lists exactly one per vertex, a missing one with size 0.
+        """
         n = len(vertices)
         if label is None:
             positions = map(self.position.get, vertices)
@@ -351,17 +371,19 @@ class _Adjacency:
                 chain.from_iterable(owned), dtype=np.int64, count=int(counts.sum())
             )
             part_sizes = self.size[parts]
-            flat = self.arena[expand_ranges(self.start[parts], part_sizes)]
-            return flat, segment_counts(part_sizes, counts)
+            return parts, part_sizes, segment_counts(part_sizes, counts)
         parts = np.fromiter(
             map(self.index.get, zip(vertices, repeat(label)), repeat(-1)),
             dtype=np.int64,
             count=n,
         )
-        known = parts >= 0
-        sizes = np.where(known, self.size[parts], 0)
-        starts = np.where(known, self.start[parts], 0)
-        return self.arena[expand_ranges(starts, sizes)], sizes
+        sizes = np.where(parts >= 0, self.size[parts], 0)
+        return parts, sizes, sizes
+
+    def pools(self, vertices: list[int], label: int | None) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`pool` of every vertex: ``(pools concatenated, size per vertex)``."""
+        parts, part_sizes, sizes = self.locate(vertices, label)
+        return self.arena[expand_ranges(self.start[parts], part_sizes)], sizes
 
     def degree(self, vertex: int) -> int:
         return sum(map(self.size.item, self.parts_of(vertex)))
@@ -550,6 +572,8 @@ class DynamicGraph:
         part of that space leaves the skipped ids as dead placeholder
         rows, exactly like deleted-but-unrecycled edges.
         """
+        if src < 0 or dst < 0:
+            raise GraphError(f"vertex id {min(src, dst)} is negative")
         if edge_id is not None:
             self._check_forced_ids(np.array([edge_id]))
         self.add_vertex(src, src_label if src_label is not None else self.vertex_label(src))
@@ -670,6 +694,14 @@ class DynamicGraph:
         """
         return (self._out if out else self._in).pools(anchors.tolist(), label)
 
+    def label_degrees(self, vertices: np.ndarray, out: bool, label: int | None = None):
+        """Batched label degree: the :meth:`candidate_pools` sizes, without the pools.
+
+        ``label=None`` is the total out- (or in-) degree; an unknown vertex
+        has degree 0.  One partition-table ``size`` gather.
+        """
+        return (self._out if out else self._in).locate(vertices.tolist(), label)[2]
+
     def endpoint_array(self, edge_ids: np.ndarray, take_dst: bool) -> np.ndarray:
         """Vectorized endpoint gather: dst (or src) vertex per edge id."""
         return (self._dst if take_dst else self._src)[edge_ids]
@@ -773,15 +805,18 @@ class DynamicGraph:
         partitions are created in event order.
 
         ``edge_ids`` forces the ids (the sharded path, where a router-level
-        allocator owns the id space).  A forced id that is negative,
-        already live or repeated in the batch is rejected with
-        :class:`GraphError` before anything is mutated.
+        allocator owns the id space).  A negative vertex id, or a forced
+        id that is negative, already live or repeated in the batch, is
+        rejected with :class:`GraphError` before anything is mutated.
         """
         src_arr = np.asarray(src, dtype=np.int64)
         n = int(src_arr.shape[0])
         if n == 0:
             return []
         dst_arr = np.asarray(dst, dtype=np.int64)
+        lowest = min(int(src_arr.min()), int(dst_arr.min()))
+        if lowest < 0:  # DEBI root bits are indexed by vertex id
+            raise GraphError(f"vertex id {lowest} is negative")
         zeros = np.zeros(n, dtype=np.int64)
         label_arr = zeros if label is None else np.asarray(label, dtype=np.int64)
         ts_arr = (
@@ -1159,7 +1194,7 @@ class CSRSnapshot:
 
 
 class _CSRSide:
-    """One direction of a :class:`CSRSnapshot`, with its offset arrays as Python lists."""
+    """One direction of a :class:`CSRSnapshot`; ``<array>_list`` is the array as a Python list."""
 
     def __init__(self, snapshot: CSRSnapshot, side: str) -> None:
         self.indptr = getattr(snapshot, f"{side}_indptr")
@@ -1168,12 +1203,15 @@ class _CSRSide:
         self.group_labels = getattr(snapshot, f"{side}_group_labels")
         self.group_indptr = getattr(snapshot, f"{side}_group_indptr")
         self.label_indices = getattr(snapshot, f"{side}_label_indices")
-        self.indptr_list = self.indptr.tolist()
-        self.group_vptr_list = self.group_vptr.tolist()
-        self.group_labels_list = self.group_labels.tolist()
-        self.group_indptr_list = self.group_indptr.tolist()
         #: vertex position -> its combined pool as a Python list, converted on first use
         self.pools: dict[int, list[int]] = {}
+
+    def __getattr__(self, name: str) -> list[int]:
+        # Only the scalar reads want lists; each is converted on first use.
+        if not name.endswith("_list"):
+            raise AttributeError(name)
+        values = self.__dict__[name] = getattr(self, name[:-5]).tolist()
+        return values
 
     def pool(self, pos: int) -> list[int]:
         edges = self.pools.get(pos)
@@ -1198,24 +1236,34 @@ class CSRGraphView:
     arrays are zero-copy views into the shared-memory segment, and the
     batched reads the kernel uses (``candidate_pools``, ``endpoint_array``,
     ``find_edges_batch``, the label gathers) are index arithmetic over
-    them.  The scalar API answers from plain Python ints (numpy scalars
-    are ~3x slower to index, hash and compare): adjacency slices are
-    converted lazily per vertex, the edge scalar columns once up front.
-    Mutating methods are intentionally absent.
+    them; attaching builds only the vertex position table they share.  The
+    scalar API answers from plain Python ints (numpy scalars are ~3x slower
+    to index, hash and compare): each array it reads is converted to a list
+    on first use, adjacency slices per vertex.  Mutating methods are
+    intentionally absent.
     """
+
+    #: scalar-API attribute -> the snapshot array it is the Python list of
+    _LISTS = {
+        "_vertex_ids": "vertex_ids", "_vertex_label_list": "vertex_labels",
+        "_src": "edge_src", "_dst": "edge_dst", "_label": "edge_label",
+        "_timestamp": "edge_timestamp", "_alive": "edge_alive",
+    }
 
     def __init__(self, snapshot: CSRSnapshot) -> None:
         self._snapshot = snapshot
-        self._vertex_ids = snapshot.vertex_ids.tolist()
-        self._position = {vid: i for i, vid in enumerate(self._vertex_ids)}
-        self._vertex_label_list = snapshot.vertex_labels.tolist()
+        vertex_ids = snapshot.vertex_ids
+        self._position = dict(zip(vertex_ids.tolist(), range(vertex_ids.shape[0])))
         self._out = _CSRSide(snapshot, "out")
         self._in = _CSRSide(snapshot, "in")
-        self._src = snapshot.edge_src.tolist()
-        self._dst = snapshot.edge_dst.tolist()
-        self._label = snapshot.edge_label.tolist()
-        self._timestamp = snapshot.edge_timestamp.tolist()
-        self._alive = snapshot.edge_alive.tolist()
+
+    def __getattr__(self, name: str) -> list:
+        # Only the scalar reads want lists; each is converted on first use.
+        source = self._LISTS.get(name)
+        if source is None:
+            raise AttributeError(name)
+        values = self.__dict__[name] = getattr(self._snapshot, source).tolist()
+        return values
 
     # ------------------------------------------------------------------ vertices
     def has_vertex(self, vertex: int) -> bool:
@@ -1242,7 +1290,7 @@ class CSRGraphView:
 
     @property
     def num_vertices(self) -> int:
-        return len(self._vertex_ids)
+        return self._snapshot.vertex_ids.shape[0]
 
     # ------------------------------------------------------------------ edges
     def edge(self, edge_id: int) -> EdgeRecord:
@@ -1257,7 +1305,7 @@ class CSRGraphView:
         )
 
     def is_alive(self, edge_id: int) -> bool:
-        return 0 <= edge_id < len(self._src) and bool(self._alive[edge_id])
+        return 0 <= edge_id < self.num_placeholders and bool(self._alive[edge_id])
 
     def out_edges(self, vertex: int) -> list[int]:
         """Edge ids of live edges leaving ``vertex`` (do not mutate)."""
@@ -1290,37 +1338,44 @@ class CSRGraphView:
             return self.out_edges(vertex) if out else self.in_edges(vertex)
         return self._label_pool(self._out if out else self._in, vertex, label)
 
-    def candidate_pools(self, anchors: np.ndarray, out: bool, label: int | None = None):
-        """Batched :meth:`candidate_pool` (see :meth:`DynamicGraph.candidate_pools`).
+    def _ranges(self, side: _CSRSide, vertices: np.ndarray, label: int | None):
+        """``(starts, sizes)`` of every vertex's pool in ``indices`` / ``label_indices``.
 
-        Index arithmetic over the snapshot arrays only: the anchors' CSR
-        ranges (wildcard) or their ``(vertex, label)`` group ranges are
-        located with gathers and expanded into one index array, so no
-        per-anchor slice is ever taken.
+        Index arithmetic over the snapshot arrays only: the CSR ranges
+        (wildcard) or the ``(vertex, label)`` group ranges are located with
+        gathers, so no per-vertex slice is ever taken.
         """
-        side = self._out if out else self._in
-        n = anchors.shape[0]
-        sizes = np.zeros(n, dtype=np.int64)
-        position = self._positions(anchors)
-        known = np.nonzero(position >= 0)[0]
-        if known.size == 0:
-            return _EMPTY_ARRAY, sizes
-        position = position[known]
+        n = vertices.shape[0]
         starts = np.zeros(n, dtype=np.int64)
+        sizes = np.zeros(n, dtype=np.int64)
+        position = self._positions(vertices)
+        known = np.nonzero(position >= 0)[0]
+        position = position[known]
         if label is None:
             starts[known] = side.indptr[position]
-            sizes[known] = side.indptr[position + 1] - side.indptr[position]
-            return side.indices[expand_ranges(starts, sizes)], sizes
-        # Every group of every known anchor, then the (at most one per
-        # anchor) group carrying the step's label.
+            sizes[known] = side.indptr[position + 1] - starts[known]
+            return starts, sizes
+        # Every group of every known vertex, then the (at most one per
+        # vertex) group carrying the label.
         group_counts = side.group_vptr[position + 1] - side.group_vptr[position]
         groups = expand_ranges(side.group_vptr[position], group_counts)
         hit = side.group_labels[groups] == label
         owner = np.repeat(known, group_counts)[hit]
         group = groups[hit]
         starts[owner] = side.group_indptr[group]
-        sizes[owner] = side.group_indptr[group + 1] - side.group_indptr[group]
-        return side.label_indices[expand_ranges(starts, sizes)], sizes
+        sizes[owner] = side.group_indptr[group + 1] - starts[owner]
+        return starts, sizes
+
+    def candidate_pools(self, anchors: np.ndarray, out: bool, label: int | None = None):
+        """Batched :meth:`candidate_pool` (see :meth:`DynamicGraph.candidate_pools`)."""
+        side = self._out if out else self._in
+        starts, sizes = self._ranges(side, anchors, label)
+        indices = side.indices if label is None else side.label_indices
+        return indices[expand_ranges(starts, sizes)], sizes
+
+    def label_degrees(self, vertices: np.ndarray, out: bool, label: int | None = None):
+        """Batched label degree (see :meth:`DynamicGraph.label_degrees`)."""
+        return self._ranges(self._out if out else self._in, vertices, label)[1]
 
     def endpoint_array(self, edge_ids: np.ndarray, take_dst: bool) -> np.ndarray:
         """Vectorized endpoint gather: dst (or src) vertex per edge id."""
@@ -1383,7 +1438,7 @@ class CSRGraphView:
 
     @property
     def num_placeholders(self) -> int:
-        return len(self._src)
+        return self._snapshot.edge_src.shape[0]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -7,9 +7,9 @@ applied with one ``add_edge`` / ``delete_edge`` call, and every work unit
 is enumerated by the depth-first backtracking join of the paper's
 Figure 4, one partial embedding at a time, through the scalar graph and
 DEBI API only (``candidate_pool``, ``find_edges``, ``edge``, ``DEBI.get``).
-It shares the query precomputation (tree, matching orders, masks) and the
-incremental index maintenance with the product; those have their own
-oracles (``test_filtering``, ``test_property_incremental``).
+The index behind it is maintained edge by edge too (``edge_index.py``,
+which also holds the scalar f2/f3 degree rule); only the query
+precomputation (tree, matching orders, masks) is shared with the product.
 
 ``candidates_scanned`` is defined here: a candidate pool costs its raw
 size once per ``(anchor, direction, column, label)`` per context — and,
@@ -30,6 +30,8 @@ from repro.graph.adjacency import DynamicGraph
 from repro.query.query_graph import WILDCARD_LABEL
 from repro.streams.events import StreamEvent, coerce_insert
 
+from .edge_index import ReferenceIndexManager, degree_requirements_ok
+
 
 class TupleContext:
     """One query's view of one batch phase; also what ``accept`` receives."""
@@ -44,14 +46,16 @@ class TupleContext:
         self.match_def = runtime.match_def
         self.batch_edge_ids = batch_edge_ids
         self.positive = positive
-        use_degree = runtime.use_degree_filter and runtime.match_def.injective
-        self.degree_filter = runtime.index_manager.degree_ok if use_degree else None
+        state = runtime.query_state
+        self.use_degree_filter = state.use_degree_filter and runtime.match_def.injective
         self.candidates_scanned = 0
         self._memo: dict = {}
         self._shared_pools = shared_pools
 
     def degree_ok(self, vertex: int, query_node: int) -> bool:
-        return self.degree_filter is None or self.degree_filter(vertex, query_node)
+        return not self.use_degree_filter or degree_requirements_ok(
+            self.graph, self.query, vertex, query_node
+        )
 
     def candidates(self, step, anchor: int) -> list[tuple[int, int]]:
         """``(edge id, vertex it binds)`` for every DEBI candidate of ``step`` at ``anchor``."""
@@ -207,6 +211,7 @@ class ReferenceEngine:
             build_query_runtime(query, match_def, self.graph, use_degree_filter=use_degree_filter)
             for query, match_def in queries
         ]
+        self.indexes = [ReferenceIndexManager.over(r.index_manager) for r in self.runtimes]
 
     def _enumerate(self, batch_edge_ids: list[int], positive: bool):
         shared = {} if len(self.runtimes) > 1 else None
@@ -232,8 +237,8 @@ class ReferenceEngine:
                 event.src, event.dst, event.label, event.timestamp,
                 src_label=event.src_label, dst_label=event.dst_label,
             ))
-        for runtime in self.runtimes:
-            runtime.index_manager.handle_insertions(new_ids)
+        for index in self.indexes:
+            index.handle_insertions(new_ids)
         return self._enumerate(new_ids, positive=True)
 
     def batch_deletes(self, events):
@@ -247,8 +252,8 @@ class ReferenceEngine:
             for runtime in self.runtimes:
                 runtime.debi.clear_edge(edge_id)
             deleted.append((record, rows))
-        for position, runtime in enumerate(self.runtimes):
-            runtime.index_manager.handle_deletions(
+        for position, index in enumerate(self.indexes):
+            index.handle_deletions(
                 [(record, rows[position]) for record, rows in deleted]
             )
         return results

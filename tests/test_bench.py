@@ -152,3 +152,35 @@ class TestReporting:
         text = format_series("S", {"x1": 1.0, "x2": 2.0}, value_name="runtime")
         assert "runtime" in text
         assert "x2" in text
+
+
+class TestResultTables:
+    """``benchmarks/conftest.py:write_result`` must not dirty the tree over wall-clock jitter."""
+
+    @staticmethod
+    def table(runtime=9.1852, backend="process", embeddings=21270):
+        return format_table("T", ["suite", "backend", "runtime_s", "embeddings"],
+                            [["T_9", "serial", 0.0201, 21270], ["T_9", backend, runtime, embeddings]])
+
+    @pytest.fixture
+    def results(self, tmp_path, monkeypatch):
+        import benchmarks.conftest as bench_conftest
+
+        monkeypatch.setattr(bench_conftest, "RESULTS_DIR", str(tmp_path))
+        bench_conftest.write_result("table", self.table())
+        return bench_conftest.write_result, tmp_path / "table.txt"
+
+    def test_timing_jitter_leaves_the_file_alone(self, results):
+        write_result, path = results
+        slower = self.table(runtime=12345.6789)  # wider than its header: the layout moves too
+        assert len(slower.splitlines()[2]) > len(self.table().splitlines()[2])
+        write_result("table", slower)
+        assert path.read_text() == self.table() + "\n"
+
+    @pytest.mark.parametrize("moved", [
+        {"embeddings": 21271}, {"backend": "thread"}, {"runtime": 9},
+    ], ids=["count", "text", "float-to-integer"])
+    def test_counts_and_text_force_a_rewrite(self, results, moved):
+        write_result, path = results
+        write_result("table", self.table(**moved))
+        assert path.read_text() == self.table(**moved) + "\n"

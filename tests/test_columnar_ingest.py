@@ -193,7 +193,7 @@ def test_columnar_engine_parity(engine_name, ops, size):
         assert found == expected
         if engine_name == "serial":
             ref_graph, ref_runtime = reference.graph, reference.runtimes[0]
-            assert engine.index_manager.total_traversals == ref_runtime.index_manager.total_traversals
+            assert engine.index_manager.total_traversals == reference.indexes[0].total_traversals
             assert engine.graph.num_edges == ref_graph.num_edges
             assert engine.graph.num_placeholders == ref_graph.num_placeholders
             assert engine.graph.stats.recycled == ref_graph.stats.recycled

@@ -87,28 +87,28 @@ _MATCHERS = {
 }
 
 
-def _random_events(rng, num_events, deletes=True, num_vertices=8, num_labels=2):
+def _random_events(rng, num_events, deletes=True, num_vertices=8, num_labels=2,
+                   delete_share=0.25):
     """A random multigraph stream over a small labelled vertex set.
 
     Timestamps are small integers, so ties and out-of-order arrivals are
-    common; deletions name a live triple and are followed by inserts at the
-    same sources, so freed edge ids get recycled.
+    common; a deletion names some live triple, and with this few vertices
+    later inserts at the same source recycle the freed edge id.
     """
     vertex_label = {v: v % 2 for v in range(num_vertices)}
-    live: dict[tuple, int] = {}
+    live: list[tuple] = []
     events = []
     for _ in range(num_events):
+        if deletes and live and rng.random() < delete_share:
+            events.append(StreamEvent.delete(*live.pop(int(rng.integers(len(live))))))
+            continue
         src, dst = (int(x) for x in rng.integers(0, num_vertices, size=2))
         if src == dst:
             continue
         label = int(rng.integers(0, num_labels))
-        if not deletes or rng.random() < 0.75 or not live.get((src, dst, label)):
-            events.append(StreamEvent.insert(src, dst, label, float(rng.integers(0, 6)),
-                                             vertex_label[src], vertex_label[dst]))
-            live[(src, dst, label)] = live.get((src, dst, label), 0) + 1
-        else:
-            events.append(StreamEvent.delete(src, dst, label))
-            live[(src, dst, label)] -= 1
+        events.append(StreamEvent.insert(src, dst, label, float(rng.integers(0, 6)),
+                                         vertex_label[src], vertex_label[dst]))
+        live.append((src, dst, label))
     return events
 
 
@@ -251,6 +251,63 @@ class TestKernelMatchesReference:
         assert _identities(unpacked) == _identities(collected)
 
 
+# ---------------------------------------------------------------------- index == reference
+class TestIndexMatchesReference:
+    """The batched DEBI maintainer against the edge-at-a-time one
+    (``tests/reference/edge_index.py``), which the reference engine runs."""
+
+    @pytest.mark.parametrize("matcher", _MATCHERS)
+    def test_same_bits_roots_and_traversals_after_every_batch(self, rng, matcher):
+        events = _random_events(rng, num_events=90, delete_share=0.35)
+        delete_traversals = 0
+        for query in _QUERIES:
+            reference = ReferenceEngine([(query, _MATCHERS[matcher]())])
+            with MnemonicEngine(query, match_def=_MATCHERS[matcher]()) as engine:
+                manager, oracle = engine.index_manager, reference.indexes[0]
+                for batch in _batches(events, rng):
+                    for feed, is_delete in (("batch_inserts", False), ("batch_deletes", True)):
+                        phase = [e for e in batch if e.is_delete == is_delete]
+                        if not phase:
+                            continue
+                        before = oracle.total_traversals
+                        getattr(engine, feed)(phase)
+                        getattr(reference, feed)(phase)
+                        delete_traversals += is_delete * (oracle.total_traversals - before)
+                        self._assert_same_index(engine, manager, oracle, query)
+        assert delete_traversals, "vacuous: no deletion ever reached the index"
+
+    @staticmethod
+    def _assert_same_index(engine, manager, oracle, query):
+        ids = np.arange(engine.graph.num_placeholders)
+        vertices = np.array(sorted(engine.graph.vertices()), dtype=np.int64)
+        assert engine.debi.rows(ids) == oracle.debi.rows(ids)
+        assert (engine.debi.roots_mask(vertices).tolist()
+                == oracle.debi.roots_mask(vertices).tolist())
+        assert manager.total_traversals == oracle.total_traversals
+        # asked with repeats, in no order, and about a stranger
+        asked = np.concatenate([vertices[::-1], vertices[:2], [999]])
+        for node in query.nodes():
+            expected = [oracle.down_ok(v, node) for v in asked.tolist()]
+            assert manager.down_mask(asked, node).tolist() == expected
+            assert [manager.down_ok(v, node) for v in asked.tolist()] == expected
+
+    @pytest.mark.parametrize("matcher", ["isomorphism", "custom-edge-matcher"])
+    def test_per_id_form_rebuilds_the_same_index(self, rng, matcher):
+        """``handle_insertions`` (rebuild, journal replay) is the column form after a gather."""
+        events = [e for e in _random_events(rng, num_events=60, deletes=False)]
+        for query in _QUERIES:
+            with MnemonicEngine(query, match_def=_MATCHERS[matcher]()) as engine:
+                engine.batch_inserts(events)
+                ids = np.arange(engine.graph.num_placeholders)
+                bits, traversals = engine.debi.rows(ids), engine.index_manager.total_traversals
+                roots = engine.debi.root_count()
+                engine.index_manager.rebuild()
+                assert engine.debi.rows(ids) == bits
+                assert engine.debi.root_count() == roots
+                # one batch or one rebuild: every (edge, column) pair is evaluated once
+                assert engine.index_manager.total_traversals == 2 * traversals
+
+
 # ---------------------------------------------------------------------- shared-cache charging
 class TestSharedPoolCacheCharging:
     """Several queries on one engine share raw pools: the first query to
@@ -312,6 +369,47 @@ class TestArenaInvariants:
             columnar_enumerate(context, decompose_batch(context, live_ids), arena=arena)
         assert arena.grow_events == grow_after_warmup
         assert arena.high_water <= arena.capacity
+
+    def test_a_finished_block_is_gathered_only_when_read(self):
+        """Counting needs no column of the last block; every reader sees all of them."""
+        fan = 40
+        query = _QUERIES[0]  # 0 -> 1 -> 2, labels 0, 1, 0
+        engine = MnemonicEngine(query)
+        engine.load_initial([StreamEvent.insert(0, 1, 0, 0.0, 0, 1)] + [
+            StreamEvent.insert(1, 2 * (i + 1), 0, 0.0, 1, 0) for i in range(fan)
+        ])
+        pinned = engine.graph.find_edges(0, 1)  # one unit; its last step fans out
+
+        def run(match_def=None, packed=False, collect=True):
+            context = engine.runtime.make_context(engine.graph, set(pinned), True)
+            if match_def is not None:
+                context.match_def = match_def
+            arena = EmbeddingArena(capacity=4)
+            units = decompose_batch(context, pinned)
+            if packed:
+                from repro.core.parallel import _unpack_embeddings
+
+                payload, count = columnar_enumerate_packed(context, units, arena=arena)
+                found = _unpack_embeddings(payload, positive=True)
+            else:
+                found, count = columnar_enumerate(context, units, collect=collect, arena=arena)
+            return _identities(found), count, arena.high_water
+
+        collected, count, width = run()
+        assert count == len(collected) == width == fan
+        assert run(collect=False) == (set(), fan, 1)  # the pinned edge, never the fan
+        assert run(packed=True) == (collected, fan, fan)
+
+        class ReadsEverything(IsomorphismMatcher):
+            def accept(self, context, embedding):
+                return embedding.nodes()[2] % 4 == 0 and len(embedding.edges()) == 2
+
+        kept = {identity for identity in collected if dict(identity[0])[2] % 4 == 0}
+        assert 0 < len(kept) < fan
+        assert run(ReadsEverything()) == (kept, len(kept), fan)
+        assert run(ReadsEverything(), packed=True) == (kept, len(kept), fan)
+        # the accepted columns of a counted block are selected, not copied
+        assert run(ReadsEverything(), collect=False) == (set(), len(kept), fan)
 
     def test_double_buffers_are_distinct(self):
         arena = EmbeddingArena(capacity=4)

@@ -11,7 +11,7 @@ from repro.graph.adjacency import DynamicGraph
 from repro.query.query_graph import QueryGraph
 from repro.streams.config import StreamConfig, StreamType
 from repro.streams.events import StreamEvent
-from repro.utils.validation import ConfigurationError, QueryError
+from repro.utils.validation import ConfigurationError, GraphError, QueryError
 
 
 def path_query():
@@ -178,6 +178,30 @@ class TestBatchAPIs:
         engine = MnemonicEngine(path_query())
         with pytest.raises(ConfigurationError):
             engine.batch_deletes([StreamEvent.delete(1, 2, 0)])
+
+    @pytest.mark.parametrize("feed", ["run", "batch_inserts", "load_initial"])
+    def test_negative_vertex_id_refuses_the_whole_batch(self, feed):
+        """DEBI roots are indexed by vertex id.  A negative one used to get into
+        the graph and kill the index update behind it; now the batch it rides in
+        changes nothing, and the engine carries on as if it had never come."""
+        engine, untouched = MnemonicEngine(path_query()), MnemonicEngine(path_query())
+        for each in (engine, untouched):
+            each.batch_inserts(chain_events(10))
+
+        def state(each):
+            ids = list(range(each.graph.num_placeholders))
+            return (list(each.graph.edges()), list(each.graph.vertices()),
+                    each.debi.rows(ids), each.debi.root_count(),
+                    each.index_manager.total_traversals)
+
+        hostile = chain_events(20) + [StreamEvent.insert(30, -31, src_label=0, dst_label=1)]
+        with pytest.raises(GraphError, match="vertex id -31 is negative"):
+            getattr(engine, feed)(hostile)
+        engine.graph.check_invariants()
+        assert state(engine) == state(untouched)
+        assert (engine.batch_inserts(chain_events(40)).positive_embeddings
+                == untouched.batch_inserts(chain_events(40)).positive_embeddings)
+        assert state(engine) == state(untouched)
 
     def test_load_initial_does_not_enumerate(self):
         engine = MnemonicEngine(path_query())

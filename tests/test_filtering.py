@@ -1,13 +1,16 @@
 """Unit tests for incremental DEBI maintenance (IndexManager)."""
 
+import numpy as np
 import pytest
 
 from repro.core.api import DefaultMatchDefinition
 from repro.core.debi import DEBI
 from repro.core.filtering import IndexManager
+from repro.core.registry import build_query_runtime
 from repro.graph.adjacency import DynamicGraph
 from repro.query.query_graph import QueryGraph
 from repro.query.query_tree import QueryTree
+from tests.reference.edge_index import ReferenceIndexManager
 
 
 def make_manager(query, graph):
@@ -20,15 +23,16 @@ def make_manager(query, graph):
 def debi_matches_definition(manager) -> bool:
     """Check the exact DEBI invariant: bit == edge_match AND down(child, node)."""
     graph, tree, debi = manager.graph, manager.tree, manager.debi
+    reference = ReferenceIndexManager.over(manager)
     for record in graph.edges():
         for tree_edge in tree.tree_edges:
-            expected = manager._bit_should_be_set(record, tree_edge)
+            expected = reference.bit_should_be_set(record, tree_edge)
             if debi.get(record.edge_id, tree_edge.column) != expected:
                 return False
     for vertex in graph.vertices():
         expected = (
             manager.match_def.root_matcher(manager.query, graph, tree.root, vertex)
-            and manager.down_ok(vertex, tree.root)
+            and reference.down_ok(vertex, tree.root)
         )
         if debi.is_root(vertex) != expected:
             return False
@@ -190,18 +194,21 @@ class TestRebuildAndDegree:
         query = QueryGraph.from_edges([(0, 1), (1, 2, 7), (1, 3, 7)],
                                       node_labels={0: 0, 1: 1, 2: 2, 3: 2})
         graph = DynamicGraph()
-        _, _, manager = make_manager(query, graph)
+        runtime = build_query_runtime(query, None, graph)
+
+        def degree_ok(vertex, query_node):
+            context = runtime.make_context(graph, set(), True)
+            return bool(context.degree_mask(np.array([vertex]), query_node)[0])
+
         graph.add_edge(20, 21, label=7, src_label=1, dst_label=2)
-        assert not manager.degree_ok(20, 1)
+        assert not degree_ok(20, 1)
         graph.add_edge(20, 22, label=7, src_label=1, dst_label=2)
         # Still missing the incoming (0 -> 1) edge requirement.
-        assert not manager.degree_ok(20, 1)
+        assert not degree_ok(20, 1)
         graph.add_edge(19, 20, src_label=0, dst_label=1)
-        assert manager.degree_ok(20, 1)
+        assert degree_ok(20, 1)
 
     def test_degree_filter_can_be_disabled(self, path_query):
         graph = DynamicGraph()
-        tree = QueryTree(path_query, root=0)
-        manager = IndexManager(path_query, tree, graph, DEBI(tree), DefaultMatchDefinition(),
-                               use_degree_filter=False)
-        assert manager.degree_ok(123, 1)
+        runtime = build_query_runtime(path_query, None, graph, use_degree_filter=False)
+        assert runtime.make_context(graph, set(), True).degree_requirements is None

@@ -6,8 +6,9 @@ insert and delete batches, scalar ``add_edge`` / ``delete_edge``, forced
 ids with gaps, rejected batches, ``copy()``, a pickle round trip, CSR
 exports — and after every step requires identical edge ids and records,
 identical triple resolution, the same pools and degrees per
-``(vertex, direction, label)``, the same counters, and a clean
-``check_invariants()``.
+``(vertex, direction, label)`` (scalar and batched reads alike, on the
+live graph, on a view of its export and through the shard guard), the
+same counters, and a clean ``check_invariants()``.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 from reference.graph_model import GraphModel
 
+from repro.core.sharding import CrossShardAccess, HashPartitionStrategy, ShardGuardView
 from repro.graph.adjacency import CSRGraphView, DynamicGraph
 from repro.graph.stats import PlaceholderStats
 from repro.utils.validation import GraphError
@@ -32,6 +34,17 @@ STAMPS = st.sampled_from([0.0, 1.0, 2.5])
 #: (src, dst, label, timestamp, src_label, dst_label); every mention of a
 #: vertex carries its one label (``v % 3``), so mentions never conflict
 EVENTS = st.tuples(VERTICES, VERTICES, LABELS, STAMPS).map(lambda e: (*e, e[0] % 3, e[1] % 3))
+#: what the batched degree read is asked about: every vertex the events can
+#: mention (known or not yet), two that never exist, and a repeat
+PROBES = np.array([*range(8), 8, 99, 3], dtype=np.int64)
+
+
+def scalar_degrees(graph, out: bool, label) -> list[int]:
+    """``label_degrees`` of :data:`PROBES`, one scalar read per vertex."""
+    if label is None:
+        return [(graph.out_degree if out else graph.in_degree)(v) for v in PROBES.tolist()]
+    scalar = graph.out_label_degree if out else graph.in_label_degree
+    return [scalar(v, label) for v in PROBES.tolist()]
 
 
 class GraphMachine(RuleBasedStateMachine):
@@ -123,6 +136,18 @@ class GraphMachine(RuleBasedStateMachine):
                 self.live_ids() + [-1]
             )))
 
+    @rule(events=st.lists(EVENTS, min_size=1, max_size=4), position=st.integers(0, 3),
+          endpoint=st.integers(0, 1))
+    def reject_negative_vertex(self, events, position, endpoint):
+        """DEBI root bits are indexed by vertex id: a negative one must never get in."""
+        bad = list(events[position % len(events)])
+        bad[endpoint] = -1 - bad[endpoint]
+        events[position % len(events)] = tuple(bad)
+        with pytest.raises(GraphError, match="negative"):
+            self.insert_columns(events)
+        with pytest.raises(GraphError, match="negative"):
+            self.graph.add_edge(*bad)
+
     # ------------------------------------------------------------------ whole-graph operations
     @rule()
     def copy(self):
@@ -149,6 +174,24 @@ class GraphMachine(RuleBasedStateMachine):
                         np.asarray(view.candidate_pool(vertex, out, label)).tolist()
                         == graph.candidate_pool(vertex, out, label).tolist()
                     )
+        # the batched degree read: on the view, and per vertex through the
+        # worker-side ownership guard (which must refuse what it does not own)
+        strategy = HashPartitionStrategy()
+        everything = ShardGuardView(view, strategy, 1, 0)
+        half = ShardGuardView(view, strategy, 2, 0)
+        mine = [strategy.shard_of(v, 0, 2) == 0 for v in PROBES.tolist()]
+        owned, foreign = PROBES[mine], PROBES[np.logical_not(mine)]
+        for out in (True, False):
+            for label in (None, 0, 1, 2, 7):
+                expected = scalar_degrees(graph, out, label)
+                assert view.label_degrees(PROBES, out, label).tolist() == expected
+                assert scalar_degrees(view, out, label) == expected
+                assert everything.label_degrees(PROBES, out, label).tolist() == expected
+                assert half.label_degrees(owned, out, label).tolist() == [
+                    degree for degree, local in zip(expected, mine) if local
+                ]
+                with pytest.raises(CrossShardAccess):
+                    half.label_degrees(foreign, out, label)
 
     # ------------------------------------------------------------------ the oracle
     @invariant()
@@ -165,6 +208,11 @@ class GraphMachine(RuleBasedStateMachine):
         )
         anchors = np.array(sorted(model.vertex_labels), dtype=np.int64)
         for out, pools in ((True, model.out), (False, model.into)):
+            for label in (None, 0, 1, 2, 7):  # 7: a label no edge carries
+                labels = (0, 1, 2) if label is None else (label,)
+                assert graph.label_degrees(PROBES, out, label).tolist() == [
+                    sum(len(pools.get((v, each), ())) for each in labels) for v in PROBES.tolist()
+                ] == scalar_degrees(graph, out, label)
             for label in (0, 1, 2):
                 flat, sizes = graph.candidate_pools(anchors, out, label)
                 assert sizes.tolist() == [len(pools.get((v, label), ())) for v in anchors.tolist()]

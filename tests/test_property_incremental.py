@@ -27,6 +27,7 @@ from repro.matchers import HomomorphismMatcher, IsomorphismMatcher
 from repro.query.query_graph import QueryGraph
 from repro.streams.events import StreamEvent
 from tests.conftest import brute_force_node_maps
+from tests.reference.edge_index import ReferenceIndexManager
 
 # ---------------------------------------------------------------------- strategies
 _VERTICES = list(range(6))
@@ -161,7 +162,7 @@ class TestDEBIInvariant:
         if not events:
             return
         engine = MnemonicEngine(query)
-        manager = engine.index_manager
+        manager = ReferenceIndexManager.over(engine.index_manager)
         for batch in _split_into_batches(events, splits):
             inserts = [e for e in batch if e.is_insert]
             deletes = [e for e in batch if e.is_delete]
@@ -171,7 +172,7 @@ class TestDEBIInvariant:
                 engine.batch_deletes(deletes)
             for record in engine.graph.edges():
                 for tree_edge in engine.tree.tree_edges:
-                    expected = manager._bit_should_be_set(record, tree_edge)
+                    expected = manager.bit_should_be_set(record, tree_edge)
                     actual = engine.debi.get(record.edge_id, tree_edge.column)
                     assert actual == expected, (
                         f"DEBI bit mismatch for edge {record} column {tree_edge.column}"

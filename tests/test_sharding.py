@@ -22,12 +22,13 @@ invariants, each tested here directly:
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.engine import EngineConfig, MnemonicEngine
 from repro.core.parallel import ParallelConfig
-from repro.core.shard_router import ShardedEngine
+from repro.core.shard_router import ShardedEngine, ShardScopeGraph
 from repro.core.sharding import (
     CrossShardAccess,
     EdgeIdAllocator,
@@ -261,6 +262,48 @@ class TestShardedParity:
             assert sharded.router.allocator.recycled > 0, (
                 "vacuous test: the churn stream never recycled an edge id"
             )
+
+
+class TestBatchedReadsThroughTheFacades:
+    @given(_event_ops, st.sampled_from([2, 3]))
+    @settings(max_examples=25, deadline=None)
+    def test_label_degrees_and_pools_match_the_single_graph(self, ops, shards):
+        """``RoutedGraph`` and every ``ShardScopeGraph`` answer the batched
+        reads exactly as one unsharded graph does — after inserts, deletes
+        and id recycling, for unknown vertices, emptied partitions and the
+        wildcard — and a scope pays one cross-shard probe per foreign vertex."""
+        events = _materialise_events(ops)
+        if not events:
+            return
+        query = _path_query()
+        probes = np.array([*_VERTICES, max(_VERTICES) + 5, _VERTICES[0]], dtype=np.int64)
+        with MnemonicEngine(query) as single, \
+                ShardedEngine(query, config=EngineConfig(shards=shards)) as sharded:
+            _run_batched(single, events, batch_size=8)
+            _run_batched(sharded, events, batch_size=8)
+            graph = single.graph
+            facades = [sharded.routed_graph] + [
+                ShardScopeGraph(sharded.router, shard) for shard in sharded.shards
+            ]
+            for out in (True, False):
+                for label in (None, 0, 1, 5):
+                    if label is None:
+                        scalar = graph.out_degree if out else graph.in_degree
+                        expected = [scalar(v) for v in probes.tolist()]
+                    else:
+                        scalar = graph.out_label_degree if out else graph.in_label_degree
+                        expected = [scalar(v, label) for v in probes.tolist()]
+                    pools, sizes = graph.candidate_pools(probes, out, label)
+                    for facade in facades:
+                        assert facade.label_degrees(probes, out, label).tolist() == expected
+                        flat, facade_sizes = facade.candidate_pools(probes, out, label)
+                        assert facade_sizes.tolist() == sizes.tolist() == expected
+                        assert flat.tolist() == pools.tolist()
+            # asking again costs no further cross-shard probe
+            scope = facades[1]
+            before = sharded.router.frontier.lookups
+            scope.label_degrees(probes, True, 0)
+            assert sharded.router.frontier.lookups == before
 
 
 # ---------------------------------------------------------------------- escape seam
