@@ -154,19 +154,12 @@ def run_fig08(stream, workload) -> dict:
 
 
 def positive_identities(run_result) -> set:
-    return {
-        e.identity()
-        for snapshot in run_result.snapshots
-        for e in snapshot.positive_embeddings
-    }
+    """Block identities (slot signature + row): no ``Embedding`` is built to compare runs."""
+    return set(run_result.all_positive().identities())
 
 
 def negative_identities(run_result) -> set:
-    return {
-        e.identity()
-        for snapshot in run_result.snapshots
-        for e in snapshot.negative_embeddings
-    }
+    return set(run_result.all_negative().identities())
 
 
 def run_kernel_parity(stream) -> tuple[dict, list[str]]:
@@ -558,8 +551,8 @@ def run_durability_parity(stream) -> tuple[dict, list[str]]:
     def identities(results):
         counts: Counter = Counter()
         for result in results:
-            counts.update(e.identity() for e in result.positive_embeddings)
-            counts.update(e.identity() for e in result.negative_embeddings)
+            counts.update(result.positive_embeddings.identities())
+            counts.update(result.negative_embeddings.identities())
         return counts
 
     failures: list[str] = []

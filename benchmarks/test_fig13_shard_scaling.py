@@ -102,11 +102,7 @@ def test_fig13_shard_scaling(benchmark, netflow_workload):
     write_result("fig13_shard_scaling", table)
 
     def identities(run):
-        return {
-            e.identity()
-            for s in run.run_result.snapshots
-            for e in s.positive_embeddings
-        }
+        return set(run.run_result.all_positive().identities())
 
     # Bit-identity on the benchmark's own workload: the capacity numbers
     # below mean nothing if the shards compute a different answer.

@@ -42,11 +42,7 @@ def _effective_cores() -> int:
 
 
 def _positive_identities(run) -> set:
-    return {
-        e.identity()
-        for snapshot in run.run_result.snapshots
-        for e in snapshot.positive_embeddings
-    }
+    return set(run.run_result.all_positive().identities())
 
 
 def _run(stream, workload):

@@ -56,11 +56,10 @@ def _run(stream, workload):
             latency = run.latency
             summaries[(load, mode)] = run
             rows.append([
-                suite, f"{load:.0f}", mode, run.extra["snapshots"],
+                suite, f"{load:.0f}", mode,
                 latency.get("p50", 0.0) * 1e3, latency.get("p95", 0.0) * 1e3,
                 latency.get("p99", 0.0) * 1e3, latency.get("max", 0.0) * 1e3,
                 run.embeddings, run.seconds,
-                run.extra["broker"]["max_depth"],
             ])
     return rows, summaries
 
@@ -74,11 +73,17 @@ def test_fig18_service_latency(benchmark, netflow_workload):
     table = format_table(
         "Service latency vs offered load - broker-fed adaptive batching "
         f"(delay {MAX_BATCH_DELAY * 1e3:.0f}ms, cap {BATCH_SIZE})",
-        ["suite", "load_ev_s", "mode", "batches", "p50_ms", "p95_ms",
-         "p99_ms", "max_ms", "embeddings", "wall_s", "peak_queue"],
+        ["suite", "load_ev_s", "mode", "p50_ms", "p95_ms",
+         "p99_ms", "max_ms", "embeddings", "wall_s"],
         rows,
     )
     write_result("fig18_service_latency", table)
+    # How many batches the deadline sealed and how deep the broker queue got
+    # follow the wall clock; as integers they would dirty the committed table
+    # on every run, so they are printed and bounded below, not written.
+    for (load, mode), run in summaries.items():
+        print(f"fig18 {load:.0f} ev/s {mode}: {run.extra['snapshots']} batches, "
+              f"peak queue {run.extra['broker']['max_depth']}")
 
     embeddings = {key: run.embeddings for key, run in summaries.items()}
     assert len(set(embeddings.values())) == 1, (
@@ -89,7 +94,9 @@ def test_fig18_service_latency(benchmark, netflow_workload):
         assert latency, f"{key}: broker-fed run reported no latency rollup"
         # every processed snapshot must carry an ingest->result latency
         assert latency["count"] == run.extra["snapshots"]
+        # the size cap alone needs SUFFIX / BATCH_SIZE batches; a deadline only adds some
+        assert -(-SUFFIX // BATCH_SIZE) <= run.extra["snapshots"] <= SUFFIX
         assert 0.0 <= latency["p50"] <= latency["p95"] <= latency["p99"] <= latency["max"]
         # ingest really went through the bounded broker
         assert run.extra["broker"]["enqueued"] == SUFFIX
-        assert run.extra["broker"]["max_depth"] <= 4096
+        assert 1 <= run.extra["broker"]["max_depth"] <= 4096

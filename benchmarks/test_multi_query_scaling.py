@@ -29,11 +29,7 @@ QUERY_COUNTS = (1, 2, 4, 8)
 
 
 def positive_identities(run_result) -> set:
-    return {
-        e.identity()
-        for snapshot in run_result.snapshots
-        for e in snapshot.positive_embeddings
-    }
+    return set(run_result.all_positive().identities())
 
 
 def test_multi_query_scaling(netflow_workload):

@@ -36,8 +36,8 @@ SEGMENT_ROWS = 1024
 def _identities(run):
     counts: Counter = Counter()
     for snapshot in run.run_result.snapshots:
-        counts.update(e.identity() for e in snapshot.positive_embeddings)
-        counts.update(e.identity() for e in snapshot.negative_embeddings)
+        counts.update(snapshot.positive_embeddings.identities())
+        counts.update(snapshot.negative_embeddings.identities())
     return counts
 
 

@@ -64,6 +64,12 @@ def main() -> None:
     print(f"\nbatch 2: +{result2.num_positive} embeddings")
     for embedding in result2.positive_embeddings:
         print("   new match:", embedding.nodes())
+    # Results are held as column blocks; the loop above built Embedding
+    # records on demand.  Reading a column needs none: block.nodes[i] is the
+    # data vertex every match of the block binds to query node node_slots[i].
+    for block in result2.positive_embeddings.blocks:
+        users = block.nodes[block.node_slots.index(0)]
+        print(f"   users behind the {len(block)} new matches: {users.tolist()}")
 
     # --- batch 3: the first login is retracted ------------------------------
     result3 = engine.batch_deletes([StreamEvent.delete(100, 200)])

@@ -25,7 +25,9 @@ Quickstart::
         StreamEvent.insert(10, 11, src_label=1, dst_label=2),
         StreamEvent.insert(11, 12, src_label=2, dst_label=3),
     ])
-    print(result.positive_embeddings)
+    print(list(result.positive_embeddings))        # Embedding records, built on demand
+    for block in result.positive_embeddings.blocks:   # ... or the columns they come from
+        print(block.node_slots, block.nodes)          # (0, 1, 2) [[10] [11] [12]]
 """
 
 from repro.core.api import DefaultMatchDefinition, MatchDefinition

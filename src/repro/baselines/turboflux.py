@@ -335,13 +335,6 @@ class TurboFluxMatcher:
         return uses_new
 
     # ------------------------------------------------------------------ introspection
-    def node_maps(self) -> set[tuple[tuple[int, int], ...]]:
-        """All embeddings' node maps found so far are not stored; helper for tests."""
-        raise NotImplementedError(
-            "TurboFluxMatcher streams embeddings; collect the return values of "
-            "insert_edge()/delete_edge() instead"
-        )
-
     def state_size(self) -> int:
         """Total number of (vertex, query node) candidate states currently set."""
         return sum(len(vertices) for vertices in self._state.values())

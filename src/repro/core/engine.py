@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 from repro.core.api import MatchDefinition
 from repro.core.parallel import EnumerationOutcome, ParallelConfig
 from repro.core.registry import MultiQueryEngine, MultiSnapshotResult
-from repro.core.results import Embedding, ResultSet
+from repro.core.results import Embeddings, ResultSet
 from repro.core.supervisor import FaultPolicy
 from repro.graph.adjacency import DynamicGraph
 from repro.query.query_graph import QueryGraph
@@ -75,8 +75,8 @@ class SnapshotResult:
     number: int
     num_insertions: int
     num_deletions: int
-    positive_embeddings: list[Embedding] = field(default_factory=list)
-    negative_embeddings: list[Embedding] = field(default_factory=list)
+    positive_embeddings: Embeddings = field(default_factory=Embeddings)
+    negative_embeddings: Embeddings = field(default_factory=Embeddings)
     num_positive: int = 0
     num_negative: int = 0
     #: (edge, column) evaluations spent updating DEBI for this snapshot
@@ -98,6 +98,15 @@ class SnapshotResult:
     #: available.  None when the stream carried no arrival stamps (plain
     #: list replays); only broker-fed runs and the service facade fill it.
     ingest_latency_seconds: float | None = None
+
+    def record(self, positive: bool, count: int, embeddings: Embeddings) -> None:
+        """Book one enumeration phase's ``count`` matches (``embeddings``: the collected ones)."""
+        if positive:
+            self.num_positive += count
+            self.positive_embeddings.extend(embeddings)
+        else:
+            self.num_negative += count
+            self.negative_embeddings.extend(embeddings)
 
     @property
     def total_seconds(self) -> float:
@@ -179,21 +188,16 @@ class RunResult:
         """
         return latency_summary(self.snapshot_latencies())
 
-    def all_positive(self) -> list[Embedding]:
-        return [e for s in self.snapshots for e in s.positive_embeddings]
+    def all_positive(self) -> Embeddings:
+        return Embeddings(b for s in self.snapshots for b in s.positive_embeddings.blocks)
 
-    def all_negative(self) -> list[Embedding]:
-        return [e for s in self.snapshots for e in s.negative_embeddings]
+    def all_negative(self) -> Embeddings:
+        return Embeddings(b for s in self.snapshots for b in s.negative_embeddings.blocks)
 
     def net_result_set(self) -> ResultSet:
         """Positive embeddings minus the ones later destroyed (by node/edge identity)."""
-        destroyed = {
-            (e.node_map, e.edge_map) for e in self.all_negative()
-        }
         net = ResultSet()
-        for e in self.all_positive():
-            if (e.node_map, e.edge_map) not in destroyed:
-                net.add(e)
+        net.extend(self.all_positive().minus(self.all_negative()))
         return net
 
 
@@ -407,7 +411,7 @@ def enumerate_static(
     edges: Iterable[StreamEvent | tuple],
     match_def: MatchDefinition | None = None,
     config: EngineConfig | None = None,
-) -> list[Embedding]:
+) -> Embeddings:
     """From-scratch enumeration of a static edge set (reference implementation).
 
     Inserting every edge as a single batch into a fresh engine enumerates

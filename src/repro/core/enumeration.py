@@ -7,10 +7,11 @@ join over DEBI candidates.  Work units are independent, so they are
 distributed over workers (see :mod:`repro.core.parallel`).
 
 Every :class:`~repro.core.api.MatchDefinition` enumerates through the one
-kernel in this module (:func:`columnar_enumerate` and its packed twin):
-the units of a batch are grouped by start edge and each group advances
-as one block of partial embeddings — one candidate fetch, one join and
-one witness lookup per matching-order step for the whole block.
+kernel in this module (:func:`columnar_enumerate`): the units of a batch
+are grouped by start edge and each group advances as one block of
+partial embeddings — one candidate fetch, one join and one witness
+lookup per matching-order step for the whole block — and leaves as one
+:class:`~repro.core.results.EmbeddingBlock`.
 
 Duplicate elimination follows the masking rule described in
 :mod:`repro.query.masking`: the unit starting at query-edge position
@@ -37,7 +38,7 @@ from repro.core.api import (
     vertex_label_columns,
 )
 from repro.core.debi import DEBI
-from repro.core.results import Embedding
+from repro.core.results import EmbeddingBlock, Embeddings
 from repro.graph.adjacency import DynamicGraph, expand_ranges, segment_counts
 from repro.query.masking import MaskTable
 from repro.query.matching_order import ExtensionStep, MatchingOrder
@@ -614,6 +615,15 @@ class _Frontier:
     def node(self, query_node: int) -> np.ndarray:
         return self.nodes[self.node_slots.index(query_node)]
 
+    def block(self, positive: bool) -> EmbeddingBlock:
+        """The block's columns in ascending slot order, copied out of the arena."""
+        node_slots, edge_slots = self.node_slots, self.edge_slots
+        return EmbeddingBlock(
+            self.start_edge, positive, tuple(sorted(node_slots)), tuple(sorted(edge_slots)),
+            self.nodes[np.argsort(node_slots)],  # indexed by an array: numpy copies
+            self.edges[np.argsort(edge_slots)],
+        )
+
     def take(
         self,
         columns: np.ndarray,
@@ -691,36 +701,18 @@ def _verify(context: EnumerationContext, frontier: _Frontier, q_indexes: Iterabl
             frontier.take(hit_rows)
 
 
-def _decode(frontier: _Frontier, positive: bool) -> list[Embedding]:
-    """One :class:`Embedding` per column of a finished block."""
-    node_cols = sorted(zip(frontier.node_slots, frontier.nodes.tolist()))
-    edge_cols = sorted(zip(frontier.edge_slots, frontier.edges.tolist()))
-    start_edge = frontier.start_edge
-    return [
-        Embedding(
-            node_map=tuple((q, col[r]) for q, col in node_cols),
-            edge_map=tuple((q, col[r]) for q, col in edge_cols),
-            start_edge=start_edge,
-            positive=positive,
-        )
-        for r in range(frontier.n)
-    ]
-
-
-def _columnar_run(
+def columnar_enumerate(
     context: EnumerationContext,
     units: list[WorkUnit],
-    emit,
+    collect: bool = True,
     arena: "EmbeddingArena | None" = None,
-) -> None:
-    """Drive the kernel over ``units``, calling ``emit`` per start-edge group.
+) -> tuple[Embeddings, int]:
+    """Run ``units`` through the kernel; return ``(embeddings, count)``.
 
-    ``emit(frontier, decoded)`` receives the completed embeddings of one
-    group as a :class:`_Frontier` over arena views — ``frontier.nodes[i]``
-    is the data vertex bound to query node ``frontier.node_slots[i]`` in
-    every embedding, likewise for edges — valid until it returns.  ``decoded``
-    is the same block as :class:`Embedding` records when the kernel had to
-    build them (an overridden ``accept``), else None.
+    One :class:`EmbeddingBlock` per start-edge group, copied out of the
+    arena when the group finishes.  With ``collect=False`` (the harness's
+    default) nothing is copied — a finished frontier nobody reads is not
+    even gathered — unless an overridden ``accept`` has to see it.
 
     ``units`` are :func:`decompose_batch`'s: each unit's data edge already
     satisfies the edge matcher for its start edge (and, for a tree edge,
@@ -733,7 +725,9 @@ def _columnar_run(
     column can be tested at once; the charging ones (pool fetches, witness
     scans) see exactly the rows a row-at-a-time backtracking enumerator
     would bring to them, so ``candidates_scanned`` equals that
-    enumerator's to the digit (``tests/reference``).
+    enumerator's to the digit (``tests/reference``).  Rows keep that
+    enumerator's order too: within a group they are sorted by unit, then
+    by the choice made at each step.
     """
     query = context.query
     graph = context.graph
@@ -750,6 +744,8 @@ def _columnar_run(
     for unit in units:
         groups.setdefault(unit.start_edge, []).append(unit.edge_id)
 
+    found = Embeddings()
+    count = 0
     for start_edge, edge_ids in groups.items():
         order = context.orders[start_edge]
         mask = context.masks.mask_for(start_edge)
@@ -798,83 +794,28 @@ def _columnar_run(
             )
             _verify(context, frontier, step.verify_edges)
 
-        decoded = None
-        if custom_accept and frontier.n:
-            decoded = _decode(frontier, context.positive)
-            accepted = [match_def.accept(context, embedding) for embedding in decoded]
-            if not all(accepted):
-                frontier.take(np.flatnonzero(accepted))
-                decoded = [e for e, ok in zip(decoded, accepted) if ok]
-        if frontier.n == 0:
-            continue
-        context.embeddings_found += frontier.n
-        emit(frontier, decoded)
-
-
-def columnar_enumerate(
-    context: EnumerationContext,
-    units: list[WorkUnit],
-    collect: bool = True,
-    arena: "EmbeddingArena | None" = None,
-) -> tuple[list[Embedding], int]:
-    """Run ``units`` through the kernel; return ``(embeddings, count)``.
-
-    With ``collect=False`` no :class:`Embedding` objects are built (the
-    caller only wants counts — the harness's default) unless an
-    overridden ``accept`` needs them.
-    """
-    results: list[Embedding] = []
-    counts = [0]
-
-    def emit(frontier, decoded):
-        counts[0] += frontier.n
-        if collect:
-            results.extend(_decode(frontier, context.positive) if decoded is None else decoded)
-
-    _columnar_run(context, units, emit, arena=arena)
-    return results, counts[0]
+        # -- emit: the one place a finished block leaves the arena
+        n = frontier.n
+        if n and (collect or custom_accept):
+            block = frontier.block(context.positive)
+            if custom_accept:
+                accepted = [match_def.accept(context, embedding) for embedding in block]
+                if not all(accepted):
+                    block = block.take(np.flatnonzero(accepted))
+                    n = len(block)
+            if collect and n:
+                found.blocks.append(block)
+        context.embeddings_found += n
+        count += n
+    return found, count
 
 
 def columnar_enumerate_packed(
     context: EnumerationContext,
     units: list[WorkUnit],
+    collect: bool = True,
     arena: "EmbeddingArena | None" = None,
-) -> tuple[np.ndarray, int]:
-    """Run ``units`` and emit the packed int64 IPC layout directly.
-
-    The layout per embedding is the one :mod:`repro.core.parallel` ships
-    over the pool pipes — ``[start_edge, n_node_pairs, n_edge_pairs,
-    (qnode, vertex)* sorted, (qedge, eid)* sorted]`` — assembled straight
-    from the arena columns, so pool workers never build per-embedding
-    objects for it.
-    """
-    parts: list[np.ndarray] = []
-    counts = [0]
-
-    def emit(frontier, decoded):
-        n = frontier.n
-        counts[0] += n
-        node_slots, edge_slots = frontier.node_slots, frontier.edge_slots
-        nodes, edges = frontier.nodes, frontier.edges
-        n_nodes = len(node_slots)
-        n_edges = len(edge_slots)
-        width = 3 + 2 * n_nodes + 2 * n_edges
-        block = np.empty((n, width), dtype=np.int64)
-        block[:, 0] = frontier.start_edge
-        block[:, 1] = n_nodes
-        block[:, 2] = n_edges
-        col = 3
-        for j in sorted(range(n_nodes), key=node_slots.__getitem__):
-            block[:, col] = node_slots[j]
-            block[:, col + 1] = nodes[j]
-            col += 2
-        for j in sorted(range(n_edges), key=edge_slots.__getitem__):
-            block[:, col] = edge_slots[j]
-            block[:, col + 1] = edges[j]
-            col += 2
-        parts.append(block.reshape(-1))
-
-    _columnar_run(context, units, emit, arena=arena)
-    if not parts:
-        return np.empty(0, dtype=np.int64), 0
-    return np.concatenate(parts), counts[0]
+) -> tuple[list[EmbeddingBlock], int]:
+    """The pool workers' call: the same kernel, its blocks as the result-queue payload."""
+    embeddings, count = columnar_enumerate(context, units, collect, arena)
+    return embeddings.blocks, count

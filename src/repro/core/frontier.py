@@ -112,9 +112,3 @@ class UnifiedFrontier:
 
     def count_traversal(self, n: int = 1) -> None:
         self.traversed_edges += n
-
-    def total_scheduled(self) -> int:
-        """Total number of distinct (edge, column) and (vertex, node) entries."""
-        return sum(a.unique().shape[0] for a in self._edge_arenas.values()) + sum(
-            a.unique().shape[0] for a in self._vertex_arenas.values()
-        )

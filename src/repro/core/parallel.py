@@ -16,10 +16,10 @@ Two backends are provided:
     snapshot.  The pool is spawned once per engine lifetime; before each
     batch the engine publishes the graph (as flat CSR arrays) and DEBI
     (as raw bit buffers) into a ``multiprocessing.shared_memory``
-    segment, and only compact work-unit descriptors and packed embedding
-    arrays cross the pipes.  When the pool cannot be spawned the engine
-    enumerates serially; a pool that breaks mid-run is respawned or
-    degraded by the supervisor (see ``docs/parallelism.md``).
+    segment, and only compact work-unit descriptors and embedding blocks
+    (two int64 matrices each) cross the pipes.  When the pool cannot be
+    spawned the engine enumerates serially; a pool that breaks mid-run is
+    respawned or degraded by the supervisor (see ``docs/parallelism.md``).
 
 There is no thread backend: the kernel is a sequence of short numpy
 calls, so Python threads convoy on the GIL and every measured thread
@@ -37,6 +37,7 @@ import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from repro.core.results import Embeddings
 from repro.core.shared_snapshot import (
     SharedSnapshotWriter,
     SnapshotAttachment,
@@ -50,7 +51,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy as np
 
     from repro.core.enumeration import EnumerationContext, QueryState, WorkUnit
-    from repro.core.results import Embedding
 
 
 @dataclass
@@ -133,7 +133,7 @@ class EnumerationOutcome:
     bare counts back and ``embeddings`` stays empty.
     """
 
-    embeddings: list
+    embeddings: Embeddings
     worker_stats: list[WorkerStats]
     wall_seconds: float
     num_embeddings: int = -1
@@ -244,11 +244,10 @@ class _InflightEpoch:
 
     epoch: int
     contexts: "dict[int, EnumerationContext]"
-    collect: bool
     pending: int
     start: float
     stats: dict[tuple[int, int], WorkerStats] = field(default_factory=dict)
-    embeddings: "dict[int, list[Embedding]]" = field(default_factory=dict)
+    embeddings: dict[int, Embeddings] = field(default_factory=dict)
     totals: dict[int, int] = field(default_factory=dict)
     scanned: dict[int, int] = field(default_factory=dict)
     #: unit chunks bounced back by the shard-ownership guard (sharded
@@ -290,40 +289,6 @@ class DrainedEpoch:
     escaped: "dict[int, list[WorkUnit]]" = field(default_factory=dict)
 
 
-def _unpack_embeddings(packed, positive: bool) -> list["Embedding"]:
-    """Rebuild :class:`Embedding` records from a packed int64 array.
-
-    Layout per embedding (written by ``columnar_enumerate_packed``):
-    ``[start_edge, n_node_pairs, n_edge_pairs, (qnode, vertex)*, (qedge, eid)*]``.
-    Pickling one numpy array is a single buffer copy, versus one object
-    graph walk per embedding for lists of tuples.
-    """
-    from repro.core.results import Embedding
-
-    data = packed.tolist()
-    out: list["Embedding"] = []
-    i = 0
-    n = len(data)
-    while i < n:
-        start_edge = data[i]
-        n_nodes = data[i + 1]
-        n_edges = data[i + 2]
-        i += 3
-        node_map = tuple(
-            (data[j], data[j + 1]) for j in range(i, i + 2 * n_nodes, 2)
-        )
-        i += 2 * n_nodes
-        edge_map = tuple(
-            (data[j], data[j + 1]) for j in range(i, i + 2 * n_edges, 2)
-        )
-        i += 2 * n_edges
-        out.append(
-            Embedding(node_map=node_map, edge_map=edge_map, start_edge=start_edge,
-                      positive=positive)
-        )
-    return out
-
-
 def _pool_worker_main(
     worker_id: int, query_states: "dict[int, QueryState]", task_queue, result_queue
 ):
@@ -332,19 +297,14 @@ def _pool_worker_main(
     Loops pulling ``(epoch, descriptor, query_id, unit_chunk, collect)``
     tasks from the shared queue (dynamic load balancing), attaching to
     the published snapshot once per epoch, and answering each chunk with
-    either a packed embedding array or a bare count, tagged with the
-    query id for parent-side routing.  Contexts are built lazily per
+    its count and its embedding blocks (none when only counting), tagged
+    with the query id for parent-side routing.  Contexts are built lazily per
     (epoch, query) and all queries of an epoch share one candidate-pool
     cache, so a pool scanned for one query is reused by the others.
     ``None`` is the shutdown sentinel.
     """
     disable_shm_resource_tracking()
-    from repro.core.enumeration import (
-        EmbeddingArena,
-        WorkUnit,
-        columnar_enumerate,
-        columnar_enumerate_packed,
-    )
+    from repro.core.enumeration import EmbeddingArena, WorkUnit, columnar_enumerate_packed
     from repro.core.sharding import CrossShardAccess, ShardGuardView
 
     attachment = SnapshotAttachment()
@@ -412,17 +372,7 @@ def _pool_worker_main(
                 arena = arenas.get(query_id)
                 if arena is None:
                     arena = arenas[query_id] = EmbeddingArena()
-                if collect:
-                    # The kernel emits the packed IPC layout straight from
-                    # the arena.
-                    payload, n_found = columnar_enumerate_packed(
-                        context, units, arena=arena
-                    )
-                else:
-                    payload = None
-                    _, n_found = columnar_enumerate(
-                        context, units, collect=False, arena=arena
-                    )
+                payload, n_found = columnar_enumerate_packed(context, units, collect, arena)
                 chunk_end = time.perf_counter()
                 result_queue.put(fault_injection.worker_message((
                     "ok",
@@ -584,7 +534,7 @@ class SharedMemoryPool:
         engine guarantees this); the graph is exported **once** and each
         query contributes only its DEBI buffers.  Work-unit chunks are
         tagged with their query id, pulled dynamically by the workers
-        from one shared queue, and the packed embeddings coming back are
+        from one shared queue, and the embedding blocks coming back are
         routed to per-query outcomes.  Blocking convenience on top of
         :meth:`dispatch` + :meth:`drain`.
         """
@@ -704,10 +654,9 @@ class SharedMemoryPool:
         state = _InflightEpoch(
             epoch=epoch_id,
             contexts=contexts,
-            collect=collect,
             pending=len(tasks),
             start=time.perf_counter(),
-            embeddings={qid: [] for qid in contexts},
+            embeddings={qid: Embeddings() for qid in contexts},
             totals={qid: 0 for qid in contexts},
             scanned={qid: 0 for qid in contexts},
         )
@@ -798,10 +747,7 @@ class SharedMemoryPool:
         state.pending -= 1
         state.totals[qid] += n_found
         state.scanned[qid] += scanned
-        if state.collect and payload is not None:
-            state.embeddings[qid].extend(
-                _unpack_embeddings(payload, state.contexts[qid].positive)
-            )
+        state.embeddings[qid].blocks.extend(payload)  # no block when only counting
         st = state.stats.setdefault(
             (qid, worker_id),
             WorkerStats(worker_id=worker_id, generation=self.generation),

@@ -66,6 +66,7 @@ from repro.core.parallel import (
     SharedMemoryPool,
     run_serial,
 )
+from repro.core.results import Embeddings
 from repro.core.shared_snapshot import SnapshotAttachment
 from repro.utils.validation import ConfigurationError
 
@@ -479,7 +480,7 @@ class BatchPipeline:
         total_units = sum(len(u) for u in units.values())
         if total_units == 0:
             self._complete_phase(phase, contexts, {
-                qid: EnumerationOutcome([], [], 0.0) for qid in contexts
+                qid: EnumerationOutcome(Embeddings(), [], 0.0) for qid in contexts
             }, wall=0.0)
             return
         self.enumeration_phases_with_units += 1
@@ -655,7 +656,9 @@ class BatchPipeline:
                     descriptor["positive"],
                     shared_pool_cache=shared_cache,
                 )
-                outcome = run_serial(context, unit_list)
+                outcome = run_serial(
+                    context, unit_list, collect=self.host.config.collect_embeddings
+                )
                 original = pending.contexts[qid]
                 original.candidates_scanned += context.candidates_scanned
                 original.embeddings_found += outcome.num_embeddings

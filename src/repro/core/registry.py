@@ -716,7 +716,6 @@ class MultiQueryEngine(PoolOwnerMixin):
                 num_deletions=batch.num_deletions,
                 ingest_latency_seconds=multi.ingest_latency_seconds,
             )
-        collect = self.config.collect_embeddings
         for phase in batch.phases():
             multi.graph_update_seconds += phase.graph_update_seconds
             multi.enumerate_wall_seconds += phase.enumerate_wall_seconds
@@ -730,14 +729,7 @@ class MultiQueryEngine(PoolOwnerMixin):
                 result.enumerate_seconds += self._attributable_seconds(outcome)
                 result.enumeration_outcomes.append(outcome)
                 self._supervisor.record_outcome(outcome)
-                if phase.positive:
-                    result.num_positive += outcome.num_embeddings
-                    if collect:
-                        result.positive_embeddings.extend(outcome.embeddings)
-                else:
-                    result.num_negative += outcome.num_embeddings
-                    if collect:
-                        result.negative_embeddings.extend(outcome.embeddings)
+                result.record(phase.positive, outcome.num_embeddings, outcome.embeddings)
         if footprint is not None:
             live_edges, placeholders, debi_bits = footprint
             for qid, result in multi.per_query.items():

@@ -29,11 +29,11 @@ result contract of :class:`~repro.core.engine.MnemonicEngine`:
   through :class:`ShardScopeGraph`: local reads stay local, and when a
   partial embedding's next matching-order step anchors at a foreign
   vertex, the candidate frontier is *scatter-gathered* — the owning
-  shard packs the frontier column as one flat int64 array (the same
-  packed-IPC convention as ``columnar_enumerate_packed``) and forwards
+  shard packs the frontier column as one flat int64 array and forwards
   it, with the traffic accounted in :class:`FrontierStats`.  Merged
-  per-shard results are deduplicated by embedding identity (node map +
-  bound edge-id set).
+  per-shard result blocks are deduplicated by embedding identity (node
+  map + bound edge-id set) through one
+  :class:`~repro.core.results.ResultSet`.
 * **Pools.**  With the ``process`` backend every shard owns a
   supervised :class:`~repro.core.parallel.SharedMemoryPool`; a batch
   dispatches one ``DispatchedEpoch`` per shard and drains them
@@ -72,7 +72,7 @@ from repro.core.parallel import (
     run_serial,
 )
 from repro.core.registry import build_query_runtime, resolve_deletions
-from repro.core.results import Embedding
+from repro.core.results import ResultSet
 from repro.core.sharding import (
     EdgeIdAllocator,
     HashPartitionStrategy,
@@ -83,6 +83,7 @@ from repro.core.supervisor import PoolSupervisor
 from repro.graph.adjacency import (
     DynamicGraph,
     GraphError,
+    check_vertex_ids,
     concat_candidate_pools,
     concat_find_edges,
     concat_label_degrees,
@@ -605,15 +606,17 @@ class ShardRouter:
         column batch — the primary rows plus the boundary rows it stores
         as secondary replica, in event order — applied with one
         :meth:`DynamicGraph.apply_insert_columns` call under forced edge
-        ids.
+        ids.  A batch a shard graph would refuse is refused here, before
+        it has moved ownership or the allocator.
         """
+        n = len(columns)
+        if n == 0:
+            return []
+        check_vertex_ids(columns.src, columns.dst)
         src_list = columns.src.tolist()
         dst_list = columns.dst.tolist()
         slab_list = columns.src_label.tolist()
         dlab_list = columns.dst_label.tolist()
-        n = len(src_list)
-        if n == 0:
-            return []
         touch = self.partition.touch
         allocator = self.allocator
         src_owners = np.empty(n, dtype=np.int64)
@@ -677,8 +680,7 @@ class ShardRouter:
     ) -> np.ndarray:
         """Serve a foreign candidate-pool read as one packed int64 column.
 
-        Layout (same flat-int64 convention as the kernel's packed IPC
-        embeddings): ``[vertex, direction, label(-1=wildcard), n, ids...]``.
+        Layout: ``[vertex, direction, label(-1=wildcard), n, ids...]``.
         The in-process hop stands in for the wire; the packet is what a
         networked deployment would ship, so its size is what we account.
         """
@@ -987,7 +989,7 @@ class ShardedEngine:
 
         start = time.perf_counter()
         contexts: dict[int, EnumerationContext] = {}
-        outcomes: dict[int, EnumerationOutcome] = {}
+        outcomes: dict[int, list[EnumerationOutcome]] = defaultdict(list)
         dispatched: list[tuple[int, object]] = []
         # Scatter: dispatch every shard's epoch before draining any, so
         # the per-shard pools chew concurrently and completion order
@@ -1012,72 +1014,50 @@ class ShardedEngine:
                     continue
                 except PoolBrokenError:
                     shard.pool_broken()
-            outcomes[shard_index] = run_serial(context, shard_units, collect)
+            outcomes[shard_index].append(run_serial(context, shard_units, collect))
 
         # Gather: drain each shard's epoch; units the workers escaped
         # (cross-shard frontier) re-run here with forwarding.
         for shard_index, handle in dispatched:
             shard = self.shards[shard_index]
-            context = contexts[shard_index]
             pool = shard.pool
             try:
                 assert pool is not None
                 drained = pool.drain(
                     handle, self.config.fault.epoch_deadline_seconds
                 )
-                outcome = drained.outcomes[0]
+                outcomes[shard_index].append(drained.outcomes[0])
                 escaped = drained.escaped.get(0, [])
             except (PoolBrokenError, EpochDeadlineError):
                 shard.pool_broken()
-                outcome = None
                 escaped = by_shard[shard_index]
             if escaped:
                 self.router.frontier.escaped_units += len(escaped)
-                rerun = run_serial(context, escaped, collect)
-                if outcome is None:
-                    outcome = rerun
-                else:
-                    outcome = EnumerationOutcome(
-                        outcome.embeddings + rerun.embeddings,
-                        outcome.worker_stats + rerun.worker_stats,
-                        max(outcome.wall_seconds, rerun.wall_seconds),
-                        num_embeddings=outcome.num_embeddings + rerun.num_embeddings,
-                    )
-            outcomes[shard_index] = outcome  # type: ignore[assignment]
+                outcomes[shard_index].append(run_serial(contexts[shard_index], escaped, collect))
 
         # Merge, deduplicating by embedding identity (node map + bound
         # edge-id set).  Home-shard grouping partitions the units, so
         # duplicates should not arise; the dedup is the contract's safety
         # net, and duplicates are counted if a strategy ever violates it.
-        seen: set[tuple] = set()
-        merged: list[Embedding] = []
+        distinct = ResultSet()
         total = 0
         stats_all = []
         wall = time.perf_counter() - start
         for shard_index in sorted(outcomes):
-            outcome = outcomes[shard_index]
-            total += outcome.num_embeddings
-            stats_all.extend(outcome.worker_stats)
-            for embedding in outcome.embeddings:
-                key = embedding.identity()
-                if key not in seen:
-                    seen.add(key)
-                    merged.append(embedding)
+            for outcome in outcomes[shard_index]:
+                total += outcome.num_embeddings
+                stats_all.extend(outcome.worker_stats)
+                distinct.extend(outcome.embeddings)
             result.candidates_scanned += contexts[shard_index].candidates_scanned
+        merged = distinct.embeddings
         if collect and len(merged) != total:
             total = len(merged)
 
-        phase_outcome = EnumerationOutcome(merged, stats_all, wall, num_embeddings=total)
         result.enumerate_seconds += wall
-        result.enumeration_outcomes.append(phase_outcome)
-        if positive:
-            result.num_positive += total
-            if collect:
-                result.positive_embeddings.extend(merged)
-        else:
-            result.num_negative += total
-            if collect:
-                result.negative_embeddings.extend(merged)
+        result.enumeration_outcomes.append(
+            EnumerationOutcome(merged, stats_all, wall, num_embeddings=total)
+        )
+        result.record(positive, total, merged)
 
     # ------------------------------------------------------------------ metrics
     @property

@@ -443,6 +443,14 @@ class _Adjacency:
         return None
 
 
+def check_vertex_ids(src: np.ndarray, dst: np.ndarray) -> None:
+    """Refuse a (non-empty) insert batch naming a negative vertex, before the graph
+    or a shard router writes anything for it: DEBI roots are indexed by vertex id."""
+    lowest = min(int(src.min()), int(dst.min()))
+    if lowest < 0:
+        raise GraphError(f"vertex id {lowest} is negative")
+
+
 class DynamicGraph:
     """A directed labelled multigraph supporting streaming updates.
 
@@ -814,9 +822,7 @@ class DynamicGraph:
         if n == 0:
             return []
         dst_arr = np.asarray(dst, dtype=np.int64)
-        lowest = min(int(src_arr.min()), int(dst_arr.min()))
-        if lowest < 0:  # DEBI root bits are indexed by vertex id
-            raise GraphError(f"vertex id {lowest} is negative")
+        check_vertex_ids(src_arr, dst_arr)
         zeros = np.zeros(n, dtype=np.int64)
         label_arr = zeros if label is None else np.asarray(label, dtype=np.int64)
         ts_arr = (

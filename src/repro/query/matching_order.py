@@ -61,10 +61,6 @@ class MatchingOrder:
     #: node-binding steps for the remaining query nodes
     steps: tuple[ExtensionStep, ...]
 
-    @property
-    def num_steps(self) -> int:
-        return len(self.steps)
-
 
 def _order_remaining_nodes(tree: QueryTree, bound: set[int]) -> list[int]:
     """Order unbound query nodes: path-to-root first, then BFS order."""

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.utils.validation import ConfigurationError
+from repro.utils.validation import ConfigurationError, GraphError
 
 
 class EventKind(IntEnum):
@@ -79,6 +79,22 @@ def coerce_insert(event: "StreamEvent | tuple") -> StreamEvent:
     return StreamEvent.insert(*event)
 
 
+def _vertex_ids(values: list) -> np.ndarray:
+    """Vertex ids as an int64 column; what the cast would change is refused.
+
+    ``1.5`` stored into int64 is vertex ``1``: a fractional value, a NaN or
+    a non-number raises :class:`GraphError` before any layer sees the batch.
+    """
+    column = np.array(values)
+    if column.dtype.kind == "f":
+        fractional = column != np.floor(column)
+        if fractional.any():
+            raise GraphError(f"vertex id {column[fractional][0]} is not an integer")
+    elif column.dtype.kind not in "iub":
+        raise GraphError(f"vertex ids must be integers, got {column.dtype} values")
+    return column.astype(np.int64, copy=False)
+
+
 @dataclass
 class EventColumns:
     """A same-kind event batch decoded once into contiguous columns.
@@ -108,21 +124,16 @@ class EventColumns:
                     events: Sequence[StreamEvent]) -> "EventColumns":
         """Decode ``events`` (all of ``kind``) into contiguous columns."""
         events = tuple(events)
-        n = len(events)
-        src = np.empty(n, dtype=np.int64)
-        dst = np.empty(n, dtype=np.int64)
-        label = np.empty(n, dtype=np.int64)
-        timestamp = np.empty(n, dtype=np.float64)
-        src_label = np.empty(n, dtype=np.int64)
-        dst_label = np.empty(n, dtype=np.int64)
-        for i, event in enumerate(events):
-            src[i] = event.src
-            dst[i] = event.dst
-            label[i] = event.label
-            timestamp[i] = event.timestamp
-            src_label[i] = event.src_label
-            dst_label[i] = event.dst_label
-        return cls(kind, src, dst, label, timestamp, src_label, dst_label, events)
+        return cls(
+            kind,
+            _vertex_ids([event.src for event in events]),
+            _vertex_ids([event.dst for event in events]),
+            np.array([event.label for event in events], dtype=np.int64),
+            np.array([event.timestamp for event in events], dtype=np.float64),
+            np.array([event.src_label for event in events], dtype=np.int64),
+            np.array([event.dst_label for event in events], dtype=np.int64),
+            events,
+        )
 
     def __len__(self) -> int:
         return int(self.src.shape[0])

@@ -95,39 +95,3 @@ class ShardFanout:
             for shard in self.deliver(event):
                 streams[shard].append(event)
         return streams
-
-    def fan_out_columns(self, columns) -> list:
-        """Columnar :meth:`fan_out`: split decoded event columns per shard.
-
-        Ownership comes from the same pure strategy but is computed once
-        per endpoint column instead of per event, and each sub-stream is
-        produced by an index ``take`` on the batch columns — no
-        per-event object churn.  Stats match :meth:`fan_out` to the
-        digit; attached brokers are not fed (a columnar sub-stream is
-        handed to the shard engine directly, not replayed event-wise).
-        """
-        import numpy as np
-
-        n = len(columns)
-        shard_of = self.strategy.shard_of
-        num_shards = self.num_shards
-        src_owner = np.fromiter(
-            (shard_of(int(v), int(lab), num_shards)
-             for v, lab in zip(columns.src.tolist(), columns.src_label.tolist())),
-            dtype=np.int64, count=n,
-        )
-        dst_owner = np.fromiter(
-            (shard_of(int(v), int(lab), num_shards)
-             for v, lab in zip(columns.dst.tolist(), columns.dst_label.tolist())),
-            dtype=np.int64, count=n,
-        )
-        boundary = src_owner != dst_owner
-        self.stats.events += n
-        self.stats.boundary_events += int(boundary.sum())
-        streams = []
-        for shard in range(num_shards):
-            member = (src_owner == shard) | (dst_owner == shard)
-            rows = np.nonzero(member)[0]
-            self.stats.deliveries[shard] += int(rows.shape[0])
-            streams.append(columns.take(rows))
-        return streams

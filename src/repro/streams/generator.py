@@ -355,7 +355,7 @@ class SnapshotGenerator:
                     "sliding_window streams manage deletions implicitly; "
                     "explicit deletion events are not allowed"
                 )
-            if event.timestamp < last_ts:
+            if not event.timestamp >= last_ts:  # a NaN is after nothing
                 raise ConfigurationError(
                     "sliding_window streams require non-decreasing timestamps "
                     f"(got {event.timestamp} after {last_ts})"

@@ -198,6 +198,21 @@ def backtracking_enumerate(context: TupleContext, unit: WorkUnit) -> Iterator[Em
     yield from verify_chain(order.start_verify_edges, 0, lambda: extend(0))
 
 
+def start_edge_major(units: list[WorkUnit]) -> list[WorkUnit]:
+    """``units`` regrouped by start edge, groups in order of first appearance.
+
+    The order in which units are visited is a scheduling choice, free for
+    everything this module defines (a pool is charged once per context
+    whoever reaches it first).  Visiting them group by group makes the
+    depth-first emission order the one the product's results come in, so
+    the differential can compare lists and not only sets.
+    """
+    first: dict[int, int] = {}
+    for unit in units:
+        first.setdefault(unit.start_edge, len(first))
+    return sorted(units, key=lambda unit: first[unit.start_edge])
+
+
 class ReferenceEngine:
     """Standing queries over one graph, every event and every embedding one at a time.
 
@@ -224,7 +239,10 @@ class ReferenceEngine:
         units = [decompose(context, batch_edge_ids) for context in contexts]
         return [
             (
-                [e for unit in unit_list for e in backtracking_enumerate(context, unit)],
+                [
+                    e for unit in start_edge_major(unit_list)
+                    for e in backtracking_enumerate(context, unit)
+                ],
                 context.candidates_scanned,
             )
             for context, unit_list in zip(contexts, units)

@@ -4,12 +4,15 @@ The kernel's contract is strict: for every match definition, stream
 shape and engine it must reproduce the tuple-at-a-time reference
 (``tests/reference/tuple_kernel.py``: per-edge ingest, depth-first
 backtracking) **exactly** — the same positive and negative embeddings
-batch for batch (as identity sets; the kernel emits breadth-first, the
-reference depth-first), on the serial engine the same
-``candidates_scanned`` to the digit, and the same behaviour at every
-degenerate input (no units, no candidates, duplicate-vertex
-rejections).  The arena that backs it must grow geometrically, never
-shrink, and be reusable across batches without further allocation.
+batch for batch, value for value (start edge and multiplicity included)
+and, wherever the product's order is defined, in the reference's order:
+iterating the result blocks of a serial engine yields the reference's
+list.  On the serial engine ``candidates_scanned`` agrees to the digit,
+and behaviour agrees at every degenerate input (no units, no
+candidates, duplicate-vertex rejections).  The arena that backs it must
+grow geometrically, never shrink, and be reusable across batches without
+further allocation — and a result block, once handed out, must not
+change when it is.
 """
 
 from __future__ import annotations
@@ -26,8 +29,9 @@ from repro.core.enumeration import (
     columnar_enumerate_packed,
     decompose_batch,
 )
-from repro.core.parallel import ParallelConfig
+from repro.core.parallel import ParallelConfig, SharedMemoryPool
 from repro.core.registry import MultiQueryEngine
+from repro.core.results import EmbeddingBlock, Embeddings
 from repro.matchers import (
     HomomorphismMatcher,
     IsomorphismMatcher,
@@ -139,8 +143,16 @@ def _replay(engine, batched_events, rows):
 
 
 def _product_rows(result):
+    """What iterating the result blocks yields: ``Embedding`` lists, in block order."""
+    for embeddings in (result.positive_embeddings, result.negative_embeddings):
+        assert isinstance(embeddings, Embeddings)
+        assert embeddings.identities() == [
+            ((e.positive, tuple(q for q, _ in e.node_map), tuple(q for q, _ in e.edge_map)),
+             np.array([v for _, v in e.node_map + e.edge_map], dtype=np.int64).tobytes())
+            for e in embeddings
+        ]
     return [(
-        _identities(result.positive_embeddings), _identities(result.negative_embeddings),
+        list(result.positive_embeddings), list(result.negative_embeddings),
         result.candidates_scanned,
     )]
 
@@ -152,8 +164,7 @@ def _multi_rows(result):
 
 def _reference_rows(result):
     return [
-        (_identities(e for e in found if e.positive),
-         _identities(e for e in found if not e.positive), scanned)
+        ([e for e in found if e.positive], [e for e in found if not e.positive], scanned)
         for found, scanned in result
     ]
 
@@ -162,8 +173,19 @@ def _reference_trace(queries, batched_events):
     return _replay(ReferenceEngine(queries), batched_events, _reference_rows)
 
 
-def _without_scans(trace):
-    return [(sign, [(pos, neg) for pos, neg, _ in rows]) for sign, rows in trace]
+def _canonical(embeddings):
+    return sorted(embeddings, key=lambda e: (e.start_edge, e.node_map, e.edge_map))
+
+
+def _unordered(trace):
+    """A trace without its scan counts and with every list in one canonical order.
+
+    Pool chunks come back in completion order and shards are merged shard
+    by shard, so there the product's order is its own; values, start
+    edges and multiplicities must still be the reference's.
+    """
+    return [(sign, [(_canonical(pos), _canonical(neg)) for pos, neg, _ in rows])
+            for sign, rows in trace]
 
 
 # ---------------------------------------------------------------------- kernel == reference
@@ -199,7 +221,7 @@ class TestKernelMatchesReference:
                     if deletes:
                         assert engine.graph.stats.recycled > 0
                 else:
-                    assert _without_scans(found) == _without_scans(expected)
+                    assert _unordered(found) == _unordered(expected)
                 if engine_name == "process":
                     pool_phases += engine.pool_enumeration_phases
             embeddings += sum(len(pos) + len(neg) for _, rows in expected for pos, neg, _ in rows)
@@ -233,10 +255,8 @@ class TestKernelMatchesReference:
             assert n == len(collected.batch_inserts(events).positive_embeddings)
             assert n <= unfiltered.batch_inserts(events).num_positive
 
-    def test_packed_layout_roundtrips(self, paper_example):
-        """The arena's direct IPC emission unpacks to the collected embeddings."""
-        from repro.core.parallel import _unpack_embeddings
-
+    def test_the_workers_entry_point_returns_the_same_blocks(self, paper_example):
+        """``columnar_enumerate_packed`` is the kernel again; its payload is the block list."""
         engine = MnemonicEngine(paper_example.query)
         engine.load_initial(paper_example.initial_events())
         live_ids = [record.edge_id for record in engine.graph.edges()]
@@ -246,9 +266,47 @@ class TestKernelMatchesReference:
         context2 = engine.runtime.make_context(engine.graph, batch_edge_ids=set(live_ids), positive=True)
         payload, count = columnar_enumerate_packed(
             context2, decompose_batch(context2, live_ids))
-        unpacked = _unpack_embeddings(payload, positive=True)
-        assert count == len(unpacked) == len(collected)
-        assert _identities(unpacked) == _identities(collected)
+        assert all(isinstance(block, EmbeddingBlock) for block in payload)
+        assert count == len(collected) > 0
+        assert Embeddings(payload) == collected
+
+
+class TestBlocksCrossTheResultQueue:
+    @pytest.mark.parametrize("matcher", ["isomorphism", "temporal", "custom-accept"])
+    def test_pool_outcome_holds_the_serial_blocks_rows(self, rng, matcher):
+        """Workers put their blocks on the queue as they are; the parent appends them.
+        Witness binding (more edge slots than tree edges) and an overridden ``accept``
+        (blocks filtered after a decode, in the worker) ride the same way."""
+        events = [e for e in _random_events(rng, num_events=80, deletes=False)]
+        found = 0
+        for query in _QUERIES:
+            engine = MnemonicEngine(query, match_def=_MATCHERS[matcher]())
+            engine.load_initial(events)
+            live_ids = [record.edge_id for record in engine.graph.edges()]
+
+            def context():
+                return engine.runtime.make_context(engine.graph, set(live_ids), positive=False)
+
+            units = decompose_batch(context(), live_ids)
+            serial, count = columnar_enumerate(context(), units)
+            pool = SharedMemoryPool.create(
+                engine.query_state, ParallelConfig(backend="process", num_workers=2, chunk_size=4)
+            )
+            assert pool is not None
+            try:
+                outcome = pool.run_multi({0: context()}, {0: units})[0]
+            finally:
+                pool.close()
+            assert outcome.num_embeddings == len(outcome.embeddings) == count
+            for block in outcome.embeddings.blocks:
+                assert isinstance(block, EmbeddingBlock) and not block.positive
+                assert block.nodes.dtype == block.edges.dtype == np.int64
+                assert block.nodes.shape == (len(block.node_slots), len(block))
+                assert block.edges.shape == (len(block.edge_slots), len(block))
+            assert sorted(outcome.embeddings.identities()) == sorted(serial.identities())
+            assert _canonical(outcome.embeddings) == _canonical(serial)
+            found += count
+        assert found > 0, "vacuous: nothing was enumerated"
 
 
 # ---------------------------------------------------------------------- index == reference
@@ -387,10 +445,8 @@ class TestArenaInvariants:
             arena = EmbeddingArena(capacity=4)
             units = decompose_batch(context, pinned)
             if packed:
-                from repro.core.parallel import _unpack_embeddings
-
                 payload, count = columnar_enumerate_packed(context, units, arena=arena)
-                found = _unpack_embeddings(payload, positive=True)
+                found = Embeddings(payload)
             else:
                 found, count = columnar_enumerate(context, units, collect=collect, arena=arena)
             return _identities(found), count, arena.high_water
@@ -410,6 +466,33 @@ class TestArenaInvariants:
         assert run(ReadsEverything(), packed=True) == (kept, len(kept), fan)
         # the accepted columns of a counted block are selected, not copied
         assert run(ReadsEverything(), collect=False) == (set(), len(kept), fan)
+
+    def test_a_returned_block_is_not_a_view_of_the_arena(self):
+        """Blocks are copied out once; later batches reuse and grow the buffers under them."""
+        query = _QUERIES[0]  # 0 -> 1 -> 2, labels 0, 1, 0
+        engine = MnemonicEngine(query)
+        arena = engine.runtime.arena
+
+        def fan_batch(batch, fan):
+            base = 1000 * batch
+            return [StreamEvent.insert(base, base + 1, 0, 0.0, 0, 1)] + [
+                StreamEvent.insert(base + 1, base + 2 * (i + 1), 0, 0.0, 1, 0) for i in range(fan)
+            ]
+
+        kept = engine.batch_inserts(fan_batch(0, 700)).positive_embeddings
+        assert len(kept) == 700
+        frozen = [(block.nodes.copy(), block.edges.copy(), list(block)) for block in kept.blocks]
+        grown = arena.grow_events
+        for batch, fan in ((1, 700), (2, 3000), (3, 9000)):  # same size, then two growths
+            assert len(engine.batch_inserts(fan_batch(batch, fan)).positive_embeddings) == fan
+        assert arena.grow_events > grown and arena.capacity >= 9000
+        for block, (nodes, edges, records) in zip(kept.blocks, frozen):
+            assert block.nodes.tobytes() == nodes.tobytes()
+            assert block.edges.tobytes() == edges.tobytes()
+            assert list(block) == records
+            for buffer in (*arena.front(), *arena.back()):
+                assert not np.shares_memory(block.nodes, buffer)
+                assert not np.shares_memory(block.edges, buffer)
 
     def test_double_buffers_are_distinct(self):
         arena = EmbeddingArena(capacity=4)
@@ -442,7 +525,7 @@ class TestKernelEdgeCases:
         assert embeddings == [] and count == 0
         assert arena.batches_served == 1  # counted per invocation, even an empty one
         payload, count = columnar_enumerate_packed(context, [], arena=arena)
-        assert payload.size == 0 and count == 0
+        assert payload == [] and count == 0
 
     def test_zero_candidate_frontier(self):
         """A start edge whose extension step has no candidates yields nothing."""

@@ -179,11 +179,20 @@ class TestBatchAPIs:
         with pytest.raises(ConfigurationError):
             engine.batch_deletes([StreamEvent.delete(1, 2, 0)])
 
+    @pytest.mark.parametrize("hostile, message", [
+        (StreamEvent.insert(30, -31, src_label=0, dst_label=1), "vertex id -31 is negative"),
+        (StreamEvent.insert(30.5, 31, src_label=0, dst_label=1),
+         "vertex id 30.5 is not an integer"),
+        (StreamEvent.insert(30, float("nan"), src_label=0, dst_label=1),
+         "vertex id nan is not an integer"),
+    ], ids=["negative", "fractional", "nan"])
     @pytest.mark.parametrize("feed", ["run", "batch_inserts", "load_initial"])
-    def test_negative_vertex_id_refuses_the_whole_batch(self, feed):
+    def test_hostile_vertex_id_refuses_the_whole_batch(self, feed, hostile, message):
         """DEBI roots are indexed by vertex id.  A negative one used to get into
-        the graph and kill the index update behind it; now the batch it rides in
-        changes nothing, and the engine carries on as if it had never come."""
+        the graph and kill the index update behind it, and a fractional one used
+        to be stored as the integer below it (``1.5`` registered vertex ``1`` and
+        could complete a match); now the batch it rides in changes nothing, and
+        the engine carries on as if it had never come."""
         engine, untouched = MnemonicEngine(path_query()), MnemonicEngine(path_query())
         for each in (engine, untouched):
             each.batch_inserts(chain_events(10))
@@ -194,14 +203,31 @@ class TestBatchAPIs:
                     each.debi.rows(ids), each.debi.root_count(),
                     each.index_manager.total_traversals)
 
-        hostile = chain_events(20) + [StreamEvent.insert(30, -31, src_label=0, dst_label=1)]
-        with pytest.raises(GraphError, match="vertex id -31 is negative"):
-            getattr(engine, feed)(hostile)
+        with pytest.raises(GraphError, match=message):
+            getattr(engine, feed)(chain_events(20) + [hostile])
         engine.graph.check_invariants()
         assert state(engine) == state(untouched)
         assert (engine.batch_inserts(chain_events(40)).positive_embeddings
                 == untouched.batch_inserts(chain_events(40)).positive_embeddings)
         assert state(engine) == state(untouched)
+
+    def test_nan_timestamp_is_out_of_order_on_a_sliding_window(self):
+        """``nan < last`` is false, so a NaN used to pass the order check and sit in
+        the window for ever (no expiry test is ever true for it)."""
+        config = EngineConfig(stream=StreamConfig(
+            stream_type=StreamType.SLIDING_WINDOW, window=10.0, stride=5.0))
+        engine, untouched = MnemonicEngine(path_query(), config=config), MnemonicEngine(
+            path_query(), config=config)
+        first = [StreamEvent.insert(10, 11, 0, 1.0, 0, 1), StreamEvent.insert(11, 12, 0, 2.0, 1, 2)]
+        later = [StreamEvent.insert(20, 21, 0, 7.0, 0, 1), StreamEvent.insert(21, 22, 0, 8.0, 1, 2)]
+        hostile = StreamEvent.insert(30, 31, 0, float("nan"), 0, 1)
+        assert untouched.run(first).total_positive == 1
+        with pytest.raises(ConfigurationError, match="non-decreasing timestamps"):
+            engine.run(first + later + [hostile])
+        # the stride the NaN arrived in was never sealed; the one before it was
+        assert list(engine.graph.edges()) == list(untouched.graph.edges())
+        assert engine.debi.root_count() == untouched.debi.root_count()
+        assert engine.run(later).total_positive == untouched.run(later).total_positive == 1
 
     def test_load_initial_does_not_enumerate(self):
         engine = MnemonicEngine(path_query())

@@ -2,15 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro import ShardedEngine
 from repro.core.api import MatchDefinition, default_edge_matcher
-from repro.core.engine import MnemonicEngine, enumerate_static
+from repro.core.engine import EngineConfig, MnemonicEngine, RunResult, enumerate_static
 from repro.core.enumeration import WorkUnit, decompose_batch
-from repro.core.results import Embedding, ResultSet
+from repro.core.results import Embedding, Embeddings, ResultSet
 from repro.graph.adjacency import CSRGraphView
 from repro.matchers import HomomorphismMatcher
 from repro.query.query_graph import QueryGraph
 from repro.streams.events import StreamEvent
+from tests.reference import result_set as reference
 
 
 class TestEmbedding:
@@ -53,6 +56,121 @@ class TestResultSet:
         assert len(results.positives()) == 1
         assert len(results.negatives()) == 1
         assert len(results.node_mappings()) == 2
+
+
+def _records(start_edge, positive, rows):
+    """Embeddings of a two-node query whose bound-edge slots depend on the start edge
+    (a unit started at the non-tree edge 2 binds it on top of the tree edges 0 and 1)."""
+    edge_slots = sorted({0, 1, start_edge})
+    return [
+        Embedding(node_map=((0, a), (1, b)),
+                  edge_map=tuple((slot, a + b + slot) for slot in edge_slots),
+                  start_edge=start_edge, positive=positive)
+        for a, b in rows
+    ]
+
+
+#: runs of records that share start edge, sign and slots — each becomes one block;
+#: values come from a domain of nine rows, so repeats inside a run and between runs are the rule
+_runs = st.lists(
+    st.builds(
+        _records, st.sampled_from([0, 1, 2]), st.booleans(),
+        st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), min_size=1, max_size=6),
+    ),
+    min_size=1, max_size=8,
+)
+
+
+class TestResultSetMatchesReference:
+    @given(_runs, st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_rows_are_deduplicated_as_records_were(self, runs, data):
+        product, oracle = ResultSet(), reference.ReferenceResultSet()
+        position = 0
+        while position < len(runs):  # a few runs at a time, as blocks or record by record
+            size = data.draw(st.integers(1, 3))
+            records = [e for run in runs[position:position + size] for e in run]
+            position += size
+            if data.draw(st.booleans()):
+                blocks = Embeddings.of(records)
+                assert len(blocks.blocks) <= size and list(blocks) == records
+                assert product.extend(blocks) == oracle.extend(records)
+            else:
+                assert [product.add(e) for e in records] == [oracle.add(e) for e in records]
+            assert product.duplicates_rejected == oracle.duplicates_rejected
+        assert list(product) == oracle.embeddings
+        assert len(product) == len(oracle.embeddings)
+        assert list(product.positives()) == [e for e in oracle.embeddings if e.positive]
+        assert list(product.negatives()) == [e for e in oracle.embeddings if not e.positive]
+        # same rows under the other sign, other slots or a fourth value are other matches
+        probes = [e for run in runs for e in run]
+        probes += [Embedding(e.node_map, e.edge_map, e.start_edge, not e.positive) for e in probes]
+        probes += _records(2, True, [(0, 0), (3, 3)]) + _records(0, False, [(2, 3)])
+        assert [e in product for e in probes] == [e in oracle for e in probes]
+
+    def test_an_untouched_block_is_kept_as_it_came(self):
+        """No duplicate, no copy: the sink and the result it was fed from share arrays."""
+        [block] = Embeddings.of(_records(0, True, [(0, 1), (1, 2), (2, 0)])).blocks
+        results = ResultSet()
+        results.extend(Embeddings([block]))
+        assert results.embeddings.blocks[0] is block
+        results.extend(Embeddings([block.take([1]), block]))
+        assert results.duplicates_rejected == 4 and len(results.embeddings.blocks) == 1
+
+
+class TestRunResultReductions:
+    """``all_positive`` / ``all_negative`` / ``net_result_set`` on blocks, against the
+    per-record forms (``tests/reference/result_set.py``), over churn that recycles ids."""
+
+    QUERY = QueryGraph.from_edges([(0, 1), (1, 2), (2, 0)], node_labels={0: 0, 1: 1, 2: 0})
+
+    def _churn(self, engine, seed):
+        rng = np.random.default_rng(seed)
+        run, live = RunResult(), []
+        for _ in range(6):
+            inserts = [
+                StreamEvent.insert(int(s), int(d), 0, src_label=int(s) % 2, dst_label=int(d) % 2)
+                for s, d in zip(rng.integers(0, 6, 30), rng.integers(0, 6, 30)) if s != d
+            ]
+            run.add(engine.batch_inserts(inserts))
+            live.extend(inserts)
+            doomed = [live.pop(int(rng.integers(len(live)))) for _ in range(12)]
+            run.add(engine.batch_deletes(
+                [StreamEvent.delete(e.src, e.dst, e.label) for e in doomed]))
+        return run
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_reductions_equal_the_per_record_forms_in_order(self, seed):
+        engine = MnemonicEngine(self.QUERY)
+        run = self._churn(engine, seed)
+        assert engine.graph.stats.recycled > 0
+        positives, negatives = reference.all_positive(run), reference.all_negative(run)
+        assert positives and negatives
+        assert list(run.all_positive()) == positives
+        assert list(run.all_negative()) == negatives
+        net, expected = run.net_result_set(), reference.net_result_set(run)
+        assert 0 < len(expected.embeddings) < len(positives)
+        assert list(net) == expected.embeddings
+        assert net.duplicates_rejected == expected.duplicates_rejected
+        # a match formed, destroyed and formed again is in the run twice and in the net never
+        assert len(set(run.all_positive().identities())) < len(positives)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_the_shard_merge_keeps_every_row_once(self, seed):
+        single = self._churn(MnemonicEngine(self.QUERY), seed)
+        with ShardedEngine(self.QUERY, config=EngineConfig(shards=2)) as engine:
+            sharded = self._churn(engine, seed)
+
+        def canonical(embeddings):
+            return sorted(embeddings, key=lambda e: (e.start_edge, e.node_map, e.edge_map))
+
+        for mine, theirs in zip(sharded.snapshots, single.snapshots):
+            assert canonical(mine.positive_embeddings) == canonical(theirs.positive_embeddings)
+            assert canonical(mine.negative_embeddings) == canonical(theirs.negative_embeddings)
+            assert mine.num_positive == theirs.num_positive
+            assert mine.num_negative == theirs.num_negative
+        assert list(sharded.net_result_set().node_mappings()) and (
+            sharded.net_result_set().node_mappings() == single.net_result_set().node_mappings())
 
 
 class TestWorkDecomposition:

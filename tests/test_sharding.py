@@ -41,10 +41,11 @@ from repro.graph.adjacency import DynamicGraph
 from repro.query.query_graph import QueryGraph
 from repro.storage.config import StorageConfig
 from repro.streams.broker import StreamBroker
+from repro.streams.config import StreamConfig, StreamType
 from repro.streams.events import StreamEvent
 from repro.streams.fanout import ShardFanout
 from repro.utils.rng import make_rng
-from repro.utils.validation import ConfigurationError
+from repro.utils.validation import ConfigurationError, GraphError
 
 # ---------------------------------------------------------------------- strategies
 _VERTICES = list(range(8))
@@ -220,6 +221,50 @@ class TestEdgeIdAllocatorParity:
         assert allocator.allocate(1) == first
         assert allocator.allocate(2) == other + 1  # shard-2 free list untouched
         assert allocator.recycled == 2
+
+
+# ---------------------------------------------------------------------- refused batches
+class TestRouterRefusesBeforeItWrites:
+    @pytest.mark.parametrize("feed", ["batch_inserts", "load_initial", "run"])
+    def test_a_refused_batch_moves_neither_ownership_nor_the_allocator(self, rng_seed, feed):
+        """The router places vertices and allocates ids before any shard graph
+        sees a row, so it has to refuse what the graph would — first.  After a
+        churned prefix (free lists are non-empty) a hostile batch leaves the
+        partition map, the allocator and every shard graph as they were."""
+        events = _random_events(make_rng(rng_seed), num_ops=80, delete_bias=0.4)
+        config = EngineConfig(shards=3, stream=StreamConfig(stream_type=StreamType.INSERT_DELETE))
+        with ShardedEngine(_path_query(), config=config) as engine, \
+                ShardedEngine(_path_query(), config=config) as untouched:
+            for each in (engine, untouched):
+                _run_batched(each, events)
+                each.batch_inserts([StreamEvent.insert(1, 2, 0, 0.0, 1, 2)])
+                each.batch_deletes([StreamEvent.delete(1, 2, 0)])  # vertex 1 has an id to recycle
+
+            def state(each):
+                router = each.router
+                return (
+                    dict(router.partition._owner),
+                    {src: list(ids) for src, ids in router.allocator._free_ids.items() if ids},
+                    router.allocator.num_placeholders, router.allocator.recycled,
+                    router.num_edges, router._primary.tolist(), router._secondary.tolist(),
+                    [(sorted(shard.graph.edges()), sorted(shard.graph.vertices()),
+                      shard.mutations_applied) for shard in router.shards],
+                )
+
+            # new vertices (40, 41) and a recyclable source ahead of the bad row
+            assert engine.router.allocator._free_ids[1]
+            hostile = [
+                StreamEvent.insert(40, 41, 0, 0.0, 0, 1),
+                StreamEvent.insert(1, 40, 0, 0.0, 1, 0),
+                StreamEvent.insert(41, -5, 0, 0.0, 1, 0),
+            ]
+            with pytest.raises(GraphError, match="vertex id -5 is negative"):
+                getattr(engine, feed)(hostile)
+            assert state(engine) == state(untouched)
+            tail = [StreamEvent.insert(40, 41, 0, 0.0, 0, 1),
+                    StreamEvent.insert(41, 42, 0, 0.0, 1, 0)]
+            assert _run_batched(engine, tail) == _run_batched(untouched, tail)
+            assert state(engine) == state(untouched)
 
 
 # ---------------------------------------------------------------------- parity

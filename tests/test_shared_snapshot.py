@@ -8,17 +8,15 @@ pool reuse across engine batches, and graceful fallback when
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.core.debi import DEBI
 from repro.core.engine import EngineConfig, MnemonicEngine
-from repro.core.parallel import (
-    ParallelConfig,
-    SharedMemoryPool,
-    _unpack_embeddings,
-)
-from repro.core.results import Embedding
+from repro.core.parallel import ParallelConfig, SharedMemoryPool
+from repro.core.results import Embedding, Embeddings
 from repro.core.shared_snapshot import SharedSnapshotWriter, SnapshotAttachment
 from repro.datasets import NetFlowConfig, generate_netflow_stream, graph_from_events
 from repro.graph.adjacency import CSRGraphView, DynamicGraph
@@ -308,29 +306,33 @@ class TestDoubleBufferedWriter:
             writer.close()
 
 
-class TestEmbeddingPacking:
-    def test_unpack_reads_the_kernel_layout(self):
-        """``[start_edge, n_nodes, n_edges, (qnode, vertex)*, (qedge, eid)*]`` per embedding
-        (``columnar_enumerate_packed`` writes it; see test_columnar_kernel for the round trip)."""
+class TestBlocksOnTheResultQueue:
+    """A worker answers a chunk with its :class:`EmbeddingBlock` list; the queue pickles it."""
+
+    def test_blocks_pickle_to_the_same_records_and_arrays(self):
         embeddings = [
             Embedding(node_map=((0, 10), (1, 11)), edge_map=((0, 5),), start_edge=0),
+            Embedding(node_map=((0, 12), (1, 13)), edge_map=((0, 6),), start_edge=0),
             Embedding(
                 node_map=((0, 7), (1, 8), (2, 9)),
                 edge_map=((0, 1), (1, 2), (2, 3)),
                 start_edge=2,
+                positive=False,
             ),
         ]
-        packed = np.array(
-            [0, 2, 1, 0, 10, 1, 11, 0, 5]
-            + [2, 3, 3, 0, 7, 1, 8, 2, 9, 0, 1, 1, 2, 2, 3],
-            dtype=np.int64,
-        )
-        assert _unpack_embeddings(packed, positive=True) == embeddings
-        negatives = _unpack_embeddings(packed, positive=False)
-        assert all(not e.positive for e in negatives)
+        sent = Embeddings.of(embeddings)
+        assert [len(block) for block in sent.blocks] == [2, 1]
+        received = Embeddings(pickle.loads(pickle.dumps(sent.blocks)))
+        assert received == embeddings
+        assert received.identities() == sent.identities()
+        for before, after in zip(sent.blocks, received.blocks):
+            assert after.signature == before.signature and after.start_edge == before.start_edge
+            assert after.nodes.dtype == after.edges.dtype == np.int64
+            assert np.array_equal(after.nodes, before.nodes)
+            assert np.array_equal(after.edges, before.edges)
 
-    def test_empty(self):
-        assert _unpack_embeddings(np.empty(0, dtype=np.int64), positive=True) == []
+    def test_nothing_found_is_an_empty_list(self):
+        assert pickle.loads(pickle.dumps(Embeddings().blocks)) == []
 
 
 def pool_workload():
