@@ -13,12 +13,14 @@ from __future__ import annotations
 
 import time
 
+import numpy as np
 import pytest
 
 from benchmarks.conftest import write_result
 from repro.bench.harness import run_mnemonic_stream
 from repro.bench.reporting import format_table
 from repro.core.engine import EngineConfig, MnemonicEngine
+from repro.graph.edge import EdgeColumns
 from repro.matchers import HomomorphismMatcher, dual_simulation_from_debi
 from repro.streams.config import StreamConfig, StreamType
 
@@ -44,14 +46,16 @@ def _run_simulation(query, stream):
             for e in snapshot.insertions
         ])
         if snapshot.deletions:
-            doomed = []
-            for event in snapshot.deletions:
-                edge_id = engine.graph.find_edges(event.src, event.dst, event.label)[-1]
-                row = engine.debi.row(edge_id)
-                record = engine.graph.delete_edge(edge_id)
-                engine.debi.clear_edge(edge_id)
-                doomed.append((record, row))
-            engine.index_manager.handle_deletions(doomed)
+            records = [
+                engine.graph.delete_edge(
+                    engine.graph.find_edges(event.src, event.dst, event.label)[-1]
+                )
+                for event in snapshot.deletions
+            ]
+            deleted = EdgeColumns(*(np.array(column) for column in zip(*records)))
+            held = engine.index_manager.held_bits(deleted.edge_id)  # DEBI rows outlive the edges
+            engine.debi.clear_edges(deleted.edge_id)
+            engine.index_manager.handle_deletions(deleted, held)
         relation = dual_simulation_from_debi(engine)
         snapshots += 1
         if relation:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.graph.adjacency import coalesce_ranges
 from repro.query.query_tree import QueryTree
 from repro.utils.bitset import _WORD_BITS, BitMatrix, BitVector
 
@@ -50,24 +51,18 @@ class DEBI:
         self._all_dirty = True
 
     def _mark_row(self, edge_id: int) -> None:
-        if self._all_dirty:
-            return
-        self._dirty_rows.add(edge_id)
-        if len(self._dirty_rows) > _DIRTY_ROW_CAP:
-            self._all_dirty = True
-            self._dirty_rows.clear()
-            self._dirty_root_words.clear()
+        if not self._all_dirty:
+            self._dirty_rows.add(edge_id)
+            if len(self._dirty_rows) > _DIRTY_ROW_CAP:
+                self.mark_all_dirty()
 
     def _mark_rows(self, edge_ids) -> None:
-        if self._all_dirty:
-            return
-        self._dirty_rows.update(
-            edge_ids.tolist() if isinstance(edge_ids, np.ndarray) else edge_ids
-        )
-        if len(self._dirty_rows) > _DIRTY_ROW_CAP:
-            self._all_dirty = True
-            self._dirty_rows.clear()
-            self._dirty_root_words.clear()
+        if not self._all_dirty:
+            self._dirty_rows.update(
+                edge_ids.tolist() if isinstance(edge_ids, np.ndarray) else edge_ids
+            )
+            if len(self._dirty_rows) > _DIRTY_ROW_CAP:
+                self.mark_all_dirty()
 
     def _mark_root(self, vertex: int) -> None:
         if not self._all_dirty:
@@ -295,16 +290,4 @@ class DEBI:
 
 def _coalesce(indices: set[int]) -> list[tuple[int, int]]:
     """Turn a set of indexes into sorted half-open ``(start, stop)`` runs."""
-    if not indices:
-        return []
-    ordered = sorted(indices)
-    runs: list[tuple[int, int]] = []
-    start = prev = ordered[0]
-    for value in ordered[1:]:
-        if value == prev + 1:
-            prev = value
-            continue
-        runs.append((start, prev + 1))
-        start = prev = value
-    runs.append((start, prev + 1))
-    return runs
+    return coalesce_ranges(np.array(sorted(indices), dtype=np.int64))

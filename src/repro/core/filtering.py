@@ -38,7 +38,7 @@ from repro.core.api import (
 from repro.core.debi import DEBI
 from repro.core.frontier import UnifiedFrontier
 from repro.graph.adjacency import DynamicGraph, segment_counts
-from repro.graph.edge import EdgeRecord
+from repro.graph.edge import EdgeColumns, EdgeRecord
 from repro.query.query_graph import WILDCARD_LABEL, QueryEdge, QueryGraph
 from repro.query.query_tree import QueryTree, TreeEdge
 
@@ -79,11 +79,6 @@ class IndexManager:
     def child_endpoint(record: EdgeRecord, tree_edge: TreeEdge) -> int:
         """The data vertex that plays the role of ``tree_edge.child``."""
         return record.src if tree_edge.query_edge.src == tree_edge.child else record.dst
-
-    @staticmethod
-    def parent_endpoint(record: EdgeRecord, tree_edge: TreeEdge) -> int:
-        """The data vertex that plays the role of ``tree_edge.parent``."""
-        return record.dst if tree_edge.query_edge.src == tree_edge.child else record.src
 
     def _scan_label(self, tree_edge: TreeEdge) -> int | None:
         """The adjacency partition a filtering pass must evaluate for ``tree_edge``.
@@ -229,19 +224,31 @@ class IndexManager:
             self.debi.set_root(vertex)
 
     # ------------------------------------------------------------------ deletions
-    def handle_deletions(self, deleted: list[tuple[EdgeRecord, int]]) -> UnifiedFrontier:
+    def held_bits(self, edge_ids: np.ndarray) -> dict[int, np.ndarray]:
+        """Per tree-edge column, which of ``edge_ids`` hold its DEBI bit: what
+        :meth:`handle_deletions` needs of doomed edges, taken while their rows exist."""
+        return {
+            tree_edge.column: self.debi.column_mask(edge_ids, tree_edge.column)
+            for tree_edge in self.tree.tree_edges
+        }
+
+    def handle_deletions(
+        self, deleted: EdgeColumns, held: dict[int, np.ndarray]
+    ) -> UnifiedFrontier:
         """Clear DEBI bits after a batch of deletions.
 
-        ``deleted`` holds ``(record, debi_row_mask)`` pairs captured *before*
-        the edges were removed from the graph; this method must be called
-        *after* the graph mutation and after the rows were cleared.
+        ``deleted`` is the deleted edges as columns and ``held`` their
+        :meth:`held_bits`, both captured *before* the edges were removed from
+        the graph; call this *after* the graph mutation and the row clears.
+        Each tree edge seeds the frontier once: the parent-side endpoints of
+        the edges that held its bit.
         """
         frontier = UnifiedFrontier()
-        for record, row_mask in deleted:
-            for tree_edge in self.tree.tree_edges:
-                if row_mask >> tree_edge.column & 1:
-                    parent_vertex = self.parent_endpoint(record, tree_edge)
-                    frontier.seed_vertex(tree_edge.parent, parent_vertex)
+        for tree_edge in self.tree.tree_edges:
+            child_is_src = tree_edge.query_edge.src == tree_edge.child
+            parents = (deleted.dst if child_is_src else deleted.src)[held[tree_edge.column]]
+            if parents.shape[0]:
+                frontier.seed_vertices(tree_edge.parent, parents)
 
         # Re-check down-consistency from the deepest affected query node
         # upward.  A level's verdicts read only deeper columns, so they are
@@ -266,9 +273,7 @@ class IndexManager:
             unsupported = vertices[~self.down_mask(vertices, node)]
             if unsupported.shape[0] == 0:
                 continue
-            pools, _ = graph.candidate_pools(
-                unsupported, child_is_src, self._scan_label(tree_edge)
-            )
+            pools, _ = graph.candidate_pools(unsupported, child_is_src, self._scan_label(tree_edge))
             frontier.count_traversal(int(pools.shape[0]))
             stale = pools[debi.column_mask(pools, tree_edge.column)]
             for edge_id in stale.tolist():

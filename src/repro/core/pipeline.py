@@ -55,7 +55,7 @@ import time
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Iterator, Protocol, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Protocol
 
 import numpy as np
 
@@ -68,6 +68,7 @@ from repro.core.parallel import (
 )
 from repro.core.results import Embeddings
 from repro.core.shared_snapshot import SnapshotAttachment
+from repro.streams.events import EventColumns
 from repro.utils.validation import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -75,7 +76,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.enumeration import EnumerationContext, WorkUnit
     from repro.core.registry import QueryRuntime
     from repro.graph.adjacency import DynamicGraph
-    from repro.streams.events import StreamEvent
     from repro.streams.generator import Snapshot
 
 #: the supported execution modes of :class:`BatchPipeline`
@@ -176,14 +176,11 @@ class CompletedBatch:
     first_arrival: float | None = None
     #: stream-clock time at which the batch's results became available
     completed_at: float | None = None
-    #: the batch's raw events, kept so durable engines can journal the
-    #: epoch at delivery time (sealing happens in stream order)
-    insert_events: "Sequence[StreamEvent]" = ()
-    delete_events: "Sequence[StreamEvent]" = ()
-    #: the columnar decodes of the same events — durable engines seal the
-    #: journal epoch straight from these, skipping the per-event tuple walk
-    insert_columns: "object | None" = None
-    delete_columns: "object | None" = None
+    #: the batch's events as columns (None for an empty half), kept so durable
+    #: engines can journal the epoch at delivery time (sealing happens in
+    #: stream order)
+    insert_columns: "EventColumns | None" = None
+    delete_columns: "EventColumns | None" = None
 
     def phases(self) -> Iterator[PhaseOutcome]:
         if self.insert_phase is not None:
@@ -245,79 +242,73 @@ class BatchPipeline:
 
     # ------------------------------------------------------------------ entry points
     def process_batch(
-        self,
-        number: int,
-        insertions: Sequence["StreamEvent"],
-        deletions: Sequence["StreamEvent"],
+        self, number: int, insertions: "EventColumns | None", deletions: "EventColumns | None"
     ) -> CompletedBatch:
-        """Run one batch serially (the one-shot / serial-mode entry point)."""
-        batch = CompletedBatch(
-            number=number,
-            num_insertions=len(insertions),
-            num_deletions=len(deletions),
-            insert_events=tuple(insertions),
-            delete_events=tuple(deletions),
-        )
-        batch.insert_columns = self._decode_columns(True, insertions)
-        batch.delete_columns = self._decode_columns(False, deletions)
-        if insertions:
-            batch.insert_phase = self._run_insert_phase(batch.insert_columns, overlap=False)
-        if deletions:
-            batch.delete_phase = self._run_delete_phase(deletions, overlap=False)
+        """Run one batch serially (the one-shot / serial-mode entry point).
+
+        Either half is the :class:`EventColumns` decode a sealed snapshot
+        caches: the graph apply, the index update and the journal seal all
+        reuse the same arrays.
+        """
+        batch = self._new_batch(number, insertions, deletions)
+        self._run_phases(batch, overlap=False)
         return batch
+
+    @staticmethod
+    def _new_batch(number: int, insertions, deletions) -> CompletedBatch:
+        return CompletedBatch(
+            number=number,
+            num_insertions=len(insertions) if insertions else 0,
+            num_deletions=len(deletions) if deletions else 0,
+            insert_columns=insertions,
+            delete_columns=deletions,
+        )
+
+    def _run_phases(self, batch: CompletedBatch, overlap: bool) -> None:
+        if batch.insert_columns:
+            batch.insert_phase = self._run_insert_phase(batch.insert_columns, overlap)
+        if batch.delete_columns:
+            batch.delete_phase = self._run_delete_phase(batch.delete_columns, overlap)
 
     def run_stream(self, snapshots: Iterable["Snapshot"]) -> Iterator[CompletedBatch]:
         """Process a stream of snapshots, yielding completed batches in order.
 
-        When the snapshot iterator exposes a ``clock`` (broker-fed
-        generators do), every yielded batch is stamped with the
-        stream-clock time its results became available, closing the
-        ingest-to-result latency loop opened by the snapshots' arrival
-        stamps.
+        Sealed snapshots cache their own columnar decode; it is reused, so
+        an ingest tier that already decoded (fan-out, journal, the sliding
+        window) shares the arrays with the engine.  When the snapshot
+        iterator exposes a ``clock`` (broker-fed generators do), every
+        yielded batch is stamped with the stream-clock time its results
+        became available, closing the ingest-to-result latency loop opened
+        by the snapshots' arrival stamps.
         """
         clock = getattr(snapshots, "clock", None)
         if self.mode != "pipelined":
             for snapshot in snapshots:
                 batch = self.process_batch(
-                    snapshot.number, snapshot.insertions, snapshot.deletions
+                    snapshot.number, snapshot.insert_columns(), snapshot.delete_columns()
                 )
+                batch.first_arrival = snapshot.first_arrival
                 self.host.pipeline_batch_applied(batch)
-                yield self._stamp_completed(batch, snapshot, clock)
+                yield self._stamp_completed(batch, clock)
             return
         inflight: deque[CompletedBatch] = deque()
         for snapshot in snapshots:
-            batch = CompletedBatch(
-                number=snapshot.number,
-                num_insertions=len(snapshot.insertions),
-                num_deletions=len(snapshot.deletions),
-                first_arrival=snapshot.first_arrival,
-                insert_events=tuple(snapshot.insertions),
-                delete_events=tuple(snapshot.deletions),
-                # Sealed snapshots cache their own decode — reuse it so an
-                # ingest tier that already decoded (fan-out, journal) shares
-                # the arrays with the engine.
-                insert_columns=snapshot.insert_columns(),
-                delete_columns=snapshot.delete_columns(),
+            batch = self._new_batch(
+                snapshot.number, snapshot.insert_columns(), snapshot.delete_columns()
             )
-            if snapshot.insertions:
-                batch.insert_phase = self._run_insert_phase(batch.insert_columns, overlap=True)
-            if snapshot.deletions:
-                batch.delete_phase = self._run_delete_phase(snapshot.deletions, overlap=True)
+            batch.first_arrival = snapshot.first_arrival
+            self._run_phases(batch, overlap=True)
             self.host.pipeline_batch_applied(batch)
             inflight.append(batch)
             while inflight and inflight[0].complete:
-                yield self._stamp_completed(inflight.popleft(), None, clock)
+                yield self._stamp_completed(inflight.popleft(), clock)
         self.flush()
         while inflight:
-            yield self._stamp_completed(inflight.popleft(), None, clock)
+            yield self._stamp_completed(inflight.popleft(), clock)
 
     @staticmethod
-    def _stamp_completed(
-        batch: CompletedBatch, snapshot: "Snapshot | None", clock
-    ) -> CompletedBatch:
-        """Copy the ingest stamp (serial path) and record the completion time."""
-        if snapshot is not None:
-            batch.first_arrival = snapshot.first_arrival
+    def _stamp_completed(batch: CompletedBatch, clock) -> CompletedBatch:
+        """Record the completion time of a batch that carries an ingest stamp."""
         if clock is not None and batch.first_arrival is not None:
             batch.completed_at = clock.now()
         return batch
@@ -326,21 +317,6 @@ class BatchPipeline:
         """Drain every dispatched epoch (oldest first); phases become complete."""
         while self._pending:
             self._drain_oldest()
-
-    # ------------------------------------------------------------------ columnar ingest
-    @staticmethod
-    def _decode_columns(positive: bool, events: Sequence["StreamEvent"]):
-        """Decode one phase's events into :class:`EventColumns` (None without events).
-
-        The decode happens once per batch; the graph apply, the DEBI/index
-        update and the journal seal all reuse the same arrays.
-        """
-        if not events:
-            return None
-        from repro.streams.events import EventColumns, EventKind
-
-        kind = EventKind.INSERT if positive else EventKind.DELETE
-        return EventColumns.from_events(kind, events)
 
     # ------------------------------------------------------------------ insert phase
     def _run_insert_phase(self, columns, overlap: bool) -> PhaseOutcome:
@@ -362,23 +338,21 @@ class BatchPipeline:
                 ids_arr, columns.src, columns.dst, columns.label
             )
 
-        contexts, units = self._index_and_decompose(
-            slots, phase, set(new_ids), new_ids, positive=True, index=index,
-        )
+        contexts, units = self._index_and_decompose(slots, phase, new_ids, True, index)
         self._enumerate_phase(phase, slots, contexts, units, overlap=overlap)
         return phase
 
     # ------------------------------------------------------------------ delete phase
-    def _run_delete_phase(self, events: Sequence["StreamEvent"], overlap: bool) -> PhaseOutcome:
+    def _run_delete_phase(self, columns: "EventColumns", overlap: bool) -> PhaseOutcome:
         from repro.core.registry import resolve_deletions
 
         host = self.host
         graph = host.graph
         slots = host.pipeline_slots()
-        phase = PhaseOutcome(positive=False, num_events=len(events))
+        phase = PhaseOutcome(positive=False, num_events=len(columns))
 
         resolve_start = time.perf_counter()
-        doomed_ids = resolve_deletions(graph, events)
+        doomed = resolve_deletions(graph, columns)
         phase.graph_update_seconds += time.perf_counter() - resolve_start
 
         # Enumerate (or dispatch) the embeddings about to be destroyed
@@ -386,48 +360,33 @@ class BatchPipeline:
         # dispatched run reads the snapshot published by the dispatch,
         # which freezes the pre-delete graph and DEBI.  No index callback:
         # DEBI is refreshed *after* the deletions are applied below.
-        contexts, units = self._index_and_decompose(
-            slots, phase, set(doomed_ids), doomed_ids, positive=False
-        )
+        contexts, units = self._index_and_decompose(slots, phase, doomed.tolist(), False)
         self._enumerate_phase(phase, slots, contexts, units, overlap=overlap)
 
-        # One mutation pass: gather every query's row masks (reads are
-        # unaffected by the graph deletes), apply the deletes in event
-        # order (free-list parity), then clear all DEBI rows with one bulk
-        # write per query.  In pipelined mode this runs while the workers
-        # are still enumerating the epoch published above — they read the
-        # frozen pre-delete snapshot.
+        # One mutation pass, columns throughout: note per query which doomed
+        # edges hold which DEBI bit (reads are unaffected by the graph
+        # deletes), apply the deletes in event order (free-id parity), then
+        # clear all DEBI rows with one bulk write per query.  In pipelined
+        # mode this runs while the workers are still enumerating the epoch
+        # published above — they read the frozen pre-delete snapshot.
         apply_start = time.perf_counter()
-        mask_lists = {qid: runtime.debi.rows(doomed_ids) for qid, runtime in slots.items()}
-        records = graph.apply_delete_columns(doomed_ids)
-        ids_arr = np.asarray(doomed_ids, dtype=np.int64)
+        held = {qid: runtime.index_manager.held_bits(doomed) for qid, runtime in slots.items()}
+        deleted = graph.apply_delete_columns(doomed)
         for runtime in slots.values():
-            runtime.debi.clear_edges(ids_arr)
-        deleted = [
-            (record, {qid: masks[i] for qid, masks in mask_lists.items()})
-            for i, record in enumerate(records)
-        ]
+            runtime.debi.clear_edges(doomed)
         phase.graph_update_seconds += time.perf_counter() - apply_start
 
         for qid, runtime in slots.items():
             query_phase = phase.per_query[qid]
             filter_start = time.perf_counter()
-            frontier = runtime.index_manager.handle_deletions(
-                [(record, masks[qid]) for record, masks in deleted]
-            )
+            frontier = runtime.index_manager.handle_deletions(deleted, held[qid])
             query_phase.filter_seconds += time.perf_counter() - filter_start
             query_phase.filter_traversals += frontier.traversed_edges
         return phase
 
     # ------------------------------------------------------------------ shared plumbing
     def _index_and_decompose(
-        self,
-        slots,
-        phase: PhaseOutcome,
-        batch_ids: set[int],
-        ordered_ids,
-        positive,
-        index=None,
+        self, slots, phase: PhaseOutcome, edge_ids: list[int], positive: bool, index=None
     ):
         """Per query: refresh the index (optional), build a context, decompose units.
 
@@ -438,6 +397,7 @@ class BatchPipeline:
         from repro.core.enumeration import decompose_batch
 
         graph = self.host.graph
+        batch_ids = set(edge_ids)
         contexts: dict[int, "EnumerationContext"] = {}
         units: dict[int, list] = {}
         shared_cache: dict | None = {} if len(slots) > 1 else None
@@ -452,7 +412,7 @@ class BatchPipeline:
                 graph, batch_ids, positive, shared_pool_cache=shared_cache
             )
             contexts[qid] = context
-            units[qid] = decompose_batch(context, ordered_ids)
+            units[qid] = decompose_batch(context, edge_ids)
             query_phase.work_units += len(units[qid])
         return contexts, units
 

@@ -37,8 +37,9 @@ stay per-query; only the raw adjacency fetch is shared.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+
+import numpy as np
 
 from repro.core.api import DefaultMatchDefinition, MatchDefinition
 from repro.core.debi import DEBI
@@ -50,7 +51,7 @@ from repro.core.parallel import (
     SharedMemoryPool,
 )
 from repro.core.supervisor import PoolSupervisor
-from repro.graph.adjacency import DynamicGraph
+from repro.graph.adjacency import DynamicGraph, ranks_in_runs, stable_runs
 from repro.query.masking import MaskTable
 from repro.query.matching_order import MatchingOrder, build_matching_orders
 from repro.query.query_graph import QueryGraph
@@ -164,47 +165,80 @@ class RegisteredQuery:
     run_result: "RunResult"
 
 
-def resolve_deletions(graph: DynamicGraph, events: Sequence[StreamEvent]) -> list[int]:
-    """Resolve deletion events to concrete live edge ids.
+def _resolve_in_turn(instances: list[tuple[int, float]], stamps: list[float]) -> list[int]:
+    """:func:`resolve_deletions`' rule for one triple, event by event: ``instances`` are
+    its live ``(edge id, timestamp)`` in insertion order, ``stamps`` the events'; -1 = none left."""
+    doomed = []
+    for stamp in stamps:
+        at = next((i for i, (_, held) in enumerate(instances) if held == stamp), -1)
+        doomed.append(instances.pop(at)[0] if instances else -1)
+    return doomed
 
-    Among parallel edges the instance with the event's timestamp is
-    preferred (sliding windows expire the oldest instance); otherwise the
-    latest one wins.  Shared by the batch pipeline, journal replay and
-    the shard router so they can never diverge on which edge a deletion
-    hits.
+
+def resolve_deletions(
+    graph: DynamicGraph, deletions: "EventColumns | Sequence[StreamEvent]"
+) -> np.ndarray:
+    """Resolve a batch of deletion events to concrete live edge ids (int64, event order).
+
+    An event names a ``(src, dst, label)`` triple.  Of the triple's live
+    parallel instances that no earlier event of the batch took, it takes
+    the oldest one carrying the event's timestamp (what a sliding window
+    expires), else the most recently inserted one; an event left without
+    an instance refuses the whole batch (nothing is written here).  Shared
+    by the batch pipeline, journal replay and the shard router so they can
+    never diverge on which edge a deletion hits.
+
+    ``find_instances`` lists every distinct triple's instances once.  Within
+    a triple the ``r``-th event with some timestamp takes the ``r``-th
+    instance with it; a triple none of whose events finds its timestamp is
+    taken from the latest instance backwards; only a triple mixing the two
+    is walked event by event.
     """
-    instances = [graph.find_edges(event.src, event.dst, event.label) for event in events]
-    # Parallel instances are told apart by timestamp: one column gather
-    # for the whole batch, and only when some triple is ambiguous at all.
-    stamps: list[float] = []
-    if max(map(len, instances), default=0) > 1:
-        stamps = graph.edge_timestamps(list(chain.from_iterable(instances))).tolist()
-    doomed_ids: list[int] = []
-    doomed_set: set[int] = set()
-    offset = 0
-    for event, ids in zip(events, instances):
-        if len(ids) == 1 and ids[0] not in doomed_set:
-            chosen = ids[0]  # no parallel edge: nothing to prefer
-        else:
-            chosen = latest = -1
-            for edge_id, stamp in zip(ids, stamps[offset : offset + len(ids)]):
-                if edge_id in doomed_set:
-                    continue
-                if stamp == event.timestamp:
-                    chosen = edge_id
-                    break
-                latest = edge_id
-            if chosen < 0:
-                chosen = latest
-            if chosen < 0:
-                raise ConfigurationError(
-                    f"deletion of ({event.src}, {event.dst}, {event.label}) "
-                    "does not match a live edge"
-                )
-        offset += len(ids)
-        doomed_ids.append(chosen)
-        doomed_set.add(chosen)
-    return doomed_ids
+    if not isinstance(deletions, EventColumns):
+        deletions = EventColumns.from_events(EventKind.DELETE, deletions)
+    src, dst, label, stamp = deletions.src, deletions.dst, deletions.label, deletions.timestamp
+    n = src.shape[0]
+    if n == 0:
+        return np.empty(0, dtype=np.int64)
+    group, ids, sizes = graph.find_instances(src, dst, label)
+    held = graph.edge_timestamps(ids)
+
+    # (triple, timestamp) classes over the instances carrying some event's
+    # timestamp (oldest first within a class) and over the events
+    stamps, stamp_rank = np.unique(stamp, return_inverse=True)
+    width = stamps.shape[0]
+    slot = np.minimum(stamps.searchsorted(held), width - 1)
+    stamped = (stamps[slot] == held).nonzero()[0]
+    instance_class = np.repeat(np.arange(sizes.shape[0]), sizes)[stamped] * width + slot[stamped]
+    oldest_first = instance_class.argsort(kind="stable")
+    instance_class = instance_class[oldest_first]
+    event_class = group * width + stamp_rank
+    order, _, first, counts = stable_runs(event_class)
+    at = instance_class.searchsorted(event_class) + ranks_in_runs(order, first, counts)
+    found = at < instance_class.searchsorted(event_class, side="right")
+    doomed = np.full(n, -1, dtype=np.int64)
+    doomed[found] = ids[stamped[oldest_first[at[found]]]]
+
+    if not found.all():
+        ends = np.cumsum(sizes)
+        order, _, first, counts = stable_runs(group)
+        turn = ranks_in_runs(order, first, counts)
+        found_in_group = np.bincount(group, weights=found, minlength=sizes.shape[0])
+        backwards = (found_in_group == 0)[group] & (turn < sizes[group])
+        doomed[backwards] = ids[(ends[group] - 1 - turn)[backwards]]
+        for triple in ((found_in_group > 0) & (found_in_group < counts)).nonzero()[0].tolist():
+            events = order[first[triple] : first[triple] + counts[triple]]
+            mine = slice(ends[triple] - sizes[triple], ends[triple])
+            doomed[events] = _resolve_in_turn(
+                list(zip(ids[mine].tolist(), held[mine].tolist())), stamp[events].tolist()
+            )
+        unmatched = (doomed < 0).nonzero()[0]
+        if unmatched.size:
+            at = unmatched[0]
+            raise ConfigurationError(
+                f"deletion of ({src[at]}, {dst[at]}, {label[at]}) does not match a live edge"
+            )
+    return doomed
 
 
 class QueryRegistry:
@@ -572,21 +606,14 @@ class MultiQueryEngine(PoolOwnerMixin):
 
     def load_initial(self, events: Iterable[StreamEvent | tuple]) -> int:
         """Load an initial graph (insertions only) and index every query for it."""
+        from repro.storage.recovery import replay_insertions
+
         coerced = [coerce_insert(event) for event in events]
-        new_ids: list[int] = []
-        if coerced:
-            columns = EventColumns.from_events(EventKind.INSERT, coerced)
-            new_ids = self.graph.apply_insert_columns(
-                columns.src, columns.dst, columns.label, columns.timestamp,
-                columns.src_label, columns.dst_label,
-            )
-            for _, registered in self.registry.items():
-                registered.runtime.index_manager.handle_insert_columns(
-                    new_ids, columns.src, columns.dst, columns.label
-                )
+        columns = EventColumns.from_events(EventKind.INSERT, coerced) if coerced else None
+        replay_insertions(self.graph, self.pipeline_slots(), columns)
         if self._storage is not None:
-            self._storage.note_initial(coerced)
-        return len(new_ids)
+            self._storage.note_initial(columns)
+        return len(coerced)
 
     def run(self, source: StreamSource | Sequence[StreamEvent]) -> MultiRunResult:
         """Process the whole stream for every registered query (Algorithm 1, shared).
@@ -613,7 +640,7 @@ class MultiQueryEngine(PoolOwnerMixin):
     def process_snapshot(self, snapshot: Snapshot) -> MultiSnapshotResult:
         """Apply one snapshot for all queries: insert batch first, then delete batch."""
         batch = self._pipeline.process_batch(
-            snapshot.number, snapshot.insertions, snapshot.deletions
+            snapshot.number, snapshot.insert_columns(), snapshot.delete_columns()
         )
         self.pipeline_batch_applied(batch)
         return self._deliver(self._result_from_batch(batch))
@@ -621,18 +648,12 @@ class MultiQueryEngine(PoolOwnerMixin):
     def batch_inserts(self, events: Iterable[StreamEvent | tuple]) -> MultiSnapshotResult:
         """Insert a batch of edges; returns the newly formed embeddings per query."""
         events = [coerce_insert(e) for e in events]
-        batch = self._pipeline.process_batch(self._snapshot_counter, events, [])
-        self.pipeline_batch_applied(batch)
-        return self._deliver(self._result_from_batch(batch))
+        return self.process_snapshot(Snapshot(self._snapshot_counter, insertions=events))
 
     def batch_deletes(self, events: Iterable[StreamEvent | tuple]) -> MultiSnapshotResult:
         """Delete a batch of edges; returns the destroyed embeddings per query."""
-        coerced = [
-            e if isinstance(e, StreamEvent) else StreamEvent.delete(*e) for e in events
-        ]
-        batch = self._pipeline.process_batch(self._snapshot_counter, [], coerced)
-        self.pipeline_batch_applied(batch)
-        return self._deliver(self._result_from_batch(batch))
+        coerced = [e if isinstance(e, StreamEvent) else StreamEvent.delete(*e) for e in events]
+        return self.process_snapshot(Snapshot(self._snapshot_counter, deletions=coerced))
 
     # ------------------------------------------------------------------ pipeline host hooks
     def pipeline_slots(self) -> dict[int, QueryRuntime]:
@@ -742,8 +763,8 @@ class MultiQueryEngine(PoolOwnerMixin):
             # exactly the delivered prefix and the client refeeds the rest.
             self._storage.seal_epoch(
                 batch.number,
-                batch.insert_columns or batch.insert_events,
-                batch.delete_columns or batch.delete_events,
+                batch.insert_columns,
+                batch.delete_columns,
                 self._checkpoint_state,
             )
         return multi
@@ -827,21 +848,17 @@ class MultiQueryEngine(PoolOwnerMixin):
 
     def _replay_journal(self, recovered) -> None:
         from repro.storage.journal import RecordKind
-        from repro.storage.recovery import (
-            events_from_tuples,
-            replay_epoch,
-            replay_insertions,
-        )
+        from repro.storage.recovery import replay_epoch, replay_insertions
 
         for record in recovered.records:
             slots = {qid: rq.runtime for qid, rq in self.registry.items()}
             if record.kind is RecordKind.INITIAL:
-                replay_insertions(self.graph, slots, events_from_tuples(record.data()))
+                replay_insertions(self.graph, slots, EventColumns.from_tuples(record.data()))
             elif record.kind is RecordKind.EPOCH:
                 inserts, deletes = record.data()
                 replay_epoch(
                     self.graph, slots,
-                    events_from_tuples(inserts), events_from_tuples(deletes),
+                    EventColumns.from_tuples(inserts), EventColumns.from_tuples(deletes),
                 )
             elif record.kind is RecordKind.REGISTER:
                 entry = record.data()

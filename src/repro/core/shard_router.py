@@ -83,11 +83,12 @@ from repro.core.supervisor import PoolSupervisor
 from repro.graph.adjacency import (
     DynamicGraph,
     GraphError,
-    check_vertex_ids,
+    check_edge_columns,
     concat_candidate_pools,
     concat_find_edges,
     concat_label_degrees,
 )
+from repro.graph.edge import EdgeColumns
 from repro.graph.stats import PlaceholderStats
 from repro.query.query_graph import QueryGraph
 from repro.streams.broker import producing
@@ -208,15 +209,7 @@ class RoutedGraph:
         return self._router.gather_endpoints(-1, edge_ids, take_dst)
 
     def edge_labels(self, edge_ids) -> np.ndarray:
-        ids = edge_ids.tolist() if hasattr(edge_ids, "tolist") else list(edge_ids)
-        return np.fromiter(
-            (self.edge(e).label for e in ids), dtype=np.int64, count=len(ids)
-        )
-
-    def edge_timestamps(self, edge_ids) -> np.ndarray:
-        return np.fromiter(
-            (self.edge(e).timestamp for e in edge_ids), dtype=np.float64, count=len(edge_ids)
-        )
+        return self._router.gather(-1, edge_ids, DynamicGraph.edge_labels)
 
     # --- vertex keyed -------------------------------------------------
     def candidate_pool(self, vertex: int, out: bool, label: int | None = None):
@@ -289,23 +282,12 @@ class RoutedDEBI:
     def __init__(self, router: "ShardRouter") -> None:
         self._router = router
 
-    def set(self, edge_id: int, column: int) -> None:
-        for shard in self._router.replica_shards(edge_id):
-            shard.debi.set(edge_id, column)  # type: ignore[union-attr]
-
     def clear(self, edge_id: int, column: int) -> None:
         for shard in self._router.replica_shards(edge_id):
             shard.debi.clear(edge_id, column)  # type: ignore[union-attr]
 
-    def clear_edge(self, edge_id: int) -> None:
-        for shard in self._router.replica_shards(edge_id):
-            shard.debi.clear_edge(edge_id)  # type: ignore[union-attr]
-
     def get(self, edge_id: int, column: int) -> bool:
         return self._router.primary_debi(edge_id).get(edge_id, column)
-
-    def row(self, edge_id: int) -> int:
-        return self._router.primary_debi(edge_id).row(edge_id)
 
     # -------------------------------------------------------------- bulk (columnar ingest)
     def _replica_groups(self, ids: np.ndarray):
@@ -330,19 +312,6 @@ class RoutedDEBI:
             return
         for shard, subset in self._replica_groups(ids):
             shard.debi.clear_edges(subset)  # type: ignore[union-attr]
-
-    def rows(self, edge_ids) -> list[int]:
-        """Bulk :meth:`row`: primary-replica gather, scattered back in order."""
-        ids = np.asarray(edge_ids, dtype=np.int64)
-        out = np.zeros(ids.shape[0], dtype=np.uint64)
-        primary = self._router._primary[ids]
-        for index, shard in enumerate(self._router.shards):
-            member = primary == index
-            if member.any():
-                out[member] = np.asarray(
-                    shard.debi.rows(ids[member]), dtype=np.uint64  # type: ignore[union-attr]
-                )
-        return [int(v) for v in out.tolist()]
 
     def column_mask(self, edge_ids, column: int) -> np.ndarray:
         ids = np.asarray(edge_ids, dtype=np.int64)
@@ -599,10 +568,10 @@ class ShardRouter:
     def insert_columns(self, columns) -> list[int]:
         """Route one insert batch to the shards owning its endpoints; returns the edge ids.
 
-        Placement and id allocation run event by event (ownership is
-        first-touch order-sensitive, the allocator's per-source free
-        lists are LIFO), so the ids are the ones a single engine would
-        hand out.  Each shard then receives its events as one pre-split
+        Placement runs event by event (ownership is first-touch
+        order-sensitive) and the allocator serves the batch in event order,
+        so the ids are the ones a single engine would hand out.  Each shard
+        then receives its events as one pre-split
         column batch — the primary rows plus the boundary rows it stores
         as secondary replica, in event order — applied with one
         :meth:`DynamicGraph.apply_insert_columns` call under forced edge
@@ -612,25 +581,22 @@ class ShardRouter:
         n = len(columns)
         if n == 0:
             return []
-        check_vertex_ids(columns.src, columns.dst)
-        src_list = columns.src.tolist()
-        dst_list = columns.dst.tolist()
-        slab_list = columns.src_label.tolist()
-        dlab_list = columns.dst_label.tolist()
+        check_edge_columns(columns.src, columns.dst, columns.label)
         touch = self.partition.touch
         allocator = self.allocator
-        src_owners = np.empty(n, dtype=np.int64)
-        dst_owners = np.empty(n, dtype=np.int64)
-        new_ids: list[int] = []
+        # one interleaved pass: a vertex is placed at its first mention, src before dst
+        owners = np.fromiter(
+            map(
+                touch,
+                np.stack([columns.src, columns.dst], axis=1).ravel().tolist(),
+                np.stack([columns.src_label, columns.dst_label], axis=1).ravel().tolist(),
+            ),
+            dtype=np.int64, count=2 * n,
+        )
+        src_owners, dst_owners = owners[0::2], owners[1::2]
         recycled_before = allocator.recycled
-        for i in range(n):
-            src_owners[i] = touch(src_list[i], slab_list[i])
-            dst_owners[i] = touch(dst_list[i], dlab_list[i])
-            new_ids.append(allocator.allocate(src_list[i]))
-        num_recycled = allocator.recycled - recycled_before
-        for _ in range(num_recycled):
-            self.stats.record_recycle()
-        ids_arr = np.asarray(new_ids, dtype=np.int64)
+        ids_arr = allocator.allocate_columns(columns.src)
+        self.stats.recycled += allocator.recycled - recycled_before
         self._ensure_capacity(int(ids_arr.max()))
         secondary = np.where(dst_owners != src_owners, dst_owners, -1)
 
@@ -657,22 +623,50 @@ class ShardRouter:
             self.stats.peak_placeholders, allocator.num_placeholders
         )
         self.stats.peak_live = max(self.stats.peak_live, self.num_edges)
-        return new_ids
+        return ids_arr.tolist()
 
-    def delete_edge(self, edge_id: int):
-        """Delete ``edge_id`` from every replica; return its last record."""
-        record = self.primary_graph(edge_id).edge(edge_id)
-        for shard in self.replica_shards(edge_id):
-            shard.graph.delete_edge(edge_id)
-            shard.mutations_applied += 1
-        self._primary[edge_id] = -1
-        self._secondary[edge_id] = -1
-        self.allocator.release(record.src, edge_id)
-        self.num_edges -= 1
-        self.stats.record_delete(
-            placeholders=self.allocator.num_placeholders, live=self.num_edges
+    def resolve_deletions(self, deletions: EventColumns) -> np.ndarray:
+        """:func:`~repro.core.registry.resolve_deletions` over the shard set.
+
+        A triple's instances all live at the shard owning its source, so
+        events of different owners never compete for an instance: each
+        owner resolves its own events on its own graph.
+        """
+        owners = np.fromiter(map(self.partition.owner, deletions.src.tolist()), np.int64)
+        doomed = np.empty(owners.shape[0], dtype=np.int64)
+        for index in np.unique(owners).tolist():
+            mine = np.flatnonzero(owners == index)
+            doomed[mine] = resolve_deletions(self.shards[index].graph, deletions.take(mine))
+        return doomed
+
+    def delete_columns(self, edge_ids: np.ndarray) -> EdgeColumns:
+        """Delete ``edge_ids`` from every replica; return their last columns, in batch order.
+
+        The ids go back to the allocator in batch order, so the free-id
+        stacks replay the single engine's.
+        """
+        deleted = EdgeColumns(
+            edge_ids,
+            self.gather_endpoints(-1, edge_ids, take_dst=False),
+            self.gather_endpoints(-1, edge_ids, take_dst=True),
+            self.gather(-1, edge_ids, DynamicGraph.edge_labels),
+            self.gather(-1, edge_ids, DynamicGraph.edge_timestamps, np.float64),
         )
-        return record
+        primary, secondary = self._primary[edge_ids], self._secondary[edge_ids]
+        for index, shard in enumerate(self.shards):
+            mine = edge_ids[(primary == index) | (secondary == index)]
+            if mine.size:
+                shard.graph.apply_delete_columns(mine)
+                shard.mutations_applied += int(mine.size)
+        self._primary[edge_ids] = -1
+        self._secondary[edge_ids] = -1
+        self.allocator.release_columns(deleted.src, edge_ids)
+        self.num_edges -= edge_ids.shape[0]
+        self.stats.deletes += edge_ids.shape[0]
+        self.stats.peak_placeholders = max(
+            self.stats.peak_placeholders, self.allocator.num_placeholders
+        )
+        return deleted
 
     # ------------------------------------------------------------------ scatter-gather
     def forward_frontier(
@@ -698,34 +692,35 @@ class ShardRouter:
         self.frontier.bytes += int(packet.nbytes)
         return packet
 
-    def gather_endpoints(self, dest: int, edge_ids, take_dst: bool) -> np.ndarray:
-        """Endpoint gather across replicas: local rows free, foreign grouped.
+    def gather(self, dest: int, edge_ids, read, dtype=np.int64) -> np.ndarray:
+        """``read(graph, ids)`` per edge id across replicas: local rows free, foreign grouped.
 
         ``dest`` is the asking shard (-1 for the routed whole-graph view:
         everything routes by primary).
         """
         ids = np.asarray(edge_ids, dtype=np.int64)
         if ids.size == 0:
-            return _EMPTY_IDS.copy()
+            return np.empty(0, dtype=dtype)
         prim = self._primary[ids]
         if dest >= 0:
             local = (prim == dest) | (self._secondary[ids] == dest)
             if bool(local.all()):
-                return self.shards[dest].graph.endpoint_array(ids, take_dst)
+                return read(self.shards[dest].graph, ids)
         else:
             local = np.zeros(ids.shape, dtype=bool)
-        out = np.empty(ids.size, dtype=np.int64)
+        out = np.empty(ids.size, dtype=dtype)
         if local.any():
-            out[local] = self.shards[dest].graph.endpoint_array(ids[local], take_dst)
+            out[local] = read(self.shards[dest].graph, ids[local])
         foreign = ~local
         for shard_index in np.unique(prim[foreign]).tolist():
             sel = foreign & (prim == shard_index)
-            out[sel] = self.shards[int(shard_index)].graph.endpoint_array(
-                ids[sel], take_dst
-            )
+            out[sel] = read(self.shards[int(shard_index)].graph, ids[sel])
             if dest >= 0:
                 self.frontier.gather_rows += int(sel.sum())
         return out
+
+    def gather_endpoints(self, dest: int, edge_ids, take_dst: bool) -> np.ndarray:
+        return self.gather(dest, edge_ids, lambda graph, ids: graph.endpoint_array(ids, take_dst))
 
     def debi_column_mask(self, dest: int, edge_ids, column: int) -> np.ndarray:
         """Vectorized DEBI bit test across replicas (bits are mirrored)."""
@@ -852,9 +847,7 @@ class ShardedEngine:
             return 0
         columns = EventColumns.from_events(EventKind.INSERT, coerced)
         new_ids = self.router.insert_columns(columns)
-        self.index_manager.handle_insert_columns(
-            new_ids, columns.src, columns.dst, columns.label
-        )
+        self.index_manager.handle_insert_columns(new_ids, columns.src, columns.dst, columns.label)
         return len(new_ids)
 
     # ------------------------------------------------------------------ main loop
@@ -871,36 +864,28 @@ class ShardedEngine:
         # Sealed batches cache their columnar decode; reuse it so the
         # fan-out tier and the engine never decode the same batch twice.
         return self._process_batch(
-            snapshot.number, snapshot.insertions, snapshot.deletions,
-            insert_columns=snapshot.insert_columns(),
+            snapshot.number, snapshot.insert_columns(), snapshot.delete_columns()
         )
 
     def batch_inserts(self, events: Iterable[StreamEvent | tuple]) -> SnapshotResult:
         coerced = [coerce_insert(e) for e in events]
-        return self._process_batch(self._snapshot_counter, coerced, [])
+        return self.process_snapshot(Snapshot(self._snapshot_counter, insertions=coerced))
 
     def batch_deletes(self, events: Iterable[StreamEvent | tuple]) -> SnapshotResult:
-        coerced = [
-            e if isinstance(e, StreamEvent) else StreamEvent.delete(*e) for e in events
-        ]
-        return self._process_batch(self._snapshot_counter, [], coerced)
+        coerced = [e if isinstance(e, StreamEvent) else StreamEvent.delete(*e) for e in events]
+        return self.process_snapshot(Snapshot(self._snapshot_counter, deletions=coerced))
 
     # ------------------------------------------------------------------ batch execution
     def _process_batch(
-        self,
-        number: int,
-        insert_events: Sequence[StreamEvent],
-        delete_events: Sequence[StreamEvent],
-        insert_columns=None,
+        self, number: int, columns: EventColumns | None, deletions: EventColumns | None
     ) -> SnapshotResult:
         """One batch, single-engine serial semantics: inserts then deletes."""
         result = SnapshotResult(
             number=number,
-            num_insertions=len(insert_events),
-            num_deletions=len(delete_events),
+            num_insertions=len(columns) if columns else 0,
+            num_deletions=len(deletions) if deletions else 0,
         )
-        if insert_events:
-            columns = insert_columns or EventColumns.from_events(EventKind.INSERT, insert_events)
+        if columns:
             start = time.perf_counter()
             new_ids = self.router.insert_columns(columns)
             result.graph_update_seconds += time.perf_counter() - start
@@ -915,31 +900,27 @@ class ShardedEngine:
 
             self._enumerate_phase(set(new_ids), positive=True, result=result)
 
-        if delete_events:
+        if deletions:
             start = time.perf_counter()
-            doomed = resolve_deletions(self.routed_graph, delete_events)  # type: ignore[arg-type]
+            doomed = self.router.resolve_deletions(deletions)
             result.graph_update_seconds += time.perf_counter() - start
 
             # Negative embeddings are enumerated *before* the deletion is
             # applied — they exist only in the pre-batch graph.
-            self._enumerate_phase(set(doomed), positive=False, result=result)
+            self._enumerate_phase(set(doomed.tolist()), positive=False, result=result)
 
             start = time.perf_counter()
-            # Capture every row mask and clear the mirrored bits while the
-            # router still knows each replica set (delete_edge retires the id
-            # from the shard map, after which a recycled id would inherit
-            # stale bits), then retire the ids in event order so the
-            # free-list replay matches the single engine's.
-            row_masks = self.routed_debi.rows(doomed)
-            self.routed_debi.clear_edges(np.asarray(doomed, dtype=np.int64))
-            deleted = [
-                (self.router.delete_edge(edge_id), row_mask)
-                for edge_id, row_mask in zip(doomed, row_masks)
-            ]
+            # Note which doomed edges hold which bit and clear the mirrored
+            # rows while the router still knows each replica set
+            # (delete_columns retires the ids from the shard map, after which
+            # a recycled id would inherit stale bits), then retire the ids.
+            held = self.index_manager.held_bits(doomed)
+            self.routed_debi.clear_edges(doomed)
+            deleted = self.router.delete_columns(doomed)
             result.graph_update_seconds += time.perf_counter() - start
 
             start = time.perf_counter()
-            self.index_manager.handle_deletions(deleted)
+            self.index_manager.handle_deletions(deleted, held)
             result.filter_seconds += time.perf_counter() - start
             result.filter_traversals += self.index_manager.last_batch_traversals
 

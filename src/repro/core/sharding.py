@@ -17,10 +17,10 @@ decide *where* things live:
 * :class:`PartitionMap` — caches the first-sight assignment per vertex.
   Vertex labels are final at first sight (``DynamicGraph.add_vertex``
   forbids relabeling), so the cached owner never moves.
-* :class:`EdgeIdAllocator` — the *global* edge-id allocator.  It mirrors
-  ``DynamicGraph.add_edge``'s id allocation exactly (per-source free lists, pop from
-  the back) so a sharded run hands out the same edge ids, in the same
-  order, as a single engine consuming the same stream — the property
+* :class:`EdgeIdAllocator` — the *global* edge-id allocator.  It runs on
+  the :class:`~repro.graph.adjacency.FreeIdStacks` ``DynamicGraph`` itself
+  allocates from, so a sharded run hands out the same edge ids, in the
+  same order, as a single engine consuming the same stream — the property
   the bit-identity gates rest on.
 * :class:`ShardGuardView` / :class:`CrossShardAccess` — the worker-side
   ownership guard for per-shard pool dispatch (see the router module).
@@ -28,13 +28,16 @@ decide *where* things live:
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Iterator, Protocol, Sequence, runtime_checkable
 
+import numpy as np
+
 from repro.graph.adjacency import (
+    FreeIdStacks,
     concat_candidate_pools,
     concat_find_edges,
     concat_label_degrees,
+    intern_ids,
 )
 from repro.utils.validation import ConfigurationError
 
@@ -146,32 +149,39 @@ class PartitionMap:
 class EdgeIdAllocator:
     """Global edge-id allocator shared by every shard.
 
-    Mirrors ``DynamicGraph.add_edge``'s allocation: ids of deleted edges are
-    recycled per source vertex, newest first, exactly as the single
-    engine's embedded allocator does — so the id sequence (and with it
-    every DEBI row index and embedding identity) is bit-identical
+    The recycling rule is :class:`~repro.graph.adjacency.FreeIdStacks`',
+    the class ``DynamicGraph`` allocates from — so the id sequence (and
+    with it every DEBI row index and embedding identity) is bit-identical
     between sharded and single-engine runs of the same stream.
     """
 
     def __init__(self, recycle_edge_ids: bool = True) -> None:
         self.recycle_edge_ids = recycle_edge_ids
-        self._free_ids: dict[int, list[int]] = defaultdict(list)
+        #: source vertex -> its stack's row
+        self._rows: dict[int, int] = {}
+        #: recyclable edge ids, stacked per source vertex
+        self.free_ids = FreeIdStacks(self._rows)
         self._next_id = 0
         self.recycled = 0
 
     def allocate(self, src: int) -> int:
+        return int(self.allocate_columns(np.array([src]))[0])
+
+    def allocate_columns(self, srcs: np.ndarray) -> np.ndarray:
+        """One id per insertion at ``srcs``, in event order."""
+        rows, _ = intern_ids(self._rows, srcs.tolist())
+        ids, recycled = self.free_ids.allocate(rows, self._next_id)
+        self._next_id += rows.shape[0] - recycled
+        self.recycled += recycled
+        return ids
+
+    def release_columns(self, srcs: np.ndarray, edge_ids: np.ndarray) -> None:
+        """Return the ids of deleted edges, in deletion order."""
         if self.recycle_edge_ids:
-            free = self._free_ids.get(src)
-            if free:
-                self.recycled += 1
-                return free.pop()
-        edge_id = self._next_id
-        self._next_id += 1
-        return edge_id
+            self.free_ids.push_batch(intern_ids(self._rows, srcs.tolist())[0], edge_ids)
 
     def release(self, src: int, edge_id: int) -> None:
-        if self.recycle_edge_ids:
-            self._free_ids[src].append(edge_id)
+        self.release_columns(np.array([src]), np.array([edge_id]))
 
     @property
     def num_placeholders(self) -> int:

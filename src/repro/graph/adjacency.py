@@ -1,67 +1,43 @@
 """Dynamic labelled multigraph on one columnar edge store.
 
-This is the data-graph storage layer of Section II-A and the "Memory
-recycling" paragraph of Section IV-A of the paper.  Every edge is stored
-once, and every index over it is a flat numpy column:
+The data-graph storage layer of Section II-A and the "Memory recycling"
+paragraph of Section IV-A of the paper; ``docs/architecture.md``
+("Adjacency layout & candidate pipeline") has the long account.  Every edge
+is stored once, every index over it is a flat numpy column, and a batch
+mutation is one vertex-interning pass followed by array operations only.
 
-**Edge columns.**  Growable ``src / dst / label / timestamp / alive``
-arrays indexed by ``edge_id`` are the only copy of an edge.  An id that
-was allocated but holds no live edge (a deleted edge, or a gap below a
-forced id on a shard) is simply a row with ``alive == False``; the number
-of rows is the number of *edge placeholders*, i.e. of DEBI rows.
-
-**Adjacency.**  Per direction, all ``(vertex, label)`` partitions live in
-one pooled int64 *arena*; a partition table (``start / size / capacity``
-columns, one row per partition) says where.  A partition id is found
-through one ``(vertex, label) -> id`` dict and remembered per edge, so
-deletions never search for their partition.
-
-* A labelled candidate pool is the zero-copy slice
-  ``arena[start : start + size]`` — O(matching edges), not O(degree).
-* A wildcard pool is *defined* as the vertex's partitions concatenated in
-  partition creation order; a :class:`CSRGraphView` of an export returns
-  every pool in exactly the same order as the live graph.
-* Degrees (the ``f2``/``f3`` label-degree filters) are ``size`` reads.
-
-**Insertion** groups a batch by partition with one stable argsort; a
-partition that would overflow moves to the arena tail with at least
-doubled capacity (one gather/scatter for all of them), then the new ids
-are scattered behind the old ones.
-
-**Deletion is order-preserving**: the affected partitions are compacted
-in one vectorized pass, so a pool is always *its live edges in insertion
-order*.  The paper words deletion as swap-with-last; that makes the pool
-order depend on the order of the deletes, which a batch would have to
-replay one by one.  Keeping the order makes removals commute — a batch
-result is independent of the order of its ids and ``delete_edge`` is the
-batch of one — and pool-internal order is not part of the engine
-contract (identity sets, edge ids and scan counters are).
-
-**Arena space.**  A moved partition abandons its old range.  Capacities
-double, so the ranges one partition ever abandoned sum to less than its
-current capacity; when the arena is full it is *repacked* — every
-partition laid out afresh, abandoned ranges dropped — into a buffer of
-twice the summed capacity.  Between repacks the arena therefore never
-exceeds that, and a capacity never exceeds ``max(4, 2 * peak size)``.
-
-**Recycling.**  The id of a deleted edge goes on the free list of its
-source vertex and is handed to the next insertion at that vertex, newest
-first, which keeps the number of placeholders — and the DEBI size — from
-growing monotonically (Figure 17).  Stream deletions name a
-``(src, dst, label)`` triple; the triple index resolves it to the live
-parallel instances.
+* **Vertices** are interned once: ``raw id -> position`` (insertion rank) is
+  the store's only dict; labels are a column by position.
+* **Edge columns** ``src / dst / label / timestamp / alive`` indexed by edge
+  id are the only copy of an edge; a row with ``alive == False`` is a dead
+  *placeholder* (a deleted edge, or a gap below a forced id), and the row
+  count is the DEBI row count.
+* **Adjacency**, per direction: every ``(vertex, label)`` partition is a row
+  of one pooled int64 arena (:class:`_Arena`: moved to the tail with doubled
+  capacity when full, the arena repacked when the tail runs out), found
+  through a sorted directory of packed ``(position, label)`` keys and
+  remembered per edge.  A labelled pool is a zero-copy arena slice, a
+  wildcard pool the vertex's partitions in creation order, a degree a
+  ``size`` read.
+* **Deletion is order-preserving** (one compaction pass per batch), so a pool
+  is its live edges in insertion order and the ``(src, label)`` out-partition
+  lists a triple's parallel instances oldest first: labelled ``find_edges``
+  and stream-deletion resolution read it, there is no triple index.
+* **Recycling**: a deleted edge's id goes on its source's stack in
+  :class:`FreeIdStacks` and is handed to the next insertion there, newest
+  first, which keeps the placeholders from growing monotonically (Figure 17).
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+import copy
 from dataclasses import dataclass, field, fields
-from itertools import chain, repeat
+from itertools import chain, count, repeat
 from typing import Iterator
 
 import numpy as np
 
-from repro.graph.edge import EdgeRecord
+from repro.graph.edge import EdgeColumns, EdgeRecord
 from repro.graph.stats import PlaceholderStats
 from repro.utils.validation import GraphError
 
@@ -69,12 +45,19 @@ _EMPTY_IDS: list[int] = []
 _EMPTY_ARRAY = np.empty(0, dtype=np.int64)
 #: rows a growable column starts with — small, so constructing a graph allocates next to nothing
 _INITIAL_ROWS = 16
-#: smallest capacity a non-empty partition is given
+#: smallest capacity a non-empty arena row is given
 _MIN_CAPACITY = 4
 _EDGE_COLUMNS = (
     "_src", "_dst", "_label", "_timestamp", "_alive", "_out_part", "_in_part", "_edge_touched"
 )
-_PARTITION_COLUMNS = ("start", "size", "capacity", "vertex_pos", "label")
+#: a directory key is ``position * _LABEL_SPAN + label + _LABEL_BIAS``: edge
+#: labels are signed 32-bit values, positions take the upper half
+_LABEL_SPAN = 1 << 32
+_LABEL_BIAS = 1 << 31
+_LAST_KEY = (1 << 63) - 1
+#: partitions created one at a time wait in a dict this long at most before
+#: they are filed into the sorted directory (one O(partitions) insert)
+_RECENT_LIMIT = 256
 
 
 def expand_ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -95,6 +78,51 @@ def segment_counts(keep: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     np.cumsum(keep, out=running[1:])
     ends = np.cumsum(sizes)
     return running[ends] - running[ends - sizes]
+
+
+def stable_runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Group equal ``keys`` (non-empty), each group in original order: ``(order, distinct,
+    first, counts)`` with group ``g`` = ``order[first[g] : first[g] + counts[g]]``."""
+    order = keys.argsort(kind="stable")
+    grouped = keys[order]
+    starts = np.empty(grouped.shape[0], dtype=bool)
+    starts[0] = True
+    np.not_equal(grouped[1:], grouped[:-1], out=starts[1:])
+    first = starts.nonzero()[0]
+    counts = np.empty_like(first)
+    counts[:-1] = first[1:] - first[:-1]
+    counts[-1] = grouped.shape[0] - first[-1]
+    return order, grouped[first], first, counts
+
+
+def ranks_in_runs(order: np.ndarray, first: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Per entry of a :func:`stable_runs` grouping, its rank within its group (0 = first)."""
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.shape[0]) - np.repeat(first, counts)
+    return rank
+
+
+def positions_of(position: dict[int, int], ids: list[int]) -> np.ndarray:
+    """``position[id]`` of every id, -1 for an unknown one: one C-level hash pass."""
+    return np.fromiter(map(position.get, ids, repeat(-1)), dtype=np.int64, count=len(ids))
+
+
+def intern_ids(position: dict[int, int], ids: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Dense positions of ``ids`` in ``position``, unseen ids appended in first-mention order.
+
+    The work beyond :func:`positions_of` follows the mentions of unseen ids only.
+    Returns ``(positions, which mention introduced each new id, in position order)``.
+    """
+    positions = positions_of(position, ids)
+    unseen = np.flatnonzero(positions < 0).tolist()
+    if not unseen:
+        return positions, _EMPTY_ARRAY
+    mentioned = list(map(ids.__getitem__, unseen))
+    first_at = dict(zip(reversed(mentioned), reversed(unseen)))  # earliest mention wins
+    introduced = sorted(first_at.values())
+    position.update(zip(map(ids.__getitem__, introduced), count(len(position))))
+    positions[unseen] = list(map(position.__getitem__, mentioned))
+    return positions, np.array(introduced, dtype=np.int64)
 
 
 def concat_candidate_pools(graph, anchors: np.ndarray, out: bool, label: int | None):
@@ -128,23 +156,29 @@ def concat_label_degrees(graph, vertices: np.ndarray, out: bool, label: int | No
 def edges_between(graph, srcs: np.ndarray, dsts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``find_edges_batch`` from a graph's ``candidate_pools`` and ``endpoint_array``.
 
-    Each distinct source's wildcard out-pool is gathered once and sorted by
-    ``(source, destination, edge id)``; a pair's edges are then one
-    contiguous, ascending run found by binary search, so the work follows
-    the sources' out-degrees, not pairs times out-degree.
+    Each distinct source's wildcard out-pool is gathered once and only
+    scanned: the entries ending at some asked destination are sorted by
+    ``(source, destination, edge id)``, so a pair's edges are one contiguous,
+    ascending run found by binary search.  The work follows the sources'
+    out-degrees, not pairs times out-degree.
     """
+    if srcs.shape[0] == 0:
+        return _EMPTY_ARRAY, np.zeros(0, dtype=np.int64)
     sources, src_rank = np.unique(srcs, return_inverse=True)
     pool_ids, pool_sizes = graph.candidate_pools(sources, True, None)
     pool_dsts = graph.endpoint_array(pool_ids, True)
-    targets, dst_rank = np.unique(np.concatenate([dsts, pool_dsts]), return_inverse=True)
+    targets, dst_rank = np.unique(dsts, return_inverse=True)
     width = targets.shape[0]
-    pool_keys = np.repeat(np.arange(sources.shape[0]), pool_sizes) * width + dst_rank[dsts.shape[0] :]
-    order = np.lexsort((pool_ids, pool_keys))
-    pool_keys = pool_keys[order]
-    pair_keys = src_rank * width + dst_rank[: dsts.shape[0]]
-    first = np.searchsorted(pool_keys, pair_keys, side="left")
-    sizes = np.searchsorted(pool_keys, pair_keys, side="right") - first
-    return pool_ids[order[expand_ranges(first, sizes)]], sizes
+    slot = np.minimum(targets.searchsorted(pool_dsts), width - 1)
+    wanted = np.flatnonzero(targets[slot] == pool_dsts)
+    ids = pool_ids[wanted]
+    keys = np.repeat(np.arange(sources.shape[0]), pool_sizes)[wanted] * width + slot[wanted]
+    order = np.lexsort((ids, keys))
+    keys = keys[order]
+    pair_keys = src_rank * width + dst_rank
+    first = keys.searchsorted(pair_keys, side="left")
+    sizes = keys.searchsorted(pair_keys, side="right") - first
+    return ids[order[expand_ranges(first, sizes)]], sizes
 
 
 def concat_find_edges(graph, srcs: np.ndarray, dsts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -158,7 +192,7 @@ def concat_find_edges(graph, srcs: np.ndarray, dsts: np.ndarray) -> tuple[np.nda
     return np.fromiter(chain.from_iterable(runs), dtype=np.int64, count=int(sizes.sum())), sizes
 
 
-def _coalesce_ranges(ordered: np.ndarray) -> list[tuple[int, int]]:
+def coalesce_ranges(ordered: np.ndarray) -> list[tuple[int, int]]:
     """Turn an ascending index array into half-open ``(start, stop)`` runs."""
     if ordered.size == 0:
         return []
@@ -181,104 +215,50 @@ def _first_duplicate(ids: np.ndarray) -> int | None:
     return int(repeated[0]) if repeated.size else None
 
 
-class _Adjacency:
-    """One direction's adjacency: every ``(vertex, label)`` partition in one int64 arena."""
+class _Arena:
+    """Rows of int64 entries pooled in one buffer: row ``r`` is ``arena[start[r]:][:size[r]]``.
+
+    ``position`` is the owner's vertex interning table (shared, not owned).
+    """
+
+    _COLUMNS: tuple[str, ...] = ("start", "size", "capacity")
 
     def __init__(self, position: dict[int, int]) -> None:
-        #: the graph's vertex -> insertion rank table (shared, not owned)
         self.position = position
         self.arena = np.empty(_INITIAL_ROWS, dtype=np.int64)
         #: arena slots handed out so far: live ranges, their slack, abandoned ranges
         self.tail = 0
-        #: (vertex, label) -> partition id; ids are dense, in creation order, never reused
-        self.index: dict[tuple[int, int], int] = {}
-        # The partition table, one row per partition id; ``vertex_pos`` is the
-        # owner's position in vertex insertion order (the CSR export's row).
+        #: rows in use; ids are dense and never reused
+        self.rows = 0
         self.start = np.zeros(_INITIAL_ROWS, dtype=np.int64)
         self.size = np.zeros(_INITIAL_ROWS, dtype=np.int64)
         self.capacity = np.zeros(_INITIAL_ROWS, dtype=np.int64)
-        self.vertex_pos = np.zeros(_INITIAL_ROWS, dtype=np.int64)
-        self.label = np.zeros(_INITIAL_ROWS, dtype=np.int64)
-        # Derived from ``vertex_pos`` on demand (wildcard reads only): vertex
-        # position -> its partition ids in creation order, over the first
-        # ``_grouped`` partitions.
-        self._by_position: dict[int, list[int]] = {}
-        self._grouped = 0
 
-    def copy(self, position: dict[int, int]) -> "_Adjacency":
-        clone = _Adjacency(position)
-        clone.arena = self.arena.copy()
-        clone.tail = self.tail
-        clone.index = dict(self.index)
-        for name in _PARTITION_COLUMNS:
-            setattr(clone, name, getattr(self, name).copy())
-        return clone
+    def _extend(self, rows: int) -> None:
+        """Make every row below ``rows`` exist (empty until appended to)."""
+        if rows > self.start.shape[0]:
+            for name in self._COLUMNS:
+                setattr(self, name, _grown(getattr(self, name), self.rows, rows))
+        self.rows = max(rows, self.rows)
 
-    # ------------------------------------------------------------------ partitions
-    def _create(self, keys: list[tuple[int, int]]) -> None:
-        """Append one empty partition per key; ``keys`` are new and distinct."""
-        first = len(self.index)
-        count = first + len(keys)
-        if count > self.start.shape[0]:
-            for name in _PARTITION_COLUMNS:
-                setattr(self, name, _grown(getattr(self, name), first, count))
-        vertices, labels = zip(*keys)
-        self.vertex_pos[first:count] = list(map(self.position.__getitem__, vertices))
-        self.label[first:count] = labels
-        self.index.update(zip(keys, range(first, count)))
-
-    def partition_id(self, vertex: int, label: int) -> int:
-        part = self.index.get((vertex, label))
-        if part is None:
-            part = len(self.index)
-            self._create([(vertex, label)])
-        return part
-
-    def partition_ids(self, vertices: list[int], labels: list[int]) -> np.ndarray:
-        """The partition of every ``(vertex, label)`` pair, created in pair order if new."""
-        keys = list(zip(vertices, labels))
-        index = self.index
-        parts = list(map(index.get, keys))
-        if None in parts:
-            self._create([key for key in dict.fromkeys(keys) if key not in index])
-            parts = list(map(index.__getitem__, keys))
-        return np.array(parts, dtype=np.int64)
-
-    def _group_by_vertex(self) -> dict[int, list[int]]:
-        """``_by_position``, brought up to date with the partitions created since last asked."""
-        count = len(self.index)
-        if self._grouped < count:
-            grouped = self._by_position
-            created = self.vertex_pos[self._grouped : count].tolist()
-            for part, position in enumerate(created, self._grouped):
-                grouped.setdefault(position, []).append(part)
-            self._grouped = count
-        return self._by_position
-
-    def parts_of(self, vertex: int) -> list[int]:
-        """The partition ids of ``vertex`` in creation order (do not mutate)."""
-        return self._group_by_vertex().get(self.position.get(vertex), _EMPTY_IDS)
-
-    def _relocate(self, parts: np.ndarray, need: np.ndarray) -> None:
-        """Move ``parts`` to the arena tail with room for ``need`` entries, at least doubled."""
-        capacity = np.maximum(np.maximum(need, 2 * self.capacity[parts]), _MIN_CAPACITY)
+    def _relocate(self, rows: np.ndarray, need: np.ndarray) -> None:
+        """Move ``rows`` to the arena tail with room for ``need`` entries, at least doubled."""
+        capacity = np.maximum(np.maximum(need, 2 * self.capacity[rows]), _MIN_CAPACITY)
         room = int(capacity.sum())
         if self.tail + room > self.arena.shape[0]:
-            self.capacity[parts] = capacity
+            self.capacity[rows] = capacity
             self._repack()
             return
-        size = self.size[parts]
+        size = self.size[rows]
         start = self.tail + np.cumsum(capacity) - capacity
-        self.arena[expand_ranges(start, size)] = self.arena[
-            expand_ranges(self.start[parts], size)
-        ]
-        self.start[parts] = start
-        self.capacity[parts] = capacity
+        self.arena[expand_ranges(start, size)] = self.arena[expand_ranges(self.start[rows], size)]
+        self.start[rows] = start
+        self.capacity[rows] = capacity
         self.tail += room
 
     def _repack(self) -> None:
-        """Lay every partition out afresh in a new arena, dropping abandoned ranges."""
-        count = len(self.index)
+        """Lay every row out afresh in a new arena, dropping abandoned ranges."""
+        count = self.rows
         capacity = self.capacity[:count]
         size = self.size[:count]
         start = np.cumsum(capacity) - capacity
@@ -288,39 +268,228 @@ class _Adjacency:
         self.arena = arena
         self.start[:count] = start
 
-    # ------------------------------------------------------------------ mutation
-    def append_one(self, part: int, edge_id: int) -> None:
-        """:meth:`append` of one edge, on scalars."""
-        size = self.size.item(part)
-        start = self.start.item(part)
-        if size == self.capacity.item(part):
+    def append_one(self, row: int, value: int) -> None:
+        """:meth:`append` of one entry, on scalars."""
+        size = self.size.item(row)
+        start = self.start.item(row)
+        if size == self.capacity.item(row):
             capacity = max(2 * size, _MIN_CAPACITY)
-            self.capacity[part] = capacity
+            self.capacity[row] = capacity
             if self.tail + capacity > self.arena.shape[0]:
                 self._repack()
-                start = self.start.item(part)
+                start = self.start.item(row)
             else:
                 self.arena[self.tail : self.tail + size] = self.arena[start : start + size]
-                self.start[part] = start = self.tail
+                self.start[row] = start = self.tail
                 self.tail += capacity
-        self.arena[start + size] = edge_id
-        self.size[part] = size + 1
+        self.arena[start + size] = value
+        self.size[row] = size + 1
 
-    def append(self, edge_parts: np.ndarray, edge_ids: np.ndarray) -> None:
-        """Append ``edge_ids[i]`` to partition ``edge_parts[i]``, batch order kept per partition."""
-        order = np.argsort(edge_parts, kind="stable")
-        grouped = edge_parts[order]
-        first = np.flatnonzero(np.concatenate([[True], grouped[1:] != grouped[:-1]]))
-        parts = grouped[first]
-        counts = np.diff(first, append=grouped.shape[0])
-        size = self.size[parts]
+    def append(self, rows: np.ndarray, values: np.ndarray) -> None:
+        """Append ``values[i]`` to row ``rows[i]``, batch order kept per row."""
+        order, touched, _, counts = stable_runs(rows)
+        size = self.size[touched]
         need = size + counts
-        overflow = need > self.capacity[parts]
+        overflow = need > self.capacity[touched]
         if overflow.any():
-            self._relocate(parts[overflow], need[overflow])
-        self.arena[expand_ranges(self.start[parts] + size, counts)] = edge_ids[order]
-        self.size[parts] = need
+            self._relocate(touched[overflow], need[overflow])
+        self.arena[expand_ranges(self.start[touched] + size, counts)] = values[order]
+        self.size[touched] = need
 
+    def _slice(self, row: int) -> np.ndarray:
+        start = self.start.item(row)
+        return self.arena[start : start + self.size.item(row)]
+
+    def layout_violation(self) -> str | None:
+        """The first inconsistency of the row table with the arena, or None."""
+        count = self.rows
+        start, size, capacity = self.start[:count], self.size[:count], self.capacity[:count]
+        if (size > capacity).any():
+            return f"row {int((size > capacity).argmax())} is larger than its capacity"
+        placed = np.flatnonzero(capacity)
+        placed = placed[np.argsort(start[placed])]
+        stops = start[placed] + capacity[placed]
+        if (start[placed][1:] < stops[:-1]).any():
+            return "two rows overlap in the arena"
+        if placed.size and not int(stops[-1]) <= self.tail <= self.arena.shape[0]:
+            return "a row lies beyond the arena tail"
+        return None
+
+
+class FreeIdStacks(_Arena):
+    """Per-source LIFO stacks of reusable edge ids, pooled in one arena.
+
+    The one statement of the recycling rule (:class:`DynamicGraph` and the
+    shard router's ``EdgeIdAllocator`` share it): a deleted edge's id goes on
+    top of its source's stack, an insertion takes its source's top id, or a
+    fresh one.  A batch is that rule in event order, so its ids are those of
+    per-edge calls.  Rows are the sources' positions in ``position``.
+    """
+
+    def __init__(self, position: dict[int, int]) -> None:
+        super().__init__(position)
+        #: ids on all stacks together
+        self.count = 0
+
+    def stack(self, src: int) -> list[int]:
+        """The free ids of source vertex ``src``, top last."""
+        row = self.position.get(src)
+        return [] if row is None or row >= self.rows else self._slice(row).tolist()
+
+    def push(self, row: int, edge_id: int) -> None:
+        self._extend(row + 1)
+        self.append_one(row, edge_id)
+        self.count += 1
+
+    def push_batch(self, rows: np.ndarray, edge_ids: np.ndarray) -> None:
+        self._extend(len(self.position))
+        self.append(rows, edge_ids)
+        self.count += edge_ids.shape[0]
+
+    def pop(self, row: int) -> int:
+        """The top id of ``row``'s stack, or -1 when it is empty."""
+        size = self.size.item(row) if row < self.rows else 0
+        if not size:
+            return -1
+        self.size[row] = size - 1
+        self.count -= 1
+        return self.arena.item(self.start.item(row) + size - 1)
+
+    def allocate(self, rows: np.ndarray, first_fresh: int) -> tuple[np.ndarray, int]:
+        """``(ids, how many were recycled)`` for one insertion per entry of ``rows``, in
+        event order; fresh ids count up from ``first_fresh`` over the events no stack served."""
+        n = rows.shape[0]
+        ids = np.full(n, -1, dtype=np.int64)
+        self._extend(len(self.position))
+        if self.count and self.size[rows].any():
+            order, touched, first, counts = stable_runs(rows)
+            row_of = rows[order]
+            depth = np.arange(n) - np.repeat(first, counts)  # 0: the row's first event
+            held = self.size[row_of]
+            served = depth < held
+            ids[order[served]] = self.arena[(self.start[row_of] + held - 1 - depth)[served]]
+            self.size[touched] -= np.minimum(counts, self.size[touched])
+            self.count -= int(served.sum())
+        fresh = ids < 0
+        num_fresh = int(fresh.sum())
+        ids[fresh] = np.arange(first_fresh, first_fresh + num_fresh, dtype=np.int64)
+        return ids, n - num_fresh
+
+    def violation(self, vertex_ids, rows: int, alive: np.ndarray, src: np.ndarray) -> str | None:
+        """The first inconsistency with the edge columns, or None (``check_invariants``)."""
+        problem = self.layout_violation()
+        if problem is not None:
+            return problem
+        listed = self.arena[expand_ranges(self.start[: self.rows], self.size[: self.rows])]
+        if listed.shape[0] != self.count or np.unique(listed).shape[0] != self.count:
+            return f"count is {self.count} but {listed.shape[0]} ids are listed, or one twice"
+        if listed.size and (listed.min() < 0 or listed.max() >= rows or alive[listed].any()):
+            return "a free id is live or was never allocated"
+        owner = vertex_ids[np.repeat(np.arange(self.rows), self.size[: self.rows])]
+        wrong = np.flatnonzero(src[listed] != owner)
+        if wrong.size:
+            return f"free id {int(listed[wrong[0]])} is not on the stack of its last source"
+        return None
+
+
+class _Adjacency(_Arena):
+    """One direction's adjacency: every ``(vertex, label)`` partition a row of one arena."""
+
+    #: ``vertex_pos`` is the owner's position in vertex insertion order (the
+    #: CSR export's row), ``label`` the edge label the partition holds
+    _COLUMNS = (*_Arena._COLUMNS, "vertex_pos", "label")
+
+    def __init__(self, position: dict[int, int]) -> None:
+        super().__init__(position)
+        self.vertex_pos = np.zeros(_INITIAL_ROWS, dtype=np.int64)
+        self.label = np.zeros(_INITIAL_ROWS, dtype=np.int64)
+        # The directory: packed (position, label) keys, sorted, and the
+        # partition of each; the last key is a sentinel above every real one,
+        # so a search never runs off the end.  Filing replaces both arrays.
+        self._keys = np.array([_LAST_KEY])
+        self._parts = np.array([-1])
+        #: key -> id of the partitions created one at a time and not yet filed
+        self._recent: dict[int, int] = {}
+
+    # ------------------------------------------------------------------ directory
+    @staticmethod
+    def keys_of(positions: np.ndarray, labels) -> np.ndarray:
+        """Directory keys of ``(position, label)`` pairs; negative (never a key) for
+        an unknown vertex (position -1) or a label outside the 32-bit range."""
+        keys = positions * _LABEL_SPAN + (labels + _LABEL_BIAS)
+        return np.where((labels >= -_LABEL_BIAS) & (labels < _LABEL_BIAS), keys, -1)
+
+    def _file(self, keys: np.ndarray, parts: np.ndarray) -> None:
+        """Enter ``keys`` (ascending, all new) into the sorted directory."""
+        at = np.searchsorted(self._keys, keys)
+        self._keys = np.insert(self._keys, at, keys)
+        self._parts = np.insert(self._parts, at, parts)
+
+    def _directory(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(keys, parts)`` with every partition filed."""
+        recent = self._recent
+        if recent:
+            keys = np.fromiter(recent, dtype=np.int64, count=len(recent))
+            parts = np.fromiter(recent.values(), dtype=np.int64, count=len(recent))
+            order = np.argsort(keys)
+            self._file(keys[order], parts[order])
+            recent.clear()
+        return self._keys, self._parts
+
+    def find(self, keys: np.ndarray) -> np.ndarray:
+        """The partition of every key, -1 where there is none."""
+        filed, parts = self._directory()
+        at = filed.searchsorted(keys)
+        return np.where(filed[at] == keys, parts[at], -1)
+
+    def partition_ids(self, positions: np.ndarray, labels: np.ndarray) -> np.ndarray:
+        """The partition of every ``(position, label)`` pair, created in pair order if new."""
+        keys = positions * _LABEL_SPAN + (labels + _LABEL_BIAS)
+        parts = self.find(keys)
+        missing = np.flatnonzero(parts < 0)
+        if missing.size:
+            new_keys, mention, inverse = np.unique(
+                keys[missing], return_index=True, return_inverse=True
+            )
+            first = self.rows
+            self._extend(first + new_keys.shape[0])
+            created = np.empty_like(mention)
+            created[np.argsort(mention)] = np.arange(first, self.rows)  # first mention first
+            self.vertex_pos[created] = positions[missing[mention]]
+            self.label[created] = labels[missing[mention]]
+            self._file(new_keys, created)
+            parts[missing] = created[inverse]
+        return parts
+
+    def partition_id(self, position: int, label: int, create: bool = False) -> int:
+        """:meth:`partition_ids` of one pair, on scalars; -1 when absent and not created."""
+        if not -_LABEL_BIAS <= label < _LABEL_BIAS:
+            return -1
+        key = position * _LABEL_SPAN + label + _LABEL_BIAS
+        at = self._keys.searchsorted(key)
+        if self._keys.item(at) == key:
+            return self._parts.item(at)
+        part = self._recent.get(key, -1)
+        if part < 0 and create:
+            part = self.rows
+            self._extend(part + 1)
+            self.vertex_pos[part] = position
+            self.label[part] = label
+            self._recent[key] = part
+            if len(self._recent) >= _RECENT_LIMIT:
+                self._directory()
+        return part
+
+    def parts_of(self, vertex: int) -> np.ndarray:
+        """The partition ids of ``vertex`` in creation order."""
+        position = self.position.get(vertex)
+        if position is None:
+            return _EMPTY_ARRAY
+        filed, parts = self._directory()
+        low, high = filed.searchsorted((position * _LABEL_SPAN, (position + 1) * _LABEL_SPAN))
+        return np.sort(parts[low:high])
+
+    # ------------------------------------------------------------------ mutation
     def remove_dead(self, edge_parts: np.ndarray, alive: np.ndarray) -> None:
         """Compact the partitions in ``edge_parts`` down to their live members, order kept."""
         parts = np.unique(edge_parts)
@@ -340,53 +509,60 @@ class _Adjacency:
         self.size[part] = members.shape[0] - 1
 
     # ------------------------------------------------------------------ reads
-    def _slice(self, part: int) -> np.ndarray:
-        start = self.start.item(part)
-        return self.arena[start : start + self.size.item(part)]
-
     def pool(self, vertex: int, label: int | None) -> np.ndarray:
         """The candidate pool of ``vertex``: one partition, or all of them for ``label=None``."""
         if label is not None:
-            part = self.index.get((vertex, label))
-            return _EMPTY_ARRAY if part is None else self._slice(part)
-        parts = self.parts_of(vertex)
+            position = self.position.get(vertex)
+            part = -1 if position is None else self.partition_id(position, label)
+            return _EMPTY_ARRAY if part < 0 else self._slice(part)
+        parts = self.parts_of(vertex).tolist()
         if len(parts) == 1:
             return self._slice(parts[0])
         return np.concatenate(list(map(self._slice, parts))) if parts else _EMPTY_ARRAY
 
-    def locate(
-        self, vertices: list[int], label: int | None
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def locate(self, vertices: list[int], label: int | None):
         """Where the pools of ``vertices`` lie: ``(partitions, their sizes, pool size per vertex)``.
 
         ``label=None`` lists all of a vertex's partitions in creation order;
         a label lists exactly one per vertex, a missing one with size 0.
         """
         n = len(vertices)
-        if label is None:
-            positions = map(self.position.get, vertices)
-            owned = list(map(self._group_by_vertex().get, positions, repeat(_EMPTY_IDS)))
-            counts = np.fromiter(map(len, owned), dtype=np.int64, count=n)
-            parts = np.fromiter(
-                chain.from_iterable(owned), dtype=np.int64, count=int(counts.sum())
-            )
-            part_sizes = self.size[parts]
-            return parts, part_sizes, segment_counts(part_sizes, counts)
-        parts = np.fromiter(
-            map(self.index.get, zip(vertices, repeat(label)), repeat(-1)),
-            dtype=np.int64,
-            count=n,
-        )
-        sizes = np.where(parts >= 0, self.size[parts], 0)
-        return parts, sizes, sizes
+        positions = positions_of(self.position, vertices)
+        filed, parts = self._directory()
+        if label is not None:
+            if not -_LABEL_BIAS <= label < _LABEL_BIAS:
+                return positions, np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+            # An unknown vertex (-1) asks for a negative key, which none is;
+            # a miss lands on some other key's partition and is sized 0.
+            positions *= _LABEL_SPAN
+            positions += label + _LABEL_BIAS
+            at = filed.searchsorted(positions)
+            parts = parts[at]
+            sizes = self.size[parts] * (filed[at] == positions)
+            return parts, sizes, sizes
+        # A vertex's partitions are one key range, an unknown vertex's an
+        # empty one below every key; ascending ids are creation order.
+        low = filed.searchsorted(positions * _LABEL_SPAN)
+        counts = filed.searchsorted((positions + 1) * _LABEL_SPAN) - low
+        parts = parts[expand_ranges(low, counts)]
+        if parts.shape[0] > 1:
+            vertex_of = np.repeat(np.arange(n) * self.rows, counts)
+            parts = np.sort(parts + vertex_of) - vertex_of
+        part_sizes = self.size[parts]
+        return parts, part_sizes, segment_counts(part_sizes, counts)
 
     def pools(self, vertices: list[int], label: int | None) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`pool` of every vertex: ``(pools concatenated, size per vertex)``."""
         parts, part_sizes, sizes = self.locate(vertices, label)
         return self.arena[expand_ranges(self.start[parts], part_sizes)], sizes
 
+    def members(self, parts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The partitions ``parts`` back to back: ``(edge ids, size per partition)``."""
+        sizes = self.size[parts]
+        return self.arena[expand_ranges(self.start[parts], sizes)], sizes
+
     def degree(self, vertex: int) -> int:
-        return sum(map(self.size.item, self.parts_of(vertex)))
+        return int(self.size[self.parts_of(vertex)].sum())
 
     def export(self, num_vertices: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """``(group_vptr, group_labels, group_indptr, indices)`` over the non-empty partitions.
@@ -394,48 +570,42 @@ class _Adjacency:
         Groups are ordered by vertex position, then by partition creation —
         the order :meth:`pool` concatenates a wildcard pool in.
         """
-        live = np.flatnonzero(self.size[: len(self.index)])
+        live = np.flatnonzero(self.size[: self.rows])
         live = live[np.argsort(self.vertex_pos[live], kind="stable")]
-        sizes = self.size[live]
         group_vptr = np.zeros(num_vertices + 1, dtype=np.int64)
         np.cumsum(np.bincount(self.vertex_pos[live], minlength=num_vertices), out=group_vptr[1:])
+        indices, sizes = self.members(live)
         group_indptr = np.zeros(live.shape[0] + 1, dtype=np.int64)
         np.cumsum(sizes, out=group_indptr[1:])
-        indices = self.arena[expand_ranges(self.start[live], sizes)]
         return group_vptr, self.label[live], group_indptr, indices
 
     def violation(
         self, live_ids: np.ndarray, edge_part: np.ndarray, endpoint: np.ndarray,
-        edge_label: np.ndarray,
+        edge_label: np.ndarray, vertex_ids: np.ndarray,
     ) -> str | None:
         """The first inconsistency with the edge columns, or None (``check_invariants``)."""
-        count = len(self.index)
-        start, size, capacity = self.start[:count], self.size[:count], self.capacity[:count]
-        if (size > capacity).any():
-            return f"partition {int((size > capacity).argmax())} is larger than its capacity"
-        placed = np.flatnonzero(capacity)
-        placed = placed[np.argsort(start[placed])]
-        stops = start[placed] + capacity[placed]
-        if (start[placed][1:] < stops[:-1]).any():
-            return "two partitions overlap in the arena"
-        if placed.size and not int(stops[-1]) <= self.tail <= self.arena.shape[0]:
-            return "a partition lies beyond the arena tail"
-        keys = list(self.index)
-        if list(self.index.values()) != list(range(count)):
-            return "partition ids are not dense in creation order"
-        owners = [vertex for vertex, _ in keys]
-        if self.vertex_pos[:count].tolist() != [self.position.get(vertex) for vertex in owners]:
-            return "a partition's vertex position disagrees with the vertex table"
-        if self.label[:count].tolist() != [label for _, label in keys]:
-            return "a partition's label column disagrees with its key"
-        members = self.arena[expand_ranges(start, size)]
+        problem = self.layout_violation()
+        if problem is not None:
+            return problem
+        count = self.rows
+        filed, parts = self._directory()
+        if not np.array_equal(np.sort(parts[:-1]), np.arange(count)):
+            return "the directory does not list every partition exactly once"
+        if (np.diff(filed) <= 0).any():
+            return "the directory keys are not strictly ascending"
+        owners, labels = self.vertex_pos[:count], self.label[:count]
+        if (owners < 0).any() or (owners >= vertex_ids.shape[0]).any():
+            return "a partition's vertex position is not in the vertex table"
+        if not np.array_equal(filed[:-1], self.keys_of(owners, labels)[parts[:-1]]):
+            return "a directory key disagrees with its partition's vertex position and label"
+        members, sizes = self.members(np.arange(count))
         if not np.array_equal(np.sort(members), live_ids):
             return "the partitions do not hold exactly the live edges"
-        holder = np.repeat(np.arange(count), size)
+        holder = np.repeat(np.arange(count), sizes)
         wrong = np.flatnonzero(
             (edge_part[members] != holder)
-            | (endpoint[members] != np.asarray(owners, dtype=np.int64)[holder])
-            | (edge_label[members] != self.label[:count][holder])
+            | (endpoint[members] != vertex_ids[owners[holder]])
+            | (edge_label[members] != labels[holder])
         )
         if wrong.size:
             edge_id, part = int(members[wrong[0]]), int(holder[wrong[0]])
@@ -443,12 +613,16 @@ class _Adjacency:
         return None
 
 
-def check_vertex_ids(src: np.ndarray, dst: np.ndarray) -> None:
-    """Refuse a (non-empty) insert batch naming a negative vertex, before the graph
-    or a shard router writes anything for it: DEBI roots are indexed by vertex id."""
+def check_edge_columns(src: np.ndarray, dst: np.ndarray, label: np.ndarray) -> None:
+    """Refuse a (non-empty) insert batch naming a negative vertex (DEBI roots are
+    indexed by vertex id) or an edge label outside the signed 32-bit range (the
+    partition directory packs it), before the graph or a shard router writes
+    anything for it."""
     lowest = min(int(src.min()), int(dst.min()))
     if lowest < 0:
         raise GraphError(f"vertex id {lowest} is negative")
+    if int(label.min()) < -_LABEL_BIAS or int(label.max()) >= _LABEL_BIAS:
+        raise GraphError("edge labels must fit a signed 32-bit integer")
 
 
 class DynamicGraph:
@@ -479,20 +653,16 @@ class DynamicGraph:
         self._alive = np.zeros(_INITIAL_ROWS, dtype=bool)
         self._out_part = np.zeros(_INITIAL_ROWS, dtype=np.int64)
         self._in_part = np.zeros(_INITIAL_ROWS, dtype=np.int64)
-        # Vertices are append-only; a vertex's position is its insertion rank.
-        self._vertex_labels: dict[int, int] = {}
+        # Vertices are append-only and interned once: raw id -> position
+        # (insertion rank) is the only dict of the store.  Labels are a
+        # column by position with at least one unused (zero) slot behind the
+        # last vertex, so position -1 — an unknown vertex — reads label 0.
         self._vertex_position: dict[int, int] = {}
+        self._vertex_label = np.zeros(_INITIAL_ROWS, dtype=np.int64)
         self._out = _Adjacency(self._vertex_position)
         self._in = _Adjacency(self._vertex_position)
-
-        # Edge-id recycling: free ids keyed by the source vertex that owned
-        # them; the total lets an insert batch skip the recycling replay
-        # when nothing is recyclable.
-        self._free_ids: dict[int, list[int]] = defaultdict(list)
-        self._num_free_ids = 0
-
-        # Resolution of (src, dst, label) triples to live edge ids (multi-edge aware).
-        self._triple_index: dict[tuple[int, int, int], list[int]] = defaultdict(list)
+        #: recyclable edge ids, stacked per source vertex
+        self.free_ids = FreeIdStacks(self._vertex_position)
 
         self._num_live_edges = 0
         self.stats = PlaceholderStats()
@@ -513,9 +683,9 @@ class DynamicGraph:
         """Drop the export bookkeeping when pickling (checkpoints).
 
         A restored graph starts from a clean full-export state.  Everything
-        else — including the edge-id free lists, which make replayed
-        insertions allocate the same ids the original run used — survives
-        the round trip.
+        else — including the free-id stacks, which make replayed insertions
+        allocate the same ids the original run used — survives the round
+        trip.
         """
         state = self.__dict__.copy()
         state["_exported"] = None
@@ -524,48 +694,75 @@ class DynamicGraph:
         return state
 
     # ------------------------------------------------------------------ vertices
-    def add_vertex(self, vertex: int, label: int = 0) -> None:
-        """Register ``vertex`` with ``label``; later calls may not change the label."""
-        existing = self._vertex_labels.get(vertex)
-        if existing is None:
-            self._vertex_position[vertex] = len(self._vertex_labels)
-            self._vertex_labels[vertex] = label
-        elif existing != label and label != 0:
+    def add_vertex(self, vertex: int, label: int = 0) -> int:
+        """Register ``vertex`` with ``label`` (which later calls may not change); its position."""
+        position = self._vertex_position.get(vertex)
+        if position is None:
+            position = self._vertex_position[vertex] = len(self._vertex_position)
+            self._grow_vertex_columns()
+            self._vertex_label[position] = label
+        elif label != 0 and self._vertex_label.item(position) != label:
             raise GraphError(
-                f"vertex {vertex} already has label {existing}, cannot relabel to {label}"
+                f"vertex {vertex} already has label {self._vertex_label.item(position)}, "
+                f"cannot relabel to {label}"
             )
+        return position
+
+    def _grow_vertex_columns(self) -> None:
+        count, room = len(self._vertex_position), self._vertex_label.shape[0]
+        if count >= room:  # keeps the zero slot behind the last vertex
+            self._vertex_label = _grown(self._vertex_label, room, count + 1)
+            self._vertex_touched = _grown(self._vertex_touched, room, count + 1)
+
+    def _register_vertices(
+        self, src: np.ndarray, dst: np.ndarray, src_label: np.ndarray, dst_label: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`add_vertex` over a batch's endpoints; returns their positions.
+
+        The one hash pass of a batch mutation.  Vertices are mentioned in
+        per-event src-then-dst order, and a new vertex takes the label of
+        its first mention.
+        """
+        mentions = np.stack([src, dst], axis=1).ravel()
+        given = np.stack([src_label, dst_label], axis=1).ravel()
+        positions, introduced = intern_ids(self._vertex_position, mentions.tolist())
+        if introduced.size:
+            self._grow_vertex_columns()
+            self._vertex_label[positions[introduced]] = given[introduced]
+        if given.any():
+            known = self._vertex_label[positions]
+            conflict = (given != 0) & (given != known)
+            if conflict.any():
+                at = int(conflict.argmax())
+                raise GraphError(
+                    f"vertex {mentions[at]} already has label {known[at]}, "
+                    f"cannot relabel to {given[at]}"
+                )
+        return positions[0::2], positions[1::2]
 
     def has_vertex(self, vertex: int) -> bool:
-        return vertex in self._vertex_labels
+        return vertex in self._vertex_position
 
     def vertex_label(self, vertex: int) -> int:
         """Return the label of ``vertex`` (0 for unlabelled/unknown vertices)."""
-        return self._vertex_labels.get(vertex, 0)
+        return self._vertex_label.item(self._vertex_position.get(vertex, -1))
 
     def vertex_labels(self, vertices) -> np.ndarray:
         """:meth:`vertex_label` of every entry of a vertex-id array, as int64."""
         ids = vertices.tolist() if hasattr(vertices, "tolist") else vertices
-        return np.fromiter(
-            map(self._vertex_labels.get, ids, repeat(0)), dtype=np.int64, count=len(ids)
-        )
+        return self._vertex_label[positions_of(self._vertex_position, ids)]
 
     def vertices(self) -> Iterator[int]:
-        return iter(self._vertex_labels)
+        return iter(self._vertex_position)
 
     @property
     def num_vertices(self) -> int:
-        return len(self._vertex_labels)
+        return len(self._vertex_position)
 
     # ------------------------------------------------------------------ edges
     def add_edge(
-        self,
-        src: int,
-        dst: int,
-        label: int = 0,
-        timestamp: float = 0.0,
-        src_label: int | None = None,
-        dst_label: int | None = None,
-        edge_id: int | None = None,
+        self, src: int, dst: int, label: int = 0, timestamp: float = 0.0,
+        src_label: int | None = None, dst_label: int | None = None, edge_id: int | None = None,
     ) -> int:
         """Insert a new edge instance and return its ``edge_id``.
 
@@ -582,16 +779,17 @@ class DynamicGraph:
         """
         if src < 0 or dst < 0:
             raise GraphError(f"vertex id {min(src, dst)} is negative")
+        if not -_LABEL_BIAS <= label < _LABEL_BIAS:
+            raise GraphError("edge labels must fit a signed 32-bit integer")
         if edge_id is not None:
             self._check_forced_ids(np.array([edge_id]))
-        self.add_vertex(src, src_label if src_label is not None else self.vertex_label(src))
-        self.add_vertex(dst, dst_label if dst_label is not None else self.vertex_label(dst))
+        src_pos = self.add_vertex(src, src_label or 0)
+        dst_pos = self.add_vertex(dst, dst_label or 0)
         if edge_id is None:
-            edge_id = self._rows
-            free = self._free_ids.get(src) if self.recycle_edge_ids else None
-            if free:
-                edge_id = free.pop()
-                self._num_free_ids -= 1
+            edge_id = self.free_ids.pop(src_pos) if self.recycle_edge_ids else -1
+            if edge_id < 0:
+                edge_id = self._rows
+            else:
                 self.stats.record_recycle()
         self._extend_rows(edge_id + 1)
         self._src[edge_id] = src
@@ -599,25 +797,20 @@ class DynamicGraph:
         self._label[edge_id] = label
         self._timestamp[edge_id] = timestamp
         self._alive[edge_id] = True
-        out_part = self._out_part[edge_id] = self._out.partition_id(src, label)
+        out_part = self._out_part[edge_id] = self._out.partition_id(src_pos, label, create=True)
         self._out.append_one(out_part, edge_id)
-        in_part = self._in_part[edge_id] = self._in.partition_id(dst, label)
+        in_part = self._in_part[edge_id] = self._in.partition_id(dst_pos, label, create=True)
         self._in.append_one(in_part, edge_id)
-        self._triple_index[(src, dst, label)].append(edge_id)
         self._num_live_edges += 1
-        self._touch(edge_id, out_part, in_part)
+        self._touch(edge_id, src_pos, dst_pos)
         self.stats.record_insert(placeholders=self._rows, live=self._num_live_edges)
         return edge_id
 
-    def _touch(self, edge_ids, out_parts, in_parts) -> None:
-        """Journal edges (ids and their partitions, scalars or arrays) as changed."""
-        if len(self._vertex_labels) > self._vertex_touched.shape[0]:
-            self._vertex_touched = _grown(
-                self._vertex_touched, self._vertex_touched.shape[0], len(self._vertex_labels)
-            )
+    def _touch(self, edge_ids, src_positions, dst_positions) -> None:
+        """Journal edges (ids and their endpoints' positions, scalars or arrays) as changed."""
         self._edge_touched[edge_ids] = True
-        self._vertex_touched[self._out.vertex_pos[out_parts]] = True
-        self._vertex_touched[self._in.vertex_pos[in_parts]] = True
+        self._vertex_touched[src_positions] = True
+        self._vertex_touched[dst_positions] = True
 
     def _extend_rows(self, rows: int) -> None:
         """Make every id below ``rows`` a placeholder (dead and zeroed until assigned)."""
@@ -633,9 +826,17 @@ class DynamicGraph:
         out_part, in_part = self._out_part.item(edge_id), self._in_part.item(edge_id)
         self._out.remove_one(out_part, edge_id)
         self._in.remove_one(in_part, edge_id)
-        self._touch(edge_id, out_part, in_part)
-        self._forget([record])
+        src_pos = self._out.vertex_pos.item(out_part)
+        self._touch(edge_id, src_pos, self._in.vertex_pos.item(in_part))
+        if self.recycle_edge_ids:
+            self.free_ids.push(src_pos, edge_id)
+        self._forget(1)
         return record
+
+    def _forget(self, count: int) -> None:
+        self._num_live_edges -= count
+        self.stats.deletes += count
+        self.stats.peak_placeholders = max(self.stats.peak_placeholders, self._rows)
 
     def delete_edge_instance(self, src: int, dst: int, label: int = 0) -> EdgeRecord:
         """Delete the most recently inserted live edge matching the triple.
@@ -644,7 +845,7 @@ class DynamicGraph:
         endpoints on the wire); this resolves the triple to a concrete
         edge instance.
         """
-        ids = self._triple_index.get((src, dst, label))
+        ids = self.find_edges(src, dst, label)
         if not ids:
             raise GraphError(f"no live edge ({src}, {dst}, {label}) to delete")
         return self.delete_edge(ids[-1])
@@ -655,11 +856,8 @@ class DynamicGraph:
         if not self.is_alive(edge_id):
             raise GraphError(f"edge id {edge_id} is not a live edge")
         return EdgeRecord(
-            edge_id,
-            self._src.item(edge_id),
-            self._dst.item(edge_id),
-            self._label.item(edge_id),
-            self._timestamp.item(edge_id),
+            edge_id, self._src.item(edge_id), self._dst.item(edge_id),
+            self._label.item(edge_id), self._timestamp.item(edge_id),
         )
 
     def is_alive(self, edge_id: int) -> bool:
@@ -672,14 +870,6 @@ class DynamicGraph:
     def in_edges(self, vertex: int) -> list[int]:
         """Edge ids of live edges entering ``vertex``, in wildcard-pool order."""
         return self._in.pool(vertex, None).tolist()
-
-    def out_edges_with_label(self, vertex: int, label: int) -> np.ndarray:
-        """Live out-edges of ``vertex`` carrying ``label`` (zero-copy int64 view)."""
-        return self._out.pool(vertex, label)
-
-    def in_edges_with_label(self, vertex: int, label: int) -> np.ndarray:
-        """Live in-edges of ``vertex`` carrying ``label`` (zero-copy int64 view)."""
-        return self._in.pool(vertex, label)
 
     def candidate_pool(self, vertex: int, out: bool, label: int | None = None) -> np.ndarray:
         """The candidate edge pool for one extension step (do not mutate).
@@ -737,41 +927,33 @@ class DynamicGraph:
         return self.out_degree(vertex) + self.in_degree(vertex)
 
     def out_label_degree(self, vertex: int, label: int) -> int:
-        """Number of live out-edges of ``vertex`` carrying ``label`` (O(1))."""
-        part = self._out.index.get((vertex, label))
-        return 0 if part is None else self._out.size.item(part)
+        """Number of live out-edges of ``vertex`` carrying ``label`` (O(log partitions))."""
+        return self._out.pool(vertex, label).shape[0]
 
     def in_label_degree(self, vertex: int, label: int) -> int:
-        """Number of live in-edges of ``vertex`` carrying ``label`` (O(1))."""
-        part = self._in.index.get((vertex, label))
-        return 0 if part is None else self._in.size.item(part)
+        """Number of live in-edges of ``vertex`` carrying ``label`` (O(log partitions))."""
+        return self._in.pool(vertex, label).shape[0]
 
-    def _records(self, ids: np.ndarray) -> Iterator[EdgeRecord]:
-        return map(
-            EdgeRecord,
-            ids.tolist(),
-            self._src[ids].tolist(),
-            self._dst[ids].tolist(),
-            self._label[ids].tolist(),
-            self._timestamp[ids].tolist(),
+    def _columns(self, ids: np.ndarray) -> EdgeColumns:
+        return EdgeColumns(
+            ids, self._src[ids], self._dst[ids], self._label[ids], self._timestamp[ids]
         )
 
     def edges(self) -> Iterator[EdgeRecord]:
         """Iterate over all live edge records."""
-        return self._records(np.flatnonzero(self._alive[: self._rows]))
+        return self._columns(np.flatnonzero(self._alive[: self._rows])).records()
 
     def find_edges(self, src: int, dst: int, label: int | None = None) -> list[int]:
         """Return live edge ids from ``src`` to ``dst`` (optionally with ``label``).
 
-        Without a label the ids come in ascending order: witness checks stop
-        at the first match, so their scan counts must not depend on how the
-        store happens to lay a pool out.
+        With a label they come in insertion order (the ``(src, label)``
+        out-partition's entries ending at ``dst``; a stream deletion picks its
+        instance by it); without, ascending: witness checks stop at the first
+        match, so their scan counts must not depend on how a pool is laid out.
         """
-        triples = self._triple_index
-        if label is not None:
-            return list(triples.get((src, dst, label), ()))
-        labels = map(self._out.label.item, self._out.parts_of(src))
-        return sorted(chain.from_iterable(triples.get((src, dst, lb), ()) for lb in labels))
+        pool = self._out.pool(src, label)
+        found = pool[self._dst[pool] == dst]
+        return (np.sort(found) if label is None else found).tolist()
 
     def find_edges_batch(self, srcs: np.ndarray, dsts: np.ndarray):
         """Batched :meth:`find_edges` without a label: ``(flat_ids, sizes)`` for pair arrays.
@@ -780,6 +962,34 @@ class DynamicGraph:
         ascending, concatenated in pair order, and ``sizes[i]`` their number.
         """
         return edges_between(self, srcs, dsts)
+
+    def find_instances(self, srcs: np.ndarray, dsts: np.ndarray, labels: np.ndarray):
+        """The live parallel instances of a (non-empty) batch of ``(src, dst, label)`` triples.
+
+        Returns ``(group, flat_ids, sizes)``: equal triples share a group
+        (``group[i]`` is triple ``i``'s) and ``flat_ids`` is the groups'
+        instances back to back, ``sizes[g]`` of group ``g``, in insertion
+        order.  A triple is the pair of its ``(src, label)`` out- and ``(dst,
+        label)`` in-partition, which every edge remembers: each distinct
+        out-partition is gathered once, its members told apart by in-partition.
+        """
+        n = srcs.shape[0]
+        positions = positions_of(self._vertex_position, srcs.tolist() + dsts.tolist())
+        out_part = self._out.find(_Adjacency.keys_of(positions[:n], labels))
+        in_part = self._in.find(_Adjacency.keys_of(positions[n:], labels))
+        span = max(self._in.rows, 1)
+        triples, group = np.unique(  # -1: no such partitions, so no such edge
+            np.where((out_part >= 0) & (in_part >= 0), out_part * span + in_part, -1),
+            return_inverse=True,
+        )
+        owners = np.unique(np.maximum(triples, 0) // span)
+        members, sizes = self._out.members(owners)
+        member_triple = np.repeat(owners, sizes) * span + self._in_part[members]
+        slot = np.minimum(triples.searchsorted(member_triple), triples.shape[0] - 1)
+        named = (triples[slot] == member_triple).nonzero()[0]
+        slot = slot[named]
+        by_group = slot.argsort(kind="stable")
+        return group, members[named[by_group]], np.bincount(slot, minlength=triples.shape[0])
 
     @property
     def num_edges(self) -> int:
@@ -793,74 +1003,46 @@ class DynamicGraph:
 
     # ------------------------------------------------------------------ bulk mutation
     def apply_insert_columns(
-        self,
-        src,
-        dst,
-        label=None,
-        timestamp=None,
-        src_label=None,
-        dst_label=None,
-        edge_ids=None,
+        self, src, dst, label=None, timestamp=None, src_label=None, dst_label=None, edge_ids=None
     ) -> list[int]:
         """Insert a whole batch from contiguous columns; returns the edge ids.
 
-        The columnar counterpart of calling :meth:`add_edge` per event.
+        The columnar counterpart of calling :meth:`add_edge` per event, with
+        the same resulting state, **edge-id sequence** included (see
+        :meth:`FreeIdStacks.allocate`; partitions are created in event order).
         Columns are int64 (``timestamp`` float64) arrays of equal length;
-        missing columns default to zeros.  The resulting graph state —
-        including the **edge-id sequence** — is identical to the per-edge
-        path: the per-source LIFO free-list replay below hands out exactly
-        the ids :meth:`add_edge` would, fresh ids are consecutive, and
-        partitions are created in event order.
-
-        ``edge_ids`` forces the ids (the sharded path, where a router-level
-        allocator owns the id space).  A negative vertex id, or a forced
-        id that is negative, already live or repeated in the batch, is
-        rejected with :class:`GraphError` before anything is mutated.
+        missing columns default to zeros.  ``edge_ids`` forces the ids (the
+        sharded path, where a router-level allocator owns the id space).  A
+        negative vertex id, an edge label outside 32 bits, or a forced id that
+        is negative, already live or repeated in the batch, is rejected with
+        :class:`GraphError` before anything is mutated.
         """
         src_arr = np.asarray(src, dtype=np.int64)
         n = int(src_arr.shape[0])
         if n == 0:
             return []
         dst_arr = np.asarray(dst, dtype=np.int64)
-        check_vertex_ids(src_arr, dst_arr)
         zeros = np.zeros(n, dtype=np.int64)
         label_arr = zeros if label is None else np.asarray(label, dtype=np.int64)
+        check_edge_columns(src_arr, dst_arr, label_arr)
         ts_arr = (
             np.zeros(n, dtype=np.float64) if timestamp is None
             else np.asarray(timestamp, dtype=np.float64)
         )
-        slab_arr = zeros if src_label is None else np.asarray(src_label, dtype=np.int64)
-        dlab_arr = zeros if dst_label is None else np.asarray(dst_label, dtype=np.int64)
         if edge_ids is not None:
             ids_arr = np.asarray(edge_ids, dtype=np.int64)
             self._check_forced_ids(ids_arr)
-        src_list = src_arr.tolist()
-        dst_list = dst_arr.tolist()
-        label_list = label_arr.tolist()
-        # vertices are mentioned in per-event src-then-dst order
-        self._register_vertices(
-            list(chain.from_iterable(zip(src_list, dst_list))),
-            np.stack([slab_arr, dlab_arr], axis=1).ravel().tolist(),
+        src_pos, dst_pos = self._register_vertices(
+            src_arr, dst_arr,
+            zeros if src_label is None else np.asarray(src_label, dtype=np.int64),
+            zeros if dst_label is None else np.asarray(dst_label, dtype=np.int64),
         )
-
-        # -- edge ids: replay add_edge's allocation exactly — per-source LIFO
-        #    recycling first, then consecutive fresh ids from the current end
         if edge_ids is None:
-            fresh = np.arange(self._rows, self._rows + n, dtype=np.int64)
-            if self.recycle_edge_ids and self._num_free_ids:
-                recycled = [
-                    free.pop() if free else -1
-                    for free in map(self._free_ids.get, src_list)
-                ]
-                ids_arr = np.array(recycled, dtype=np.int64)
-                reused = ids_arr >= 0
-                num_recycled = int(reused.sum())
-                ids_arr[~reused] = fresh[: n - num_recycled]
-                self._num_free_ids -= num_recycled
-                self.stats.recycled += num_recycled
+            if self.recycle_edge_ids:
+                ids_arr, recycled = self.free_ids.allocate(src_pos, self._rows)
+                self.stats.recycled += recycled
             else:
-                ids_arr = fresh
-        ids_list = ids_arr.tolist()
+                ids_arr = np.arange(self._rows, self._rows + n, dtype=np.int64)
 
         # -- edge columns: one scatter each
         self._extend_rows(int(ids_arr.max()) + 1)
@@ -871,26 +1053,21 @@ class DynamicGraph:
         self._alive[ids_arr] = True
 
         # -- adjacency: group by partition, grow what overflows, scatter the ids
-        out_parts = self._out.partition_ids(src_list, label_list)
-        self._out_part[ids_arr] = out_parts
+        out_parts = self._out_part[ids_arr] = self._out.partition_ids(src_pos, label_arr)
         self._out.append(out_parts, ids_arr)
-        in_parts = self._in.partition_ids(dst_list, label_list)
-        self._in_part[ids_arr] = in_parts
+        in_parts = self._in_part[ids_arr] = self._in.partition_ids(dst_pos, label_arr)
         self._in.append(in_parts, ids_arr)
-        triple_index = self._triple_index
-        for key, edge_id in zip(zip(src_list, dst_list, label_list), ids_list):
-            triple_index[key].append(edge_id)
 
         # -- accounting (bulk-equivalent to the per-event record_insert calls:
         #    placeholders and live counts grow monotonically within an insert
         #    batch, so the running peak maxes equal the final-value maxes)
         self._num_live_edges += n
-        self._touch(ids_arr, out_parts, in_parts)
+        self._touch(ids_arr, src_pos, dst_pos)
         stats = self.stats
         stats.inserts += n
         stats.peak_placeholders = max(stats.peak_placeholders, self._rows)
         stats.peak_live = max(stats.peak_live, self._num_live_edges)
-        return ids_list
+        return ids_arr.tolist()
 
     def _check_forced_ids(self, ids: np.ndarray) -> None:
         if (ids < 0).any():
@@ -903,41 +1080,18 @@ class DynamicGraph:
         if repeated is not None:
             raise GraphError(f"edge id {repeated} is forced twice in one batch")
 
-    def _register_vertices(self, vertices: list[int], given: list[int]) -> None:
-        """:meth:`add_vertex` over an event-ordered sequence of (vertex, label) mentions."""
-        labels = self._vertex_labels
-        known = list(map(labels.get, vertices))
-        if None in known:
-            first_given = dict(zip(reversed(vertices), reversed(given)))  # earliest mention wins
-            for vertex in dict.fromkeys(vertices):
-                if vertex not in labels:
-                    self._vertex_position[vertex] = len(labels)
-                    labels[vertex] = first_given[vertex]
-            known = list(map(labels.__getitem__, vertices))
-        given_arr = np.array(given, dtype=np.int64)
-        if given_arr.any():
-            conflict = (given_arr != 0) & (given_arr != np.array(known, dtype=np.int64))
-            if conflict.any():
-                at = int(conflict.argmax())
-                raise GraphError(
-                    f"vertex {vertices[at]} already has label {known[at]}, "
-                    f"cannot relabel to {given[at]}"
-                )
-
-    def apply_delete_columns(self, edge_ids) -> list[EdgeRecord]:
-        """Delete a batch of edge ids and return their records, in batch order.
+    def apply_delete_columns(self, edge_ids) -> EdgeColumns:
+        """Delete a batch of edge ids and return their last columns, in batch order.
 
         An id that is negative, out of range, dead or repeated in the batch
         is rejected with :class:`GraphError` before anything is mutated.
-        Every affected partition is compacted in one order-preserving pass,
-        so the resulting pools do not depend on the order of ``edge_ids``;
-        the per-source free lists and the triple index are updated in batch
-        order, exactly as per-id :meth:`delete_edge` calls would.
+        Every affected partition is compacted in one order-preserving pass;
+        the ids go on their sources' free-id stacks in batch order, exactly
+        as per-id :meth:`delete_edge` calls would push them.
         """
         ids = np.asarray(edge_ids, dtype=np.int64)
-        n = int(ids.shape[0])
-        if n == 0:
-            return []
+        if ids.shape[0] == 0:
+            return self._columns(ids)
         dead = (ids < 0) | (ids >= self._rows)
         if not dead.any():
             dead = ~self._alive[ids]
@@ -947,86 +1101,55 @@ class DynamicGraph:
         if repeated is not None:
             raise GraphError(f"edge id {repeated} is deleted twice in one batch")
 
-        records = list(self._records(ids))
+        deleted = self._columns(ids)
         self._alive[ids] = False
         out_parts, in_parts = self._out_part[ids], self._in_part[ids]
         self._out.remove_dead(out_parts, self._alive)
         self._in.remove_dead(in_parts, self._alive)
-        self._touch(ids, out_parts, in_parts)
-        self._forget(records)
-        return records
-
-    def _forget(self, records: list[EdgeRecord]) -> None:
-        """Everything a delete does besides the columns and partitions, in record order."""
-        triple_index = self._triple_index
-        for edge_id, src, dst, label, _ in records:
-            instances = triple_index[(src, dst, label)]
-            if len(instances) == 1:
-                del triple_index[(src, dst, label)]
-            else:  # swap-with-last: later deletes of the triple resolve against this order
-                instances[instances.index(edge_id)] = instances[-1]
-                instances.pop()
+        src_pos = self._out.vertex_pos[out_parts]
+        self._touch(ids, src_pos, self._in.vertex_pos[in_parts])
         if self.recycle_edge_ids:
-            free_ids = self._free_ids
-            for edge_id, src, _, _, _ in records:
-                free_ids[src].append(edge_id)
-            self._num_free_ids += len(records)
-        self._num_live_edges -= len(records)
-        self.stats.deletes += len(records)
-        self.stats.peak_placeholders = max(self.stats.peak_placeholders, self._rows)
+            self.free_ids.push_batch(src_pos, ids)
+        self._forget(ids.shape[0])
+        return deleted
 
     def copy(self) -> "DynamicGraph":
-        """Deep copy of the live graph (dead placeholders are preserved)."""
-        clone = DynamicGraph(recycle_edge_ids=self.recycle_edge_ids)
-        for name in _EDGE_COLUMNS:
-            setattr(clone, name, getattr(self, name).copy())
-        clone._edge_touched[:] = False  # the copy starts with an empty journal
-        clone._rows = self._rows
-        clone._vertex_labels = dict(self._vertex_labels)
-        clone._vertex_position.update(self._vertex_position)
-        clone._out = self._out.copy(clone._vertex_position)
-        clone._in = self._in.copy(clone._vertex_position)
-        clone._free_ids = defaultdict(list, {k: list(v) for k, v in self._free_ids.items()})
-        clone._num_free_ids = self._num_free_ids
-        clone._triple_index = defaultdict(list, {k: list(v) for k, v in self._triple_index.items()})
-        clone._num_live_edges = self._num_live_edges
+        """Deep copy of the live graph (dead placeholders are preserved), its export
+        journal and counters starting afresh."""
+        clone = copy.deepcopy(self)  # through __getstate__: the journal is already empty
+        clone.stats = PlaceholderStats()
+        clone._export_count = 0
         return clone
 
     def check_invariants(self) -> None:
         """Raise :class:`GraphError` naming the first place the structures disagree.
 
-        Cross-checks the edge columns, both partition arenas, the triple
-        index, the free lists and the live-edge count against each other.
+        Cross-checks the edge columns, the vertex table, both partition
+        arenas with their directories, the free-id stacks and the live-edge
+        count against each other.
         """
         rows = self._rows
         live = np.flatnonzero(self._alive[:rows])
         if live.shape[0] != self._num_live_edges:
             raise GraphError(f"{live.shape[0]} alive rows but num_edges is {self._num_live_edges}")
+        num_vertices = len(self._vertex_position)
+        if list(self._vertex_position.values()) != list(range(num_vertices)):
+            raise GraphError("vertex positions are not the vertex insertion ranks")
+        if num_vertices >= self._vertex_label.shape[0] or self._vertex_label[num_vertices:].any():
+            raise GraphError("the vertex label column has no zero slot behind the last vertex")
+        vertex_ids = np.fromiter(self._vertex_position, dtype=np.int64, count=num_vertices)
         for name, adjacency, parts, endpoint in (
             ("out", self._out, self._out_part, self._src),
             ("in", self._in, self._in_part, self._dst),
         ):
-            problem = adjacency.violation(live, parts, endpoint, self._label)
+            problem = adjacency.violation(live, parts, endpoint, self._label, vertex_ids)
             if problem is not None:
                 raise GraphError(f"{name}-adjacency: {problem}")
-        if list(self._vertex_position.items()) != list(
-            zip(self._vertex_labels, range(len(self._vertex_labels)))
-        ):
-            raise GraphError("vertex positions are not the vertex insertion ranks")
-        for key, instances in self._triple_index.items():
-            for edge_id in instances:
-                if (self._src[edge_id], self._dst[edge_id], self._label[edge_id]) != key:
-                    raise GraphError(f"triple index entry {key} lists edge {edge_id}")
-        indexed = sorted(chain.from_iterable(self._triple_index.values()))
-        if indexed != live.tolist():
-            raise GraphError("the triple index does not list exactly the live edges")
-        free = list(chain.from_iterable(self._free_ids.values()))
-        if len(free) != self._num_free_ids or len(set(free)) != len(free):
-            raise GraphError(f"free-list count {self._num_free_ids} but {len(free)} ids listed")
-        for src, ids in self._free_ids.items():
-            for edge_id in ids:
-                if not 0 <= edge_id < rows or self._alive[edge_id] or self._src[edge_id] != src:
-                    raise GraphError(f"free id {edge_id} of vertex {src} is live or not its own")
+        problem = self.free_ids.violation(vertex_ids, rows, self._alive, self._src)
+        if problem is not None:
+            raise GraphError(f"free-id stacks: {problem}")
+        if self.free_ids.count and not self.recycle_edge_ids:
+            raise GraphError("free ids are kept although recycling is off")
 
     # ------------------------------------------------------------------ flat-array export
     def export_csr(self) -> "CSRSnapshot":
@@ -1075,12 +1198,10 @@ class DynamicGraph:
 
     def _export(self, delta: bool) -> "CSRSnapshot":
         rows = self._rows
-        num_vertices = len(self._vertex_labels)
+        num_vertices = len(self._vertex_position)
         arrays = {
-            "vertex_ids": np.fromiter(self._vertex_labels, dtype=np.int64, count=num_vertices),
-            "vertex_labels": np.fromiter(
-                self._vertex_labels.values(), dtype=np.int64, count=num_vertices
-            ),
+            "vertex_ids": np.fromiter(self._vertex_position, dtype=np.int64, count=num_vertices),
+            "vertex_labels": self._vertex_label[:num_vertices].copy(),
             "edge_src": self._src[:rows].copy(),
             "edge_dst": self._dst[:rows].copy(),
             "edge_label": self._label[:rows].copy(),
@@ -1105,7 +1226,7 @@ class DynamicGraph:
         """Per array, the element ranges that may differ from the previous export."""
         assert self._exported is not None
         prev_vertices, prev_rows = self._exported
-        num_vertices = len(self._vertex_labels)
+        num_vertices = len(self._vertex_position)
         touched_vertices = np.flatnonzero(self._vertex_touched[:prev_vertices])
         first_dirty = int(touched_vertices[0]) if touched_vertices.size else prev_vertices
 
@@ -1114,7 +1235,7 @@ class DynamicGraph:
             return [(start, stop)] if start < stop else []
 
         touched_edges = np.flatnonzero(self._edge_touched[:prev_rows])
-        edge_ranges = _coalesce_ranges(touched_edges) + suffix(prev_rows, self._rows)
+        edge_ranges = coalesce_ranges(touched_edges) + suffix(prev_rows, self._rows)
         spec = {
             "vertex_ids": suffix(prev_vertices, num_vertices),
             "vertex_labels": suffix(prev_vertices, num_vertices),
@@ -1136,7 +1257,7 @@ class DynamicGraph:
     def journal_size(self) -> tuple[int, int]:
         """(dirty vertices, dirty edges) accumulated since the last CSR export."""
         return (
-            int(self._vertex_touched[: len(self._vertex_labels)].sum()),
+            int(self._vertex_touched[: len(self._vertex_position)].sum()),
             int(self._edge_touched[: self._rows].sum()),
         )
 
@@ -1282,9 +1403,7 @@ class CSRGraphView:
     def _positions(self, vertices) -> np.ndarray:
         """Position of every vertex of an id array (-1 for unknown vertices)."""
         ids = vertices.tolist() if hasattr(vertices, "tolist") else vertices
-        return np.fromiter(
-            map(self._position.get, ids, repeat(-1)), dtype=np.int64, count=len(ids)
-        )
+        return positions_of(self._position, ids)
 
     def vertex_labels(self, vertices) -> np.ndarray:
         """:meth:`vertex_label` of every entry of a vertex-id array, as int64."""
@@ -1303,11 +1422,8 @@ class CSRGraphView:
         if not self.is_alive(edge_id):
             raise GraphError(f"edge id {edge_id} is not a live edge")
         return EdgeRecord(
-            edge_id,
-            self._src[edge_id],
-            self._dst[edge_id],
-            self._label[edge_id],
-            self._timestamp[edge_id],
+            edge_id, self._src[edge_id], self._dst[edge_id],
+            self._label[edge_id], self._timestamp[edge_id],
         )
 
     def is_alive(self, edge_id: int) -> bool:
@@ -1323,26 +1439,15 @@ class CSRGraphView:
         pos = self._position.get(vertex)
         return _EMPTY_IDS if pos is None else self._in.pool(pos)
 
-    def _label_pool(self, side: _CSRSide, vertex: int, label: int) -> np.ndarray:
-        pos = self._position.get(vertex)
-        if pos is None:
-            return _EMPTY_ARRAY
-        start, stop = side.label_range(pos, label)
-        return side.label_indices[start:stop]
-
-    def out_edges_with_label(self, vertex: int, label: int) -> np.ndarray:
-        """Live out-edges of ``vertex`` carrying ``label`` (zero-copy int64 view)."""
-        return self._label_pool(self._out, vertex, label)
-
-    def in_edges_with_label(self, vertex: int, label: int) -> np.ndarray:
-        """Live in-edges of ``vertex`` carrying ``label`` (zero-copy int64 view)."""
-        return self._label_pool(self._in, vertex, label)
-
     def candidate_pool(self, vertex: int, out: bool, label: int | None = None):
         """Candidate pool for one extension step (see :meth:`DynamicGraph.candidate_pool`)."""
         if label is None:
             return self.out_edges(vertex) if out else self.in_edges(vertex)
-        return self._label_pool(self._out if out else self._in, vertex, label)
+        side, pos = self._out if out else self._in, self._position.get(vertex)
+        if pos is None:
+            return _EMPTY_ARRAY
+        start, stop = side.label_range(pos, label)
+        return side.label_indices[start:stop]
 
     def _ranges(self, side: _CSRSide, vertices: np.ndarray, label: int | None):
         """``(starts, sizes)`` of every vertex's pool in ``indices`` / ``label_indices``.

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
+
+import numpy as np
 
 
 class Endpoint(IntEnum):
@@ -45,6 +47,21 @@ class EdgeRecord(NamedTuple):
     def reversed(self) -> "EdgeRecord":
         """Return the same edge with endpoints swapped (for undirected use)."""
         return EdgeRecord(self.edge_id, self.dst, self.src, self.label, self.timestamp)
+
+
+class EdgeColumns(NamedTuple):
+    """A batch of stored edges as aligned columns, row ``i`` one edge (what a batch
+    deletion returns): int64 arrays, ``timestamp`` float64."""
+
+    edge_id: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+    label: np.ndarray
+    timestamp: np.ndarray
+
+    def records(self) -> Iterator[EdgeRecord]:
+        """One :class:`EdgeRecord` per row, for callers that want objects."""
+        return map(EdgeRecord, *map(np.ndarray.tolist, self))
 
 
 @dataclass(frozen=True)

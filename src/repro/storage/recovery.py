@@ -5,82 +5,50 @@ It re-executes exactly the graph/DEBI updates that
 :class:`repro.core.pipeline.BatchPipeline` performed for each sealed
 epoch, in the same order:
 
-1. insert phase: every event's ``graph.add_edge`` first, then one
-   ``index_manager.handle_insertions(new_ids)`` per registered query;
-2. delete phase: ``resolve_deletions`` picks the doomed edge ids, each
-   doomed edge's DEBI rows are captured *before* the graph delete, then
-   the graph delete, DEBI row clears, and finally one
+1. insert phase: one ``graph.apply_insert_columns`` for the batch, then
+   one ``index_manager.handle_insert_columns`` per registered query;
+2. delete phase: ``resolve_deletions`` picks the doomed edge ids, every
+   query notes which of them hold which DEBI bit *before* the graph
+   delete, then the graph delete, DEBI row clears, and finally one
    ``index_manager.handle_deletions`` per query.
 
 Determinism hinges on two properties proven by the recovery suite: edge
-ids are allocated from the pickled free-list (checkpointed with the
+ids are allocated from the pickled free-id stacks (checkpointed with the
 graph), so replayed inserts receive the ids the original run used; and
 ``resolve_deletions`` breaks ties deterministically.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Sequence
-
-from repro.streams.events import EventKind, StreamEvent
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.registry import QueryRuntime
     from repro.graph.adjacency import DynamicGraph
-
-
-def event_tuples(events: Iterable[StreamEvent]) -> list[tuple]:
-    """Flatten events for journal payloads (plain tuples pickle compactly).
-
-    Accepts either an iterable of :class:`StreamEvent` or a columnar
-    :class:`~repro.streams.events.EventColumns` decode of the same batch;
-    the columnar path serializes straight from the arrays, producing
-    value-identical tuples without re-walking per-event attributes.
-    """
-    columnar = getattr(events, "event_tuples", None)
-    if columnar is not None:
-        return columnar()
-    return [
-        (int(e.kind), e.src, e.dst, e.label, e.timestamp, e.src_label, e.dst_label)
-        for e in events
-    ]
-
-
-def events_from_tuples(rows: Iterable[Sequence]) -> list[StreamEvent]:
-    """Inverse of :func:`event_tuples`."""
-    return [
-        StreamEvent(
-            kind=EventKind(kind), src=src, dst=dst, label=label,
-            timestamp=timestamp, src_label=src_label, dst_label=dst_label,
-        )
-        for kind, src, dst, label, timestamp, src_label, dst_label in rows
-    ]
+    from repro.streams.events import EventColumns
 
 
 def replay_insertions(
-    graph: "DynamicGraph",
-    slots: dict[int, "QueryRuntime"],
-    insertions: Sequence[StreamEvent],
+    graph: "DynamicGraph", slots: dict[int, "QueryRuntime"], insertions: "EventColumns | None"
 ) -> None:
-    """Insert phase of one epoch (also used for INITIAL records)."""
+    """Insert phase of one epoch (also ``load_initial`` and its INITIAL record)."""
     if not insertions:
         return
-    new_ids = [
-        graph.add_edge(
-            e.src, e.dst, e.label, e.timestamp,
-            src_label=e.src_label, dst_label=e.dst_label,
-        )
-        for e in insertions
-    ]
+    new_ids = graph.apply_insert_columns(
+        insertions.src, insertions.dst, insertions.label, insertions.timestamp,
+        insertions.src_label, insertions.dst_label,
+    )
     for runtime in slots.values():
-        runtime.index_manager.handle_insertions(new_ids)
+        runtime.index_manager.handle_insert_columns(
+            new_ids, insertions.src, insertions.dst, insertions.label
+        )
 
 
 def replay_epoch(
     graph: "DynamicGraph",
     slots: dict[int, "QueryRuntime"],
-    insertions: Sequence[StreamEvent],
-    deletions: Sequence[StreamEvent],
+    insertions: "EventColumns | None",
+    deletions: "EventColumns | None",
 ) -> None:
     """Re-apply one sealed epoch's mutations to graph + every query's DEBI."""
     from repro.core.registry import resolve_deletions
@@ -88,14 +56,8 @@ def replay_epoch(
     replay_insertions(graph, slots, insertions)
     if deletions:
         doomed = resolve_deletions(graph, deletions)
-        deleted = []
-        for edge_id in doomed:
-            masks = {qid: runtime.debi.row(edge_id) for qid, runtime in slots.items()}
-            record = graph.delete_edge(edge_id)
-            for runtime in slots.values():
-                runtime.debi.clear_edge(edge_id)
-            deleted.append((record, masks))
+        held = {qid: runtime.index_manager.held_bits(doomed) for qid, runtime in slots.items()}
+        deleted = graph.apply_delete_columns(doomed)
         for qid, runtime in slots.items():
-            runtime.index_manager.handle_deletions(
-                [(record, masks[qid]) for record, masks in deleted]
-            )
+            runtime.debi.clear_edges(doomed)
+            runtime.index_manager.handle_deletions(deleted, held[qid])

@@ -40,7 +40,6 @@ from typing import Any, Callable, Sequence
 from repro.storage.checkpoint import CheckpointError, CheckpointManager
 from repro.storage.config import StorageConfig
 from repro.storage.journal import JournalRecord, JournalWriter, RecordKind, scan_journal
-from repro.storage.recovery import event_tuples
 from repro.utils.validation import ConfigurationError
 
 ENGINE_KINDS = ("single", "multi")
@@ -63,6 +62,11 @@ class RecoveredState:
     records: list[JournalRecord]
     #: summary surfaced as ``engine.recovery_info``
     info: dict = field(default_factory=dict)
+
+
+def _payload(columns) -> list[tuple]:
+    """One phase's journal payload: its event tuples, none for an empty phase."""
+    return columns.event_tuples() if columns else []
 
 
 class EngineStorage:
@@ -218,7 +222,7 @@ class EngineStorage:
         if not self.recording:
             return
         assert self._journal is not None
-        self._journal.append(RecordKind.INITIAL, -1, event_tuples(events))
+        self._journal.append(RecordKind.INITIAL, -1, _payload(events))
         self._applied += 1
         self._sealed += 1
         self._since_checkpoint += 1
@@ -235,7 +239,7 @@ class EngineStorage:
             return
         assert self._journal is not None
         self._journal.append(
-            RecordKind.EPOCH, number, (event_tuples(insertions), event_tuples(deletions))
+            RecordKind.EPOCH, number, (_payload(insertions), _payload(deletions))
         )
         self._sealed += 1
         self._since_checkpoint += 1

@@ -13,9 +13,10 @@ the same wire format.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterable, Sequence
+from itertools import repeat
+from typing import Sequence
 
 import numpy as np
 
@@ -115,15 +116,10 @@ class EventColumns:
     timestamp: np.ndarray
     src_label: np.ndarray
     dst_label: np.ndarray
-    #: the original events, kept so per-event consumers (resolve_deletions,
-    #: replay fallbacks) never need to re-materialize dataclass instances
-    events: tuple = field(default=(), repr=False, compare=False)
 
     @classmethod
-    def from_events(cls, kind: EventKind,
-                    events: Sequence[StreamEvent]) -> "EventColumns":
+    def from_events(cls, kind: EventKind, events: Sequence[StreamEvent]) -> "EventColumns":
         """Decode ``events`` (all of ``kind``) into contiguous columns."""
-        events = tuple(events)
         return cls(
             kind,
             _vertex_ids([event.src for event in events]),
@@ -132,39 +128,51 @@ class EventColumns:
             np.array([event.timestamp for event in events], dtype=np.float64),
             np.array([event.src_label for event in events], dtype=np.int64),
             np.array([event.dst_label for event in events], dtype=np.int64),
-            events,
         )
 
     def __len__(self) -> int:
         return int(self.src.shape[0])
 
-    def take(self, indices: Iterable[int]) -> "EventColumns":
-        """Return a new batch holding the rows at ``indices`` (in order)."""
-        idx = np.asarray(list(indices) if not isinstance(indices, np.ndarray)
-                         else indices, dtype=np.int64)
-        events = tuple(self.events[int(i)] for i in idx) if self.events else ()
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        return (self.src, self.dst, self.label, self.timestamp, self.src_label, self.dst_label)
+
+    def take(self, rows, kind: EventKind | None = None) -> "EventColumns":
+        """The rows at ``rows`` (an index array or a slice) as a new batch, of ``kind`` if given."""
+        kind = self.kind if kind is None else kind
+        return EventColumns(kind, *(column[rows] for column in self._columns()))
+
+    def extended(self, other: "EventColumns") -> "EventColumns":
+        """This batch followed by ``other``'s rows."""
         return EventColumns(
-            self.kind, self.src[idx], self.dst[idx], self.label[idx],
-            self.timestamp[idx], self.src_label[idx], self.dst_label[idx],
-            events,
+            self.kind, *map(np.concatenate, zip(self._columns(), other._columns()))
         )
 
-    def event_tuples(self) -> list[tuple]:
-        """Journal tuples, value-identical to ``recovery.event_tuples``.
+    def to_events(self) -> list[StreamEvent]:
+        """One :class:`StreamEvent` per row, for consumers that want objects."""
+        return list(map(
+            StreamEvent, repeat(self.kind), self.src.tolist(), self.dst.tolist(),
+            self.label.tolist(), self.timestamp.tolist(), self.src_label.tolist(),
+            self.dst_label.tolist(),
+        ))
 
-        ``.tolist()`` yields native Python ints/floats, so the pickled
-        payload round-trips to the same :class:`StreamEvent` values as the
-        per-event path.
-        """
-        kind = int(self.kind)
-        return [
-            (kind, s, d, lb, ts, sl, dl)
-            for s, d, lb, ts, sl, dl in zip(
-                self.src.tolist(), self.dst.tolist(), self.label.tolist(),
-                self.timestamp.tolist(), self.src_label.tolist(),
-                self.dst_label.tolist(),
-            )
-        ]
+    def event_tuples(self) -> list[tuple]:
+        """The journal payload: one plain tuple per row (native ints/floats pickle compactly)."""
+        return list(zip(
+            repeat(int(self.kind)), self.src.tolist(), self.dst.tolist(), self.label.tolist(),
+            self.timestamp.tolist(), self.src_label.tolist(), self.dst_label.tolist(),
+        ))
+
+    @classmethod
+    def from_tuples(cls, rows: Sequence[tuple]) -> "EventColumns | None":
+        """Inverse of :meth:`event_tuples` (None for no rows)."""
+        if not rows:
+            return None
+        kind, src, dst, label, timestamp, src_label, dst_label = zip(*rows)
+        return cls(
+            EventKind(kind[0]), np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64),
+            np.array(label, dtype=np.int64), np.array(timestamp, dtype=np.float64),
+            np.array(src_label, dtype=np.int64), np.array(dst_label, dtype=np.int64),
+        )
 
 
 def encode_lsbench_triple(event: StreamEvent) -> tuple[int, int, int]:

@@ -34,9 +34,9 @@ bit-identical to the historical generator.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
+
+import numpy as np
 
 from repro.streams.broker import POLL_TIMEOUT, StreamBroker
 from repro.streams.clock import Clock
@@ -46,22 +46,40 @@ from repro.streams.sources import ListSource, StreamSource
 from repro.utils.validation import ConfigurationError
 
 
-@dataclass
 class Snapshot:
-    """One unit of work handed to the engine's main loop."""
+    """One unit of work handed to the engine's main loop.
 
-    number: int
-    insertions: list[StreamEvent] = field(default_factory=list)
-    deletions: list[StreamEvent] = field(default_factory=list)
-    #: largest event timestamp included so far (window high edge)
-    watermark: float = 0.0
-    #: arrival stamp (broker clock) of the batch's first event, when known
-    first_arrival: float | None = None
-    #: arrival stamp at which the batch was sealed (size cap, deadline or EOS)
-    sealed_at: float | None = None
-    #: lazy one-shot columnar decodes (see :meth:`insert_columns`)
-    _insert_cols: object = field(default=None, repr=False, compare=False)
-    _delete_cols: object = field(default=None, repr=False, compare=False)
+    Either half may be handed over already decoded (``insert_columns`` /
+    ``delete_columns``): sealed batches are immutable, so the decode
+    happens once per batch no matter how many consumers ask — engine
+    ingest, shard fan-out and the journal all share the same arrays.  A
+    generator that never held deletion *events* (the sliding window) gives
+    the columns alone; ``deletions`` is then built when something reads it.
+    """
+
+    def __init__(
+        self, number: int, insertions: list[StreamEvent] | None = None,
+        deletions: list[StreamEvent] | None = None, watermark: float = 0.0,
+        first_arrival: float | None = None, sealed_at: float | None = None,
+        insert_columns: EventColumns | None = None, delete_columns: EventColumns | None = None,
+    ) -> None:
+        self.number = number
+        self.insertions = [] if insertions is None else insertions
+        self._deletions = [] if deletions is None and delete_columns is None else deletions
+        #: largest event timestamp included so far (window high edge)
+        self.watermark = watermark
+        #: arrival stamp (broker clock) of the batch's first event, when known
+        self.first_arrival = first_arrival
+        #: arrival stamp at which the batch was sealed (size cap, deadline or EOS)
+        self.sealed_at = sealed_at
+        self._insert_cols = insert_columns
+        self._delete_cols = delete_columns
+
+    @property
+    def deletions(self) -> list[StreamEvent]:
+        if self._deletions is None:
+            self._deletions = self._delete_cols.to_events()
+        return self._deletions
 
     @property
     def insert_batch_size(self) -> int:
@@ -69,31 +87,22 @@ class Snapshot:
 
     @property
     def delete_batch_size(self) -> int:
-        return len(self.deletions)
+        return len(self._delete_cols if self._deletions is None else self._deletions)
 
     @property
     def is_empty(self) -> bool:
-        return not self.insertions and not self.deletions
+        return not self.insertions and not self.delete_batch_size
 
-    def insert_columns(self):
-        """Decoded int64 columns for ``insertions`` (cached, None when empty).
-
-        Sealed batches are immutable, so the decode happens once per
-        batch no matter how many consumers ask — engine ingest, shard
-        fan-out and the journal all share the same arrays.
-        """
+    def insert_columns(self) -> EventColumns | None:
+        """Decoded int64 columns for ``insertions`` (cached, None when empty)."""
         if self._insert_cols is None and self.insertions:
-            self._insert_cols = EventColumns.from_events(
-                EventKind.INSERT, self.insertions
-            )
+            self._insert_cols = EventColumns.from_events(EventKind.INSERT, self.insertions)
         return self._insert_cols
 
-    def delete_columns(self):
+    def delete_columns(self) -> EventColumns | None:
         """Decoded int64 columns for ``deletions`` (cached, None when empty)."""
-        if self._delete_cols is None and self.deletions:
-            self._delete_cols = EventColumns.from_events(
-                EventKind.DELETE, self.deletions
-            )
+        if self._delete_cols is None and self._deletions:
+            self._delete_cols = EventColumns.from_events(EventKind.DELETE, self._deletions)
         return self._delete_cols
 
 
@@ -318,36 +327,27 @@ class SnapshotGenerator:
     def _iter_sliding_window(self) -> Iterator[Snapshot]:
         window = float(self.config.window)  # type: ignore[arg-type]
         stride = float(self.config.stride)  # type: ignore[arg-type]
-        live: deque[StreamEvent] = deque()  # inserted events still inside the window
+        #: the inserted events still inside the window, decoded, oldest first
+        live = EventColumns.from_events(EventKind.INSERT, [])
         pending: list[StreamEvent] = []
         stride_end: float | None = None
         last_ts = float("-inf")
 
         def build_snapshot(upper: float) -> Snapshot:
+            nonlocal live
             inserts = list(pending)
             pending.clear()
-            low = upper - window
-            deletes: list[StreamEvent] = []
-            # Edges inserted in *earlier* snapshots that have now expired.
-            while live and live[0].timestamp <= low:
-                expired = live.popleft()
-                deletes.append(
-                    StreamEvent.delete(
-                        expired.src, expired.dst, expired.label, expired.timestamp,
-                        expired.src_label, expired.dst_label,
-                    )
-                )
-            # Newly inserted edges enter the live window unless they already expired.
-            for event in inserts:
-                if event.timestamp > low:
-                    live.append(event)
-                else:
-                    deletes.append(
-                        StreamEvent.delete(event.src, event.dst, event.label, event.timestamp,
-                                           event.src_label, event.dst_label)
-                    )
-            return Snapshot(self._next_number(), insertions=inserts, deletions=deletes,
-                            watermark=upper)
+            decoded = EventColumns.from_events(EventKind.INSERT, inserts)
+            # Timestamps never decrease, so what has slid out of the window —
+            # edges of earlier snapshots first, then new ones that already
+            # expired — is a prefix of the window plus this stride.
+            in_window = live.extended(decoded)
+            expired = int(np.searchsorted(in_window.timestamp, upper - window, "right"))
+            live = in_window.take(slice(expired, None))
+            return Snapshot(
+                self._next_number(), insertions=inserts, watermark=upper, insert_columns=decoded,
+                delete_columns=in_window.take(slice(0, expired), kind=EventKind.DELETE),
+            )
 
         for event in self.source:
             if event.kind is not EventKind.INSERT:

@@ -102,7 +102,7 @@ class ReferenceIndexManager:
                 if self.match_def.edge_matcher(
                     self.query, self.graph, tree_edge.query_edge, record
                 ):
-                    frontier.seed_edge(tree_edge.column, eid)
+                    frontier.seed_edges(tree_edge.column, [eid])
 
         for tree_edge in self._columns_bottom_up:
             parts = [frontier.edges_for(tree_edge.column)]
@@ -120,7 +120,7 @@ class ReferenceIndexManager:
                 if not self.bit_should_be_set(record, tree_edge):
                     continue
                 self.debi.set(eid, tree_edge.column)
-                frontier.seed_vertex(tree_edge.parent, self.parent_endpoint(record, tree_edge))
+                frontier.seed_vertices(tree_edge.parent, [self.parent_endpoint(record, tree_edge)])
 
         root = self.tree.root
         for vertex in frontier.vertices_for(root).tolist():
@@ -141,9 +141,7 @@ class ReferenceIndexManager:
         for record, row_mask in deleted:
             for tree_edge in self.tree.tree_edges:
                 if row_mask >> tree_edge.column & 1:
-                    frontier.seed_vertex(
-                        tree_edge.parent, self.parent_endpoint(record, tree_edge)
-                    )
+                    frontier.seed_vertices(tree_edge.parent, [self.parent_endpoint(record, tree_edge)])
 
         nodes_bottom_up = sorted(self.tree.bfs_order, key=lambda u: -self.tree.depth[u])
         for node in nodes_bottom_up:
@@ -164,8 +162,6 @@ class ReferenceIndexManager:
                     if self.debi.get(eid, tree_edge.column):
                         self.debi.clear(eid, tree_edge.column)
                         record = self.graph.edge(eid)
-                        frontier.seed_vertex(
-                            tree_edge.parent, self.parent_endpoint(record, tree_edge)
-                        )
+                        frontier.seed_vertices(tree_edge.parent, [self.parent_endpoint(record, tree_edge)])
         self.total_traversals += frontier.traversed_edges
         return frontier

@@ -3,13 +3,14 @@
 This is the ``add_edge`` / ``delete_edge`` logic the product used before
 its storage moved to numpy columns and pooled partition arenas: Python
 lists indexed by edge id, one adjacency list per ``(vertex, label)``, the
-per-source LIFO free lists and the swap-with-last triple index.  It decides
-the same things the product must decide identically — which id an insert
-gets, which record a delete returns, which parallel instances a triple
-resolves to (and in which order) — in the plainest way available.  Pool
-*order* after a delete is not part of the contract (the product keeps
-insertion order, this model swaps with the last entry), so pools are
-compared as multisets.
+per-source LIFO free lists and a triple index that keeps a triple's
+instances in insertion order.  It decides the same things the product must
+decide identically — which id an insert gets, which record a delete
+returns, which parallel instances a triple resolves to (and in which
+order), which instance a stream deletion takes — in the plainest way
+available.  Pool *order* after a delete is not part of the contract (the
+product keeps insertion order, this model swaps with the last entry), so
+pools are compared as multisets.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ class GraphModel:
         return len(self.src)
 
     @property
-    def num_free_ids(self) -> int:
+    def free_id_count(self) -> int:
         return sum(map(len, self.free_ids.values()))
 
     def add_vertex(self, vertex: int, label: int) -> None:
@@ -106,7 +107,7 @@ class GraphModel:
         _, src, dst, label, _ = record
         self._swap_remove(self.out[(src, label)], edge_id)
         self._swap_remove(self.into[(dst, label)], edge_id)
-        self._swap_remove(self.triple_index[(src, dst, label)], edge_id)
+        self.triple_index[(src, dst, label)].remove(edge_id)  # order kept: oldest first
         if not self.triple_index[(src, dst, label)]:
             del self.triple_index[(src, dst, label)]
         self.alive[edge_id] = False
@@ -123,6 +124,22 @@ class GraphModel:
             e for (vertex, _), ids in self.out.items() if vertex == src
             for e in ids if self.dst[e] == dst
         ]
+
+    def resolve_deletions(self, events) -> list[int]:
+        """Which live edge each ``(src, dst, label, timestamp)`` deletion takes, in order.
+
+        Of the triple's instances no earlier event took: the oldest one with
+        the event's timestamp, else the most recently inserted one.  Raises
+        when an event is left without an instance.
+        """
+        taken: list[int] = []
+        for src, dst, label, timestamp in events:
+            left = [e for e in self.triple_index.get((src, dst, label), ()) if e not in taken]
+            if not left:
+                raise GraphError(f"deletion of ({src}, {dst}, {label}) matches no live edge")
+            stamped = [e for e in left if self.timestamp[e] == timestamp]
+            taken.append(stamped[0] if stamped else left[-1])
+        return taken
 
     def edges(self) -> list[EdgeRecord]:
         return [self.edge(e) for e in range(len(self.src)) if self.alive[e]]

@@ -261,7 +261,7 @@ class ReferenceEngine:
 
     def batch_deletes(self, events):
         events = [e if isinstance(e, StreamEvent) else StreamEvent.delete(*e) for e in events]
-        doomed = resolve_deletions(self.graph, events)
+        doomed = resolve_deletions(self.graph, events).tolist()
         results = self._enumerate(doomed, positive=False)  # against the pre-delete graph
         deleted = []
         for edge_id in doomed:

@@ -16,9 +16,14 @@ These tests pin that contract:
    (``tests/reference/tuple_kernel.py``): identical positive/negative
    identity sets per batch, and on the serial engine identical
    counters, live-edge counts and DEBI content.
-3. **Edge cases** — duplicate parallel edges in one batch,
-   delete-then-reinsert hitting a recycled id, empty batches.
-4. **Publish regimes** — dirty-slice publication is byte-identical to a
+3. **Sliding-window multigraph** — a stream where every expiry is
+   ambiguous and every id recycled keeps the reference's ids, free-id
+   stacks, CSR export and DEBI rows on the serial engine, the pool and two
+   shards.
+4. **Edge cases** — duplicate parallel edges in one batch,
+   delete-then-reinsert hitting a recycled id, empty batches, a vertex
+   id of 2**40.
+5. **Publish regimes** — dirty-slice publication is byte-identical to a
    fresh full export, and an interloper export forces the full-copy
    fallback.
 """
@@ -35,11 +40,15 @@ from repro import ShardedEngine
 from repro.core.debi import DEBI
 from repro.core.engine import EngineConfig, MnemonicEngine
 from repro.core.parallel import ParallelConfig
+from repro.core.registry import resolve_deletions
 from repro.core.shared_snapshot import SharedSnapshotWriter, SnapshotAttachment
 from repro.graph.adjacency import DynamicGraph
 from repro.query.query_graph import QueryGraph
 from repro.query.query_tree import QueryTree
+from repro.streams.config import StreamConfig, StreamType
 from repro.streams.events import EventColumns, EventKind, StreamEvent
+from repro.streams.generator import SnapshotGenerator
+from repro.streams.sources import ListSource
 from tests.reference.tuple_kernel import ReferenceEngine
 
 # ---------------------------------------------------------------------- strategies
@@ -127,16 +136,14 @@ def test_columnar_graph_parity(ops, size):
 
         # resolve deletions identically on both graphs, then compare the
         # per-event delete loop against the bulk columnar apply
-        from repro.core.registry import resolve_deletions
-
-        ref_doomed = resolve_deletions(ref, deletes)
+        ref_doomed = resolve_deletions(ref, deletes).tolist()
         col_doomed = resolve_deletions(col, deletes)
-        assert col_doomed == ref_doomed
+        assert col_doomed.tolist() == ref_doomed
         ref_records = [ref.delete_edge(eid) for eid in ref_doomed]
-        col_records = list(col.apply_delete_columns(col_doomed))
-        assert len(col_records) == len(ref_records)
-        for a, b in zip(col_records, ref_records):
-            assert (a.src, a.dst, a.label) == (b.src, b.dst, b.label)
+        assert list(col.apply_delete_columns(col_doomed).records()) == ref_records
+        assert {v: col.free_ids.stack(v) for v in _VERTICES} == {
+            v: ref.free_ids.stack(v) for v in _VERTICES
+        }
 
     ref_state = _graph_state(ref)
     col_state = _graph_state(col)
@@ -203,7 +210,99 @@ def test_columnar_engine_parity(engine_name, ops, size):
             assert engine.debi.rows(ids) == ref_runtime.debi.rows(ids)
 
 
+# ---------------------------------------------------------------------- sliding-window multigraph
+def _window_stream(seed):
+    """A LANL-shaped stream: four triples, 12-16 parallel instances of each in
+    every stride, timestamps in order and often equal among instances."""
+    rng = random.Random(seed)
+    triples = [(0, 1, 0), (0, 1, 1), (2, 1, 0), (1, 3, 0)]
+    events, clock = [], 0.0
+    for _ in range(10):  # strides
+        for src, dst, label in triples:
+            for _ in range(rng.randrange(12, 17)):
+                clock += rng.choice([0.0, 0.0, 0.125])
+                events.append(StreamEvent.insert(src, dst, label, clock, src % 2, dst % 2))
+        clock = float(int(clock) + 1)
+    return events
+
+
+_WINDOW = StreamConfig(stream_type=StreamType.SLIDING_WINDOW, window=3.0, stride=1.0)
+
+
+@pytest.mark.parametrize("engine_name", _ENGINES)
+@pytest.mark.parametrize("seed", [3, 4])
+def test_sliding_window_multigraph_matches_the_reference(engine_name, seed):
+    """Every expiry is ambiguous (>= 12 live instances per triple) and every id
+    is recycled: ids, free-id stacks, CSR export and DEBI rows stay those of
+    the per-edge reference, snapshot after snapshot."""
+    events = _window_stream(seed)
+    query = QueryGraph.from_edges([(0, 1), (1, 2)], node_labels={0: 0, 1: 1, 2: 1})
+    reference = ReferenceEngine([(query, None)])
+    ref_graph, ref_debi = reference.graph, reference.runtimes[0].debi
+    with _ENGINES[engine_name](query) as engine:
+        deleted = found = 0
+        for snapshot in SnapshotGenerator(ListSource(events), _WINDOW):
+            expected = [
+                _identities(reference.batch_inserts(snapshot.insertions)[0][0]),
+                _identities(reference.batch_deletes(snapshot.deletions)[0][0])
+                if snapshot.deletions else frozenset(),
+            ]
+            result = engine.process_snapshot(snapshot)
+            assert [
+                _identities(result.positive_embeddings), _identities(result.negative_embeddings)
+            ] == expected
+            deleted += snapshot.delete_batch_size
+            found += len(expected[0]) + len(expected[1])
+            ids = np.arange(ref_graph.num_placeholders)
+            if engine_name == "2-shards":
+                router = engine.router
+                assert list(engine.routed_graph.edges()) == list(ref_graph.edges())
+                assert router.allocator.num_placeholders == ref_graph.num_placeholders
+                stacks, bits = router.allocator.free_ids, engine.routed_debi
+                live = np.flatnonzero(router._primary[: ids.shape[0]] >= 0)
+            else:
+                for key, expected_array in _graph_state(ref_graph).items():
+                    assert np.array_equal(_graph_state(engine.graph)[key], expected_array), key
+                engine.graph.check_invariants()
+                stacks, bits, live = engine.graph.free_ids, engine.debi, ids
+            assert {v: stacks.stack(v) for v in range(4)} == {
+                v: ref_graph.free_ids.stack(v) for v in range(4)
+            }
+            for column in range(2):
+                assert np.array_equal(
+                    bits.column_mask(live, column), ref_debi.column_mask(live, column)
+                )
+        assert found, "vacuous: the query never matched"
+        assert deleted > len(events) // 2 and ref_graph.stats.recycled > len(events) // 2
+        assert ref_graph.num_placeholders < len(events) // 2
+
+
 # ---------------------------------------------------------------------- edge cases
+def test_huge_vertex_id_costs_one_entry():
+    """A vertex id of 2**40 is interned like any other: the store's arrays
+    follow the batch, not the id (a table by raw id would be 8 TiB)."""
+    big = 2**40
+    graph = DynamicGraph()
+    src = np.array([big, 5, big + 1, big])
+    dst = np.array([5, big, big, big + 1])
+    ids = graph.apply_insert_columns(src, dst, np.array([0, 1, 0, 0]), np.arange(4.0))
+    graph.check_invariants()
+    assert graph.find_edges(big, 5, 0) == [ids[0]] and graph.out_degree(big) == 2
+    events = [StreamEvent.delete(big, big + 1, 0, 3.0), StreamEvent.delete(5, big, 1, 99.0)]
+    doomed = resolve_deletions(graph, events)
+    assert doomed.tolist() == [ids[3], ids[1]]
+    assert list(graph.apply_delete_columns(doomed).src) == [big, 5]
+    assert graph.add_edge(big, 7) == ids[3], "the id freed at 2**40 is recycled there"
+    graph.check_invariants()
+
+    def arrays(obj):
+        return [v for v in vars(obj).values() if isinstance(v, np.ndarray)]
+
+    held = arrays(graph) + arrays(graph._out) + arrays(graph._in) + arrays(graph.free_ids)
+    assert sum(a.nbytes for a in held) < 16_384
+    assert list(graph.export_csr().vertex_ids) == [big, 5, big + 1, 7]
+
+
 def test_duplicate_parallel_edges_single_batch():
     """N copies of the same (src, dst, label) in one batch: distinct ids."""
     events = [StreamEvent.insert(0, 1, 2, float(i), 0, 1) for i in range(5)]
@@ -258,7 +357,7 @@ def test_empty_batches():
     graph = DynamicGraph()
     empty = np.zeros(0, dtype=np.int64)
     assert list(graph.apply_insert_columns(empty, empty, empty, empty, empty, empty)) == []
-    assert list(graph.apply_delete_columns([])) == []
+    assert graph.apply_delete_columns([]).edge_id.size == 0
     assert EventColumns.from_events(EventKind.INSERT, []) is not None or True
 
     query = QueryGraph.from_edges([(0, 1)], node_labels={0: 0, 1: 1})

@@ -40,7 +40,31 @@ class TestResolveDeletions:
             StreamEvent.delete(1, 2, 0, timestamp=99.0),  # no instance has it: the latest
             StreamEvent.delete(1, 2, 0, timestamp=6.0),   # middle is doomed already: one left
         ]
-        assert resolve_deletions(graph, events) == [middle, single, latest, oldest]
+        assert resolve_deletions(graph, events).tolist() == [middle, single, latest, oldest]
+
+    def test_the_latest_instance_is_the_most_recently_inserted_one_also_after_a_delete(self):
+        """Three parallel instances, the oldest deleted: a swap-with-last
+        instance list read [30.0, 20.0] and "the latest" was the 20.0 edge."""
+        for take in ("resolve", "delete_edge_instance"):
+            graph = DynamicGraph()
+            first, second, third = (graph.add_edge(1, 2, 0, stamp) for stamp in (10.0, 20.0, 30.0))
+            graph.delete_edge(first)
+            assert graph.find_edges(1, 2, 0) == [second, third]
+            if take == "resolve":  # a timestamp no instance carries: the latest one
+                taken = resolve_deletions(graph, [StreamEvent.delete(1, 2, 0, 99.0)]).tolist()
+            else:
+                taken = [graph.delete_edge_instance(1, 2, 0).edge_id]
+            assert taken == [third]
+
+    def test_the_oldest_instance_with_the_timestamp_is_taken(self):
+        graph = DynamicGraph()
+        ids = [graph.add_edge(1, 2, 0, stamp) for stamp in (5.0, 7.0, 7.0, 5.0, 7.0)]
+        graph.delete_edge(ids[1])  # the oldest 7.0 is now ids[2]
+        events = [StreamEvent.delete(1, 2, 0, 7.0), StreamEvent.delete(1, 2, 0, 7.0),
+                  StreamEvent.delete(1, 2, 0, 7.0), StreamEvent.delete(1, 2, 0, 5.0)]
+        # the third 7.0 finds none left and takes the latest survivor, ids[3];
+        # the 5.0 event then has only ids[0]
+        assert resolve_deletions(graph, events).tolist() == [ids[2], ids[4], ids[3], ids[0]]
 
     def test_an_instance_is_doomed_only_once(self):
         graph, _ = self._graph()
@@ -50,8 +74,9 @@ class TestResolveDeletions:
 
 
 def frozen_resolve_deletions(graph, events):
-    """``resolve_deletions`` as it stood before it read the timestamp column
-    (one ``EdgeRecord`` per parallel instance); frozen here as the reference."""
+    """The rule of ``resolve_deletions`` one event at a time over the scalar
+    ``find_edges`` (insertion order) and one ``EdgeRecord`` per parallel
+    instance; frozen here as the reference of the batched resolution."""
     doomed_ids = []
     doomed_set = set()
     for event in events:
@@ -93,17 +118,19 @@ class TestResolveDeletionsAgainstFrozenReference:
                 )
                 for record in rng.sample(list(graph.edges()), rng.randrange(20, 40))
             ]
-            doomed = resolve_deletions(graph, events)
+            doomed = resolve_deletions(graph, events).tolist()
             assert doomed == frozen_resolve_deletions(graph, events)
             assert len(set(doomed)) == len(doomed)
-            graph.apply_delete_columns(doomed)  # swap-with-last reorders the instance lists
+            graph.apply_delete_columns(doomed)  # recycled ids: id order stops being age order
 
     def test_unmatched_deletion_is_rejected_like_the_reference(self):
         graph = DynamicGraph()
         for stamp in range(12):
             graph.add_edge(1, 2, 0, timestamp=float(stamp))
         events = [StreamEvent.delete(1, 2, 0, timestamp=3.0)] * 13
-        assert resolve_deletions(graph, events[:12]) == frozen_resolve_deletions(graph, events[:12])
+        assert resolve_deletions(graph, events[:12]).tolist() == frozen_resolve_deletions(
+            graph, events[:12]
+        )
         for resolve in (resolve_deletions, frozen_resolve_deletions):
             with pytest.raises(ConfigurationError, match="does not match a live edge"):
                 resolve(graph, events)

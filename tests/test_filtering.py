@@ -126,11 +126,13 @@ class TestDeletions:
         manager.handle_insertions([e1, e2])
         return graph, tree, debi, manager, e1, e2
 
-    def _delete(self, graph, debi, manager, edge_id):
-        row = debi.row(edge_id)
-        record = graph.delete_edge(edge_id)
-        debi.clear_edge(edge_id)
-        manager.handle_deletions([(record, row)])
+    @staticmethod
+    def _delete(graph, debi, manager, edge_id):
+        doomed = np.array([edge_id])
+        held = manager.held_bits(doomed)
+        deleted = graph.apply_delete_columns(doomed)
+        debi.clear_edges(doomed)
+        manager.handle_deletions(deleted, held)
 
     def test_deleting_leaf_support_clears_upstream(self, path_query):
         graph, tree, debi, manager, e1, e2 = self._build_chain(path_query)
@@ -166,10 +168,7 @@ class TestDeletions:
         e2 = graph.add_edge(10, 12, src_label=0, dst_label=2)
         manager.handle_insertions([e1, e2])
         assert debi.is_root(10)
-        row = debi.row(e2)
-        record = graph.delete_edge(e2)
-        debi.clear_edge(e2)
-        manager.handle_deletions([(record, row)])
+        self._delete(graph, debi, manager, e2)
         assert not debi.is_root(10)
         assert debi_matches_definition(manager)
 

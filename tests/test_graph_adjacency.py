@@ -6,7 +6,9 @@ import time
 import numpy as np
 import pytest
 
+from repro.core.registry import resolve_deletions
 from repro.graph.adjacency import DynamicGraph
+from repro.streams.events import EventColumns, EventKind
 from repro.utils.validation import GraphError
 
 
@@ -185,7 +187,7 @@ def graph_state(graph):
     return (
         graph.num_edges,
         graph.num_placeholders,
-        graph._num_free_ids,
+        graph.free_ids.count,
         list(graph.edges()),
         {
             (v, out, label): graph.candidate_pool(v, out, label).tolist()
@@ -216,7 +218,7 @@ class TestRejectedBatchesMutateNothing:
         with pytest.raises(GraphError, match=str(culprit)):
             graph.apply_delete_columns(batch)
         assert graph_state(graph) == before
-        assert len(graph.apply_delete_columns(good)) == 2  # the good ids were still deletable
+        assert graph.apply_delete_columns(good).edge_id.size == 2  # the good ids were still deletable
 
     @pytest.mark.parametrize("bad", ["live", "negative", "duplicate"])
     def test_forced_insert_batch(self, bad):
@@ -249,12 +251,38 @@ class TestHubVertex:
         assert graph.out_label_degree(0, 0) == n
         survivors = ids[::1000]
         doomed = sorted(set(ids) - set(survivors), key=lambda e: (e * 7919) % n)
-        assert len(graph.apply_delete_columns(doomed)) == n - len(survivors)
+        assert graph.apply_delete_columns(doomed).edge_id.size == n - len(survivors)
         elapsed = time.perf_counter() - start
         assert graph.out_edges(0) == survivors, "survivors keep their insertion order"
         assert graph.num_edges == len(survivors)
         graph.check_invariants()
         assert elapsed < 2.0, f"hub insert+delete took {elapsed:.2f}s"
+
+
+    @pytest.mark.timeout(5)
+    def test_deleting_a_hub_by_events_is_linear(self):
+        """The same hub emptied through ``resolve_deletions``, 20 parallel
+        instances per triple, in two event batches: each batch gathers the
+        hub's partition once, not once per event."""
+        n, fan = 40_000, 2_000
+        graph = DynamicGraph()
+        dst = np.arange(n) % fan + 1
+        graph.apply_insert_columns(np.zeros(n, dtype=np.int64), dst, timestamp=np.arange(n) // fan)
+        zeros = np.zeros(n, dtype=np.int64)
+        doomed_rows = np.flatnonzero(np.arange(n) % 1000 != 0)  # 39 960 of them
+        start = time.perf_counter()
+        for rows in np.array_split(np.random.default_rng(0).permutation(doomed_rows), 2):
+            events = EventColumns(
+                EventKind.DELETE, zeros[rows], dst[rows], zeros[rows],
+                (rows // fan).astype(float), zeros[rows], zeros[rows],
+            )
+            doomed = resolve_deletions(graph, events)
+            assert sorted(doomed.tolist()) == sorted(rows.tolist()), "stamps name the instances"
+            graph.apply_delete_columns(doomed)
+        elapsed = time.perf_counter() - start
+        assert graph.out_edges(0) == list(range(0, n, 1000))
+        graph.check_invariants()
+        assert elapsed < 2.0, f"hub delete by events took {elapsed:.2f}s"
 
 
 class TestIncrementalCSRExport:

@@ -4,8 +4,9 @@ A hypothesis state machine drives the columnar store and
 :class:`reference.graph_model.GraphModel` with the same operations —
 insert and delete batches, scalar ``add_edge`` / ``delete_edge``, forced
 ids with gaps, rejected batches, ``copy()``, a pickle round trip, CSR
-exports — and after every step requires identical edge ids and records,
-identical triple resolution, the same pools and degrees per
+exports, stream deletions resolved by triple — and after every step
+requires identical edge ids and records, identical triple resolution, the
+same per-source free-id stacks, the same pools and degrees per
 ``(vertex, direction, label)`` (scalar and batched reads alike, on the
 live graph, on a view of its export and through the shard guard), the
 same counters, and a clean ``check_invariants()``.
@@ -23,10 +24,12 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 from reference.graph_model import GraphModel
 
+from repro.core.registry import resolve_deletions
 from repro.core.sharding import CrossShardAccess, HashPartitionStrategy, ShardGuardView
 from repro.graph.adjacency import CSRGraphView, DynamicGraph
 from repro.graph.stats import PlaceholderStats
-from repro.utils.validation import GraphError
+from repro.streams.events import EventColumns, EventKind
+from repro.utils.validation import ConfigurationError, GraphError
 
 VERTICES = st.integers(0, 7)
 LABELS = st.integers(0, 2)
@@ -99,7 +102,7 @@ class GraphMachine(RuleBasedStateMachine):
     def delete_batch(self, data):
         doomed = data.draw(st.lists(st.sampled_from(self.live_ids()), min_size=1, unique=True))
         expected = [self.model.delete_edge(e) for e in doomed]
-        assert self.graph.apply_delete_columns(np.array(doomed)) == expected
+        assert list(self.graph.apply_delete_columns(np.array(doomed)).records()) == expected
 
     @precondition(lambda self: self.model.num_edges)
     @rule(data=st.data())
@@ -113,6 +116,63 @@ class GraphMachine(RuleBasedStateMachine):
         _, src, dst, label, _ = data.draw(st.sampled_from(self.model.edges()))
         latest = self.model.find_edges(src, dst, label)[-1]
         assert self.graph.delete_edge_instance(src, dst, label) == self.model.delete_edge(latest)
+
+    @precondition(lambda self: self.model.num_edges)
+    @rule(data=st.data())
+    def delete_events(self, data):
+        """Stream deletions, resolved as one batch of columns.
+
+        The events name live triples — one triple possibly several times,
+        possibly more often than it has instances — with a timestamp that is
+        an instance's own (ties are common: three stamps exist), some other
+        instance's, or nobody's.  An event left without an instance refuses
+        the whole batch and writes nothing (the invariant compares the state).
+        """
+        records = data.draw(st.lists(st.sampled_from(self.model.edges()), min_size=1, max_size=8))
+        events = [
+            (r.src, r.dst, r.label, data.draw(st.sampled_from([r.timestamp, 0.0, 1.0, 2.5, -1.0])))
+            for r in records
+        ]
+        zeros = np.zeros(len(events), dtype=np.int64)
+        src, dst, label, stamp = (np.array(column) for column in zip(*events))
+        columns = EventColumns(EventKind.DELETE, src, dst, label, stamp.astype(float), zeros, zeros)
+        try:
+            expected = self.model.resolve_deletions(events)
+        except GraphError:
+            with pytest.raises(ConfigurationError, match="does not match a live edge"):
+                resolve_deletions(self.graph, columns)
+            return
+        doomed = resolve_deletions(self.graph, columns)
+        assert doomed.tolist() == expected
+        deleted = self.graph.apply_delete_columns(doomed)
+        assert list(deleted.records()) == [self.model.delete_edge(e) for e in expected]
+
+    @precondition(lambda self: self.model.num_edges)
+    @rule(data=st.data(), events=st.lists(EVENTS, min_size=2, max_size=8),
+          batched=st.lists(st.booleans(), min_size=3, max_size=3))
+    def recycle_round(self, data, events, batched):
+        """Delete, insert at the freed sources, delete again — each leg scalar or
+        batched — with the ids of every leg compared to the per-edge model."""
+        for leg, as_batch in enumerate(batched):
+            if leg == 1:
+                sources = [s for s, free in self.model.free_ids.items() if free] or [0]
+                events = [(sources[i % len(sources)], *event[1:4], sources[i % len(sources)] % 3,
+                           event[5]) for i, event in enumerate(events)]
+                expected = [self.model.add_edge(*event) for event in events]
+                found = self.insert_columns(events) if as_batch else [
+                    self.graph.add_edge(*event) for event in events
+                ]
+                assert found == expected
+                continue
+            if not self.model.num_edges:
+                continue
+            doomed = data.draw(st.lists(st.sampled_from(self.live_ids()), min_size=1, unique=True))
+            expected = [self.model.delete_edge(e) for e in doomed]
+            found = self.graph.apply_delete_columns(np.array(doomed)).records() if as_batch else [
+                self.graph.delete_edge(e) for e in doomed
+            ]
+            assert list(found) == expected
+            self.agrees_with_model()
 
     # ------------------------------------------------------------------ rejections change nothing
     @rule(data=st.data(), position=st.integers(0, 3))
@@ -200,7 +260,10 @@ class GraphMachine(RuleBasedStateMachine):
         graph.check_invariants()
         assert graph.num_edges == model.num_edges
         assert graph.num_placeholders == model.num_placeholders
-        assert graph._num_free_ids == model.num_free_ids
+        assert graph.free_ids.count == model.free_id_count
+        assert {v: graph.free_ids.stack(v) for v in model.vertex_labels} == {
+            v: model.free_ids.get(v, []) for v in model.vertex_labels
+        }, "per-source LIFO stacks, top last"
         assert graph.stats == model.stats
         assert list(graph.edges()) == model.edges()
         assert [(v, graph.vertex_label(v)) for v in graph.vertices()] == list(

@@ -60,8 +60,8 @@ def check_partition_invariants(graph: DynamicGraph, live: list[tuple[int, int, i
         assert Counter(graph.out_edges(vertex)) == Counter(e for e, _ in expected_out)
         assert Counter(graph.in_edges(vertex)) == Counter(e for e, _ in expected_in)
         for label in range(NUM_LABELS):
-            out_part = graph.out_edges_with_label(vertex, label).tolist()
-            in_part = graph.in_edges_with_label(vertex, label).tolist()
+            out_part = graph.candidate_pool(vertex, True, label).tolist()
+            in_part = graph.candidate_pool(vertex, False, label).tolist()
             # Partition contents = the label-filtered slice of the truth.
             assert Counter(out_part) == Counter(e for e, lab in expected_out if lab == label)
             assert Counter(in_part) == Counter(e for e, lab in expected_in if lab == label)
@@ -101,11 +101,11 @@ class TestPartitionInvariants:
         graph = DynamicGraph()
         eid = graph.add_edge(1, 2, label=3)
         graph.delete_edge(eid)
-        assert graph.out_edges_with_label(1, 3).tolist() == []
+        assert graph.candidate_pool(1, True, 3).tolist() == []
         assert graph.out_label_degree(1, 3) == 0
         assert graph.candidate_pool(1, out=True, label=3).tolist() == []
         # Unknown vertex / label never allocated.
-        assert graph.out_edges_with_label(99, 0).tolist() == []
+        assert graph.candidate_pool(99, True, 0).tolist() == []
         assert graph.in_label_degree(99, 0) == 0
 
 
@@ -121,12 +121,12 @@ class TestCSRViewParity:
             for label in range(NUM_LABELS):
                 # Labelled pools: identical order (partition enumeration parity).
                 assert (
-                    view.out_edges_with_label(vertex, label).tolist()
-                    == graph.out_edges_with_label(vertex, label).tolist()
+                    view.candidate_pool(vertex, True, label).tolist()
+                    == graph.candidate_pool(vertex, True, label).tolist()
                 )
                 assert (
-                    view.in_edges_with_label(vertex, label).tolist()
-                    == graph.in_edges_with_label(vertex, label).tolist()
+                    view.candidate_pool(vertex, False, label).tolist()
+                    == graph.candidate_pool(vertex, False, label).tolist()
                 )
                 assert view.out_label_degree(vertex, label) == graph.out_label_degree(vertex, label)
                 assert view.in_label_degree(vertex, label) == graph.in_label_degree(vertex, label)

@@ -244,7 +244,8 @@ class TestRouterRefusesBeforeItWrites:
                 router = each.router
                 return (
                     dict(router.partition._owner),
-                    {src: list(ids) for src, ids in router.allocator._free_ids.items() if ids},
+                    {v: router.allocator.free_ids.stack(v) for v in router.partition.vertices()},
+                    router.allocator.free_ids.count,
                     router.allocator.num_placeholders, router.allocator.recycled,
                     router.num_edges, router._primary.tolist(), router._secondary.tolist(),
                     [(sorted(shard.graph.edges()), sorted(shard.graph.vertices()),
@@ -252,7 +253,7 @@ class TestRouterRefusesBeforeItWrites:
                 )
 
             # new vertices (40, 41) and a recyclable source ahead of the bad row
-            assert engine.router.allocator._free_ids[1]
+            assert engine.router.allocator.free_ids.stack(1)
             hostile = [
                 StreamEvent.insert(40, 41, 0, 0.0, 0, 1),
                 StreamEvent.insert(1, 40, 0, 0.0, 1, 0),
