@@ -58,6 +58,17 @@ def _only_timings_moved(old: str, new: str) -> bool:
     )
 
 
+#: the worker-side split every pool table prints (``WorkerStats`` totals of a run)
+SPLIT_COLUMNS = ["kernel_calls", "attach_s", "kernel_s", "result_bytes"]
+
+
+def split_cells(run) -> list:
+    """``run_mnemonic_stream``'s ``extra["worker_split"]`` as the cells of :data:`SPLIT_COLUMNS`."""
+    split = run.extra["worker_split"]
+    return [split["kernel_calls"], split["attach_seconds"], split["kernel_seconds"],
+            split["result_bytes"]]
+
+
 def write_result(name: str, text: str) -> None:
     """Persist a rendered table under benchmarks/results/ and echo it.
 

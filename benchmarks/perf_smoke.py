@@ -186,7 +186,7 @@ def run_kernel_parity(stream) -> tuple[dict, list[str]]:
         "insert": (list(stream), StreamType.INSERT_ONLY),
         "mixed": (mixed, StreamType.INSERT_DELETE),
     }
-    parallel = ParallelConfig(backend="process", num_workers=2, chunk_size=32)
+    parallel = ParallelConfig(backend="process", num_workers=2)
     failures: list[str] = []
     metrics: dict[str, dict] = {}
     for suite, query in workload:
@@ -329,7 +329,7 @@ def run_pipeline_parity(stream) -> tuple[dict, list[str]]:
         if e.kind is EventKind.INSERT
     ]
     mixed = list(stream[:prefix]) + list(suffix) + deletes
-    parallel = ParallelConfig(backend="process", num_workers=2, chunk_size=32)
+    parallel = ParallelConfig(backend="process", num_workers=2)
     failures: list[str] = []
     metrics: dict[str, dict] = {}
     for suite, query in workload:
@@ -445,7 +445,7 @@ def run_service_parity(stream) -> tuple[dict, list[str]]:
     )
     prefix = len(stream) - FIG06_SUFFIX
     mixed = build_parity_mixed_stream(stream, prefix)
-    parallel = ParallelConfig(backend="process", num_workers=2, chunk_size=32)
+    parallel = ParallelConfig(backend="process", num_workers=2)
     adaptive_rate = 4000.0
     adaptive_delay = 4.5 / adaptive_rate  # ~5-event batches at uniform arrivals
     failures: list[str] = []
@@ -665,7 +665,7 @@ def run_self_healing_parity(stream) -> tuple[dict, list[str]]:
     )
     prefix = len(stream) - FIG06_SUFFIX
     mixed = build_parity_mixed_stream(stream, prefix)
-    parallel = ParallelConfig(backend="process", num_workers=2, chunk_size=32)
+    parallel = ParallelConfig(backend="process", num_workers=2)
     failures: list[str] = []
     metrics: dict[str, dict] = {}
 
@@ -815,7 +815,7 @@ def run_multi_query(stream) -> tuple[dict, list[str]]:
     # enumeration phase, and produce the same embeddings as the serial pass.
     pooled = run_multi_query_stream(
         queries, stream, initial_prefix=prefix, batch_size=FIG06_BATCH,
-        parallel=ParallelConfig(backend="process", num_workers=2, chunk_size=32),
+        parallel=ParallelConfig(backend="process", num_workers=2),
         collect_embeddings=True,
     )
     if pooled.snapshot_exports == 0:

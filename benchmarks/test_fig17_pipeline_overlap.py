@@ -23,7 +23,7 @@ import os
 
 import pytest
 
-from benchmarks.conftest import write_result
+from benchmarks.conftest import SPLIT_COLUMNS, split_cells, write_result
 from repro.bench.harness import run_mnemonic_stream
 from repro.bench.reporting import format_table
 from repro.core.parallel import ParallelConfig
@@ -56,9 +56,7 @@ def _run(stream, workload):
             runs[mode] = run_mnemonic_stream(
                 query, stream, initial_prefix=prefix, batch_size=BATCH_SIZE,
                 query_name=suite, collect_embeddings=True, pipeline=mode,
-                parallel=ParallelConfig(
-                    backend="process", num_workers=WORKERS, chunk_size=16
-                ),
+                parallel=ParallelConfig(backend="process", num_workers=WORKERS),
             )
         serial, pipelined = runs["serial"], runs["pipelined"]
         ratio = serial.seconds / pipelined.seconds if pipelined.seconds > 0 else 0.0
@@ -69,6 +67,7 @@ def _run(stream, workload):
         rows.append([
             suite, serial.seconds, pipelined.seconds, ratio,
             serial.embeddings, pipelined.embeddings, identical[suite],
+            *split_cells(pipelined),
         ])
     return rows, ratios, identical
 
@@ -82,7 +81,7 @@ def test_fig17_pipeline_overlap(benchmark, netflow_workload):
     table = format_table(
         "Pipeline overlap - serial vs pipelined batch execution (fig06 stream)",
         ["suite", "serial_s", "pipelined_s", "speedup", "serial_emb",
-         "pipelined_emb", "bit_identical"],
+         "pipelined_emb", "bit_identical", *SPLIT_COLUMNS],
         rows,
     )
     write_result("fig17_pipeline_overlap", table)

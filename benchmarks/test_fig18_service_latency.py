@@ -50,8 +50,7 @@ def _run(stream, workload):
                 query, stream, initial_prefix=prefix, batch_size=BATCH_SIZE,
                 max_batch_delay=MAX_BATCH_DELAY, stream_type=StreamType.INSERT_ONLY,
                 events_per_second=load, pipeline=mode, query_name=suite,
-                parallel=ParallelConfig(backend="process", num_workers=WORKERS,
-                                        chunk_size=16),
+                parallel=ParallelConfig(backend="process", num_workers=WORKERS),
             )
             latency = run.latency
             summaries[(load, mode)] = run

@@ -86,7 +86,7 @@ def main() -> None:
     # supervisor respawn twice with no backoff sleeps.
     plan = faults.FaultPlan(kill_at_unit=2, kills=1)
     policy = FaultPolicy(max_respawns=2, backoff_initial_seconds=0.0)
-    pool = ParallelConfig(backend="process", num_workers=2, chunk_size=32)
+    pool = ParallelConfig(backend="process", num_workers=2)
     with faults.injected(plan):
         healed, stats = run_stream(query, initial, live, parallel=pool, fault=policy)
 

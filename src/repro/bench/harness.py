@@ -70,6 +70,15 @@ class BenchRun:
 
 
 # ---------------------------------------------------------------------- Mnemonic
+def worker_split(result: RunResult) -> dict:
+    """A run's ``WorkerStats`` totals: what the enumerating side spent where."""
+    stats = [
+        w for s in result.snapshots for o in s.enumeration_outcomes for w in o.worker_stats
+    ]
+    names = ("kernel_calls", "busy_seconds", "attach_seconds", "kernel_seconds", "result_bytes")
+    return {name: sum(getattr(w, name) for w in stats) for name in names}
+
+
 def run_mnemonic_stream(
     query: QueryGraph,
     stream: Sequence[StreamEvent],
@@ -139,6 +148,7 @@ def run_mnemonic_stream(
             "pool_phases": engine.pool_enumeration_phases,
             "fault_stats": engine.fault_stats(),
             "phase_split": result.phase_split(),
+            "worker_split": worker_split(result),
         }
         pool = engine.multi._pool
         if pool is not None:

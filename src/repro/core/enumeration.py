@@ -27,7 +27,7 @@ does not apply: another witness makes another embedding.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -53,6 +53,46 @@ class WorkUnit:
 
     edge_id: int
     start_edge: int
+
+
+class WorkUnits:
+    """A phase's work units as two int64 columns, in :func:`decompose_batch`'s order.
+
+    Row ``i`` pins data edge ``edge_ids[i]`` onto query edge ``start_edges[i]``.
+    The columns travel as they are from the decomposition through dispatch,
+    task messages and recovery to the kernel; iterating builds :class:`WorkUnit`s.
+    """
+
+    __slots__ = ("edge_ids", "start_edges")
+
+    def __init__(self, edge_ids=(), start_edges=()) -> None:
+        self.edge_ids = np.asarray(edge_ids, dtype=np.int64)
+        self.start_edges = np.asarray(start_edges, dtype=np.int64)
+
+    @classmethod
+    def concat(cls, parts: "list[WorkUnits]") -> "WorkUnits":
+        """The units of ``parts`` (at least one), part after part."""
+        return cls(
+            np.concatenate([part.edge_ids for part in parts]),
+            np.concatenate([part.start_edges for part in parts]),
+        )
+
+    def __len__(self) -> int:
+        return self.edge_ids.shape[0]
+
+    def __getitem__(self, rows) -> "WorkUnits":
+        """The units at ``rows`` (a slice, a stride, a mask or an index array)."""
+        return WorkUnits(self.edge_ids[rows], self.start_edges[rows])
+
+    def __iter__(self) -> "Iterator[WorkUnit]":
+        return map(WorkUnit, self.edge_ids.tolist(), self.start_edges.tolist())
+
+    def groups(self) -> "Iterator[tuple[int, np.ndarray]]":
+        """``(start edge, its unit edge ids)``, stably: groups in order of
+        first appearance, each group's edges in unit order."""
+        starts, first = np.unique(self.start_edges, return_index=True)
+        for start in starts[np.argsort(first)].tolist():
+            yield start, self.edge_ids[self.start_edges == start]
 
 
 class EnumerationContext:
@@ -161,6 +201,11 @@ class EnumerationContext:
         elif fresh:
             rows = np.searchsorted(anchors, np.fromiter(fresh, np.int64, len(fresh)))
             self.candidates_scanned += int(sizes[rows].sum())
+
+    def forget_charges(self) -> None:
+        """Charge the next kernel call as a fresh context would: what a pool
+        worker's slice is charged must not depend on the slices it ran before."""
+        self._charged_anchors = {}
 
     def in_batch(self, edge_ids: np.ndarray) -> np.ndarray:
         """Bool mask: which of ``edge_ids`` belong to the current batch.
@@ -314,7 +359,7 @@ class QueryState:
 def decompose_batch(
     context: EnumerationContext,
     batch_edge_ids: Iterable[int],
-) -> list[WorkUnit]:
+) -> WorkUnits:
     """Build the work units for a batch (Section VI, "Work decomposition").
 
     A unit is created for every (updated edge, query edge) pair whose
@@ -323,57 +368,38 @@ def decompose_batch(
     the unit would do no work.  Units come out batch-edge major, query-edge
     minor; scheduling, scan counters and embedding order all follow it.
 
-    With the stock ``edge_matcher`` the batch's label columns are gathered
-    once and every query edge is one boolean mask over them (ANDed with one
-    ``column_mask`` for a tree edge); a custom matcher is asked once per pair.
+    Every query edge is one boolean mask over the batch (ANDed with one
+    ``column_mask`` for a tree edge): with the stock ``edge_matcher`` a
+    comparison of label columns gathered once, with a custom one a call
+    per pair (:meth:`EnumerationContext.edge_match_mask`).
     """
     query = context.query
     graph = context.graph
     tree = context.tree
-    # Per query edge: the DEBI column gating it (None for non-tree edges).
-    q_edges = [
-        (
-            q_edge,
-            tree.tree_edge_for(q_edge.index).column if tree.is_tree_edge(q_edge.index) else None,
-        )
-        for q_edge in query.edges()
-    ]
-    if not uses_default_edge_matcher(context.match_def):
-        edge_matcher = context.match_def.edge_matcher
-        debi_get = context.debi.get
-        units: list[WorkUnit] = []
-        for eid in batch_edge_ids:
-            record = graph.edge(eid)
-            for q_edge, column in q_edges:
-                if not edge_matcher(query, graph, q_edge, record):
-                    continue
-                if column is not None and not debi_get(eid, column):
-                    continue
-                units.append(WorkUnit(edge_id=eid, start_edge=q_edge.index))
-        return units
-
     ids = np.fromiter(batch_edge_ids, dtype=np.int64)
     if ids.shape[0] == 0:
-        return []
-    src_labels, dst_labels = vertex_label_columns(
-        graph,
-        graph.endpoint_array(ids, take_dst=False),
-        graph.endpoint_array(ids, take_dst=True),
-    )
-    edge_labels = graph.edge_labels(ids)
-    matches = np.empty((ids.shape[0], len(q_edges)), dtype=bool)
-    for q_edge, column in q_edges:
-        mask = default_edge_mask(query, q_edge, src_labels, dst_labels, edge_labels)
-        if column is not None:
-            mask &= context.debi.column_mask(ids, column)
+        return WorkUnits()
+    stock = uses_default_edge_matcher(context.match_def)
+    if stock:
+        src_labels, dst_labels = vertex_label_columns(
+            graph,
+            graph.endpoint_array(ids, take_dst=False),
+            graph.endpoint_array(ids, take_dst=True),
+        )
+        edge_labels = graph.edge_labels(ids)
+    matches = np.empty((ids.shape[0], query.num_edges), dtype=bool)
+    for q_edge in query.edges():
+        if stock:
+            mask = default_edge_mask(query, q_edge, src_labels, dst_labels, edge_labels)
+        else:
+            mask = context.edge_match_mask(q_edge, ids)
+        if tree.is_tree_edge(q_edge.index):
+            mask &= context.debi.column_mask(ids, tree.tree_edge_for(q_edge.index).column)
         matches[:, q_edge.index] = mask
     # Row-major nonzero is batch-edge major, query-edge minor; a query
     # edge's index is its position in ``query.edges()``.
     rows, start_edges = np.nonzero(matches)
-    return [
-        WorkUnit(edge_id, start_edge)
-        for edge_id, start_edge in zip(ids[rows].tolist(), start_edges.tolist())
-    ]
+    return WorkUnits(ids[rows], start_edges)
 
 
 # ---------------------------------------------------------------------- columnar kernel
@@ -703,7 +729,7 @@ def _verify(context: EnumerationContext, frontier: _Frontier, q_indexes: Iterabl
 
 def columnar_enumerate(
     context: EnumerationContext,
-    units: list[WorkUnit],
+    units: WorkUnits,
     collect: bool = True,
     arena: "EmbeddingArena | None" = None,
 ) -> tuple[Embeddings, int]:
@@ -740,13 +766,9 @@ def columnar_enumerate(
         arena = context.arena if context.arena is not None else EmbeddingArena(capacity=256)
     arena.batches_served += 1
 
-    groups: dict[int, list[int]] = {}
-    for unit in units:
-        groups.setdefault(unit.start_edge, []).append(unit.edge_id)
-
     found = Embeddings()
     count = 0
-    for start_edge, edge_ids in groups.items():
+    for start_edge, eids in units.groups():
         order = context.orders[start_edge]
         mask = context.masks.mask_for(start_edge)
         q_start = query.edge(start_edge)
@@ -754,7 +776,6 @@ def columnar_enumerate(
 
         # -- start pinning: every predicate here is chargeless, so each is
         # one mask over the group's unit edges.
-        eids = np.asarray(edge_ids, dtype=np.int64)
         srcs = graph.endpoint_array(eids, False)
         dsts = graph.endpoint_array(eids, True)
         if self_loop_query:
@@ -812,7 +833,7 @@ def columnar_enumerate(
 
 def columnar_enumerate_packed(
     context: EnumerationContext,
-    units: list[WorkUnit],
+    units: WorkUnits,
     collect: bool = True,
     arena: "EmbeddingArena | None" = None,
 ) -> tuple[list[EmbeddingBlock], int]:

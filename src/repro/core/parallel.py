@@ -16,15 +16,16 @@ Two backends are provided:
     snapshot.  The pool is spawned once per engine lifetime; before each
     batch the engine publishes the graph (as flat CSR arrays) and DEBI
     (as raw bit buffers) into a ``multiprocessing.shared_memory``
-    segment, and only compact work-unit descriptors and embedding blocks
-    (two int64 matrices each) cross the pipes.  When the pool cannot be
+    segment, and only work-unit columns and embedding blocks (two int64
+    arrays each) cross the pipes, a few slices per worker and epoch
+    (:func:`slice_units`), one kernel call each.  When the pool cannot be
     spawned the engine enumerates serially; a pool that breaks mid-run is
     respawned or degraded by the supervisor (see ``docs/parallelism.md``).
 
 There is no thread backend: the kernel is a sequence of short numpy
 calls, so Python threads convoy on the GIL and every measured thread
 count ran at 0.90-0.96x of ``serial``.  One returns only with a
-GIL-releasing kernel step and a measured win (ROADMAP item 2).
+GIL-releasing kernel step and a measured win (ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ import signal as signal_module
 import time
 import traceback
 import warnings
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -48,9 +50,25 @@ from repro.utils import faults as fault_injection
 from repro.utils.validation import ConfigurationError, check_positive
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    import numpy as np
+    from repro.core.enumeration import EnumerationContext, QueryState, WorkUnits
 
-    from repro.core.enumeration import EnumerationContext, QueryState, WorkUnit
+#: Fewest units worth a kernel call of their own.  A call's fixed cost is
+#: ~7 ms of numpy dispatch and the marginal unit ~26 us (dense T_6 on the
+#: e2e netflow stream), so a smaller slice is mostly overhead.
+MIN_SLICE_UNITS = 256
+
+
+def slice_units(units: "WorkUnits", num_workers: int) -> "list[WorkUnits]":
+    """Cut one (epoch, query)'s units into the slices the workers pull.
+
+    ``clamp(len(units) // MIN_SLICE_UNITS, 1, 2 * num_workers)`` strided
+    slices: hub edges arrive clustered in batch order and a stride
+    spreads them, two slices per worker leave the dynamic pull something
+    to balance with, and the cap bounds the arenas and result blocks
+    alive at once (the table in ``docs/parallelism.md``).
+    """
+    k = max(1, min(len(units) // MIN_SLICE_UNITS, 2 * num_workers))
+    return [units[i::k] for i in range(k)]
 
 
 @dataclass
@@ -63,8 +81,7 @@ class ParallelConfig:
         ``"serial"`` or ``"process"``.
 
         * ``"serial"`` (default) runs each batch's units as one kernel
-          call on the calling thread — deterministic, zero overhead, and
-          on every workload measured so far the fastest.
+          call on the calling thread — deterministic, zero overhead.
         * ``"process"`` uses the persistent shared-memory worker pool.
           It pays one snapshot publication per batch, so it can only win
           once per-batch enumeration time dominates that cost (roughly:
@@ -73,18 +90,10 @@ class ParallelConfig:
         Number of pool workers for the process backend.  ``1`` always
         degenerates to the serial path.  More workers than physical
         cores does not help.
-    chunk_size:
-        Work units per task message for the process backend.  Chunks are
-        pulled dynamically, so smaller chunks improve load balance on
-        skewed (power-law) unit costs while larger chunks amortise the
-        per-message queue overhead; the default suits batches of a few
-        hundred to a few thousand units.  Ignored by the serial backend.
     """
 
     backend: str = "serial"
     num_workers: int = 1
-    #: units per task for the process backend (amortises IPC overhead)
-    chunk_size: int = 64
 
     def __post_init__(self) -> None:
         if self.backend not in ("serial", "process"):
@@ -93,7 +102,6 @@ class ParallelConfig:
                 "(the thread backend ran the same single kernel call as 'serial'; use that)"
             )
         check_positive(self.num_workers, "num_workers")
-        check_positive(self.chunk_size, "chunk_size")
 
 
 @dataclass
@@ -103,9 +111,18 @@ class WorkerStats:
     worker_id: int
     units_processed: int = 0
     embeddings_found: int = 0
+    #: attach + kernel: everything between pulling a task and answering it
     busy_seconds: float = 0.0
     #: (start, end) wall-clock intervals during which the worker was busy
     busy_intervals: list[tuple[float, float]] = field(default_factory=list)
+    #: between pulling a task and entering the kernel: an epoch's first task
+    #: pays ``SnapshotAttachment.views`` + ``make_context``, later ones find both
+    attach_seconds: float = 0.0
+    #: inside ``columnar_enumerate(_packed)``, over ``kernel_calls`` calls
+    kernel_seconds: float = 0.0
+    kernel_calls: int = 0
+    #: embedding-block bytes put on the result queue (0 when only counting)
+    result_bytes: int = 0
     #: which pool generation produced these stats (0 before any respawn);
     #: lets aggregation distinguish worker 0 of the original pool from
     #: worker 0 of its replacement instead of silently merging them
@@ -152,7 +169,7 @@ class EnumerationOutcome:
 
 # ---------------------------------------------------------------------- serial backend
 def run_serial(
-    context: "EnumerationContext", units: list["WorkUnit"], collect: bool = True
+    context: "EnumerationContext", units: "WorkUnits", collect: bool = True
 ) -> EnumerationOutcome:
     """Enumerate ``units`` with one kernel call in the calling process.
 
@@ -168,8 +185,9 @@ def run_serial(
     wall = time.perf_counter() - start
     stats.units_processed = len(units)
     stats.embeddings_found = found
-    stats.busy_seconds = wall
-    if units:
+    stats.busy_seconds = stats.kernel_seconds = wall
+    stats.kernel_calls = 1
+    if len(units):
         stats.busy_intervals.append((0.0, wall))
     return EnumerationOutcome(embeddings, [stats], wall, num_embeddings=found)
 
@@ -250,10 +268,10 @@ class _InflightEpoch:
     embeddings: dict[int, Embeddings] = field(default_factory=dict)
     totals: dict[int, int] = field(default_factory=dict)
     scanned: dict[int, int] = field(default_factory=dict)
-    #: unit chunks bounced back by the shard-ownership guard (sharded
+    #: unit slices bounced back by the shard-ownership guard (sharded
     #: dispatch only): the worker's snapshot cannot answer a cross-shard
     #: read, so the router re-runs these with frontier forwarding
-    escaped: dict[int, list] = field(default_factory=dict)
+    escaped: "dict[int, list[WorkUnits]]" = field(default_factory=dict)
     failure: str | None = None
 
 
@@ -269,7 +287,7 @@ class DispatchedEpoch:
 
     epoch: int
     descriptor: dict
-    units: "dict[int, list[WorkUnit]]"
+    units: "dict[int, WorkUnits]"
 
 
 @dataclass(frozen=True)
@@ -286,7 +304,7 @@ class DrainedEpoch:
 
     epoch: int
     outcomes: dict[int, EnumerationOutcome]
-    escaped: "dict[int, list[WorkUnit]]" = field(default_factory=dict)
+    escaped: "dict[int, WorkUnits]" = field(default_factory=dict)
 
 
 def _pool_worker_main(
@@ -294,17 +312,19 @@ def _pool_worker_main(
 ):
     """Entry point of one persistent pool worker.
 
-    Loops pulling ``(epoch, descriptor, query_id, unit_chunk, collect)``
+    Loops pulling ``(epoch, descriptor, query_id, unit_slice, collect)``
     tasks from the shared queue (dynamic load balancing), attaching to
-    the published snapshot once per epoch, and answering each chunk with
-    its count and its embedding blocks (none when only counting), tagged
-    with the query id for parent-side routing.  Contexts are built lazily per
-    (epoch, query) and all queries of an epoch share one candidate-pool
+    the published snapshot once per epoch, and answering each slice —
+    one kernel call — with its count and its embedding blocks (none when
+    only counting), tagged with the query id for parent-side routing.
+    Contexts are built lazily per (epoch, query) but charge
+    ``candidates_scanned`` per task, so a slice costs the same whichever
+    worker pulls it; all queries of an epoch share one candidate-pool
     cache, so a pool scanned for one query is reused by the others.
     ``None`` is the shutdown sentinel.
     """
     disable_shm_resource_tracking()
-    from repro.core.enumeration import EmbeddingArena, WorkUnit, columnar_enumerate_packed
+    from repro.core.enumeration import EmbeddingArena, columnar_enumerate_packed
     from repro.core.sharding import CrossShardAccess, ShardGuardView
 
     attachment = SnapshotAttachment()
@@ -312,7 +332,7 @@ def _pool_worker_main(
     contexts: dict[int, "EnumerationContext"] = {}
     # Arenas persist across epochs (contexts do not): steady-state
     # streaming reuses the same preallocated blocks batch after batch.
-    arenas: dict[int, "EmbeddingArena"] = {}
+    arenas: defaultdict[int, "EmbeddingArena"] = defaultdict(EmbeddingArena)
     # Cross-query sharing only: a single-query pool keeps the per-column
     # memo alone, so its candidates_scanned matches the serial backend
     # exactly (the shared cache is keyed without the DEBI column and
@@ -330,8 +350,9 @@ def _pool_worker_main(
             task = task_queue.get()
             if task is None:
                 break
-            epoch, descriptor, query_id, chunk, collect = task
+            epoch, descriptor, query_id, units, collect = task
             try:
+                task_start = time.perf_counter()
                 epoch_key = (descriptor["name"], descriptor["epoch"])
                 if epoch_key != current_epoch:
                     contexts = {}
@@ -361,41 +382,29 @@ def _pool_worker_main(
                         shared_pool_cache=shared_cache,
                     )
                     contexts[query_id] = context
+                context.forget_charges()
                 scanned_before = context.candidates_scanned
-                chunk_start = time.perf_counter()
-                # Fault injection fires per unit so chaos tests can aim at
-                # a schedule point inside the chunk.
-                units = []
-                for edge_id, start_edge in chunk.tolist():
-                    fault_injection.worker_unit(worker_id)
-                    units.append(WorkUnit(edge_id, start_edge))
-                arena = arenas.get(query_id)
-                if arena is None:
-                    arena = arenas[query_id] = EmbeddingArena()
-                payload, n_found = columnar_enumerate_packed(context, units, collect, arena)
-                chunk_end = time.perf_counter()
+                fault_injection.worker_units(worker_id, len(units))
+                kernel_start = time.perf_counter()
+                payload, n_found = columnar_enumerate_packed(
+                    context, units, collect, arenas[query_id]
+                )
+                task_end = time.perf_counter()
                 result_queue.put(fault_injection.worker_message((
-                    "ok",
-                    epoch,
-                    worker_id,
-                    query_id,
-                    len(chunk),
-                    n_found,
-                    payload,
-                    chunk_start,
-                    chunk_end,
+                    "ok", epoch, worker_id, query_id, len(units), n_found, payload,
+                    task_start, kernel_start, task_end,
                     context.candidates_scanned - scanned_before,
                 )))
             except CrossShardAccess:
-                # The chunk needs another shard's adjacency; bounce it back
+                # The slice needs another shard's adjacency; bounce it back
                 # whole.  Partial counter deltas are dropped on purpose —
                 # the router's scatter-gather re-run charges them cleanly.
                 result_queue.put(
-                    ("escaped", epoch, worker_id, query_id, len(chunk), chunk)
+                    ("escaped", epoch, worker_id, query_id, len(units), units)
                 )
             except Exception:  # pragma: no cover - surfaced parent-side as PoolBrokenError
                 result_queue.put(
-                    ("err", epoch, worker_id, query_id, len(chunk), traceback.format_exc())
+                    ("err", epoch, worker_id, query_id, len(units), traceback.format_exc())
                 )
     finally:
         attachment.detach()
@@ -406,7 +415,7 @@ class SharedMemoryPool:
 
     One instance lives per engine with the ``process`` backend: workers
     are spawned once, the engine publishes a fresh snapshot before each
-    batch, and chunks of work units are pulled dynamically from a shared
+    batch, and slices of work units are pulled dynamically from a shared
     queue — no repeated worker start-up, no pickling of the graph or of
     per-embedding object graphs.
     """
@@ -414,13 +423,10 @@ class SharedMemoryPool:
     #: seconds between liveness checks while waiting for results
     _POLL_SECONDS = 1.0
 
-    def __init__(
-        self, query_states: "dict[int, QueryState]", num_workers: int, chunk_size: int
-    ) -> None:
+    def __init__(self, query_states: "dict[int, QueryState]", num_workers: int) -> None:
         import multiprocessing as mp
 
         self.num_workers = num_workers
-        self.chunk_size = chunk_size
         #: stamped by the supervisor; tags WorkerStats across respawns
         self.generation = 0
         #: epoch drains aborted by a deadline (folded into supervisor stats)
@@ -462,20 +468,8 @@ class SharedMemoryPool:
                 proc.terminate()
             for proc in started:
                 proc.join(timeout=1.0)
-            for q in (self._task_queue, self._result_queue):
-                try:
-                    q.close()
-                    q.cancel_join_thread()
-                except Exception:  # pragma: no cover - queue already torn down
-                    pass
+            self._close_queues()
             raise
-
-    @classmethod
-    def create(
-        cls, query_state: "QueryState", config: ParallelConfig
-    ) -> "SharedMemoryPool | None":
-        """Spawn a single-query pool (query id 0), or return None when unsupported."""
-        return cls.create_multi({0: query_state}, config)
 
     @classmethod
     def create_multi(
@@ -492,7 +486,7 @@ class SharedMemoryPool:
         if not query_states or not shared_memory_available():
             return None
         try:
-            return cls(query_states, config.num_workers, config.chunk_size)
+            return cls(query_states, config.num_workers)
         except Exception:
             warnings.warn(
                 "shared-memory pool spawn failed; the process backend will "
@@ -521,25 +515,6 @@ class SharedMemoryPool:
             "publish_seconds": self._writer.publish_seconds,
         }
 
-    # ------------------------------------------------------------------ execution
-    def run_multi(
-        self,
-        contexts: "dict[int, EnumerationContext]",
-        units: "dict[int, list[WorkUnit]]",
-        collect: bool = True,
-    ) -> dict[int, EnumerationOutcome]:
-        """Enumerate every query's units over one shared snapshot publication.
-
-        All contexts must wrap the same graph and batch (the multi-query
-        engine guarantees this); the graph is exported **once** and each
-        query contributes only its DEBI buffers.  Work-unit chunks are
-        tagged with their query id, pulled dynamically by the workers
-        from one shared queue, and the embedding blocks coming back are
-        routed to per-query outcomes.  Blocking convenience on top of
-        :meth:`dispatch` + :meth:`drain`.
-        """
-        return self.drain(self.dispatch(contexts, units, collect=collect)).outcomes
-
     # ------------------------------------------------------------------ epoch pipeline
     @property
     def epochs_in_flight(self) -> int:
@@ -558,7 +533,7 @@ class SharedMemoryPool:
     def dispatch(
         self,
         contexts: "dict[int, EnumerationContext]",
-        units: "dict[int, list[WorkUnit]]",
+        units: "dict[int, WorkUnits]",
         collect: bool = True,
         descriptor_extra: dict | None = None,
     ) -> "DispatchedEpoch":
@@ -575,8 +550,6 @@ class SharedMemoryPool:
         raises :class:`PoolBrokenError` rather than corrupting a slot a
         worker may still be reading.
         """
-        import numpy as np
-
         if not self.usable:
             raise PoolBrokenError("pool is closed or broken")
         if len(self._inflight) >= self.max_epochs_in_flight:
@@ -633,24 +606,21 @@ class SharedMemoryPool:
         epoch_id: int,
         descriptor: dict,
         contexts: "dict[int, EnumerationContext]",
-        units: "dict[int, list[WorkUnit]]",
+        units: "dict[int, WorkUnits]",
         collect: bool,
     ) -> None:
-        """Register in-flight state for ``epoch_id`` and enqueue its chunks.
+        """Register in-flight state for ``epoch_id`` and enqueue its slices.
 
         ``epoch_id`` is a parent-side routing key echoed back by the
         workers; the workers identify the snapshot itself purely through
         the descriptor's (segment name, epoch) pair.
         """
-        import numpy as np
-
-        tasks: list[tuple] = []
-        for qid, unit_list in units.items():
-            unit_array = np.array(
-                [(u.edge_id, u.start_edge) for u in unit_list], dtype=np.int64
-            ).reshape(len(unit_list), 2)
-            for i in range(0, len(unit_array), self.chunk_size):
-                tasks.append((qid, unit_array[i : i + self.chunk_size]))
+        tasks = [
+            (qid, piece)
+            for qid, query_units in units.items()
+            if len(query_units)
+            for piece in slice_units(query_units, self.num_workers)
+        ]
         state = _InflightEpoch(
             epoch=epoch_id,
             contexts=contexts,
@@ -661,8 +631,8 @@ class SharedMemoryPool:
             scanned={qid: 0 for qid in contexts},
         )
         self._inflight[epoch_id] = state
-        for qid, chunk in tasks:
-            self._task_queue.put((epoch_id, descriptor, qid, chunk, collect))
+        for qid, piece in tasks:
+            self._task_queue.put((epoch_id, descriptor, qid, piece, collect))
 
     def drain(
         self,
@@ -705,15 +675,9 @@ class SharedMemoryPool:
                 wall,
                 num_embeddings=state.totals[qid],
             )
-        from repro.core.enumeration import WorkUnit
+        from repro.core.enumeration import WorkUnits
 
-        escaped: dict[int, list["WorkUnit"]] = {}
-        for qid, chunks in state.escaped.items():
-            escaped[qid] = [
-                WorkUnit(int(edge_id), int(start_edge))
-                for chunk in chunks
-                for edge_id, start_edge in chunk.tolist()
-            ]
+        escaped = {qid: WorkUnits.concat(slices) for qid, slices in state.escaped.items()}
         return DrainedEpoch(epoch=epoch, outcomes=outcomes, escaped=escaped)
 
     def _route_result(self, message) -> None:
@@ -736,8 +700,8 @@ class SharedMemoryPool:
                 state.pending -= 1
                 state.escaped.setdefault(message[3], []).append(message[5])
                 return
-            (_, _, worker_id, qid, n_units, n_found, payload, chunk_start,
-             chunk_end, scanned) = message
+            (_, _, worker_id, qid, n_units, n_found, payload, task_start,
+             kernel_start, task_end, scanned) = message
         except (IndexError, KeyError, TypeError, ValueError) as exc:
             self._broken = True
             raise PoolBrokenError(
@@ -754,8 +718,12 @@ class SharedMemoryPool:
         )
         st.units_processed += n_units
         st.embeddings_found += n_found
-        st.busy_seconds += chunk_end - chunk_start
-        st.busy_intervals.append((chunk_start - state.start, chunk_end - state.start))
+        st.busy_seconds += task_end - task_start
+        st.busy_intervals.append((task_start - state.start, task_end - state.start))
+        st.attach_seconds += kernel_start - task_start
+        st.kernel_seconds += task_end - kernel_start
+        st.kernel_calls += 1
+        st.result_bytes += sum(b.nodes.nbytes + b.edges.nbytes for b in payload)
 
     @staticmethod
     def _describe_death(proc) -> str:
@@ -831,6 +799,9 @@ class SharedMemoryPool:
                 proc.terminate()
         for proc in self._workers:
             proc.join(timeout=join_timeout)
+        self._close_queues()
+
+    def _close_queues(self) -> None:
         for q in (self._task_queue, self._result_queue):
             try:
                 q.close()
@@ -854,10 +825,5 @@ class SharedMemoryPool:
                 if proc.is_alive():
                     proc.terminate()
                     proc.join(timeout=join_timeout)
-            for q in (self._task_queue, self._result_queue):
-                try:
-                    q.close()
-                    q.cancel_join_thread()
-                except Exception:  # pragma: no cover - queue already torn down
-                    pass
+            self._close_queues()
         self._writer.close()

@@ -73,7 +73,7 @@ from repro.utils.validation import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.engine import EngineConfig
-    from repro.core.enumeration import EnumerationContext, WorkUnit
+    from repro.core.enumeration import EnumerationContext, WorkUnits
     from repro.core.registry import QueryRuntime
     from repro.graph.adjacency import DynamicGraph
     from repro.streams.generator import Snapshot
@@ -210,7 +210,6 @@ class _PendingPhase:
 
     phase: PhaseOutcome
     contexts: "dict[int, EnumerationContext]"
-    units: "dict[int, list[WorkUnit]]"
     pool: SharedMemoryPool
     handle: DispatchedEpoch
     slots: "dict[int, QueryRuntime]"
@@ -399,7 +398,7 @@ class BatchPipeline:
         graph = self.host.graph
         batch_ids = set(edge_ids)
         contexts: dict[int, "EnumerationContext"] = {}
-        units: dict[int, list] = {}
+        units: dict[int, "WorkUnits"] = {}
         shared_cache: dict | None = {} if len(slots) > 1 else None
         for qid, runtime in slots.items():
             query_phase = phase.per_query.setdefault(qid, QueryPhaseOutcome())
@@ -433,7 +432,7 @@ class BatchPipeline:
         phase: PhaseOutcome,
         slots,
         contexts: "dict[int, EnumerationContext]",
-        units: "dict[int, list[WorkUnit]]",
+        units: "dict[int, WorkUnits]",
         overlap: bool,
     ) -> None:
         """Run or dispatch one phase's enumeration; fill outcomes when inline."""
@@ -470,7 +469,6 @@ class BatchPipeline:
                         _PendingPhase(
                             phase=phase,
                             contexts=contexts,
-                            units=units,
                             pool=pool,
                             handle=handle,
                             slots=dict(slots),

@@ -21,7 +21,7 @@ built on it — :class:`MultiQueryEngine`, the only host of
   update sweep (each query's index is refreshed from the same already-
   applied edge list), and — with the ``process`` backend — exactly one
   shared-memory snapshot export per enumeration phase, shared by every
-  query's work units (see :meth:`~repro.core.parallel.SharedMemoryPool.run_multi`).
+  query's work units (see :meth:`~repro.core.parallel.SharedMemoryPool.dispatch`).
 * Candidate scans are shared across queries: every enumeration context
   of a batch hands the same *shared pool cache* to
   :meth:`~repro.core.enumeration.EnumerationContext.get_candidate_pools`,

@@ -59,7 +59,7 @@ from repro.core.engine import EngineConfig, RunResult, SnapshotResult
 from repro.core.enumeration import (
     EmbeddingArena,
     EnumerationContext,
-    WorkUnit,
+    WorkUnits,
     decompose_batch,
 )
 from repro.core.filtering import IndexManager
@@ -812,7 +812,9 @@ class ShardedEngine:
             for shard in self.shards:
                 supervisor = PoolSupervisor(
                     self.config.fault,
-                    lambda: SharedMemoryPool.create(self.query_state, self.config.parallel),
+                    lambda: SharedMemoryPool.create_multi(
+                        {0: self.query_state}, self.config.parallel
+                    ),
                 )
                 shard.spawn_pool(supervisor)
 
@@ -945,7 +947,7 @@ class ShardedEngine:
             arena=shard.arena,
         )
 
-    def _decompose(self, batch_edge_ids: set[int], positive: bool) -> list[WorkUnit]:
+    def _decompose(self, batch_edge_ids: set[int], positive: bool) -> WorkUnits:
         """Work decomposition over the routed views — identical units to
         the single engine's, since the composite views present the same
         graph and the same (mirrored) DEBI bits."""
@@ -960,13 +962,12 @@ class ShardedEngine:
         collect = self.config.collect_embeddings
         units = self._decompose(batch_edge_ids, positive)
         result.work_units += len(units)
-        if not units:
+        if not len(units):
             return
 
         # Group by home shard: the primary replica of the pinned edge.
-        by_shard: dict[int, list[WorkUnit]] = defaultdict(list)
-        for unit in units:
-            by_shard[int(self.router._primary[unit.edge_id])].append(unit)
+        home = self.router._primary[units.edge_ids]
+        by_shard = {shard: units[home == shard] for shard in np.unique(home).tolist()}
 
         start = time.perf_counter()
         contexts: dict[int, EnumerationContext] = {}
@@ -1008,11 +1009,11 @@ class ShardedEngine:
                     handle, self.config.fault.epoch_deadline_seconds
                 )
                 outcomes[shard_index].append(drained.outcomes[0])
-                escaped = drained.escaped.get(0, [])
+                escaped = drained.escaped.get(0)
             except (PoolBrokenError, EpochDeadlineError):
                 shard.pool_broken()
                 escaped = by_shard[shard_index]
-            if escaped:
+            if escaped is not None:
                 self.router.frontier.escaped_units += len(escaped)
                 outcomes[shard_index].append(run_serial(contexts[shard_index], escaped, collect))
 

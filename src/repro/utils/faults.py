@@ -48,11 +48,12 @@ class FaultPlan:
     """What to break, when, and for how many pool generations.
 
     ``*_at_unit`` counters are 1-based and per worker *process*: a
-    worker triggers its armed fault when starting its Nth work unit.
-    Arming applies to every worker of a generation — whichever worker
-    reaches the threshold first fires (others may too), which keeps the
-    trigger deterministic under dynamic chunk scheduling: some worker
-    always processes a unit, so an armed generation always faults.
+    worker triggers its armed fault before the kernel call of the slice
+    holding its Nth work unit.  Arming applies to every worker of a
+    generation — whichever worker reaches the threshold first fires
+    (others may too), which keeps the trigger deterministic under dynamic
+    slice scheduling: some worker always processes a unit, so an armed
+    generation always faults.
     """
 
     #: SIGKILL a worker at its Nth unit, for the next ``kills`` generations
@@ -145,12 +146,13 @@ def pool_spawning() -> None:
 
 
 # ---------------------------------------------------------------------- worker-side hooks
-def worker_unit(worker_id: int) -> None:
-    """Per-unit hook inside a pool worker: trigger an armed kill or hang."""
+def worker_units(worker_id: int, n: int) -> None:
+    """Hook inside a pool worker, before the kernel runs a slice of ``n``
+    units: trigger an armed kill or hang whose threshold the slice reaches."""
     global _UNITS
     if _ARMED is None:
         return
-    _UNITS += 1
+    _UNITS += n
     if _ARMED.kill_at_unit is not None and _UNITS >= _ARMED.kill_at_unit:
         os.kill(os.getpid(), signal.SIGKILL)
     if _ARMED.hang_at_unit is not None and _UNITS >= _ARMED.hang_at_unit:

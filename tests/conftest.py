@@ -52,6 +52,21 @@ def rng(rng_seed):
     return make_rng(rng_seed)
 
 
+@pytest.fixture
+def small_slices(monkeypatch):
+    """Cut even a handful of work units into several slices.
+
+    The pool splits an epoch by ``parallel.MIN_SLICE_UNITS`` (256), so the
+    tiny streams of the suite would always travel as one slice to one
+    worker.  Slicing happens in the parent, so patching the constant here
+    reaches it: with it at 2, any phase of four or more units is pulled by
+    both workers of a two-worker pool.
+    """
+    from repro.core import parallel
+
+    monkeypatch.setattr(parallel, "MIN_SLICE_UNITS", 2)
+
+
 @pytest.hookimpl(hookwrapper=True)
 def pytest_runtest_makereport(item, call):
     outcome = yield

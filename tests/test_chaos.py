@@ -36,9 +36,11 @@ from repro.streams.events import EventKind, StreamEvent
 from repro.utils import faults
 from repro.utils.validation import ConfigurationError
 
+pytestmark = pytest.mark.usefixtures("small_slices")
+
 pytest.importorskip("multiprocessing.shared_memory")
 
-POOL = ParallelConfig(backend="process", num_workers=2, chunk_size=8)
+POOL = ParallelConfig(backend="process", num_workers=2)
 #: no backoff sleeps in tests; generous budget unless a test overrides it
 HEAL = FaultPolicy(max_respawns=4, backoff_initial_seconds=0.0)
 
@@ -443,7 +445,7 @@ class TestFaultInjectionFramework:
 
     def test_hooks_are_noops_when_disarmed(self):
         faults.clear()
-        faults.worker_unit(0)
+        faults.worker_units(0, 8)
         message = ("ok",) * 10
         assert faults.worker_message(message) is message
 

@@ -34,7 +34,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import ShardedEngine
 from repro.core.debi import DEBI
@@ -157,7 +157,7 @@ def test_columnar_graph_parity(ops, size):
 _ENGINES = {
     "serial": lambda query: MnemonicEngine(query),
     "process": lambda query: MnemonicEngine(query, config=EngineConfig(
-        parallel=ParallelConfig(backend="process", num_workers=2, chunk_size=4))),
+        parallel=ParallelConfig(backend="process", num_workers=2))),
     "2-shards": lambda query: ShardedEngine(query, config=EngineConfig(shards=2)),
 }
 
@@ -178,8 +178,10 @@ def _identities(embeddings):
     return frozenset(e.identity() for e in embeddings)
 
 
+@pytest.mark.usefixtures("small_slices")
 @pytest.mark.parametrize("engine_name", _ENGINES)
-@settings(max_examples=10, deadline=None)
+@settings(max_examples=10, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(ops=_event_ops, size=_batch_sizes)
 def test_columnar_engine_parity(engine_name, ops, size):
     """Column batches leave every engine where the per-edge loop leaves the reference."""
@@ -229,6 +231,7 @@ def _window_stream(seed):
 _WINDOW = StreamConfig(stream_type=StreamType.SLIDING_WINDOW, window=3.0, stride=1.0)
 
 
+@pytest.mark.usefixtures("small_slices")
 @pytest.mark.parametrize("engine_name", _ENGINES)
 @pytest.mark.parametrize("seed", [3, 4])
 def test_sliding_window_multigraph_matches_the_reference(engine_name, seed):

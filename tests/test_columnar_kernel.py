@@ -25,6 +25,8 @@ from repro.core.api import MatchDefinition, default_edge_matcher
 from repro.core.engine import EngineConfig, MnemonicEngine
 from repro.core.enumeration import (
     EmbeddingArena,
+    WorkUnit,
+    WorkUnits,
     columnar_enumerate,
     columnar_enumerate_packed,
     decompose_batch,
@@ -40,7 +42,14 @@ from repro.matchers import (
 from repro.query.query_graph import QueryGraph
 from repro.streams.events import StreamEvent
 from repro.utils.validation import ConfigurationError
-from tests.reference.tuple_kernel import ReferenceEngine
+from tests.reference.tuple_kernel import (
+    ReferenceEngine,
+    TupleContext,
+    decompose,
+    start_edge_major,
+)
+
+pytestmark = pytest.mark.usefixtures("small_slices")
 
 
 # ---------------------------------------------------------------------- helpers
@@ -193,8 +202,7 @@ _ENGINES = {
     "serial": lambda query, match_def: MnemonicEngine(query, match_def=match_def),
     "process": lambda query, match_def: MnemonicEngine(
         query, match_def=match_def,
-        config=EngineConfig(parallel=ParallelConfig(backend="process", num_workers=2,
-                                                    chunk_size=4)),
+        config=EngineConfig(parallel=ParallelConfig(backend="process", num_workers=2)),
     ),
     "2-shards": lambda query, match_def: ShardedEngine(
         query, match_def=match_def, config=EngineConfig(shards=2)
@@ -228,6 +236,32 @@ class TestKernelMatchesReference:
         assert embeddings > 0, "vacuous: the reference found nothing"
         if engine_name == "process":
             assert pool_phases > 0, "vacuous: no batch went through the worker pool"
+
+    @pytest.mark.parametrize("matcher", _MATCHERS)
+    def test_unit_columns_hold_the_reference_units_in_its_order(self, rng, matcher):
+        """``decompose_batch``'s columns against the reference's unit list: same
+        units, same order, grouped by start edge as the reference visits them."""
+        events = _random_events(rng, num_events=90, deletes=True)
+        seen = 0
+        for query in _QUERIES:
+            reference = ReferenceEngine([(query, _MATCHERS[matcher]())])
+            _replay(reference, _batches(events, rng), _reference_rows)
+            runtime, graph = reference.runtimes[0], reference.graph
+            ids = [record.edge_id for record in graph.edges()]
+            rng.shuffle(ids)
+            expected = decompose(TupleContext(runtime, graph, set(ids), True), ids)
+            units = decompose_batch(runtime.make_context(graph, set(ids), True), ids)
+            assert list(units) == expected and len(units) == len(expected)
+            assert [
+                WorkUnit(edge_id, start)
+                for start, edge_ids in units.groups() for edge_id in edge_ids.tolist()
+            ] == start_edge_major(expected)
+            assert list(units[1::3]) == expected[1::3]
+            assert list(WorkUnits.concat([units[0::2], units[1::2]])) == (
+                expected[0::2] + expected[1::2]
+            )
+            seen += len(units)
+        assert seen, "vacuous: nothing decomposed"
 
     def test_count_only_matches_collected_count(self, paper_example):
         engine = MnemonicEngine(paper_example.query)
@@ -289,12 +323,12 @@ class TestBlocksCrossTheResultQueue:
 
             units = decompose_batch(context(), live_ids)
             serial, count = columnar_enumerate(context(), units)
-            pool = SharedMemoryPool.create(
-                engine.query_state, ParallelConfig(backend="process", num_workers=2, chunk_size=4)
+            pool = SharedMemoryPool.create_multi(
+                {0: engine.query_state}, ParallelConfig(backend="process", num_workers=2)
             )
             assert pool is not None
             try:
-                outcome = pool.run_multi({0: context()}, {0: units})[0]
+                outcome = pool.drain(pool.dispatch({0: context()}, {0: units})).outcomes[0]
             finally:
                 pool.close()
             assert outcome.num_embeddings == len(outcome.embeddings) == count
@@ -521,10 +555,10 @@ class TestKernelEdgeCases:
         engine.load_initial(paper_example.initial_events())
         context = self._context(engine, [])
         arena = EmbeddingArena(capacity=4)
-        embeddings, count = columnar_enumerate(context, [], arena=arena)
+        embeddings, count = columnar_enumerate(context, WorkUnits(), arena=arena)
         assert embeddings == [] and count == 0
         assert arena.batches_served == 1  # counted per invocation, even an empty one
-        payload, count = columnar_enumerate_packed(context, [], arena=arena)
+        payload, count = columnar_enumerate_packed(context, WorkUnits(), arena=arena)
         assert payload == [] and count == 0
 
     def test_zero_candidate_frontier(self):

@@ -15,6 +15,8 @@ from repro.query.query_graph import QueryGraph
 from repro.streams.config import StreamConfig
 from repro.streams.events import StreamEvent
 
+pytestmark = pytest.mark.usefixtures("small_slices")
+
 
 def path_query():
     return QueryGraph.from_edges([(0, 1), (1, 2)], node_labels={0: 0, 1: 1, 2: 2})
@@ -30,7 +32,7 @@ def chain_events(base=10):
 def pool_config():
     return EngineConfig(
         stream=StreamConfig(batch_size=4),
-        parallel=ParallelConfig(backend="process", num_workers=2, chunk_size=2),
+        parallel=ParallelConfig(backend="process", num_workers=2),
     )
 
 

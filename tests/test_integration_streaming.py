@@ -53,11 +53,12 @@ class TestNetFlowPipeline:
             answers.append(frozenset(e.identity() for e in result.all_positive()))
         assert answers[0] == answers[1] == answers[2]
 
+    @pytest.mark.usefixtures("small_slices")
     def test_parallel_backends_equal_serial(self, setup):
         stream, query = setup
         outputs = []
         for parallel in (ParallelConfig(), ParallelConfig(backend="process", num_workers=4),
-                         ParallelConfig(backend="process", num_workers=2, chunk_size=16)):
+                         ParallelConfig(backend="process", num_workers=2)):
             engine = MnemonicEngine(query, config=EngineConfig(
                 stream=StreamConfig(batch_size=64), parallel=parallel))
             engine.load_initial(stream[:900])

@@ -266,12 +266,13 @@ class TestLifecycle:
         assert result.per_query[qid].num_positive == 0
 
 
+@pytest.mark.usefixtures("small_slices")
 class TestPoolIntegration:
     def test_pool_respawns_after_membership_change(self):
         pytest.importorskip("multiprocessing.shared_memory")
         config = EngineConfig(
             stream=StreamConfig(batch_size=4),
-            parallel=ParallelConfig(backend="process", num_workers=2, chunk_size=2),
+            parallel=ParallelConfig(backend="process", num_workers=2),
         )
         with MultiQueryEngine(config=config) as engine:
             a = engine.register(path_query())
@@ -287,7 +288,7 @@ class TestPoolIntegration:
         """A spawn failure must latch (serial fallback), not respawn per batch."""
         config = EngineConfig(
             stream=StreamConfig(batch_size=4),
-            parallel=ParallelConfig(backend="process", num_workers=2, chunk_size=2),
+            parallel=ParallelConfig(backend="process", num_workers=2),
         )
         engine = MultiQueryEngine(config=config)
         engine.register(path_query())
@@ -329,7 +330,7 @@ class TestPoolIntegration:
 
         ids_s, serial, _ = run(ParallelConfig())
         ids_p, pooled, exports = run(
-            ParallelConfig(backend="process", num_workers=2, chunk_size=2)
+            ParallelConfig(backend="process", num_workers=2)
         )
         assert ids_s == ids_p
         for qid in ids_s:

@@ -20,6 +20,8 @@ from repro.streams.config import StreamConfig, StreamType
 from repro.streams.events import EventKind, StreamEvent
 from repro.utils.validation import ConfigurationError
 
+pytestmark = pytest.mark.usefixtures("small_slices")
+
 
 def mixed_workload():
     """A query plus an insert+delete stream over a warm initial graph."""
@@ -79,7 +81,7 @@ class TestPipelinedParity:
     def test_pipelined_pool_results_bit_identical(self):
         pytest.importorskip("multiprocessing.shared_memory")
         query, initial, events = mixed_workload()
-        parallel = ParallelConfig(backend="process", num_workers=2, chunk_size=8)
+        parallel = ParallelConfig(backend="process", num_workers=2)
         sp, sn, sr, _ = run_engine(query, initial, events, "serial")
         pp, pn, pr, counters = run_engine(query, initial, events, "pipelined", parallel)
         assert pp == sp and pn == sn
@@ -99,7 +101,7 @@ class TestPipelinedParity:
         pipelined look-ahead must not leak later batches into them."""
         pytest.importorskip("multiprocessing.shared_memory")
         query, initial, events = mixed_workload()
-        parallel = ParallelConfig(backend="process", num_workers=2, chunk_size=8)
+        parallel = ParallelConfig(backend="process", num_workers=2)
         _, _, sr, _ = run_engine(query, initial, events, "serial")
         _, _, pr, _ = run_engine(query, initial, events, "pipelined", parallel)
         assert [s.live_edges for s in pr.snapshots] == [s.live_edges for s in sr.snapshots]
@@ -133,7 +135,7 @@ class TestPipelinedParity:
 
         serial = run_multi("serial", ParallelConfig())
         pipelined = run_multi(
-            "pipelined", ParallelConfig(backend="process", num_workers=2, chunk_size=8)
+            "pipelined", ParallelConfig(backend="process", num_workers=2)
         )
         assert pipelined == serial
 
@@ -143,7 +145,7 @@ class TestEpochDispatch:
         pytest.importorskip("multiprocessing.shared_memory")
         query, initial, events = mixed_workload()
         config = EngineConfig(
-            parallel=ParallelConfig(backend="process", num_workers=2, chunk_size=8)
+            parallel=ParallelConfig(backend="process", num_workers=2)
         )
         with MnemonicEngine(query, config=config) as engine:
             pool = engine.multi._pool
@@ -198,7 +200,7 @@ class TestSmallBatchSerialGate:
         config = EngineConfig(
             # batch_size 2 stays far below the 2 * num_workers amortisation floor
             stream=StreamConfig(batch_size=2, stream_type=StreamType.INSERT_DELETE),
-            parallel=ParallelConfig(backend="process", num_workers=2, chunk_size=8),
+            parallel=ParallelConfig(backend="process", num_workers=2),
         )
         with MnemonicEngine(query, config=config) as engine:
             if engine.multi._pool is None:
@@ -258,7 +260,7 @@ class TestSnapshotExportAccounting:
         query, initial, events = mixed_workload()
         config = EngineConfig(
             stream=StreamConfig(batch_size=64, stream_type=StreamType.INSERT_DELETE),
-            parallel=ParallelConfig(backend="process", num_workers=2, chunk_size=8),
+            parallel=ParallelConfig(backend="process", num_workers=2),
         )
         with MnemonicEngine(query, config=config) as engine:
             if engine.multi._pool is None:
@@ -315,7 +317,7 @@ class TestPoolBrokenRecovery:
     def test_worker_death_mid_pipeline_recovers_bit_identically(self):
         pytest.importorskip("multiprocessing.shared_memory")
         query, initial, events = mixed_workload()
-        parallel = ParallelConfig(backend="process", num_workers=2, chunk_size=8)
+        parallel = ParallelConfig(backend="process", num_workers=2)
         sp, sn, _, _ = run_engine(query, initial, events, "serial")
         config = EngineConfig(
             stream=StreamConfig(batch_size=64, stream_type=StreamType.INSERT_DELETE),

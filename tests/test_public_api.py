@@ -29,7 +29,7 @@ ENGINE_CONFIG_FIELDS = {
     "collect_embeddings", "storage", "fault", "shards",
 }
 STREAM_CONFIG_FIELDS = {"stream_type", "batch_size", "max_batch_delay", "window", "stride"}
-PARALLEL_CONFIG_FIELDS = {"backend", "num_workers", "chunk_size"}
+PARALLEL_CONFIG_FIELDS = {"backend", "num_workers"}
 
 
 def field_names(config_class) -> set[str]:

@@ -371,6 +371,7 @@ class TestEscapeSeam:
         # Edge-id-keyed reads are never guarded (locally stored rows).
         assert guard.edge(0).src == 0
 
+    @pytest.mark.usefixtures("small_slices")
     def test_process_pool_escape_path_preserves_parity(self, rng_seed):
         """Workers bounce cross-shard chunks; the router re-run stays exact."""
         events = [e for e in _random_events(make_rng(rng_seed), num_vertices=30,
@@ -380,7 +381,7 @@ class TestEscapeSeam:
             expected = _run_batched(single, events, batch_size=200)
         config = EngineConfig(
             shards=2,
-            parallel=ParallelConfig(backend="process", num_workers=2, chunk_size=4),
+            parallel=ParallelConfig(backend="process", num_workers=2),
         )
         with ShardedEngine(query, config=config) as sharded:
             actual = _run_batched(sharded, events, batch_size=200)

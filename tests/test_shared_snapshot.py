@@ -350,13 +350,14 @@ def run_engine(query, stream, parallel: ParallelConfig):
         return engine, result
 
 
+@pytest.mark.usefixtures("small_slices")
 class TestPersistentPool:
     def test_pool_reused_across_batches(self):
         pytest.importorskip("multiprocessing.shared_memory")
         query, stream = pool_workload()
         config = EngineConfig(
             stream=StreamConfig(batch_size=64),
-            parallel=ParallelConfig(backend="process", num_workers=2, chunk_size=8),
+            parallel=ParallelConfig(backend="process", num_workers=2),
         )
         with MnemonicEngine(query, config=config) as engine:
             assert isinstance(engine.multi._pool, SharedMemoryPool)
@@ -376,7 +377,7 @@ class TestPersistentPool:
         query, stream = pool_workload()
         _, serial = run_engine(query, stream, ParallelConfig(backend="serial"))
         _, pooled = run_engine(
-            query, stream, ParallelConfig(backend="process", num_workers=2, chunk_size=8)
+            query, stream, ParallelConfig(backend="process", num_workers=2)
         )
         serial_set = {e.identity() for s in serial.snapshots for e in s.positive_embeddings}
         pooled_set = {e.identity() for s in pooled.snapshots for e in s.positive_embeddings}
@@ -386,7 +387,7 @@ class TestPersistentPool:
     def test_count_only_mode_matches_collected_counts(self):
         pytest.importorskip("multiprocessing.shared_memory")
         query, stream = pool_workload()
-        parallel = ParallelConfig(backend="process", num_workers=2, chunk_size=8)
+        parallel = ParallelConfig(backend="process", num_workers=2)
         config = EngineConfig(
             stream=StreamConfig(batch_size=64), parallel=parallel, collect_embeddings=False
         )
@@ -403,7 +404,7 @@ class TestPersistentPool:
         )
         query, stream = pool_workload()
         engine, result = run_engine(
-            query, stream, ParallelConfig(backend="process", num_workers=2, chunk_size=8)
+            query, stream, ParallelConfig(backend="process", num_workers=2)
         )
         assert engine.multi._pool is None, "pool must not spawn without shared memory"
         _, serial = run_engine(query, stream, ParallelConfig(backend="serial"))
