@@ -238,12 +238,6 @@ class TurboFluxMatcher:
             out.extend(self.insert_edge(*item))
         return out
 
-    def delete_batch(self, triples) -> list[Embedding]:
-        out: list[Embedding] = []
-        for item in triples:
-            out.extend(self.delete_edge(*item[:3]))
-        return out
-
     # ------------------------------------------------------------------ enumeration
     def _enumerate_containing(self, key: tuple[int, int, int], positive: bool) -> list[Embedding]:
         """Backtracking enumeration of embeddings that use the collapsed edge ``key``."""

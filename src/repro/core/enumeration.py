@@ -10,8 +10,8 @@ Every :class:`~repro.core.api.MatchDefinition` enumerates through the one
 kernel in this module (:func:`columnar_enumerate`): the units of a batch
 are grouped by start edge and each group advances as one block of
 partial embeddings — one candidate fetch, one join and one witness
-lookup per matching-order step for the whole block — and leaves as one
-:class:`~repro.core.results.EmbeddingBlock`.
+lookup per matching-order step for the whole block, cut only where it
+grows past ``MAX_LIVE`` columns — and leaves as ``EmbeddingBlock``s.
 
 Duplicate elimination follows the masking rule described in
 :mod:`repro.query.masking`: the unit starting at query-edge position
@@ -45,6 +45,10 @@ from repro.query.matching_order import ExtensionStep, MatchingOrder
 from repro.query.query_graph import WILDCARD_LABEL, QueryEdge, QueryGraph
 from repro.query.query_tree import QueryTree
 from repro.utils.validation import check_positive
+
+
+#: Most columns one join expands at once (:func:`_expand`; measured in docs/architecture.md).
+MAX_LIVE = 4096
 
 
 @dataclass(frozen=True)
@@ -287,37 +291,21 @@ class QueryState:
     match_def: MatchDefinition
     use_degree_filter: bool = True
     #: query node -> its ``(out, edge label or None for any, needed degree)`` requirements
-    degree_table: dict[int, list[tuple[bool, int | None, int]]] = field(default_factory=dict)
+    degree_table: dict[int, list[tuple[bool, int | None, int]]] = field(init=False)
 
-    @classmethod
-    def build(
-        cls,
-        query: QueryGraph,
-        tree: QueryTree,
-        orders: dict[int, MatchingOrder],
-        masks: MaskTable,
-        match_def: MatchDefinition,
-        use_degree_filter: bool,
-    ) -> "QueryState":
-        return cls(
-            query=query,
-            tree=tree,
-            orders=orders,
-            masks=masks,
-            match_def=match_def,
-            use_degree_filter=use_degree_filter,
-            degree_table={
-                node: [
-                    (out, None if label == WILDCARD_LABEL else label, needed)
-                    for out, requirement in (
-                        (True, query.out_label_requirement(node)),
-                        (False, query.in_label_requirement(node)),
-                    )
-                    for label, needed in requirement.items()
-                ]
-                for node in query.nodes()
-            },
-        )
+    def __post_init__(self) -> None:
+        query = self.query
+        self.degree_table = {
+            node: [
+                (out, None if label == WILDCARD_LABEL else label, needed)
+                for out, requirement in (
+                    (True, query.out_label_requirement(node)),
+                    (False, query.in_label_requirement(node)),
+                )
+                for label, needed in requirement.items()
+            ]
+            for node in query.nodes()
+        }
 
     def make_context(
         self,
@@ -595,32 +583,35 @@ class _Frontier:
     only counts) is never copied.
     """
 
-    __slots__ = ("arena", "n", "node_slots", "edge_slots", "_taken")
+    __slots__ = ("arena", "query", "n", "node_slots", "edge_slots", "_taken")
 
     def __init__(
         self,
         arena: EmbeddingArena,
         query: QueryGraph,
-        start: QueryEdge,
-        srcs: np.ndarray,
-        dsts: np.ndarray,
-        edge_ids: np.ndarray,
+        nodes: dict[int, np.ndarray],
+        edges: dict[int, np.ndarray],
     ) -> None:
-        """Pin ``edge_ids`` (with endpoints ``srcs -> dsts``) onto the start edge."""
+        """Put the given rows, keyed by the query node / edge they bind, onto ``arena``."""
         self.arena = arena
-        self.n = int(edge_ids.shape[0])
-        self.node_slots = [start.src] if start.src == start.dst else [start.src, start.dst]
-        self.edge_slots = [start.index]
+        self.query = query
+        self.node_slots = list(nodes)
+        self.edge_slots = list(edges)
+        self.n = int(edges[self.edge_slots[0]].shape[0])
         #: the take not gathered yet: (columns, new node row | None, new edge row | None)
         self._taken: tuple | None = None
         arena.begin(query.num_nodes, query.num_edges)
         arena.reserve(self.n)
-        nodes, edges = arena.back()
-        nodes[0, : self.n] = srcs
-        if start.src != start.dst:
-            nodes[1, : self.n] = dsts
-        edges[0, : self.n] = edge_ids
+        for block, rows in zip(arena.back(), (nodes, edges)):
+            for slot, row in enumerate(rows.values()):
+                block[slot, : self.n] = row
         arena.swap()
+
+    def part(self, low: int, high: int) -> "_Frontier":
+        """Columns ``low:high`` as a frontier of their own, on an arena of their own."""
+        nodes = dict(zip(self.node_slots, self.nodes[:, low:high]))
+        edges = dict(zip(self.edge_slots, self.edges[:, low:high]))
+        return _Frontier(EmbeddingArena(), self.query, nodes, edges)
 
     @property
     def start_edge(self) -> int:
@@ -727,6 +718,38 @@ def _verify(context: EnumerationContext, frontier: _Frontier, q_indexes: Iterabl
             frontier.take(hit_rows)
 
 
+def _expand(
+    context: EnumerationContext, frontier: _Frontier, steps: tuple[ExtensionStep, ...]
+) -> Iterator[_Frontier]:
+    """Run the matching-order ``steps`` on ``frontier``; yield it (or its runs) finished.
+
+    A step fetches the pools of the whole frontier but joins at most
+    :data:`MAX_LIVE` columns at a time: a wider frontier is cut into runs
+    of columns that each finish the remaining steps before the next is
+    joined, so the join temporaries and arena blocks held at once follow
+    the run, not how far a hub fans a group out.  Same rows, order, charges.
+    """
+    mask = context.masks.mask_for(frontier.start_edge)
+    for done, step in enumerate(steps):
+        if frontier.n == 0:
+            break
+        uniq, inv = np.unique(frontier.node(step.anchor), return_inverse=True)
+        pool = context.get_candidate_pools(step, uniq)
+        pool = _push_down(context, step, mask.is_masked(step.tree_edge_index), *pool)
+        lows = range(0, frontier.n, MAX_LIVE)
+        for low in lows:
+            run = frontier.part(low, low + MAX_LIVE) if len(lows) > 1 else frontier
+            bound = run.nodes if context.match_def.injective else run.nodes[:0]
+            parents, cand_ids, cand_verts = extend_intersect(inv[low : low + run.n], *pool, bound)
+            run.take(parents, node=(step.node, cand_verts), edge=(step.tree_edge_index, cand_ids))
+            _verify(context, run, step.verify_edges)
+            if run is not frontier:
+                yield from _expand(context, run, steps[done + 1 :])
+        if len(lows) > 1:
+            return
+    yield frontier
+
+
 def columnar_enumerate(
     context: EnumerationContext,
     units: WorkUnits,
@@ -735,10 +758,10 @@ def columnar_enumerate(
 ) -> tuple[Embeddings, int]:
     """Run ``units`` through the kernel; return ``(embeddings, count)``.
 
-    One :class:`EmbeddingBlock` per start-edge group, copied out of the
-    arena when the group finishes.  With ``collect=False`` (the harness's
-    default) nothing is copied — a finished frontier nobody reads is not
-    even gathered — unless an overridden ``accept`` has to see it.
+    One :class:`EmbeddingBlock` per start-edge group (per run of one that
+    :func:`_expand` cut), copied out of the arena as it finishes.  With
+    ``collect=False`` nothing is copied — a finished frontier nobody reads
+    is not even gathered — unless an overridden ``accept`` has to see it.
 
     ``units`` are :func:`decompose_batch`'s: each unit's data edge already
     satisfies the edge matcher for its start edge (and, for a tree edge,
@@ -796,38 +819,23 @@ def columnar_enumerate(
             )
         if not keep.any():
             continue
-        frontier = _Frontier(arena, query, q_start, srcs[keep], dsts[keep], eids[keep])
+        ends = {q_start.src: srcs[keep], q_start.dst: dsts[keep]}  # one key on a self-loop
+        frontier = _Frontier(arena, query, ends, {start_edge: eids[keep]})
         _verify(context, frontier, order.start_verify_edges)
-        for step in order.steps:
-            if frontier.n == 0:
-                break
-            uniq, inv = np.unique(frontier.node(step.anchor), return_inverse=True)
-            pool = context.get_candidate_pools(step, uniq)
-            pool_ids, pool_verts, pool_sizes = _push_down(
-                context, step, mask.is_masked(step.tree_edge_index), *pool
-            )
-            nodes = frontier.nodes
-            parents, cand_ids, cand_verts = extend_intersect(
-                inv, pool_ids, pool_verts, pool_sizes, nodes if injective else nodes[:0]
-            )
-            frontier.take(
-                parents, node=(step.node, cand_verts), edge=(step.tree_edge_index, cand_ids)
-            )
-            _verify(context, frontier, step.verify_edges)
-
-        # -- emit: the one place a finished block leaves the arena
-        n = frontier.n
-        if n and (collect or custom_accept):
-            block = frontier.block(context.positive)
-            if custom_accept:
-                accepted = [match_def.accept(context, embedding) for embedding in block]
-                if not all(accepted):
-                    block = block.take(np.flatnonzero(accepted))
-                    n = len(block)
-            if collect and n:
-                found.blocks.append(block)
-        context.embeddings_found += n
-        count += n
+        for finished in _expand(context, frontier, order.steps):
+            # -- emit: the one place a finished block leaves the arena
+            n = finished.n
+            if n and (collect or custom_accept):
+                block = finished.block(context.positive)
+                if custom_accept:
+                    accepted = [match_def.accept(context, embedding) for embedding in block]
+                    if not all(accepted):
+                        block = block.take(np.flatnonzero(accepted))
+                        n = len(block)
+                if collect and n:
+                    found.blocks.append(block)
+            context.embeddings_found += n
+            count += n
     return found, count
 
 

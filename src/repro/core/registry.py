@@ -133,7 +133,7 @@ def build_query_runtime(
     index_manager = IndexManager(query, tree, graph, debi, match_def)
     if rebuild_index and graph.num_edges:
         index_manager.rebuild()
-    query_state = QueryState.build(
+    query_state = QueryState(
         query=query,
         tree=tree,
         orders=orders,

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from repro import ShardedEngine
+from repro.core import enumeration
 from repro.core.api import MatchDefinition, default_edge_matcher
 from repro.core.engine import EngineConfig, MnemonicEngine
 from repro.core.enumeration import (
@@ -236,6 +237,63 @@ class TestKernelMatchesReference:
         assert embeddings > 0, "vacuous: the reference found nothing"
         if engine_name == "process":
             assert pool_phases > 0, "vacuous: no batch went through the worker pool"
+
+    @pytest.mark.parametrize("engine_name", ["serial", "process"])
+    @pytest.mark.parametrize("matcher", _MATCHERS)
+    def test_a_cut_frontier_leaves_the_reference_rows(self, rng, matcher, engine_name, monkeypatch):
+        """With ``MAX_LIVE`` at 2 nearly every step cuts its frontier into runs:
+        same embeddings, on the serial engine in the same order and with the
+        same ``candidates_scanned`` — the cut step fetches its pools once and a
+        run's later steps are charged through the context's memo."""
+        monkeypatch.setattr(enumeration, "MAX_LIVE", 2)  # before the pool forks
+        cuts = []
+        part = enumeration._Frontier.part
+        monkeypatch.setattr(
+            enumeration._Frontier, "part",
+            lambda frontier, low, high: cuts.append(high - low) or part(frontier, low, high),
+        )
+        events = _random_events(rng, num_events=90, deletes=True)
+        splits = list(_batches(events, rng, max_batch=14))
+        for query in _QUERIES:
+            expected = _reference_trace([(query, _MATCHERS[matcher]())], splits)
+            with _ENGINES[engine_name](query, _MATCHERS[matcher]()) as engine:
+                found = _replay(engine, splits, _product_rows)
+            if engine_name == "serial":
+                assert found == expected
+            else:
+                assert _unordered(found) == _unordered(expected)
+        if engine_name == "serial":  # the workers cut in their own processes
+            assert cuts and set(cuts) == {2}, "vacuous: no frontier was cut"
+
+    def test_a_hub_is_expanded_a_run_at_a_time(self, monkeypatch):
+        """No join sees more than ``MAX_LIVE`` live columns, however far hubs fan out."""
+        fan = 30
+        query = _query([(0, 1, -1, None), (1, 2, -1, None), (2, 3, -1, None)])
+        events = [StreamEvent.insert(0, 1, 0, 0.0)]
+        events += [StreamEvent.insert(1, 10 + i, 0, 0.0) for i in range(fan)]
+        events += [StreamEvent.insert(10 + i, 100 + j, 0, 0.0) for i in range(fan) for j in range(fan)]
+        engine = MnemonicEngine(query)
+        engine.load_initial(events)
+        pinned = engine.graph.find_edges(0, 1)
+
+        def run(collect):
+            widths = []
+            join = enumeration.extend_intersect
+            monkeypatch.setattr(
+                enumeration, "extend_intersect",
+                lambda inv, *rest: widths.append(inv.shape[0]) or join(inv, *rest),
+            )
+            context = engine.runtime.make_context(engine.graph, set(pinned), True)
+            found, count = columnar_enumerate(context, decompose_batch(context, pinned), collect)
+            monkeypatch.setattr(enumeration, "extend_intersect", join)
+            return list(found), count, context.candidates_scanned, widths
+
+        whole = run(True)
+        assert whole[1] == fan * fan and max(whole[3]) == fan
+        monkeypatch.setattr(enumeration, "MAX_LIVE", 8)
+        cut = run(True)
+        assert cut[:3] == whole[:3] and max(cut[3]) == 8 and len(cut[3]) > len(whole[3])
+        assert run(False)[1:3] == whole[1:3]
 
     @pytest.mark.parametrize("matcher", _MATCHERS)
     def test_unit_columns_hold_the_reference_units_in_its_order(self, rng, matcher):
