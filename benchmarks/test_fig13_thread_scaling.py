@@ -12,14 +12,15 @@ round trip costs several times the enumeration it distributes and every
 pool row is slower than serial.  ``fig13_pool_slicing`` is the same
 comparison at ``benchmarks/e2e``'s size (``netflow-dense-enum``'s 20k +
 20k stream and dense T_6), where a batch holds thousands of units: serial
-at two batch sizes against the two-worker pool, pipelined, with the
-kernel calls each made and the workers' attach / kernel split.  The
-assertions pin correctness and counts — every row finds the same
-embeddings, the one-worker configuration runs the serial path, a pool
-phase makes at most ``2 * num_workers`` kernel calls — never a time.  A
-native thread backend is not measured because there is none: Python
-threads convoy on the GIL around the kernel's short numpy calls (see
-``docs/parallelism.md``).
+at two batch sizes on the native kernel (where it builds), serial on the
+numpy kernel, and the two-worker pool, pipelined, whose workers run the
+numpy kernel over graph views — with the kernel calls each made and the
+workers' attach / kernel split.  The assertions pin correctness and counts
+— every row finds the same embeddings, the one-worker configuration runs
+the serial path, a pool phase makes at most ``2 * num_workers`` kernel
+calls — never a time.  A thread backend is not measured because there is
+none: Python threads convoy on the GIL around the numpy kernel's short
+calls (see ``docs/parallelism.md``).
 
 The thread-scaling workload is a single large insertion batch of the
 most enumeration-heavy suite so that worker start-up costs are amortised
@@ -28,11 +29,14 @@ the same way the paper's per-query measurement does.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 
 from benchmarks.conftest import SPLIT_COLUMNS, split_cells, write_result
 from repro.bench.harness import run_mnemonic_stream
 from repro.bench.reporting import format_table
+from repro.core import native
 from repro.core.parallel import ParallelConfig
 
 WORKER_COUNTS = (1, 2, 4, 8)
@@ -92,24 +96,28 @@ def _run_slicing():
     stream = inputs.prefix + inputs.timed
     query = query_graph(workload.queries[0])
     pool = ParallelConfig(backend="process", num_workers=2)
+    native_kernel = "native" if native.library() is not None else "numpy"
     rows = []
-    for backend, batch_size, parallel, pipeline in (
-        ("serial", 1024, None, "serial"),
-        ("serial", 4096, None, "serial"),
-        ("process x2", 4096, pool, "pipelined"),
+    for backend, kernel, batch_size, parallel, pipeline in (
+        ("serial", native_kernel, 1024, None, "serial"),
+        ("serial", native_kernel, 4096, None, "serial"),
+        ("serial", "numpy", 4096, None, "serial"),
+        ("process x2", "numpy", 4096, pool, "pipelined"),
     ):
-        run = min(
-            (
-                run_mnemonic_stream(
-                    query, stream, initial_prefix=size.prefix, batch_size=batch_size,
-                    parallel=parallel, pipeline=pipeline, query_name="T_6 dense",
-                )
-                for _ in range(PASSES)
-            ),
-            key=lambda run: run.seconds,
-        )
+        # clearing the loaded library is what makes the serial engine run numpy
+        with mock.patch.object(native, "_library", None if kernel == "numpy" else native._library):
+            run = min(
+                (
+                    run_mnemonic_stream(
+                        query, stream, initial_prefix=size.prefix, batch_size=batch_size,
+                        parallel=parallel, pipeline=pipeline, query_name="T_6 dense",
+                    )
+                    for _ in range(PASSES)
+                ),
+                key=lambda run: run.seconds,
+            )
         rows.append([
-            backend, pipeline, batch_size, run.seconds, size.timed / run.seconds,
+            backend, kernel, pipeline, batch_size, run.seconds, size.timed / run.seconds,
             run.embeddings, run.extra["pool_phases"], *split_cells(run),
         ])
     return rows
@@ -121,14 +129,14 @@ def test_fig13_pool_slicing(benchmark):
     table = format_table(
         "Figure 13 - serial vs the sliced pool at benchmarks/e2e size "
         f"(netflow 20k + 20k, dense T_6, 2 vCPUs, best of {PASSES} passes)",
-        ["backend", "pipeline", "batch", "runtime_s", "events_per_s", "embeddings",
+        ["backend", "kernel", "pipeline", "batch", "runtime_s", "events_per_s", "embeddings",
          "pool_phases", *SPLIT_COLUMNS],
         rows,
     )
     write_result("fig13_pool_slicing", table)
-    serial_1024, serial_4096, pooled = rows
-    assert {row[5] for row in rows} == {serial_1024[5]}, "a backend found different embeddings"
+    serial_1024, serial_4096, numpy_4096, pooled = rows
+    assert {row[6] for row in rows} == {serial_1024[6]}, "a backend found different embeddings"
     # one kernel call per serial batch; at most 2 * num_workers slices per pool phase
-    assert (serial_1024[7], serial_4096[7]) == (20, 5)
-    assert pooled[6] == 5 and 5 < pooled[7] <= 5 * 2 * 2
-    assert pooled[10] == 0, "count-only results carry no embedding blocks"
+    assert (serial_1024[8], serial_4096[8], numpy_4096[8]) == (20, 5, 5)
+    assert pooled[7] == 5 and 5 < pooled[8] <= 5 * 2 * 2
+    assert pooled[11] == 0, "count-only results carry no embedding blocks"

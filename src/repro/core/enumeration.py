@@ -6,12 +6,14 @@ initial one-edge embedding that is extended to full embeddings by a
 join over DEBI candidates.  Work units are independent, so they are
 distributed over workers (see :mod:`repro.core.parallel`).
 
-Every :class:`~repro.core.api.MatchDefinition` enumerates through the one
-kernel in this module (:func:`columnar_enumerate`): the units of a batch
-are grouped by start edge and each group advances as one block of
-partial embeddings — one candidate fetch, one join and one witness
-lookup per matching-order step for the whole block, cut only where it
-grows past ``MAX_LIVE`` columns — and leaves as ``EmbeddingBlock``s.
+Every :class:`~repro.core.api.MatchDefinition` enumerates through
+:func:`columnar_enumerate`: a stock one on the live graph natively
+(:mod:`repro.core.native`), any other in the numpy kernel of this module,
+where the units of a batch are grouped by start edge and each group
+advances as one block of partial embeddings — one candidate fetch, one
+join and one witness lookup per matching-order step for the whole block,
+cut only where it grows past ``MAX_LIVE`` columns — and leaves as
+``EmbeddingBlock``s.
 
 Duplicate elimination follows the masking rule described in
 :mod:`repro.query.masking`: the unit starting at query-edge position
@@ -27,10 +29,12 @@ does not apply: another witness makes another embedding.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
 
+from repro.core import native
 from repro.core.api import (
     MatchDefinition,
     default_edge_mask,
@@ -44,6 +48,7 @@ from repro.query.masking import MaskTable
 from repro.query.matching_order import ExtensionStep, MatchingOrder
 from repro.query.query_graph import WILDCARD_LABEL, QueryEdge, QueryGraph
 from repro.query.query_tree import QueryTree
+from repro.utils.bitset import BitMatrix
 from repro.utils.validation import check_positive
 
 
@@ -121,6 +126,7 @@ class EnumerationContext:
         degree_requirements: dict[int, list[tuple]] | None = None,
         shared_pool_cache: dict | None = None,
         arena: "EmbeddingArena | None" = None,
+        native_plan: native.Plan | None = None,
     ) -> None:
         self.query = query
         self.tree = tree
@@ -133,8 +139,10 @@ class EnumerationContext:
         self.positive = positive
         #: the f2/f3 filter's table (:attr:`QueryState.degree_table`); None = filter off
         self.degree_requirements = degree_requirements
-        #: reusable column arena for the kernel (None = transient)
+        #: reusable column arena for the numpy kernel (None = transient)
         self.arena = arena
+        #: the query encoded for the native kernel (:attr:`QueryState.native_plan`)
+        self.native_plan = native_plan
         #: number of candidate edges inspected (enumeration-side traversal metric)
         self.candidates_scanned = 0
         #: number of embeddings produced across all units run on this context
@@ -181,23 +189,20 @@ class EnumerationContext:
         """
         label = self._pool_label(step)
         ids, sizes = self.graph.candidate_pools(anchors, step.anchor_is_src, label)
-        self._charge_pools(step, label, anchors, sizes)
+        self._charge_pools((step.anchor_is_src, step.debi_column, label), anchors, sizes)
         if step.debi_column is not None and ids.size:
             hit = self.debi.column_mask(ids, step.debi_column)
             ids, sizes = ids[hit], segment_counts(hit, sizes)
         return ids, self.graph.endpoint_array(ids, step.anchor_is_src), sizes
 
-    def _charge_pools(
-        self, step: ExtensionStep, label: int | None, anchors: np.ndarray, sizes: np.ndarray
-    ) -> None:
-        seen = self._charged_anchors.setdefault(
-            (step.anchor_is_src, step.debi_column, label), set()
-        )
+    def _charge_pools(self, key: tuple, anchors: np.ndarray, sizes: np.ndarray) -> None:
+        """Charge each pool of ``anchors`` (distinct, ascending) once under ``key``."""
+        seen = self._charged_anchors.setdefault(key, set())
         fresh = set(anchors.tolist()).difference(seen)
         seen |= fresh
         shared = self._shared_pool_cache
         if shared is not None and fresh:
-            paid = shared.setdefault((step.anchor_is_src, label), set())
+            paid = shared.setdefault((key[0], key[2]), set())
             fresh = fresh.difference(paid)
             paid |= fresh
         if len(fresh) == anchors.size:
@@ -307,6 +312,11 @@ class QueryState:
             for node in query.nodes()
         }
 
+    @cached_property
+    def native_plan(self) -> native.Plan:
+        """The query encoded for the native kernel, on first use (so not at set-up)."""
+        return native.plan(self)
+
     def make_context(
         self,
         graph,
@@ -330,6 +340,7 @@ class QueryState:
             degree_requirements=self.degree_requirements(),
             shared_pool_cache=shared_pool_cache,
             arena=arena,
+            native_plan=self.native_plan,
         )
 
     def degree_requirements(self) -> dict[int, list[tuple]] | None:
@@ -415,7 +426,7 @@ class EmbeddingArena:
         self.capacity = capacity
         #: geometric growths performed (property-test observability)
         self.grow_events = 0
-        #: kernel invocations (``_columnar_run`` calls) served by this arena
+        #: :func:`columnar_enumerate` calls whose numpy kernel this arena served
         self.batches_served = 0
         #: widest live block ever held
         self.high_water = 0
@@ -473,15 +484,14 @@ def extend_intersect(
     pool_sizes: np.ndarray,
     bound_nodes: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One batched extend/intersect step — the kernel seam.
+    """One batched extend/intersect step of the numpy kernel.
 
     Cross-joins the live embedding block against the step's flat
     candidate pool and applies the one predicate that depends on the
     joined row, vertex injectivity.  Everything that depends on the pool
     entry alone (DEBI bit, batch masking, root candidacy, degree filter)
     has already been applied to the pool by the driver.  Contiguous int64
-    arrays in, contiguous int64 arrays out, no callables — this single
-    function boundary is where a numba/Cython drop-in would slot.
+    arrays in, contiguous int64 arrays out, no callables.
 
     ``inv[c]`` is the anchor group of live column ``c``; group ``g`` owns
     ``pool_sizes[g]`` consecutive entries of ``pool_ids``/``pool_verts``
@@ -756,12 +766,18 @@ def columnar_enumerate(
     collect: bool = True,
     arena: "EmbeddingArena | None" = None,
 ) -> tuple[Embeddings, int]:
-    """Run ``units`` through the kernel; return ``(embeddings, count)``.
+    """Run ``units`` through a kernel; return ``(embeddings, count)``.
 
-    One :class:`EmbeddingBlock` per start-edge group (per run of one that
-    :func:`_expand` cut), copied out of the arena as it finishes.  With
-    ``collect=False`` nothing is copied — a finished frontier nobody reads
-    is not even gathered — unless an overridden ``accept`` has to see it.
+    The native kernel takes the call when it loaded, the graph is a live
+    :class:`DynamicGraph`, the DEBI an in-memory :class:`BitMatrix` and
+    the definition runs no Python callable; the numpy kernel takes the
+    rest.  Both return the same rows in the same order and charge the same.
+
+    The numpy kernel emits one :class:`EmbeddingBlock` per start-edge
+    group (per run of one that :func:`_expand` cut), copied out of the
+    arena as it finishes.  With ``collect=False`` nothing is copied — a
+    finished frontier nobody reads is not even gathered — unless an
+    overridden ``accept`` has to see it.
 
     ``units`` are :func:`decompose_batch`'s: each unit's data edge already
     satisfies the edge matcher for its start edge (and, for a tree edge,
@@ -785,6 +801,11 @@ def columnar_enumerate(
     bind = match_def.bind_witnesses
     # An overridden accept is the one slow path: it needs Embedding records.
     custom_accept = type(match_def).accept is not MatchDefinition.accept
+    stock = uses_default_edge_matcher(match_def) and not (bind or custom_accept)
+    if stock and type(match_def).root_matcher is MatchDefinition.root_matcher and (
+        type(graph) is DynamicGraph and type(context.debi._bits) is BitMatrix
+    ) and (lib := native.library()) is not None:
+        return _native_enumerate(lib, context, units, collect)
     if arena is None:
         arena = context.arena if context.arena is not None else EmbeddingArena(capacity=256)
     arena.batches_served += 1
@@ -836,6 +857,31 @@ def columnar_enumerate(
                     found.blocks.append(block)
             context.embeddings_found += n
             count += n
+    return found, count
+
+
+def _native_enumerate(
+    lib, context: EnumerationContext, units: WorkUnits, collect: bool
+) -> tuple[Embeddings, int]:
+    """:func:`columnar_enumerate` as one native call; the pools it fetched are charged
+    through the context's memos, so mixing native and numpy queries changes no charge."""
+    plan = context.native_plan
+    count, scanned, groups, rows, charges = native.run(
+        lib, context.graph, context.debi, context.batch_edge_ids, plan.program, units, collect
+    )
+    context.candidates_scanned += scanned
+    charges = charges[np.lexsort((charges[:, 1], charges[:, 0]))]
+    keys, firsts = np.unique(charges[:, 0], return_index=True)
+    for key, low, high in zip(keys.tolist(), firsts.tolist(), [*firsts[1:].tolist(), None]):
+        context._charge_pools(plan.charge_keys[key], charges[low:high, 1], charges[low:high, 2])
+    found = Embeddings()
+    nodes = tuple(sorted(context.query.nodes()))  # a row: its vertices, then its edges
+    for start, n, offset in groups.tolist() if collect else ():
+        slots = plan.edge_slots[start]
+        columns = rows[offset : offset + n * (len(nodes) + len(slots))].reshape(n, -1).T
+        vertices, edges = columns[: len(nodes)].copy(), columns[len(nodes) :].copy()
+        found.blocks.append(EmbeddingBlock(start, context.positive, nodes, slots, vertices, edges))
+    context.embeddings_found += count
     return found, count
 
 

@@ -659,6 +659,8 @@ class DynamicGraph:
         # last vertex, so position -1 — an unknown vertex — reads label 0.
         self._vertex_position: dict[int, int] = {}
         self._vertex_label = np.zeros(_INITIAL_ROWS, dtype=np.int64)
+        #: position -> raw vertex id, the inverse of ``_vertex_position``
+        self._vertex_ids = np.zeros(_INITIAL_ROWS, dtype=np.int64)
         self._out = _Adjacency(self._vertex_position)
         self._in = _Adjacency(self._vertex_position)
         #: recyclable edge ids, stacked per source vertex
@@ -701,6 +703,7 @@ class DynamicGraph:
             position = self._vertex_position[vertex] = len(self._vertex_position)
             self._grow_vertex_columns()
             self._vertex_label[position] = label
+            self._vertex_ids[position] = vertex
         elif label != 0 and self._vertex_label.item(position) != label:
             raise GraphError(
                 f"vertex {vertex} already has label {self._vertex_label.item(position)}, "
@@ -712,6 +715,7 @@ class DynamicGraph:
         count, room = len(self._vertex_position), self._vertex_label.shape[0]
         if count >= room:  # keeps the zero slot behind the last vertex
             self._vertex_label = _grown(self._vertex_label, room, count + 1)
+            self._vertex_ids = _grown(self._vertex_ids, room, count + 1)
             self._vertex_touched = _grown(self._vertex_touched, room, count + 1)
 
     def _register_vertices(
@@ -729,6 +733,7 @@ class DynamicGraph:
         if introduced.size:
             self._grow_vertex_columns()
             self._vertex_label[positions[introduced]] = given[introduced]
+            self._vertex_ids[positions[introduced]] = mentions[introduced]
         if given.any():
             known = self._vertex_label[positions]
             conflict = (given != 0) & (given != known)
@@ -1137,7 +1142,9 @@ class DynamicGraph:
             raise GraphError("vertex positions are not the vertex insertion ranks")
         if num_vertices >= self._vertex_label.shape[0] or self._vertex_label[num_vertices:].any():
             raise GraphError("the vertex label column has no zero slot behind the last vertex")
-        vertex_ids = np.fromiter(self._vertex_position, dtype=np.int64, count=num_vertices)
+        vertex_ids = self._vertex_ids[:num_vertices]
+        if vertex_ids.tolist() != list(self._vertex_position):
+            raise GraphError("the vertex id column disagrees with the vertex positions")
         for name, adjacency, parts, endpoint in (
             ("out", self._out, self._out_part, self._src),
             ("in", self._in, self._in_part, self._dst),
@@ -1200,7 +1207,7 @@ class DynamicGraph:
         rows = self._rows
         num_vertices = len(self._vertex_position)
         arrays = {
-            "vertex_ids": np.fromiter(self._vertex_position, dtype=np.int64, count=num_vertices),
+            "vertex_ids": self._vertex_ids[:num_vertices].copy(),
             "vertex_labels": self._vertex_label[:num_vertices].copy(),
             "edge_src": self._src[:rows].copy(),
             "edge_dst": self._dst[:rows].copy(),

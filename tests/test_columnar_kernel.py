@@ -1,7 +1,7 @@
-"""Differential, property and edge-case tests for the enumeration kernel.
+"""Differential, property and edge-case tests for the enumeration kernels.
 
-The kernel's contract is strict: for every match definition, stream
-shape and engine it must reproduce the tuple-at-a-time reference
+The kernels' contract is strict: for every match definition, stream
+shape and engine they must reproduce the tuple-at-a-time reference
 (``tests/reference/tuple_kernel.py``: per-edge ingest, depth-first
 backtracking) **exactly** — the same positive and negative embeddings
 batch for batch, value for value (start edge and multiplicity included)
@@ -9,10 +9,12 @@ and, wherever the product's order is defined, in the reference's order:
 iterating the result blocks of a serial engine yields the reference's
 list.  On the serial engine ``candidates_scanned`` agrees to the digit,
 and behaviour agrees at every degenerate input (no units, no
-candidates, duplicate-vertex rejections).  The arena that backs it must
-grow geometrically, never shrink, and be reusable across batches without
-further allocation — and a result block, once handed out, must not
-change when it is.
+candidates, duplicate-vertex rejections).  The differential runs once
+per kernel (the ``kernel`` fixture): the native one, which serves stock
+definitions on the live graph, and the numpy one, which serves the rest.
+The arena that backs the numpy kernel must grow geometrically, never
+shrink, and be reusable across batches without further allocation — and
+a result block, once handed out, must not change when it is.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 import pytest
 
 from repro import ShardedEngine
-from repro.core import enumeration
+from repro.core import enumeration, native
 from repro.core.api import MatchDefinition, default_edge_matcher
 from repro.core.engine import EngineConfig, MnemonicEngine
 from repro.core.enumeration import (
@@ -91,6 +93,12 @@ class EvenTimestampMatcher(MatchDefinition):
         return default_edge_matcher(query, graph, q_edge, d_edge) and int(d_edge.timestamp) % 2 == 0
 
 
+class UnpartitionedMatcher(IsomorphismMatcher):
+    """The stock matcher with pools taken over every label (still no Python callable)."""
+
+    label_partitioned = False
+
+
 _MATCHERS = {
     "isomorphism": IsomorphismMatcher,
     "homomorphism": HomomorphismMatcher,
@@ -99,10 +107,44 @@ _MATCHERS = {
     "custom-accept": AcceptSomeMatcher,
     "custom-edge-matcher": EvenTimestampMatcher,
 }
+#: the definitions the native kernel serves
+_STOCK = ("isomorphism", "homomorphism")
+
+
+@pytest.fixture
+def numpy_kernel(monkeypatch):
+    """Force the numpy kernel by clearing the loaded native library handle."""
+    native.library()
+    monkeypatch.setattr(native, "_library", None)
+
+
+@pytest.fixture(params=["native", "numpy"])
+def kernel(request):
+    """Run once per kernel; the native run skips, with the loader's reason, where
+    no library can be built."""
+    if request.param == "numpy":
+        request.getfixturevalue("numpy_kernel")
+    elif native.library() is None:
+        pytest.skip(native.status())
+    return request.param
+
+
+@pytest.fixture
+def native_calls(monkeypatch):
+    """The number of native kernel calls made so far, as a one-element list."""
+    calls = [0]
+    run = native.run
+
+    def counted(*args):
+        calls[0] += 1
+        return run(*args)
+
+    monkeypatch.setattr(native, "run", counted)
+    return calls
 
 
 def _random_events(rng, num_events, deletes=True, num_vertices=8, num_labels=2,
-                   delete_share=0.25):
+                   delete_share=0.25, self_loops=False):
     """A random multigraph stream over a small labelled vertex set.
 
     Timestamps are small integers, so ties and out-of-order arrivals are
@@ -117,7 +159,7 @@ def _random_events(rng, num_events, deletes=True, num_vertices=8, num_labels=2,
             events.append(StreamEvent.delete(*live.pop(int(rng.integers(len(live))))))
             continue
         src, dst = (int(x) for x in rng.integers(0, num_vertices, size=2))
-        if src == dst:
+        if src == dst and not self_loops:
             continue
         label = int(rng.integers(0, num_labels))
         events.append(StreamEvent.insert(src, dst, label, float(rng.integers(0, 6)),
@@ -215,7 +257,9 @@ class TestKernelMatchesReference:
     @pytest.mark.parametrize("engine_name", _ENGINES)
     @pytest.mark.parametrize("deletes", [False, True], ids=["insert-only", "insert+delete"])
     @pytest.mark.parametrize("matcher", _MATCHERS)
-    def test_randomized_streams_agree_batch_for_batch(self, rng, matcher, deletes, engine_name):
+    def test_randomized_streams_agree_batch_for_batch(
+        self, rng, matcher, deletes, engine_name, kernel, native_calls
+    ):
         """Product and reference agree on every batch of every query shape."""
         events = _random_events(rng, num_events=90, deletes=deletes)
         # the pool needs a few units per batch before it publishes a snapshot
@@ -237,10 +281,60 @@ class TestKernelMatchesReference:
         assert embeddings > 0, "vacuous: the reference found nothing"
         if engine_name == "process":
             assert pool_phases > 0, "vacuous: no batch went through the worker pool"
+        if kernel == "numpy" or matcher not in _STOCK:
+            assert native_calls[0] == 0
+        elif engine_name == "serial":  # a silent fallback must not pass as native
+            assert native_calls[0] > 0
+
+    @pytest.mark.parametrize("matcher", ["isomorphism", "homomorphism", "unpartitioned"])
+    @pytest.mark.parametrize("query", [
+        pytest.param(_query([(0, 1, 0, None), (1, 1, -1, None), (1, 2, 1, None)],
+                            {0: 0, 1: -1, 2: 0}), id="self-loop-and-wildcard"),
+        pytest.param(_query([(0, 1, 1, None)], {0: 0, 1: 1}), id="two-nodes"),
+        pytest.param(_query([(0, 1, -1, None), (1, 0, 0, None)]), id="two-cycle"),
+        pytest.param(_query([(0, 1, -1, None), (1, 2, 0, None), (2, 3, -1, None),
+                             (3, 0, 1, None), (0, 2, -1, None)]), id="chorded-square"),
+    ])
+    def test_shapes_the_five_queries_miss(self, rng, query, matcher, kernel, native_calls):
+        """Self-loop query edges (over a stream with self-loops), wildcard and
+        labelled edges side by side, pools over every label, two-node queries
+        and non-tree start edges: serial rows and scans equal the reference's."""
+        make = UnpartitionedMatcher if matcher == "unpartitioned" else _MATCHERS[matcher]
+        events = _random_events(rng, num_events=120, num_vertices=7, self_loops=True)
+        splits = list(_batches(events, rng))
+        expected = _reference_trace([(query, make())], splits)
+        with MnemonicEngine(query, match_def=make()) as engine:
+            assert _replay(engine, splits, _product_rows) == expected
+        assert sum(len(pos) + len(neg) for _, rows in expected for pos, neg, _ in rows) > 0
+        assert (native_calls[0] > 0) == (kernel == "native")
+
+    def test_a_spilled_debi_falls_back_to_numpy(self, rng, tmp_path, native_calls):
+        """A DEBI whose cold rows live on disk is read through Python: numpy serves it."""
+        events = _random_events(rng, num_events=90)
+        splits = list(_batches(events, rng))
+        query = _QUERIES[1]
+        with MnemonicEngine(query) as engine:
+            engine.debi.enable_spill(tmp_path, hot_rows=4, segment_rows=4)
+            assert _replay(engine, splits, _product_rows) == _reference_trace([(query, None)], splits)
+            assert engine.debi.spill_stats()["spilled_rows"] > 0
+        assert native_calls[0] == 0
+
+    def test_a_vertex_id_of_2_to_the_40_is_emitted_exactly(self, kernel, native_calls):
+        big = 2**40
+        query = _query([(0, 1, -1, None), (1, 2, -1, None)], {0: 0, 1: 1, 2: 0})
+        events = [StreamEvent.insert(big, 7, 0, 0.0, 0, 1), StreamEvent.insert(7, 9, 0, 0.0, 1, 0),
+                  StreamEvent.insert(big + 1, 7, 0, 0.0, 0, 1)]
+        found = MnemonicEngine(query).batch_inserts(events).positive_embeddings
+        [(expected, _)] = ReferenceEngine([(query, None)]).batch_inserts(events)
+        assert list(found) == expected
+        assert {e.vertex_of(0) for e in found} == {big, big + 1}
+        assert (native_calls[0] > 0) == (kernel == "native")
 
     @pytest.mark.parametrize("engine_name", ["serial", "process"])
     @pytest.mark.parametrize("matcher", _MATCHERS)
-    def test_a_cut_frontier_leaves_the_reference_rows(self, rng, matcher, engine_name, monkeypatch):
+    def test_a_cut_frontier_leaves_the_reference_rows(
+        self, rng, matcher, engine_name, monkeypatch, numpy_kernel
+    ):
         """With ``MAX_LIVE`` at 2 nearly every step cuts its frontier into runs:
         same embeddings, on the serial engine in the same order and with the
         same ``candidates_scanned`` — the cut step fetches its pools once and a
@@ -265,7 +359,7 @@ class TestKernelMatchesReference:
         if engine_name == "serial":  # the workers cut in their own processes
             assert cuts and set(cuts) == {2}, "vacuous: no frontier was cut"
 
-    def test_a_hub_is_expanded_a_run_at_a_time(self, monkeypatch):
+    def test_a_hub_is_expanded_a_run_at_a_time(self, monkeypatch, numpy_kernel):
         """No join sees more than ``MAX_LIVE`` live columns, however far hubs fan out."""
         fan = 30
         query = _query([(0, 1, -1, None), (1, 2, -1, None), (2, 3, -1, None)])
@@ -468,7 +562,7 @@ class TestSharedPoolCacheCharging:
         pytest.param([IsomorphismMatcher, AcceptSomeMatcher, HomomorphismMatcher,
                       TemporalIsomorphismMatcher], id="mixed-definitions"),
     ])
-    def test_per_query_scans_match_reference_to_the_digit(self, rng, match_defs):
+    def test_per_query_scans_match_reference_to_the_digit(self, rng, match_defs, kernel):
         events = _random_events(rng, num_events=120)
         splits = list(_batches(events, rng, max_batch=9))
         queries = [(query, make()) for query, make in zip(_QUERIES, match_defs)]
@@ -481,8 +575,41 @@ class TestSharedPoolCacheCharging:
         assert sum(len(neg) for sign, rows in expected for _, neg, _ in rows) > 0
         assert found == expected
 
+    def test_native_and_numpy_queries_share_pools_as_numpy_alone_does(
+        self, rng, monkeypatch, native_calls
+    ):
+        """Two stock queries and a temporal one share (direction, label) pools:
+        with the native kernel on, the stock two run natively and the temporal
+        one in numpy, and every query's rows and scans — and the registry's
+        total — equal an all-numpy run's."""
+        if native.library() is None:
+            pytest.skip(native.status())
+        query = _query([(0, 1, 0, 0), (1, 2, -1, 1)])
+        match_defs = [IsomorphismMatcher, HomomorphismMatcher, TemporalIsomorphismMatcher]
+        events = _random_events(rng, num_events=120)
+        splits = list(_batches(events, rng, max_batch=9))
+
+        def run():
+            totals = []
+
+            def rows(result):
+                totals.append(result.candidates_scanned)
+                return _multi_rows(result)
+
+            with MultiQueryEngine() as engine:
+                for make in match_defs:
+                    engine.register(query, match_def=make())
+                return _replay(engine, splits, rows), totals
+
+        on = run()
+        assert native_calls[0] > 0
+        monkeypatch.setattr(native, "_library", None)
+        assert run() == on
+        assert sum(on[1]) > 0 and sum(len(pos) for _, rows in on[0] for pos, _, _ in rows) > 0
+
 
 # ---------------------------------------------------------------------- arena invariants
+@pytest.mark.usefixtures("numpy_kernel")
 class TestArenaInvariants:
     def test_growth_is_geometric_and_monotone(self):
         arena = EmbeddingArena(capacity=4)
@@ -608,14 +735,15 @@ class TestKernelEdgeCases:
     def _context(self, engine, edge_ids):
         return engine.runtime.make_context(engine.graph, batch_edge_ids=set(edge_ids), positive=True)
 
-    def test_empty_unit_list(self, paper_example):
+    def test_empty_unit_list(self, paper_example, kernel):
         engine = MnemonicEngine(paper_example.query)
         engine.load_initial(paper_example.initial_events())
         context = self._context(engine, [])
         arena = EmbeddingArena(capacity=4)
         embeddings, count = columnar_enumerate(context, WorkUnits(), arena=arena)
-        assert embeddings == [] and count == 0
-        assert arena.batches_served == 1  # counted per invocation, even an empty one
+        assert embeddings == [] and count == 0 and context.candidates_scanned == 0
+        # the numpy kernel counts every invocation, even an empty one
+        assert arena.batches_served == (kernel == "numpy")
         payload, count = columnar_enumerate_packed(context, WorkUnits(), arena=arena)
         assert payload == [] and count == 0
 
@@ -686,6 +814,7 @@ class TestRemovedSelectors:
 
 
 # ---------------------------------------------------------------------- seam contract
+@pytest.mark.usefixtures("numpy_kernel")
 class TestExtendIntersectSeam:
     def test_contiguous_int64_in_and_out(self, paper_example):
         """The seam sees C-contiguous int64 arrays and returns the same."""
@@ -722,3 +851,50 @@ class TestExtendIntersectSeam:
                 assert arr.flags["C_CONTIGUOUS"]
             parents, cand_ids, cand_verts = out
             assert parents.shape == cand_ids.shape == cand_verts.shape
+
+
+# ---------------------------------------------------------------------- native loader
+class TestNativeLoader:
+    """The loader never raises and loads only what it built in a private directory."""
+
+    @pytest.mark.parametrize("compiler", ["/nonexistent/cc", "false"], ids=["missing", "failing"])
+    def test_a_bad_compiler_leaves_numpy_serving_the_same_rows(
+        self, rng, tmp_path, monkeypatch, compiler, native_calls
+    ):
+        events = _random_events(rng, num_events=90)
+        splits = list(_batches(events, rng))
+        query = _QUERIES[1]
+        with MnemonicEngine(query) as engine:
+            served = _replay(engine, splits, _product_rows)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        monkeypatch.setenv("CC", compiler)
+        library, why = native._load()
+        assert library is None and compiler in why
+        assert not list((tmp_path / "repro-mnemonic").iterdir()), "a failed build left a file"
+        monkeypatch.setattr(native, "_library", None)
+        monkeypatch.setattr(native, "_status", why)
+        calls = native_calls[0]
+        with MnemonicEngine(query) as engine:
+            assert _replay(engine, splits, _product_rows) == served
+        assert native_calls[0] == calls and native.status() == why
+
+    @pytest.mark.parametrize("mode", [0o777, 0o770, 0o722])
+    def test_a_directory_others_can_write_is_refused(self, tmp_path, monkeypatch, mode):
+        directory = tmp_path / "repro-mnemonic"
+        directory.mkdir()
+        directory.chmod(mode)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        library, why = native._load()
+        assert library is None and "refused" in why
+        assert list(directory.iterdir()) == []
+
+    def test_a_fresh_directory_is_private_and_holds_one_library(self, tmp_path, monkeypatch):
+        if native.library() is None:
+            pytest.skip(native.status())
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        library, why = native._load()
+        directory = tmp_path / "cache" / "repro-mnemonic"
+        assert library is not None and str(directory) in why
+        assert directory.stat().st_mode & 0o777 == 0o700
+        assert [path.suffix for path in directory.iterdir()] == [".so"]
+        assert native._load()[1] == why  # built once, then loaded
