@@ -56,7 +56,8 @@ class DEBI:
             if len(self._dirty_rows) > _DIRTY_ROW_CAP:
                 self.mark_all_dirty()
 
-    def _mark_rows(self, edge_ids) -> None:
+    def mark_rows_dirty(self, edge_ids) -> None:
+        """Note ``edge_ids``' rows as changed (the native kernel writes rows in place)."""
         if not self._all_dirty:
             self._dirty_rows.update(
                 edge_ids.tolist() if isinstance(edge_ids, np.ndarray) else edge_ids
@@ -128,7 +129,7 @@ class DEBI:
         if ids.shape[0] == 0:
             return
         self._bits.set_rows_col(ids, column)
-        self._mark_rows(ids)
+        self.mark_rows_dirty(ids)
 
     def clear_edges(self, edge_ids) -> None:
         """Clear the full bitmap of every id in the array (bulk clear_edge)."""
@@ -136,7 +137,7 @@ class DEBI:
         if ids.shape[0] == 0:
             return
         self._bits.clear_rows(ids)
-        self._mark_rows(ids)
+        self.mark_rows_dirty(ids)
 
     def rows(self, edge_ids) -> list[int]:
         """Gather the full bitmaps for an id array (bulk :meth:`row`)."""

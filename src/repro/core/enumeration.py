@@ -370,7 +370,9 @@ def decompose_batch(
     Every query edge is one boolean mask over the batch (ANDed with one
     ``column_mask`` for a tree edge): with the stock ``edge_matcher`` a
     comparison of label columns gathered once, with a custom one a call
-    per pair (:meth:`EnumerationContext.edge_match_mask`).
+    per pair (:meth:`EnumerationContext.edge_match_mask`).  With the stock
+    matcher, a tree edge, the live graph and an in-memory DEBI it is one
+    native call (:func:`repro.core.native.decompose`) instead.
     """
     query = context.query
     graph = context.graph
@@ -379,6 +381,10 @@ def decompose_batch(
     if ids.shape[0] == 0:
         return WorkUnits()
     stock = uses_default_edge_matcher(context.match_def)
+    if stock and tree.tree_edges and context.native_plan is not None and (
+        type(graph) is DynamicGraph and type(context.debi._bits) is BitMatrix
+    ) and (lib := native.library()) is not None:
+        return WorkUnits(*native.decompose(lib, graph, context.debi, context.native_plan.index, ids))
     if stock:
         src_labels, dst_labels = vertex_label_columns(
             graph,

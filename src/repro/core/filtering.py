@@ -23,12 +23,21 @@ not track, so folding them into the index could leave stale zero bits
 behind (missed embeddings).  They prune at enumeration time instead
 (:meth:`~repro.core.enumeration.EnumerationContext.degree_mask`), where
 the current degree is always available.
+
+For a stock definition (default ``edge_matcher`` and ``root_matcher``)
+over a live :class:`~repro.graph.adjacency.DynamicGraph` and an in-memory
+DEBI, both passes run in the native kernel (:mod:`repro.core.native`),
+with the same bits, roots, traversal count and dirty rows; the numpy
+passes below serve everything else.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
+from repro.core import native
 from repro.core.api import (
     MatchDefinition,
     default_edge_mask,
@@ -41,6 +50,7 @@ from repro.graph.adjacency import DynamicGraph, segment_counts
 from repro.graph.edge import EdgeColumns, EdgeRecord
 from repro.query.query_graph import WILDCARD_LABEL, QueryEdge, QueryGraph
 from repro.query.query_tree import QueryTree, TreeEdge
+from repro.utils.bitset import BitMatrix
 
 
 class IndexManager:
@@ -73,6 +83,35 @@ class IndexManager:
         # be (or become) set on a label-matching edge, so edges outside
         # the partition evaluate to 0 anyway.
         self._label_partitioned = getattr(match_def, "label_partitioned", True)
+        self._stock = bool(tree.tree_edges) and uses_default_edge_matcher(match_def) and (
+            type(match_def).root_matcher is MatchDefinition.root_matcher
+        )
+
+    def _native_library(self):
+        """The kernel, when this pass may run natively (see the module docstring)."""
+        if self._stock and type(self.graph) is DynamicGraph and type(self.debi._bits) is BitMatrix:
+            return native.library()
+        return None
+
+    @cached_property
+    def _native_plan(self) -> np.ndarray:
+        """The tree encoded for the kernel, on first use (so not at set-up)."""
+        return native.index_plan(self.query, self.tree, self._label_partitioned)
+
+    def _finish(self, frontier: UnifiedFrontier, traversals: int) -> UnifiedFrontier:
+        frontier.traversed_edges = traversals
+        self.total_traversals += traversals
+        self.last_batch_traversals = traversals
+        return frontier
+
+    def _native_finish(self, frontier: UnifiedFrontier, outcome, flip_root) -> UnifiedFrontier:
+        """Account for a native pass: its written rows go in the dirty ledger, and
+        ``flip_root`` (``set_root`` / ``clear_root``) gets every root id it names."""
+        traversals, rows, roots = outcome
+        self.debi.mark_rows_dirty(rows)
+        for vertex in roots.tolist():
+            flip_root(vertex)
+        return self._finish(frontier, traversals)
 
     # ------------------------------------------------------------------ geometry helpers
     @staticmethod
@@ -110,17 +149,6 @@ class IndexManager:
         return custom
 
     # ------------------------------------------------------------------ consistency predicates
-    def down_ok(self, vertex: int, query_node: int) -> bool:
-        """:meth:`down_mask` of one vertex, through the scalar graph and DEBI reads."""
-        for child in self.tree.children[query_node]:
-            child_te = self.tree.tree_edge_by_child[child]
-            pool = self.graph.candidate_pool(
-                vertex, child_te.query_edge.src == child_te.parent, self._scan_label(child_te)
-            )
-            if not any(self.debi.get(int(eid), child_te.column) for eid in pool):
-                return False
-        return True
-
     def down_mask(self, vertices: np.ndarray, query_node: int) -> np.ndarray:
         """Which ``vertices`` have a supported candidate edge for every child of ``query_node``?
 
@@ -166,7 +194,10 @@ class IndexManager:
         whole pass can be decided at once.
         """
         frontier = UnifiedFrontier()
-        ids = np.asarray(new_edge_ids, dtype=np.int64)
+        ids = np.ascontiguousarray(new_edge_ids, dtype=np.int64)
+        if (lib := self._native_library()) is not None:
+            outcome = native.filter_insert(lib, self.graph, self.debi, self._native_plan, ids)
+            return self._native_finish(frontier, outcome, self.debi.set_root)
         if ids.shape[0]:
             matches = self._edge_masks(
                 ids, np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64),
@@ -208,9 +239,7 @@ class IndexManager:
                 frontier.seed_vertices(tree_edge.parent, parent_eps[matched])
 
         self._refresh_roots_after_insert(frontier)
-        self.total_traversals += frontier.traversed_edges
-        self.last_batch_traversals = frontier.traversed_edges
-        return frontier
+        return self._finish(frontier, frontier.traversed_edges)
 
     def _refresh_roots_after_insert(self, frontier: UnifiedFrontier) -> None:
         root = self.tree.root
@@ -244,6 +273,15 @@ class IndexManager:
         the edges that held its bit.
         """
         frontier = UnifiedFrontier()
+        if (lib := self._native_library()) is not None:
+            held_rows = np.zeros(deleted.edge_id.shape[0], dtype=np.uint64)
+            for column, mask in held.items():
+                held_rows[mask] |= np.uint64(1 << column)
+            outcome = native.filter_delete(
+                lib, self.graph, self.debi, self._native_plan,
+                np.ascontiguousarray(deleted.edge_id, dtype=np.int64), held_rows,
+            )
+            return self._native_finish(frontier, outcome, self.debi.clear_root)
         for tree_edge in self.tree.tree_edges:
             child_is_src = tree_edge.query_edge.src == tree_edge.child
             parents = (deleted.dst if child_is_src else deleted.src)[held[tree_edge.column]]
@@ -281,10 +319,7 @@ class IndexManager:
             frontier.seed_vertices(
                 tree_edge.parent, graph.endpoint_array(stale, take_dst=child_is_src)
             )
-
-        self.total_traversals += frontier.traversed_edges
-        self.last_batch_traversals = frontier.traversed_edges
-        return frontier
+        return self._finish(frontier, frontier.traversed_edges)
 
     # ------------------------------------------------------------------ bulk rebuild
     def rebuild(self) -> UnifiedFrontier:
@@ -295,5 +330,6 @@ class IndexManager:
         current snapshot).
         """
         self.debi.reset()
-        live_edges = [record.edge_id for record in self.graph.edges()]
-        return self.handle_insertions(live_edges)
+        graph = self.graph
+        live = graph._columns(np.flatnonzero(graph._alive[: graph._rows]))
+        return self.handle_insert_columns(live.edge_id, live.src, live.dst, live.label)

@@ -1,5 +1,6 @@
 /*
- * Native enumeration kernel for stock match definitions.
+ * Native kernel for stock match definitions: enumeration, DEBI maintenance
+ * and work decomposition.
  *
  * One call runs every work unit of one (query, batch phase) through the
  * depth-first join of the paper's Figure 4 (tests/reference/tuple_kernel.py)
@@ -17,8 +18,15 @@
  * fetched are reported as (charge key, anchor, raw size) for the caller to
  * charge through the memo the numpy kernel uses.
  *
+ * DEBI maintenance (mn_filter_insert / mn_filter_delete) and work
+ * decomposition (mn_decompose) are IndexManager.handle_insert_columns /
+ * handle_deletions and decompose_batch of the numpy code on the same arrays:
+ * the same columns deepest first, frontier slots that are sets, the same
+ * traversal count.  Bits are written in place; root bits stay Python's, so
+ * the calls return the raw ids whose root bit flips.
+ *
  * repro/core/native.py writes env (graph and DEBI arrays) and plan (the
- * encoded query); keep the two in step.
+ * encoded query, or its index plan); keep the two in step.
  */
 #include <stdint.h>
 #include <stdlib.h>
@@ -55,7 +63,8 @@ typedef struct {
 typedef struct {
     Side out, in;
     const i64 *edge_label, *vertex_label, *vertex_ids;
-    const u64 *debi, *roots;
+    u64 *debi;
+    const u64 *roots;
     i64 debi_rows, root_bits;
     /* the query, and the edge slots of the current order's rows */
     const i64 *plan, *node_label, *qedge, *deg_at, *slots;
@@ -67,10 +76,18 @@ typedef struct {
     Buf *rows, *charges, parts, pools;
     i64 count, scanned;
     int collect, failed;
+    /* DEBI maintenance: the tree edges (index plan), a set per frontier slot
+     * and the membership of all of them */
+    const i64 *te;
+    i64 n_te;
+    Buf *sets;
+    Map seen;
 } Kernel;
 
 static int push(Buf *buf, const i64 *values, i64 n)
 {
+    if (n == 0)
+        return 0;
     if (buf->len + n > buf->cap) {
         i64 cap = buf->cap ? buf->cap : 256;
         while (cap < buf->len + n)
@@ -186,6 +203,33 @@ static i64 degree(const Side *side, i64 pos, i64 label)
     return total;
 }
 
+/* The position of an edge's endpoint on a side: its source on out, target on in. */
+static i64 end_pos(const Side *side, i64 e)
+{
+    return side->vertex_pos[side->part_of[e]];
+}
+
+static int debi_bit(const Kernel *k, i64 e, i64 column)
+{
+    return e < k->debi_rows && ((k->debi[e] >> column) & 1);
+}
+
+/* The root bit of the vertex at pos (kept by raw vertex id). */
+static int root_bit(const Kernel *k, i64 pos)
+{
+    i64 id = k->vertex_ids[pos];
+    return id < k->root_bits && ((k->roots[id >> 6] >> (id & 63)) & 1);
+}
+
+/* The stock edge matcher: data edge e from position a to b against the query
+ * edge (source, target, label) at qe. */
+static int labels_ok(const Kernel *k, const i64 *qe, i64 e, i64 a, i64 b)
+{
+    i64 src = k->node_label[qe[0]], dst = k->node_label[qe[1]];
+    return (src == ANY || src == k->vertex_label[a]) && (dst == ANY || dst == k->vertex_label[b])
+        && (qe[2] == ANY || qe[2] == k->edge_label[e]);
+}
+
 /* Fill k->parts with the partitions of a pool in creation order, which is
  * ascending partition id; -1 when out of memory. */
 static int fill_parts(Kernel *k, const Side *side, i64 pos, i64 label)
@@ -224,10 +268,7 @@ static int degree_ok(Kernel *k, i64 node, i64 pos)
  * edge matcher, the batch mask and, with check_used, edge injectivity. */
 static int usable(const Kernel *k, i64 q, i64 e, i64 a, i64 b, int masked, int check_used)
 {
-    const i64 *qe = k->qedge + 3 * q;
-    i64 src = k->node_label[qe[0]], dst = k->node_label[qe[1]];
-    if ((masked && map_get(&k->batch, (u64)e)) || (src != ANY && src != k->vertex_label[a])
-        || (dst != ANY && dst != k->vertex_label[b]) || (qe[2] != ANY && qe[2] != k->edge_label[e]))
+    if ((masked && map_get(&k->batch, (u64)e)) || !labels_ok(k, k->qedge + 3 * q, e, a, b))
         return 0;
     for (i64 i = 0; check_used && i < k->nused; i++)
         if (k->used[i] == e)
@@ -250,7 +291,7 @@ static i64 witness(const Kernel *k, i64 q, i64 a, i64 b, int masked, int check_u
         FOR_LABELS(at, side, pos) {
             const i64 *edge = side->arena + side->start[side->parts[at]];
             for (const i64 *end = edge + side->size[side->parts[at]]; edge < end; edge++) {
-                if (other->vertex_pos[other->part_of[*edge]] != want)
+                if (end_pos(other, *edge) != want)
                     continue;
                 if (pass) {
                     *seen += *edge <= first;
@@ -312,12 +353,9 @@ static i64 candidates(Kernel *k, const i64 *step, i64 anchor)
         i64 part = k->parts.data[j];
         size += side->size[part];
         for (i64 i = side->start[part], end = i + side->size[part]; i < end; i++) {
-            i64 e = side->arena[i], v = other->vertex_pos[other->part_of[e]], pair[2] = {e, v};
-            i64 id = k->vertex_ids[v];  /* the root bit is kept by raw vertex id */
-            int root = id < k->root_bits && ((k->roots[id >> 6] >> (id & 63)) & 1);
-            if ((column >= 0 && !(e < k->debi_rows && ((k->debi[e] >> column) & 1)))
-                || (masked && map_get(&k->batch, (u64)e)) || (node == k->root && !root)
-                || !degree_ok(k, node, v))
+            i64 e = side->arena[i], v = end_pos(other, e), pair[2] = {e, v};
+            if ((column >= 0 && !debi_bit(k, e, column)) || (masked && map_get(&k->batch, (u64)e))
+                || (node == k->root && !root_bit(k, v)) || !degree_ok(k, node, v))
                 continue;
             if (push(&k->pools, pair, 2))
                 return -1;
@@ -374,6 +412,18 @@ static void side_at(Side *s, const i64 *env)
     s->part_of = PTR(env[7]);
 }
 
+/* A fresh kernel over env: both sides, the edge and vertex columns, the DEBI
+ * rows (readable below env[20]) and root words. */
+static void env_at(Kernel *k, const i64 *env)
+{
+    memset(k, 0, sizeof *k);
+    side_at(&k->out, env);
+    side_at(&k->in, env + 8);
+    k->edge_label = PTR(env[16]), k->vertex_label = PTR(env[17]), k->vertex_ids = PTR(env[18]);
+    k->debi = (u64 *)(intptr_t)env[19], k->debi_rows = env[20], k->roots = PTR(env[21]);
+    k->root_bits = env[22];
+}
+
 /* Enumerate the units (unit_edges[i] pinned onto query edge unit_starts[i]),
  * grouped by start edge in order of first appearance, each group in unit
  * order.  Fills totals with (embeddings, witness reads, groups) and groups
@@ -385,11 +435,7 @@ int mn_enumerate(const i64 *env, const i64 *plan, const i64 *unit_edges, const i
                  i64 n_units, int collect, i64 *groups, i64 *totals, Buf *rows, Buf *charges)
 {
     Kernel k;
-    memset(&k, 0, sizeof k);
-    side_at(&k.out, env);
-    side_at(&k.in, env + 8);
-    k.edge_label = PTR(env[16]), k.vertex_label = PTR(env[17]), k.vertex_ids = PTR(env[18]);
-    k.debi = PTR(env[19]), k.debi_rows = env[20], k.roots = PTR(env[21]), k.root_bits = env[22];
+    env_at(&k, env);
     const i64 *batch = PTR(env[23]);
     i64 n_batch = env[24], n_nodes = plan[0], n_edges = plan[1], n_groups = 0;
     k.plan = plan, k.n_nodes = n_nodes, k.root = plan[2], k.injective = plan[3];
@@ -425,7 +471,7 @@ int mn_enumerate(const i64 *env, const i64 *plan, const i64 *unit_edges, const i
         groups[3 * n_groups + 2] = rows->len;
         for (i64 u = i; u < n_units && !k.failed; u++) {
             i64 e = unit_edges[u], seen;
-            i64 a = k.out.vertex_pos[k.out.part_of[e]], b = k.in.vertex_pos[k.in.part_of[e]];
+            i64 a = end_pos(&k.out, e), b = end_pos(&k.in, e);
             if (unit_starts[u] != start || (src == dst ? a != b : (k.injective && a == b)))
                 continue;
             /* a non-tree start whose constraint held before the batch maps no new nodes */
@@ -445,4 +491,184 @@ int mn_enumerate(const i64 *env, const i64 *plan, const i64 *unit_edges, const i
     mn_free(&k.parts), mn_free(&k.pools);
     free(grouped), free(k.row), free(k.used), free(k.eid), free(k.vpos);
     return k.failed ? -1 : 0;
+}
+
+/* ---------------------------------------------------------------- DEBI maintenance */
+
+/* An index plan: node count, query edge count, root, tree edge count, the node
+ * labels, per query edge (source, target, label, DEBI column or -1), then per
+ * tree edge, deepest child first, (query edge, child, parent, child is source,
+ * DEBI column, pool label). */
+static void plan_at(Kernel *k, const i64 *plan)
+{
+    k->n_nodes = plan[0], k->root = plan[2], k->n_te = plan[3];
+    k->node_label = plan + 4, k->qedge = k->node_label + plan[0], k->te = k->qedge + 4 * plan[1];
+}
+
+/* Copy the pool of (pos, label) on side into out; -1 when out of memory. */
+static int pool_into(Kernel *k, const Side *side, i64 pos, i64 label, Buf *out)
+{
+    out->len = 0;
+    if (fill_parts(k, side, pos, label))
+        return -1;
+    for (i64 j = 0; j < k->parts.len; j++) {
+        i64 part = k->parts.data[j];
+        if (push(out, side->arena + side->start[part], side->size[part]))
+            return -1;
+    }
+    k->parts.len = 0;
+    return 0;
+}
+
+/* down(pos, node): for every child of query node `node`, the vertex at pos has
+ * an edge in the child's pool that holds the child's bit.  Decided once per
+ * (node, vertex) and call, in k->degree (maintenance has no f2/f3 to keep
+ * there): the deeper columns it reads are final by the time it is first asked. */
+static int down(Kernel *k, i64 node, i64 pos)
+{
+    u64 key = (u64)node << 48 | (u64)pos;
+    i64 known = map_get(&k->degree, key);
+    if (known)
+        return known == 1;
+    int ok = 1;
+    for (const i64 *te = k->te; ok && te < k->te + 6 * k->n_te; te += 6) {
+        if (te[2] != node)
+            continue;
+        k->failed |= pool_into(k, te[3] ? &k->in : &k->out, pos, te[5], &k->pools);
+        ok = 0;
+        for (i64 i = 0; i < k->pools.len && !ok; i++)
+            ok = debi_bit(k, k->pools.data[i], te[4]);
+    }
+    k->failed |= map_put(&k->degree, key, ok ? 1 : 2);
+    return ok;
+}
+
+/* Put value in frontier slot `slot` unless it is there already. */
+static void add(Kernel *k, i64 slot, i64 value)
+{
+    u64 key = (u64)slot << 48 | (u64)value;
+    if (!map_get(&k->seen, key))
+        k->failed |= map_put(&k->seen, key, 1) || push(&k->sets[slot], &value, 1);
+}
+
+/* One batch of DEBI maintenance, the numpy pass: ids are the inserted edges,
+ * or with held the deleted ones (held[i]: the row edge i held).  Slot t holds
+ * the edges to evaluate at tree edge t, slot n_te + u the vertices to re-check
+ * at query node u.  Rows written go to touched, root ids to flip to roots, the
+ * traversal count to totals[0].  Returns 0, or -1 when memory ran out. */
+static int filter(const i64 *env, const i64 *plan, const i64 *ids, const i64 *held, i64 n,
+                  i64 *totals, Buf *touched, Buf *roots)
+{
+    Kernel k;
+    env_at(&k, env);
+    plan_at(&k, plan);
+    i64 nte = k.n_te, traversals = 0;
+    Buf doomed = {0};
+    k.sets = calloc((size_t)(nte + k.n_nodes), sizeof *k.sets);
+    k.failed = (k.sets == NULL) | map_init(&k.seen, n) | map_init(&k.degree, n);
+    /* seeds: an inserted edge at every tree edge it matches, a deleted one's
+     * parent endpoint at every tree edge whose bit it held */
+    for (i64 i = 0; i < n && !k.failed; i++) {
+        i64 e = ids[i], a = end_pos(&k.out, e), b = end_pos(&k.in, e);
+        for (i64 t = 0; t < nte; t++) {
+            const i64 *te = k.te + 6 * t;
+            if (held && (held[i] >> te[4]) & 1)
+                add(&k, nte + te[2], te[3] ? b : a);
+            else if (!held && labels_ok(&k, k.qedge + 4 * te[0], e, a, b))
+                add(&k, t, e);
+        }
+    }
+    for (i64 t = 0; t < nte && !k.failed; t++) {
+        const i64 *te = k.te + 6 * t;
+        i64 child = te[1], parent = te[2], column = te[4];
+        const Side *from_child = te[3] ? &k.out : &k.in, *to_parent = te[3] ? &k.in : &k.out;
+        Buf *edges = &k.sets[t], *vertices = &k.sets[nte + child];
+        if (held) {  /* every verdict of the node first, then its clears */
+            traversals += vertices->len;
+            for (i64 i = 0; i < vertices->len; i++)
+                if (!down(&k, child, vertices->data[i]))
+                    k.failed |= push(&doomed, &vertices->data[i], 1);
+            for (i64 i = 0; i < doomed.len && !k.failed; i++) {
+                k.failed |= pool_into(&k, from_child, doomed.data[i], te[5], &k.pools);
+                traversals += k.pools.len;
+                for (i64 j = 0; j < k.pools.len; j++) {
+                    i64 e = k.pools.data[j];
+                    if (!debi_bit(&k, e, column))
+                        continue;
+                    k.debi[e] &= ~((u64)1 << column);
+                    k.failed |= push(touched, &e, 1);
+                    add(&k, nte + parent, end_pos(to_parent, e));
+                }
+            }
+            doomed.len = 0;
+            continue;
+        }
+        for (i64 i = 0; i < vertices->len && !k.failed; i++) {
+            k.failed |= pool_into(&k, from_child, vertices->data[i], te[5], &k.pools);
+            for (i64 j = 0; j < k.pools.len; j++)
+                add(&k, t, k.pools.data[j]);
+        }
+        traversals += edges->len;
+        for (i64 i = 0; i < edges->len && !k.failed; i++) {
+            i64 e = edges->data[i], a = end_pos(&k.out, e), b = end_pos(&k.in, e);
+            if (debi_bit(&k, e, column) || !labels_ok(&k, k.qedge + 4 * te[0], e, a, b)
+                || !down(&k, child, te[3] ? a : b))
+                continue;
+            k.debi[e] |= (u64)1 << column;
+            k.failed |= push(touched, &e, 1);
+            add(&k, nte + parent, te[3] ? b : a);
+        }
+    }
+    /* the root: every vertex that gained support, or may have lost it */
+    Buf *vertices = k.sets ? &k.sets[nte + k.root] : &doomed;  /* doomed is empty here */
+    i64 label = k.node_label[k.root];
+    traversals += vertices->len;
+    for (i64 i = 0; i < vertices->len && !k.failed; i++) {
+        i64 v = vertices->data[i];
+        if (held ? root_bit(&k, v) && !down(&k, k.root, v)
+                 : !root_bit(&k, v) && (label == ANY || label == k.vertex_label[v])
+                       && down(&k, k.root, v))
+            k.failed |= push(roots, &k.vertex_ids[v], 1);
+    }
+    totals[0] = traversals;
+    for (i64 s = 0; k.sets && s < nte + k.n_nodes; s++)
+        mn_free(&k.sets[s]);
+    free(k.sets);
+    map_free(&k.seen), map_free(&k.degree);
+    mn_free(&doomed), mn_free(&k.parts), mn_free(&k.pools);
+    return k.failed ? -1 : 0;
+}
+
+int mn_filter_insert(const i64 *env, const i64 *plan, const i64 *ids, i64 n, i64 *totals,
+                     Buf *touched, Buf *roots)
+{
+    return filter(env, plan, ids, NULL, n, totals, touched, roots);
+}
+
+int mn_filter_delete(const i64 *env, const i64 *plan, const i64 *ids, const i64 *held, i64 n,
+                     i64 *totals, Buf *touched, Buf *roots)
+{
+    return filter(env, plan, ids, held, n, totals, touched, roots);
+}
+
+/* Work decomposition (decompose_batch): per batch edge in order and query edge
+ * in index order, a unit when the edge passes the stock matcher and, for a
+ * tree edge, holds its bit.  The units' edges go to edges and their query
+ * edges to starts, each with room for n times the query edges; returns the
+ * number of units. */
+i64 mn_decompose(const i64 *env, const i64 *plan, const i64 *ids, i64 n, i64 *edges, i64 *starts)
+{
+    Kernel k;
+    env_at(&k, env);
+    plan_at(&k, plan);
+    i64 units = 0;
+    for (i64 i = 0; i < n; i++) {
+        i64 e = ids[i], a = end_pos(&k.out, e), b = end_pos(&k.in, e);
+        for (i64 q = 0; q < plan[1]; q++) {
+            const i64 *qe = k.qedge + 4 * q;
+            if (labels_ok(&k, qe, e, a, b) && (qe[3] < 0 || debi_bit(&k, e, qe[3])))
+                edges[units] = e, starts[units++] = q;
+        }
+    }
+    return units;
 }

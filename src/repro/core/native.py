@@ -1,4 +1,8 @@
-"""The native enumeration kernel (``kernel.c``): build, load, encode, call.
+"""The native kernel (``kernel.c``): build, load, encode, call.
+
+It serves stock match definitions on the live graph: enumeration
+(:func:`run`), DEBI maintenance (:func:`filter_insert`,
+:func:`filter_delete`) and work decomposition (:func:`decompose`).
 
 :func:`library` compiles ``kernel.c`` with ``$CC`` (default ``cc``) once per
 source hash into ``$XDG_CACHE_HOME/repro-mnemonic`` (or ``~/.cache/...``),
@@ -16,6 +20,7 @@ import shlex
 import stat
 import subprocess
 import tempfile
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -74,6 +79,13 @@ def _load() -> tuple[ctypes.CDLL | None, str]:
             ctypes.c_int64, ctypes.c_int, ctypes.c_void_p, ctypes.c_void_p, buf, buf
         ]
         lib.mn_enumerate.restype = ctypes.c_int
+        lib.mn_filter_insert.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_int64, ctypes.c_void_p,
+                                                                 buf, buf]
+        lib.mn_filter_delete.argtypes = [ctypes.c_void_p] * 4 + [ctypes.c_int64, ctypes.c_void_p,
+                                                                 buf, buf]
+        lib.mn_filter_insert.restype = lib.mn_filter_delete.restype = ctypes.c_int
+        lib.mn_decompose.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_int64] + [ctypes.c_void_p] * 2
+        lib.mn_decompose.restype = ctypes.c_int64
         lib.mn_free.argtypes, lib.mn_free.restype = [buf], None
     except (OSError, ValueError, AttributeError) as exc:
         return None, f"native kernel unavailable: {exc}"
@@ -107,6 +119,26 @@ class Plan:
     charge_keys: list
     #: start edge -> a row's edge columns: the query edges it binds, ascending
     edge_slots: dict
+    #: the query's :func:`index_plan`, for :func:`decompose`
+    index: np.ndarray
+
+
+def index_plan(query, tree, label_partitioned: bool) -> np.ndarray:
+    """Encode a query tree for DEBI maintenance and work decomposition (layout: ``kernel.c``)."""
+    nodes = sorted(query.nodes())
+    dense = {node: i for i, node in enumerate(nodes)}
+    program = [len(nodes), query.num_edges, dense[tree.root], len(tree.tree_edges),
+               *(query.node_label(node) for node in nodes)]
+    for edge in query.edges():
+        tree_edge = tree.tree_edge_by_query_edge.get(edge.index)
+        program += [dense[edge.src], dense[edge.dst], edge.label,
+                    -1 if tree_edge is None else tree_edge.column]
+    for tree_edge in sorted(tree.tree_edges, key=lambda te: -tree.depth[te.child]):
+        edge = tree_edge.query_edge
+        label = edge.label if label_partitioned and edge.label != WILDCARD_LABEL else _ANY
+        program += [edge.index, dense[tree_edge.child], dense[tree_edge.parent],
+                    int(edge.src == tree_edge.child), tree_edge.column, label]
+    return np.array(program, dtype=np.int64)
 
 
 def plan(state) -> Plan:
@@ -145,7 +177,8 @@ def plan(state) -> Plan:
                         int(step.anchor_is_src), step.debi_column, _ANY if label is None else label,
                         int(mask.is_masked(step.tree_edge_index)), key,
                         *_checks(step.verify_edges, mask)]
-    return Plan(np.array(program, dtype=np.int64), list(keys), edge_slots)
+    index = index_plan(query, state.tree, match_def.label_partitioned)
+    return Plan(np.array(program, dtype=np.int64), list(keys), edge_slots, index)
 
 
 def _checks(q_edges, mask) -> list[int]:  # a count, then (query edge, masked) pairs
@@ -162,34 +195,91 @@ def _address(array: np.ndarray) -> int:
     return array.ctypes.data
 
 
+def _env(graph, debi, readable: int, *batch) -> np.ndarray:
+    """The kernel's view of ``graph`` and ``debi`` (layout: ``kernel.c``): both adjacency
+    sides, the edge and vertex columns, the DEBI rows of which ``readable`` may be
+    read, the root words and, for :func:`run`, the batch ids and their count."""
+    global _graph_env
+    arrays = []
+    for side, part_of in ((graph._out, graph._out_part), (graph._in, graph._in_part)):
+        keys, parts = side._directory()  # files recently created partitions
+        arrays += [keys, parts, side.start, side.size, side.arena, side.vertex_pos, part_of]
+    arrays += [graph._label, graph._vertex_label, graph._vertex_ids]
+    known, entries = _graph_env
+    if len(known) != len(arrays) or any(ref() is not array for ref, array in zip(known, arrays)):
+        entries = [_address(array) for array in arrays]
+        for at, keys in ((2, arrays[0]), (10, arrays[7])):  # a side's directory length
+            entries.insert(at, keys.shape[0])
+        _graph_env = [weakref.ref(array) for array in arrays], entries
+    roots = debi._roots
+    return np.array([*entries, _address(debi._bits._rows), readable, _address(roots._words),
+                     roots._nbits, *(_address(v) if isinstance(v, np.ndarray) else v for v in batch)],
+                    np.int64)
+
+
+#: the graph arrays :func:`_env` saw last, weakly (a closed engine's graph is
+#: freed), and their env entries: an array is replaced, never moved, when it
+#: grows, so the same arrays have the same addresses
+_graph_env: tuple[list, list[int]] = ([], [])
+
+
+def _take(lib: ctypes.CDLL, buf: _Buf) -> np.ndarray:
+    """A copy of what a call left in ``buf``, which is freed."""
+    out = np.ctypeslib.as_array(buf.data, (buf.len,)).copy() if buf.len else np.zeros(0, np.int64)
+    lib.mn_free(ctypes.byref(buf))
+    return out
+
+
+def filter_insert(lib: ctypes.CDLL, graph, debi, program: np.ndarray, ids: np.ndarray):
+    """One ``mn_filter_insert`` call over the inserted edges ``ids``:
+    ``(traversals, rows written, raw ids whose root bit must be set)``."""
+    return _filter(lib, lib.mn_filter_insert, graph, debi, program, ids)
+
+
+def filter_delete(lib: ctypes.CDLL, graph, debi, program: np.ndarray, ids: np.ndarray, held):
+    """One ``mn_filter_delete`` call over the deleted edges ``ids``, ``held`` the uint64
+    DEBI row each held: ``(traversals, rows written, raw ids whose root bit must clear)``."""
+    return _filter(lib, lib.mn_filter_delete, graph, debi, program, ids, held)
+
+
+def _filter(lib, entry, graph, debi, program, ids, *held):
+    bits = debi._bits
+    bits.reserve(graph._rows)  # every edge's row is writable in place
+    env = _env(graph, debi, bits._rows.shape[0])
+    totals, rows, roots = np.zeros(1, np.int64), _Buf(), _Buf()
+    failed = entry(_address(env), _address(program), _address(ids), *map(_address, held),
+                   ids.shape[0], _address(totals), ctypes.byref(rows), ctypes.byref(roots))
+    rows_out, roots_out = _take(lib, rows), _take(lib, roots)
+    if failed:
+        raise MemoryError("the native kernel ran out of memory")
+    if rows_out.shape[0]:  # the bits just set lie in the written range
+        bits._nrows = max(bits._nrows, int(rows_out.max()) + 1)
+    return int(totals[0]), rows_out, roots_out
+
+
+def decompose(lib: ctypes.CDLL, graph, debi, program: np.ndarray, ids: np.ndarray):
+    """One ``mn_decompose`` call: the units of batch edges ``ids`` as ``(edge ids, start edges)``."""
+    out = np.empty((2, ids.shape[0] * int(program[1])), np.int64)
+    n = lib.mn_decompose(_address(_env(graph, debi, debi._bits._nrows)), _address(program),
+                         _address(ids), ids.shape[0], _address(out[0]), _address(out[1]))
+    return out[0, :n], out[1, :n]
+
+
 def run(lib: ctypes.CDLL, graph, debi, batch: set, program: np.ndarray, units, collect: bool):
     """One ``mn_enumerate`` call: ``(count, witness reads, groups, rows, charges)``
     with a ``(start edge, rows, offset)`` row per group, the emitted rows back to
     back and a ``(charge key, anchor vertex, raw size)`` row per pool fetched."""
-    env, batch_ids = [], np.fromiter(batch, np.int64, len(batch))  # alive until the call ends
-    for side, part_of in ((graph._out, graph._out_part), (graph._in, graph._in_part)):
-        keys, parts = side._directory()  # files recently created partitions
-        env += [keys, parts, keys.shape[0], side.start, side.size, side.arena, side.vertex_pos,
-                part_of]
-    bits, roots = debi._bits, debi._roots
-    env += [graph._label, graph._vertex_label, graph._vertex_ids, bits._rows, bits._nrows,
-            roots._words, roots._nbits, batch_ids, len(batch)]
-    env = np.array([_address(v) if isinstance(v, np.ndarray) else v for v in env], np.int64)
+    batch_ids = np.fromiter(batch, np.int64, len(batch))  # alive until the call ends
+    env = _env(graph, debi, debi._bits._nrows, batch_ids, len(batch))
     edge_ids, starts = map(np.ascontiguousarray, (units.edge_ids, units.start_edges))
     out = np.zeros(3 + 3 * int(program[1]), dtype=np.int64)  # totals, then groups
     rows, charges = _Buf(), _Buf()
-    try:
-        if lib.mn_enumerate(_address(env), _address(program), _address(edge_ids),
-                            _address(starts), edge_ids.shape[0], int(collect), _address(out[3:]),
-                            _address(out), ctypes.byref(rows), ctypes.byref(charges)):
-            raise MemoryError("the native kernel ran out of memory")
-        rows_out, charges_out = (
-            np.ctypeslib.as_array(buf.data, (buf.len,)).copy() if buf.len else np.zeros(0, np.int64)
-            for buf in (rows, charges)
-        )
-    finally:
-        lib.mn_free(ctypes.byref(rows))
-        lib.mn_free(ctypes.byref(charges))
+    failed = lib.mn_enumerate(_address(env), _address(program), _address(edge_ids),
+                              _address(starts), edge_ids.shape[0], int(collect), _address(out[3:]),
+                              _address(out), ctypes.byref(rows), ctypes.byref(charges))
+    rows_out, charges_out = _take(lib, rows), _take(lib, charges)
+    if failed:
+        raise MemoryError("the native kernel ran out of memory")
     count, scanned, n_groups = out[:3].tolist()
     groups = out[3 : 3 + 3 * n_groups].reshape(-1, 3)
     return count, scanned, groups, rows_out, charges_out.reshape(-1, 3)

@@ -204,12 +204,15 @@ class BitMatrix:
         self._nrows = 0
 
     # -- growth -----------------------------------------------------------
-    def _ensure(self, row: int) -> None:
-        if row >= self._rows.shape[0]:
-            new_size = max(row + 1, self._rows.shape[0] * 2)
-            grown = np.zeros(new_size, dtype=np.uint64)
+    def reserve(self, rows: int) -> None:
+        """Make room for ``rows`` rows; the written range stays as it is."""
+        if rows > self._rows.shape[0]:
+            grown = np.zeros(max(rows, self._rows.shape[0] * 2), dtype=np.uint64)
             grown[: self._rows.shape[0]] = self._rows
             self._rows = grown
+
+    def _ensure(self, row: int) -> None:
+        self.reserve(row + 1)
         if row + 1 > self._nrows:
             self._nrows = row + 1
 

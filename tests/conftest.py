@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import pytest
 
+from repro.core import native
 from repro.graph.adjacency import DynamicGraph
 from repro.query.query_graph import WILDCARD_LABEL, QueryGraph
 from repro.streams.events import StreamEvent
@@ -65,6 +66,52 @@ def small_slices(monkeypatch):
     from repro.core import parallel
 
     monkeypatch.setattr(parallel, "MIN_SLICE_UNITS", 2)
+
+
+# ---------------------------------------------------------------------- native vs numpy
+@pytest.fixture
+def numpy_kernel(monkeypatch):
+    """Force the numpy code by clearing the loaded native library handle."""
+    native.library()
+    monkeypatch.setattr(native, "_library", None)
+
+
+@pytest.fixture(params=["native", "numpy"])
+def kernel(request):
+    """Run once per kernel; the native run skips, with the loader's reason, where
+    no library can be built."""
+    if request.param == "numpy":
+        request.getfixturevalue("numpy_kernel")
+    elif native.library() is None:
+        pytest.skip(native.status())
+    return request.param
+
+
+@pytest.fixture
+def native_calls(monkeypatch):
+    """The number of native enumeration calls made so far, as a one-element list."""
+    calls = [0]
+    run = native.run
+
+    def counted(*args):
+        calls[0] += 1
+        return run(*args)
+
+    monkeypatch.setattr(native, "run", counted)
+    return calls
+
+
+@pytest.fixture
+def native_index_calls(monkeypatch):
+    """Native DEBI maintenance and decomposition calls made so far, by entry."""
+    calls = dict.fromkeys(("filter_insert", "filter_delete", "decompose"), 0)
+    for name in calls:
+        def counted(*args, _name=name, _entry=getattr(native, name)):
+            calls[_name] += 1
+            return _entry(*args)
+
+        monkeypatch.setattr(native, name, counted)
+    return calls
 
 
 @pytest.hookimpl(hookwrapper=True)

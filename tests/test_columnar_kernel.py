@@ -43,6 +43,7 @@ from repro.matchers import (
     TemporalIsomorphismMatcher,
 )
 from repro.query.query_graph import QueryGraph
+from repro.streams.config import StreamConfig, StreamType
 from repro.streams.events import StreamEvent
 from repro.utils.validation import ConfigurationError
 from tests.reference.tuple_kernel import (
@@ -78,6 +79,11 @@ _QUERIES = [
 ]
 
 
+#: a four-node path: whatever the root, a tree edge sits two levels deep, so DEBI
+#: bits depend on deeper columns (the shapes above are all one level deep)
+_PATH4 = _query([(0, 1, -1, 0), (1, 2, -1, 1), (2, 3, -1, 2)], {0: 0, 1: 1, 2: 0, 3: 1})
+
+
 class AcceptSomeMatcher(IsomorphismMatcher):
     """An overridden ``accept`` that reads both the embedding and the data graph."""
 
@@ -109,38 +115,6 @@ _MATCHERS = {
 }
 #: the definitions the native kernel serves
 _STOCK = ("isomorphism", "homomorphism")
-
-
-@pytest.fixture
-def numpy_kernel(monkeypatch):
-    """Force the numpy kernel by clearing the loaded native library handle."""
-    native.library()
-    monkeypatch.setattr(native, "_library", None)
-
-
-@pytest.fixture(params=["native", "numpy"])
-def kernel(request):
-    """Run once per kernel; the native run skips, with the loader's reason, where
-    no library can be built."""
-    if request.param == "numpy":
-        request.getfixturevalue("numpy_kernel")
-    elif native.library() is None:
-        pytest.skip(native.status())
-    return request.param
-
-
-@pytest.fixture
-def native_calls(monkeypatch):
-    """The number of native kernel calls made so far, as a one-element list."""
-    calls = [0]
-    run = native.run
-
-    def counted(*args):
-        calls[0] += 1
-        return run(*args)
-
-    monkeypatch.setattr(native, "run", counted)
-    return calls
 
 
 def _random_events(rng, num_events, deletes=True, num_vertices=8, num_labels=2,
@@ -496,17 +470,67 @@ class TestBlocksCrossTheResultQueue:
 
 
 # ---------------------------------------------------------------------- index == reference
+class RootIdMatcher(IsomorphismMatcher):
+    """An overridden ``root_matcher``: the stock label test plus an id test."""
+
+    def root_matcher(self, query, graph, root, vertex):
+        return super().root_matcher(query, graph, root, vertex) and vertex % 3 != 0
+
+
+def _native_index(match_def) -> bool:
+    """Does the native kernel maintain this definition's DEBI (stock edge and root matchers)?"""
+    return (type(match_def).edge_matcher is MatchDefinition.edge_matcher
+            and type(match_def).root_matcher is MatchDefinition.root_matcher)
+
+
 class TestIndexMatchesReference:
-    """The batched DEBI maintainer against the edge-at-a-time one
-    (``tests/reference/edge_index.py``), which the reference engine runs."""
+    """The batched DEBI maintainer, native and numpy, against the edge-at-a-time
+    one (``tests/reference/edge_index.py``), which the reference engine runs."""
 
     @pytest.mark.parametrize("matcher", _MATCHERS)
-    def test_same_bits_roots_and_traversals_after_every_batch(self, rng, matcher):
+    def test_same_bits_roots_and_traversals_after_every_batch(
+        self, rng, matcher, kernel, native_index_calls
+    ):
         events = _random_events(rng, num_events=90, delete_share=0.35)
+        assert self._replay_against_reference(rng, events, _MATCHERS[matcher]), (
+            "vacuous: no deletion ever reached the index"
+        )
+        native_ran = kernel == "native" and _native_index(_MATCHERS[matcher]())
+        assert {name: n > 0 for name, n in native_index_calls.items()} == dict.fromkeys(
+            native_index_calls, native_ran
+        )
+
+    @pytest.mark.parametrize("case", ["spilled", "custom-edge-matcher", "custom-root-matcher",
+                                      "single-node", "unpartitioned-labels"])
+    def test_what_the_native_maintainer_serves(self, rng, tmp_path, case, native_index_calls):
+        """A spilled DEBI, a Python matcher and a query without a tree edge (one node
+        and its self-loop) fall back to numpy; stock pools over every label
+        (``label_partitioned=False``) stay native, and so does decomposition under a
+        custom ``root_matcher``."""
+        if native.library() is None:
+            pytest.skip(native.status())
+        make = {"custom-edge-matcher": EvenTimestampMatcher, "custom-root-matcher": RootIdMatcher,
+                "unpartitioned-labels": UnpartitionedMatcher}.get(case, IsomorphismMatcher)
+        events = _random_events(rng, num_events=90, delete_share=0.35, self_loops=True)
+        spill = (lambda engine: engine.debi.enable_spill(tmp_path / str(id(engine)), 4, 4)) if (
+            case == "spilled") else None
+        queries = [_query([(0, 0, -1, 0)], {0: 0})] if case == "single-node" else None
+        reached = self._replay_against_reference(rng, events, make, spill, queries)
+        assert reached or case == "single-node", "vacuous: no deletion ever reached the index"
+        filtered = case == "unpartitioned-labels"
+        decomposed = filtered or case == "custom-root-matcher"  # it never asks the root matcher
+        assert {name: n > 0 for name, n in native_index_calls.items()} == {
+            "filter_insert": filtered, "filter_delete": filtered, "decompose": decomposed
+        }
+
+    def _replay_against_reference(self, rng, events, make, prepare=None, queries=None):
+        """Compare the index after every phase; the traversals deletions cost the reference."""
         delete_traversals = 0
-        for query in _QUERIES:
-            reference = ReferenceEngine([(query, _MATCHERS[matcher]())])
-            with MnemonicEngine(query, match_def=_MATCHERS[matcher]()) as engine:
+        for query in queries or [*_QUERIES, _PATH4]:
+            reference = ReferenceEngine([(query, make())])
+            with MnemonicEngine(query, match_def=make()) as engine:
+                if prepare is not None:
+                    prepare(engine)
                 manager, oracle = engine.index_manager, reference.indexes[0]
                 for batch in _batches(events, rng):
                     for feed, is_delete in (("batch_inserts", False), ("batch_deletes", True)):
@@ -518,7 +542,7 @@ class TestIndexMatchesReference:
                         getattr(reference, feed)(phase)
                         delete_traversals += is_delete * (oracle.total_traversals - before)
                         self._assert_same_index(engine, manager, oracle, query)
-        assert delete_traversals, "vacuous: no deletion ever reached the index"
+        return delete_traversals
 
     @staticmethod
     def _assert_same_index(engine, manager, oracle, query):
@@ -533,10 +557,9 @@ class TestIndexMatchesReference:
         for node in query.nodes():
             expected = [oracle.down_ok(v, node) for v in asked.tolist()]
             assert manager.down_mask(asked, node).tolist() == expected
-            assert [manager.down_ok(v, node) for v in asked.tolist()] == expected
 
     @pytest.mark.parametrize("matcher", ["isomorphism", "custom-edge-matcher"])
-    def test_per_id_form_rebuilds_the_same_index(self, rng, matcher):
+    def test_per_id_form_rebuilds_the_same_index(self, rng, matcher, kernel, native_index_calls):
         """``handle_insertions`` (rebuild, journal replay) is the column form after a gather."""
         events = [e for e in _random_events(rng, num_events=60, deletes=False)]
         for query in _QUERIES:
@@ -550,6 +573,77 @@ class TestIndexMatchesReference:
                 assert engine.debi.root_count() == roots
                 # one batch or one rebuild: every (edge, column) pair is evaluated once
                 assert engine.index_manager.total_traversals == 2 * traversals
+        native_ran = kernel == "native" and matcher == "isomorphism"
+        assert (native_index_calls["filter_insert"] > 0) == native_ran
+
+    def test_native_phases_mark_the_dirty_ledger_as_numpy_does(
+        self, rng, monkeypatch, native_index_calls
+    ):
+        """The pool's dirty-slice publish copies what the ledger names: a native insert
+        phase and a native delete phase must name the rows and root words numpy names."""
+        lib = native.library()
+        if lib is None:
+            pytest.skip(native.status())
+        # random edges, and one chain whose last edge's deletion must cascade
+        chain = [StreamEvent.insert(v, v + 1, 0, 0.0, v % 2, (v + 1) % 2) for v in (100, 101, 102)]
+        events = _random_events(rng, num_events=120, deletes=False, num_vertices=30) + chain
+        doomed = [StreamEvent.delete(e.src, e.dst, e.label) for e in events[:60:2] + chain[2:]]
+
+        def ledgers(library):
+            monkeypatch.setattr(native, "_library", library)
+            with MnemonicEngine(_PATH4) as engine:
+                engine.batch_inserts(events[:20])
+                engine.debi.consume_publish_dirty()  # a fresh DEBI is all dirty
+                engine.batch_inserts(events[20:])
+                inserted = engine.debi.consume_publish_dirty()
+                alive = engine.graph._alive.copy()
+                engine.batch_deletes(doomed)
+                gone = np.flatnonzero(alive & ~engine.graph._alive[: alive.shape[0]])
+                return inserted, engine.debi.consume_publish_dirty(), gone
+
+        native_ledgers = ledgers(lib)
+        assert native_index_calls["filter_insert"] and native_index_calls["filter_delete"]
+        assert native_ledgers[:2] == ledgers(None)[:2]
+        (insert_rows, insert_roots), (delete_rows, _), gone = native_ledgers
+        cleared = {row for low, high in delete_rows for row in range(low, high)}
+        assert insert_rows and insert_roots, "vacuous: the insert phase marked nothing"
+        # rows besides the deleted edges' own: bits the delete pass itself cleared
+        assert cleared - set(gone.tolist()), "vacuous: no deletion cascaded"
+
+    def test_a_sliding_window_stays_byte_identical_to_numpy(
+        self, rng, monkeypatch, native_index_calls
+    ):
+        """Every event is inserted and later expires, freed edge ids are recycled: after
+        every batch both paths hold the same DEBI words, traversals and work units."""
+        lib = native.library()
+        if lib is None:
+            pytest.skip(native.status())
+        vertex_label = {v: v % 2 for v in range(24)}
+        events = []
+        for time_step in range(300):
+            src, dst = (int(x) for x in rng.choice(24, size=2, replace=False))
+            events.append(StreamEvent.insert(src, dst, int(rng.integers(0, 2)), float(time_step),
+                                             vertex_label[src], vertex_label[dst]))
+        config = EngineConfig(stream=StreamConfig(
+            stream_type=StreamType.SLIDING_WINDOW, window=40.0, stride=7.0
+        ))
+        for query in [*_QUERIES, _PATH4]:
+            with MnemonicEngine(query, config=config) as fast, \
+                    MnemonicEngine(query, config=config) as slow:
+                for snapshot in fast.initialize_stream(events):
+                    outcomes = []
+                    for engine, library in ((fast, lib), (slow, None)):
+                        monkeypatch.setattr(native, "_library", library)
+                        result = engine.process_snapshot(snapshot)
+                        words = engine.debi.export_buffers()
+                        outcomes.append((
+                            result.filter_traversals, result.work_units,
+                            words["rows"].tobytes(), words["num_rows"],
+                            words["roots"].tobytes(), words["root_bits"],
+                        ))
+                    assert outcomes[0] == outcomes[1]
+                assert fast.graph.stats.recycled > 0, "vacuous: no edge id was recycled"
+        assert all(native_index_calls.values())
 
 
 # ---------------------------------------------------------------------- shared-cache charging

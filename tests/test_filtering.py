@@ -1,4 +1,5 @@
-"""Unit tests for incremental DEBI maintenance (IndexManager)."""
+"""Unit tests for incremental DEBI maintenance (IndexManager), once per kernel:
+the native maintainer serves these stock definitions, numpy the forced cells."""
 
 import numpy as np
 import pytest
@@ -40,11 +41,21 @@ def debi_matches_definition(manager) -> bool:
 
 
 @pytest.fixture
+def index_kernel(request, kernel, native_index_calls):
+    """Run once per kernel; a native cell must have run the class's native entries
+    (``native_entries``), a numpy cell none."""
+    yield kernel
+    for name in getattr(request.cls, "native_entries", ("filter_insert",)):
+        assert (native_index_calls[name] > 0) == (kernel == "native"), name
+
+
+@pytest.fixture
 def path_query():
     # A -> B -> C as labels 0 -> 1 -> 2
     return QueryGraph.from_edges([(0, 1), (1, 2)], node_labels={0: 0, 1: 1, 2: 2})
 
 
+@pytest.mark.usefixtures("index_kernel")
 class TestInsertions:
     def test_bits_set_for_matching_chain(self, path_query):
         graph = DynamicGraph()
@@ -117,7 +128,10 @@ class TestInsertions:
         assert run(batched=True) <= run(batched=False)
 
 
+@pytest.mark.usefixtures("index_kernel")
 class TestDeletions:
+    native_entries = ("filter_insert", "filter_delete")
+
     def _build_chain(self, path_query):
         graph = DynamicGraph()
         tree, debi, manager = make_manager(path_query, graph)
@@ -174,6 +188,7 @@ class TestDeletions:
 
 
 class TestRebuildAndDegree:
+    @pytest.mark.usefixtures("index_kernel")
     def test_rebuild_matches_incremental(self, path_query):
         graph = DynamicGraph()
         _, debi, manager = make_manager(path_query, graph)
