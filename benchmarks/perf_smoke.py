@@ -73,7 +73,6 @@ from repro.bench.harness import (
     run_mnemonic_stream,
     run_multi_query_stream,
     run_service_stream,
-    run_sharded_stream,
 )
 from repro.bench.metrics import traversals_per_update
 from repro.core.parallel import ParallelConfig
@@ -217,92 +216,6 @@ def run_kernel_parity(stream) -> tuple[dict, list[str]]:
                     "candidates_scanned": run.extra["candidates_scanned"],
                     "positive": run.embeddings,
                     "negative": run.negative_embeddings,
-                }
-    return metrics, failures
-
-
-def run_shard_parity(stream) -> tuple[dict, list[str]]:
-    """The partition-parallel gate: ShardedEngine(shards=N) vs the single engine.
-
-    Two streams per suite — the fig06 insert-only suffix and a fig09-style
-    insert+delete mix — at shards = 1, 2, 4 (serial backend, so the scan
-    counter is deterministic).  Every sharded run's positive and negative
-    identity sets must equal the single engine's **bit-for-bit**: the
-    global edge-id allocator, the replica-complete adjacency at each
-    owner, and the mirrored DEBI bits are exactly the machinery that
-    makes a partitioned run indistinguishable from one process, and any
-    drift here means an ownership or forwarding rule is wrong.  The
-    aggregate ``candidates_scanned`` is bounded, not exact: cross-shard
-    frontier re-reads may re-scan a pool another shard already paid for,
-    so the sum must stay within [single, N x single].
-    """
-    workload = build_query_workload(
-        stream, tree_sizes=(3, 6), graph_sizes=(6,),
-        queries_per_suite=1, prefix=2000, seed=11,
-    )
-    prefix = len(stream) - FIG06_SUFFIX
-    suffix = stream[prefix:]
-    deletes = [
-        StreamEvent.delete(e.src, e.dst, e.label, timestamp=e.timestamp)
-        for e in suffix[::2]
-        if e.kind is EventKind.INSERT
-    ]
-    mixed = list(stream[:prefix]) + list(suffix) + deletes
-    streams = {
-        "insert": (list(stream), StreamType.INSERT_ONLY),
-        "mixed": (mixed, StreamType.INSERT_DELETE),
-    }
-    failures: list[str] = []
-    metrics: dict[str, dict] = {}
-    for suite, query in workload:
-        for stream_name, (events, stream_type) in streams.items():
-            reference = run_mnemonic_stream(
-                query, events, initial_prefix=prefix, batch_size=FIG06_BATCH,
-                stream_type=stream_type, collect_embeddings=True,
-                query_name=suite,
-            )
-            ref_pos = positive_identities(reference.run_result)
-            ref_neg = negative_identities(reference.run_result)
-            ref_scanned = reference.extra["candidates_scanned"]
-            if not ref_pos:
-                failures.append(
-                    f"shard_parity/{suite}.{stream_name}: vacuous gate "
-                    "(single engine produced no positive embeddings)"
-                )
-            if stream_name == "mixed" and not ref_neg:
-                failures.append(
-                    f"shard_parity/{suite}.{stream_name}: vacuous gate "
-                    "(single engine produced no negative embeddings)"
-                )
-            for shards in (1, 2, 4):
-                run = run_sharded_stream(
-                    query, events, shards=shards, initial_prefix=prefix,
-                    batch_size=FIG06_BATCH, stream_type=stream_type,
-                    collect_embeddings=True, query_name=suite,
-                )
-                label = f"shard_parity/{suite}.{stream_name}@{shards}"
-                if positive_identities(run.run_result) != ref_pos:
-                    failures.append(
-                        f"{label}: positive results differ from the single engine"
-                    )
-                if negative_identities(run.run_result) != ref_neg:
-                    failures.append(
-                        f"{label}: negative results differ from the single engine"
-                    )
-                scanned = run.extra["candidates_scanned"]
-                if not (ref_scanned <= scanned <= shards * ref_scanned):
-                    failures.append(
-                        f"{label}: aggregate candidates_scanned {scanned} outside "
-                        f"[{ref_scanned}, {shards * ref_scanned}]"
-                    )
-                metrics[f"{suite}.{stream_name}@{shards}"] = {
-                    "seconds": run.seconds,
-                    "reference_seconds": reference.seconds,
-                    "candidates_scanned": scanned,
-                    "positive": run.embeddings,
-                    "negative": run.negative_embeddings,
-                    "frontier_forwards": run.extra["frontier"]["frontier_forwards"],
-                    "frontier_rows": run.extra["frontier"]["frontier_rows"],
                 }
     return metrics, failures
 
@@ -896,13 +809,11 @@ def main(argv: list[str] | None = None) -> int:
     stream, workload = build_workload()
     multi_metrics, sharing_failures = run_multi_query(stream)
     kernel_metrics, kernel_failures = run_kernel_parity(stream)
-    shard_metrics, shard_failures = run_shard_parity(stream)
     parity_metrics, parity_failures = run_pipeline_parity(stream)
     service_metrics, service_failures = run_service_parity(stream)
     durability_metrics, durability_failures = run_durability_parity(stream)
     healing_metrics, healing_failures = run_self_healing_parity(stream)
     sharing_failures.extend(kernel_failures)
-    sharing_failures.extend(shard_failures)
     sharing_failures.extend(parity_failures)
     sharing_failures.extend(service_failures)
     sharing_failures.extend(durability_failures)
@@ -912,7 +823,6 @@ def main(argv: list[str] | None = None) -> int:
         "fig08": run_fig08(stream, workload),
         "multi_query": multi_metrics,
         "kernel_parity": kernel_metrics,
-        "shard_parity": shard_metrics,
         "pipeline_parity": parity_metrics,
         "service_parity": service_metrics,
         "durability_parity": durability_metrics,
@@ -930,7 +840,7 @@ def main(argv: list[str] | None = None) -> int:
             )
 
     if sharing_failures:
-        print("multi-query sharing / backend / shard / pipeline / "
+        print("multi-query sharing / backend / pipeline / "
               "service / durability / self-healing parity gate FAILED:",
               file=sys.stderr)
         for line in sharing_failures:

@@ -42,12 +42,6 @@ from repro.core.parallel import ParallelConfig
 from repro.core.registry import MultiQueryEngine, QueryRegistry
 from repro.core.results import CollectingSink, Embedding, ResultSet
 from repro.core.service import MnemonicService
-from repro.core.shard_router import ShardedEngine
-from repro.core.sharding import (
-    HashPartitionStrategy,
-    LabelRangePartitionStrategy,
-    PartitionStrategy,
-)
 from repro.core.supervisor import FaultPolicy
 from repro.graph.adjacency import DynamicGraph
 from repro.query.query_graph import WILDCARD_LABEL, QueryGraph
@@ -64,10 +58,6 @@ __version__ = "1.0.0"
 __all__ = [
     "MnemonicEngine",
     "MnemonicService",
-    "ShardedEngine",
-    "PartitionStrategy",
-    "HashPartitionStrategy",
-    "LabelRangePartitionStrategy",
     "MultiQueryEngine",
     "QueryRegistry",
     "CollectingSink",

@@ -169,69 +169,6 @@ def run_mnemonic_stream(
         engine.close()
 
 
-# ---------------------------------------------------------------------- Mnemonic, sharded
-def run_sharded_stream(
-    query: QueryGraph,
-    stream: Sequence[StreamEvent],
-    shards: int = 1,
-    match_def: MatchDefinition | None = None,
-    initial_prefix: int = 0,
-    batch_size: int = 1024,
-    stream_type: StreamType = StreamType.INSERT_ONLY,
-    parallel: ParallelConfig | None = None,
-    collect_embeddings: bool = False,
-    recycle_edge_ids: bool = True,
-    strategy=None,
-    query_name: str = "query",
-) -> BenchRun:
-    """Run the partition-parallel :class:`~repro.core.shard_router.ShardedEngine`.
-
-    Same measurement protocol as :func:`run_mnemonic_stream` (prefix
-    loaded before the clock starts, the streamed suffix timed), with the
-    per-shard work report and cross-shard frontier traffic folded into
-    ``extra`` so the shard-scaling tables can assert on them.
-    """
-    from repro.core.shard_router import ShardedEngine
-
-    config = EngineConfig(
-        stream=StreamConfig(stream_type=stream_type, batch_size=batch_size),
-        parallel=parallel or ParallelConfig(),
-        collect_embeddings=collect_embeddings,
-        recycle_edge_ids=recycle_edge_ids,
-        shards=shards,
-    )
-    engine = ShardedEngine(query, match_def=match_def, config=config, strategy=strategy)
-    try:
-        prefix = stream[:initial_prefix]
-        suffix = stream[initial_prefix:]
-        if prefix:
-            engine.load_initial([e for e in prefix if e.kind is EventKind.INSERT])
-        start = time.perf_counter()
-        result = engine.run(list(suffix))
-        elapsed = time.perf_counter() - start
-        return BenchRun(
-            system="Mnemonic-sharded",
-            query_name=query_name,
-            seconds=elapsed,
-            embeddings=result.total_positive,
-            negative_embeddings=result.total_negative,
-            extra={
-                "filter_traversals": result.total_filter_traversals,
-                "candidates_scanned": result.total_candidates_scanned,
-                "snapshots": len(result.snapshots),
-                "shards": shards,
-                "shard_stats": engine.shard_stats(),
-                "frontier": engine.frontier_stats(),
-                "snapshot_exports": engine.snapshot_exports,
-                "memory": engine.memory_report(),
-                "phase_split": result.phase_split(),
-            },
-            run_result=result,
-        )
-    finally:
-        engine.close()
-
-
 # ---------------------------------------------------------------------- Mnemonic, service layer
 def run_service_stream(
     query: QueryGraph,

@@ -193,12 +193,4 @@ def __getattr__(name: str):
         from repro.core.service import MnemonicService
 
         return MnemonicService
-    if name == "ShardedEngine":
-        from repro.core.shard_router import ShardedEngine
-
-        return ShardedEngine
-    if name in ("PartitionStrategy", "HashPartitionStrategy", "LabelRangePartitionStrategy"):
-        from repro.core import sharding
-
-        return getattr(sharding, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -33,7 +33,6 @@ from repro.streams.events import StreamEvent
 from repro.streams.generator import Snapshot, SnapshotGenerator
 from repro.streams.sources import StreamSource
 from repro.utils.stats import latency_summary
-from repro.utils.validation import ConfigurationError
 
 
 @dataclass
@@ -59,13 +58,6 @@ class EngineConfig:
     #: (the default policy performs no respawns — a broken pool degrades
     #: straight to serial enumeration)
     fault: FaultPolicy = field(default_factory=FaultPolicy)
-    #: number of engine shards (used by :class:`~repro.core.shard_router.
-    #: ShardedEngine`; the other engines ignore it and always run one)
-    shards: int = 1
-
-    def __post_init__(self) -> None:
-        if self.shards < 1:
-            raise ConfigurationError(f"shards must be >= 1, got {self.shards}")
 
 
 @dataclass

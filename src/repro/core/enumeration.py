@@ -78,14 +78,6 @@ class WorkUnits:
         self.edge_ids = np.asarray(edge_ids, dtype=np.int64)
         self.start_edges = np.asarray(start_edges, dtype=np.int64)
 
-    @classmethod
-    def concat(cls, parts: "list[WorkUnits]") -> "WorkUnits":
-        """The units of ``parts`` (at least one), part after part."""
-        return cls(
-            np.concatenate([part.edge_ids for part in parts]),
-            np.concatenate([part.start_edges for part in parts]),
-        )
-
     def __len__(self) -> int:
         return self.edge_ids.shape[0]
 
@@ -285,8 +277,8 @@ class QueryState:
     precomputation), so the persistent pool sends it a single time at
     spawn; per-batch messages then carry only the shared-memory snapshot
     descriptor and work-unit arrays.  :meth:`make_context` is the one
-    factory of :class:`EnumerationContext`: the parent, the workers and
-    the shard scopes combine this state with their graph and DEBI views.
+    factory of :class:`EnumerationContext`: the parent and the workers
+    combine this state with their graph and DEBI views.
     """
 
     query: QueryGraph
@@ -326,7 +318,7 @@ class QueryState:
         shared_pool_cache: dict | None = None,
         arena: "EmbeddingArena | None" = None,
     ) -> EnumerationContext:
-        """Build an enumeration context over ``graph`` (live, array view or shard scope)."""
+        """Build an enumeration context over ``graph`` (live or array view)."""
         return EnumerationContext(
             query=self.query,
             tree=self.tree,

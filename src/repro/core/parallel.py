@@ -206,56 +206,6 @@ class EpochDeadlineError(PoolBrokenError):
     """
 
 
-class PoolOwnerMixin:
-    """The shared pool-ownership dance for engines owning a worker pool.
-
-    Both engines used to hand-roll the same lifecycle: drop the
-    ``_pool`` reference *before* shutting it down (a failure while
-    reaping workers must never leave a half-closed pool attached to the
-    owner, where a retry or garbage collection would double-close it)
-    and manage a ``weakref.finalize`` guard so collection of the owner
-    closes a forgotten pool — but never one that was already replaced.
-    This mixin is that dance, shared; it stores state on the plain
-    ``_pool`` / ``_pool_finalizer`` attributes.
-    """
-
-    _pool: "SharedMemoryPool | None" = None
-    _pool_finalizer = None
-
-    def _adopt_pool(self, pool: "SharedMemoryPool | None") -> "SharedMemoryPool | None":
-        """Track ``pool`` (may be None) and arm a close-on-GC finalizer."""
-        import weakref
-
-        self._pool = pool
-        self._pool_finalizer = (
-            weakref.finalize(self, SharedMemoryPool.close, pool)
-            if pool is not None
-            else None
-        )
-        return pool
-
-    def _detach_pool(self) -> "SharedMemoryPool | None":
-        """Detach and return the pool (not yet closed); the owner keeps no reference.
-
-        The caller is responsible for closing the returned pool (after
-        harvesting whatever it still needs, e.g. the publish count).
-        Returns None when no pool was tracked.  Exception-safe by
-        construction: the reference and finalizer are gone before the
-        caller runs any teardown that might raise.
-        """
-        pool, self._pool = self._pool, None
-        finalizer, self._pool_finalizer = self._pool_finalizer, None
-        if finalizer is not None:
-            finalizer.detach()
-        return pool
-
-    def _close_pool(self) -> None:
-        """Detach and close the tracked pool (idempotent)."""
-        pool = self._detach_pool()
-        if pool is not None:
-            pool.close()
-
-
 @dataclass
 class _InflightEpoch:
     """Parent-side accounting for one dispatched-but-undrained epoch."""
@@ -268,10 +218,6 @@ class _InflightEpoch:
     embeddings: dict[int, Embeddings] = field(default_factory=dict)
     totals: dict[int, int] = field(default_factory=dict)
     scanned: dict[int, int] = field(default_factory=dict)
-    #: unit slices bounced back by the shard-ownership guard (sharded
-    #: dispatch only): the worker's snapshot cannot answer a cross-shard
-    #: read, so the router re-runs these with frontier forwarding
-    escaped: "dict[int, list[WorkUnits]]" = field(default_factory=dict)
     failure: str | None = None
 
 
@@ -292,19 +238,10 @@ class DispatchedEpoch:
 
 @dataclass(frozen=True)
 class DrainedEpoch:
-    """Per-query outcomes of one fully drained epoch.
-
-    ``escaped`` holds the work units (per query) that the workers could
-    not finish shard-locally — present only for sharded dispatches whose
-    descriptor carried a ``"shard"`` ownership spec.  The caller owns
-    their re-execution (the shard router re-runs them with cross-shard
-    frontier forwarding); their counters and embeddings are *not* part
-    of ``outcomes``.
-    """
+    """Per-query outcomes of one fully drained epoch."""
 
     epoch: int
     outcomes: dict[int, EnumerationOutcome]
-    escaped: "dict[int, WorkUnits]" = field(default_factory=dict)
 
 
 def _pool_worker_main(
@@ -325,7 +262,6 @@ def _pool_worker_main(
     """
     disable_shm_resource_tracking()
     from repro.core.enumeration import EmbeddingArena, columnar_enumerate_packed
-    from repro.core.sharding import CrossShardAccess, ShardGuardView
 
     attachment = SnapshotAttachment()
     trees = {qid: qs.tree for qid, qs in query_states.items()}
@@ -361,19 +297,6 @@ def _pool_worker_main(
                 context = contexts.get(query_id)
                 if context is None:
                     graph_view, debis, batch_edge_ids = attachment.views(descriptor, trees)
-                    shard_spec = descriptor.get("shard")
-                    if shard_spec is not None:
-                        # Sharded dispatch: this snapshot holds one shard's
-                        # edges only.  Adjacency is complete only at owned
-                        # vertices; the guard turns any foreign read into a
-                        # CrossShardAccess escape instead of a silent
-                        # partial frontier.
-                        graph_view = ShardGuardView(
-                            graph_view,
-                            shard_spec["strategy"],
-                            shard_spec["num_shards"],
-                            shard_spec["shard"],
-                        )
                     context = query_states[query_id].make_context(
                         graph_view,
                         debis[query_id],
@@ -395,13 +318,6 @@ def _pool_worker_main(
                     task_start, kernel_start, task_end,
                     context.candidates_scanned - scanned_before,
                 )))
-            except CrossShardAccess:
-                # The slice needs another shard's adjacency; bounce it back
-                # whole.  Partial counter deltas are dropped on purpose —
-                # the router's scatter-gather re-run charges them cleanly.
-                result_queue.put(
-                    ("escaped", epoch, worker_id, query_id, len(units), units)
-                )
             except Exception:  # pragma: no cover - surfaced parent-side as PoolBrokenError
                 result_queue.put(
                     ("err", epoch, worker_id, query_id, len(units), traceback.format_exc())
@@ -535,7 +451,6 @@ class SharedMemoryPool:
         contexts: "dict[int, EnumerationContext]",
         units: "dict[int, WorkUnits]",
         collect: bool = True,
-        descriptor_extra: dict | None = None,
     ) -> "DispatchedEpoch":
         """Publish a snapshot and enqueue every query's units — without waiting.
 
@@ -568,11 +483,6 @@ class SharedMemoryPool:
         except Exception as exc:
             self._broken = True
             raise PoolBrokenError(f"snapshot publication failed: {exc}") from exc
-
-        if descriptor_extra:
-            # Side-channel for the shard router: the ownership spec rides
-            # in the descriptor (plain queue payload, not shared memory).
-            descriptor = {**descriptor, **descriptor_extra}
         epoch = descriptor["epoch"]
         self._enqueue_epoch(epoch, descriptor, contexts, units, collect)
         return DispatchedEpoch(epoch=epoch, descriptor=descriptor, units=units)
@@ -675,10 +585,7 @@ class SharedMemoryPool:
                 wall,
                 num_embeddings=state.totals[qid],
             )
-        from repro.core.enumeration import WorkUnits
-
-        escaped = {qid: WorkUnits.concat(slices) for qid, slices in state.escaped.items()}
-        return DrainedEpoch(epoch=epoch, outcomes=outcomes, escaped=escaped)
+        return DrainedEpoch(epoch=epoch, outcomes=outcomes)
 
     def _route_result(self, message) -> None:
         """Book one worker message into its epoch's in-flight state.
@@ -695,10 +602,6 @@ class SharedMemoryPool:
             if kind == "err":
                 state.pending -= 1
                 state.failure = message[5]
-                return
-            if kind == "escaped":
-                state.pending -= 1
-                state.escaped.setdefault(message[3], []).append(message[5])
                 return
             (_, _, worker_id, qid, n_units, n_found, payload, task_start,
              kernel_start, task_end, scanned) = message

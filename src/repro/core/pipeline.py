@@ -273,7 +273,7 @@ class BatchPipeline:
         """Process a stream of snapshots, yielding completed batches in order.
 
         Sealed snapshots cache their own columnar decode; it is reused, so
-        an ingest tier that already decoded (fan-out, journal, the sliding
+        an ingest tier that already decoded (the journal, the sliding
         window) shares the arrays with the engine.  When the snapshot
         iterator exposes a ``clock`` (broker-fed generators do), every
         yielded batch is stamped with the stream-clock time its results

@@ -45,11 +45,7 @@ from repro.core.api import DefaultMatchDefinition, MatchDefinition
 from repro.core.debi import DEBI
 from repro.core.enumeration import EmbeddingArena, EnumerationContext, QueryState
 from repro.core.filtering import IndexManager
-from repro.core.parallel import (
-    EnumerationOutcome,
-    PoolOwnerMixin,
-    SharedMemoryPool,
-)
+from repro.core.parallel import EnumerationOutcome, SharedMemoryPool
 from repro.core.supervisor import PoolSupervisor
 from repro.graph.adjacency import DynamicGraph, ranks_in_runs, stable_runs
 from repro.query.masking import MaskTable
@@ -185,8 +181,8 @@ def resolve_deletions(
     the oldest one carrying the event's timestamp (what a sliding window
     expires), else the most recently inserted one; an event left without
     an instance refuses the whole batch (nothing is written here).  Shared
-    by the batch pipeline, journal replay and the shard router so they can
-    never diverge on which edge a deletion hits.
+    by the batch pipeline and journal replay so they can never diverge on
+    which edge a deletion hits.
 
     ``find_instances`` lists every distinct triple's instances once.  Within
     a triple the ``r``-th event with some timestamp takes the ``r``-th
@@ -391,7 +387,7 @@ class MultiRunResult:
 
 
 # ---------------------------------------------------------------------- the engine
-class MultiQueryEngine(PoolOwnerMixin):
+class MultiQueryEngine:
     """A shared-everything engine evaluating many standing queries per batch.
 
     The one :class:`~repro.core.pipeline.BatchPipeline` host: it owns the
@@ -414,6 +410,9 @@ class MultiQueryEngine(PoolOwnerMixin):
     state directory's ``meta.json``: the single-query view passes
     ``"single"``.
     """
+
+    _pool: SharedMemoryPool | None = None
+    _pool_finalizer = None
 
     def __init__(
         self,
@@ -535,6 +534,37 @@ class MultiQueryEngine(PoolOwnerMixin):
             + self._supervisor.retired_publish_count
             + current
         )
+
+    def _adopt_pool(self, pool: SharedMemoryPool | None) -> SharedMemoryPool | None:
+        """Track ``pool`` (may be None) and arm a close-on-GC finalizer.
+
+        Collecting the engine then closes a forgotten pool, but never one
+        that :meth:`_detach_pool` already handed out.
+        """
+        import weakref
+
+        self._pool = pool
+        self._pool_finalizer = (
+            weakref.finalize(self, SharedMemoryPool.close, pool)
+            if pool is not None
+            else None
+        )
+        return pool
+
+    def _detach_pool(self) -> SharedMemoryPool | None:
+        """Detach and return the pool (not yet closed); the engine keeps no reference.
+
+        The caller closes the returned pool (after harvesting whatever it
+        still needs, e.g. the publish count).  Returns None when no pool
+        was tracked.  Exception-safe by construction: the reference and
+        finalizer are gone before the caller runs any teardown that might
+        raise, so a retry or garbage collection never double-closes it.
+        """
+        pool, self._pool = self._pool, None
+        finalizer, self._pool_finalizer = self._pool_finalizer, None
+        if finalizer is not None:
+            finalizer.detach()
+        return pool
 
     def close(self) -> None:
         """Release the worker pool (exception-safe and idempotent)."""

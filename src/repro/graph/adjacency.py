@@ -10,8 +10,7 @@ mutation is one vertex-interning pass followed by array operations only.
   the store's only dict; labels are a column by position.
 * **Edge columns** ``src / dst / label / timestamp / alive`` indexed by edge
   id are the only copy of an edge; a row with ``alive == False`` is a dead
-  *placeholder* (a deleted edge, or a gap below a forced id), and the row
-  count is the DEBI row count.
+  *placeholder* (a deleted edge), and the row count is the DEBI row count.
 * **Adjacency**, per direction: every ``(vertex, label)`` partition is a row
   of one pooled int64 arena (:class:`_Arena`: moved to the tail with doubled
   capacity when full, the arena repacked when the tail runs out), found
@@ -32,7 +31,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field, fields
-from itertools import chain, count, repeat
+from itertools import count, repeat
 from typing import Iterator
 
 import numpy as np
@@ -125,34 +124,6 @@ def intern_ids(position: dict[int, int], ids: list[int]) -> tuple[np.ndarray, np
     return positions, np.array(introduced, dtype=np.int64)
 
 
-def concat_candidate_pools(graph, anchors: np.ndarray, out: bool, label: int | None):
-    """``candidate_pools`` for a graph facade that only answers per vertex.
-
-    Calls ``graph.candidate_pool`` once per anchor, so per-vertex routing
-    and ownership checks of the facade still run for every anchor.
-    """
-    pools = [
-        np.asarray(graph.candidate_pool(vertex, out, label), dtype=np.int64)
-        for vertex in anchors.tolist()
-    ]
-    sizes = np.fromiter(map(len, pools), dtype=np.int64, count=len(pools))
-    return (np.concatenate(pools) if pools else _EMPTY_ARRAY), sizes
-
-
-def concat_label_degrees(graph, vertices: np.ndarray, out: bool, label: int | None) -> np.ndarray:
-    """``label_degrees`` for a graph facade that only answers per vertex.
-
-    Calls the facade's scalar degree read once per vertex, so per-vertex
-    routing and ownership checks of the facade still run for every one.
-    """
-    if label is None:
-        degrees = map(graph.out_degree if out else graph.in_degree, vertices.tolist())
-    else:
-        scalar = graph.out_label_degree if out else graph.in_label_degree
-        degrees = map(scalar, vertices.tolist(), repeat(label))
-    return np.fromiter(degrees, dtype=np.int64, count=vertices.shape[0])
-
-
 def edges_between(graph, srcs: np.ndarray, dsts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``find_edges_batch`` from a graph's ``candidate_pools`` and ``endpoint_array``.
 
@@ -179,17 +150,6 @@ def edges_between(graph, srcs: np.ndarray, dsts: np.ndarray) -> tuple[np.ndarray
     first = keys.searchsorted(pair_keys, side="left")
     sizes = keys.searchsorted(pair_keys, side="right") - first
     return ids[order[expand_ranges(first, sizes)]], sizes
-
-
-def concat_find_edges(graph, srcs: np.ndarray, dsts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``find_edges_batch`` for a graph facade that only answers per pair.
-
-    Calls ``graph.find_edges`` once per pair, so per-vertex routing and
-    ownership checks of the facade still run for every pair.
-    """
-    runs = list(map(graph.find_edges, srcs.tolist(), dsts.tolist()))
-    sizes = np.fromiter(map(len, runs), dtype=np.int64, count=len(runs))
-    return np.fromiter(chain.from_iterable(runs), dtype=np.int64, count=int(sizes.sum())), sizes
 
 
 def coalesce_ranges(ordered: np.ndarray) -> list[tuple[int, int]]:
@@ -319,8 +279,7 @@ class _Arena:
 class FreeIdStacks(_Arena):
     """Per-source LIFO stacks of reusable edge ids, pooled in one arena.
 
-    The one statement of the recycling rule (:class:`DynamicGraph` and the
-    shard router's ``EdgeIdAllocator`` share it): a deleted edge's id goes on
+    The one statement of the recycling rule: a deleted edge's id goes on
     top of its source's stack, an insertion takes its source's top id, or a
     fresh one.  A batch is that rule in event order, so its ids are those of
     per-edge calls.  Rows are the sources' positions in ``position``.
@@ -616,8 +575,7 @@ class _Adjacency(_Arena):
 def check_edge_columns(src: np.ndarray, dst: np.ndarray, label: np.ndarray) -> None:
     """Refuse a (non-empty) insert batch naming a negative vertex (DEBI roots are
     indexed by vertex id) or an edge label outside the signed 32-bit range (the
-    partition directory packs it), before the graph or a shard router writes
-    anything for it."""
+    partition directory packs it), before the graph writes anything for it."""
     lowest = min(int(src.min()), int(dst.min()))
     if lowest < 0:
         raise GraphError(f"vertex id {lowest} is negative")
@@ -641,10 +599,9 @@ class DynamicGraph:
         self.recycle_edge_ids = recycle_edge_ids
 
         # Edge columns indexed by edge id — the only copy of every edge.
-        # ``_rows`` ids have been allocated so far (live or dead); rows that
-        # were never assigned (beyond ``_rows``, or a gap below a forced id)
-        # are all-zero, i.e. dead.  The ``_*_part`` columns remember each
-        # live edge's partition ids.
+        # ``_rows`` ids have been allocated so far (live or dead); rows
+        # beyond ``_rows`` are all-zero, i.e. dead.  The ``_*_part`` columns
+        # remember each live edge's partition ids.
         self._rows = 0
         self._src = np.zeros(_INITIAL_ROWS, dtype=np.int64)
         self._dst = np.zeros(_INITIAL_ROWS, dtype=np.int64)
@@ -767,35 +724,25 @@ class DynamicGraph:
     # ------------------------------------------------------------------ edges
     def add_edge(
         self, src: int, dst: int, label: int = 0, timestamp: float = 0.0,
-        src_label: int | None = None, dst_label: int | None = None, edge_id: int | None = None,
+        src_label: int | None = None, dst_label: int | None = None,
     ) -> int:
         """Insert a new edge instance and return its ``edge_id``.
 
         Parallel edges (same ``src``/``dst``/``label``) are distinct
         instances with distinct ids — this is the multigraph property the
         paper relies on for context-aware matching.
-
-        ``edge_id`` forces the id instead of allocating one: the
-        partitioned mutation API.  Engine shards share one global id
-        space (a router-level allocator hands out ids, so DEBI rows and
-        embedding identities agree across shards); a shard storing only
-        part of that space leaves the skipped ids as dead placeholder
-        rows, exactly like deleted-but-unrecycled edges.
         """
         if src < 0 or dst < 0:
             raise GraphError(f"vertex id {min(src, dst)} is negative")
         if not -_LABEL_BIAS <= label < _LABEL_BIAS:
             raise GraphError("edge labels must fit a signed 32-bit integer")
-        if edge_id is not None:
-            self._check_forced_ids(np.array([edge_id]))
         src_pos = self.add_vertex(src, src_label or 0)
         dst_pos = self.add_vertex(dst, dst_label or 0)
-        if edge_id is None:
-            edge_id = self.free_ids.pop(src_pos) if self.recycle_edge_ids else -1
-            if edge_id < 0:
-                edge_id = self._rows
-            else:
-                self.stats.record_recycle()
+        edge_id = self.free_ids.pop(src_pos) if self.recycle_edge_ids else -1
+        if edge_id < 0:
+            edge_id = self._rows
+        else:
+            self.stats.record_recycle()
         self._extend_rows(edge_id + 1)
         self._src[edge_id] = src
         self._dst[edge_id] = dst
@@ -1008,7 +955,7 @@ class DynamicGraph:
 
     # ------------------------------------------------------------------ bulk mutation
     def apply_insert_columns(
-        self, src, dst, label=None, timestamp=None, src_label=None, dst_label=None, edge_ids=None
+        self, src, dst, label=None, timestamp=None, src_label=None, dst_label=None
     ) -> list[int]:
         """Insert a whole batch from contiguous columns; returns the edge ids.
 
@@ -1016,11 +963,9 @@ class DynamicGraph:
         the same resulting state, **edge-id sequence** included (see
         :meth:`FreeIdStacks.allocate`; partitions are created in event order).
         Columns are int64 (``timestamp`` float64) arrays of equal length;
-        missing columns default to zeros.  ``edge_ids`` forces the ids (the
-        sharded path, where a router-level allocator owns the id space).  A
-        negative vertex id, an edge label outside 32 bits, or a forced id that
-        is negative, already live or repeated in the batch, is rejected with
-        :class:`GraphError` before anything is mutated.
+        missing columns default to zeros.  A negative vertex id or an edge
+        label outside 32 bits is rejected with :class:`GraphError` before
+        anything is mutated.
         """
         src_arr = np.asarray(src, dtype=np.int64)
         n = int(src_arr.shape[0])
@@ -1034,20 +979,16 @@ class DynamicGraph:
             np.zeros(n, dtype=np.float64) if timestamp is None
             else np.asarray(timestamp, dtype=np.float64)
         )
-        if edge_ids is not None:
-            ids_arr = np.asarray(edge_ids, dtype=np.int64)
-            self._check_forced_ids(ids_arr)
         src_pos, dst_pos = self._register_vertices(
             src_arr, dst_arr,
             zeros if src_label is None else np.asarray(src_label, dtype=np.int64),
             zeros if dst_label is None else np.asarray(dst_label, dtype=np.int64),
         )
-        if edge_ids is None:
-            if self.recycle_edge_ids:
-                ids_arr, recycled = self.free_ids.allocate(src_pos, self._rows)
-                self.stats.recycled += recycled
-            else:
-                ids_arr = np.arange(self._rows, self._rows + n, dtype=np.int64)
+        if self.recycle_edge_ids:
+            ids_arr, recycled = self.free_ids.allocate(src_pos, self._rows)
+            self.stats.recycled += recycled
+        else:
+            ids_arr = np.arange(self._rows, self._rows + n, dtype=np.int64)
 
         # -- edge columns: one scatter each
         self._extend_rows(int(ids_arr.max()) + 1)
@@ -1073,17 +1014,6 @@ class DynamicGraph:
         stats.peak_placeholders = max(stats.peak_placeholders, self._rows)
         stats.peak_live = max(stats.peak_live, self._num_live_edges)
         return ids_arr.tolist()
-
-    def _check_forced_ids(self, ids: np.ndarray) -> None:
-        if (ids < 0).any():
-            raise GraphError(f"edge id {int(ids.min())} is negative")
-        taken = ids[ids < self._rows]
-        live = taken[self._alive[taken]]
-        if live.size:
-            raise GraphError(f"edge id {int(live[0])} is already a live edge")
-        repeated = _first_duplicate(ids)
-        if repeated is not None:
-            raise GraphError(f"edge id {repeated} is forced twice in one batch")
 
     def apply_delete_columns(self, edge_ids) -> EdgeColumns:
         """Delete a batch of edge ids and return their last columns, in batch order.
@@ -1155,6 +1085,8 @@ class DynamicGraph:
         problem = self.free_ids.violation(vertex_ids, rows, self._alive, self._src)
         if problem is not None:
             raise GraphError(f"free-id stacks: {problem}")
+        if self.recycle_edge_ids and self.free_ids.count != rows - live.shape[0]:
+            raise GraphError("a dead row is on no free-id stack although recycling is on")
         if self.free_ids.count and not self.recycle_edge_ids:
             raise GraphError("free ids are kept although recycling is off")
 

@@ -34,7 +34,6 @@ from repro.streams.events import (
     decode_lsbench_triple,
     encode_lsbench_triple,
 )
-from repro.streams.fanout import FanoutStats, ShardFanout
 from repro.streams.generator import (
     Snapshot,
     SnapshotBatcher,
@@ -69,8 +68,6 @@ __all__ = [
     "StreamBroker",
     "BrokerClosedError",
     "POLL_TIMEOUT",
-    "ShardFanout",
-    "FanoutStats",
     "Clock",
     "WallClock",
     "VirtualClock",

@@ -52,7 +52,7 @@ class Snapshot:
     Either half may be handed over already decoded (``insert_columns`` /
     ``delete_columns``): sealed batches are immutable, so the decode
     happens once per batch no matter how many consumers ask — engine
-    ingest, shard fan-out and the journal all share the same arrays.  A
+    ingest and the journal share the same arrays.  A
     generator that never held deletion *events* (the sliding window) gives
     the columns alone; ``deletions`` is then built when something reads it.
     """

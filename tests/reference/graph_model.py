@@ -54,21 +54,15 @@ class GraphModel:
         elif existing != label and label != 0:
             raise GraphError(f"vertex {vertex} cannot be relabelled")
 
-    def add_edge(self, src, dst, label=0, timestamp=0.0, src_label=0, dst_label=0, edge_id=None):
-        if edge_id is not None and (
-            edge_id < 0 or (edge_id < len(self.src) and self.alive[edge_id])
-        ):
-            raise GraphError(f"edge id {edge_id} cannot be forced")
+    def add_edge(self, src, dst, label=0, timestamp=0.0, src_label=0, dst_label=0):
         self.add_vertex(src, src_label)
         self.add_vertex(dst, dst_label)
-        if edge_id is None:
-            free = self.free_ids.get(src) if self.recycle_edge_ids else None
-            if free:
-                self.stats.record_recycle()
-                edge_id = free.pop()
-            else:
-                edge_id = len(self.src)
-        while len(self.src) <= edge_id:  # a forced id pads the gap with dead rows
+        free = self.free_ids.get(src) if self.recycle_edge_ids else None
+        if free:
+            self.stats.record_recycle()
+            edge_id = free.pop()
+        else:
+            edge_id = len(self.src)
             self.src.append(0)
             self.dst.append(0)
             self.label.append(0)

@@ -11,15 +11,15 @@ These tests pin that contract:
    ``add_edge`` / ``delete_edge`` loop: same returned ids, same CSR
    export, across random streams with duplicate parallel edges and
    recycling.
-2. **Engine parity (property)** — full runs on the serial engine, the
-   process pool and two shards against the per-edge reference engine
+2. **Engine parity (property)** — full runs on the serial engine (with
+   and without the degree filter) and on pools of two and three workers
+   against the per-edge reference engine
    (``tests/reference/tuple_kernel.py``): identical positive/negative
-   identity sets per batch, and on the serial engine identical
+   identity sets per batch, and on the serial backend identical
    counters, live-edge counts and DEBI content.
 3. **Sliding-window multigraph** — a stream where every expiry is
    ambiguous and every id recycled keeps the reference's ids, free-id
-   stacks, CSR export and DEBI rows on the serial engine, the pool and two
-   shards.
+   stacks, CSR export and DEBI rows on every one of those engines.
 4. **Edge cases** — duplicate parallel edges in one batch,
    delete-then-reinsert hitting a recycled id, empty batches, a vertex
    id of 2**40.
@@ -36,7 +36,6 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro import ShardedEngine
 from repro.core.debi import DEBI
 from repro.core.engine import EngineConfig, MnemonicEngine
 from repro.core.parallel import ParallelConfig
@@ -158,7 +157,10 @@ _ENGINES = {
     "serial": lambda query: MnemonicEngine(query),
     "process": lambda query: MnemonicEngine(query, config=EngineConfig(
         parallel=ParallelConfig(backend="process", num_workers=2))),
-    "2-shards": lambda query: ShardedEngine(query, config=EngineConfig(shards=2)),
+    "process-3": lambda query: MnemonicEngine(query, config=EngineConfig(
+        parallel=ParallelConfig(backend="process", num_workers=3))),
+    "unfiltered": lambda query: MnemonicEngine(query, config=EngineConfig(
+        use_degree_filter=False)),
 }
 
 
@@ -200,7 +202,7 @@ def test_columnar_engine_parity(engine_name, ops, size):
             lambda r: _identities(r.positive_embeddings + r.negative_embeddings),
         )
         assert found == expected
-        if engine_name == "serial":
+        if engine_name in ("serial", "unfiltered"):
             ref_graph, ref_runtime = reference.graph, reference.runtimes[0]
             assert engine.index_manager.total_traversals == reference.indexes[0].total_traversals
             assert engine.graph.num_edges == ref_graph.num_edges
@@ -256,24 +258,16 @@ def test_sliding_window_multigraph_matches_the_reference(engine_name, seed):
             ] == expected
             deleted += snapshot.delete_batch_size
             found += len(expected[0]) + len(expected[1])
-            ids = np.arange(ref_graph.num_placeholders)
-            if engine_name == "2-shards":
-                router = engine.router
-                assert list(engine.routed_graph.edges()) == list(ref_graph.edges())
-                assert router.allocator.num_placeholders == ref_graph.num_placeholders
-                stacks, bits = router.allocator.free_ids, engine.routed_debi
-                live = np.flatnonzero(router._primary[: ids.shape[0]] >= 0)
-            else:
-                for key, expected_array in _graph_state(ref_graph).items():
-                    assert np.array_equal(_graph_state(engine.graph)[key], expected_array), key
-                engine.graph.check_invariants()
-                stacks, bits, live = engine.graph.free_ids, engine.debi, ids
-            assert {v: stacks.stack(v) for v in range(4)} == {
+            for key, expected_array in _graph_state(ref_graph).items():
+                assert np.array_equal(_graph_state(engine.graph)[key], expected_array), key
+            engine.graph.check_invariants()
+            assert {v: engine.graph.free_ids.stack(v) for v in range(4)} == {
                 v: ref_graph.free_ids.stack(v) for v in range(4)
             }
+            ids = np.arange(ref_graph.num_placeholders)
             for column in range(2):
                 assert np.array_equal(
-                    bits.column_mask(live, column), ref_debi.column_mask(live, column)
+                    engine.debi.column_mask(ids, column), ref_debi.column_mask(ids, column)
                 )
         assert found, "vacuous: the query never matched"
         assert deleted > len(events) // 2 and ref_graph.stats.recycled > len(events) // 2

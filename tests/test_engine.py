@@ -212,13 +212,16 @@ class TestBatchAPIs:
          "vertex id 30.5 is not an integer"),
         (StreamEvent.insert(30, float("nan"), src_label=0, dst_label=1),
          "vertex id nan is not an integer"),
-    ], ids=["negative", "fractional", "nan"])
+        (StreamEvent.insert(30, 31, 2**31, src_label=0, dst_label=1),
+         "edge labels must fit a signed 32-bit integer"),
+    ], ids=["negative", "fractional", "nan", "label"])
     @pytest.mark.parametrize("feed", ["run", "batch_inserts", "load_initial"])
     def test_hostile_vertex_id_refuses_the_whole_batch(self, feed, hostile, message):
         """DEBI roots are indexed by vertex id.  A negative one used to get into
         the graph and kill the index update behind it, and a fractional one used
         to be stored as the integer below it (``1.5`` registered vertex ``1`` and
-        could complete a match); now the batch it rides in changes nothing, and
+        could complete a match); the partition directory packs an edge label
+        into 32 bits.  Now the batch a bad row rides in changes nothing, and
         the engine carries on as if it had never come."""
         engine, untouched = MnemonicEngine(path_query()), MnemonicEngine(path_query())
         for each in (engine, untouched):

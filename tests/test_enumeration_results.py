@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import ShardedEngine
 from repro.core.api import MatchDefinition, default_edge_matcher
 from repro.core.engine import EngineConfig, MnemonicEngine, RunResult, enumerate_static
 from repro.core.enumeration import WorkUnit, decompose_batch
+from repro.core.parallel import ParallelConfig
 from repro.core.results import Embedding, Embeddings, ResultSet
 from repro.graph.adjacency import CSRGraphView
 from repro.matchers import HomomorphismMatcher
@@ -156,21 +156,25 @@ class TestRunResultReductions:
         assert len(set(run.all_positive().identities())) < len(positives)
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_the_shard_merge_keeps_every_row_once(self, seed):
+    def test_the_pool_merge_keeps_every_row_once(self, seed):
+        """Pool chunks come back in completion order: the rows are the serial
+        run's, each once, and so are the reductions over them."""
         single = self._churn(MnemonicEngine(self.QUERY), seed)
-        with ShardedEngine(self.QUERY, config=EngineConfig(shards=2)) as engine:
-            sharded = self._churn(engine, seed)
+        config = EngineConfig(parallel=ParallelConfig(backend="process", num_workers=2))
+        with MnemonicEngine(self.QUERY, config=config) as engine:
+            pooled = self._churn(engine, seed)
+            assert engine.pool_enumeration_phases > 0, "vacuous: the pool never ran"
 
         def canonical(embeddings):
             return sorted(embeddings, key=lambda e: (e.start_edge, e.node_map, e.edge_map))
 
-        for mine, theirs in zip(sharded.snapshots, single.snapshots):
+        for mine, theirs in zip(pooled.snapshots, single.snapshots, strict=True):
             assert canonical(mine.positive_embeddings) == canonical(theirs.positive_embeddings)
             assert canonical(mine.negative_embeddings) == canonical(theirs.negative_embeddings)
             assert mine.num_positive == theirs.num_positive
             assert mine.num_negative == theirs.num_negative
-        assert list(sharded.net_result_set().node_mappings()) and (
-            sharded.net_result_set().node_mappings() == single.net_result_set().node_mappings())
+        assert list(pooled.net_result_set().node_mappings()) and (
+            pooled.net_result_set().node_mappings() == single.net_result_set().node_mappings())
 
 
 class TestWorkDecomposition:

@@ -153,6 +153,16 @@ class TestDeletionAndRecycling:
         assert recycled.num_placeholders == 1
         assert unrecycled.num_placeholders == 100
 
+    def test_a_dead_row_off_every_free_stack_breaks_the_invariants(self):
+        """With recycling on, every dead row is a free id: nothing else makes one."""
+        graph = DynamicGraph()
+        graph.delete_edge(graph.add_edge(1, 2))
+        graph.add_edge(3, 4)
+        graph.check_invariants()
+        assert graph.free_ids.pop(0) == 0  # vertex 1 sits at position 0
+        with pytest.raises(GraphError, match="no free-id stack"):
+            graph.check_invariants()
+
 
 class TestBulkHelpers:
     def test_apply_insert_columns(self):
@@ -201,8 +211,8 @@ class TestRejectedBatchesMutateNothing:
     the pipeline has already captured DEBI row masks for the whole batch."""
 
     @staticmethod
-    def populated(recycle=True):
-        graph = DynamicGraph(recycle_edge_ids=recycle)
+    def populated():
+        graph = DynamicGraph()
         ids = graph.apply_insert_columns([1, 1, 2, 3, 3], [2, 3, 3, 1, 1], [0, 1, 0, 0, 0])
         graph.delete_edge(ids[1])  # one dead placeholder, one free id
         return graph, ids
@@ -220,21 +230,26 @@ class TestRejectedBatchesMutateNothing:
         assert graph_state(graph) == before
         assert graph.apply_delete_columns(good).edge_id.size == 2  # the good ids were still deletable
 
-    @pytest.mark.parametrize("bad", ["live", "negative", "duplicate"])
-    def test_forced_insert_batch(self, bad):
-        graph, ids = self.populated(recycle=False)
-        forced = {"live": [7, ids[2], 9], "negative": [7, -3, 9], "duplicate": [7, 9, 7]}[bad]
+    @pytest.mark.parametrize("bad", ["negative", "label_high", "label_low"])
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_insert_batch(self, bad, position):
+        """The bad row comes with new vertices and a recyclable source: neither
+        a vertex nor a free id moves before the batch is refused."""
+        graph, ids = self.populated()
+        good = [(5, 6, 0), (1, 7, 0)]  # vertex 1 has a free id to recycle
+        culprit, message = {
+            "negative": ((6, -4, 0), "vertex id -4 is negative"),
+            "label_high": ((6, 5, 2**31), "signed 32-bit"),
+            "label_low": ((6, 5, -(2**31) - 1), "signed 32-bit"),
+        }[bad]
+        src, dst, label = zip(*(good[:position] + [culprit] + good[position:]))
         before = graph_state(graph)
-        with pytest.raises(GraphError):
-            graph.apply_insert_columns([5, 6, 7], [6, 7, 5], [0, 0, 0], edge_ids=forced)
+        with pytest.raises(GraphError, match=message):
+            graph.apply_insert_columns(src, dst, label)
         assert graph_state(graph) == before
         assert not graph.has_vertex(5), "rejected before the batch registered its vertices"
-        # dead ids and ids beyond the end (leaving a gap of dead rows) are fine
-        assert graph.apply_insert_columns(
-            [5, 6, 7], [6, 7, 5], [0, 0, 0], edge_ids=[ids[1], 7, 9]
-        ) == [ids[1], 7, 9]
-        assert graph.num_placeholders == 10
-        assert [graph.is_alive(e) for e in (5, 6, 8)] == [False, False, False]
+        src, dst, label = zip(*good)
+        assert graph.apply_insert_columns(src, dst, label)[1] == ids[1]  # the free id was still there
         graph.check_invariants()
 
 

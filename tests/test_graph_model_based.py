@@ -2,13 +2,12 @@
 
 A hypothesis state machine drives the columnar store and
 :class:`reference.graph_model.GraphModel` with the same operations —
-insert and delete batches, scalar ``add_edge`` / ``delete_edge``, forced
-ids with gaps, rejected batches, ``copy()``, a pickle round trip, CSR
-exports, stream deletions resolved by triple — and after every step
-requires identical edge ids and records, identical triple resolution, the
-same per-source free-id stacks, the same pools and degrees per
-``(vertex, direction, label)`` (scalar and batched reads alike, on the
-live graph, on a view of its export and through the shard guard), the
+insert and delete batches, scalar ``add_edge`` / ``delete_edge``, rejected
+batches, ``copy()``, a pickle round trip, CSR exports, stream deletions
+resolved by triple — and after every step requires identical edge ids and
+records, identical triple resolution, the same per-source free-id stacks,
+the same pools and degrees per ``(vertex, direction, label)`` (scalar and
+batched reads alike, on the live graph and on a view of its export), the
 same counters, and a clean ``check_invariants()``.
 """
 
@@ -25,7 +24,6 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, pr
 from reference.graph_model import GraphModel
 
 from repro.core.registry import resolve_deletions
-from repro.core.sharding import CrossShardAccess, HashPartitionStrategy, ShardGuardView
 from repro.graph.adjacency import CSRGraphView, DynamicGraph
 from repro.graph.stats import PlaceholderStats
 from repro.streams.events import EventColumns, EventKind
@@ -60,21 +58,9 @@ class GraphMachine(RuleBasedStateMachine):
     def live_ids(self) -> list[int]:
         return [record.edge_id for record in self.model.edges()]
 
-    def forceable_ids(self, data, count: int) -> list[int]:
-        """Distinct ids a router could force: never-used dead rows, or beyond the end with gaps."""
-        listed = {e for ids in self.model.free_ids.values() for e in ids}
-        dead = [
-            e for e in range(self.model.num_placeholders)
-            if not self.model.alive[e] and e not in listed
-        ]
-        beyond = list(range(self.model.num_placeholders, self.model.num_placeholders + 3 * count))
-        return data.draw(
-            st.lists(st.sampled_from(dead + beyond), min_size=count, max_size=count, unique=True)
-        )
-
-    def insert_columns(self, events, edge_ids=None) -> list[int]:
+    def insert_columns(self, events) -> list[int]:
         columns = [np.array(column) for column in zip(*events)]
-        return self.graph.apply_insert_columns(*columns, edge_ids=edge_ids)
+        return self.graph.apply_insert_columns(*columns)
 
     # ------------------------------------------------------------------ mutations
     @rule(events=st.lists(EVENTS, min_size=1, max_size=12))
@@ -85,17 +71,6 @@ class GraphMachine(RuleBasedStateMachine):
     @rule(event=EVENTS)
     def add_edge(self, event):
         assert self.graph.add_edge(*event) == self.model.add_edge(*event)
-
-    @rule(data=st.data(), events=st.lists(EVENTS, min_size=1, max_size=4), scalar=st.booleans())
-    def insert_forced(self, data, events, scalar):
-        forced = self.forceable_ids(data, len(events))
-        for event, edge_id in zip(events, forced):
-            assert self.model.add_edge(*event, edge_id=edge_id) == edge_id
-        if scalar:
-            for event, edge_id in zip(events, forced):
-                assert self.graph.add_edge(*event, edge_id=edge_id) == edge_id
-        else:
-            assert self.insert_columns(events, edge_ids=np.array(forced)) == forced
 
     @precondition(lambda self: self.model.num_edges)
     @rule(data=st.data())
@@ -185,17 +160,6 @@ class GraphMachine(RuleBasedStateMachine):
         with pytest.raises(GraphError):
             self.graph.apply_delete_columns(batch)
 
-    @rule(data=st.data(), events=st.lists(EVENTS, min_size=2, max_size=4))
-    def reject_forced_batch(self, data, events):
-        forced = self.forceable_ids(data, len(events))
-        forced[-1] = data.draw(st.sampled_from(self.live_ids() + [forced[0], -1]))
-        with pytest.raises(GraphError):
-            self.insert_columns(events, edge_ids=np.array(forced))
-        with pytest.raises(GraphError):
-            self.graph.add_edge(*events[-1], edge_id=data.draw(st.sampled_from(
-                self.live_ids() + [-1]
-            )))
-
     @rule(events=st.lists(EVENTS, min_size=1, max_size=4), position=st.integers(0, 3),
           endpoint=st.integers(0, 1))
     def reject_negative_vertex(self, events, position, endpoint):
@@ -234,24 +198,12 @@ class GraphMachine(RuleBasedStateMachine):
                         np.asarray(view.candidate_pool(vertex, out, label)).tolist()
                         == graph.candidate_pool(vertex, out, label).tolist()
                     )
-        # the batched degree read: on the view, and per vertex through the
-        # worker-side ownership guard (which must refuse what it does not own)
-        strategy = HashPartitionStrategy()
-        everything = ShardGuardView(view, strategy, 1, 0)
-        half = ShardGuardView(view, strategy, 2, 0)
-        mine = [strategy.shard_of(v, 0, 2) == 0 for v in PROBES.tolist()]
-        owned, foreign = PROBES[mine], PROBES[np.logical_not(mine)]
+        # the batched degree read on the view, and its scalar reads
         for out in (True, False):
             for label in (None, 0, 1, 2, 7):
                 expected = scalar_degrees(graph, out, label)
                 assert view.label_degrees(PROBES, out, label).tolist() == expected
                 assert scalar_degrees(view, out, label) == expected
-                assert everything.label_degrees(PROBES, out, label).tolist() == expected
-                assert half.label_degrees(owned, out, label).tolist() == [
-                    degree for degree, local in zip(expected, mine) if local
-                ]
-                with pytest.raises(CrossShardAccess):
-                    half.label_degrees(foreign, out, label)
 
     # ------------------------------------------------------------------ the oracle
     @invariant()

@@ -346,21 +346,16 @@ class TestPoolBrokenRecovery:
 
 
 class TestPoolLifecycleHelper:
-    """The shared pool-ownership mixin both engines now use."""
+    """The engine's pool-ownership dance: detach before close, GC finalizer."""
 
     def test_detach_returns_pool_and_clears_reference(self):
-        from repro.core.parallel import PoolOwnerMixin
-
-        class Owner(PoolOwnerMixin):
-            pass
-
         class FakePool:
             closed = False
 
             def close(self):
                 self.closed = True
 
-        owner = Owner()
+        owner = MultiQueryEngine()
         pool = FakePool()
         owner._pool = pool
         owner._pool_finalizer = None
@@ -370,33 +365,24 @@ class TestPoolLifecycleHelper:
         assert owner._detach_pool() is None  # idempotent
 
     def test_close_pool_closes_once(self):
-        from repro.core.parallel import PoolOwnerMixin
-
-        class Owner(PoolOwnerMixin):
-            pass
-
         class FakePool:
             close_calls = 0
+            publish_count = 0
 
             def close(self):
                 self.close_calls += 1
 
-        owner = Owner()
+        owner = MultiQueryEngine()
         pool = FakePool()
         owner._pool = pool
         owner._pool_finalizer = None
-        owner._close_pool()
-        owner._close_pool()
+        owner._release_pool()
+        owner._release_pool()
         assert pool.close_calls == 1
         assert owner._pool is None
 
     def test_adopt_arms_finalizer(self):
-        from repro.core.parallel import PoolOwnerMixin
-
-        class Owner(PoolOwnerMixin):
-            pass
-
-        owner = Owner()
+        owner = MultiQueryEngine()
         assert owner._adopt_pool(None) is None
         assert owner._pool_finalizer is None
         pool = SharedMemoryPool.__new__(SharedMemoryPool)  # no spawn needed

@@ -14,19 +14,17 @@ import repro.graph
 from repro import EngineConfig, ParallelConfig, StreamConfig
 
 REPRO_ALL = {
-    "MnemonicEngine", "MnemonicService", "ShardedEngine", "PartitionStrategy",
-    "HashPartitionStrategy", "LabelRangePartitionStrategy", "MultiQueryEngine",
-    "QueryRegistry", "CollectingSink", "EngineConfig", "FaultPolicy", "ParallelConfig",
-    "RunResult", "SnapshotResult", "enumerate_static", "MatchDefinition",
-    "DefaultMatchDefinition", "Embedding", "ResultSet", "DynamicGraph", "QueryGraph",
-    "WILDCARD_LABEL", "StreamBroker", "StreamConfig", "StreamType", "StreamEvent",
-    "StorageConfig", "StorageError", "ReplaySource", "VirtualClock", "WallClock",
-    "__version__",
+    "MnemonicEngine", "MnemonicService", "MultiQueryEngine", "QueryRegistry", "CollectingSink",
+    "EngineConfig", "FaultPolicy", "ParallelConfig", "RunResult", "SnapshotResult",
+    "enumerate_static", "MatchDefinition", "DefaultMatchDefinition", "Embedding", "ResultSet",
+    "DynamicGraph", "QueryGraph", "WILDCARD_LABEL", "StreamBroker", "StreamConfig",
+    "StreamType", "StreamEvent", "StorageConfig", "StorageError", "ReplaySource",
+    "VirtualClock", "WallClock", "__version__",
 }
 GRAPH_ALL = {"DynamicGraph", "AttributeStore", "EdgeRecord", "Endpoint", "PlaceholderStats"}
 ENGINE_CONFIG_FIELDS = {
     "stream", "parallel", "pipeline", "use_degree_filter", "recycle_edge_ids",
-    "collect_embeddings", "storage", "fault", "shards",
+    "collect_embeddings", "storage", "fault",
 }
 STREAM_CONFIG_FIELDS = {"stream_type", "batch_size", "max_batch_delay", "window", "stride"}
 PARALLEL_CONFIG_FIELDS = {"backend", "num_workers"}
