@@ -150,7 +150,7 @@ def run_mnemonic_stream(
             "phase_split": result.phase_split(),
             "worker_split": worker_split(result),
         }
-        pool = engine.multi._pool
+        pool = engine._pool
         if pool is not None:
             extra["publish_stats"] = pool.publish_stats
         if storage is not None:

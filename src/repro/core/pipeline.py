@@ -2,11 +2,10 @@
 
 Apply insertions → update DEBI → enumerate; resolve deletions →
 enumerate the doomed embeddings → apply deletions → update DEBI.  The
-host (:class:`~repro.core.registry.MultiQueryEngine`, which
-:class:`~repro.core.engine.MnemonicEngine` wraps as a one-query view)
-supplies the primitives — query runtimes, context construction, pool
-lifecycle — through the :class:`PipelineHost` protocol and consumes
-:class:`CompletedBatch` records.
+host — a :class:`~repro.core.registry.MultiQueryEngine`, of which
+:class:`~repro.core.engine.MnemonicEngine` is the one-query subclass —
+supplies the primitives (query runtimes, pool lifecycle) through its
+``pipeline_*`` hook methods and consumes :class:`CompletedBatch` records.
 
 Two execution modes
 -------------------
@@ -55,7 +54,7 @@ import time
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Iterator, Protocol
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
 
@@ -72,66 +71,12 @@ from repro.streams.events import EventColumns
 from repro.utils.validation import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.engine import EngineConfig
     from repro.core.enumeration import EnumerationContext, WorkUnits
-    from repro.core.registry import QueryRuntime
-    from repro.graph.adjacency import DynamicGraph
+    from repro.core.registry import MultiQueryEngine, QueryRuntime
     from repro.streams.generator import Snapshot
 
 #: the supported execution modes of :class:`BatchPipeline`
 PIPELINE_MODES = ("serial", "pipelined")
-
-
-class PipelineHost(Protocol):
-    """What an engine must provide for :class:`BatchPipeline` to drive it.
-
-    The pipeline owns the batch-loop *sequencing*; the host supplies the
-    engine-specific primitives (which never contain loop logic of their
-    own).
-    """
-
-    graph: "DynamicGraph"
-    config: "EngineConfig"
-
-    def pipeline_slots(self) -> "dict[int, QueryRuntime]":
-        """The per-query runtimes to evaluate this batch (id -> runtime)."""
-        ...
-
-    def pipeline_acquire_pool(self, pipeline: "BatchPipeline") -> "SharedMemoryPool | None":
-        """The shared-memory pool to enumerate on, or None to run in-process.
-
-        A host that may *replace* its pool (multi-query registry churn)
-        must call ``pipeline.flush()`` before closing the old pool, so
-        no in-flight epoch is orphaned.
-        """
-        ...
-
-    def pipeline_pool_broken(self) -> "SharedMemoryPool | None":
-        """The pool failed: retire it and return a replacement, or None.
-
-        Hosts with a :class:`~repro.core.supervisor.PoolSupervisor` route
-        this to :meth:`~repro.core.supervisor.PoolSupervisor.replace`,
-        which terminates the broken pool (keeping its frozen segments
-        alive for redispatch) and respawns under the retry budget.
-        Returning None means no replacement: the pipeline recovers the
-        in-flight epochs parent-side and stops using the pool.
-        """
-        ...
-
-    def pipeline_recovery_finished(self, redispatched: int, recovered: int) -> None:
-        """Recovery accounting: epochs redispatched to a replacement pool
-        vs recovered parent-side."""
-        ...
-
-    def pipeline_batch_applied(self, batch: "CompletedBatch") -> None:
-        """A batch's mutations are fully applied (enumeration may still be in flight).
-
-        Called by :meth:`BatchPipeline.run_stream` in stream order, at
-        mutation time — the hook where end-of-batch footprints must be
-        captured, because in pipelined mode the batch *completes* only
-        after later batches have already mutated the graph.
-        """
-        ...
 
 
 # ---------------------------------------------------------------------- results
@@ -225,7 +170,7 @@ class BatchPipeline:
     serially — there is no next batch to overlap with.
     """
 
-    def __init__(self, host: PipelineHost, mode: str = "serial") -> None:
+    def __init__(self, host: "MultiQueryEngine", mode: str = "serial") -> None:
         if mode not in PIPELINE_MODES:
             raise ConfigurationError(
                 f"pipeline mode must be one of {PIPELINE_MODES}, got {mode!r}"
@@ -423,9 +368,8 @@ class BatchPipeline:
         to export, so a phase must carry enough units per worker AND
         enough units relative to the graph size, or the serial path wins.
         """
-        placeholders = getattr(self.host.graph, "num_placeholders", 0)
         workers = self.host.config.parallel.num_workers
-        return total_units >= 2 * workers and total_units * 1000 >= placeholders
+        return total_units >= 2 * workers and total_units * 1000 >= self.host.graph.num_placeholders
 
     def _enumerate_phase(
         self,
@@ -513,8 +457,7 @@ class BatchPipeline:
     # ------------------------------------------------------------------ draining & recovery
     def _epoch_deadline(self) -> float | None:
         """Per-epoch drain deadline from the host's fault policy, if any."""
-        policy = getattr(self.host.config, "fault", None)
-        return None if policy is None else policy.epoch_deadline_seconds
+        return self.host.config.fault.epoch_deadline_seconds
 
     def _drain_oldest(self) -> None:
         pending = self._pending.popleft()

@@ -11,7 +11,9 @@ This module holds the per-query half of an engine, :class:`QueryRuntime`
 (tree, matching orders, masks, DEBI, index manager), and the one engine
 built on it — :class:`MultiQueryEngine`, the only host of
 :class:`~repro.core.pipeline.BatchPipeline`
-(:class:`~repro.core.engine.MnemonicEngine` is a one-query view over it):
+(:class:`~repro.core.engine.MnemonicEngine` is the subclass that registers
+one query, id 0, when it is built) — with the configuration and result
+shapes both share:
 
 * :class:`QueryRegistry` tracks the standing queries — each with its own
   :class:`~repro.core.api.MatchDefinition`, matching order and result
@@ -36,8 +38,9 @@ stay per-query; only the raw adjacency fetch is shared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+import weakref
+from dataclasses import dataclass, field, replace
+from typing import Callable, Generic, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -45,22 +48,26 @@ from repro.core.api import DefaultMatchDefinition, MatchDefinition
 from repro.core.debi import DEBI
 from repro.core.enumeration import EmbeddingArena, EnumerationContext, QueryState
 from repro.core.filtering import IndexManager
-from repro.core.parallel import EnumerationOutcome, SharedMemoryPool
-from repro.core.supervisor import PoolSupervisor
+from repro.core.parallel import EnumerationOutcome, ParallelConfig, SharedMemoryPool
+from repro.core.pipeline import BatchPipeline, CompletedBatch, ingest_latency
+from repro.core.results import Embeddings, ResultSet
+from repro.core.supervisor import FaultPolicy, PoolSupervisor
 from repro.graph.adjacency import DynamicGraph, ranks_in_runs, stable_runs
 from repro.query.masking import MaskTable
 from repro.query.matching_order import MatchingOrder, build_matching_orders
 from repro.query.query_graph import QueryGraph
 from repro.query.query_tree import QueryTree
+from repro.storage.config import StorageConfig
+from repro.storage.journal import RecordKind
+from repro.storage.recovery import replay_epoch, replay_insertions
+from repro.storage.runtime import EngineStorage, StorageError
 from repro.streams.broker import producing
+from repro.streams.config import StreamConfig
 from repro.streams.events import EventColumns, EventKind, StreamEvent, coerce_insert
 from repro.streams.generator import Snapshot, SnapshotGenerator, initialize_stream
 from repro.streams.sources import StreamSource
+from repro.utils.stats import latency_summary
 from repro.utils.validation import ConfigurationError
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.engine import EngineConfig, RunResult, SnapshotResult
-    from repro.core.pipeline import BatchPipeline, CompletedBatch
 
 #: a result sink: called with ``(query_id, SnapshotResult)`` after every snapshot
 ResultSink = Callable[[int, "SnapshotResult"], None]
@@ -158,7 +165,7 @@ class RegisteredQuery:
     name: str
     runtime: QueryRuntime
     sink: ResultSink | None
-    run_result: "RunResult"
+    run_result: RunResult
 
 
 def _resolve_in_turn(instances: list[tuple[int, float]], stamps: list[float]) -> list[int]:
@@ -265,8 +272,6 @@ class QueryRegistry:
         rebuild_index: bool = True,
     ) -> int:
         """Add a standing query; returns its query id."""
-        from repro.core.engine import RunResult
-
         runtime = build_query_runtime(
             query, match_def, self.graph,
             use_degree_filter=self.use_degree_filter, root=root,
@@ -284,7 +289,7 @@ class QueryRegistry:
         self.version += 1
         return query_id
 
-    def unregister(self, query_id: int) -> "RunResult":
+    def unregister(self, query_id: int) -> RunResult:
         """Remove a standing query; returns everything it produced while registered."""
         try:
             registered = self._queries.pop(query_id)
@@ -317,7 +322,82 @@ class QueryRegistry:
         return {qid: rq.runtime.query_state for qid, rq in self._queries.items()}
 
 
+# ---------------------------------------------------------------------- configuration
+@dataclass
+class EngineConfig:
+    """Engine-level knobs (stream behaviour, parallelism, pruning)."""
+
+    stream: StreamConfig = field(default_factory=StreamConfig)
+    parallel: ParallelConfig = field(default_factory=ParallelConfig)
+    #: batch execution mode: "serial" runs every phase to completion before
+    #: the next mutation; "pipelined" overlaps batch k+1's mutation/DEBI/
+    #: publish work with batch k's pool enumeration (process backend; other
+    #: configurations degenerate to serial).  Results are bit-identical.
+    pipeline: str = "serial"
+    #: apply the f2/f3 label-degree pruning during enumeration
+    use_degree_filter: bool = True
+    #: recycle edge ids / DEBI rows of deleted edges (Figure 17 "with reclaiming")
+    recycle_edge_ids: bool = True
+    #: keep embeddings in the per-snapshot results (disable to only count)
+    collect_embeddings: bool = True
+    #: durable state: journal + checkpoints + spillable DEBI (None = volatile)
+    storage: StorageConfig | None = None
+    #: how pool faults are handled: respawn budget, backoff, epoch deadline
+    #: (the default policy performs no respawns — a broken pool degrades
+    #: straight to serial enumeration)
+    fault: FaultPolicy = field(default_factory=FaultPolicy)
+
+
 # ---------------------------------------------------------------------- result shapes
+@dataclass
+class SnapshotResult:
+    """What the engine produced for one snapshot (one query's row)."""
+
+    number: int
+    num_insertions: int
+    num_deletions: int
+    positive_embeddings: Embeddings = field(default_factory=Embeddings)
+    negative_embeddings: Embeddings = field(default_factory=Embeddings)
+    num_positive: int = 0
+    num_negative: int = 0
+    #: (edge, column) evaluations spent updating DEBI for this snapshot
+    filter_traversals: int = 0
+    #: candidate edges inspected by enumeration (regression-tracked metric)
+    candidates_scanned: int = 0
+    #: work units enumerated
+    work_units: int = 0
+    graph_update_seconds: float = 0.0
+    filter_seconds: float = 0.0
+    enumerate_seconds: float = 0.0
+    #: worker statistics of the enumeration phase (Figure 7 / 13)
+    enumeration_outcomes: list[EnumerationOutcome] = field(default_factory=list)
+    #: graph / index footprint after the snapshot
+    live_edges: int = 0
+    edge_placeholders: int = 0
+    debi_bits: int = 0
+    #: end-to-end latency (stream clock): first event arrival -> results
+    #: available.  None when the stream carried no arrival stamps (plain
+    #: list replays); only broker-fed runs and the service facade fill it.
+    ingest_latency_seconds: float | None = None
+
+    def record(self, positive: bool, count: int, embeddings: Embeddings) -> None:
+        """Book one enumeration phase's ``count`` matches (``embeddings``: the collected ones)."""
+        if positive:
+            self.num_positive += count
+            self.positive_embeddings.extend(embeddings)
+        else:
+            self.num_negative += count
+            self.negative_embeddings.extend(embeddings)
+
+    @property
+    def total_seconds(self) -> float:
+        return self.graph_update_seconds + self.filter_seconds + self.enumerate_seconds
+
+    @property
+    def total_embeddings(self) -> int:
+        return self.num_positive + self.num_negative
+
+
 @dataclass
 class MultiSnapshotResult:
     """What the multi-query engine produced for one snapshot, per query."""
@@ -334,30 +414,45 @@ class MultiSnapshotResult:
     #: end-to-end latency (stream clock): first event arrival -> results
     #: available for *all* queries (broker-fed streams only)
     ingest_latency_seconds: float | None = None
-    per_query: dict[int, "SnapshotResult"] = field(default_factory=dict)
+    per_query: dict[int, SnapshotResult] = field(default_factory=dict)
 
     @property
     def candidates_scanned(self) -> int:
         return sum(r.candidates_scanned for r in self.per_query.values())
 
     @property
+    def num_positive(self) -> int:
+        return sum(r.num_positive for r in self.per_query.values())
+
+    @property
+    def num_negative(self) -> int:
+        return sum(r.num_negative for r in self.per_query.values())
+
+    @property
     def total_embeddings(self) -> int:
         return sum(r.total_embeddings for r in self.per_query.values())
 
 
+_Row = TypeVar("_Row", SnapshotResult, MultiSnapshotResult)
+
+
 @dataclass
-class MultiRunResult:
-    """Aggregated output of one multi-query streaming run."""
+class _StreamRollup(Generic[_Row]):
+    """Totals and latency rollup over a run's snapshots: one query's rows
+    (:class:`RunResult`) or whole batches (:class:`MultiRunResult`)."""
 
-    snapshots: list[MultiSnapshotResult] = field(default_factory=list)
-    per_query: dict[int, "RunResult"] = field(default_factory=dict)
+    snapshots: list[_Row] = field(default_factory=list)
 
-    def add(self, snapshot: MultiSnapshotResult) -> None:
-        from repro.core.engine import RunResult
-
+    def add(self, snapshot: _Row) -> None:
         self.snapshots.append(snapshot)
-        for qid, result in snapshot.per_query.items():
-            self.per_query.setdefault(qid, RunResult()).add(result)
+
+    @property
+    def total_positive(self) -> int:
+        return sum(s.num_positive for s in self.snapshots)
+
+    @property
+    def total_negative(self) -> int:
+        return sum(s.num_negative for s in self.snapshots)
 
     @property
     def total_candidates_scanned(self) -> int:
@@ -372,18 +467,75 @@ class MultiRunResult:
         ]
 
     def latency_summary(self) -> dict[str, float] | None:
-        """count/mean/p50/p95/p99/max rollup over the snapshot latencies."""
-        from repro.utils.stats import latency_summary
+        """count/mean/p50/p95/p99/max rollup of the snapshot latencies.
 
+        None when no snapshot carried latency data (plain list replays
+        have no arrival stamps to measure from).
+        """
         return latency_summary(self.snapshot_latencies())
 
-    @property
-    def total_positive(self) -> int:
-        return sum(r.num_positive for s in self.snapshots for r in s.per_query.values())
+
+@dataclass
+class RunResult(_StreamRollup[SnapshotResult]):
+    """Aggregated output of a full streaming run (one query)."""
 
     @property
-    def total_negative(self) -> int:
-        return sum(r.num_negative for s in self.snapshots for r in s.per_query.values())
+    def total_seconds(self) -> float:
+        return sum(s.total_seconds for s in self.snapshots)
+
+    @property
+    def total_filter_traversals(self) -> int:
+        return sum(s.filter_traversals for s in self.snapshots)
+
+    @property
+    def total_graph_update_seconds(self) -> float:
+        return sum(s.graph_update_seconds for s in self.snapshots)
+
+    @property
+    def total_filter_seconds(self) -> float:
+        return sum(s.filter_seconds for s in self.snapshots)
+
+    @property
+    def total_enumerate_seconds(self) -> float:
+        return sum(s.enumerate_seconds for s in self.snapshots)
+
+    def phase_split(self) -> dict[str, float]:
+        """CPU split of the run by pipeline phase (the Figure 7 breakdown).
+
+        ``update`` is graph mutation + deletion resolution, ``filter`` the
+        DEBI/index maintenance, ``enumerate`` the embedding search wall
+        time (which, on the pool backend, includes snapshot publication —
+        see the pool's ``publish_stats`` for that share).
+        """
+        return {
+            "update_seconds": self.total_graph_update_seconds,
+            "filter_seconds": self.total_filter_seconds,
+            "enumerate_seconds": self.total_enumerate_seconds,
+        }
+
+    def all_positive(self) -> Embeddings:
+        return Embeddings(b for s in self.snapshots for b in s.positive_embeddings.blocks)
+
+    def all_negative(self) -> Embeddings:
+        return Embeddings(b for s in self.snapshots for b in s.negative_embeddings.blocks)
+
+    def net_result_set(self) -> ResultSet:
+        """Positive embeddings minus the ones later destroyed (by node/edge identity)."""
+        net = ResultSet()
+        net.extend(self.all_positive().minus(self.all_negative()))
+        return net
+
+
+@dataclass
+class MultiRunResult(_StreamRollup[MultiSnapshotResult]):
+    """Aggregated output of one multi-query streaming run."""
+
+    per_query: dict[int, RunResult] = field(default_factory=dict)
+
+    def add(self, snapshot: MultiSnapshotResult) -> None:
+        super().add(snapshot)
+        for qid, result in snapshot.per_query.items():
+            self.per_query.setdefault(qid, RunResult()).add(result)
 
 
 # ---------------------------------------------------------------------- the engine
@@ -406,25 +558,20 @@ class MultiQueryEngine:
     Use :meth:`register` / :meth:`unregister` at any point, including
     mid-stream; a freshly registered query is indexed against the live
     graph before its first batch.  The engine is a context manager.
-    ``_kind`` is what a durable engine stamps into (and expects from) its
-    state directory's ``meta.json``: the single-query view passes
-    ``"single"``.
     """
 
+    #: what a durable engine stamps into its state directory's ``meta.json``;
+    #: :meth:`open` builds the class that stamped it
+    _kind = "multi"
     _pool: SharedMemoryPool | None = None
     _pool_finalizer = None
 
     def __init__(
         self,
-        config: "EngineConfig | None" = None,
+        config: EngineConfig | None = None,
         graph: DynamicGraph | None = None,
         _recovered=None,
-        _kind: str = "multi",
     ) -> None:
-        from repro.core.engine import EngineConfig
-        from repro.core.pipeline import BatchPipeline
-        from repro.storage.runtime import EngineStorage
-
         self.config = config or EngineConfig()
         self.graph = graph or DynamicGraph(recycle_edge_ids=self.config.recycle_edge_ids)
         self.registry = QueryRegistry(
@@ -436,7 +583,7 @@ class MultiQueryEngine:
             if _recovered is not None:
                 self._storage = _recovered.storage
             else:
-                self._storage = EngineStorage.create(self.config.storage, kind=_kind)
+                self._storage = EngineStorage.create(self.config.storage, kind=self._kind)
         self._snapshot_counter = 0
         self._adopt_pool(None)
         self._pool_version = -1
@@ -509,7 +656,7 @@ class MultiQueryEngine:
             segment_rows=self.config.storage.debi_segment_rows,
         )
 
-    def unregister(self, query_id: int) -> "RunResult":
+    def unregister(self, query_id: int) -> RunResult:
         """Drop a standing query; returns its accumulated results."""
         result = self.registry.unregister(query_id)
         if self._storage is not None:
@@ -541,8 +688,6 @@ class MultiQueryEngine:
         Collecting the engine then closes a forgotten pool, but never one
         that :meth:`_detach_pool` already handed out.
         """
-        import weakref
-
         self._pool = pool
         self._pool_finalizer = (
             weakref.finalize(self, SharedMemoryPool.close, pool)
@@ -584,7 +729,7 @@ class MultiQueryEngine:
             pool.close()
         self._exports_before_pool += self._supervisor.release_retired()
 
-    def __enter__(self) -> "MultiQueryEngine":
+    def __enter__(self) -> MultiQueryEngine:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
@@ -635,9 +780,12 @@ class MultiQueryEngine:
         return initialize_stream(source, self.config.stream)
 
     def load_initial(self, events: Iterable[StreamEvent | tuple]) -> int:
-        """Load an initial graph (insertions only) and index every query for it."""
-        from repro.storage.recovery import replay_insertions
+        """Load an initial graph (insertions only) and index every query for it.
 
+        The paper's NetFlow experiments load all but the streamed suffix of
+        the trace as the initial snapshot; this is the corresponding API.
+        Returns the number of edges loaded.
+        """
         coerced = [coerce_insert(event) for event in events]
         columns = EventColumns.from_events(EventKind.INSERT, coerced) if coerced else None
         replay_insertions(self.graph, self.pipeline_slots(), columns)
@@ -685,27 +833,40 @@ class MultiQueryEngine:
         coerced = [e if isinstance(e, StreamEvent) else StreamEvent.delete(*e) for e in events]
         return self.process_snapshot(Snapshot(self._snapshot_counter, deletions=coerced))
 
-    # ------------------------------------------------------------------ pipeline host hooks
+    # ------------------------------------------------------------------ pipeline hooks
+    # What BatchPipeline calls back into; the pipeline owns the batch-loop
+    # sequencing, these supply the engine's primitives and hold no loop logic.
     def pipeline_slots(self) -> dict[int, QueryRuntime]:
+        """The per-query runtimes to evaluate this batch (id -> runtime)."""
         return {qid: registered.runtime for qid, registered in self.registry.items()}
 
-    def pipeline_acquire_pool(self, pipeline: "BatchPipeline") -> SharedMemoryPool | None:
+    def pipeline_acquire_pool(self, pipeline: BatchPipeline) -> SharedMemoryPool | None:
+        """The shared-memory pool to enumerate on, or None to run in-process.
+
+        A registry change replaces the pool.  ``pipeline`` is flushed
+        before the old pool closes, so no in-flight epoch is orphaned.
+        """
         if self._pool is not None and self._pool_version != self.registry.version:
-            # The registry changed: the running pool is about to be replaced.
-            # Its in-flight epochs must finish before _ensure_pool closes it.
             pipeline.flush()
         return self._ensure_pool()
 
     def pipeline_pool_broken(self) -> SharedMemoryPool | None:
-        # Retire the broken pool (workers killed, frozen segments kept for
-        # redispatch) and respawn under the supervisor's budget.  The pool
-        # version is left alone: on respawn the replacement serves the same
-        # membership; on budget exhaustion the stale version plus the
-        # degraded level keep _ensure_pool from a respawn storm.
+        """The pool failed: retire it and return a replacement, or None.
+
+        The supervisor terminates the broken pool (keeping its frozen
+        segments alive for redispatch) and respawns under the retry
+        budget; None means no replacement, so the pipeline recovers the
+        in-flight epochs parent-side and stops using the pool.
+        """
+        # The pool version is left alone: on respawn the replacement serves
+        # the same membership; on budget exhaustion the stale version plus
+        # the degraded level keep _ensure_pool from a respawn storm.
         replacement = self._supervisor.replace(self._detach_pool())
         return self._adopt_pool(replacement)
 
     def pipeline_recovery_finished(self, redispatched: int, recovered: int) -> None:
+        """Recovery accounting: epochs redispatched to a replacement pool
+        vs recovered parent-side."""
         self._supervisor.note_recovery(redispatched, recovered)
         self._exports_before_pool += self._supervisor.release_retired()
 
@@ -715,13 +876,14 @@ class MultiQueryEngine:
         stats["level"] = self._supervisor.level
         return stats
 
-    def pipeline_batch_applied(self, batch: "CompletedBatch") -> None:
+    def pipeline_batch_applied(self, batch: CompletedBatch) -> None:
         """All of a batch's mutations are applied (enumeration may still run).
 
-        End-of-batch footprints (graph size, per-query DEBI bits) are
-        captured here, at mutation time: a pipelined batch completes
-        only after later batches' mutations, so reading the live state
-        at delivery time would misreport.
+        Called in stream order, at mutation time, which is where the
+        end-of-batch footprints (graph size, per-query DEBI bits) must be
+        captured: a pipelined batch completes only after later batches'
+        mutations, so reading the live state at delivery time would
+        misreport.
         """
         self._footprints[batch.number] = (
             self.graph.num_edges,
@@ -739,12 +901,8 @@ class MultiQueryEngine:
             self._storage.note_applied()
 
     # ------------------------------------------------------------------ result assembly
-    def _result_from_batch(self, batch: "CompletedBatch") -> MultiSnapshotResult:
+    def _result_from_batch(self, batch: CompletedBatch) -> MultiSnapshotResult:
         """Map a completed pipeline batch onto the multi-query result shape."""
-        from repro.core.engine import SnapshotResult
-
-        from repro.core.pipeline import ingest_latency
-
         multi = MultiSnapshotResult(
             number=batch.number,
             num_insertions=batch.num_insertions,
@@ -823,10 +981,8 @@ class MultiQueryEngine:
 
     # ------------------------------------------------------------------ durability
     @classmethod
-    def open(
-        cls, directory, config: "EngineConfig | None" = None, _kind: str = "multi"
-    ) -> "MultiQueryEngine":
-        """Recover a durable engine from ``directory``.
+    def open(cls, directory, config: EngineConfig | None = None) -> MultiQueryEngine:
+        """Recover a durable engine from ``directory``, as the class that wrote it.
 
         Loads the newest usable checkpoint, replays the journal tail up to
         the last sealed epoch (mutations only — no results are re-emitted),
@@ -837,22 +993,26 @@ class MultiQueryEngine:
         *not* persisted — reattach them with :meth:`attach_sink`.
         ``engine.recovery_info`` reports what happened; clients refeed the
         stream from ``recovery_info["last_sealed_number"] + 1``.
+
+        ``meta.json`` records the writer's kind: ``MultiQueryEngine.open``
+        of a single-query directory returns a
+        :class:`~repro.core.engine.MnemonicEngine`, while
+        ``MnemonicEngine.open`` of a multi-query one raises
+        :class:`~repro.utils.validation.ConfigurationError`.
         """
-        from dataclasses import replace
-
-        from repro.core.engine import EngineConfig
-        from repro.storage.config import StorageConfig
-        from repro.storage.runtime import EngineStorage
-
         config = config or EngineConfig()
         storage_cfg = config.storage or StorageConfig(directory=directory)
         config = replace(config, storage=replace(storage_cfg, directory=directory))
-        recovered = EngineStorage.open_existing(config.storage, kind=_kind)
+        kind = EngineStorage.peek_kind(directory)
+        built = next((c for c in (cls, *cls.__subclasses__()) if c._kind == kind), cls)
+        recovered = EngineStorage.open_existing(config.storage, kind=built._kind)
         # open_existing may fold persisted cold-tier geometry into the config.
         config = replace(config, storage=recovered.storage.config)
         state = recovered.checkpoint_state
-        engine = cls(
-            config=config, graph=state["graph"], _recovered=recovered, _kind=_kind
+        # The queries come from the checkpoint, not from constructor arguments.
+        engine = built.__new__(built)
+        MultiQueryEngine.__init__(
+            engine, config=config, graph=state["graph"], _recovered=recovered
         )
         for entry in state["queries"]:
             engine._restore_query(entry)
@@ -863,6 +1023,16 @@ class MultiQueryEngine:
         # Re-checkpoint the recovered state so the next restart starts here.
         recovered.storage.checkpoint_now(engine._checkpoint_state)
         engine.recovery_info = recovered.info
+        if kind == "single":
+            found = engine.registry.ids()
+            if found != [0]:
+                engine.close()
+                raise StorageError(
+                    f"single-query state at {directory} must hold exactly query 0, "
+                    f"found query ids {found}"
+                )
+            # As at construction, a single-query engine's pool is set-up cost.
+            engine._ensure_pool()
         return engine
 
     def _restore_query(self, entry: dict) -> None:
@@ -877,9 +1047,6 @@ class MultiQueryEngine:
         self.registry.get(query_id).runtime.debi.restore_buffers(**entry["debi"])
 
     def _replay_journal(self, recovered) -> None:
-        from repro.storage.journal import RecordKind
-        from repro.storage.recovery import replay_epoch, replay_insertions
-
         for record in recovered.records:
             slots = {qid: rq.runtime for qid, rq in self.registry.items()}
             if record.kind is RecordKind.INITIAL:
@@ -907,8 +1074,6 @@ class MultiQueryEngine:
 
     def _checkpoint_state(self) -> dict:
         """Snapshot graph + registry metadata + every query's DEBI buffers."""
-        import numpy as np
-
         queries = []
         for query_id, registered in self.registry.items():
             buffers = registered.runtime.debi.export_buffers()

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, Union
 
+from repro.core.registry import MultiQueryEngine
 from repro.streams.broker import POLL_TIMEOUT, StreamBroker
 from repro.streams.clock import Clock
 from repro.streams.config import StreamType
@@ -40,8 +41,7 @@ from repro.streams.generator import SnapshotBatcher
 from repro.utils.validation import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.engine import MnemonicEngine, SnapshotResult
-    from repro.core.registry import MultiQueryEngine, MultiSnapshotResult
+    from repro.core.registry import MultiSnapshotResult, SnapshotResult
 
     ServiceResult = Union[SnapshotResult, MultiSnapshotResult]
 
@@ -52,8 +52,8 @@ class MnemonicService:
     Parameters
     ----------
     engine:
-        A constructed :class:`~repro.core.engine.MnemonicEngine` or
-        :class:`~repro.core.registry.MultiQueryEngine`.  Its
+        A constructed :class:`~repro.core.registry.MultiQueryEngine` (a
+        :class:`~repro.core.engine.MnemonicEngine` is one).  Its
         ``config.stream`` decides batching (``batch_size`` cap and
         optional adaptive ``max_batch_delay``); sliding-window configs
         are rejected — windows need a totally ordered replay, not a
@@ -75,7 +75,7 @@ class MnemonicService:
 
     def __init__(
         self,
-        engine: "MnemonicEngine | MultiQueryEngine",
+        engine: MultiQueryEngine,
         capacity: int = 8192,
         clock: Clock | None = None,
         overload: str = "block",
@@ -107,23 +107,17 @@ class MnemonicService:
     ) -> "MnemonicService":
         """Recover a durable engine from ``directory`` and wrap it in a service.
 
-        Dispatches on the engine kind recorded in the state directory's
-        ``meta.json`` (single- vs multi-query).  The recovered engine is
-        owned by the caller, exactly as with the normal constructor —
+        :meth:`~repro.core.registry.MultiQueryEngine.open` builds the
+        engine class the state directory's ``meta.json`` records (a
+        :class:`~repro.core.engine.MnemonicEngine` for single-query
+        state).  The recovered engine is owned by the caller, exactly as
+        with the normal constructor —
         reach it as ``service.engine`` (its ``recovery_info`` says where
         to resume the upstream feed: refeed everything after
         ``last_sealed_number``).  Snapshot numbering continues from the
         last sealed epoch so refed batches journal under fresh numbers.
         """
-        from repro.core.engine import MnemonicEngine
-        from repro.core.registry import MultiQueryEngine
-        from repro.storage.runtime import EngineStorage
-
-        kind = EngineStorage.peek_kind(directory)
-        if kind == "single":
-            engine = MnemonicEngine.open(directory, config=config)
-        else:
-            engine = MultiQueryEngine.open(directory, config=config)
+        engine = MultiQueryEngine.open(directory, config=config)
         service = cls(engine, capacity=capacity, clock=clock)
         last = (engine.recovery_info or {}).get("last_sealed_number")
         if last is not None:
@@ -249,13 +243,11 @@ class MnemonicService:
         stats = self.broker.stats()
         stats["open_batch_events"] = self._batcher.pending_events
         stats["snapshots_processed"] = self._number
-        fault_stats = getattr(self.engine, "fault_stats", None)
-        if fault_stats is not None:
-            for key, value in fault_stats().items():
-                if key == "degradations":
-                    stats["fault_degradations"] = len(value)  # type: ignore[arg-type]
-                else:
-                    stats[f"fault_{key}"] = value  # type: ignore[assignment]
+        for key, value in self.engine.fault_stats().items():
+            if key == "degradations":
+                stats["fault_degradations"] = len(value)  # type: ignore[arg-type]
+            else:
+                stats[f"fault_{key}"] = value  # type: ignore[assignment]
         return stats
 
     # ------------------------------------------------------------------ lifecycle

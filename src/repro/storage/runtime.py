@@ -169,7 +169,7 @@ class EngineStorage:
         if found_kind != kind:
             raise ConfigurationError(
                 f"durable state at {directory} belongs to a {found_kind!r} engine, "
-                f"not {kind!r}; use MnemonicService.open to dispatch on the kind"
+                f"not {kind!r}; MultiQueryEngine.open recovers either kind"
             )
         meta = json.loads((directory / "meta.json").read_text(encoding="utf-8"))
         if config.debi_hot_rows is None and meta.get("debi_hot_rows") is not None:

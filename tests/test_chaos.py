@@ -74,12 +74,12 @@ def run_engine(query, initial, events, pipeline="pipelined", parallel=None,
         fault=fault or FaultPolicy(),
     )
     with MnemonicEngine(query, config=config) as engine:
-        if parallel is not None and engine.multi._pool is None:
+        if parallel is not None and engine._pool is None:
             pytest.skip("pool could not spawn in this environment")
         engine.load_initial(initial)
         result = engine.run(events)
         stats = engine.fault_stats()
-        totals = engine.multi._supervisor.worker_totals
+        totals = engine._supervisor.worker_totals
     pos = {e.identity() for s in result.snapshots for e in s.positive_embeddings}
     neg = {e.identity() for s in result.snapshots for e in s.negative_embeddings}
     return pos, neg, stats, totals
@@ -158,7 +158,7 @@ class TestDeadlines:
             faults.FaultPlan(hang_at_unit=1, hangs=1, hang_seconds=60.0)
         ):
             with MnemonicEngine(query, config=config) as engine:
-                pool = engine.multi._pool
+                pool = engine._pool
                 if pool is None:
                     pytest.skip("pool could not spawn in this environment")
                 engine.load_initial(initial)
@@ -228,7 +228,7 @@ class TestTornMessages:
         config = EngineConfig(parallel=POOL)
         with faults.injected(faults.FaultPlan(torn_at_unit=1, torn_messages=1)):
             with MnemonicEngine(query, config=config) as engine:
-                pool = engine.multi._pool
+                pool = engine._pool
                 if pool is None:
                     pytest.skip("pool could not spawn in this environment")
                 engine.load_initial(initial)
@@ -296,7 +296,7 @@ class TestWorkerDeathDiagnostics:
         query, initial, events = mixed_workload()
         config = EngineConfig(parallel=POOL)
         with MnemonicEngine(query, config=config) as engine:
-            pool = engine.multi._pool
+            pool = engine._pool
             if pool is None:
                 pytest.skip("pool could not spawn in this environment")
             engine.load_initial(initial)
@@ -479,4 +479,4 @@ def _dispatch_batch(engine, events, count=120):
     engine.index_manager.handle_insertions(ids)
     context = engine.runtime.make_context(engine.graph, batch_edge_ids=set(ids), positive=True)
     units = decompose_batch(context, ids)
-    return engine.multi._pool.dispatch({0: context}, {0: units})
+    return engine._pool.dispatch({0: context}, {0: units})

@@ -303,7 +303,7 @@ class TestRunLoop:
         result = engine.run(chain_events() + chain_events(base=20))
         engine.batch_inserts(chain_events(base=30))
         assert len(result.snapshots) == 2 and result.total_positive == 2
-        assert engine.multi.registry.get(0).run_result.snapshots == []
+        assert engine.registry.get(0).run_result.snapshots == []
 
     def test_run_insert_delete_stream(self):
         engine = MnemonicEngine(

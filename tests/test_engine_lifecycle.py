@@ -65,23 +65,23 @@ class TestClose:
     def test_close_idempotent_with_real_pool(self):
         pytest.importorskip("multiprocessing.shared_memory")
         engine = MnemonicEngine(path_query(), config=pool_config())
-        pool = engine.multi._pool
+        pool = engine._pool
         if pool is None:
             pytest.skip("pool could not spawn in this environment")
         engine.close()
-        assert engine.multi._pool is None
+        assert engine._pool is None
         assert not pool.usable
         engine.close()  # second close must not touch the dead pool
 
     def test_pool_reference_dropped_even_when_close_raises(self):
         engine = MnemonicEngine(path_query())
         flaky = FlakyPool()
-        engine.multi._pool = flaky
-        engine.multi._pool_finalizer = None
+        engine._pool = flaky
+        engine._pool_finalizer = None
         with pytest.raises(OSError):
             engine.close()
         # The reference is gone: a retry is a no-op, not a double close.
-        assert engine.multi._pool is None
+        assert engine._pool is None
         engine.close()
         assert flaky.close_calls == 1
 
@@ -90,7 +90,7 @@ class TestClose:
         pytest.importorskip("multiprocessing.shared_memory")
         with pytest.raises(RuntimeError, match="index corruption"):
             with MnemonicEngine(path_query(), config=pool_config()) as engine:
-                pool = engine.multi._pool
+                pool = engine._pool
                 if pool is None:
                     pytest.skip("pool could not spawn in this environment")
                 engine.batch_inserts(chain_events())
@@ -100,26 +100,26 @@ class TestClose:
 
                 engine.index_manager.rebuild = broken_rebuild
                 engine.reset_index()
-        assert engine.multi._pool is None
+        assert engine._pool is None
         assert not pool.usable
 
     def test_exit_does_not_mask_body_exception_with_teardown_failure(self):
         engine = MnemonicEngine(path_query())
-        engine.multi._pool = FlakyPool()
-        engine.multi._pool_finalizer = None
+        engine._pool = FlakyPool()
+        engine._pool_finalizer = None
         with pytest.raises(ValueError, match="body failure"):
             with engine:
                 raise ValueError("body failure")
-        assert engine.multi._pool is None
+        assert engine._pool is None
 
     def test_exit_raises_teardown_failure_when_body_succeeds(self):
         engine = MnemonicEngine(path_query())
-        engine.multi._pool = FlakyPool()
-        engine.multi._pool_finalizer = None
+        engine._pool = FlakyPool()
+        engine._pool_finalizer = None
         with pytest.raises(OSError, match="worker refused to die"):
             with engine:
                 pass
-        assert engine.multi._pool is None
+        assert engine._pool is None
 
 
 class TestContextManagerReuse:

@@ -148,7 +148,7 @@ class TestEpochDispatch:
             parallel=ParallelConfig(backend="process", num_workers=2)
         )
         with MnemonicEngine(query, config=config) as engine:
-            pool = engine.multi._pool
+            pool = engine._pool
             if pool is None:
                 pytest.skip("pool could not spawn in this environment")
             assert pool.max_epochs_in_flight == 2
@@ -185,10 +185,10 @@ class TestEpochDispatch:
             parallel=ParallelConfig(backend="process", num_workers=2)
         )
         with MnemonicEngine(query, config=config) as engine:
-            if engine.multi._pool is None:
+            if engine._pool is None:
                 pytest.skip("pool could not spawn in this environment")
             with pytest.raises(PoolBrokenError, match="not in flight"):
-                engine.multi._pool.drain(99)
+                engine._pool.drain(99)
 
 
 class TestSmallBatchSerialGate:
@@ -203,13 +203,13 @@ class TestSmallBatchSerialGate:
             parallel=ParallelConfig(backend="process", num_workers=2),
         )
         with MnemonicEngine(query, config=config) as engine:
-            if engine.multi._pool is None:
+            if engine._pool is None:
                 pytest.skip("pool could not spawn in this environment")
             engine.load_initial(initial)
             result = engine.run(events[:40])
             assert engine.snapshot_exports == 0, "tiny phases must not publish"
             assert engine.pool_enumeration_phases == 0
-            assert engine.multi._pool.usable
+            assert engine._pool.usable
         assert result.total_positive > 0
 
 
@@ -263,7 +263,7 @@ class TestSnapshotExportAccounting:
             parallel=ParallelConfig(backend="process", num_workers=2),
         )
         with MnemonicEngine(query, config=config) as engine:
-            if engine.multi._pool is None:
+            if engine._pool is None:
                 pytest.skip("pool could not spawn in this environment")
             engine.load_initial(initial)
             generator = engine.initialize_stream(events)
@@ -271,8 +271,8 @@ class TestSnapshotExportAccounting:
             engine.process_snapshot(first)
             exported = engine.snapshot_exports
             assert exported > 0, "first batch must publish at this scale"
-            engine.multi.pipeline_pool_broken()  # what a mid-run failure triggers
-            assert engine.multi._pool is None
+            engine.pipeline_pool_broken()  # what a mid-run failure triggers
+            assert engine._pool is None
             assert engine.snapshot_exports == exported
 
 
@@ -326,18 +326,18 @@ class TestPoolBrokenRecovery:
         )
         with pytest.warns(RuntimeWarning, match="pool failed"):
             with MnemonicEngine(query, config=config) as engine:
-                if engine.multi._pool is None:
+                if engine._pool is None:
                     pytest.skip("pool could not spawn in this environment")
                 engine.load_initial(initial)
                 results = []
-                for batch in engine.multi._pipeline.run_stream(
+                for batch in engine._pipeline.run_stream(
                     engine.initialize_stream(events)
                 ):
-                    results.append(engine.multi._result_from_batch(batch).per_query[0])
-                    if len(results) == 1 and engine.multi._pool is not None:
+                    results.append(engine._result_from_batch(batch).per_query[0])
+                    if len(results) == 1 and engine._pool is not None:
                         # Kill the whole pool: a single dead worker can go
                         # unnoticed when the survivor drains every chunk.
-                        for worker in engine.multi._pool._workers:
+                        for worker in engine._pool._workers:
                             worker.terminate()
         pos = {e.identity() for s in results for e in s.positive_embeddings}
         neg = {e.identity() for s in results for e in s.negative_embeddings}

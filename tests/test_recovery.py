@@ -197,8 +197,8 @@ def test_pipelined_crash_mid_stream(tmp_path, delivered):
     directory = tmp_path / "state"
     engine = MnemonicEngine(path_query(), config=make_config(directory, pipeline="pipelined"))
     pre = []
-    for batch in engine.multi._pipeline.run_stream(iter(list(snapshots))):
-        pre.append(engine.multi._result_from_batch(batch).per_query[0])
+    for batch in engine._pipeline.run_stream(iter(list(snapshots))):
+        pre.append(engine._result_from_batch(batch).per_query[0])
         if len(pre) == delivered:
             break  # crash with later batches applied but never delivered
     engine.close()
@@ -464,8 +464,8 @@ def test_randomized_crash_recovery(tmp_path, rng_seed, pipeline):
     else:
         pre = []
         if crash_at:
-            for batch in engine.multi._pipeline.run_stream(iter(list(snapshots))):
-                pre.append(engine.multi._result_from_batch(batch).per_query[0])
+            for batch in engine._pipeline.run_stream(iter(list(snapshots))):
+                pre.append(engine._result_from_batch(batch).per_query[0])
                 if len(pre) == crash_at:
                     break
     engine.close()

@@ -244,14 +244,22 @@ def test_open_without_state_raises(tmp_path):
 
 
 def test_kind_mismatch_detected(tmp_path):
+    """``open`` builds the class ``meta.json`` records; MnemonicEngine refuses multi state."""
     from repro.core.registry import MultiQueryEngine
     from repro.utils.validation import ConfigurationError
 
-    directory = tmp_path / "state"
-    engine = MnemonicEngine(path_query(), config=make_config(directory))
-    engine.close()
-    with pytest.raises(ConfigurationError, match="belongs to a 'single' engine"):
-        MultiQueryEngine.open(directory)
+    single, multi = tmp_path / "single", tmp_path / "multi"
+    MnemonicEngine(path_query(), config=make_config(single)).close()
+    with MultiQueryEngine(config=make_config(multi)) as engine:
+        engine.register(path_query())
+    for directory, kind in ((single, "single"), (multi, "multi")):
+        assert json.loads((directory / "meta.json").read_text(encoding="utf-8"))["kind"] == kind
+    with MultiQueryEngine.open(single) as engine:
+        assert isinstance(engine, MnemonicEngine)
+        assert engine.registry.ids() == [0]
+        assert engine.query.num_nodes == path_query().num_nodes
+    with pytest.raises(ConfigurationError, match="belongs to a 'multi' engine"):
+        MnemonicEngine.open(multi)
 
 
 # ---------------------------------------------------------------------- tiered DEBI parity
