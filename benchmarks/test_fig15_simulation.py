@@ -21,7 +21,7 @@ from repro.bench.harness import run_mnemonic_stream
 from repro.bench.reporting import format_table
 from repro.core import native
 from repro.core.engine import EngineConfig, MnemonicEngine
-from repro.graph.edge import EdgeColumns
+from repro.core.registry import resolve_deletions
 from repro.matchers import HomomorphismMatcher, dual_simulation_from_debi
 from repro.streams.config import StreamConfig, StreamType
 
@@ -38,25 +38,24 @@ def _run_simulation(query, stream):
     snapshots = 0
     non_empty_windows = 0
     relation_size = 0
+    graph, index = engine.graph, engine.index_manager
     for snapshot in engine.initialize_stream(stream):
-        # Index maintenance only (no embedding enumeration): insert the batch,
-        # apply the expirations, then recompute the relation from DEBI.
-        engine.index_manager.handle_insertions([
-            engine.graph.add_edge(e.src, e.dst, e.label, e.timestamp,
-                                  src_label=e.src_label, dst_label=e.dst_label)
-            for e in snapshot.insertions
-        ])
+        # Index maintenance only (no embedding enumeration), with the batch
+        # mutations of the engine's pipeline: insert the batch, expire the
+        # instances the window names, then recompute the relation from DEBI.
+        inserted = snapshot.insert_columns()
+        if inserted is not None:
+            ids = np.asarray(graph.apply_insert_columns(
+                inserted.src, inserted.dst, inserted.label, inserted.timestamp,
+                inserted.src_label, inserted.dst_label,
+            ))
+            index.handle_insert_columns(ids, inserted.src, inserted.dst, inserted.label)
         if snapshot.deletions:
-            records = [
-                engine.graph.delete_edge(
-                    engine.graph.find_edges(event.src, event.dst, event.label)[-1]
-                )
-                for event in snapshot.deletions
-            ]
-            deleted = EdgeColumns(*(np.array(column) for column in zip(*records)))
-            held = engine.index_manager.held_bits(deleted.edge_id)  # DEBI rows outlive the edges
-            engine.debi.clear_edges(deleted.edge_id)
-            engine.index_manager.handle_deletions(deleted, held)
+            doomed = resolve_deletions(graph, snapshot.delete_columns())
+            held = index.held_bits(doomed)  # DEBI rows outlive the edges
+            deleted = graph.apply_delete_columns(doomed)
+            engine.debi.clear_edges(doomed)
+            index.handle_deletions(deleted, held)
         relation = dual_simulation_from_debi(engine)
         snapshots += 1
         if relation:

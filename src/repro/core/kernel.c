@@ -1,6 +1,6 @@
 /*
- * Native kernel for stock match definitions: enumeration, DEBI maintenance
- * and work decomposition.
+ * Native kernel: enumeration, DEBI maintenance and work decomposition for
+ * stock match definitions, and the graph's batch mutations (at the end).
  *
  * One call runs every work unit of one (query, batch phase) through the
  * depth-first join of the paper's Figure 4 (tests/reference/tuple_kernel.py)
@@ -25,8 +25,8 @@
  * traversal count.  Bits are written in place; root bits stay Python's, so
  * the calls return the raw ids whose root bit flips.
  *
- * repro/core/native.py writes env (graph and DEBI arrays) and plan (the
- * encoded query, or its index plan); keep the two in step.
+ * repro/core/native.py writes env (graph and DEBI arrays), plan (the encoded
+ * query, or its index plan) and the graph block; keep them in step.
  */
 #include <stdint.h>
 #include <stdlib.h>
@@ -128,7 +128,7 @@ static void map_free(Map *map)
 /* The slot holding key, or the free slot where it would go. */
 static i64 map_slot(const Map *map, u64 key)
 {
-    u64 stored = key + 1, hash = stored * 0x9E3779B97F4A7C15ULL;
+    u64 stored = key + 1, hash = (stored ^ (stored >> 32)) * 0x9E3779B97F4A7C15ULL;
     i64 at = (i64)(hash ^ (hash >> 29)) & map->mask;
     while (map->keys[at] && map->keys[at] != stored)
         at = (at + 1) & map->mask;
@@ -165,30 +165,26 @@ static int map_put(Map *map, u64 key, i64 value)
     return 0;
 }
 
-/* Index of the first directory key >= key; the sentinel ends every search. */
-static i64 first_key(const Side *side, i64 key)
+/* Index of the first of keys[0..n) >= key, or n; n >= 1.  Branch-free: the
+ * comparison of a random lookup is a coin toss a branch would mispredict. */
+static i64 lower_bound(const i64 *keys, i64 n, i64 key)
 {
-    i64 low = 0, high = side->nkeys - 1;
-    while (low < high) {
-        i64 mid = low + (high - low) / 2;
-        if (side->keys[mid] < key)
-            low = mid + 1;
-        else
-            high = mid;
-    }
-    return low;
+    const i64 *base = keys;
+    for (; n > 1; n -= n / 2)
+        base += (base[n / 2 - 1] < key) * (n / 2);
+    return (base - keys) + (*base < key);
 }
 
 /* The directory entries of a vertex: one per label it has edges of. */
 #define FOR_LABELS(at, side, pos) \
-    for (i64 at = first_key(side, (pos) * LABEL_SPAN); \
+    for (i64 at = lower_bound((side)->keys, (side)->nkeys, (pos) * LABEL_SPAN); \
          (side)->keys[at] < ((pos) + 1) * LABEL_SPAN; at++)
 
 static i64 partition(const Side *side, i64 pos, i64 label)
 {
     if (label < -LABEL_BIAS || label >= LABEL_BIAS)
         return -1;
-    i64 key = pos * LABEL_SPAN + label + LABEL_BIAS, at = first_key(side, key);
+    i64 key = pos * LABEL_SPAN + label + LABEL_BIAS, at = lower_bound(side->keys, side->nkeys, key);
     return side->keys[at] == key ? side->parts[at] : -1;
 }
 
@@ -671,4 +667,408 @@ i64 mn_decompose(const i64 *env, const i64 *plan, const i64 *ids, i64 n, i64 *ed
         }
     }
     return units;
+}
+
+/* ---------------------------------------------------------------- graph mutation */
+
+/* mn_insert_columns, mn_resolve_deletes and mn_delete_columns are the numpy
+ * apply_insert_columns, resolve_deletions and apply_delete_columns on the
+ * graph's own columns, which Python has checked; the kernel allocates scratch
+ * only.  A call short of room in a column or an arena says how much it needs
+ * before any write; Python grows or repacks and calls again. */
+
+/* A sorted directory (_Directory): n keys, then the sentinel in every slot. */
+typedef struct { i64 *keys, *vals, n; } Dir;
+
+/* Rows pooled in one arena (_Arena): row r is arena[start[r]:][:size[r]]. */
+typedef struct { i64 *arena, *start, *size, *cap, len, tail, rows; } Rows;
+
+/* One direction of the adjacency, writable. */
+typedef struct { Dir dir; Rows r; i64 *vertex_pos, *label, *part_of; } Adj;
+
+typedef struct {
+    i64 *src, *dst, *label, *vertex_label, *vertex_ids, rows, free_count, recycle, recycled;
+    double *ts;
+    unsigned char *alive, *edge_touched, *vertex_touched;
+    Dir vertices;
+    Adj side[2]; /* out, in */
+    Rows free;
+} Graph;
+
+typedef struct { i64 key, val; } Pair;
+
+#define MUT(type, value) ((type *)(intptr_t)(value))
+
+/* The graph block native.py writes: 33 array addresses (the edge columns, the
+ * vertex directory and columns, per side its directory, arena rows, owners,
+ * labels and edge partitions, the free-id arena rows), the 11 counters written
+ * back at g[33..43], the arena lengths, the recycling flag, the outputs (ids
+ * recycled, the room each arena is short of), then the room of the vertex, out-
+ * and in-partition and edge columns, each overwritten by what an insert short
+ * of it needs (0: enough). */
+static void graph_at(Graph *G, const i64 *g)
+{
+    G->src = MUT(i64, g[0]), G->dst = MUT(i64, g[1]), G->label = MUT(i64, g[2]);
+    G->ts = MUT(double, g[3]), G->alive = MUT(unsigned char, g[4]);
+    G->edge_touched = MUT(unsigned char, g[5]);
+    G->vertices = (Dir){MUT(i64, g[6]), MUT(i64, g[7]), g[34]};
+    G->vertex_label = MUT(i64, g[8]), G->vertex_ids = MUT(i64, g[9]);
+    G->vertex_touched = MUT(unsigned char, g[10]);
+    for (int s = 0; s < 2; s++) {
+        const i64 *a = g + 11 + 9 * s, *c = g + 35 + 3 * s;
+        Adj *A = &G->side[s];
+        A->dir = (Dir){MUT(i64, a[0]), MUT(i64, a[1]), c[0]};
+        A->r = (Rows){MUT(i64, a[2]), MUT(i64, a[3]), MUT(i64, a[4]), MUT(i64, a[5]), g[44 + s],
+                      c[2], c[1]};
+        A->vertex_pos = MUT(i64, a[6]), A->label = MUT(i64, a[7]), A->part_of = MUT(i64, a[8]);
+    }
+    G->free = (Rows){MUT(i64, g[29]), MUT(i64, g[30]), MUT(i64, g[31]), MUT(i64, g[32]), g[46],
+                     g[42], g[41]};
+    G->rows = g[33], G->free_count = g[43], G->recycle = g[47], G->recycled = 0;
+}
+
+static void graph_back(const Graph *G, i64 *g)
+{
+    g[33] = G->rows, g[34] = G->vertices.n;
+    for (int s = 0; s < 2; s++)
+        g[35 + 3 * s] = G->side[s].dir.n, g[36 + 3 * s] = G->side[s].r.rows,
+        g[37 + 3 * s] = G->side[s].r.tail;
+    g[41] = G->free.rows, g[42] = G->free.tail, g[43] = G->free_count, g[48] = G->recycled;
+}
+
+/* vals[i]: the value in d of keys[i] (i < m), -1 when missing; vals may be keys. */
+static void dir_find(const Dir *d, const i64 *keys, i64 m, i64 *vals)
+{
+    for (i64 i = 0; i < m; i++) {
+        i64 at = lower_bound(d->keys, d->n + 1, keys[i]);
+        vals[i] = at < d->n && d->keys[at] == keys[i] ? d->vals[at] : -1;
+    }
+}
+
+static int by_key(const void *a, const void *b)
+{
+    i64 x = ((const Pair *)a)->key, y = ((const Pair *)b)->key;
+    return (x > y) - (x < y);
+}
+
+/* Look keys[0..m) up in d: a missing key takes the value next, next + 1, ...
+ * in order of first mention, and its first mention's index goes to fresh.
+ * vals gets every key's value; nothing is written to d.  Returns -1 when out
+ * of memory. */
+static int intern(const Dir *d, const i64 *keys, i64 m, i64 next, i64 *vals, Buf *fresh)
+{
+    Map seen;
+    int failed = map_init(&seen, 16);
+    fresh->len = 0;
+    dir_find(d, keys, m, vals);
+    for (i64 i = 0; i < m && !failed; i++)
+        if (vals[i] < 0 && (vals[i] = map_get(&seen, (u64)keys[i]) - 1) < 0) {
+            vals[i] = next + fresh->len;
+            failed = map_put(&seen, (u64)keys[i], vals[i] + 1) || push(fresh, &i, 1);
+        }
+    map_free(&seen);
+    return failed ? -1 : 0;
+}
+
+/* File the keys intern found missing into d's reserved room, largest first:
+ * the old keys above the j-th smallest new one move up j + 1 slots, each run
+ * in one memmove.  Returns -1 when out of memory. */
+static int file(Dir *d, const i64 *keys, i64 next, const Buf *fresh)
+{
+    Pair *pairs = fresh->len ? malloc((size_t)fresh->len * sizeof *pairs) : NULL;
+    if (fresh->len && !pairs)
+        return -1;
+    for (i64 k = 0; k < fresh->len; k++)
+        pairs[k] = (Pair){keys[fresh->data[k]], next + k};
+    if (pairs)
+        qsort(pairs, (size_t)fresh->len, sizeof *pairs, by_key);
+    for (i64 j = fresh->len - 1, high = d->n; j >= 0; j--) {
+        i64 at = high ? lower_bound(d->keys, high, pairs[j].key) : 0;
+        memmove(d->keys + at + j + 1, d->keys + at, (size_t)(high - at) * sizeof(i64));
+        memmove(d->vals + at + j + 1, d->vals + at, (size_t)(high - at) * sizeof(i64));
+        d->keys[at + j] = pairs[j].key, d->vals[at + j] = pairs[j].val, high = at;
+    }
+    d->n += fresh->len;
+    free(pairs);
+    return 0;
+}
+
+/* The capacity a row that must hold `need` entries moves to (_Arena._relocate). */
+static i64 grown(i64 need, i64 cap)
+{
+    cap = 2 * cap > need ? 2 * cap : need;
+    return cap < 4 ? 4 : cap;
+}
+
+/* Count the appends to each row of rows[0..n) in counts, listing each row once
+ * in distinct; returns the arena room the rows that overflow move to. */
+static i64 plan_rows(const Rows *r, const i64 *rows, i64 n, Map *counts, Buf *distinct,
+                     int *failed)
+{
+    i64 room = 0;
+    *failed |= map_init(counts, n);
+    for (i64 i = 0; i < n && !*failed; i++) {
+        i64 seen = map_get(counts, (u64)rows[i]);
+        *failed = map_put(counts, (u64)rows[i], seen + 1) || (!seen && push(distinct, &rows[i], 1));
+    }
+    for (i64 j = 0; j < distinct->len && !*failed; j++) {  /* a row not made yet is empty */
+        i64 row = distinct->data[j], made = row < r->rows, cap = made ? r->cap[row] : 0;
+        i64 need = (made ? r->size[row] : 0) + map_get(counts, (u64)row);
+        room += need > cap ? grown(need, cap) : 0;
+    }
+    return room;
+}
+
+/* Move the rows plan_rows found overflowing to the arena tail, then append
+ * values[i] to row rows[i], in order. */
+static void append_rows(Rows *r, const i64 *rows, const i64 *values, i64 n, const Map *counts,
+                        const Buf *distinct)
+{
+    for (i64 j = 0; j < distinct->len; j++) {
+        i64 row = distinct->data[j], need = r->size[row] + map_get(counts, (u64)row);
+        if (need <= r->cap[row])
+            continue;
+        memcpy(r->arena + r->tail, r->arena + r->start[row], (size_t)r->size[row] * sizeof(i64));
+        r->start[row] = r->tail, r->cap[row] = grown(need, r->cap[row]);
+        r->tail += r->cap[row];
+    }
+    for (i64 i = 0; i < n; i++)
+        r->arena[r->start[rows[i]] + r->size[rows[i]]++] = values[i];
+}
+
+/* Every vertex has a free-id stack row; rows past the last are zero, so empty. */
+static void free_rows(Graph *G)
+{
+    if (G->recycle && G->free.rows < G->vertices.n)
+        G->free.rows = G->vertices.n;
+}
+
+/* Insert n checked edges (apply_insert_columns) in event order, all checks
+ * first: intern the vertices (a new one labelled by its first mention), find or
+ * create the partitions, take each id from the top of its source's free stack
+ * or the next fresh one, write the edge columns and the journal, append the ids
+ * (into ids too) to their partitions.  Returns 0; 1 when short of room (g[49..50],
+ * g[52..55]); 2 when mention g[49] (src then dst per event) gives a vertex label
+ * other than the g[50] its vertex holds or its first mention gives; -1 on OOM. */
+int mn_insert_columns(i64 *g, const i64 *src, const i64 *dst, const i64 *label, const double *ts,
+                      const i64 *src_label, const i64 *dst_label, i64 n, i64 *ids)
+{
+    Graph G;
+    graph_at(&G, g);
+    /* keys: the mentions (src, dst per event), then each side's partition keys */
+    i64 *keys = malloc((size_t)(4 * n) * sizeof(i64)), *pos = malloc((size_t)(2 * n) * sizeof(i64));
+    i64 *part = malloc((size_t)(2 * n) * sizeof(i64));
+    /* fresh: new vertices, out-, in-partitions; distinct, counts: appends per side; counts[2]: pops */
+    Buf fresh[3] = {{0}, {0}, {0}}, distinct[3] = {{0}, {0}, {0}};
+    Map counts[3] = {{0}, {0}, {0}};
+    int failed = !keys || !pos || !part || map_init(&counts[2], n), status = 0;
+    i64 known = G.vertices.n, fresh_ids = 0;
+    for (i64 i = 0; i < n && !failed; i++)
+        keys[2 * i] = src[i], keys[2 * i + 1] = dst[i];
+    failed = failed || intern(&G.vertices, keys, 2 * n, known, pos, &fresh[0]);
+#define GIVEN(at) ((at) & 1 ? dst_label[(at) / 2] : src_label[(at) / 2])
+    for (i64 i = 0; i < 2 * n && !failed && !status; i++) {
+        i64 held = pos[i] < known ? G.vertex_label[pos[i]] : GIVEN(fresh[0].data[pos[i] - known]);
+        if (GIVEN(i) && GIVEN(i) != held)
+            g[49] = i, g[50] = held, status = 2;
+    }
+    for (int s = 0; s < 2 && !failed && !status; s++) {
+        Adj *A = &G.side[s];
+        i64 *k = keys + (2 + s) * n;
+        for (i64 i = 0; i < n; i++)
+            k[i] = pos[2 * i + s] * LABEL_SPAN + label[i] + LABEL_BIAS;
+        failed = intern(&A->dir, k, n, A->r.rows, part + s * n, &fresh[1 + s]);
+        i64 room = failed ? 0 : plan_rows(&A->r, part + s * n, n, &counts[s], &distinct[s], &failed);
+        g[49 + s] = A->r.tail + room > A->r.len ? room : 0;
+    }
+    for (i64 i = 0; i < n && !failed && !status; i++) { /* the events no free stack serves */
+        i64 r = pos[2 * i], popped = map_get(&counts[2], (u64)r);
+        if (G.recycle && r < G.free.rows && popped < G.free.size[r])
+            failed = map_put(&counts[2], (u64)r, popped + 1);
+        else
+            fresh_ids++;
+    }
+    if (!failed && !status) {
+        i64 need[4] = {known + fresh[0].len, G.side[0].r.rows + fresh[1].len,
+                       G.side[1].r.rows + fresh[2].len, G.rows + fresh_ids};
+        status = g[49] || g[50];
+        for (int k = 0; k < 4; k++)
+            status |= (g[52 + k] = need[k] > g[52 + k] ? need[k] : 0) > 0;
+    }
+    failed = failed || (!status && file(&G.vertices, keys, known, &fresh[0]));
+    for (i64 k = 0, *at = fresh[0].data; k < fresh[0].len && !failed && !status; k++)
+        G.vertex_ids[known + k] = keys[at[k]], G.vertex_label[known + k] = GIVEN(at[k]);
+    for (int s = 0; s < 2 && !failed && !status; s++) { /* rows past the last are zero: empty */
+        Adj *A = &G.side[s];
+        failed = file(&A->dir, keys + (2 + s) * n, A->r.rows, &fresh[1 + s]);
+        for (i64 k = 0, *at = fresh[1 + s].data; k < fresh[1 + s].len && !failed; k++, A->r.rows++)
+            A->vertex_pos[A->r.rows] = pos[2 * at[k] + s], A->label[A->r.rows] = label[at[k]];
+    }
+    if (!failed && !status) {
+        free_rows(&G);
+        for (i64 i = 0; i < n; i++) {
+            i64 r = pos[2 * i], e = G.rows;
+            if (G.recycle && r < G.free.rows && G.free.size[r])
+                e = G.free.arena[G.free.start[r] + --G.free.size[r]], G.free_count--, G.recycled++;
+            else
+                G.rows++;
+            ids[i] = e;
+            G.src[e] = src[i], G.dst[e] = dst[i], G.label[e] = label[i], G.ts[e] = ts[i];
+            G.alive[e] = G.edge_touched[e] = 1;
+            G.side[0].part_of[e] = part[i], G.side[1].part_of[e] = part[n + i];
+            G.vertex_touched[pos[2 * i]] = G.vertex_touched[pos[2 * i + 1]] = 1;
+        }
+        for (int s = 0; s < 2; s++)
+            append_rows(&G.side[s].r, part + s * n, ids, n, &counts[s], &distinct[s]);
+    }
+    graph_back(&G, g);
+    for (int k = 0; k < 3; k++)
+        map_free(&counts[k]), mn_free(&distinct[k]), mn_free(&fresh[k]);
+    free(keys), free(pos), free(part);
+    return failed ? -1 : status;
+}
+
+/* Delete n checked live edges (apply_delete_columns): mark them dead and
+ * journalled, compact each partition they leave once, order kept, and push
+ * the ids onto their sources' free stacks in batch order.  Returns 0, 1 when
+ * the free-id arena is short of room (g[51]), or -1 when memory ran out. */
+int mn_delete_columns(i64 *g, const i64 *ids, i64 n)
+{
+    Graph G;
+    graph_at(&G, g);
+    i64 *from = malloc((size_t)n * sizeof(i64));
+    Map counts = {0}, done = {0};
+    Buf distinct = {0};
+    int failed = !from || map_init(&done, 2 * n), status = 0;
+    for (i64 i = 0; i < n && !failed; i++)
+        from[i] = G.side[0].vertex_pos[G.side[0].part_of[ids[i]]];
+    if (!failed && G.recycle) {
+        free_rows(&G);
+        i64 room = plan_rows(&G.free, from, n, &counts, &distinct, &failed);
+        if (G.free.tail + room > G.free.len)
+            g[51] = room, status = 1;
+    }
+    if (!failed && !status) {
+        for (i64 i = 0, e; i < n; i++)
+            e = ids[i], G.alive[e] = 0, G.edge_touched[e] = G.vertex_touched[from[i]] = 1,
+            G.vertex_touched[G.side[1].vertex_pos[G.side[1].part_of[e]]] = 1;
+        for (i64 i = 0; i < 2 * n && !failed; i++) {
+            Rows *r = &G.side[i & 1].r;
+            i64 p = G.side[i & 1].part_of[ids[i / 2]], kept = 0, *entry = r->arena + r->start[p];
+            if (map_get(&done, (u64)p << 1 | (u64)(i & 1)))
+                continue;
+            failed = map_put(&done, (u64)p << 1 | (u64)(i & 1), 1);
+            for (i64 j = 0; j < r->size[p]; j++)
+                if (G.alive[entry[j]])
+                    entry[kept++] = entry[j];
+            r->size[p] = kept;
+        }
+        if (G.recycle)
+            append_rows(&G.free, from, ids, n, &counts, &distinct), G.free_count += n;
+    }
+    graph_back(&G, g);
+    map_free(&counts), map_free(&done), mn_free(&distinct);
+    free(from);
+    return failed ? -1 : status;
+}
+
+/* A timestamp's class key: equal stamps (0.0 and -0.0 alike) share one; NaN none. */
+static int stamp_bits(double stamp, u64 *bits)
+{
+    stamp += 0.0;
+    memcpy(bits, &stamp, sizeof *bits);
+    return stamp == stamp;
+}
+
+/* Resolve n deletion events (resolve_deletions): each takes, of its triple's
+ * live instances no earlier event took, the oldest one with its timestamp,
+ * else the latest one; doomed gets -1 where none is left.  A triple's
+ * instances are its (src, label) out-partition's entries in its (dst, label)
+ * in-partition, and every distinct out-partition is read once.  Returns 0, or
+ * -1 when memory ran out. */
+int mn_resolve_deletes(i64 *g, const i64 *src, const i64 *dst, const i64 *label,
+                       const double *stamp, i64 n, i64 *doomed)
+{
+    Graph G;
+    graph_at(&G, g);
+    Adj *out = &G.side[0], *in = &G.side[1];
+    Map triples, stamps, classes;
+    Buf owners = {0};
+    /* per event: its group, its class, its src and dst positions, then its out-
+     * and in-partition (-1: no such vertex or partition, so no such edge) */
+    i64 *group = malloc((size_t)(4 * n) * sizeof(i64)), *cls = group + n, *end = cls + n;
+    i64 ngroups = 0, nstamps = 0, nclasses = 0, *inst = NULL, *tail = NULL, *head = NULL, total = 0;
+    int failed = (group == NULL) | map_init(&triples, n) | map_init(&stamps, n) | map_init(&classes, n);
+    if (!failed) {
+        dir_find(&G.vertices, src, n, end), dir_find(&G.vertices, dst, n, end + n);
+        for (i64 i = 0; i < 2 * n; i++) {
+            i64 l = label[i % n], ok = end[i] >= 0 && l >= -LABEL_BIAS && l < LABEL_BIAS;
+            end[i] = ok ? end[i] * LABEL_SPAN + l + LABEL_BIAS : -1;
+        }
+        dir_find(&out->dir, end, n, end), dir_find(&in->dir, end + n, n, end + n);
+    }
+    for (i64 i = 0; i < n && !failed; i++) {
+        i64 op = end[i], ip = end[n + i];
+        group[i] = cls[i] = -1;
+        if (op < 0 || ip < 0)
+            continue;
+        u64 triple = (u64)op * (u64)in->r.rows + (u64)ip, bits;
+        if ((group[i] = map_get(&triples, triple) - 1) < 0) {
+            group[i] = ngroups++;
+            failed = map_put(&triples, triple, group[i] + 1);
+        }
+        if (!failed && !map_get(&triples, (u64)1 << 63 | (u64)op)) {  /* a new out-partition */
+            failed = map_put(&triples, (u64)1 << 63 | (u64)op, 1) || push(&owners, &op, 1);
+            total += out->r.size[op];
+        }
+        if (failed || !stamp_bits(stamp[i], &bits))
+            continue;
+        i64 rank = map_get(&stamps, bits) - 1;
+        if (rank < 0)
+            failed = map_put(&stamps, bits, (rank = nstamps++) + 1);
+        u64 key = (u64)group[i] << 32 | (u64)rank;
+        if ((cls[i] = map_get(&classes, key) - 1) < 0)
+            failed |= map_put(&classes, key, (cls[i] = nclasses++) + 1);
+    }
+    /* instance k: its edge, the one before it in its triple, the next in its class */
+    inst = failed ? NULL : malloc((size_t)(3 * total + 1) * sizeof(i64));
+    tail = failed ? NULL : malloc((size_t)(ngroups + 2 * nclasses + 1) * sizeof(i64));
+    unsigned char *taken = failed ? NULL : calloc((size_t)total + 1, 1);
+    failed |= !inst || !tail || !taken;
+    i64 *prev = inst + total, *next = prev + total, k = 0, *ctail = tail + ngroups + nclasses;
+    head = tail + ngroups;
+    for (i64 j = 0; j < ngroups + 2 * nclasses && !failed; j++)
+        tail[j] = -1;
+    for (i64 j = 0; j < owners.len && !failed; j++) {
+        i64 op = owners.data[j], *entry = out->r.arena + out->r.start[op];
+        for (i64 m = 0; m < out->r.size[op]; m++) {
+            i64 e = entry[m], gi = map_get(&triples, (u64)op * (u64)in->r.rows + (u64)in->part_of[e]) - 1;
+            u64 bits;
+            if (gi < 0)
+                continue;
+            inst[k] = e, prev[k] = tail[gi], tail[gi] = k, next[k] = -1;
+            i64 rank = stamp_bits(G.ts[e], &bits) ? map_get(&stamps, bits) - 1 : -1;
+            i64 c = rank < 0 ? -1 : map_get(&classes, (u64)gi << 32 | (u64)rank) - 1;
+            if (c >= 0)
+                *(ctail[c] >= 0 ? &next[ctail[c]] : &head[c]) = k, ctail[c] = k;
+            k++;
+        }
+    }
+    for (i64 i = 0; i < n && !failed; i++) {
+        i64 gi = group[i], c = cls[i], take = -1;
+        if (c >= 0) {
+            while (head[c] >= 0 && taken[head[c]])
+                head[c] = next[head[c]];
+            take = head[c];
+        }
+        if (gi >= 0 && take < 0) {
+            while (tail[gi] >= 0 && taken[tail[gi]])
+                tail[gi] = prev[tail[gi]];
+            take = tail[gi];
+        }
+        doomed[i] = take < 0 ? -1 : (taken[take] = 1, inst[take]);
+    }
+    map_free(&triples), map_free(&stamps), map_free(&classes), mn_free(&owners);
+    free(group), free(inst), free(tail), free(taken);
+    return failed ? -1 : 0;
 }

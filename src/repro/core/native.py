@@ -2,7 +2,9 @@
 
 It serves stock match definitions on the live graph: enumeration
 (:func:`run`), DEBI maintenance (:func:`filter_insert`,
-:func:`filter_delete`) and work decomposition (:func:`decompose`).
+:func:`filter_delete`) and work decomposition (:func:`decompose`); and it
+mutates the graph (:func:`insert_columns`, :func:`resolve_deletes`,
+:func:`delete_columns`).
 
 :func:`library` compiles ``kernel.c`` with ``$CC`` (default ``cc``) once per
 source hash into ``$XDG_CACHE_HOME/repro-mnemonic`` (or ``~/.cache/...``),
@@ -87,6 +89,11 @@ def _load() -> tuple[ctypes.CDLL | None, str]:
         lib.mn_decompose.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_int64] + [ctypes.c_void_p] * 2
         lib.mn_decompose.restype = ctypes.c_int64
         lib.mn_free.argtypes, lib.mn_free.restype = [buf], None
+        lib.mn_insert_columns.argtypes = [ctypes.c_void_p] * 7 + [ctypes.c_int64, ctypes.c_void_p]
+        lib.mn_resolve_deletes.argtypes = [ctypes.c_void_p] * 5 + [ctypes.c_int64, ctypes.c_void_p]
+        lib.mn_delete_columns.argtypes = [ctypes.c_void_p] * 2 + [ctypes.c_int64]
+        for entry in (lib.mn_insert_columns, lib.mn_resolve_deletes, lib.mn_delete_columns):
+            entry.restype = ctypes.c_int
     except (OSError, ValueError, AttributeError) as exc:
         return None, f"native kernel unavailable: {exc}"
     return lib, f"loaded {target}"
@@ -186,41 +193,47 @@ def _checks(q_edges, mask) -> list[int]:  # a count, then (query edge, masked) p
 
 
 def _address(array: np.ndarray) -> int:
-    """Where the data of a contiguous array of 8-byte items starts."""
+    """Where the data of a contiguous array of 8-byte items (or bools) starts."""
     flags = array.flags
-    if array.dtype.itemsize != 8 or not flags.c_contiguous:
-        raise TypeError("the native kernel reads contiguous 64-bit arrays only")
+    if not (array.dtype.itemsize == 8 or array.dtype == np.bool_) or not flags.c_contiguous:
+        raise TypeError("the native kernel reads contiguous 64-bit or bool arrays only")
     if flags.writeable and array.size:  # a quarter of the cost of ``array.ctypes``
         return ctypes.addressof(ctypes.c_char.from_buffer(array))
     return array.ctypes.data
+
+
+def _addresses(key: str, arrays: list) -> list[int]:
+    """The data addresses of ``arrays``, remembered (under ``key``) while the same
+    arrays come back: an array is replaced, never moved, when it grows."""
+    known, addresses = _known.get(key, ((), ()))
+    if len(known) != len(arrays) or any(ref() is not array for ref, array in zip(known, arrays)):
+        addresses = [_address(array) for array in arrays]
+        _known[key] = [weakref.ref(array) for array in arrays], addresses
+    return list(addresses)
+
+
+#: per :func:`_addresses` key, the arrays seen last, weakly (a closed engine's
+#: graph is freed), and their addresses
+_known: dict[str, tuple[list, list[int]]] = {}
 
 
 def _env(graph, debi, readable: int, *batch) -> np.ndarray:
     """The kernel's view of ``graph`` and ``debi`` (layout: ``kernel.c``): both adjacency
     sides, the edge and vertex columns, the DEBI rows of which ``readable`` may be
     read, the root words and, for :func:`run`, the batch ids and their count."""
-    global _graph_env
     arrays = []
     for side, part_of in ((graph._out, graph._out_part), (graph._in, graph._in_part)):
-        keys, parts = side._directory()  # files recently created partitions
-        arrays += [keys, parts, side.start, side.size, side.arena, side.vertex_pos, part_of]
+        directory = side.directory
+        arrays += [directory.keys, directory.values, side.start, side.size, side.arena,
+                   side.vertex_pos, part_of]
     arrays += [graph._label, graph._vertex_label, graph._vertex_ids]
-    known, entries = _graph_env
-    if len(known) != len(arrays) or any(ref() is not array for ref, array in zip(known, arrays)):
-        entries = [_address(array) for array in arrays]
-        for at, keys in ((2, arrays[0]), (10, arrays[7])):  # a side's directory length
-            entries.insert(at, keys.shape[0])
-        _graph_env = [weakref.ref(array) for array in arrays], entries
+    entries = _addresses("env", arrays)
+    entries.insert(2, graph._out.directory.count + 1)  # a side's keys, the sentinel included
+    entries.insert(10, graph._in.directory.count + 1)
     roots = debi._roots
     return np.array([*entries, _address(debi._bits._rows), readable, _address(roots._words),
                      roots._nbits, *(_address(v) if isinstance(v, np.ndarray) else v for v in batch)],
                     np.int64)
-
-
-#: the graph arrays :func:`_env` saw last, weakly (a closed engine's graph is
-#: freed), and their env entries: an array is replaced, never moved, when it
-#: grows, so the same arrays have the same addresses
-_graph_env: tuple[list, list[int]] = ([], [])
 
 
 def _take(lib: ctypes.CDLL, buf: _Buf) -> np.ndarray:
@@ -283,3 +296,76 @@ def run(lib: ctypes.CDLL, graph, debi, batch: set, program: np.ndarray, units, c
     count, scanned, n_groups = out[:3].tolist()
     groups = out[3 : 3 + 3 * n_groups].reshape(-1, 3)
     return count, scanned, groups, rows_out, charges_out.reshape(-1, 3)
+
+
+def _mutate(entry, graph, *args) -> tuple[int, np.ndarray]:
+    """Call a graph mutation ``entry`` on a graph block (layout: ``kernel.c``'s
+    ``graph_at``), growing every column and repacking every arena it finds short of
+    room and calling again: the status (0, or 2 for a refused insert) and the block
+    of the call that finished."""
+    out, into, free = arenas = (graph._out, graph._in, graph.free_ids)
+    counters = ((graph, "_rows"), (graph._vertices, "count"), (out.directory, "count"),
+                (out, "rows"), (out, "tail"), (into.directory, "count"), (into, "rows"),
+                (into, "tail"), (free, "rows"), (free, "tail"), (free, "count"))
+    while True:
+        arrays = [graph._src, graph._dst, graph._label, graph._timestamp, graph._alive,
+                  graph._edge_touched, graph._vertices.keys, graph._vertices.values,
+                  graph._vertex_label, graph._vertex_ids, graph._vertex_touched]
+        for side, part_of in ((out, graph._out_part), (into, graph._in_part)):
+            arrays += [side.directory.keys, side.directory.values, side.arena, side.start,
+                       side.size, side.capacity, side.vertex_pos, side.label, part_of]
+        arrays += [free.arena, free.start, free.size, free.capacity]
+        block = np.array([*_addresses("graph", arrays),
+                          *(getattr(owner, name) for owner, name in counters),
+                          *(arena.arena.shape[0] for arena in arenas),
+                          int(graph.recycle_edge_ids), 0, 0, 0, 0,
+                          min(graph._vertex_label.shape[0] - 1, free.start.shape[0],
+                              graph._vertices.keys.shape[0] - 1),
+                          *(min(side.start.shape[0], side.directory.keys.shape[0] - 1)
+                            for side in (out, into)), graph._src.shape[0]], np.int64)
+        status = entry(_address(block), *args)
+        for (owner, name), value in zip(counters, block[33:44].tolist()):
+            setattr(owner, name, value)
+        if status < 0:
+            raise MemoryError("the native kernel ran out of memory")
+        if status != 1:
+            return status, block
+        for arena, room in zip(arenas, block[49:52].tolist()):
+            if room:
+                arena._repack(room)
+        vertices, *parts, rows = block[52:56].tolist()  # what the columns must hold
+        graph._grow_vertex_columns(vertices)
+        for side, count in zip((out, into), parts):
+            side.reserve(count)
+            side.directory.reserve(count - side.directory.count)
+        graph._grow_rows(rows)
+
+
+def insert_columns(lib: ctypes.CDLL, graph, src, dst, label, timestamp, src_label, dst_label):
+    """One ``mn_insert_columns`` call over a checked batch of contiguous columns:
+    ``(edge ids, how many were recycled, None)``, or ``(None, 0, (mention, label
+    its vertex holds))`` when a vertex label conflicts (mentions: src, dst per event)."""
+    n = src.shape[0]
+    ids = np.empty(n, np.int64)
+    columns = (src, dst, label, timestamp, src_label, dst_label)
+    status, block = _mutate(lib.mn_insert_columns, graph, *map(_address, columns), n,
+                            _address(ids))
+    if status:
+        return None, 0, (int(block[49]), int(block[50]))
+    return ids, int(block[48]), None
+
+
+def resolve_deletes(lib: ctypes.CDLL, graph, src, dst, label, stamp) -> np.ndarray:
+    """One ``mn_resolve_deletes`` call: the edge id each deletion event takes, -1 for none."""
+    columns = [*(np.ascontiguousarray(column, np.int64) for column in (src, dst, label)),
+               np.ascontiguousarray(stamp, np.float64)]  # alive until the call ends
+    doomed = np.empty(src.shape[0], np.int64)
+    _mutate(lib.mn_resolve_deletes, graph, *map(_address, columns), src.shape[0],
+            _address(doomed))
+    return doomed
+
+
+def delete_columns(lib: ctypes.CDLL, graph, ids: np.ndarray) -> None:
+    """One ``mn_delete_columns`` call over checked live, contiguous edge ids."""
+    graph.free_ids.reserve(graph._vertices.count)
+    _mutate(lib.mn_delete_columns, graph, _address(ids), ids.shape[0])

@@ -44,6 +44,7 @@ from typing import Callable, Generic, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
+from repro.core import native
 from repro.core.api import DefaultMatchDefinition, MatchDefinition
 from repro.core.debi import DEBI
 from repro.core.enumeration import EmbeddingArena, EnumerationContext, QueryState
@@ -203,6 +204,23 @@ def resolve_deletions(
     n = src.shape[0]
     if n == 0:
         return np.empty(0, dtype=np.int64)
+    lib = native.library()
+    if lib is not None and type(graph) is DynamicGraph:
+        doomed = native.resolve_deletes(lib, graph, src, dst, label, stamp)
+    else:
+        doomed = _resolve_columns(graph, src, dst, label, stamp)
+    unmatched = (doomed < 0).nonzero()[0]
+    if unmatched.size:
+        at = unmatched[0]
+        raise ConfigurationError(
+            f"deletion of ({src[at]}, {dst[at]}, {label[at]}) does not match a live edge"
+        )
+    return doomed
+
+
+def _resolve_columns(graph, src, dst, label, stamp) -> np.ndarray:
+    """The numpy body of :func:`resolve_deletions`: -1 for an event left without an instance."""
+    n = src.shape[0]
     group, ids, sizes = graph.find_instances(src, dst, label)
     held = graph.edge_timestamps(ids)
 
@@ -234,12 +252,6 @@ def resolve_deletions(
             mine = slice(ends[triple] - sizes[triple], ends[triple])
             doomed[events] = _resolve_in_turn(
                 list(zip(ids[mine].tolist(), held[mine].tolist())), stamp[events].tolist()
-            )
-        unmatched = (doomed < 0).nonzero()[0]
-        if unmatched.size:
-            at = unmatched[0]
-            raise ConfigurationError(
-                f"deletion of ({src[at]}, {dst[at]}, {label[at]}) does not match a live edge"
             )
     return doomed
 

@@ -3,11 +3,14 @@
 The data-graph storage layer of Section II-A and the "Memory recycling"
 paragraph of Section IV-A of the paper; ``docs/architecture.md``
 ("Adjacency layout & candidate pipeline") has the long account.  Every edge
-is stored once, every index over it is a flat numpy column, and a batch
-mutation is one vertex-interning pass followed by array operations only.
+is stored once, every index over it is a flat numpy column (the store holds
+no dict), and a batch mutation is one vertex-interning pass followed by
+array operations only — or, where the native kernel loads, one ``kernel.c``
+call on the same columns (``core/native.py``), with this numpy code kept as
+the fallback and as its oracle.
 
-* **Vertices** are interned once: ``raw id -> position`` (insertion rank) is
-  the store's only dict; labels are a column by position.
+* **Vertices** are interned once: a sorted directory of raw ids maps each to
+  its position (insertion rank); labels are a column by position.
 * **Edge columns** ``src / dst / label / timestamp / alive`` indexed by edge
   id are the only copy of an edge; a row with ``alive == False`` is a dead
   *placeholder* (a deleted edge), and the row count is the DEBI row count.
@@ -31,7 +34,6 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field, fields
-from itertools import count, repeat
 from typing import Iterator
 
 import numpy as np
@@ -54,9 +56,9 @@ _EDGE_COLUMNS = (
 _LABEL_SPAN = 1 << 32
 _LABEL_BIAS = 1 << 31
 _LAST_KEY = (1 << 63) - 1
-#: partitions created one at a time wait in a dict this long at most before
-#: they are filed into the sorted directory (one O(partitions) insert)
-_RECENT_LIMIT = 256
+#: every empty :class:`_Directory`'s columns: shared, read-only, replaced on the first filing
+_NO_KEYS, _NO_VALUES = np.full(1, _LAST_KEY), np.full(1, -1)
+_NO_KEYS.flags.writeable = _NO_VALUES.flags.writeable = False
 
 
 def expand_ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -99,29 +101,6 @@ def ranks_in_runs(order: np.ndarray, first: np.ndarray, counts: np.ndarray) -> n
     rank = np.empty_like(order)
     rank[order] = np.arange(order.shape[0]) - np.repeat(first, counts)
     return rank
-
-
-def positions_of(position: dict[int, int], ids: list[int]) -> np.ndarray:
-    """``position[id]`` of every id, -1 for an unknown one: one C-level hash pass."""
-    return np.fromiter(map(position.get, ids, repeat(-1)), dtype=np.int64, count=len(ids))
-
-
-def intern_ids(position: dict[int, int], ids: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Dense positions of ``ids`` in ``position``, unseen ids appended in first-mention order.
-
-    The work beyond :func:`positions_of` follows the mentions of unseen ids only.
-    Returns ``(positions, which mention introduced each new id, in position order)``.
-    """
-    positions = positions_of(position, ids)
-    unseen = np.flatnonzero(positions < 0).tolist()
-    if not unseen:
-        return positions, _EMPTY_ARRAY
-    mentioned = list(map(ids.__getitem__, unseen))
-    first_at = dict(zip(reversed(mentioned), reversed(unseen)))  # earliest mention wins
-    introduced = sorted(first_at.values())
-    position.update(zip(map(ids.__getitem__, introduced), count(len(position))))
-    positions[unseen] = list(map(position.__getitem__, mentioned))
-    return positions, np.array(introduced, dtype=np.int64)
 
 
 def edges_between(graph, srcs: np.ndarray, dsts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -169,22 +148,89 @@ def _grown(column: np.ndarray, used: int, needed: int) -> np.ndarray:
     return grown
 
 
+def _native():
+    """:mod:`repro.core.native`, imported on first use (``repro.core`` imports this module)."""
+    from repro.core import native
+
+    return native
+
+
+def _relabelled(vertex, held, label) -> GraphError:
+    return GraphError(f"vertex {vertex} already has label {held}, cannot relabel to {label}")
+
+
 def _first_duplicate(ids: np.ndarray) -> int | None:
     ordered = np.sort(ids)
     repeated = ordered[1:][ordered[1:] == ordered[:-1]]
     return int(repeated[0]) if repeated.size else None
 
 
+class _Directory:
+    """Sorted int64 keys with an int64 value each, in capacity-backed columns.
+
+    Every slot past the last key holds the sentinel ``_LAST_KEY`` (value -1), so
+    the whole column is sorted and no search runs off its end; numpy and
+    ``kernel.c`` search the same columns and file new keys into reserved room.
+    """
+
+    def __init__(self, keys: np.ndarray = _EMPTY_ARRAY, values: np.ndarray = _EMPTY_ARRAY):
+        self.count = 0
+        self.keys, self.values = _NO_KEYS, _NO_VALUES
+        if keys.shape[0]:
+            order = np.argsort(keys, kind="stable")
+            self.file(keys[order], values[order])
+
+    def reserve(self, more: int) -> None:
+        """Room for ``more`` new keys and the sentinel behind them."""
+        needed = self.count + more + 1
+        if needed > self.keys.shape[0]:
+            size = max(needed, 2 * self.keys.shape[0])
+            for name, fill in (("keys", _LAST_KEY), ("values", -1)):
+                column = np.full(size, fill, dtype=np.int64)
+                column[: self.count] = getattr(self, name)[: self.count]
+                setattr(self, name, column)
+
+    def find(self, keys: np.ndarray) -> np.ndarray:
+        """The value of every key, -1 where there is none."""
+        at = self.keys.searchsorted(keys)
+        return np.where(self.keys[at] == keys, self.values[at], -1)
+
+    def find_one(self, key: int) -> int:
+        """:meth:`find` of one key, on scalars."""
+        at = self.keys.searchsorted(key)
+        return self.values.item(at) if self.keys.item(at) == key else -1
+
+    def file(self, keys: np.ndarray, values: np.ndarray) -> None:
+        """Enter ``keys`` (ascending, none present yet) with their ``values``."""
+        count, more = self.count, keys.shape[0]
+        self.reserve(more)
+        at = self.keys[:count].searchsorted(keys)
+        low = int(at[0])
+        for column, new in ((self.keys, keys), (self.values, values)):
+            column[low : count + more] = np.insert(column[low:count], at - low, new)
+        self.count = count + more
+
+    def violation(self) -> str | None:
+        """The first inconsistency of the columns, or None (``check_invariants``)."""
+        count = self.count
+        if (np.diff(self.keys[:count]) <= 0).any():
+            return "the directory keys are not strictly ascending"
+        if (self.keys[count:] != _LAST_KEY).any() or (self.values[count:] != -1).any():
+            return "a slot past the last key does not hold the sentinel"
+        return None
+
+
 class _Arena:
     """Rows of int64 entries pooled in one buffer: row ``r`` is ``arena[start[r]:][:size[r]]``.
 
-    ``position`` is the owner's vertex interning table (shared, not owned).
+    ``vertices`` is the owner's vertex directory, raw id -> position (shared,
+    not owned).
     """
 
     _COLUMNS: tuple[str, ...] = ("start", "size", "capacity")
 
-    def __init__(self, position: dict[int, int]) -> None:
-        self.position = position
+    def __init__(self, vertices: _Directory) -> None:
+        self.vertices = vertices
         self.arena = np.empty(_INITIAL_ROWS, dtype=np.int64)
         #: arena slots handed out so far: live ranges, their slack, abandoned ranges
         self.tail = 0
@@ -194,11 +240,15 @@ class _Arena:
         self.size = np.zeros(_INITIAL_ROWS, dtype=np.int64)
         self.capacity = np.zeros(_INITIAL_ROWS, dtype=np.int64)
 
-    def _extend(self, rows: int) -> None:
-        """Make every row below ``rows`` exist (empty until appended to)."""
+    def reserve(self, rows: int) -> None:
+        """Room in the row table for ``rows`` rows; rows past ``self.rows`` are zero."""
         if rows > self.start.shape[0]:
             for name in self._COLUMNS:
                 setattr(self, name, _grown(getattr(self, name), self.rows, rows))
+
+    def _extend(self, rows: int) -> None:
+        """Make every row below ``rows`` exist (empty until appended to)."""
+        self.reserve(rows)
         self.rows = max(rows, self.rows)
 
     def _relocate(self, rows: np.ndarray, need: np.ndarray) -> None:
@@ -216,34 +266,18 @@ class _Arena:
         self.capacity[rows] = capacity
         self.tail += room
 
-    def _repack(self) -> None:
-        """Lay every row out afresh in a new arena, dropping abandoned ranges."""
+    def _repack(self, room: int = 0) -> None:
+        """Lay every row out afresh in a new arena, dropping abandoned ranges, with
+        at least ``room`` slots free behind the tail."""
         count = self.rows
         capacity = self.capacity[:count]
         size = self.size[:count]
         start = np.cumsum(capacity) - capacity
         self.tail = int(capacity.sum())
-        arena = np.empty(max(2 * self.tail, _INITIAL_ROWS), dtype=np.int64)
+        arena = np.empty(max(2 * (self.tail + room), _INITIAL_ROWS), dtype=np.int64)
         arena[expand_ranges(start, size)] = self.arena[expand_ranges(self.start[:count], size)]
         self.arena = arena
         self.start[:count] = start
-
-    def append_one(self, row: int, value: int) -> None:
-        """:meth:`append` of one entry, on scalars."""
-        size = self.size.item(row)
-        start = self.start.item(row)
-        if size == self.capacity.item(row):
-            capacity = max(2 * size, _MIN_CAPACITY)
-            self.capacity[row] = capacity
-            if self.tail + capacity > self.arena.shape[0]:
-                self._repack()
-                start = self.start.item(row)
-            else:
-                self.arena[self.tail : self.tail + size] = self.arena[start : start + size]
-                self.start[row] = start = self.tail
-                self.tail += capacity
-        self.arena[start + size] = value
-        self.size[row] = size + 1
 
     def append(self, rows: np.ndarray, values: np.ndarray) -> None:
         """Append ``values[i]`` to row ``rows[i]``, batch order kept per row."""
@@ -282,44 +316,30 @@ class FreeIdStacks(_Arena):
     The one statement of the recycling rule: a deleted edge's id goes on
     top of its source's stack, an insertion takes its source's top id, or a
     fresh one.  A batch is that rule in event order, so its ids are those of
-    per-edge calls.  Rows are the sources' positions in ``position``.
+    per-edge calls.  Rows are the sources' vertex positions.
     """
 
-    def __init__(self, position: dict[int, int]) -> None:
-        super().__init__(position)
+    def __init__(self, vertices: _Directory) -> None:
+        super().__init__(vertices)
         #: ids on all stacks together
         self.count = 0
 
     def stack(self, src: int) -> list[int]:
         """The free ids of source vertex ``src``, top last."""
-        row = self.position.get(src)
-        return [] if row is None or row >= self.rows else self._slice(row).tolist()
-
-    def push(self, row: int, edge_id: int) -> None:
-        self._extend(row + 1)
-        self.append_one(row, edge_id)
-        self.count += 1
+        row = self.vertices.find_one(src)
+        return [] if not 0 <= row < self.rows else self._slice(row).tolist()
 
     def push_batch(self, rows: np.ndarray, edge_ids: np.ndarray) -> None:
-        self._extend(len(self.position))
+        self._extend(self.vertices.count)
         self.append(rows, edge_ids)
         self.count += edge_ids.shape[0]
-
-    def pop(self, row: int) -> int:
-        """The top id of ``row``'s stack, or -1 when it is empty."""
-        size = self.size.item(row) if row < self.rows else 0
-        if not size:
-            return -1
-        self.size[row] = size - 1
-        self.count -= 1
-        return self.arena.item(self.start.item(row) + size - 1)
 
     def allocate(self, rows: np.ndarray, first_fresh: int) -> tuple[np.ndarray, int]:
         """``(ids, how many were recycled)`` for one insertion per entry of ``rows``, in
         event order; fresh ids count up from ``first_fresh`` over the events no stack served."""
         n = rows.shape[0]
         ids = np.full(n, -1, dtype=np.int64)
-        self._extend(len(self.position))
+        self._extend(self.vertices.count)
         if self.count and self.size[rows].any():
             order, touched, first, counts = stable_runs(rows)
             row_of = rows[order]
@@ -358,17 +378,12 @@ class _Adjacency(_Arena):
     #: CSR export's row), ``label`` the edge label the partition holds
     _COLUMNS = (*_Arena._COLUMNS, "vertex_pos", "label")
 
-    def __init__(self, position: dict[int, int]) -> None:
-        super().__init__(position)
+    def __init__(self, vertices: _Directory) -> None:
+        super().__init__(vertices)
         self.vertex_pos = np.zeros(_INITIAL_ROWS, dtype=np.int64)
         self.label = np.zeros(_INITIAL_ROWS, dtype=np.int64)
-        # The directory: packed (position, label) keys, sorted, and the
-        # partition of each; the last key is a sentinel above every real one,
-        # so a search never runs off the end.  Filing replaces both arrays.
-        self._keys = np.array([_LAST_KEY])
-        self._parts = np.array([-1])
-        #: key -> id of the partitions created one at a time and not yet filed
-        self._recent: dict[int, int] = {}
+        #: packed (position, label) key -> partition id
+        self.directory = _Directory()
 
     # ------------------------------------------------------------------ directory
     @staticmethod
@@ -378,33 +393,10 @@ class _Adjacency(_Arena):
         keys = positions * _LABEL_SPAN + (labels + _LABEL_BIAS)
         return np.where((labels >= -_LABEL_BIAS) & (labels < _LABEL_BIAS), keys, -1)
 
-    def _file(self, keys: np.ndarray, parts: np.ndarray) -> None:
-        """Enter ``keys`` (ascending, all new) into the sorted directory."""
-        at = np.searchsorted(self._keys, keys)
-        self._keys = np.insert(self._keys, at, keys)
-        self._parts = np.insert(self._parts, at, parts)
-
-    def _directory(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(keys, parts)`` with every partition filed."""
-        recent = self._recent
-        if recent:
-            keys = np.fromiter(recent, dtype=np.int64, count=len(recent))
-            parts = np.fromiter(recent.values(), dtype=np.int64, count=len(recent))
-            order = np.argsort(keys)
-            self._file(keys[order], parts[order])
-            recent.clear()
-        return self._keys, self._parts
-
-    def find(self, keys: np.ndarray) -> np.ndarray:
-        """The partition of every key, -1 where there is none."""
-        filed, parts = self._directory()
-        at = filed.searchsorted(keys)
-        return np.where(filed[at] == keys, parts[at], -1)
-
     def partition_ids(self, positions: np.ndarray, labels: np.ndarray) -> np.ndarray:
         """The partition of every ``(position, label)`` pair, created in pair order if new."""
         keys = positions * _LABEL_SPAN + (labels + _LABEL_BIAS)
-        parts = self.find(keys)
+        parts = self.directory.find(keys)
         missing = np.flatnonzero(parts < 0)
         if missing.size:
             new_keys, mention, inverse = np.unique(
@@ -416,37 +408,19 @@ class _Adjacency(_Arena):
             created[np.argsort(mention)] = np.arange(first, self.rows)  # first mention first
             self.vertex_pos[created] = positions[missing[mention]]
             self.label[created] = labels[missing[mention]]
-            self._file(new_keys, created)
+            self.directory.file(new_keys, created)
             parts[missing] = created[inverse]
         return parts
 
-    def partition_id(self, position: int, label: int, create: bool = False) -> int:
-        """:meth:`partition_ids` of one pair, on scalars; -1 when absent and not created."""
-        if not -_LABEL_BIAS <= label < _LABEL_BIAS:
-            return -1
-        key = position * _LABEL_SPAN + label + _LABEL_BIAS
-        at = self._keys.searchsorted(key)
-        if self._keys.item(at) == key:
-            return self._parts.item(at)
-        part = self._recent.get(key, -1)
-        if part < 0 and create:
-            part = self.rows
-            self._extend(part + 1)
-            self.vertex_pos[part] = position
-            self.label[part] = label
-            self._recent[key] = part
-            if len(self._recent) >= _RECENT_LIMIT:
-                self._directory()
-        return part
-
     def parts_of(self, vertex: int) -> np.ndarray:
         """The partition ids of ``vertex`` in creation order."""
-        position = self.position.get(vertex)
-        if position is None:
+        position = self.vertices.find_one(vertex)
+        if position < 0:
             return _EMPTY_ARRAY
-        filed, parts = self._directory()
-        low, high = filed.searchsorted((position * _LABEL_SPAN, (position + 1) * _LABEL_SPAN))
-        return np.sort(parts[low:high])
+        low, high = self.directory.keys.searchsorted(
+            (position * _LABEL_SPAN, (position + 1) * _LABEL_SPAN)
+        )
+        return np.sort(self.directory.values[low:high])
 
     # ------------------------------------------------------------------ mutation
     def remove_dead(self, edge_parts: np.ndarray, alive: np.ndarray) -> None:
@@ -460,34 +434,27 @@ class _Adjacency(_Arena):
         self.arena[expand_ranges(start, kept)] = members[keep]
         self.size[parts] = kept
 
-    def remove_one(self, part: int, edge_id: int) -> None:
-        """:meth:`remove_dead` of one edge, on scalars."""
-        members = self._slice(part)
-        at = int((members == edge_id).argmax())
-        members[at:-1] = members[at + 1 :]
-        self.size[part] = members.shape[0] - 1
-
     # ------------------------------------------------------------------ reads
     def pool(self, vertex: int, label: int | None) -> np.ndarray:
         """The candidate pool of ``vertex``: one partition, or all of them for ``label=None``."""
         if label is not None:
-            position = self.position.get(vertex)
-            part = -1 if position is None else self.partition_id(position, label)
+            key = self.keys_of(np.array([self.vertices.find_one(vertex)]), label)
+            part = self.directory.find_one(int(key[0]))
             return _EMPTY_ARRAY if part < 0 else self._slice(part)
         parts = self.parts_of(vertex).tolist()
         if len(parts) == 1:
             return self._slice(parts[0])
         return np.concatenate(list(map(self._slice, parts))) if parts else _EMPTY_ARRAY
 
-    def locate(self, vertices: list[int], label: int | None):
+    def locate(self, vertices: np.ndarray, label: int | None):
         """Where the pools of ``vertices`` lie: ``(partitions, their sizes, pool size per vertex)``.
 
         ``label=None`` lists all of a vertex's partitions in creation order;
         a label lists exactly one per vertex, a missing one with size 0.
         """
-        n = len(vertices)
-        positions = positions_of(self.position, vertices)
-        filed, parts = self._directory()
+        n = vertices.shape[0]
+        positions = self.vertices.find(vertices)
+        filed, parts = self.directory.keys, self.directory.values
         if label is not None:
             if not -_LABEL_BIAS <= label < _LABEL_BIAS:
                 return positions, np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
@@ -510,7 +477,7 @@ class _Adjacency(_Arena):
         part_sizes = self.size[parts]
         return parts, part_sizes, segment_counts(part_sizes, counts)
 
-    def pools(self, vertices: list[int], label: int | None) -> tuple[np.ndarray, np.ndarray]:
+    def pools(self, vertices: np.ndarray, label: int | None) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`pool` of every vertex: ``(pools concatenated, size per vertex)``."""
         parts, part_sizes, sizes = self.locate(vertices, label)
         return self.arena[expand_ranges(self.start[parts], part_sizes)], sizes
@@ -547,15 +514,17 @@ class _Adjacency(_Arena):
         if problem is not None:
             return problem
         count = self.rows
-        filed, parts = self._directory()
-        if not np.array_equal(np.sort(parts[:-1]), np.arange(count)):
+        problem = self.directory.violation()
+        if problem is not None:
+            return problem
+        filed = self.directory.keys[: self.directory.count]
+        parts = self.directory.values[: self.directory.count]
+        if not np.array_equal(np.sort(parts), np.arange(count)):
             return "the directory does not list every partition exactly once"
-        if (np.diff(filed) <= 0).any():
-            return "the directory keys are not strictly ascending"
         owners, labels = self.vertex_pos[:count], self.label[:count]
         if (owners < 0).any() or (owners >= vertex_ids.shape[0]).any():
             return "a partition's vertex position is not in the vertex table"
-        if not np.array_equal(filed[:-1], self.keys_of(owners, labels)[parts[:-1]]):
+        if not np.array_equal(filed, self.keys_of(owners, labels)[parts]):
             return "a directory key disagrees with its partition's vertex position and label"
         members, sizes = self.members(np.arange(count))
         if not np.array_equal(np.sort(members), live_ids):
@@ -610,18 +579,18 @@ class DynamicGraph:
         self._alive = np.zeros(_INITIAL_ROWS, dtype=bool)
         self._out_part = np.zeros(_INITIAL_ROWS, dtype=np.int64)
         self._in_part = np.zeros(_INITIAL_ROWS, dtype=np.int64)
-        # Vertices are append-only and interned once: raw id -> position
-        # (insertion rank) is the only dict of the store.  Labels are a
-        # column by position with at least one unused (zero) slot behind the
-        # last vertex, so position -1 — an unknown vertex — reads label 0.
-        self._vertex_position: dict[int, int] = {}
+        # Vertices are append-only and interned once: the vertex directory
+        # maps raw id -> position (insertion rank).  Labels are a column by
+        # position with at least one unused (zero) slot behind the last
+        # vertex, so position -1 — an unknown vertex — reads label 0.
+        self._vertices = _Directory()
         self._vertex_label = np.zeros(_INITIAL_ROWS, dtype=np.int64)
-        #: position -> raw vertex id, the inverse of ``_vertex_position``
+        #: position -> raw vertex id, the inverse of the vertex directory
         self._vertex_ids = np.zeros(_INITIAL_ROWS, dtype=np.int64)
-        self._out = _Adjacency(self._vertex_position)
-        self._in = _Adjacency(self._vertex_position)
+        self._out = _Adjacency(self._vertices)
+        self._in = _Adjacency(self._vertices)
         #: recyclable edge ids, stacked per source vertex
-        self.free_ids = FreeIdStacks(self._vertex_position)
+        self.free_ids = FreeIdStacks(self._vertices)
 
         self._num_live_edges = 0
         self.stats = PlaceholderStats()
@@ -652,74 +621,102 @@ class DynamicGraph:
         state["_vertex_touched"] = np.zeros_like(self._vertex_touched)
         return state
 
+    def __setstate__(self, state: dict) -> None:
+        """Restore a pickled graph; one pickled with a ``_vertex_position`` dict and
+        per-side ``_keys`` / ``_parts`` / ``_recent`` directories (checkpoint format
+        version 2) gets the directory columns rebuilt from them."""
+        position = state.pop("_vertex_position", None)
+        self.__dict__.update(state)
+        if position is None:
+            return
+        self._vertices = _Directory(np.fromiter(position, np.int64, len(position)),
+                                    np.arange(len(position), dtype=np.int64))
+        for arena in (self._out, self._in, self.free_ids):
+            arena.__dict__.pop("position")
+            arena.vertices = self._vertices
+        for side in (self._out, self._in):
+            recent = side.__dict__.pop("_recent")
+            keys = np.fromiter(recent, np.int64, len(recent))
+            parts = np.fromiter(recent.values(), np.int64, len(recent))
+            side.directory = _Directory(
+                np.concatenate([side.__dict__.pop("_keys")[:-1], keys]),
+                np.concatenate([side.__dict__.pop("_parts")[:-1], parts]),
+            )
+
     # ------------------------------------------------------------------ vertices
     def add_vertex(self, vertex: int, label: int = 0) -> int:
         """Register ``vertex`` with ``label`` (which later calls may not change); its position."""
-        position = self._vertex_position.get(vertex)
-        if position is None:
-            position = self._vertex_position[vertex] = len(self._vertex_position)
-            self._grow_vertex_columns()
-            self._vertex_label[position] = label
-            self._vertex_ids[position] = vertex
-        elif label != 0 and self._vertex_label.item(position) != label:
-            raise GraphError(
-                f"vertex {vertex} already has label {self._vertex_label.item(position)}, "
-                f"cannot relabel to {label}"
-            )
-        return position
+        mention, given = np.array([vertex], dtype=np.int64), np.array([label], dtype=np.int64)
+        self._check_labels(mention, given)
+        return int(self._register_vertices(mention, given)[0])
 
-    def _grow_vertex_columns(self) -> None:
-        count, room = len(self._vertex_position), self._vertex_label.shape[0]
-        if count >= room:  # keeps the zero slot behind the last vertex
+    def _grow_vertex_columns(self, count: int) -> None:
+        """Room for ``count`` vertices in the directory, free-id stacks and columns."""
+        room = self._vertex_label.shape[0]
+        if count >= room:
             self._vertex_label = _grown(self._vertex_label, room, count + 1)
             self._vertex_ids = _grown(self._vertex_ids, room, count + 1)
             self._vertex_touched = _grown(self._vertex_touched, room, count + 1)
+        self._vertices.reserve(count - self._vertices.count)
+        self.free_ids.reserve(count)
 
-    def _register_vertices(
-        self, src: np.ndarray, dst: np.ndarray, src_label: np.ndarray, dst_label: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`add_vertex` over a batch's endpoints; returns their positions.
+    def _check_labels(self, mentions: np.ndarray, given: np.ndarray) -> None:
+        """Refuse vertex labels that disagree with a known vertex's, or with what a
+        new vertex's first mention in ``mentions`` gives it; 0 asks for nothing."""
+        if not given.any():
+            return
+        positions = self._vertices.find(mentions)
+        held = self._vertex_label[positions]
+        unseen = np.flatnonzero(positions < 0)
+        if unseen.size:
+            order, _, first, counts = stable_runs(mentions[unseen])
+            held[unseen[order]] = np.repeat(given[unseen[order[first]]], counts)
+        conflict = (given != 0) & (given != held)
+        if conflict.any():
+            at = int(conflict.argmax())
+            raise _relabelled(mentions[at], held[at], given[at])
 
-        The one hash pass of a batch mutation.  Vertices are mentioned in
-        per-event src-then-dst order, and a new vertex takes the label of
-        its first mention.
+    def _register_vertices(self, mentions: np.ndarray, given: np.ndarray) -> np.ndarray:
+        """:meth:`add_vertex` over a batch's (checked) mentions; returns their positions.
+
+        Unseen vertices are filed into the directory with one merge and take
+        the positions after the known ones in first-mention order, each with
+        the label of its first mention.
         """
-        mentions = np.stack([src, dst], axis=1).ravel()
-        given = np.stack([src_label, dst_label], axis=1).ravel()
-        positions, introduced = intern_ids(self._vertex_position, mentions.tolist())
-        if introduced.size:
-            self._grow_vertex_columns()
-            self._vertex_label[positions[introduced]] = given[introduced]
-            self._vertex_ids[positions[introduced]] = mentions[introduced]
-        if given.any():
-            known = self._vertex_label[positions]
-            conflict = (given != 0) & (given != known)
-            if conflict.any():
-                at = int(conflict.argmax())
-                raise GraphError(
-                    f"vertex {mentions[at]} already has label {known[at]}, "
-                    f"cannot relabel to {given[at]}"
-                )
-        return positions[0::2], positions[1::2]
+        positions = self._vertices.find(mentions)
+        unseen = np.flatnonzero(positions < 0)
+        if unseen.size:
+            ids, mention, inverse = np.unique(
+                mentions[unseen], return_index=True, return_inverse=True
+            )
+            known = self._vertices.count
+            self._grow_vertex_columns(known + ids.shape[0])
+            created = np.empty_like(mention)
+            created[np.argsort(mention)] = np.arange(known, known + ids.shape[0])
+            introduced = unseen[mention]
+            self._vertex_label[created] = given[introduced]
+            self._vertex_ids[created] = mentions[introduced]
+            self._vertices.file(ids, created)
+            positions[unseen] = created[inverse]
+        return positions
 
     def has_vertex(self, vertex: int) -> bool:
-        return vertex in self._vertex_position
+        return self._vertices.find_one(vertex) >= 0
 
     def vertex_label(self, vertex: int) -> int:
         """Return the label of ``vertex`` (0 for unlabelled/unknown vertices)."""
-        return self._vertex_label.item(self._vertex_position.get(vertex, -1))
+        return self._vertex_label.item(self._vertices.find_one(vertex))
 
     def vertex_labels(self, vertices) -> np.ndarray:
         """:meth:`vertex_label` of every entry of a vertex-id array, as int64."""
-        ids = vertices.tolist() if hasattr(vertices, "tolist") else vertices
-        return self._vertex_label[positions_of(self._vertex_position, ids)]
+        return self._vertex_label[self._vertices.find(np.asarray(vertices, dtype=np.int64))]
 
     def vertices(self) -> Iterator[int]:
-        return iter(self._vertex_position)
+        return iter(self._vertex_ids[: self._vertices.count].tolist())
 
     @property
     def num_vertices(self) -> int:
-        return len(self._vertex_position)
+        return self._vertices.count
 
     # ------------------------------------------------------------------ edges
     def add_edge(
@@ -730,33 +727,11 @@ class DynamicGraph:
 
         Parallel edges (same ``src``/``dst``/``label``) are distinct
         instances with distinct ids — this is the multigraph property the
-        paper relies on for context-aware matching.
+        paper relies on for context-aware matching.  A batch of one.
         """
-        if src < 0 or dst < 0:
-            raise GraphError(f"vertex id {min(src, dst)} is negative")
-        if not -_LABEL_BIAS <= label < _LABEL_BIAS:
-            raise GraphError("edge labels must fit a signed 32-bit integer")
-        src_pos = self.add_vertex(src, src_label or 0)
-        dst_pos = self.add_vertex(dst, dst_label or 0)
-        edge_id = self.free_ids.pop(src_pos) if self.recycle_edge_ids else -1
-        if edge_id < 0:
-            edge_id = self._rows
-        else:
-            self.stats.record_recycle()
-        self._extend_rows(edge_id + 1)
-        self._src[edge_id] = src
-        self._dst[edge_id] = dst
-        self._label[edge_id] = label
-        self._timestamp[edge_id] = timestamp
-        self._alive[edge_id] = True
-        out_part = self._out_part[edge_id] = self._out.partition_id(src_pos, label, create=True)
-        self._out.append_one(out_part, edge_id)
-        in_part = self._in_part[edge_id] = self._in.partition_id(dst_pos, label, create=True)
-        self._in.append_one(in_part, edge_id)
-        self._num_live_edges += 1
-        self._touch(edge_id, src_pos, dst_pos)
-        self.stats.record_insert(placeholders=self._rows, live=self._num_live_edges)
-        return edge_id
+        return self.apply_insert_columns(
+            [src], [dst], [label], [timestamp], [src_label or 0], [dst_label or 0]
+        )[0]
 
     def _touch(self, edge_ids, src_positions, dst_positions) -> None:
         """Journal edges (ids and their endpoints' positions, scalars or arrays) as changed."""
@@ -764,26 +739,15 @@ class DynamicGraph:
         self._vertex_touched[src_positions] = True
         self._vertex_touched[dst_positions] = True
 
-    def _extend_rows(self, rows: int) -> None:
-        """Make every id below ``rows`` a placeholder (dead and zeroed until assigned)."""
+    def _grow_rows(self, rows: int) -> None:
+        """Room in the edge columns for ``rows`` ids; those past ``_rows`` are zero (dead)."""
         if rows > self._src.shape[0]:
             for name in _EDGE_COLUMNS:
                 setattr(self, name, _grown(getattr(self, name), self._rows, rows))
-        self._rows = max(rows, self._rows)
 
     def delete_edge(self, edge_id: int) -> EdgeRecord:
-        """Delete the edge instance ``edge_id`` and return its last record."""
-        record = self.edge(edge_id)
-        self._alive[edge_id] = False
-        out_part, in_part = self._out_part.item(edge_id), self._in_part.item(edge_id)
-        self._out.remove_one(out_part, edge_id)
-        self._in.remove_one(in_part, edge_id)
-        src_pos = self._out.vertex_pos.item(out_part)
-        self._touch(edge_id, src_pos, self._in.vertex_pos.item(in_part))
-        if self.recycle_edge_ids:
-            self.free_ids.push(src_pos, edge_id)
-        self._forget(1)
-        return record
+        """Delete the edge instance ``edge_id`` and return its last record: a batch of one."""
+        return next(self.apply_delete_columns([edge_id]).records())
 
     def _forget(self, count: int) -> None:
         self._num_live_edges -= count
@@ -842,7 +806,7 @@ class DynamicGraph:
         contribute nothing.  One partition-table gather per matching-order
         step replaces one :meth:`candidate_pool` call per distinct anchor.
         """
-        return (self._out if out else self._in).pools(anchors.tolist(), label)
+        return (self._out if out else self._in).pools(anchors, label)
 
     def label_degrees(self, vertices: np.ndarray, out: bool, label: int | None = None):
         """Batched label degree: the :meth:`candidate_pools` sizes, without the pools.
@@ -850,7 +814,7 @@ class DynamicGraph:
         ``label=None`` is the total out- (or in-) degree; an unknown vertex
         has degree 0.  One partition-table ``size`` gather.
         """
-        return (self._out if out else self._in).locate(vertices.tolist(), label)[2]
+        return (self._out if out else self._in).locate(vertices, label)[2]
 
     def endpoint_array(self, edge_ids: np.ndarray, take_dst: bool) -> np.ndarray:
         """Vectorized endpoint gather: dst (or src) vertex per edge id."""
@@ -926,9 +890,9 @@ class DynamicGraph:
         out-partition is gathered once, its members told apart by in-partition.
         """
         n = srcs.shape[0]
-        positions = positions_of(self._vertex_position, srcs.tolist() + dsts.tolist())
-        out_part = self._out.find(_Adjacency.keys_of(positions[:n], labels))
-        in_part = self._in.find(_Adjacency.keys_of(positions[n:], labels))
+        positions = self._vertices.find(np.concatenate([srcs, dsts]))
+        out_part = self._out.directory.find(_Adjacency.keys_of(positions[:n], labels))
+        in_part = self._in.directory.find(_Adjacency.keys_of(positions[n:], labels))
         span = max(self._in.rows, 1)
         triples, group = np.unique(  # -1: no such partitions, so no such edge
             np.where((out_part >= 0) & (in_part >= 0), out_part * span + in_part, -1),
@@ -963,57 +927,78 @@ class DynamicGraph:
         the same resulting state, **edge-id sequence** included (see
         :meth:`FreeIdStacks.allocate`; partitions are created in event order).
         Columns are int64 (``timestamp`` float64) arrays of equal length;
-        missing columns default to zeros.  A negative vertex id or an edge
-        label outside 32 bits is rejected with :class:`GraphError` before
-        anything is mutated.
+        missing columns default to zeros.  A negative vertex id, an edge label
+        outside 32 bits or a vertex label its vertex does not hold is rejected
+        with :class:`GraphError` before anything is mutated.
         """
-        src_arr = np.asarray(src, dtype=np.int64)
+        src_arr = np.ascontiguousarray(src, dtype=np.int64)
         n = int(src_arr.shape[0])
         if n == 0:
             return []
-        dst_arr = np.asarray(dst, dtype=np.int64)
+        dst_arr = np.ascontiguousarray(dst, dtype=np.int64)
         zeros = np.zeros(n, dtype=np.int64)
-        label_arr = zeros if label is None else np.asarray(label, dtype=np.int64)
+        label_arr = zeros if label is None else np.ascontiguousarray(label, dtype=np.int64)
         check_edge_columns(src_arr, dst_arr, label_arr)
         ts_arr = (
             np.zeros(n, dtype=np.float64) if timestamp is None
-            else np.asarray(timestamp, dtype=np.float64)
+            else np.ascontiguousarray(timestamp, dtype=np.float64)
         )
-        src_pos, dst_pos = self._register_vertices(
-            src_arr, dst_arr,
-            zeros if src_label is None else np.asarray(src_label, dtype=np.int64),
-            zeros if dst_label is None else np.asarray(dst_label, dtype=np.int64),
-        )
-        if self.recycle_edge_ids:
-            ids_arr, recycled = self.free_ids.allocate(src_pos, self._rows)
-            self.stats.recycled += recycled
+        src_labels = zeros if src_label is None else np.ascontiguousarray(src_label, dtype=np.int64)
+        dst_labels = zeros if dst_label is None else np.ascontiguousarray(dst_label, dtype=np.int64)
+        native = _native()
+        lib = native.library()
+        if lib is not None and type(self) is DynamicGraph:
+            # the kernel checks the vertex labels in its first pass, before any write
+            ids_arr, recycled, conflict = native.insert_columns(
+                lib, self, src_arr, dst_arr, label_arr, ts_arr, src_labels, dst_labels
+            )
+            if conflict is not None:
+                at, held = conflict
+                given = (dst_labels if at % 2 else src_labels)[at // 2]
+                raise _relabelled((dst_arr if at % 2 else src_arr)[at // 2], held, given)
         else:
-            ids_arr = np.arange(self._rows, self._rows + n, dtype=np.int64)
-
-        # -- edge columns: one scatter each
-        self._extend_rows(int(ids_arr.max()) + 1)
-        self._src[ids_arr] = src_arr
-        self._dst[ids_arr] = dst_arr
-        self._label[ids_arr] = label_arr
-        self._timestamp[ids_arr] = ts_arr
-        self._alive[ids_arr] = True
-
-        # -- adjacency: group by partition, grow what overflows, scatter the ids
-        out_parts = self._out_part[ids_arr] = self._out.partition_ids(src_pos, label_arr)
-        self._out.append(out_parts, ids_arr)
-        in_parts = self._in_part[ids_arr] = self._in.partition_ids(dst_pos, label_arr)
-        self._in.append(in_parts, ids_arr)
+            mentions = np.stack([src_arr, dst_arr], axis=1).ravel()
+            given = np.stack([src_labels, dst_labels], axis=1).ravel()
+            self._check_labels(mentions, given)
+            ids_arr, recycled = self._insert_columns(src_arr, dst_arr, label_arr, ts_arr,
+                                                     mentions, given)
 
         # -- accounting (bulk-equivalent to the per-event record_insert calls:
         #    placeholders and live counts grow monotonically within an insert
         #    batch, so the running peak maxes equal the final-value maxes)
         self._num_live_edges += n
-        self._touch(ids_arr, src_pos, dst_pos)
         stats = self.stats
+        stats.recycled += recycled
         stats.inserts += n
         stats.peak_placeholders = max(stats.peak_placeholders, self._rows)
         stats.peak_live = max(stats.peak_live, self._num_live_edges)
         return ids_arr.tolist()
+
+    def _insert_columns(self, src, dst, label, timestamp, mentions, given):
+        """The numpy body of :meth:`apply_insert_columns`: ``(edge ids, how many recycled)``."""
+        positions = self._register_vertices(mentions, given)
+        src_pos, dst_pos = positions[0::2], positions[1::2]
+        if self.recycle_edge_ids:
+            ids, recycled = self.free_ids.allocate(src_pos, self._rows)
+        else:
+            ids, recycled = np.arange(self._rows, self._rows + src.shape[0], dtype=np.int64), 0
+
+        # -- edge columns: one scatter each
+        self._grow_rows(int(ids.max()) + 1)
+        self._rows = max(self._rows, int(ids.max()) + 1)
+        self._src[ids] = src
+        self._dst[ids] = dst
+        self._label[ids] = label
+        self._timestamp[ids] = timestamp
+        self._alive[ids] = True
+
+        # -- adjacency: group by partition, grow what overflows, scatter the ids
+        out_parts = self._out_part[ids] = self._out.partition_ids(src_pos, label)
+        self._out.append(out_parts, ids)
+        in_parts = self._in_part[ids] = self._in.partition_ids(dst_pos, label)
+        self._in.append(in_parts, ids)
+        self._touch(ids, src_pos, dst_pos)
+        return ids, recycled
 
     def apply_delete_columns(self, edge_ids) -> EdgeColumns:
         """Delete a batch of edge ids and return their last columns, in batch order.
@@ -1024,7 +1009,7 @@ class DynamicGraph:
         the ids go on their sources' free-id stacks in batch order, exactly
         as per-id :meth:`delete_edge` calls would push them.
         """
-        ids = np.asarray(edge_ids, dtype=np.int64)
+        ids = np.ascontiguousarray(edge_ids, dtype=np.int64)
         if ids.shape[0] == 0:
             return self._columns(ids)
         dead = (ids < 0) | (ids >= self._rows)
@@ -1037,14 +1022,19 @@ class DynamicGraph:
             raise GraphError(f"edge id {repeated} is deleted twice in one batch")
 
         deleted = self._columns(ids)
-        self._alive[ids] = False
-        out_parts, in_parts = self._out_part[ids], self._in_part[ids]
-        self._out.remove_dead(out_parts, self._alive)
-        self._in.remove_dead(in_parts, self._alive)
-        src_pos = self._out.vertex_pos[out_parts]
-        self._touch(ids, src_pos, self._in.vertex_pos[in_parts])
-        if self.recycle_edge_ids:
-            self.free_ids.push_batch(src_pos, ids)
+        native = _native()
+        lib = native.library()
+        if lib is not None and type(self) is DynamicGraph:
+            native.delete_columns(lib, self, ids)
+        else:
+            self._alive[ids] = False
+            out_parts, in_parts = self._out_part[ids], self._in_part[ids]
+            self._out.remove_dead(out_parts, self._alive)
+            self._in.remove_dead(in_parts, self._alive)
+            src_pos = self._out.vertex_pos[out_parts]
+            self._touch(ids, src_pos, self._in.vertex_pos[in_parts])
+            if self.recycle_edge_ids:
+                self.free_ids.push_batch(src_pos, ids)
         self._forget(ids.shape[0])
         return deleted
 
@@ -1067,13 +1057,18 @@ class DynamicGraph:
         live = np.flatnonzero(self._alive[:rows])
         if live.shape[0] != self._num_live_edges:
             raise GraphError(f"{live.shape[0]} alive rows but num_edges is {self._num_live_edges}")
-        num_vertices = len(self._vertex_position)
-        if list(self._vertex_position.values()) != list(range(num_vertices)):
+        directory = self._vertices
+        num_vertices = directory.count
+        problem = directory.violation()
+        if problem is not None:
+            raise GraphError(f"vertex {problem}")
+        positions = directory.values[:num_vertices]
+        if not np.array_equal(np.sort(positions), np.arange(num_vertices)):
             raise GraphError("vertex positions are not the vertex insertion ranks")
         if num_vertices >= self._vertex_label.shape[0] or self._vertex_label[num_vertices:].any():
             raise GraphError("the vertex label column has no zero slot behind the last vertex")
         vertex_ids = self._vertex_ids[:num_vertices]
-        if vertex_ids.tolist() != list(self._vertex_position):
+        if not np.array_equal(vertex_ids[positions], directory.keys[:num_vertices]):
             raise GraphError("the vertex id column disagrees with the vertex positions")
         for name, adjacency, parts, endpoint in (
             ("out", self._out, self._out_part, self._src),
@@ -1137,7 +1132,7 @@ class DynamicGraph:
 
     def _export(self, delta: bool) -> "CSRSnapshot":
         rows = self._rows
-        num_vertices = len(self._vertex_position)
+        num_vertices = self._vertices.count
         arrays = {
             "vertex_ids": self._vertex_ids[:num_vertices].copy(),
             "vertex_labels": self._vertex_label[:num_vertices].copy(),
@@ -1165,7 +1160,7 @@ class DynamicGraph:
         """Per array, the element ranges that may differ from the previous export."""
         assert self._exported is not None
         prev_vertices, prev_rows = self._exported
-        num_vertices = len(self._vertex_position)
+        num_vertices = self._vertices.count
         touched_vertices = np.flatnonzero(self._vertex_touched[:prev_vertices])
         first_dirty = int(touched_vertices[0]) if touched_vertices.size else prev_vertices
 
@@ -1196,7 +1191,7 @@ class DynamicGraph:
     def journal_size(self) -> tuple[int, int]:
         """(dirty vertices, dirty edges) accumulated since the last CSR export."""
         return (
-            int(self._vertex_touched[: len(self._vertex_position)].sum()),
+            int(self._vertex_touched[: self._vertices.count].sum()),
             int(self._edge_touched[: self._rows].sum()),
         )
 
@@ -1319,7 +1314,7 @@ class CSRGraphView:
     def __init__(self, snapshot: CSRSnapshot) -> None:
         self._snapshot = snapshot
         vertex_ids = snapshot.vertex_ids
-        self._position = dict(zip(vertex_ids.tolist(), range(vertex_ids.shape[0])))
+        self._vertices = _Directory(vertex_ids, np.arange(vertex_ids.shape[0], dtype=np.int64))
         self._out = _CSRSide(snapshot, "out")
         self._in = _CSRSide(snapshot, "in")
 
@@ -1333,16 +1328,15 @@ class CSRGraphView:
 
     # ------------------------------------------------------------------ vertices
     def has_vertex(self, vertex: int) -> bool:
-        return vertex in self._position
+        return self._vertices.find_one(vertex) >= 0
 
     def vertex_label(self, vertex: int) -> int:
-        pos = self._position.get(vertex)
-        return 0 if pos is None else self._vertex_label_list[pos]
+        pos = self._vertices.find_one(vertex)
+        return 0 if pos < 0 else self._vertex_label_list[pos]
 
     def _positions(self, vertices) -> np.ndarray:
         """Position of every vertex of an id array (-1 for unknown vertices)."""
-        ids = vertices.tolist() if hasattr(vertices, "tolist") else vertices
-        return positions_of(self._position, ids)
+        return self._vertices.find(np.asarray(vertices, dtype=np.int64))
 
     def vertex_labels(self, vertices) -> np.ndarray:
         """:meth:`vertex_label` of every entry of a vertex-id array, as int64."""
@@ -1370,20 +1364,20 @@ class CSRGraphView:
 
     def out_edges(self, vertex: int) -> list[int]:
         """Edge ids of live edges leaving ``vertex`` (do not mutate)."""
-        pos = self._position.get(vertex)
-        return _EMPTY_IDS if pos is None else self._out.pool(pos)
+        pos = self._vertices.find_one(vertex)
+        return _EMPTY_IDS if pos < 0 else self._out.pool(pos)
 
     def in_edges(self, vertex: int) -> list[int]:
         """Edge ids of live edges entering ``vertex`` (do not mutate)."""
-        pos = self._position.get(vertex)
-        return _EMPTY_IDS if pos is None else self._in.pool(pos)
+        pos = self._vertices.find_one(vertex)
+        return _EMPTY_IDS if pos < 0 else self._in.pool(pos)
 
     def candidate_pool(self, vertex: int, out: bool, label: int | None = None):
         """Candidate pool for one extension step (see :meth:`DynamicGraph.candidate_pool`)."""
         if label is None:
             return self.out_edges(vertex) if out else self.in_edges(vertex)
-        side, pos = self._out if out else self._in, self._position.get(vertex)
-        if pos is None:
+        side, pos = self._out if out else self._in, self._vertices.find_one(vertex)
+        if pos < 0:
             return _EMPTY_ARRAY
         start, stop = side.label_range(pos, label)
         return side.label_indices[start:stop]
@@ -1441,8 +1435,8 @@ class CSRGraphView:
         yield from self.in_edges(vertex)
 
     def _degree(self, side: _CSRSide, vertex: int, label: int | None) -> int:
-        pos = self._position.get(vertex)
-        if pos is None:
+        pos = self._vertices.find_one(vertex)
+        if pos < 0:
             return 0
         if label is None:
             return side.indptr_list[pos + 1] - side.indptr_list[pos]

@@ -43,8 +43,11 @@ from repro.storage.journal import JournalRecord, JournalWriter, RecordKind, scan
 from repro.utils.validation import ConfigurationError
 
 ENGINE_KINDS = ("single", "multi")
-#: version 2: one checkpoint-state layout (a list of queries) for both kinds
-FORMAT_VERSION = 2
+#: version 2: one checkpoint-state layout (a list of queries) for both kinds;
+#: version 3: the graph's vertex directory in arrays (version 2 still reads:
+#: ``DynamicGraph.__setstate__`` rebuilds it, and recovery rewrites meta.json)
+FORMAT_VERSION = 3
+READABLE_VERSIONS = (2, FORMAT_VERSION)
 
 
 class StorageError(Exception):
@@ -116,10 +119,10 @@ class EngineStorage:
         if not meta_path.exists():
             raise StorageError(f"no durable state at {directory} (meta.json missing)")
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
-        if meta.get("format") != FORMAT_VERSION:
+        if meta.get("format") not in READABLE_VERSIONS:
             raise StorageError(
                 f"durable state at {directory} has format version "
-                f"{meta.get('format')!r}; this build reads version {FORMAT_VERSION}"
+                f"{meta.get('format')!r}; this build reads versions {READABLE_VERSIONS}"
             )
         kind = meta.get("kind")
         if kind not in ENGINE_KINDS:
@@ -207,7 +210,12 @@ class EngineStorage:
         )
 
     def finish_recovery(self, valid_bytes: int) -> None:
-        """Truncate the corrupt tail (if any) and reopen the journal for appends."""
+        """Truncate the corrupt tail (if any), reopen the journal for appends and mark
+        the directory with this build's format, which its next checkpoint has."""
+        meta = json.loads(self.meta_path.read_text(encoding="utf-8"))
+        if meta.get("format") != FORMAT_VERSION:
+            self.meta_path.write_text(json.dumps({**meta, "format": FORMAT_VERSION}),
+                                      encoding="utf-8")
         JournalWriter.truncate(self.journal_path, valid_bytes)
         self._journal = JournalWriter(self.journal_path, fsync=self.config.fsync)
         self.recording = True

@@ -101,10 +101,9 @@ def native_calls(monkeypatch):
     return calls
 
 
-@pytest.fixture
-def native_index_calls(monkeypatch):
-    """Native DEBI maintenance and decomposition calls made so far, by entry."""
-    calls = dict.fromkeys(("filter_insert", "filter_delete", "decompose"), 0)
+def _counted(monkeypatch, names) -> dict[str, int]:
+    """Count the calls of the ``native`` entries ``names``, by entry."""
+    calls = dict.fromkeys(names, 0)
     for name in calls:
         def counted(*args, _name=name, _entry=getattr(native, name)):
             calls[_name] += 1
@@ -112,6 +111,18 @@ def native_index_calls(monkeypatch):
 
         monkeypatch.setattr(native, name, counted)
     return calls
+
+
+@pytest.fixture
+def native_index_calls(monkeypatch):
+    """Native DEBI maintenance and decomposition calls made so far, by entry."""
+    return _counted(monkeypatch, ("filter_insert", "filter_delete", "decompose"))
+
+
+@pytest.fixture
+def native_graph_calls(monkeypatch):
+    """Native graph mutation calls made so far, by entry."""
+    return _counted(monkeypatch, ("insert_columns", "resolve_deletes", "delete_columns"))
 
 
 @pytest.hookimpl(hookwrapper=True)

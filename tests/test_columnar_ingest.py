@@ -275,7 +275,7 @@ def test_sliding_window_multigraph_matches_the_reference(engine_name, seed):
 
 
 # ---------------------------------------------------------------------- edge cases
-def test_huge_vertex_id_costs_one_entry():
+def test_huge_vertex_id_costs_one_entry(kernel):
     """A vertex id of 2**40 is interned like any other: the store's arrays
     follow the batch, not the id (a table by raw id would be 8 TiB)."""
     big = 2**40
@@ -295,7 +295,9 @@ def test_huge_vertex_id_costs_one_entry():
     def arrays(obj):
         return [v for v in vars(obj).values() if isinstance(v, np.ndarray)]
 
-    held = arrays(graph) + arrays(graph._out) + arrays(graph._in) + arrays(graph.free_ids)
+    held = [array for owner in (graph, graph._vertices, graph._out, graph._out.directory,
+                                graph._in, graph._in.directory, graph.free_ids)
+            for array in arrays(owner)]
     assert sum(a.nbytes for a in held) < 16_384
     assert list(graph.export_csr().vertex_ids) == [big, 5, big + 1, 7]
 

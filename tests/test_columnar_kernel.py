@@ -261,8 +261,9 @@ class TestKernelMatchesReference:
         """Product and reference agree on every batch of every query shape."""
         events = _random_events(rng, num_events=90, deletes=deletes)
         pooled = engine_name.startswith("process")
-        # the pool needs a few units per batch before it publishes a snapshot
-        splits = list(_batches(events, rng, max_batch=14 if pooled else 7))
+        # the pool needs a few units per batch before it publishes a snapshot;
+        # the fan-out batch ahead of the random stream makes a match certain
+        splits = [_fan_out(), *_batches(events, rng, max_batch=14 if pooled else 7)]
         pool_phases = embeddings = 0
         for query in _QUERIES:
             expected = _reference_trace([(query, _MATCHERS[matcher]())], splits)

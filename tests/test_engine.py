@@ -214,7 +214,9 @@ class TestBatchAPIs:
          "vertex id nan is not an integer"),
         (StreamEvent.insert(30, 31, 2**31, src_label=0, dst_label=1),
          "edge labels must fit a signed 32-bit integer"),
-    ], ids=["negative", "fractional", "nan", "label"])
+        (StreamEvent.insert(30, 11, src_label=0, dst_label=2),
+         "vertex 11 already has label 1, cannot relabel to 2"),
+    ], ids=["negative", "fractional", "nan", "label", "relabel"])
     @pytest.mark.parametrize("feed", ["run", "batch_inserts", "load_initial"])
     def test_hostile_vertex_id_refuses_the_whole_batch(self, feed, hostile, message):
         """DEBI roots are indexed by vertex id.  A negative one used to get into

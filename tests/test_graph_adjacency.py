@@ -1,5 +1,6 @@
 """Unit tests for the dynamic multigraph store (adjacency lists, recycling)."""
 
+import copy
 import random
 import time
 
@@ -159,7 +160,8 @@ class TestDeletionAndRecycling:
         graph.delete_edge(graph.add_edge(1, 2))
         graph.add_edge(3, 4)
         graph.check_invariants()
-        assert graph.free_ids.pop(0) == 0  # vertex 1 sits at position 0
+        taken, _ = graph.free_ids.allocate(np.array([0]), graph.num_placeholders)
+        assert taken.tolist() == [0]  # vertex 1 sits at position 0
         with pytest.raises(GraphError, match="no free-id stack"):
             graph.check_invariants()
 
@@ -230,27 +232,125 @@ class TestRejectedBatchesMutateNothing:
         assert graph_state(graph) == before
         assert graph.apply_delete_columns(good).edge_id.size == 2  # the good ids were still deletable
 
-    @pytest.mark.parametrize("bad", ["negative", "label_high", "label_low"])
+    @pytest.mark.parametrize("bad", ["negative", "label_high", "label_low", "relabel",
+                                     "relabel_in_batch"])
     @pytest.mark.parametrize("position", [0, 1, 2])
     def test_insert_batch(self, bad, position):
         """The bad row comes with new vertices and a recyclable source: neither
-        a vertex nor a free id moves before the batch is refused."""
+        a vertex nor a free id moves before the batch is refused.  A vertex label
+        conflicts with a known vertex's, or with a new one's first mention."""
         graph, ids = self.populated()
-        good = [(5, 6, 0), (1, 7, 0)]  # vertex 1 has a free id to recycle
+        good = [(5, 6, 0, 0), (1, 7, 0, 0)]  # vertex 1 has a free id to recycle
         culprit, message = {
-            "negative": ((6, -4, 0), "vertex id -4 is negative"),
-            "label_high": ((6, 5, 2**31), "signed 32-bit"),
-            "label_low": ((6, 5, -(2**31) - 1), "signed 32-bit"),
+            "negative": ((6, -4, 0, 0), "vertex id -4 is negative"),
+            "label_high": ((6, 5, 2**31, 0), "signed 32-bit"),
+            "label_low": ((6, 5, -(2**31) - 1, 0), "signed 32-bit"),
+            "relabel": ((6, 1, 0, 7), "vertex 1 already has label 0, cannot relabel to 7"),
+            # a self-loop: the source mention labels the new vertex 8 first
+            "relabel_in_batch": ((8, 8, 0, 7), "vertex 8 already has label 0, cannot relabel"),
         }[bad]
-        src, dst, label = zip(*(good[:position] + [culprit] + good[position:]))
+        src, dst, label, dst_label = zip(*(good[:position] + [culprit] + good[position:]))
         before = graph_state(graph)
         with pytest.raises(GraphError, match=message):
-            graph.apply_insert_columns(src, dst, label)
+            graph.apply_insert_columns(src, dst, label, dst_label=dst_label)
         assert graph_state(graph) == before
         assert not graph.has_vertex(5), "rejected before the batch registered its vertices"
-        src, dst, label = zip(*good)
+        src, dst, label, _ = zip(*good)
         assert graph.apply_insert_columns(src, dst, label)[1] == ids[1]  # the free id was still there
         graph.check_invariants()
+
+    def test_relabelling_add_edge_interns_nothing(self):
+        graph, _ = self.populated()
+        before = graph_state(graph)
+        for src, dst, src_label, dst_label in ((9, 1, 0, 7), (9, 9, 1, 2), (1, 9, 7, 0)):
+            with pytest.raises(GraphError, match="cannot relabel"):
+                graph.add_edge(src, dst, src_label=src_label, dst_label=dst_label)
+            assert graph_state(graph) == before
+            assert not graph.has_vertex(9), "the other endpoint was interned first"
+
+
+def version_2_state(graph) -> dict:
+    """``graph``'s pickled state in the checkpoint format 2 layout: a raw id ->
+    position dict, and per side a sorted key / partition array with a sentinel
+    plus a dict of partitions not filed yet (here: the newest one)."""
+    state = copy.deepcopy(graph).__getstate__()
+    count = state.pop("_vertices").count
+    position = dict(zip(graph._vertex_ids[:count].tolist(), range(count)))
+    state["_vertex_position"] = position
+    for name in ("_out", "_in", "free_ids"):
+        arena = state[name]
+        del arena.vertices
+        arena.position = position
+    for side in (state["_out"], state["_in"]):
+        directory = side.__dict__.pop("directory")
+        keys, parts = directory.keys[: directory.count], directory.values[: directory.count]
+        newest = int(parts.argmax())
+        side._recent = {int(keys[newest]): int(parts[newest])}
+        side._keys = np.append(np.delete(keys, newest), 2**63 - 1)
+        side._parts = np.append(np.delete(parts, newest), -1)
+    return state
+
+
+def test_a_version_2_pickle_restores():
+    graph = DynamicGraph()
+    ids = graph.apply_insert_columns([7, 3, 7, 9], [3, 9, 9, 7], [0, 1, 0, 2], [1.0, 2.0, 3.0, 4.0],
+                                     [1, 2, 1, 3], [2, 3, 3, 1])
+    graph.delete_edge(ids[1])
+    restored = DynamicGraph.__new__(DynamicGraph)
+    restored.__setstate__(version_2_state(graph))
+    restored.check_invariants()
+    assert graph_state(restored) == graph_state(graph)
+    assert [restored.vertex_label(v) for v in (7, 3, 9, 5)] == [1, 2, 3, 0]
+    assert restored.free_ids.stack(3) == [ids[1]]
+    assert restored.apply_insert_columns([3, 5], [9, 7], [1, 2]) == graph.apply_insert_columns(
+        [3, 5], [9, 7], [1, 2])
+    assert graph_state(restored) == graph_state(graph)
+
+
+def columns(graph) -> dict:
+    """Every column of ``graph``'s store, by owner and name."""
+    owners = {"graph": graph, "vertices": graph._vertices, "out": graph._out,
+              "out.directory": graph._out.directory, "in": graph._in,
+              "in.directory": graph._in.directory, "free_ids": graph.free_ids}
+    return {(owner, name): value for owner, obj in owners.items()
+            for name, value in vars(obj).items() if isinstance(value, np.ndarray)}
+
+
+class TestColumnsGrowOnDemand:
+    def test_empty_graphs_share_their_directories(self):
+        """Constructing a graph allocates no directory: the three start on the
+        module's read-only empty columns, and the first batch replaces them."""
+        graph, other = DynamicGraph(), DynamicGraph()
+        shared = {name: column for (owner, name), column in columns(other).items()
+                  if owner in ("vertices", "out.directory", "in.directory")}
+        assert set(shared) == {"keys", "values"}
+        for directory in (graph._vertices, graph._out.directory, graph._in.directory):
+            assert directory.keys is shared["keys"] and directory.values is shared["values"]
+        assert not shared["keys"].flags.writeable
+        graph.add_edge(1, 2, label=3)
+        assert graph._vertices.keys is not shared["keys"]
+        assert not other.has_vertex(1) and other._vertices.keys is shared["keys"]
+        graph.check_invariants()
+        other.check_invariants()
+
+    def test_a_batch_that_fits_replaces_no_column(self, kernel, native_graph_calls):
+        """Columns grow when a batch needs the room, not ahead of every batch: a
+        window deleted and inserted again (its vertices and partitions known,
+        every id recycled) leaves every column where it was."""
+        rng = np.random.default_rng(3)
+        src, dst = rng.integers(0, 50, 400), rng.integers(0, 50, 400)
+        label = rng.integers(0, 3, 400)
+        graph = DynamicGraph()
+        graph.apply_delete_columns(graph.apply_insert_columns(src, dst, label))
+        before = columns(graph)
+        for _ in range(3):
+            graph.apply_delete_columns(graph.apply_insert_columns(src, dst, label))
+            after = columns(graph)
+            assert [key for key in before if after[key] is not before[key]] == []
+        graph.check_invariants()
+        assert graph.num_placeholders == 400
+        if kernel == "native":
+            assert native_graph_calls["insert_columns"] == 4
 
 
 class TestHubVertex:

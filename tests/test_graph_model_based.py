@@ -9,10 +9,18 @@ records, identical triple resolution, the same per-source free-id stacks,
 the same pools and degrees per ``(vertex, direction, label)`` (scalar and
 batched reads alike, on the live graph and on a view of its export), the
 same counters, and a clean ``check_invariants()``.
+
+It runs once per kernel (the ``kernel`` fixture), and every operation is
+also applied to a twin graph through the numpy path: after every step the
+two agree on the live edge and journal columns, the vertex and partition
+directories, the free-id stacks and, on every export, the CSR arrays and
+their dirty ranges, so the native mutation entries are held to the numpy
+code they replace.
 """
 
 from __future__ import annotations
 
+import contextlib
 import pickle
 from collections import Counter
 
@@ -20,9 +28,17 @@ import numpy as np
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+    run_state_machine_as_test,
+)
 from reference.graph_model import GraphModel
 
+from repro.core import native
 from repro.core.registry import resolve_deletions
 from repro.graph.adjacency import CSRGraphView, DynamicGraph
 from repro.graph.stats import PlaceholderStats
@@ -48,19 +64,51 @@ def scalar_degrees(graph, out: bool, label) -> list[int]:
     return [scalar(v, label) for v in PROBES.tolist()]
 
 
+@contextlib.contextmanager
+def numpy_path():
+    """Serve the graph calls inside with the numpy code."""
+    loaded, native._library = native.library(), None
+    try:
+        yield
+    finally:
+        native._library = loaded
+
+
 class GraphMachine(RuleBasedStateMachine):
     @initialize(recycle=st.booleans())
     def start(self, recycle):
         self.graph = DynamicGraph(recycle_edge_ids=recycle)
+        self.twin = DynamicGraph(recycle_edge_ids=recycle)
         self.model = GraphModel(recycle_edge_ids=recycle)
 
     # ------------------------------------------------------------------ helpers
     def live_ids(self) -> list[int]:
         return [record.edge_id for record in self.model.edges()]
 
+    def both(self, call):
+        """``call(graph)``, then ``call(twin)`` through the numpy path: the same
+        result, or the same refusal, which is raised again."""
+        outcomes = []
+        for graph, path in ((self.graph, contextlib.nullcontext()), (self.twin, numpy_path())):
+            try:
+                with path:
+                    outcomes.append(call(graph))
+            except (GraphError, ConfigurationError) as exc:
+                outcomes.append(exc)
+        found, twin = outcomes
+        if isinstance(found, Exception):
+            assert type(twin) is type(found) and str(twin) == str(found)
+            raise found
+        assert not isinstance(twin, Exception), twin
+        assert twin == found
+        return found
+
     def insert_columns(self, events) -> list[int]:
         columns = [np.array(column) for column in zip(*events)]
-        return self.graph.apply_insert_columns(*columns)
+        return self.both(lambda graph: graph.apply_insert_columns(*columns))
+
+    def delete_columns(self, doomed) -> list:
+        return self.both(lambda graph: list(graph.apply_delete_columns(doomed).records()))
 
     # ------------------------------------------------------------------ mutations
     @rule(events=st.lists(EVENTS, min_size=1, max_size=12))
@@ -70,27 +118,29 @@ class GraphMachine(RuleBasedStateMachine):
 
     @rule(event=EVENTS)
     def add_edge(self, event):
-        assert self.graph.add_edge(*event) == self.model.add_edge(*event)
+        assert self.both(lambda graph: graph.add_edge(*event)) == self.model.add_edge(*event)
 
     @precondition(lambda self: self.model.num_edges)
     @rule(data=st.data())
     def delete_batch(self, data):
         doomed = data.draw(st.lists(st.sampled_from(self.live_ids()), min_size=1, unique=True))
         expected = [self.model.delete_edge(e) for e in doomed]
-        assert list(self.graph.apply_delete_columns(np.array(doomed)).records()) == expected
+        assert self.delete_columns(np.array(doomed)) == expected
 
     @precondition(lambda self: self.model.num_edges)
     @rule(data=st.data())
     def delete_edge(self, data):
         edge_id = data.draw(st.sampled_from(self.live_ids()))
-        assert self.graph.delete_edge(edge_id) == self.model.delete_edge(edge_id)
+        found = self.both(lambda graph: graph.delete_edge(edge_id))
+        assert found == self.model.delete_edge(edge_id)
 
     @precondition(lambda self: self.model.num_edges)
     @rule(data=st.data())
     def delete_instance(self, data):
         _, src, dst, label, _ = data.draw(st.sampled_from(self.model.edges()))
         latest = self.model.find_edges(src, dst, label)[-1]
-        assert self.graph.delete_edge_instance(src, dst, label) == self.model.delete_edge(latest)
+        found = self.both(lambda graph: graph.delete_edge_instance(src, dst, label))
+        assert found == self.model.delete_edge(latest)
 
     @precondition(lambda self: self.model.num_edges)
     @rule(data=st.data())
@@ -115,12 +165,11 @@ class GraphMachine(RuleBasedStateMachine):
             expected = self.model.resolve_deletions(events)
         except GraphError:
             with pytest.raises(ConfigurationError, match="does not match a live edge"):
-                resolve_deletions(self.graph, columns)
+                self.both(lambda graph: resolve_deletions(graph, columns))
             return
-        doomed = resolve_deletions(self.graph, columns)
-        assert doomed.tolist() == expected
-        deleted = self.graph.apply_delete_columns(doomed)
-        assert list(deleted.records()) == [self.model.delete_edge(e) for e in expected]
+        doomed = self.both(lambda graph: resolve_deletions(graph, columns).tolist())
+        assert doomed == expected
+        assert self.delete_columns(doomed) == [self.model.delete_edge(e) for e in expected]
 
     @precondition(lambda self: self.model.num_edges)
     @rule(data=st.data(), events=st.lists(EVENTS, min_size=2, max_size=8),
@@ -135,7 +184,7 @@ class GraphMachine(RuleBasedStateMachine):
                            event[5]) for i, event in enumerate(events)]
                 expected = [self.model.add_edge(*event) for event in events]
                 found = self.insert_columns(events) if as_batch else [
-                    self.graph.add_edge(*event) for event in events
+                    self.both(lambda graph, event=event: graph.add_edge(*event)) for event in events
                 ]
                 assert found == expected
                 continue
@@ -143,11 +192,12 @@ class GraphMachine(RuleBasedStateMachine):
                 continue
             doomed = data.draw(st.lists(st.sampled_from(self.live_ids()), min_size=1, unique=True))
             expected = [self.model.delete_edge(e) for e in doomed]
-            found = self.graph.apply_delete_columns(np.array(doomed)).records() if as_batch else [
-                self.graph.delete_edge(e) for e in doomed
+            found = self.delete_columns(np.array(doomed)) if as_batch else [
+                self.both(lambda graph, e=e: graph.delete_edge(e)) for e in doomed
             ]
             assert list(found) == expected
             self.agrees_with_model()
+            self.twins_agree()
 
     # ------------------------------------------------------------------ rejections change nothing
     @rule(data=st.data(), position=st.integers(0, 3))
@@ -158,7 +208,7 @@ class GraphMachine(RuleBasedStateMachine):
         bad = data.draw(st.sampled_from(dead + good + [-1, self.model.num_placeholders]))
         batch = good[:position] + [bad] + good[position:]
         with pytest.raises(GraphError):
-            self.graph.apply_delete_columns(batch)
+            self.delete_columns(batch)
 
     @rule(events=st.lists(EVENTS, min_size=1, max_size=4), position=st.integers(0, 3),
           endpoint=st.integers(0, 1))
@@ -170,24 +220,47 @@ class GraphMachine(RuleBasedStateMachine):
         with pytest.raises(GraphError, match="negative"):
             self.insert_columns(events)
         with pytest.raises(GraphError, match="negative"):
-            self.graph.add_edge(*bad)
+            self.both(lambda graph: graph.add_edge(*bad))
+
+    @rule(events=st.lists(EVENTS, min_size=1, max_size=4), position=st.integers(0, 3),
+          endpoint=st.integers(0, 1))
+    def reject_relabel(self, events, position, endpoint):
+        """A mention whose vertex label disagrees with what the vertex holds — from
+        the graph, or from its first mention in the batch — refuses the batch
+        before any vertex of it is interned (the invariant compares the state)."""
+        event = events[position % len(events)]
+        bad = list(event)
+        bad[4 + endpoint] = bad[endpoint] % 3 + 3  # never the vertex's label, never 0
+        with pytest.raises(GraphError, match="cannot relabel"):
+            self.insert_columns(events[:position] + [event, tuple(bad)] + events[position:])
+        vertex = bad[endpoint]  # a self-loop's first mention labels it
+        loop = (vertex, vertex, *bad[2:4], vertex % 3, vertex % 3 + 3)
+        with pytest.raises(GraphError, match="cannot relabel"):
+            self.both(lambda graph: graph.add_edge(*loop))
 
     # ------------------------------------------------------------------ whole-graph operations
     @rule()
     def copy(self):
-        self.graph = self.graph.copy()
+        self.graph, self.twin = self.graph.copy(), self.twin.copy()
         self.model.stats = PlaceholderStats()  # a copy starts its counters afresh
 
     @rule()
     def pickle_round_trip(self):
         self.graph = pickle.loads(pickle.dumps(self.graph))
+        self.twin = pickle.loads(pickle.dumps(self.twin))
         assert self.graph.journal_size == (0, 0)
 
     @rule(delta=st.booleans())
     def export(self, delta):
-        """A view of either export returns every pool in the order the live graph does."""
+        """A view of either export returns every pool in the order the live graph does;
+        the twin's export has the same arrays and the same dirty ranges."""
         graph = self.graph
-        view = CSRGraphView(graph.export_csr_delta() if delta else graph.export_csr())
+        snapshot = graph.export_csr_delta() if delta else graph.export_csr()
+        twin = self.twin.export_csr_delta() if delta else self.twin.export_csr()
+        for name, array in snapshot.arrays().items():
+            assert np.array_equal(array, twin.arrays()[name]), name
+        assert snapshot.dirty == twin.dirty
+        view = CSRGraphView(snapshot)
         assert list(view.vertices()) == list(graph.vertices())
         assert list(view.edges()) == list(graph.edges())
         for vertex in graph.vertices():
@@ -205,7 +278,36 @@ class GraphMachine(RuleBasedStateMachine):
                 assert view.label_degrees(PROBES, out, label).tolist() == expected
                 assert scalar_degrees(view, out, label) == expected
 
-    # ------------------------------------------------------------------ the oracle
+    # ------------------------------------------------------------------ the oracles
+    @invariant()
+    def twins_agree(self):
+        """The graph and its numpy twin hold the same columns, directories and stacks."""
+        graph, twin = self.graph, self.twin
+        twin.check_invariants()
+        rows, vertices = graph._rows, graph._vertices.count
+        assert (twin._rows, twin._vertices.count) == (rows, vertices)
+        for name in ("_src", "_dst", "_label", "_timestamp", "_alive", "_out_part", "_in_part",
+                     "_edge_touched"):
+            assert np.array_equal(getattr(graph, name)[:rows], getattr(twin, name)[:rows]), name
+        for name in ("_vertex_ids", "_vertex_label", "_vertex_touched"):
+            assert np.array_equal(getattr(graph, name)[:vertices], getattr(twin, name)[:vertices])
+        for ours, theirs in ((graph._vertices, twin._vertices),
+                             (graph._out.directory, twin._out.directory),
+                             (graph._in.directory, twin._in.directory)):
+            count = ours.count
+            assert theirs.count == count
+            assert np.array_equal(ours.keys[:count], theirs.keys[:count])
+            assert np.array_equal(ours.values[:count], theirs.values[:count])
+        for ours, theirs in ((graph._out, twin._out), (graph._in, twin._in)):
+            parts = ours.rows
+            assert theirs.rows == parts
+            for name in ("size", "vertex_pos", "label"):
+                assert np.array_equal(getattr(ours, name)[:parts], getattr(theirs, name)[:parts])
+        assert graph.free_ids.count == twin.free_ids.count
+        for vertex in graph.vertices():
+            assert graph.free_ids.stack(vertex) == twin.free_ids.stack(vertex)
+        assert graph.stats == twin.stats
+
     @invariant()
     def agrees_with_model(self):
         graph, model = self.graph, self.model
@@ -254,7 +356,9 @@ class GraphMachine(RuleBasedStateMachine):
                     assert graph.find_edges(src, dst, label) == model.find_edges(src, dst, label)
 
 
-GraphMachine.TestCase.settings = settings(
-    max_examples=40, stateful_step_count=25, deadline=None
-)
-TestGraphAgainstModel = GraphMachine.TestCase
+def test_graph_against_model(kernel, native_graph_calls):
+    run_state_machine_as_test(
+        GraphMachine, settings=settings(max_examples=40, stateful_step_count=25, deadline=None)
+    )
+    if kernel == "native":  # a silent fallback must not pass as native
+        assert all(native_graph_calls.values()), native_graph_calls

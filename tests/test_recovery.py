@@ -412,7 +412,7 @@ def test_previous_format_version_is_rejected(tmp_path, opener):
     engine.close()
     meta_path = directory / "meta.json"
     meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    assert meta["format"] == 2
+    assert meta["format"] == 3
     meta_path.write_text(json.dumps({**meta, "format": 1}), encoding="utf-8")
     with pytest.raises(StorageError, match="format version 1"):
         opener(directory)
