@@ -14,8 +14,8 @@ comparison at ``benchmarks/e2e``'s size (``netflow-dense-enum``'s 20k +
 20k stream and dense T_6), where a batch holds thousands of units: serial
 at two batch sizes on the native kernel (where it builds), serial on the
 numpy kernel, and the two-worker pool, pipelined, whose workers run the
-numpy kernel over graph views — with the kernel calls each made and the
-workers' attach / kernel split.  The assertions pin correctness and counts
+native kernel too, over the read-only graph they attach — with the kernel
+calls each made and the workers' attach / kernel split.  The assertions pin correctness and counts
 — every row finds the same embeddings, the one-worker configuration runs
 the serial path, a pool phase makes at most ``2 * num_workers`` kernel
 calls — never a time.  A thread backend is not measured because there is
@@ -102,7 +102,7 @@ def _run_slicing():
         ("serial", native_kernel, 1024, None, "serial"),
         ("serial", native_kernel, 4096, None, "serial"),
         ("serial", "numpy", 4096, None, "serial"),
-        ("process x2", "numpy", 4096, pool, "pipelined"),
+        ("process x2", native_kernel, 4096, pool, "pipelined"),
     ):
         # clearing the loaded library is what makes the serial engine run numpy
         with mock.patch.object(native, "_library", None if kernel == "numpy" else native._library):

@@ -13,22 +13,15 @@ index size non-monotonic.
 
 The columnar ingest path adds bulk variants (:meth:`set_edges`,
 :meth:`clear_edges`, :meth:`rows`) that update whole id arrays with one
-vectorized write per call, and the writer-facing dirty ledger
-(:meth:`consume_publish_dirty`) that lets the shared-snapshot writer
-copy only the row/root words touched since its last publish into a slot.
+vectorized write per call.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.graph.adjacency import coalesce_ranges
 from repro.query.query_tree import QueryTree
-from repro.utils.bitset import _WORD_BITS, BitMatrix, BitVector
-
-#: once this many distinct rows are dirty the per-row ledger stops paying
-#: for itself; fall back to "everything dirty" (one range) instead
-_DIRTY_ROW_CAP = 65536
+from repro.utils.bitset import BitMatrix, BitVector
 
 
 class DEBI:
@@ -40,70 +33,14 @@ class DEBI:
         # data structure stays well-formed (the column is simply never used).
         self._bits = BitMatrix(width=max(tree.num_columns, 1), initial_rows=initial_edges)
         self._roots = BitVector(initial_capacity=initial_vertices)
-        self._init_dirty()
-
-    # ------------------------------------------------------------------ dirty ledger
-    def _init_dirty(self) -> None:
-        # start all-dirty: the first publish after construction / restore /
-        # attach must copy everything regardless of what was touched since
-        self._dirty_rows: set[int] = set()
-        self._dirty_root_words: set[int] = set()
-        self._all_dirty = True
-
-    def _mark_row(self, edge_id: int) -> None:
-        if not self._all_dirty:
-            self._dirty_rows.add(edge_id)
-            if len(self._dirty_rows) > _DIRTY_ROW_CAP:
-                self.mark_all_dirty()
-
-    def mark_rows_dirty(self, edge_ids) -> None:
-        """Note ``edge_ids``' rows as changed (the native kernel writes rows in place)."""
-        if not self._all_dirty:
-            self._dirty_rows.update(
-                edge_ids.tolist() if isinstance(edge_ids, np.ndarray) else edge_ids
-            )
-            if len(self._dirty_rows) > _DIRTY_ROW_CAP:
-                self.mark_all_dirty()
-
-    def _mark_root(self, vertex: int) -> None:
-        if not self._all_dirty:
-            self._dirty_root_words.add(vertex // _WORD_BITS)
-
-    def mark_all_dirty(self) -> None:
-        """Poison the ledger: the next publish copies every word."""
-        self._all_dirty = True
-        self._dirty_rows.clear()
-        self._dirty_root_words.clear()
-
-    def consume_publish_dirty(self):
-        """Return ``(row_ranges, root_word_ranges)`` touched since last call.
-
-        Each element is a list of half-open ``(start, stop)`` runs over the
-        exported row words / root words, or ``None`` meaning "treat the
-        whole array as dirty".  Calling this resets the ledger, so it must
-        be invoked exactly once per publish (the writer owns that cadence).
-        The ranges are a superset of actual changes — conservative is
-        always safe for the dirty-slice copy.
-        """
-        if self._all_dirty:
-            rows, roots = None, None
-        else:
-            rows = _coalesce(self._dirty_rows)
-            roots = _coalesce(self._dirty_root_words)
-        self._dirty_rows = set()
-        self._dirty_root_words = set()
-        self._all_dirty = False
-        return rows, roots
 
     # ------------------------------------------------------------------ edge bits
     def set(self, edge_id: int, column: int) -> None:
         """Mark the data edge as a candidate for the query-tree edge of ``column``."""
         self._bits.set(edge_id, column)
-        self._mark_row(edge_id)
 
     def clear(self, edge_id: int, column: int) -> None:
         self._bits.clear(edge_id, column)
-        self._mark_row(edge_id)
 
     def get(self, edge_id: int, column: int) -> bool:
         return self._bits.get(edge_id, column)
@@ -115,7 +52,6 @@ class DEBI:
     def clear_edge(self, edge_id: int) -> None:
         """Drop every candidate bit of ``edge_id`` (edge deleted / id recycled)."""
         self._bits.clear_row(edge_id)
-        self._mark_row(edge_id)
 
     # ------------------------------------------------------------------ bulk edge bits
     def set_edges(self, edge_ids, column: int) -> None:
@@ -129,7 +65,6 @@ class DEBI:
         if ids.shape[0] == 0:
             return
         self._bits.set_rows_col(ids, column)
-        self.mark_rows_dirty(ids)
 
     def clear_edges(self, edge_ids) -> None:
         """Clear the full bitmap of every id in the array (bulk clear_edge)."""
@@ -137,7 +72,6 @@ class DEBI:
         if ids.shape[0] == 0:
             return
         self._bits.clear_rows(ids)
-        self.mark_rows_dirty(ids)
 
     def rows(self, edge_ids) -> list[int]:
         """Gather the full bitmaps for an id array (bulk :meth:`row`)."""
@@ -163,11 +97,9 @@ class DEBI:
     # ------------------------------------------------------------------ roots
     def set_root(self, vertex: int) -> None:
         self._roots.set(vertex)
-        self._mark_root(vertex)
 
     def clear_root(self, vertex: int) -> None:
         self._roots.clear(vertex)
-        self._mark_root(vertex)
 
     def is_root(self, vertex: int) -> bool:
         return self._roots.get(vertex)
@@ -217,7 +149,6 @@ class DEBI:
         debi.tree = tree
         debi._bits = BitMatrix.from_words(rows, width=width, nrows=num_rows)
         debi._roots = BitVector.from_words(roots, nbits=root_bits)
-        debi._init_dirty()
         return debi
 
     # ------------------------------------------------------------------ durability
@@ -239,7 +170,6 @@ class DEBI:
         if num_rows:
             tiered.load_words(rows, num_rows)
         self._bits = tiered
-        self.mark_all_dirty()
         return tiered
 
     def restore_buffers(self, rows, num_rows: int, width: int, roots, root_bits: int) -> None:
@@ -255,7 +185,6 @@ class DEBI:
             )
         self._bits.load_words(rows, num_rows)
         self._roots.load_words(roots, root_bits)
-        self.mark_all_dirty()
 
     def spill_stats(self) -> dict | None:
         """Cold-tier counters, or None when the index is fully in memory."""
@@ -276,7 +205,6 @@ class DEBI:
         """Periodic reset: drop every bit (the paper's index rebuild point)."""
         self._bits.clear_all()
         self._roots.clear_all()
-        self.mark_all_dirty()
 
     def total_bits_set(self) -> int:
         return self._bits.count() + self._roots.count()
@@ -288,7 +216,3 @@ class DEBI:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"DEBI(columns={self.tree.num_columns}, rows={len(self._bits)})"
 
-
-def _coalesce(indices: set[int]) -> list[tuple[int, int]]:
-    """Turn a set of indexes into sorted half-open ``(start, stop)`` runs."""
-    return coalesce_ranges(np.array(sorted(indices), dtype=np.int64))

@@ -27,8 +27,8 @@ the current degree is always available.
 For a stock definition (default ``edge_matcher`` and ``root_matcher``)
 over a live :class:`~repro.graph.adjacency.DynamicGraph` and an in-memory
 DEBI, both passes run in the native kernel (:mod:`repro.core.native`),
-with the same bits, roots, traversal count and dirty rows; the numpy
-passes below serve everything else.
+with the same bits, roots and traversal count; the numpy passes below
+serve everything else.
 """
 
 from __future__ import annotations
@@ -105,10 +105,9 @@ class IndexManager:
         return frontier
 
     def _native_finish(self, frontier: UnifiedFrontier, outcome, flip_root) -> UnifiedFrontier:
-        """Account for a native pass: its written rows go in the dirty ledger, and
-        ``flip_root`` (``set_root`` / ``clear_root``) gets every root id it names."""
-        traversals, rows, roots = outcome
-        self.debi.mark_rows_dirty(rows)
+        """Account for a native pass: ``flip_root`` (``set_root`` / ``clear_root``) gets
+        every root id it names."""
+        traversals, roots = outcome
         for vertex in roots.tolist():
             flip_root(vertex)
         return self._finish(frontier, traversals)

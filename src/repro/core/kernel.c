@@ -550,15 +550,15 @@ static void add(Kernel *k, i64 slot, i64 value)
 /* One batch of DEBI maintenance, the numpy pass: ids are the inserted edges,
  * or with held the deleted ones (held[i]: the row edge i held).  Slot t holds
  * the edges to evaluate at tree edge t, slot n_te + u the vertices to re-check
- * at query node u.  Rows written go to touched, root ids to flip to roots, the
- * traversal count to totals[0].  Returns 0, or -1 when memory ran out. */
+ * at query node u.  Root ids to flip go to roots, the traversal count to
+ * totals[0] and one past the highest row written to totals[1].  Returns 0, or -1 when memory ran out. */
 static int filter(const i64 *env, const i64 *plan, const i64 *ids, const i64 *held, i64 n,
-                  i64 *totals, Buf *touched, Buf *roots)
+                  i64 *totals, Buf *roots)
 {
     Kernel k;
     env_at(&k, env);
     plan_at(&k, plan);
-    i64 nte = k.n_te, traversals = 0;
+    i64 nte = k.n_te, traversals = 0, written = 0;
     Buf doomed = {0};
     k.sets = calloc((size_t)(nte + k.n_nodes), sizeof *k.sets);
     k.failed = (k.sets == NULL) | map_init(&k.seen, n) | map_init(&k.degree, n);
@@ -592,7 +592,7 @@ static int filter(const i64 *env, const i64 *plan, const i64 *ids, const i64 *he
                     if (!debi_bit(&k, e, column))
                         continue;
                     k.debi[e] &= ~((u64)1 << column);
-                    k.failed |= push(touched, &e, 1);
+                    written = e >= written ? e + 1 : written;
                     add(&k, nte + parent, end_pos(to_parent, e));
                 }
             }
@@ -611,7 +611,7 @@ static int filter(const i64 *env, const i64 *plan, const i64 *ids, const i64 *he
                 || !down(&k, child, te[3] ? a : b))
                 continue;
             k.debi[e] |= (u64)1 << column;
-            k.failed |= push(touched, &e, 1);
+            written = e >= written ? e + 1 : written;
             add(&k, nte + parent, te[3] ? b : a);
         }
     }
@@ -626,7 +626,7 @@ static int filter(const i64 *env, const i64 *plan, const i64 *ids, const i64 *he
                        && down(&k, k.root, v))
             k.failed |= push(roots, &k.vertex_ids[v], 1);
     }
-    totals[0] = traversals;
+    totals[0] = traversals, totals[1] = written;
     for (i64 s = 0; k.sets && s < nte + k.n_nodes; s++)
         mn_free(&k.sets[s]);
     free(k.sets);
@@ -636,15 +636,15 @@ static int filter(const i64 *env, const i64 *plan, const i64 *ids, const i64 *he
 }
 
 int mn_filter_insert(const i64 *env, const i64 *plan, const i64 *ids, i64 n, i64 *totals,
-                     Buf *touched, Buf *roots)
+                     Buf *roots)
 {
-    return filter(env, plan, ids, NULL, n, totals, touched, roots);
+    return filter(env, plan, ids, NULL, n, totals, roots);
 }
 
 int mn_filter_delete(const i64 *env, const i64 *plan, const i64 *ids, const i64 *held, i64 n,
-                     i64 *totals, Buf *touched, Buf *roots)
+                     i64 *totals, Buf *roots)
 {
-    return filter(env, plan, ids, held, n, totals, touched, roots);
+    return filter(env, plan, ids, held, n, totals, roots);
 }
 
 /* Work decomposition (decompose_batch): per batch edge in order and query edge
@@ -689,7 +689,7 @@ typedef struct { Dir dir; Rows r; i64 *vertex_pos, *label, *part_of; } Adj;
 typedef struct {
     i64 *src, *dst, *label, *vertex_label, *vertex_ids, rows, free_count, recycle, recycled;
     double *ts;
-    unsigned char *alive, *edge_touched, *vertex_touched;
+    unsigned char *alive;
     Dir vertices;
     Adj side[2]; /* out, in */
     Rows free;
@@ -699,10 +699,10 @@ typedef struct { i64 key, val; } Pair;
 
 #define MUT(type, value) ((type *)(intptr_t)(value))
 
-/* The graph block native.py writes: 33 array addresses (the edge columns, the
+/* The graph block native.py writes: 31 array addresses (the edge columns, the
  * vertex directory and columns, per side its directory, arena rows, owners,
  * labels and edge partitions, the free-id arena rows), the 11 counters written
- * back at g[33..43], the arena lengths, the recycling flag, the outputs (ids
+ * back at g[31..41], the arena lengths, the recycling flag, the outputs (ids
  * recycled, the room each arena is short of), then the room of the vertex, out-
  * and in-partition and edge columns, each overwritten by what an insert short
  * of it needs (0: enough). */
@@ -710,30 +710,28 @@ static void graph_at(Graph *G, const i64 *g)
 {
     G->src = MUT(i64, g[0]), G->dst = MUT(i64, g[1]), G->label = MUT(i64, g[2]);
     G->ts = MUT(double, g[3]), G->alive = MUT(unsigned char, g[4]);
-    G->edge_touched = MUT(unsigned char, g[5]);
-    G->vertices = (Dir){MUT(i64, g[6]), MUT(i64, g[7]), g[34]};
-    G->vertex_label = MUT(i64, g[8]), G->vertex_ids = MUT(i64, g[9]);
-    G->vertex_touched = MUT(unsigned char, g[10]);
+    G->vertices = (Dir){MUT(i64, g[5]), MUT(i64, g[6]), g[32]};
+    G->vertex_label = MUT(i64, g[7]), G->vertex_ids = MUT(i64, g[8]);
     for (int s = 0; s < 2; s++) {
-        const i64 *a = g + 11 + 9 * s, *c = g + 35 + 3 * s;
+        const i64 *a = g + 9 + 9 * s, *c = g + 33 + 3 * s;
         Adj *A = &G->side[s];
         A->dir = (Dir){MUT(i64, a[0]), MUT(i64, a[1]), c[0]};
-        A->r = (Rows){MUT(i64, a[2]), MUT(i64, a[3]), MUT(i64, a[4]), MUT(i64, a[5]), g[44 + s],
+        A->r = (Rows){MUT(i64, a[2]), MUT(i64, a[3]), MUT(i64, a[4]), MUT(i64, a[5]), g[42 + s],
                       c[2], c[1]};
         A->vertex_pos = MUT(i64, a[6]), A->label = MUT(i64, a[7]), A->part_of = MUT(i64, a[8]);
     }
-    G->free = (Rows){MUT(i64, g[29]), MUT(i64, g[30]), MUT(i64, g[31]), MUT(i64, g[32]), g[46],
-                     g[42], g[41]};
-    G->rows = g[33], G->free_count = g[43], G->recycle = g[47], G->recycled = 0;
+    G->free = (Rows){MUT(i64, g[27]), MUT(i64, g[28]), MUT(i64, g[29]), MUT(i64, g[30]), g[44],
+                     g[40], g[39]};
+    G->rows = g[31], G->free_count = g[41], G->recycle = g[45], G->recycled = 0;
 }
 
 static void graph_back(const Graph *G, i64 *g)
 {
-    g[33] = G->rows, g[34] = G->vertices.n;
+    g[31] = G->rows, g[32] = G->vertices.n;
     for (int s = 0; s < 2; s++)
-        g[35 + 3 * s] = G->side[s].dir.n, g[36 + 3 * s] = G->side[s].r.rows,
-        g[37 + 3 * s] = G->side[s].r.tail;
-    g[41] = G->free.rows, g[42] = G->free.tail, g[43] = G->free_count, g[48] = G->recycled;
+        g[33 + 3 * s] = G->side[s].dir.n, g[34 + 3 * s] = G->side[s].r.rows,
+        g[35 + 3 * s] = G->side[s].r.tail;
+    g[39] = G->free.rows, g[40] = G->free.tail, g[41] = G->free_count, g[46] = G->recycled;
 }
 
 /* vals[i]: the value in d of keys[i] (i < m), -1 when missing; vals may be keys. */
@@ -846,10 +844,10 @@ static void free_rows(Graph *G)
 /* Insert n checked edges (apply_insert_columns) in event order, all checks
  * first: intern the vertices (a new one labelled by its first mention), find or
  * create the partitions, take each id from the top of its source's free stack
- * or the next fresh one, write the edge columns and the journal, append the ids
- * (into ids too) to their partitions.  Returns 0; 1 when short of room (g[49..50],
- * g[52..55]); 2 when mention g[49] (src then dst per event) gives a vertex label
- * other than the g[50] its vertex holds or its first mention gives; -1 on OOM. */
+ * or the next fresh one, write the edge columns, append the ids
+ * (into ids too) to their partitions.  Returns 0; 1 when short of room (g[47..48],
+ * g[50..53]); 2 when mention g[47] (src then dst per event) gives a vertex label
+ * other than the g[48] its vertex holds or its first mention gives; -1 on OOM. */
 int mn_insert_columns(i64 *g, const i64 *src, const i64 *dst, const i64 *label, const double *ts,
                       const i64 *src_label, const i64 *dst_label, i64 n, i64 *ids)
 {
@@ -870,7 +868,7 @@ int mn_insert_columns(i64 *g, const i64 *src, const i64 *dst, const i64 *label, 
     for (i64 i = 0; i < 2 * n && !failed && !status; i++) {
         i64 held = pos[i] < known ? G.vertex_label[pos[i]] : GIVEN(fresh[0].data[pos[i] - known]);
         if (GIVEN(i) && GIVEN(i) != held)
-            g[49] = i, g[50] = held, status = 2;
+            g[47] = i, g[48] = held, status = 2;
     }
     for (int s = 0; s < 2 && !failed && !status; s++) {
         Adj *A = &G.side[s];
@@ -879,7 +877,7 @@ int mn_insert_columns(i64 *g, const i64 *src, const i64 *dst, const i64 *label, 
             k[i] = pos[2 * i + s] * LABEL_SPAN + label[i] + LABEL_BIAS;
         failed = intern(&A->dir, k, n, A->r.rows, part + s * n, &fresh[1 + s]);
         i64 room = failed ? 0 : plan_rows(&A->r, part + s * n, n, &counts[s], &distinct[s], &failed);
-        g[49 + s] = A->r.tail + room > A->r.len ? room : 0;
+        g[47 + s] = A->r.tail + room > A->r.len ? room : 0;
     }
     for (i64 i = 0; i < n && !failed && !status; i++) { /* the events no free stack serves */
         i64 r = pos[2 * i], popped = map_get(&counts[2], (u64)r);
@@ -891,9 +889,9 @@ int mn_insert_columns(i64 *g, const i64 *src, const i64 *dst, const i64 *label, 
     if (!failed && !status) {
         i64 need[4] = {known + fresh[0].len, G.side[0].r.rows + fresh[1].len,
                        G.side[1].r.rows + fresh[2].len, G.rows + fresh_ids};
-        status = g[49] || g[50];
+        status = g[47] || g[48];
         for (int k = 0; k < 4; k++)
-            status |= (g[52 + k] = need[k] > g[52 + k] ? need[k] : 0) > 0;
+            status |= (g[50 + k] = need[k] > g[50 + k] ? need[k] : 0) > 0;
     }
     failed = failed || (!status && file(&G.vertices, keys, known, &fresh[0]));
     for (i64 k = 0, *at = fresh[0].data; k < fresh[0].len && !failed && !status; k++)
@@ -914,9 +912,8 @@ int mn_insert_columns(i64 *g, const i64 *src, const i64 *dst, const i64 *label, 
                 G.rows++;
             ids[i] = e;
             G.src[e] = src[i], G.dst[e] = dst[i], G.label[e] = label[i], G.ts[e] = ts[i];
-            G.alive[e] = G.edge_touched[e] = 1;
+            G.alive[e] = 1;
             G.side[0].part_of[e] = part[i], G.side[1].part_of[e] = part[n + i];
-            G.vertex_touched[pos[2 * i]] = G.vertex_touched[pos[2 * i + 1]] = 1;
         }
         for (int s = 0; s < 2; s++)
             append_rows(&G.side[s].r, part + s * n, ids, n, &counts[s], &distinct[s]);
@@ -928,10 +925,10 @@ int mn_insert_columns(i64 *g, const i64 *src, const i64 *dst, const i64 *label, 
     return failed ? -1 : status;
 }
 
-/* Delete n checked live edges (apply_delete_columns): mark them dead and
- * journalled, compact each partition they leave once, order kept, and push
+/* Delete n checked live edges (apply_delete_columns): mark them dead,
+ * compact each partition they leave once, order kept, and push
  * the ids onto their sources' free stacks in batch order.  Returns 0, 1 when
- * the free-id arena is short of room (g[51]), or -1 when memory ran out. */
+ * the free-id arena is short of room (g[49]), or -1 when memory ran out. */
 int mn_delete_columns(i64 *g, const i64 *ids, i64 n)
 {
     Graph G;
@@ -946,12 +943,11 @@ int mn_delete_columns(i64 *g, const i64 *ids, i64 n)
         free_rows(&G);
         i64 room = plan_rows(&G.free, from, n, &counts, &distinct, &failed);
         if (G.free.tail + room > G.free.len)
-            g[51] = room, status = 1;
+            g[49] = room, status = 1;
     }
     if (!failed && !status) {
-        for (i64 i = 0, e; i < n; i++)
-            e = ids[i], G.alive[e] = 0, G.edge_touched[e] = G.vertex_touched[from[i]] = 1,
-            G.vertex_touched[G.side[1].vertex_pos[G.side[1].part_of[e]]] = 1;
+        for (i64 i = 0; i < n; i++)
+            G.alive[ids[i]] = 0;
         for (i64 i = 0; i < 2 * n && !failed; i++) {
             Rows *r = &G.side[i & 1].r;
             i64 p = G.side[i & 1].part_of[ids[i / 2]], kept = 0, *entry = r->arena + r->start[p];

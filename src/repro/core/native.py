@@ -82,9 +82,9 @@ def _load() -> tuple[ctypes.CDLL | None, str]:
         ]
         lib.mn_enumerate.restype = ctypes.c_int
         lib.mn_filter_insert.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_int64, ctypes.c_void_p,
-                                                                 buf, buf]
+                                                                 buf]
         lib.mn_filter_delete.argtypes = [ctypes.c_void_p] * 4 + [ctypes.c_int64, ctypes.c_void_p,
-                                                                 buf, buf]
+                                                                 buf]
         lib.mn_filter_insert.restype = lib.mn_filter_delete.restype = ctypes.c_int
         lib.mn_decompose.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_int64] + [ctypes.c_void_p] * 2
         lib.mn_decompose.restype = ctypes.c_int64
@@ -245,13 +245,13 @@ def _take(lib: ctypes.CDLL, buf: _Buf) -> np.ndarray:
 
 def filter_insert(lib: ctypes.CDLL, graph, debi, program: np.ndarray, ids: np.ndarray):
     """One ``mn_filter_insert`` call over the inserted edges ``ids``:
-    ``(traversals, rows written, raw ids whose root bit must be set)``."""
+    ``(traversals, raw ids whose root bit must be set)``."""
     return _filter(lib, lib.mn_filter_insert, graph, debi, program, ids)
 
 
 def filter_delete(lib: ctypes.CDLL, graph, debi, program: np.ndarray, ids: np.ndarray, held):
     """One ``mn_filter_delete`` call over the deleted edges ``ids``, ``held`` the uint64
-    DEBI row each held: ``(traversals, rows written, raw ids whose root bit must clear)``."""
+    DEBI row each held: ``(traversals, raw ids whose root bit must clear)``."""
     return _filter(lib, lib.mn_filter_delete, graph, debi, program, ids, held)
 
 
@@ -259,15 +259,15 @@ def _filter(lib, entry, graph, debi, program, ids, *held):
     bits = debi._bits
     bits.reserve(graph._rows)  # every edge's row is writable in place
     env = _env(graph, debi, bits._rows.shape[0])
-    totals, rows, roots = np.zeros(1, np.int64), _Buf(), _Buf()
+    totals, roots = np.zeros(2, np.int64), _Buf()
     failed = entry(_address(env), _address(program), _address(ids), *map(_address, held),
-                   ids.shape[0], _address(totals), ctypes.byref(rows), ctypes.byref(roots))
-    rows_out, roots_out = _take(lib, rows), _take(lib, roots)
+                   ids.shape[0], _address(totals), ctypes.byref(roots))
+    roots_out = _take(lib, roots)
     if failed:
         raise MemoryError("the native kernel ran out of memory")
-    if rows_out.shape[0]:  # the bits just set lie in the written range
-        bits._nrows = max(bits._nrows, int(rows_out.max()) + 1)
-    return int(totals[0]), rows_out, roots_out
+    traversals, written = totals.tolist()
+    bits._nrows = max(bits._nrows, written)  # the bits just set lie in the written range
+    return traversals, roots_out
 
 
 def decompose(lib: ctypes.CDLL, graph, debi, program: np.ndarray, ids: np.ndarray):
@@ -302,15 +302,16 @@ def _mutate(entry, graph, *args) -> tuple[int, np.ndarray]:
     """Call a graph mutation ``entry`` on a graph block (layout: ``kernel.c``'s
     ``graph_at``), growing every column and repacking every arena it finds short of
     room and calling again: the status (0, or 2 for a refused insert) and the block
-    of the call that finished."""
+    of the call that finished.  An attached graph is refused before anything is written."""
+    graph.check_writable()
     out, into, free = arenas = (graph._out, graph._in, graph.free_ids)
     counters = ((graph, "_rows"), (graph._vertices, "count"), (out.directory, "count"),
                 (out, "rows"), (out, "tail"), (into.directory, "count"), (into, "rows"),
                 (into, "tail"), (free, "rows"), (free, "tail"), (free, "count"))
     while True:
         arrays = [graph._src, graph._dst, graph._label, graph._timestamp, graph._alive,
-                  graph._edge_touched, graph._vertices.keys, graph._vertices.values,
-                  graph._vertex_label, graph._vertex_ids, graph._vertex_touched]
+                  graph._vertices.keys, graph._vertices.values, graph._vertex_label,
+                  graph._vertex_ids]
         for side, part_of in ((out, graph._out_part), (into, graph._in_part)):
             arrays += [side.directory.keys, side.directory.values, side.arena, side.start,
                        side.size, side.capacity, side.vertex_pos, side.label, part_of]
@@ -324,16 +325,16 @@ def _mutate(entry, graph, *args) -> tuple[int, np.ndarray]:
                           *(min(side.start.shape[0], side.directory.keys.shape[0] - 1)
                             for side in (out, into)), graph._src.shape[0]], np.int64)
         status = entry(_address(block), *args)
-        for (owner, name), value in zip(counters, block[33:44].tolist()):
+        for (owner, name), value in zip(counters, block[31:42].tolist()):
             setattr(owner, name, value)
         if status < 0:
             raise MemoryError("the native kernel ran out of memory")
         if status != 1:
             return status, block
-        for arena, room in zip(arenas, block[49:52].tolist()):
+        for arena, room in zip(arenas, block[47:50].tolist()):
             if room:
                 arena._repack(room)
-        vertices, *parts, rows = block[52:56].tolist()  # what the columns must hold
+        vertices, *parts, rows = block[50:54].tolist()  # what the columns must hold
         graph._grow_vertex_columns(vertices)
         for side, count in zip((out, into), parts):
             side.reserve(count)
@@ -351,8 +352,8 @@ def insert_columns(lib: ctypes.CDLL, graph, src, dst, label, timestamp, src_labe
     status, block = _mutate(lib.mn_insert_columns, graph, *map(_address, columns), n,
                             _address(ids))
     if status:
-        return None, 0, (int(block[49]), int(block[50]))
-    return ids, int(block[48]), None
+        return None, 0, (int(block[47]), int(block[48]))
+    return ids, int(block[46]), None
 
 
 def resolve_deletes(lib: ctypes.CDLL, graph, src, dst, label, stamp) -> np.ndarray:

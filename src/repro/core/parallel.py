@@ -14,7 +14,7 @@ Two backends are provided:
 ``process``
     A *persistent* pool of worker processes over a shared-memory
     snapshot.  The pool is spawned once per engine lifetime; before each
-    batch the engine publishes the graph (as flat CSR arrays) and DEBI
+    batch the engine publishes the graph (its own columns) and DEBI
     (as raw bit buffers) into a ``multiprocessing.shared_memory``
     segment, and only work-unit columns and embedding blocks (two int64
     arrays each) cross the pipes, a few slices per worker and epoch
@@ -347,7 +347,7 @@ class SharedMemoryPool:
         self.generation = 0
         #: epoch drains aborted by a deadline (folded into supervisor stats)
         self.deadline_expiries = 0
-        self._writer = SharedSnapshotWriter(num_slots=2)
+        self._writer = SharedSnapshotWriter()
         self._inflight: dict[int, _InflightEpoch] = {}
         self._adopted_ids = 0
         self._broken = False
@@ -423,11 +423,9 @@ class SharedMemoryPool:
 
     @property
     def publish_stats(self) -> dict:
-        """Publication regime split: dirty-slice vs full-copy counts + wall time."""
+        """How many snapshots this pool published, and their wall time."""
         return {
             "publish_count": self._writer.epoch,
-            "dirty_publishes": self._writer.dirty_publishes,
-            "full_publishes": self._writer.full_publishes,
             "publish_seconds": self._writer.publish_seconds,
         }
 

@@ -4,7 +4,7 @@ The paper's engine answers a single continuous query per stream.  A
 matching *service*, however, evaluates many standing queries against the
 same evolving graph, and running one engine per query multiplies every
 per-batch cost by the number of queries: the graph is mutated N times, N
-CSR snapshots are exported for the worker pools, and the same adjacency
+graph snapshots are published for the worker pools, and the same adjacency
 pools are re-scanned once per query.
 
 This module holds the per-query half of an engine, :class:`QueryRuntime`

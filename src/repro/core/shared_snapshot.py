@@ -5,16 +5,16 @@ keeps one pool of worker processes alive for the whole engine lifetime.
 Instead of re-forking per batch and pickling the engine state, the
 parent *publishes* the current snapshot before each enumeration call:
 
-* the :class:`~repro.graph.adjacency.DynamicGraph` is exported as flat
-  CSR numpy arrays (:meth:`DynamicGraph.export_csr`) — both the combined
-  per-vertex layout and the label-partitioned mirror (``indptr`` keyed by
-  ``(vertex, label)`` group), so workers run the same O(matches)
-  labelled candidate fetch as the serial backend,
+* the :class:`~repro.graph.adjacency.DynamicGraph`'s own columns, each
+  cut to what is in use (:meth:`DynamicGraph.export_arrays`): workers
+  rebuild a read-only ``DynamicGraph`` over them
+  (:meth:`DynamicGraph.attach_arrays`), so they read the one layout the
+  parent maintains, through the same code and the same native kernel,
 * DEBI's :class:`~repro.utils.bitset.BitMatrix` / ``BitVector`` word
   buffers are exported raw (:meth:`DEBI.export_buffers`),
 * the batch edge-id set joins them as one more int64 array,
 
-and all of them are memcpy'd into a ``multiprocessing.shared_memory``
+and all of them are memcpy'd, whole, into a ``multiprocessing.shared_memory``
 segment.  Workers receive only a small *descriptor* (segment name +
 per-array dtype/shape/offset + epoch) and attach zero-copy numpy views
 over the segment — no object deserialisation on the hot path.
@@ -52,7 +52,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from multiprocessing.shared_memory import SharedMemory
 
     from repro.core.debi import DEBI
-    from repro.graph.adjacency import CSRSnapshot, DynamicGraph
+    from repro.graph.adjacency import DynamicGraph
 
 
 def shared_memory_available() -> bool:
@@ -119,40 +119,14 @@ def _align(offset: int, alignment: int = 8) -> int:
 
 
 class _SegmentSlot:
-    """One shared-memory segment of the double-buffered writer.
+    """One shared-memory segment of the double-buffered writer and the reserved
+    layout of its arrays: per array its dtype, byte offset and reserved bytes."""
 
-    Besides the segment itself the slot remembers the *reserved* layout of
-    its last full copy (per-array byte offset + reserved capacity), the
-    element count each array had when last written, and the dirty ranges
-    accumulated since — everything the dirty-slice publish needs to prove
-    the clean bytes already in the segment are current.
-    """
-
-    __slots__ = ("shm", "layout", "sizes", "pending")
+    __slots__ = ("shm", "layout")
 
     def __init__(self) -> None:
         self.shm: "SharedMemory | None" = None
-        #: name -> (dtype str, byte offset, reserved bytes); None = no layout yet
         self.layout: dict[str, tuple[str, int, int]] | None = None
-        #: name -> element count at the last write into this slot
-        self.sizes: dict[str, int] = {}
-        #: dirty ranges accumulated since this slot was last written:
-        #: None = everything dirty (initial state / fallback); otherwise a
-        #: dict whose entries are name -> list of element ranges or name ->
-        #: None ("whole array dirty"); a missing name means "clean"
-        self.pending: dict[str, "list[tuple[int, int]] | None"] | None = None
-
-    def merge_pending(self, spec: dict) -> None:
-        """Fold one publication's dirty spec into this slot's backlog."""
-        if self.pending is None:
-            return  # already fully dirty — nothing can make it dirtier
-        for key, ranges in spec.items():
-            if ranges is None:
-                self.pending[key] = None
-            elif ranges:
-                existing = self.pending.get(key, [])
-                if existing is not None:
-                    self.pending[key] = existing + list(ranges)
 
     def ensure_capacity(self, needed: int) -> None:
         """(Re)allocate the segment so it holds ``needed`` bytes."""
@@ -166,6 +140,14 @@ class _SegmentSlot:
         name = f"mnemonic_{secrets.token_hex(6)}"
         self.shm = shared_memory.SharedMemory(name=name, create=True, size=capacity)
 
+    def fits(self, arrays: dict[str, np.ndarray]) -> bool:
+        """Do ``arrays`` fit the reserved layout: the same names and dtypes, none larger?"""
+        layout = self.layout
+        return layout is not None and list(layout) == list(arrays) and all(
+            array.dtype.str == layout[key][0] and array.nbytes <= layout[key][2]
+            for key, array in arrays.items()
+        )
+
     def close(self) -> None:
         if self.shm is not None:
             try:
@@ -175,32 +157,22 @@ class _SegmentSlot:
                 pass
             self.shm = None
         self.layout = None
-        self.sizes = {}
-        self.pending = None
 
 
 class SharedSnapshotWriter:
-    """Parent-side publisher: copies snapshot arrays into alternating slots.
+    """Parent-side publisher: copies snapshot arrays into two alternating slots.
 
-    ``num_slots=2`` (the default) is the double-buffered configuration
-    used by the pool: consecutive epochs land in different segments, so
-    a publication never overwrites the epoch workers may still be
-    enumerating.  ``num_slots=1`` restores the replace-on-publish layout
-    for callers that never overlap epochs.
+    Consecutive epochs land in different segments, so a publication never
+    overwrites the epoch workers may still be enumerating — the double
+    buffering the pipelined mode relies on.
     """
 
-    def __init__(self, num_slots: int = 2) -> None:
-        if num_slots < 1:
-            raise ValueError("num_slots must be >= 1")
-        self._slots = [_SegmentSlot() for _ in range(num_slots)]
+    #: segments the writer alternates between
+    num_slots = 2
+
+    def __init__(self) -> None:
+        self._slots = [_SegmentSlot() for _ in range(self.num_slots)]
         self._epoch = 0
-        #: last observed ``graph.export_count`` — the dirty-slice chain is
-        #: valid only when every export of the graph went through this
-        #: writer; an interloper export consumes splice dirt we never saw
-        self._graph_export_count: int | None = None
-        #: publication-regime counters (perf-trend / phase-split reporting)
-        self.full_publishes = 0
-        self.dirty_publishes = 0
         self.publish_seconds = 0.0
 
     # ------------------------------------------------------------------ publication
@@ -220,42 +192,17 @@ class SharedSnapshotWriter:
         epoch, the layout of every array (dtype / shape / byte offset)
         and the scalar metadata workers need to rebuild graph + DEBI
         views.
-
-        Dirty-slice regime: the graph's spliced export and each DEBI's
-        ledger report which element ranges changed since the previous
-        export/publish.  Those specs accumulate per slot (a slot is
-        rewritten only every ``num_slots`` epochs), and when the target
-        slot's reserved layout still fits, only its accumulated dirty
-        ranges are memcpy'd — the clean bytes already in the segment are
-        provably current.  Any doubt (first publish, layout change,
-        capacity overflow, full CSR rebuild, an export this writer did
-        not perform) falls back to the full copy.
         """
         start = time.perf_counter()
         if not isinstance(debis, dict):
             debis = {0: debis}
-        # The live DynamicGraph offers a journal-driven incremental export
-        # (small batches splice into the cached arrays); snapshot views and
-        # other graph lookalikes only offer the full rebuild.
-        export_delta = getattr(graph, "export_csr_delta", None)
-        csr = export_delta() if export_delta is not None else graph.export_csr()
-        arrays = dict(csr.arrays())
-
-        # -- this publication's dirty spec (changes since the previous export)
-        exports = getattr(graph, "export_count", None)
-        chain_ok = (
-            exports is not None
-            and self._graph_export_count is not None
-            and exports == self._graph_export_count + 1
-        )
-        self._graph_export_count = exports
-        csr_dirty = getattr(csr, "dirty", None)
-        spec: dict[str, list[tuple[int, int]] | None]
-        if chain_ok and csr_dirty is not None:
-            spec = dict(csr_dirty)
-        else:
-            spec = {key: None for key in arrays}
-
+        arrays: dict[str, np.ndarray] = {}
+        counters: dict[str, int] = {}
+        for key, value in graph.export_arrays().items():
+            if isinstance(value, np.ndarray):
+                arrays[key] = value
+            else:
+                counters[key] = value
         debi_meta: dict[int, dict] = {}
         for qid, debi in debis.items():
             buffers = debi.export_buffers()
@@ -266,27 +213,13 @@ class SharedSnapshotWriter:
                 "width": buffers["width"],
                 "root_bits": buffers["root_bits"],
             }
-            consume = getattr(debi, "consume_publish_dirty", None)
-            if consume is not None:
-                row_ranges, root_ranges = consume()
-            else:  # pragma: no cover - non-DEBI lookalike
-                row_ranges = root_ranges = None
-            spec[f"debi_rows_{qid}"] = row_ranges
-            spec[f"debi_roots_{qid}"] = root_ranges
         arrays["batch_edges"] = np.fromiter(
             batch_edge_ids, dtype=np.int64, count=len(batch_edge_ids)
         )
-        spec["batch_edges"] = None  # a fresh id set every epoch
-
-        # Fold the spec into every slot *before* writing: the target slot
-        # was last written ``num_slots`` epochs ago, so its backlog must
-        # include this publication's changes too.
-        for slot in self._slots:
-            slot.merge_pending(spec)
 
         # The *next* epoch decides the slot, so consecutive epochs always
         # land in different segments (double-buffer invariant).
-        slot = self._slots[(self._epoch + 1) % len(self._slots)]
+        slot = self._slots[(self._epoch + 1) % self.num_slots]
         layout = self._write_slot(slot, arrays)
 
         self._epoch += 1
@@ -295,95 +228,43 @@ class SharedSnapshotWriter:
             "name": slot.shm.name,
             "epoch": self._epoch,
             "layout": layout,
-            "num_live_edges": csr.num_live_edges,
+            "graph": counters,
             "debi_meta": debi_meta,
             "positive": positive,
         }
 
+    @staticmethod
     def _write_slot(
-        self, slot: _SegmentSlot, arrays: dict[str, np.ndarray]
+        slot: _SegmentSlot, arrays: dict[str, np.ndarray]
     ) -> dict[str, tuple[str, tuple[int, ...], int]]:
-        """Copy ``arrays`` into ``slot`` (dirty slices only, when provable).
+        """Copy every array into ``slot``; return the descriptor layout (dtype / shape /
+        byte offset per array).
 
-        Returns the descriptor layout (dtype / shape / byte offset per
-        array).  The dirty path requires: a previous full copy laid the
-        slot out with the same array names and dtypes, every array still
-        fits its reserved capacity, and the slot's dirty backlog is
-        intact.  Otherwise everything is rewritten under a fresh
-        reserved layout (per-array slack, so steady growth keeps offsets
-        stable across many publications).
+        The slot keeps its reserved layout — each array at a fixed offset with
+        half its size again as slack — while every array fits it, so steady growth
+        keeps the offsets across many publications; otherwise the arrays are laid
+        out afresh.
         """
-        keys = list(arrays)
-        can_dirty = (
-            slot.shm is not None
-            and slot.layout is not None
-            and slot.pending is not None
-            and list(slot.layout) == keys
-            and all(
-                arrays[k].ndim == 1
-                and arrays[k].dtype.str == slot.layout[k][0]
-                and arrays[k].nbytes <= slot.layout[k][2]
-                for k in keys
-            )
-        )
-        descriptor: dict[str, tuple[str, tuple[int, ...], int]] = {}
-        if not can_dirty:
-            reserved_layout: dict[str, tuple[str, int, int]] = {}
+        if not slot.fits(arrays):
+            layout: dict[str, tuple[str, int, int]] = {}
             offset = 0
-            for key, arr in arrays.items():
-                offset = _align(offset)
-                reserved = _align(max(arr.nbytes + arr.nbytes // 2, 64))
-                reserved_layout[key] = (arr.dtype.str, offset, reserved)
-                descriptor[key] = (arr.dtype.str, arr.shape, offset)
+            for key, array in arrays.items():
+                reserved = _align(max(array.nbytes + array.nbytes // 2, 64))
+                layout[key] = (array.dtype.str, offset, reserved)
                 offset += reserved
-            slot.ensure_capacity(max(offset, 1))
-            buf = slot.shm.buf
-            for key, arr in arrays.items():
-                _, off, _ = reserved_layout[key]
-                dest = np.ndarray(arr.shape, dtype=arr.dtype, buffer=buf, offset=off)
-                dest[:] = arr
-            slot.layout = reserved_layout
-            slot.sizes = {key: int(arr.shape[0]) if arr.ndim == 1 else -1
-                          for key, arr in arrays.items()}
-            slot.pending = {}
-            self.full_publishes += 1
-            return descriptor
-
+            slot.ensure_capacity(offset)
+            slot.layout = layout
         buf = slot.shm.buf
-        assert slot.layout is not None and slot.pending is not None
-        for key, arr in arrays.items():
-            dtype, off, _ = slot.layout[key]
-            n = int(arr.shape[0])
-            old_n = slot.sizes.get(key, 0)
-            dest = np.ndarray((n,), dtype=dtype, buffer=buf, offset=off)
-            if key in slot.pending and slot.pending[key] is None:
-                dest[:] = arr
-            elif n < old_n:
-                # Shrunk arrays (index rebuilds) lose positional stability;
-                # rewrite rather than reason about stale suffixes.
-                dest[:] = arr
-            else:
-                runs = slot.pending.get(key) or []
-                if n > old_n:
-                    runs = list(runs) + [(old_n, n)]
-                for lo, hi in runs:
-                    lo = max(int(lo), 0)
-                    hi = min(int(hi), n)
-                    if lo < hi:
-                        dest[lo:hi] = arr[lo:hi]
-            slot.sizes[key] = n
-            descriptor[key] = (dtype, arr.shape, off)
-        slot.pending = {}
-        self.dirty_publishes += 1
+        descriptor: dict[str, tuple[str, tuple[int, ...], int]] = {}
+        for key, array in arrays.items():
+            dtype, offset, _ = slot.layout[key]
+            np.ndarray(array.shape, dtype=array.dtype, buffer=buf, offset=offset)[...] = array
+            descriptor[key] = (dtype, array.shape, offset)
         return descriptor
 
     @property
     def epoch(self) -> int:
         return self._epoch
-
-    @property
-    def num_slots(self) -> int:
-        return len(self._slots)
 
     # ------------------------------------------------------------------ lifecycle
     def close(self) -> None:
@@ -435,7 +316,8 @@ class SnapshotAttachment:
         return shm
 
     def views(self, descriptor: dict, trees) -> tuple:
-        """Return ``(graph_view, debis, batch_edge_ids)`` for ``descriptor``.
+        """Return ``(graph, debis, batch_edge_ids)`` for ``descriptor``: a read-only
+        :class:`~repro.graph.adjacency.DynamicGraph` and DEBIs over the segment.
 
         ``trees`` mirrors what was published: pass one
         :class:`~repro.query.query_tree.QueryTree` to get a single DEBI
@@ -446,7 +328,7 @@ class SnapshotAttachment:
         if cache_key == self._cached_key and self._views is not None:
             return self._views
         from repro.core.debi import DEBI
-        from repro.graph.adjacency import CSRGraphView, CSRSnapshot
+        from repro.graph.adjacency import DynamicGraph
 
         buf = self._segment(descriptor["name"]).buf
         arrays: dict[str, np.ndarray] = {}
@@ -455,44 +337,22 @@ class SnapshotAttachment:
             view.flags.writeable = False
             arrays[key] = view
 
-        csr = CSRSnapshot(
-            vertex_ids=arrays["vertex_ids"],
-            vertex_labels=arrays["vertex_labels"],
-            out_indptr=arrays["out_indptr"],
-            out_indices=arrays["out_indices"],
-            in_indptr=arrays["in_indptr"],
-            in_indices=arrays["in_indices"],
-            out_group_vptr=arrays["out_group_vptr"],
-            out_group_labels=arrays["out_group_labels"],
-            out_group_indptr=arrays["out_group_indptr"],
-            out_label_indices=arrays["out_label_indices"],
-            in_group_vptr=arrays["in_group_vptr"],
-            in_group_labels=arrays["in_group_labels"],
-            in_group_indptr=arrays["in_group_indptr"],
-            in_label_indices=arrays["in_label_indices"],
-            edge_src=arrays["edge_src"],
-            edge_dst=arrays["edge_dst"],
-            edge_label=arrays["edge_label"],
-            edge_timestamp=arrays["edge_timestamp"],
-            edge_alive=arrays["edge_alive"],
-            num_live_edges=descriptor["num_live_edges"],
-        )
-        graph_view = CSRGraphView(csr)
         single = not isinstance(trees, dict)
         debis: dict[int, DEBI] = {}
         for qid, meta in descriptor["debi_meta"].items():
             debis[qid] = DEBI.attach_buffers(
                 trees if single else trees[qid],
-                rows=arrays[f"debi_rows_{qid}"],
+                rows=arrays.pop(f"debi_rows_{qid}"),
                 num_rows=meta["num_rows"],
                 width=meta["width"],
-                roots=arrays[f"debi_roots_{qid}"],
+                roots=arrays.pop(f"debi_roots_{qid}"),
                 root_bits=meta["root_bits"],
             )
-        batch_edge_ids = set(arrays["batch_edges"].tolist())
+        batch_edge_ids = set(arrays.pop("batch_edges").tolist())
+        graph = DynamicGraph.attach_arrays({**descriptor["graph"], **arrays})
         self._cached_key = cache_key
         self._views = (
-            graph_view,
+            graph,
             next(iter(debis.values())) if single and debis else debis,
             batch_edge_ids,
         )

@@ -33,7 +33,6 @@ the fallback and as its oracle.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field, fields
 from typing import Iterator
 
 import numpy as np
@@ -42,15 +41,12 @@ from repro.graph.edge import EdgeColumns, EdgeRecord
 from repro.graph.stats import PlaceholderStats
 from repro.utils.validation import GraphError
 
-_EMPTY_IDS: list[int] = []
 _EMPTY_ARRAY = np.empty(0, dtype=np.int64)
 #: rows a growable column starts with — small, so constructing a graph allocates next to nothing
 _INITIAL_ROWS = 16
 #: smallest capacity a non-empty arena row is given
 _MIN_CAPACITY = 4
-_EDGE_COLUMNS = (
-    "_src", "_dst", "_label", "_timestamp", "_alive", "_out_part", "_in_part", "_edge_touched"
-)
+_EDGE_COLUMNS = ("_src", "_dst", "_label", "_timestamp", "_alive", "_out_part", "_in_part")
 #: a directory key is ``position * _LABEL_SPAN + label + _LABEL_BIAS``: edge
 #: labels are signed 32-bit values, positions take the upper half
 _LABEL_SPAN = 1 << 32
@@ -131,16 +127,6 @@ def edges_between(graph, srcs: np.ndarray, dsts: np.ndarray) -> tuple[np.ndarray
     return ids[order[expand_ranges(first, sizes)]], sizes
 
 
-def coalesce_ranges(ordered: np.ndarray) -> list[tuple[int, int]]:
-    """Turn an ascending index array into half-open ``(start, stop)`` runs."""
-    if ordered.size == 0:
-        return []
-    breaks = np.flatnonzero(np.diff(ordered) != 1)
-    starts = np.concatenate([ordered[:1], ordered[breaks + 1]])
-    stops = np.concatenate([ordered[breaks], ordered[-1:]]) + 1
-    return list(zip(starts.tolist(), stops.tolist()))
-
-
 def _grown(column: np.ndarray, used: int, needed: int) -> np.ndarray:
     """A copy of ``column`` with at least doubled room for ``needed`` rows; unused rows are zero."""
     grown = np.zeros(max(needed, 2 * column.shape[0]), dtype=column.dtype)
@@ -209,6 +195,10 @@ class _Directory:
         for column, new in ((self.keys, keys), (self.values, values)):
             column[low : count + more] = np.insert(column[low:count], at - low, new)
         self.count = count + more
+
+    def _used(self) -> dict:
+        count = self.count
+        return {"count": count, "keys": self.keys[: count + 1], "values": self.values[: count + 1]}
 
     def violation(self) -> str | None:
         """The first inconsistency of the columns, or None (``check_invariants``)."""
@@ -294,6 +284,11 @@ class _Arena:
         start = self.start.item(row)
         return self.arena[start : start + self.size.item(row)]
 
+    def _used(self) -> dict:
+        rows = max(self.rows, 1)
+        return {"tail": self.tail, "rows": self.rows, "arena": self.arena[: self.tail],
+                **{name: getattr(self, name)[:rows] for name in self._COLUMNS}}
+
     def layout_violation(self) -> str | None:
         """The first inconsistency of the row table with the arena, or None."""
         count = self.rows
@@ -323,6 +318,9 @@ class FreeIdStacks(_Arena):
         super().__init__(vertices)
         #: ids on all stacks together
         self.count = 0
+
+    def _used(self) -> dict:
+        return {**super()._used(), "count": self.count}
 
     def stack(self, src: int) -> list[int]:
         """The free ids of source vertex ``src``, top last."""
@@ -374,8 +372,8 @@ class FreeIdStacks(_Arena):
 class _Adjacency(_Arena):
     """One direction's adjacency: every ``(vertex, label)`` partition a row of one arena."""
 
-    #: ``vertex_pos`` is the owner's position in vertex insertion order (the
-    #: CSR export's row), ``label`` the edge label the partition holds
+    #: ``vertex_pos`` is the owner's position in vertex insertion order,
+    #: ``label`` the edge label the partition holds
     _COLUMNS = (*_Arena._COLUMNS, "vertex_pos", "label")
 
     def __init__(self, vertices: _Directory) -> None:
@@ -490,21 +488,6 @@ class _Adjacency(_Arena):
     def degree(self, vertex: int) -> int:
         return int(self.size[self.parts_of(vertex)].sum())
 
-    def export(self, num_vertices: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """``(group_vptr, group_labels, group_indptr, indices)`` over the non-empty partitions.
-
-        Groups are ordered by vertex position, then by partition creation —
-        the order :meth:`pool` concatenates a wildcard pool in.
-        """
-        live = np.flatnonzero(self.size[: self.rows])
-        live = live[np.argsort(self.vertex_pos[live], kind="stable")]
-        group_vptr = np.zeros(num_vertices + 1, dtype=np.int64)
-        np.cumsum(np.bincount(self.vertex_pos[live], minlength=num_vertices), out=group_vptr[1:])
-        indices, sizes = self.members(live)
-        group_indptr = np.zeros(live.shape[0] + 1, dtype=np.int64)
-        np.cumsum(sizes, out=group_indptr[1:])
-        return group_vptr, self.label[live], group_indptr, indices
-
     def violation(
         self, live_ids: np.ndarray, edge_part: np.ndarray, endpoint: np.ndarray,
         edge_label: np.ndarray, vertex_ids: np.ndarray,
@@ -595,36 +578,15 @@ class DynamicGraph:
         self._num_live_edges = 0
         self.stats = PlaceholderStats()
 
-        # The delta journal: which edge ids and which vertices (by position)
-        # were touched since the last CSR export, and the (vertices,
-        # placeholders) that export covered — what export_csr_delta needs to
-        # say which element ranges of the new export may differ from it.
-        self._edge_touched = np.zeros(_INITIAL_ROWS, dtype=bool)
-        self._vertex_touched = np.zeros(_INITIAL_ROWS, dtype=bool)
-        self._exported: tuple[int, int] | None = None
-        # Monotone export counter: the shared-snapshot writer uses it to
-        # detect interloping exports (anything that consumed the journal
-        # between two publishes) before trusting a dirty-slice copy.
-        self._export_count = 0
-
-    def __getstate__(self) -> dict:
-        """Drop the export bookkeeping when pickling (checkpoints).
-
-        A restored graph starts from a clean full-export state.  Everything
-        else — including the free-id stacks, which make replayed insertions
-        allocate the same ids the original run used — survives the round
-        trip.
-        """
-        state = self.__dict__.copy()
-        state["_exported"] = None
-        state["_edge_touched"] = np.zeros_like(self._edge_touched)
-        state["_vertex_touched"] = np.zeros_like(self._vertex_touched)
-        return state
-
     def __setstate__(self, state: dict) -> None:
-        """Restore a pickled graph; one pickled with a ``_vertex_position`` dict and
-        per-side ``_keys`` / ``_parts`` / ``_recent`` directories (checkpoint format
-        version 2) gets the directory columns rebuilt from them."""
+        """Restore a pickled graph.  The CSR export journal older pickles carry (the
+        ``*_touched`` columns, ``_exported``, ``_export_count``) is dropped; one pickled
+        with a ``_vertex_position`` dict and per-side ``_keys`` / ``_parts`` / ``_recent``
+        directories (checkpoint format version 2) gets the directory columns rebuilt
+        from them."""
+        for name in [name for name in state if name.endswith("_touched")
+                     or name.startswith("_export")]:
+            del state[name]
         position = state.pop("_vertex_position", None)
         self.__dict__.update(state)
         if position is None:
@@ -656,7 +618,6 @@ class DynamicGraph:
         if count >= room:
             self._vertex_label = _grown(self._vertex_label, room, count + 1)
             self._vertex_ids = _grown(self._vertex_ids, room, count + 1)
-            self._vertex_touched = _grown(self._vertex_touched, room, count + 1)
         self._vertices.reserve(count - self._vertices.count)
         self.free_ids.reserve(count)
 
@@ -683,6 +644,7 @@ class DynamicGraph:
         the positions after the known ones in first-mention order, each with
         the label of its first mention.
         """
+        self.check_writable()
         positions = self._vertices.find(mentions)
         unseen = np.flatnonzero(positions < 0)
         if unseen.size:
@@ -732,12 +694,6 @@ class DynamicGraph:
         return self.apply_insert_columns(
             [src], [dst], [label], [timestamp], [src_label or 0], [dst_label or 0]
         )[0]
-
-    def _touch(self, edge_ids, src_positions, dst_positions) -> None:
-        """Journal edges (ids and their endpoints' positions, scalars or arrays) as changed."""
-        self._edge_touched[edge_ids] = True
-        self._vertex_touched[src_positions] = True
-        self._vertex_touched[dst_positions] = True
 
     def _grow_rows(self, rows: int) -> None:
         """Room in the edge columns for ``rows`` ids; those past ``_rows`` are zero (dead)."""
@@ -997,7 +953,6 @@ class DynamicGraph:
         self._out.append(out_parts, ids)
         in_parts = self._in_part[ids] = self._in.partition_ids(dst_pos, label)
         self._in.append(in_parts, ids)
-        self._touch(ids, src_pos, dst_pos)
         return ids, recycled
 
     def apply_delete_columns(self, edge_ids) -> EdgeColumns:
@@ -1027,23 +982,21 @@ class DynamicGraph:
         if lib is not None and type(self) is DynamicGraph:
             native.delete_columns(lib, self, ids)
         else:
+            self.check_writable()
             self._alive[ids] = False
-            out_parts, in_parts = self._out_part[ids], self._in_part[ids]
+            out_parts = self._out_part[ids]
             self._out.remove_dead(out_parts, self._alive)
-            self._in.remove_dead(in_parts, self._alive)
-            src_pos = self._out.vertex_pos[out_parts]
-            self._touch(ids, src_pos, self._in.vertex_pos[in_parts])
+            self._in.remove_dead(self._in_part[ids], self._alive)
             if self.recycle_edge_ids:
-                self.free_ids.push_batch(src_pos, ids)
+                self.free_ids.push_batch(self._out.vertex_pos[out_parts], ids)
         self._forget(ids.shape[0])
         return deleted
 
     def copy(self) -> "DynamicGraph":
-        """Deep copy of the live graph (dead placeholders are preserved), its export
-        journal and counters starting afresh."""
-        clone = copy.deepcopy(self)  # through __getstate__: the journal is already empty
+        """Deep copy of the live graph (dead placeholders are preserved), its counters
+        starting afresh."""
+        clone = copy.deepcopy(self)
         clone.stats = PlaceholderStats()
-        clone._export_count = 0
         return clone
 
     def check_invariants(self) -> None:
@@ -1085,407 +1038,59 @@ class DynamicGraph:
         if self.free_ids.count and not self.recycle_edge_ids:
             raise GraphError("free ids are kept although recycling is off")
 
-    # ------------------------------------------------------------------ flat-array export
-    def export_csr(self) -> "CSRSnapshot":
-        """Export the live graph as flat CSR numpy arrays.
+    # ------------------------------------------------------------------ shared-memory export
+    def _parts(self) -> dict:
+        """The graph and its stores, by the prefix their keys carry in :meth:`export_arrays`."""
+        return {"graph": self, "vertices": self._vertices, "out": self._out,
+                "out.directory": self._out.directory, "in": self._in,
+                "in.directory": self._in.directory, "free": self.free_ids}
 
-        The arrays are the transport format of the shared-memory parallel
-        backend (see :mod:`repro.core.shared_snapshot`): they can be copied
-        into a ``multiprocessing.shared_memory`` segment with one memcpy
-        each and re-attached zero-copy in worker processes, where
-        :class:`CSRGraphView` turns them back into the read API of this
-        class.  Two layouts ship side by side:
+    def _used(self) -> dict:
+        rows, vertices = self._rows, self._vertices.count + 1
+        return {"recycle_edge_ids": self.recycle_edge_ids, "_rows": rows,
+                "_num_live_edges": self._num_live_edges,
+                **{name: getattr(self, name)[:rows] for name in _EDGE_COLUMNS},
+                "_vertex_label": self._vertex_label[:vertices],
+                "_vertex_ids": self._vertex_ids[:vertices]}
 
-        * the label-partitioned CSR lists each vertex's non-empty
-          partitions in creation order: ``*_group_vptr`` maps a vertex to
-          its range of ``(label, slice)`` groups, ``*_group_labels`` /
-          ``*_group_indptr`` describe each group, and ``*_label_indices``
-          holds the edge ids (labelled pools);
-        * the combined CSR (``out_indptr``/``out_indices`` and the ``in_``
-          pair) spans a vertex's groups — the wildcard pool — so it shares
-          the edge-id array of the partitioned one.
+    def export_arrays(self) -> dict:
+        """Every column of the graph cut to what is in use, and the counters that say how
+        much that is, keyed ``"<part>.<attribute>"``.
 
-        One vectorized pass over the partition tables and one arena gather
-        per direction; a view enumerates every pool in exactly the order
-        of the live graph.  The delta journal is reset.
+        The arrays alias this graph's storage (no copy); the shared-memory layer copies
+        them into a segment and worker processes rebuild a read-only graph with
+        :meth:`attach_arrays`.  Edge columns keep ``_rows`` rows, arenas their ``tail``,
+        row tables their ``rows`` (at least one, which a missed lookup reads), directories
+        and vertex columns their count and the slot behind it (the sentinel, the zero
+        label an unknown vertex reads).
         """
-        return self._export(delta=False)
+        return {f"{prefix}.{name}": value for prefix, part in self._parts().items()
+                for name, value in part._used().items()}
 
-    def export_csr_delta(self) -> "CSRSnapshot":
-        """:meth:`export_csr`, plus which element ranges may differ from the last export.
+    @classmethod
+    def attach_arrays(cls, state: dict) -> "DynamicGraph":
+        """Rebuild a read-only graph over :meth:`export_arrays`'s arrays (zero-copy).
 
-        The arrays are rebuilt in full (and are element-identical to
-        :meth:`export_csr`); the delta journal — every edge id and endpoint
-        vertex touched since the last export — only yields the snapshot's
-        ``dirty`` spec, so the shared-snapshot writer can copy just those
-        ranges.  Nothing before the first dirty vertex changes, so each
-        adjacency array is dirty from that vertex's offset to its end;
-        edge columns are dirty at the touched old ids and the new tail.
-        Without a previous export ``dirty`` is None (everything is new).
+        It answers every read like the graph exported; every mutation raises
+        :class:`GraphError` before it writes.
         """
-        return self._export(delta=True)
+        graph = cls()
+        parts = graph._parts()
+        for key, value in state.items():
+            prefix, _, name = key.rpartition(".")
+            if isinstance(value, np.ndarray):
+                value = value.view()
+                value.flags.writeable = False
+            setattr(parts[prefix], name, value)
+        return graph
 
-    @property
-    def export_count(self) -> int:
-        """Number of CSR exports performed over this graph's life."""
-        return self._export_count
-
-    def _export(self, delta: bool) -> "CSRSnapshot":
-        rows = self._rows
-        num_vertices = self._vertices.count
-        arrays = {
-            "vertex_ids": self._vertex_ids[:num_vertices].copy(),
-            "vertex_labels": self._vertex_label[:num_vertices].copy(),
-            "edge_src": self._src[:rows].copy(),
-            "edge_dst": self._dst[:rows].copy(),
-            "edge_label": self._label[:rows].copy(),
-            "edge_timestamp": self._timestamp[:rows].copy(),
-            "edge_alive": self._alive[:rows].astype(np.uint8),
-        }
-        for side, adjacency in (("out", self._out), ("in", self._in)):
-            group_vptr, group_labels, group_indptr, indices = adjacency.export(num_vertices)
-            arrays[f"{side}_group_vptr"] = group_vptr
-            arrays[f"{side}_group_labels"] = group_labels
-            arrays[f"{side}_group_indptr"] = group_indptr
-            arrays[f"{side}_label_indices"] = arrays[f"{side}_indices"] = indices
-            arrays[f"{side}_indptr"] = group_indptr[group_vptr]
-        dirty = self._dirty_spec(arrays) if delta and self._exported is not None else None
-        self._exported = (num_vertices, rows)
-        self._export_count += 1
-        self._edge_touched[:rows] = False
-        self._vertex_touched[:num_vertices] = False
-        return CSRSnapshot(**arrays, num_live_edges=self._num_live_edges, dirty=dirty)
-
-    def _dirty_spec(self, arrays: dict[str, np.ndarray]) -> dict[str, list[tuple[int, int]]]:
-        """Per array, the element ranges that may differ from the previous export."""
-        assert self._exported is not None
-        prev_vertices, prev_rows = self._exported
-        num_vertices = self._vertices.count
-        touched_vertices = np.flatnonzero(self._vertex_touched[:prev_vertices])
-        first_dirty = int(touched_vertices[0]) if touched_vertices.size else prev_vertices
-
-        def suffix(start, stop) -> list[tuple[int, int]]:
-            start, stop = int(start), int(stop)
-            return [(start, stop)] if start < stop else []
-
-        touched_edges = np.flatnonzero(self._edge_touched[:prev_rows])
-        edge_ranges = coalesce_ranges(touched_edges) + suffix(prev_rows, self._rows)
-        spec = {
-            "vertex_ids": suffix(prev_vertices, num_vertices),
-            "vertex_labels": suffix(prev_vertices, num_vertices),
-            **{name: edge_ranges for name in arrays if name.startswith("edge_")},
-        }
-        for side in ("out", "in"):
-            group_indptr = arrays[f"{side}_group_indptr"]
-            first_group = int(arrays[f"{side}_group_vptr"][first_dirty])
-            first_index = group_indptr[first_group]
-            spec[f"{side}_indptr"] = suffix(first_dirty, num_vertices + 1)
-            spec[f"{side}_group_vptr"] = suffix(first_dirty, num_vertices + 1)
-            spec[f"{side}_group_labels"] = suffix(first_group, group_indptr.shape[0] - 1)
-            spec[f"{side}_group_indptr"] = suffix(first_group, group_indptr.shape[0])
-            spec[f"{side}_indices"] = suffix(first_index, group_indptr[-1])
-            spec[f"{side}_label_indices"] = suffix(first_index, group_indptr[-1])
-        return spec
-
-    @property
-    def journal_size(self) -> tuple[int, int]:
-        """(dirty vertices, dirty edges) accumulated since the last CSR export."""
-        return (
-            int(self._vertex_touched[: self._vertices.count].sum()),
-            int(self._edge_touched[: self._rows].sum()),
-        )
+    def check_writable(self) -> None:
+        """Refuse to mutate an attached graph: its columns are read-only views."""
+        if not self._src.flags.writeable:
+            raise GraphError("an attached graph is read-only")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"DynamicGraph(|V|={self.num_vertices}, |E|={self.num_edges}, "
-            f"placeholders={self.num_placeholders})"
-        )
-
-@dataclass(frozen=True)
-class CSRSnapshot:
-    """A :class:`DynamicGraph` frozen into flat numpy arrays.
-
-    ``out_indptr``/``out_indices`` (and the ``in_`` pair) are standard CSR:
-    the live out-edge ids of the ``i``-th vertex of ``vertex_ids`` are
-    ``out_indices[out_indptr[i]:out_indptr[i + 1]]``.  The label-partitioned
-    mirror keys the same edge ids by ``(vertex, label)`` group: vertex ``i``
-    owns groups ``out_group_vptr[i]:out_group_vptr[i + 1]``; group ``g``
-    carries label ``out_group_labels[g]`` and edge ids
-    ``out_label_indices[out_group_indptr[g]:out_group_indptr[g + 1]]``.
-    The ``edge_*`` columns are indexed by edge id and cover every
-    placeholder (live or dead); ``edge_alive`` disambiguates.
-    """
-
-    vertex_ids: np.ndarray  #: int64 [V] — vertex ids in insertion order
-    vertex_labels: np.ndarray  #: int64 [V]
-    out_indptr: np.ndarray  #: int64 [V + 1]
-    out_indices: np.ndarray  #: int64 [live out-edges]
-    in_indptr: np.ndarray  #: int64 [V + 1]
-    in_indices: np.ndarray  #: int64 [live in-edges]
-    out_group_vptr: np.ndarray  #: int64 [V + 1] — (vertex, label) group ranges
-    out_group_labels: np.ndarray  #: int64 [G_out]
-    out_group_indptr: np.ndarray  #: int64 [G_out + 1]
-    out_label_indices: np.ndarray  #: int64 [live out-edges]
-    in_group_vptr: np.ndarray  #: int64 [V + 1]
-    in_group_labels: np.ndarray  #: int64 [G_in]
-    in_group_indptr: np.ndarray  #: int64 [G_in + 1]
-    in_label_indices: np.ndarray  #: int64 [live in-edges]
-    edge_src: np.ndarray  #: int64 [placeholders]
-    edge_dst: np.ndarray  #: int64 [placeholders]
-    edge_label: np.ndarray  #: int64 [placeholders]
-    edge_timestamp: np.ndarray  #: float64 [placeholders]
-    edge_alive: np.ndarray  #: uint8 [placeholders]
-    num_live_edges: int
-    #: dirty-slice spec for the shared-snapshot writer: per array name, the
-    #: half-open element ranges that may differ from the *previous* export
-    #: (a conservative superset), or ``None`` per-name / for the whole dict
-    #: meaning "treat as fully dirty".  Only the incremental splice path
-    #: produces ranges; a full rebuild publishes with ``dirty=None``.
-    dirty: "dict[str, list[tuple[int, int]] | None] | None" = field(
-        default=None, repr=False, compare=False
-    )
-
-    def arrays(self) -> dict[str, np.ndarray]:
-        """The array fields keyed by name, in field order (the shared-memory publication set)."""
-        return {
-            spec.name: getattr(self, spec.name)
-            for spec in fields(self)
-            if spec.name not in ("num_live_edges", "dirty")
-        }
-
-
-class _CSRSide:
-    """One direction of a :class:`CSRSnapshot`; ``<array>_list`` is the array as a Python list."""
-
-    def __init__(self, snapshot: CSRSnapshot, side: str) -> None:
-        self.indptr = getattr(snapshot, f"{side}_indptr")
-        self.indices = getattr(snapshot, f"{side}_indices")
-        self.group_vptr = getattr(snapshot, f"{side}_group_vptr")
-        self.group_labels = getattr(snapshot, f"{side}_group_labels")
-        self.group_indptr = getattr(snapshot, f"{side}_group_indptr")
-        self.label_indices = getattr(snapshot, f"{side}_label_indices")
-        #: vertex position -> its combined pool as a Python list, converted on first use
-        self.pools: dict[int, list[int]] = {}
-
-    def __getattr__(self, name: str) -> list[int]:
-        # Only the scalar reads want lists; each is converted on first use.
-        if not name.endswith("_list"):
-            raise AttributeError(name)
-        values = self.__dict__[name] = getattr(self, name[:-5]).tolist()
-        return values
-
-    def pool(self, pos: int) -> list[int]:
-        edges = self.pools.get(pos)
-        if edges is None:
-            edges = self.pools[pos] = self.indices[
-                self.indptr_list[pos] : self.indptr_list[pos + 1]
-            ].tolist()
-        return edges
-
-    def label_range(self, pos: int, label: int) -> tuple[int, int]:
-        """``(start, stop)`` of the ``(vertex, label)`` group in ``label_indices``."""
-        for group in range(self.group_vptr_list[pos], self.group_vptr_list[pos + 1]):
-            if self.group_labels_list[group] == label:
-                return self.group_indptr_list[group], self.group_indptr_list[group + 1]
-        return 0, 0
-
-
-class CSRGraphView:
-    """Read-only :class:`DynamicGraph` lookalike over :class:`CSRSnapshot` arrays.
-
-    Worker processes build one per published snapshot.  The snapshot
-    arrays are zero-copy views into the shared-memory segment, and the
-    batched reads the kernel uses (``candidate_pools``, ``endpoint_array``,
-    ``find_edges_batch``, the label gathers) are index arithmetic over
-    them; attaching builds only the vertex position table they share.  The
-    scalar API answers from plain Python ints (numpy scalars are ~3x slower
-    to index, hash and compare): each array it reads is converted to a list
-    on first use, adjacency slices per vertex.  Mutating methods are
-    intentionally absent.
-    """
-
-    #: scalar-API attribute -> the snapshot array it is the Python list of
-    _LISTS = {
-        "_vertex_ids": "vertex_ids", "_vertex_label_list": "vertex_labels",
-        "_src": "edge_src", "_dst": "edge_dst", "_label": "edge_label",
-        "_timestamp": "edge_timestamp", "_alive": "edge_alive",
-    }
-
-    def __init__(self, snapshot: CSRSnapshot) -> None:
-        self._snapshot = snapshot
-        vertex_ids = snapshot.vertex_ids
-        self._vertices = _Directory(vertex_ids, np.arange(vertex_ids.shape[0], dtype=np.int64))
-        self._out = _CSRSide(snapshot, "out")
-        self._in = _CSRSide(snapshot, "in")
-
-    def __getattr__(self, name: str) -> list:
-        # Only the scalar reads want lists; each is converted on first use.
-        source = self._LISTS.get(name)
-        if source is None:
-            raise AttributeError(name)
-        values = self.__dict__[name] = getattr(self._snapshot, source).tolist()
-        return values
-
-    # ------------------------------------------------------------------ vertices
-    def has_vertex(self, vertex: int) -> bool:
-        return self._vertices.find_one(vertex) >= 0
-
-    def vertex_label(self, vertex: int) -> int:
-        pos = self._vertices.find_one(vertex)
-        return 0 if pos < 0 else self._vertex_label_list[pos]
-
-    def _positions(self, vertices) -> np.ndarray:
-        """Position of every vertex of an id array (-1 for unknown vertices)."""
-        return self._vertices.find(np.asarray(vertices, dtype=np.int64))
-
-    def vertex_labels(self, vertices) -> np.ndarray:
-        """:meth:`vertex_label` of every entry of a vertex-id array, as int64."""
-        position = self._positions(vertices)
-        return np.where(position >= 0, self._snapshot.vertex_labels[position], 0)
-
-    def vertices(self) -> Iterator[int]:
-        return iter(self._vertex_ids)
-
-    @property
-    def num_vertices(self) -> int:
-        return self._snapshot.vertex_ids.shape[0]
-
-    # ------------------------------------------------------------------ edges
-    def edge(self, edge_id: int) -> EdgeRecord:
-        if not self.is_alive(edge_id):
-            raise GraphError(f"edge id {edge_id} is not a live edge")
-        return EdgeRecord(
-            edge_id, self._src[edge_id], self._dst[edge_id],
-            self._label[edge_id], self._timestamp[edge_id],
-        )
-
-    def is_alive(self, edge_id: int) -> bool:
-        return 0 <= edge_id < self.num_placeholders and bool(self._alive[edge_id])
-
-    def out_edges(self, vertex: int) -> list[int]:
-        """Edge ids of live edges leaving ``vertex`` (do not mutate)."""
-        pos = self._vertices.find_one(vertex)
-        return _EMPTY_IDS if pos < 0 else self._out.pool(pos)
-
-    def in_edges(self, vertex: int) -> list[int]:
-        """Edge ids of live edges entering ``vertex`` (do not mutate)."""
-        pos = self._vertices.find_one(vertex)
-        return _EMPTY_IDS if pos < 0 else self._in.pool(pos)
-
-    def candidate_pool(self, vertex: int, out: bool, label: int | None = None):
-        """Candidate pool for one extension step (see :meth:`DynamicGraph.candidate_pool`)."""
-        if label is None:
-            return self.out_edges(vertex) if out else self.in_edges(vertex)
-        side, pos = self._out if out else self._in, self._vertices.find_one(vertex)
-        if pos < 0:
-            return _EMPTY_ARRAY
-        start, stop = side.label_range(pos, label)
-        return side.label_indices[start:stop]
-
-    def _ranges(self, side: _CSRSide, vertices: np.ndarray, label: int | None):
-        """``(starts, sizes)`` of every vertex's pool in ``indices`` / ``label_indices``.
-
-        Index arithmetic over the snapshot arrays only: the CSR ranges
-        (wildcard) or the ``(vertex, label)`` group ranges are located with
-        gathers, so no per-vertex slice is ever taken.
-        """
-        n = vertices.shape[0]
-        starts = np.zeros(n, dtype=np.int64)
-        sizes = np.zeros(n, dtype=np.int64)
-        position = self._positions(vertices)
-        known = np.nonzero(position >= 0)[0]
-        position = position[known]
-        if label is None:
-            starts[known] = side.indptr[position]
-            sizes[known] = side.indptr[position + 1] - starts[known]
-            return starts, sizes
-        # Every group of every known vertex, then the (at most one per
-        # vertex) group carrying the label.
-        group_counts = side.group_vptr[position + 1] - side.group_vptr[position]
-        groups = expand_ranges(side.group_vptr[position], group_counts)
-        hit = side.group_labels[groups] == label
-        owner = np.repeat(known, group_counts)[hit]
-        group = groups[hit]
-        starts[owner] = side.group_indptr[group]
-        sizes[owner] = side.group_indptr[group + 1] - starts[owner]
-        return starts, sizes
-
-    def candidate_pools(self, anchors: np.ndarray, out: bool, label: int | None = None):
-        """Batched :meth:`candidate_pool` (see :meth:`DynamicGraph.candidate_pools`)."""
-        side = self._out if out else self._in
-        starts, sizes = self._ranges(side, anchors, label)
-        indices = side.indices if label is None else side.label_indices
-        return indices[expand_ranges(starts, sizes)], sizes
-
-    def label_degrees(self, vertices: np.ndarray, out: bool, label: int | None = None):
-        """Batched label degree (see :meth:`DynamicGraph.label_degrees`)."""
-        return self._ranges(self._out if out else self._in, vertices, label)[1]
-
-    def endpoint_array(self, edge_ids: np.ndarray, take_dst: bool) -> np.ndarray:
-        """Vectorized endpoint gather: dst (or src) vertex per edge id."""
-        snapshot = self._snapshot
-        return (snapshot.edge_dst if take_dst else snapshot.edge_src)[edge_ids]
-
-    def edge_labels(self, edge_ids) -> np.ndarray:
-        """Edge-label gather for an id array, without building records."""
-        return self._snapshot.edge_label[edge_ids]
-
-    def incident_edges(self, vertex: int) -> Iterator[int]:
-        yield from self.out_edges(vertex)
-        yield from self.in_edges(vertex)
-
-    def _degree(self, side: _CSRSide, vertex: int, label: int | None) -> int:
-        pos = self._vertices.find_one(vertex)
-        if pos < 0:
-            return 0
-        if label is None:
-            return side.indptr_list[pos + 1] - side.indptr_list[pos]
-        start, stop = side.label_range(pos, label)
-        return stop - start
-
-    def out_degree(self, vertex: int) -> int:
-        return self._degree(self._out, vertex, None)
-
-    def in_degree(self, vertex: int) -> int:
-        return self._degree(self._in, vertex, None)
-
-    def degree(self, vertex: int) -> int:
-        return self.out_degree(vertex) + self.in_degree(vertex)
-
-    def out_label_degree(self, vertex: int, label: int) -> int:
-        """Number of live out-edges with ``label`` (O(labels at vertex))."""
-        return self._degree(self._out, vertex, label)
-
-    def in_label_degree(self, vertex: int, label: int) -> int:
-        """Number of live in-edges with ``label`` (O(labels at vertex))."""
-        return self._degree(self._in, vertex, label)
-
-    def edges(self) -> Iterator[EdgeRecord]:
-        for edge_id, alive in enumerate(self._alive):
-            if alive:
-                yield self.edge(edge_id)
-
-    def find_edges(self, src: int, dst: int, label: int | None = None) -> list[int]:
-        dsts = self._dst
-        if label is None:  # ascending, like the live graph
-            return sorted(e for e in self.out_edges(src) if dsts[e] == dst)
-        labels = self._label
-        return [e for e in self.out_edges(src) if dsts[e] == dst and labels[e] == label]
-
-    def find_edges_batch(self, srcs: np.ndarray, dsts: np.ndarray):
-        """Batched :meth:`find_edges` (see :meth:`DynamicGraph.find_edges_batch`)."""
-        return edges_between(self, srcs, dsts)
-
-    @property
-    def num_edges(self) -> int:
-        return self._snapshot.num_live_edges
-
-    @property
-    def num_placeholders(self) -> int:
-        return self._snapshot.edge_src.shape[0]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"CSRGraphView(|V|={self.num_vertices}, |E|={self.num_edges}, "
             f"placeholders={self.num_placeholders})"
         )

@@ -6,7 +6,7 @@ keeps only the first ``hot_rows`` rows in a numpy array; rows at or
 beyond the budget live in fixed-size ``np.memmap`` segment files under a
 per-query directory.  :class:`~repro.core.debi.DEBI` swaps its row matrix
 for a tiered one in place (``DEBI.enable_spill``), which keeps every
-existing reference — ``IndexManager``, ``EnumerationContext``, the CSR
+existing reference — ``IndexManager``, ``EnumerationContext``, the
 snapshot writer — working untouched: they only ever call the BitMatrix
 interface.
 

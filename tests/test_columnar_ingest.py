@@ -8,8 +8,8 @@ These tests pin that contract:
 
 1. **Graph parity (property)** — ``apply_insert_columns`` /
    ``apply_delete_columns`` replay exactly as a per-event
-   ``add_edge`` / ``delete_edge`` loop: same returned ids, same CSR
-   export, across random streams with duplicate parallel edges and
+   ``add_edge`` / ``delete_edge`` loop: same returned ids, same columns
+   and pools, across random streams with duplicate parallel edges and
    recycling.
 2. **Engine parity (property)** — full runs on the serial engine (with
    and without the degree filter) and on pools of two and three workers
@@ -19,13 +19,10 @@ These tests pin that contract:
    counters, live-edge counts and DEBI content.
 3. **Sliding-window multigraph** — a stream where every expiry is
    ambiguous and every id recycled keeps the reference's ids, free-id
-   stacks, CSR export and DEBI rows on every one of those engines.
+   stacks, columns, pools and DEBI rows on every one of those engines.
 4. **Edge cases** — duplicate parallel edges in one batch,
    delete-then-reinsert hitting a recycled id, empty batches, a vertex
    id of 2**40.
-5. **Publish regimes** — dirty-slice publication is byte-identical to a
-   fresh full export, and an interloper export forces the full-copy
-   fallback.
 """
 
 from __future__ import annotations
@@ -36,14 +33,11 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.core.debi import DEBI
 from repro.core.engine import EngineConfig, MnemonicEngine
 from repro.core.parallel import ParallelConfig
 from repro.core.registry import resolve_deletions
-from repro.core.shared_snapshot import SharedSnapshotWriter, SnapshotAttachment
 from repro.graph.adjacency import DynamicGraph
 from repro.query.query_graph import QueryGraph
-from repro.query.query_tree import QueryTree
 from repro.streams.config import StreamConfig, StreamType
 from repro.streams.events import EventColumns, EventKind, StreamEvent
 from repro.streams.generator import SnapshotGenerator
@@ -100,8 +94,19 @@ def _columns(kind, events):
 
 # ---------------------------------------------------------------------- graph parity
 def _graph_state(graph: DynamicGraph):
-    csr = graph.export_csr()
-    return {key: arr.copy() for key, arr in csr.arrays().items()}
+    """The graph as arrays that do not depend on how its arenas filled: the vertex
+    and edge columns, and every vertex's pools in pool order."""
+    vertices = np.array(list(graph.vertices()), dtype=np.int64)
+    ids = np.arange(graph.num_placeholders)
+    state = {
+        "vertex_ids": vertices, "vertex_labels": graph.vertex_labels(vertices),
+        "edge_src": graph.endpoint_array(ids, False), "edge_dst": graph.endpoint_array(ids, True),
+        "edge_label": graph.edge_labels(ids), "edge_timestamp": graph.edge_timestamps(ids),
+        "edge_alive": np.array([graph.is_alive(e) for e in ids.tolist()], dtype=bool),
+    }
+    for side, out in (("out", True), ("in", False)):
+        state[f"{side}_pools"], state[f"{side}_sizes"] = graph.candidate_pools(vertices, out)
+    return state
 
 
 @settings(max_examples=40, deadline=None)
@@ -238,7 +243,7 @@ _WINDOW = StreamConfig(stream_type=StreamType.SLIDING_WINDOW, window=3.0, stride
 @pytest.mark.parametrize("seed", [3, 4])
 def test_sliding_window_multigraph_matches_the_reference(engine_name, seed):
     """Every expiry is ambiguous (>= 12 live instances per triple) and every id
-    is recycled: ids, free-id stacks, CSR export and DEBI rows stay those of
+    is recycled: ids, free-id stacks, columns, pools and DEBI rows stay those of
     the per-edge reference, snapshot after snapshot."""
     events = _window_stream(seed)
     query = QueryGraph.from_edges([(0, 1), (1, 2)], node_labels={0: 0, 1: 1, 2: 1})
@@ -299,7 +304,7 @@ def test_huge_vertex_id_costs_one_entry(kernel):
                                 graph._in, graph._in.directory, graph.free_ids)
             for array in arrays(owner)]
     assert sum(a.nbytes for a in held) < 16_384
-    assert list(graph.export_csr().vertex_ids) == [big, 5, big + 1, 7]
+    assert list(graph.vertices()) == [big, 5, big + 1, 7]
 
 
 def test_duplicate_parallel_edges_single_batch():
@@ -366,79 +371,3 @@ def test_empty_batches():
         assert snap.num_positive == 0 and snap.num_insertions == 0
     finally:
         engine.close()
-
-
-# ---------------------------------------------------------------------- publish regimes
-def _publish_round_trip(seed, num_batches=24, batch=24, interloper_at=None):
-    """Random mutate/publish loop; every published slot must equal a
-    fresh full export.  Returns (full_publishes, dirty_publishes)."""
-    rng = random.Random(seed)
-    q = QueryGraph.from_edges(
-        [(0, 1), (1, 2), (1, 3)], node_labels={0: 0, 1: 1, 2: 2, 3: 0}
-    )
-    tree = QueryTree(q, root=0)
-    graph = DynamicGraph()
-    debi = DEBI(tree)
-    writer = SharedSnapshotWriter(num_slots=2)
-    attach = SnapshotAttachment()
-    live = []
-    try:
-        for b in range(num_batches):
-            batch_ids = []
-            for _ in range(batch):
-                s = rng.randrange(0, 40)
-                d = rng.randrange(0, 40)
-                eid = graph.add_edge(s, d, rng.randrange(3), float(b),
-                                     src_label=s % 3, dst_label=d % 3)
-                live.append(eid)
-                batch_ids.append(eid)
-                for col in range(tree.num_columns):
-                    if rng.random() < 0.4:
-                        debi.set(eid, col)
-                if rng.random() < 0.3:
-                    debi.set_root(s)
-            if b and rng.random() < 0.3:
-                for _ in range(min(6, len(live))):
-                    eid = live.pop(rng.randrange(len(live)))
-                    graph.delete_edge(eid)
-                    debi.clear_edge(eid)
-            if interloper_at is not None and b == interloper_at:
-                graph.export_csr()  # breaks the export chain: full copy
-            desc = writer.publish(graph, debi, set(batch_ids), positive=True)
-
-            ref = dict(graph.export_csr().arrays())
-            ref_debi = debi.export_buffers()
-            ref["debi_rows_0"] = ref_debi["rows"]
-            ref["debi_roots_0"] = ref_debi["roots"]
-            buf = attach._segment(desc["name"]).buf
-            for key, (dtype, shape, off) in desc["layout"].items():
-                view = np.ndarray(shape, dtype=dtype, buffer=buf, offset=off)
-                if key == "batch_edges":
-                    assert set(view.tolist()) == set(batch_ids)
-                    continue
-                assert np.array_equal(view, ref[key]), (seed, b, key)
-    finally:
-        attach.detach()
-        writer.close()
-    return writer.full_publishes, writer.dirty_publishes
-
-
-def test_dirty_slice_publish_byte_parity():
-    full = dirty = 0
-    for seed in (0, 1):
-        f, d = _publish_round_trip(seed)
-        full += f
-        dirty += d
-    # both regimes exercised; dirty-slice must carry the steady state
-    assert full >= 2  # the first write of each slot is always a full copy
-    assert dirty > full
-
-
-def test_interloper_export_stays_correct():
-    """An export the writer didn't perform breaks its dirty-tracking
-    chain; the writer must detect it (via the graph's export count) and
-    fall back to rewriting everything for that publication.  The
-    byte-parity asserts inside the round trip prove no stale slice
-    survives."""
-    full, dirty = _publish_round_trip(7, interloper_at=10)
-    assert full + dirty == 24  # every batch published despite the break

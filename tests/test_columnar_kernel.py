@@ -602,40 +602,6 @@ class TestIndexMatchesReference:
         native_ran = kernel == "native" and matcher == "isomorphism"
         assert (native_index_calls["filter_insert"] > 0) == native_ran
 
-    def test_native_phases_mark_the_dirty_ledger_as_numpy_does(
-        self, rng, monkeypatch, native_index_calls
-    ):
-        """The pool's dirty-slice publish copies what the ledger names: a native insert
-        phase and a native delete phase must name the rows and root words numpy names."""
-        lib = native.library()
-        if lib is None:
-            pytest.skip(native.status())
-        # random edges, and one chain whose last edge's deletion must cascade
-        chain = [StreamEvent.insert(v, v + 1, 0, 0.0, v % 2, (v + 1) % 2) for v in (100, 101, 102)]
-        events = _random_events(rng, num_events=120, deletes=False, num_vertices=30) + chain
-        doomed = [StreamEvent.delete(e.src, e.dst, e.label) for e in events[:60:2] + chain[2:]]
-
-        def ledgers(library):
-            monkeypatch.setattr(native, "_library", library)
-            with MnemonicEngine(_PATH4) as engine:
-                engine.batch_inserts(events[:20])
-                engine.debi.consume_publish_dirty()  # a fresh DEBI is all dirty
-                engine.batch_inserts(events[20:])
-                inserted = engine.debi.consume_publish_dirty()
-                alive = engine.graph._alive.copy()
-                engine.batch_deletes(doomed)
-                gone = np.flatnonzero(alive & ~engine.graph._alive[: alive.shape[0]])
-                return inserted, engine.debi.consume_publish_dirty(), gone
-
-        native_ledgers = ledgers(lib)
-        assert native_index_calls["filter_insert"] and native_index_calls["filter_delete"]
-        assert native_ledgers[:2] == ledgers(None)[:2]
-        (insert_rows, insert_roots), (delete_rows, _), gone = native_ledgers
-        cleared = {row for low, high in delete_rows for row in range(low, high)}
-        assert insert_rows and insert_roots, "vacuous: the insert phase marked nothing"
-        # rows besides the deleted edges' own: bits the delete pass itself cleared
-        assert cleared - set(gone.tolist()), "vacuous: no deletion cascaded"
-
     def test_a_sliding_window_stays_byte_identical_to_numpy(
         self, rng, monkeypatch, native_index_calls
     ):

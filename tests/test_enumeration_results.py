@@ -9,7 +9,7 @@ from repro.core.engine import EngineConfig, MnemonicEngine, RunResult, enumerate
 from repro.core.enumeration import WorkUnit, decompose_batch
 from repro.core.parallel import ParallelConfig
 from repro.core.results import Embedding, Embeddings, ResultSet
-from repro.graph.adjacency import CSRGraphView
+from repro.graph.adjacency import DynamicGraph
 from repro.matchers import HomomorphismMatcher
 from repro.query.query_graph import QueryGraph
 from repro.streams.events import StreamEvent
@@ -275,7 +275,7 @@ class TestMaskedDecomposition:
         engine = churned_engine(query, seed)
         ids = [record.edge_id for record in engine.graph.edges()]
         np.random.default_rng(seed).shuffle(ids)
-        for graph in (engine.graph, CSRGraphView(engine.graph.export_csr())):
+        for graph in (engine.graph, DynamicGraph.attach_arrays(engine.graph.export_arrays())):
             context = engine.runtime.make_context(graph, set(ids), positive=True)
             units = decompose_batch(context, ids)
             assert list(units) == per_edge_decompose(context, ids)

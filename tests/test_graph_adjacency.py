@@ -1,7 +1,6 @@
 """Unit tests for the dynamic multigraph store (adjacency lists, recycling)."""
 
 import copy
-import random
 import time
 
 import numpy as np
@@ -307,6 +306,25 @@ def test_a_version_2_pickle_restores():
     assert graph_state(restored) == graph_state(graph)
 
 
+def test_a_pickle_with_the_export_journal_restores():
+    """Graphs pickled before the CSR export went carry its journal: two touched
+    columns, the last export's extent and an export count.  They are dropped."""
+    graph = DynamicGraph()
+    ids = graph.apply_insert_columns([7, 3, 7, 9], [3, 9, 9, 7], [0, 1, 0, 2], [1.0, 2.0, 3.0, 4.0],
+                                     [1, 2, 1, 3], [2, 3, 3, 1])
+    graph.delete_edge(ids[1])
+    journal = {f"_{kind}_touched": np.ones(16, dtype=bool) for kind in ("edge", "vertex")}
+    state = {**copy.deepcopy(graph.__dict__), **journal, "_exported": (3, 4), "_export_count": 5}
+    restored = DynamicGraph.__new__(DynamicGraph)
+    restored.__setstate__(state)
+    restored.check_invariants()
+    assert vars(restored).keys() == vars(graph).keys()
+    assert graph_state(restored) == graph_state(graph)
+    assert restored.apply_insert_columns([3, 5], [9, 7], [1, 2]) == graph.apply_insert_columns(
+        [3, 5], [9, 7], [1, 2])
+    assert graph_state(restored) == graph_state(graph)
+
+
 def columns(graph) -> dict:
     """Every column of ``graph``'s store, by owner and name."""
     owners = {"graph": graph, "vertices": graph._vertices, "out": graph._out,
@@ -398,94 +416,3 @@ class TestHubVertex:
         assert graph.out_edges(0) == list(range(0, n, 1000))
         graph.check_invariants()
         assert elapsed < 2.0, f"hub delete by events took {elapsed:.2f}s"
-
-
-class TestIncrementalCSRExport:
-    """The delta export must be element-identical to a full export, and its
-    ``dirty`` spec must cover every element that differs from the previous
-    export, for every mix of inserts, deletes, recycled ids and brand-new
-    vertices."""
-
-    @staticmethod
-    def assert_snapshots_equal(a, b):
-        for key, arr in a.arrays().items():
-            assert np.array_equal(arr, b.arrays()[key]), key
-        assert a.num_live_edges == b.num_live_edges
-
-    def test_journal_tracks_touched_edges_and_vertices(self):
-        graph = DynamicGraph()
-        graph.add_edge(1, 2, label=3)
-        assert graph.journal_size == (2, 1)
-        graph.export_csr()
-        assert graph.journal_size == (0, 0)
-        eid = graph.add_edge(2, 3, label=3)
-        graph.delete_edge(eid)
-        assert graph.journal_size == (2, 1)
-
-    def test_delta_without_previous_export_is_fully_dirty(self):
-        graph = DynamicGraph()
-        graph.add_edge(1, 2, label=3)
-        snapshot = graph.export_csr_delta()
-        assert snapshot.num_live_edges == 1
-        assert snapshot.dirty is None
-        assert graph.journal_size == (0, 0)
-        assert graph.export_csr_delta().dirty is not None
-
-    def test_dirty_spec_covers_every_changed_element(self):
-        """200 random insert/delete rounds: whatever differs element-wise from
-        the previous export lies inside the ranges the delta export reports."""
-        rng = random.Random(5)
-        graph = DynamicGraph()
-        edges = [
-            graph.add_edge(
-                rng.randrange(300), rng.randrange(300),
-                label=rng.randrange(4), timestamp=rng.random(),
-            )
-            for _ in range(1500)
-        ]
-        previous = graph.export_csr()
-        narrow = 0
-        for _ in range(200):
-            for _ in range(rng.randrange(6)):
-                v = rng.randrange(320)  # occasionally a brand-new vertex
-                edges.append(
-                    graph.add_edge(v, rng.randrange(320), label=rng.randrange(4),
-                                   timestamp=rng.random())
-                )
-            rng.shuffle(edges)
-            doomed = [edges.pop() for _ in range(min(rng.randrange(4), len(edges)))]
-            graph.apply_delete_columns(doomed)  # recycles ids
-            delta = graph.export_csr_delta()
-            assert graph.journal_size == (0, 0)
-            self.assert_snapshots_equal(delta, graph.copy().export_csr())
-            for key, new in delta.arrays().items():
-                old = previous.arrays()[key]
-                covered = np.zeros(new.shape[0], dtype=bool)
-                for start, stop in delta.dirty[key]:
-                    assert 0 <= start < stop <= new.shape[0], key
-                    covered[start:stop] = True
-                assert covered[old.shape[0]:].all(), f"{key}: appended tail not dirty"
-                shared = min(old.shape[0], new.shape[0])
-                changed = old[:shared] != new[:shared]
-                assert not (changed & ~covered[:shared]).any(), key
-            narrow += delta.dirty["out_indices"] != [(0, delta.out_indices.shape[0])]
-            # Arrays are fresh objects: a previous snapshot is never patched
-            # in place (consumers may still hold it).
-            assert not np.shares_memory(delta.edge_src, previous.edge_src)
-            previous = delta
-        assert narrow > 150, f"the dirty spec rarely spares a clean prefix ({narrow}/200)"
-
-    def test_recycled_id_changes_are_patched(self):
-        graph = DynamicGraph()
-        a = graph.add_edge(1, 2, label=3, timestamp=1.0)
-        graph.add_edge(2, 3, label=4, timestamp=2.0)
-        graph.export_csr()
-        graph.delete_edge(a)
-        recycled = graph.add_edge(1, 5, label=9, timestamp=7.0)
-        assert recycled == a  # id reuse is the point
-        delta = graph.export_csr_delta()
-        assert delta.edge_dst[recycled] == 5
-        assert delta.edge_label[recycled] == 9
-        assert delta.edge_timestamp[recycled] == 7.0
-        assert delta.edge_alive[recycled] == 1
-        self.assert_snapshots_equal(delta, graph.copy().export_csr())

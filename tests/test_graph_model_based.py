@@ -3,19 +3,19 @@
 A hypothesis state machine drives the columnar store and
 :class:`reference.graph_model.GraphModel` with the same operations —
 insert and delete batches, scalar ``add_edge`` / ``delete_edge``, rejected
-batches, ``copy()``, a pickle round trip, CSR exports, stream deletions
-resolved by triple — and after every step requires identical edge ids and
-records, identical triple resolution, the same per-source free-id stacks,
-the same pools and degrees per ``(vertex, direction, label)`` (scalar and
-batched reads alike, on the live graph and on a view of its export), the
-same counters, and a clean ``check_invariants()``.
+batches, ``copy()``, a pickle round trip, stream deletions resolved by
+triple — and after every step requires identical edge ids and records,
+identical triple resolution, the same per-source free-id stacks, the same
+pools and degrees per ``(vertex, direction, label)`` (scalar and batched
+reads alike, on the live graph and on the read-only graph attached to its
+exported arrays, as pool workers attach it), the same counters, and a
+clean ``check_invariants()`` of both.
 
 It runs once per kernel (the ``kernel`` fixture), and every operation is
 also applied to a twin graph through the numpy path: after every step the
-two agree on the live edge and journal columns, the vertex and partition
-directories, the free-id stacks and, on every export, the CSR arrays and
-their dirty ranges, so the native mutation entries are held to the numpy
-code they replace.
+two agree on the live edge columns, the vertex and partition directories
+and the free-id stacks, so the native mutation entries are held to the
+numpy code they replace.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from reference.graph_model import GraphModel
 
 from repro.core import native
 from repro.core.registry import resolve_deletions
-from repro.graph.adjacency import CSRGraphView, DynamicGraph
+from repro.graph.adjacency import DynamicGraph
 from repro.graph.stats import PlaceholderStats
 from repro.streams.events import EventColumns, EventKind
 from repro.utils.validation import ConfigurationError, GraphError
@@ -248,37 +248,42 @@ class GraphMachine(RuleBasedStateMachine):
     def pickle_round_trip(self):
         self.graph = pickle.loads(pickle.dumps(self.graph))
         self.twin = pickle.loads(pickle.dumps(self.twin))
-        assert self.graph.journal_size == (0, 0)
 
-    @rule(delta=st.booleans())
-    def export(self, delta):
-        """A view of either export returns every pool in the order the live graph does;
-        the twin's export has the same arrays and the same dirty ranges."""
+    # ------------------------------------------------------------------ the oracles
+    @invariant()
+    def attached_agrees(self):
+        """The graph attached to the exported arrays is consistent and returns every
+        pool in the order the live graph does."""
         graph = self.graph
-        snapshot = graph.export_csr_delta() if delta else graph.export_csr()
-        twin = self.twin.export_csr_delta() if delta else self.twin.export_csr()
-        for name, array in snapshot.arrays().items():
-            assert np.array_equal(array, twin.arrays()[name]), name
-        assert snapshot.dirty == twin.dirty
-        view = CSRGraphView(snapshot)
+        view = DynamicGraph.attach_arrays(graph.export_arrays())
+        view.check_invariants()
+        assert (view.num_edges, view.num_placeholders) == (graph.num_edges, graph.num_placeholders)
         assert list(view.vertices()) == list(graph.vertices())
         assert list(view.edges()) == list(graph.edges())
         for vertex in graph.vertices():
             assert view.vertex_label(vertex) == graph.vertex_label(vertex)
+            assert view.free_ids.stack(vertex) == graph.free_ids.stack(vertex)
             for out in (True, False):
                 for label in (None, 0, 1, 2):
                     assert (
-                        np.asarray(view.candidate_pool(vertex, out, label)).tolist()
+                        view.candidate_pool(vertex, out, label).tolist()
                         == graph.candidate_pool(vertex, out, label).tolist()
                     )
-        # the batched degree read on the view, and its scalar reads
+        # the batched reads on the view, and its scalar degree reads
         for out in (True, False):
             for label in (None, 0, 1, 2, 7):
                 expected = scalar_degrees(graph, out, label)
                 assert view.label_degrees(PROBES, out, label).tolist() == expected
                 assert scalar_degrees(view, out, label) == expected
+                assert [a.tolist() for a in view.candidate_pools(PROBES, out, label)] == [
+                    a.tolist() for a in graph.candidate_pools(PROBES, out, label)]
+        srcs, dsts = np.repeat(PROBES, PROBES.shape[0]), np.tile(PROBES, PROBES.shape[0])
+        labels = np.arange(srcs.shape[0]) % 4  # 3: a label no edge carries
+        for read, args in (("find_edges_batch", (srcs, dsts)),
+                           ("find_instances", (srcs, dsts, labels))):
+            ours, theirs = getattr(view, read)(*args), getattr(graph, read)(*args)
+            assert [a.tolist() for a in ours] == [a.tolist() for a in theirs], read
 
-    # ------------------------------------------------------------------ the oracles
     @invariant()
     def twins_agree(self):
         """The graph and its numpy twin hold the same columns, directories and stacks."""
@@ -286,10 +291,9 @@ class GraphMachine(RuleBasedStateMachine):
         twin.check_invariants()
         rows, vertices = graph._rows, graph._vertices.count
         assert (twin._rows, twin._vertices.count) == (rows, vertices)
-        for name in ("_src", "_dst", "_label", "_timestamp", "_alive", "_out_part", "_in_part",
-                     "_edge_touched"):
+        for name in ("_src", "_dst", "_label", "_timestamp", "_alive", "_out_part", "_in_part"):
             assert np.array_equal(getattr(graph, name)[:rows], getattr(twin, name)[:rows]), name
-        for name in ("_vertex_ids", "_vertex_label", "_vertex_touched"):
+        for name in ("_vertex_ids", "_vertex_label"):
             assert np.array_equal(getattr(graph, name)[:vertices], getattr(twin, name)[:vertices])
         for ours, theirs in ((graph._vertices, twin._vertices),
                              (graph._out.directory, twin._out.directory),

@@ -5,7 +5,7 @@ vectorized candidate pipeline must stay consistent with every other
 graph structure through arbitrary interleavings of insertions and
 deletions with edge-id recycling: the combined adjacency lists,
 ``find_edges``, the O(1) label degrees, :class:`PlaceholderStats`, and
-the label-partitioned CSR mirror that pool workers enumerate over.
+the read-only graph pool workers attach over the same columns.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.api import DefaultMatchDefinition
 from repro.core.engine import MnemonicEngine
-from repro.graph.adjacency import CSRGraphView, DynamicGraph
+from repro.graph.adjacency import DynamicGraph
 from repro.query.query_graph import QueryGraph
 from repro.streams.events import StreamEvent
 
@@ -109,11 +109,11 @@ class TestPartitionInvariants:
         assert graph.in_label_degree(99, 0) == 0
 
 
-class TestCSRViewParity:
+class TestAttachedGraphParity:
     @pytest.mark.parametrize("seed", [21, 22, 23])
     def test_label_pools_and_degrees_match_live_graph(self, seed):
         graph, _ = random_mutation_sequence(seed, steps=300)
-        view = CSRGraphView(graph.export_csr())
+        view = DynamicGraph.attach_arrays(graph.export_arrays())
         for vertex in graph.vertices():
             # Combined pools: identical order (wildcard enumeration parity).
             assert view.out_edges(vertex) == graph.out_edges(vertex)
@@ -137,7 +137,7 @@ class TestCSRViewParity:
 
     def test_endpoint_gather_matches_records(self):
         graph, live = random_mutation_sequence(31, steps=200)
-        view = CSRGraphView(graph.export_csr())
+        view = DynamicGraph.attach_arrays(graph.export_arrays())
         ids = np.array([e for e, *_ in live], dtype=np.int64)
         for take_dst in (True, False):
             from_graph = graph.endpoint_array(ids, take_dst).tolist()
@@ -177,7 +177,7 @@ class TestBatchedPoolFetch:
                 graph.delete_edge(live.pop(pick % len(live)))
             else:
                 live.append(graph.add_edge(src, dst, label))
-        view = CSRGraphView(graph.export_csr())
+        view = DynamicGraph.attach_arrays(graph.export_arrays())
         anchor_array = np.array(anchors, dtype=np.int64)
         # NUM_LABELS itself is a label no edge carries: every partition empty.
         for label in (None, *range(NUM_LABELS + 1)):

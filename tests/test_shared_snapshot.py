@@ -1,8 +1,8 @@
 """Tests for the shared-memory snapshot layer and the persistent pool.
 
-Covers the satellite requirements of the shared-memory refactor:
-attach/detach round-trips of the CSR graph export and the DEBI buffers,
-pool reuse across engine batches, and graceful fallback when
+Covers attach/detach round-trips of the graph's own arrays and the DEBI
+buffers, the native kernel serving an attached graph, the refusal to
+mutate one, pool reuse across engine batches, and graceful fallback when
 ``multiprocessing.shared_memory`` is unavailable.
 """
 
@@ -13,18 +13,22 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.core import native
 from repro.core.debi import DEBI
 from repro.core.engine import EngineConfig, MnemonicEngine
+from repro.core.enumeration import columnar_enumerate_packed, decompose_batch
 from repro.core.parallel import ParallelConfig, SharedMemoryPool
 from repro.core.results import Embedding, Embeddings
 from repro.core.shared_snapshot import SharedSnapshotWriter, SnapshotAttachment
 from repro.datasets import NetFlowConfig, generate_netflow_stream, graph_from_events
-from repro.graph.adjacency import CSRGraphView, DynamicGraph
+from repro.graph.adjacency import DynamicGraph
 from repro.query.generator import QueryGenerator
 from repro.query.query_graph import QueryGraph
 from repro.query.query_tree import QueryTree
-from repro.streams.config import StreamConfig
+from repro.streams.config import StreamConfig, StreamType
+from repro.streams.events import StreamEvent
 from repro.utils.bitset import BitMatrix, BitVector
+from repro.utils.validation import GraphError
 
 
 def small_graph() -> DynamicGraph:
@@ -39,11 +43,13 @@ def small_graph() -> DynamicGraph:
     return graph
 
 
-def view_of(graph: DynamicGraph) -> CSRGraphView:
-    return CSRGraphView(graph.export_csr())
+def view_of(graph: DynamicGraph) -> DynamicGraph:
+    view = DynamicGraph.attach_arrays(graph.export_arrays())
+    view.check_invariants()
+    return view
 
 
-class TestCSRExportRoundTrip:
+class TestArrayExportRoundTrip:
     def test_vertices_and_labels(self):
         graph = small_graph()
         view = view_of(graph)
@@ -89,6 +95,23 @@ class TestCSRExportRoundTrip:
             for label in (7, 8, 9, 99):
                 assert view.out_label_degree(v, label) == graph.out_label_degree(v, label)
                 assert view.in_label_degree(v, label) == graph.in_label_degree(v, label)
+
+
+    def test_arrays_are_cut_to_what_is_in_use(self):
+        graph = small_graph()
+        state = graph.export_arrays()
+        assert state["graph._src"].shape == (graph.num_placeholders,)
+        assert state["graph._vertex_label"].shape == (graph.num_vertices + 1,)
+        assert state["vertices.keys"].shape == (graph.num_vertices + 1,)
+        assert state["out.arena"].shape == (graph._out.tail,)
+        assert state["out.size"].shape == (graph._out.rows,)
+        assert np.shares_memory(state["out.arena"], graph._out.arena), "a cut, not a copy"
+
+    def test_an_empty_graph_attaches(self):
+        view = view_of(DynamicGraph())
+        assert view.num_vertices == view.num_edges == 0
+        assert view.candidate_pools(np.array([3, 4]), True, 1)[1].tolist() == [0, 0]
+        assert view.find_edges(1, 2, 0) == []
 
 
 class TestBitsetBufferRoundTrip:
@@ -181,6 +204,81 @@ class TestSharedSnapshotRoundTrip:
             writer.close()
 
 
+def churned_engine() -> MnemonicEngine:
+    query, stream = pool_workload()
+    engine = MnemonicEngine(query, config=EngineConfig(
+        stream=StreamConfig(stream_type=StreamType.INSERT_DELETE)))
+    engine.load_initial(stream[:400])
+    engine.batch_deletes([StreamEvent.delete(e.src, e.dst, e.label) for e in stream[:400:3]])
+    engine.batch_inserts(stream[400:])  # recycles the freed ids
+    return engine
+
+
+class TestAttachedGraphInAWorker:
+    def test_the_native_kernel_enumerates_an_attached_snapshot(self, native_calls):
+        """A worker's call over a published snapshot runs natively and returns the
+        live graph's rows."""
+        pytest.importorskip("multiprocessing.shared_memory")
+        if native.library() is None:
+            pytest.skip(native.status())
+        engine = churned_engine()
+        runtime = engine.runtime
+        batch = {record.edge_id for record in engine.graph.edges()}
+        writer = SharedSnapshotWriter()
+        attachment = SnapshotAttachment()
+        try:
+            descriptor = writer.publish(engine.graph, engine.debi, batch, positive=True)
+            graph, debi, batch_ids = attachment.views(descriptor, runtime.query_state.tree)
+            graph.check_invariants()
+            results = []
+            for context in (
+                runtime.query_state.make_context(graph, debi, batch_ids, True),
+                runtime.make_context(engine.graph, batch, positive=True),
+            ):
+                calls = native_calls[0]
+                units = decompose_batch(context, sorted(batch))
+                blocks, count = columnar_enumerate_packed(context, units)
+                assert native_calls[0] == calls + 1
+                results.append((count, context.candidates_scanned, [
+                    (b.start_edge, b.nodes.tolist(), b.edges.tolist()) for b in blocks
+                ]))
+            assert results[0] == results[1]
+            assert results[0][0] > 0, "vacuous: nothing was enumerated"
+        finally:
+            attachment.detach()
+            writer.close()
+            engine.close()
+
+
+class TestAttachedGraphIsReadOnly:
+    def test_mutation_is_refused_before_any_write(self, kernel):
+        """Its columns are the segment's bytes: an insert, a delete or a new vertex on
+        an attached graph raises and leaves every byte of the segment as it was."""
+        pytest.importorskip("multiprocessing.shared_memory")
+        debi, tree = build_debi_fixture()
+        writer = SharedSnapshotWriter()
+        attachment = SnapshotAttachment()
+        try:
+            descriptor = writer.publish(small_graph(), debi, {0}, positive=True)
+            graph, _, _ = attachment.views(descriptor, tree)
+            segment = attachment._segment(descriptor["name"]).buf
+            before = bytes(segment)
+            for mutate in (
+                lambda: graph.add_edge(1, 2, label=7),
+                lambda: graph.apply_insert_columns([5, 2], [1, 3], [8, 8]),
+                lambda: graph.delete_edge(0),
+                lambda: graph.apply_delete_columns([0, 1]),
+                lambda: graph.add_vertex(42, 1),
+            ):
+                with pytest.raises(GraphError, match="read-only"):
+                    mutate()
+            assert bytes(segment) == before
+            graph.check_invariants()
+        finally:
+            attachment.detach()
+            writer.close()
+
+
 class TestDoubleBufferedWriter:
     """Epoch/slot behaviour of the two-slot writer: segment reuse across
     epochs, growth/shrink/regrowth, zero-query publications, and
@@ -203,6 +301,29 @@ class TestDoubleBufferedWriter:
             assert names[0] == names[2]
             assert names[1] == names[3]
         finally:
+            writer.close()
+
+    def test_a_growing_graph_keeps_its_offsets(self):
+        """Each array is reserved half its size again, so the slot that held a graph
+        takes it a few edges larger at the same offsets."""
+        pytest.importorskip("multiprocessing.shared_memory")
+        graph = small_graph()
+        debi, tree = build_debi_fixture()
+        writer = SharedSnapshotWriter()
+        attachment = SnapshotAttachment()
+        try:
+            first = writer.publish(graph, debi, {0}, positive=True)
+            writer.publish(graph, debi, {0}, positive=True)
+            graph.add_edge(3, 2, label=8, timestamp=6.0)
+            third = writer.publish(graph, debi, {0}, positive=True)
+            assert third["name"] == first["name"]
+            assert {key: offset for key, (_, _, offset) in third["layout"].items()} == {
+                key: offset for key, (_, _, offset) in first["layout"].items()}
+            assert third["layout"]["graph._src"][1] == (graph.num_placeholders,)
+            view, _, _ = attachment.views(third, tree)
+            assert list(view.edges()) == list(graph.edges())
+        finally:
+            attachment.detach()
             writer.close()
 
     def test_segment_grow_shrink_regrow(self):
