@@ -42,7 +42,6 @@ from repro.core.parallel import ParallelConfig
 from repro.core.registry import MultiQueryEngine, QueryRegistry
 from repro.core.results import CollectingSink, Embedding, ResultSet
 from repro.core.service import MnemonicService
-from repro.core.supervisor import FaultPolicy
 from repro.graph.adjacency import DynamicGraph
 from repro.query.query_graph import WILDCARD_LABEL, QueryGraph
 from repro.storage.config import StorageConfig
@@ -62,7 +61,6 @@ __all__ = [
     "QueryRegistry",
     "CollectingSink",
     "EngineConfig",
-    "FaultPolicy",
     "ParallelConfig",
     "RunResult",
     "SnapshotResult",

@@ -21,7 +21,6 @@ from repro.core.api import MatchDefinition
 from repro.core.engine import EngineConfig, MnemonicEngine, RunResult
 from repro.core.parallel import ParallelConfig
 from repro.core.registry import MultiQueryEngine, MultiRunResult
-from repro.core.supervisor import FaultPolicy
 from repro.datasets.queries import graph_from_events
 from repro.query.query_graph import QueryGraph
 from repro.storage.config import StorageConfig
@@ -93,7 +92,6 @@ def run_mnemonic_stream(
     recycle_edge_ids: bool = True,
     pipeline: str = "serial",
     storage: "StorageConfig | None" = None,
-    fault: FaultPolicy | None = None,
     query_name: str = "query",
 ) -> BenchRun:
     """Run the Mnemonic engine over ``stream`` and time the streaming part.
@@ -106,9 +104,7 @@ def run_mnemonic_stream(
     ``storage`` config runs the engine durably (journal + checkpoints +
     optional DEBI cold tier) and folds the storage counters into
     ``extra`` so tables can report disk footprint next to throughput.
-    A ``fault`` policy opts the run into self-healing (pool respawn and
-    redispatch under a retry budget); the supervisor's fault counters are
-    folded into ``extra["fault_stats"]`` either way.
+    The engine's pool-fault counters are in ``extra["fault_stats"]``.
     """
     config = EngineConfig(
         stream=StreamConfig(
@@ -122,7 +118,6 @@ def run_mnemonic_stream(
         recycle_edge_ids=recycle_edge_ids,
         pipeline=pipeline,
         storage=storage,
-        fault=fault or FaultPolicy(),
     )
     # Engine construction spawns the persistent worker pool (process
     # backend), so pool start-up is part of setup — not of the measured
@@ -185,7 +180,6 @@ def run_service_stream(
     capacity: int = 4096,
     clock: Clock | None = None,
     overload: str = "block",
-    fault: FaultPolicy | None = None,
     query_name: str = "query",
 ) -> BenchRun:
     """Run the engine behind a :class:`~repro.streams.broker.StreamBroker`.
@@ -199,8 +193,7 @@ def run_service_stream(
     to the throughput metrics, plus the broker's backpressure counters —
     including shed/rejected events under a non-default ``overload``
     policy, so load-shedding runs report what they dropped next to the
-    latency they bought.  A ``fault`` policy opts the engine into
-    self-healing (see :func:`run_mnemonic_stream`).
+    latency they bought.
     """
     config = EngineConfig(
         stream=StreamConfig(
@@ -211,7 +204,6 @@ def run_service_stream(
         parallel=parallel or ParallelConfig(),
         collect_embeddings=collect_embeddings,
         pipeline=pipeline,
-        fault=fault or FaultPolicy(),
     )
     engine = MnemonicEngine(query, match_def=match_def, config=config)
     try:

@@ -8,7 +8,7 @@ destroyed embeddings are enumerated through the user's
 :class:`~repro.core.api.MatchDefinition` in parallel.
 
 It is a :class:`~repro.core.registry.MultiQueryEngine` — batch loop,
-worker pool, fault supervision, journal and checkpoints — that registers
+worker pool, journal and checkpoints — that registers
 its query as id 0 when it is built.  The configuration and result shapes
 both engines share are defined in :mod:`repro.core.registry` and
 importable from here.

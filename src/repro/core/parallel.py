@@ -20,7 +20,8 @@ Two backends are provided:
     arrays each) cross the pipes, a few slices per worker and epoch
     (:func:`slice_units`), one kernel call each.  When the pool cannot be
     spawned the engine enumerates serially; a pool that breaks mid-run is
-    respawned or degraded by the supervisor (see ``docs/parallelism.md``).
+    closed and the engine enumerates serially from then on (see
+    ``docs/parallelism.md``).
 
 There is no thread backend: the kernel is a sequence of short numpy
 calls, so Python threads convoy on the GIL and every measured thread
@@ -123,10 +124,6 @@ class WorkerStats:
     kernel_calls: int = 0
     #: embedding-block bytes put on the result queue (0 when only counting)
     result_bytes: int = 0
-    #: which pool generation produced these stats (0 before any respawn);
-    #: lets aggregation distinguish worker 0 of the original pool from
-    #: worker 0 of its replacement instead of silently merging them
-    generation: int = 0
 
     def utilisation(self, wall_seconds: float) -> float:
         """Fraction of ``wall_seconds`` this worker spent processing units.
@@ -195,15 +192,6 @@ def run_serial(
 # ---------------------------------------------------------------------- shared-memory pool
 class PoolBrokenError(RuntimeError):
     """A pool worker died or misbehaved; the pool cannot be trusted further."""
-
-
-class EpochDeadlineError(PoolBrokenError):
-    """An epoch drain exceeded its deadline (likely a hung worker).
-
-    Subclasses :class:`PoolBrokenError` because the remedy is the same —
-    the pool cannot be trusted and the supervisor must replace it — but
-    the distinct type lets callers count deadline expiries separately.
-    """
 
 
 @dataclass
@@ -275,12 +263,7 @@ def _pool_worker_main(
     # would under-count steps that share an anchor pool across columns).
     multi_query = len(query_states) > 1
     shared_cache: dict | None = {} if multi_query else None
-    # Keyed by (segment name, epoch), not epoch alone: a supervisor may
-    # redispatch a *retired* pool's frozen epoch to this pool (the
-    # segment names are globally unique, so attaching by name works
-    # across pool generations), and the retired writer's epoch numbers
-    # can collide with our own writer's.
-    current_epoch: tuple[str, int] | None = None
+    current_epoch: int | None = None
     try:
         while True:
             task = task_queue.get()
@@ -289,11 +272,10 @@ def _pool_worker_main(
             epoch, descriptor, query_id, units, collect = task
             try:
                 task_start = time.perf_counter()
-                epoch_key = (descriptor["name"], descriptor["epoch"])
-                if epoch_key != current_epoch:
+                if epoch != current_epoch:
                     contexts = {}
                     shared_cache = {} if multi_query else None
-                    current_epoch = epoch_key
+                    current_epoch = epoch
                 context = contexts.get(query_id)
                 if context is None:
                     graph_view, debis, batch_edge_ids = attachment.views(descriptor, trees)
@@ -343,13 +325,8 @@ class SharedMemoryPool:
         import multiprocessing as mp
 
         self.num_workers = num_workers
-        #: stamped by the supervisor; tags WorkerStats across respawns
-        self.generation = 0
-        #: epoch drains aborted by a deadline (folded into supervisor stats)
-        self.deadline_expiries = 0
         self._writer = SharedSnapshotWriter()
         self._inflight: dict[int, _InflightEpoch] = {}
-        self._adopted_ids = 0
         self._broken = False
         self._closed = False
         self._terminated = False
@@ -358,7 +335,7 @@ class SharedMemoryPool:
         except ValueError:  # pragma: no cover - non-POSIX platforms
             ctx = mp.get_context("spawn")
         # Freeze any armed fault-injection state *before* forking so the
-        # children inherit this generation's faults (no-op in production).
+        # children inherit this pool's faults (no-op in production).
         fault_injection.pool_spawning()
         self._task_queue = ctx.Queue()
         self._result_queue = ctx.Queue()
@@ -482,55 +459,14 @@ class SharedMemoryPool:
             self._broken = True
             raise PoolBrokenError(f"snapshot publication failed: {exc}") from exc
         epoch = descriptor["epoch"]
-        self._enqueue_epoch(epoch, descriptor, contexts, units, collect)
-        return DispatchedEpoch(epoch=epoch, descriptor=descriptor, units=units)
-
-    def adopt(
-        self,
-        handle: "DispatchedEpoch",
-        contexts: "dict[int, EnumerationContext]",
-        collect: bool = True,
-    ) -> int:
-        """Re-enqueue a *retired* pool's in-flight epoch on this pool.
-
-        ``handle`` carries the retired pool's frozen descriptor and the
-        exact work units it dispatched; the segment names inside the
-        descriptor are globally unique and the retired pool's writer is
-        still alive (terminated pools keep their segments), so this
-        pool's workers can attach to the frozen snapshot by name and
-        re-run the same units — bit-identical redispatch.  Returns an
-        epoch id to pass to :meth:`drain`; ids are negative so they can
-        never collide with this pool's own writer epochs.
-        """
-        if not self.usable:
-            raise PoolBrokenError("pool is closed or broken")
-        self._adopted_ids += 1
-        epoch_id = -self._adopted_ids
-        self._enqueue_epoch(epoch_id, handle.descriptor, contexts, handle.units, collect)
-        return epoch_id
-
-    def _enqueue_epoch(
-        self,
-        epoch_id: int,
-        descriptor: dict,
-        contexts: "dict[int, EnumerationContext]",
-        units: "dict[int, WorkUnits]",
-        collect: bool,
-    ) -> None:
-        """Register in-flight state for ``epoch_id`` and enqueue its slices.
-
-        ``epoch_id`` is a parent-side routing key echoed back by the
-        workers; the workers identify the snapshot itself purely through
-        the descriptor's (segment name, epoch) pair.
-        """
         tasks = [
             (qid, piece)
             for qid, query_units in units.items()
             if len(query_units)
             for piece in slice_units(query_units, self.num_workers)
         ]
-        state = _InflightEpoch(
-            epoch=epoch_id,
+        self._inflight[epoch] = _InflightEpoch(
+            epoch=epoch,
             contexts=contexts,
             pending=len(tasks),
             start=time.perf_counter(),
@@ -538,34 +474,25 @@ class SharedMemoryPool:
             totals={qid: 0 for qid in contexts},
             scanned={qid: 0 for qid in contexts},
         )
-        self._inflight[epoch_id] = state
         for qid, piece in tasks:
-            self._task_queue.put((epoch_id, descriptor, qid, piece, collect))
+            self._task_queue.put((epoch, descriptor, qid, piece, collect))
+        return DispatchedEpoch(epoch=epoch, descriptor=descriptor, units=units)
 
-    def drain(
-        self,
-        handle: "DispatchedEpoch | int",
-        deadline_seconds: float | None = None,
-    ) -> "DrainedEpoch":
+    def drain(self, handle: "DispatchedEpoch") -> "DrainedEpoch":
         """Join on one dispatched epoch and return its per-query outcomes.
 
         Results of *other* in-flight epochs arriving meanwhile are
         buffered into their own epoch state, so epochs may be drained in
-        any order (the pipeline drains them oldest-first).
-
-        ``deadline_seconds`` bounds the epoch's total wall clock,
-        measured from its dispatch: when it expires with results still
-        missing (a wedged worker never crashes, so the liveness poll
-        alone cannot catch it) the pool is declared broken and
-        :class:`EpochDeadlineError` is raised instead of waiting forever.
+        any order (the pipeline drains them oldest-first).  There is no
+        deadline: a worker that dies is caught by the liveness poll, but
+        one that hangs without dying is waited on.
         """
-        epoch = handle.epoch if isinstance(handle, DispatchedEpoch) else handle
+        epoch = handle.epoch
         state = self._inflight.get(epoch)
         if state is None:
             raise PoolBrokenError(f"epoch {epoch} is not in flight")
-        deadline = None if deadline_seconds is None else state.start + deadline_seconds
         while state.pending:
-            self._route_result(self._next_result(deadline))
+            self._route_result(self._next_result())
         del self._inflight[epoch]
         wall = time.perf_counter() - state.start
         if state.failure is not None:
@@ -613,10 +540,7 @@ class SharedMemoryPool:
         state.totals[qid] += n_found
         state.scanned[qid] += scanned
         state.embeddings[qid].blocks.extend(payload)  # no block when only counting
-        st = state.stats.setdefault(
-            (qid, worker_id),
-            WorkerStats(worker_id=worker_id, generation=self.generation),
-        )
+        st = state.stats.setdefault((qid, worker_id), WorkerStats(worker_id=worker_id))
         st.units_processed += n_units
         st.embeddings_found += n_found
         st.busy_seconds += task_end - task_start
@@ -647,32 +571,11 @@ class SharedMemoryPool:
             if not proc.is_alive()
         )
 
-    def _next_result(self, deadline: float | None = None):
-        """Fetch one result, polling worker liveness so a crash cannot deadlock.
-
-        ``deadline`` is an absolute ``time.perf_counter()`` instant; past
-        it, an empty queue raises :class:`EpochDeadlineError` (the hung-
-        worker case liveness polling cannot catch).
-        """
+    def _next_result(self):
+        """Fetch one result, polling worker liveness so a crash cannot deadlock."""
         while True:
-            timeout = self._POLL_SECONDS
-            if deadline is not None:
-                remaining = deadline - time.perf_counter()
-                if remaining <= 0:
-                    # One last non-blocking look: results that arrived right
-                    # at the wire still count.
-                    try:
-                        return self._result_queue.get_nowait()
-                    except queue.Empty:
-                        self._broken = True
-                        self.deadline_expiries += 1
-                        raise EpochDeadlineError(
-                            "epoch drain exceeded its deadline; a worker is "
-                            "likely hung"
-                        ) from None
-                timeout = min(timeout, remaining)
             try:
-                return self._result_queue.get(timeout=timeout)
+                return self._result_queue.get(timeout=self._POLL_SECONDS)
             except queue.Empty:
                 dead = self._dead_workers_detail()
                 if dead:
@@ -685,11 +588,10 @@ class SharedMemoryPool:
     def terminate(self, join_timeout: float = 2.0) -> None:
         """Kill the workers but keep the shared-memory segments alive.
 
-        This is the supervisor's retirement path: the frozen epochs this
-        pool published must stay attachable (for redispatch on a
-        replacement pool or parent-side recovery), so only the processes
-        and queues are torn down here.  :meth:`close` later unlinks the
-        segments.  Idempotent.
+        This is the broken-pool path: the frozen epochs this pool published
+        must stay attachable for parent-side recovery, so only the
+        processes and queues are torn down here.  :meth:`close` later
+        unlinks the segments.  Idempotent.
         """
         if self._terminated or self._closed:
             return

@@ -35,17 +35,14 @@ Two execution modes
     amortise a publication) run inline at their stream position, which
     trivially preserves ordering.
 
-If the pool breaks mid-pipeline the already-dispatched epochs are
-recovered from their *frozen* published segments, which outlive the
-broken pool (the supervisor terminates it without unlinking them).
-Preferably the host's supervisor provides a replacement pool and the
-epochs are **redispatched**: the new workers attach to the frozen
-segments by name and re-run exactly the same units.  When no
-replacement is available (retry budget exhausted, or supervision is
-off) the coordinator attaches to the segments itself and re-enumerates
-the dispatched units serially.  Either way the live graph — which may
-already carry later batches' mutations — is never touched, so the
-results stay bit-identical to a fault-free run.
+If the pool breaks mid-pipeline (a worker death caught by the liveness
+poll, a torn result message, a failed publish) the pool's workers are
+terminated and the already-dispatched epochs are re-enumerated by the
+coordinator from their *frozen* published segments, which outlive the
+workers.  The live graph — which may already carry later batches'
+mutations — is never touched, so the results stay bit-identical to a
+fault-free run.  The pool is then closed and the engine enumerates
+serially for the rest of its life.
 """
 
 from __future__ import annotations
@@ -423,13 +420,13 @@ class BatchPipeline:
                         return
                     # Inline (serial-mode) execution goes through the same
                     # dispatch/drain pair as the overlap path so a pool
-                    # fault here benefits from the identical
-                    # redispatch-from-frozen-segments recovery.
+                    # fault here gets the identical recovery from the
+                    # frozen segments.
                     while not phase.complete and self._pending:
                         self._drain_oldest()
                     return
                 except PoolBrokenError as exc:
-                    self._handle_pool_broken(exc)
+                    self._handle_pool_broken(pool, exc)
                     if phase.complete:
                         return
         # No usable pool, or a phase too small to amortise a snapshot
@@ -455,85 +452,47 @@ class BatchPipeline:
             query_phase.candidates_scanned = contexts[qid].candidates_scanned
 
     # ------------------------------------------------------------------ draining & recovery
-    def _epoch_deadline(self) -> float | None:
-        """Per-epoch drain deadline from the host's fault policy, if any."""
-        return self.host.config.fault.epoch_deadline_seconds
-
     def _drain_oldest(self) -> None:
         pending = self._pending.popleft()
         try:
-            drained = pending.pool.drain(
-                pending.handle, deadline_seconds=self._epoch_deadline()
-            )
-            outcomes = drained.outcomes
+            drained = pending.pool.drain(pending.handle)
         except PoolBrokenError as exc:
             self._pending.appendleft(pending)
-            self._handle_pool_broken(exc)
+            self._handle_pool_broken(pending.pool, exc)
             return
         self._complete_phase(
             pending.phase,
             pending.contexts,
-            outcomes,
+            drained.outcomes,
             wall=time.perf_counter() - pending.dispatched_at,
         )
 
-    def _handle_pool_broken(self, exc: PoolBrokenError) -> None:
-        """Recover every dispatched epoch, preferring redispatch over serial.
+    def _handle_pool_broken(self, pool: SharedMemoryPool, exc: PoolBrokenError) -> None:
+        """Recover every dispatched epoch parent-side, then go serial for good.
 
-        The live graph may already carry later batches' mutations, so
-        the in-flight phases are re-enumerated against their *published*
-        epochs, whose frozen segments outlive the broken pool.  The host
-        is asked for a replacement pool (supervised hosts respawn under
-        their retry budget); epochs are redispatched onto it by adopting
-        their frozen descriptors.  Phases left without a replacement are
-        recovered parent-side: the coordinator attaches to the segments
-        itself and runs the dispatched units serially.  Both paths are
-        bit-identical to what the dead workers would have produced.
+        The live graph may already carry later batches' mutations, so the
+        in-flight phases are re-enumerated against their *published*
+        epochs: the pool's workers are terminated but its frozen segments
+        stay alive until the host closes the pool, after recovery.
         """
-        collect = self.host.config.collect_embeddings
+        pool.terminate()
         pending, self._pending = list(self._pending), deque()
-        redispatched = 0
-        recovered = 0
-        replacement = self.host.pipeline_pool_broken()
-        while pending and replacement is not None:
-            item = pending[0]
-            try:
-                epoch_id = replacement.adopt(item.handle, item.contexts, collect=collect)
-                drained = replacement.drain(
-                    epoch_id, deadline_seconds=self._epoch_deadline()
-                )
-            except PoolBrokenError as follow_up:
-                # The replacement broke too (crash loop): retire it and
-                # ask for another; the budget bounds how long this lasts.
-                exc = follow_up
-                replacement = self.host.pipeline_pool_broken()
-                continue
-            pending.pop(0)
-            redispatched += 1
-            self._complete_phase(
-                item.phase,
-                item.contexts,
-                drained.outcomes,
-                wall=time.perf_counter() - item.dispatched_at,
-            )
         for item in pending:
             outcomes = self._recover_phase(item)
-            recovered += 1
             self._complete_phase(
                 item.phase,
                 item.contexts,
                 outcomes,
                 wall=time.perf_counter() - item.dispatched_at,
             )
-        self.host.pipeline_recovery_finished(redispatched, recovered)
-        if replacement is None:
-            warnings.warn(
-                f"shared-memory pool failed mid-run ({exc}); in-flight epochs "
-                "were recovered from their published snapshots and enumeration "
-                "continues serially",
-                RuntimeWarning,
-                stacklevel=3,
-            )
+        self.host.pipeline_pool_broken(recovered=len(pending))
+        warnings.warn(
+            f"shared-memory pool failed mid-run ({exc}); in-flight epochs "
+            "were recovered from their published snapshots and enumeration "
+            "continues serially",
+            RuntimeWarning,
+            stacklevel=3,
+        )
 
     def _recover_phase(self, pending: _PendingPhase) -> dict[int, EnumerationOutcome]:
         """Serially re-enumerate one dispatched epoch from its frozen snapshot."""

@@ -52,7 +52,6 @@ from repro.core.filtering import IndexManager
 from repro.core.parallel import EnumerationOutcome, ParallelConfig, SharedMemoryPool
 from repro.core.pipeline import BatchPipeline, CompletedBatch, ingest_latency
 from repro.core.results import Embeddings, ResultSet
-from repro.core.supervisor import FaultPolicy, PoolSupervisor
 from repro.graph.adjacency import DynamicGraph, ranks_in_runs, stable_runs
 from repro.query.masking import MaskTable
 from repro.query.matching_order import MatchingOrder, build_matching_orders
@@ -354,10 +353,6 @@ class EngineConfig:
     collect_embeddings: bool = True
     #: durable state: journal + checkpoints + spillable DEBI (None = volatile)
     storage: StorageConfig | None = None
-    #: how pool faults are handled: respawn budget, backoff, epoch deadline
-    #: (the default policy performs no respawns — a broken pool degrades
-    #: straight to serial enumeration)
-    fault: FaultPolicy = field(default_factory=FaultPolicy)
 
 
 # ---------------------------------------------------------------------- result shapes
@@ -555,7 +550,7 @@ class MultiQueryEngine:
     """A shared-everything engine evaluating many standing queries per batch.
 
     The one :class:`~repro.core.pipeline.BatchPipeline` host: it owns the
-    graph, the query registry, the supervised worker pool and the durable
+    graph, the query registry, the worker pool and the durable
     state.  Compared with one engine per query, a batch costs:
 
     * **one** graph mutation pass instead of N,
@@ -601,15 +596,10 @@ class MultiQueryEngine:
         self._pool_version = -1
         self._exports_before_pool = 0
         self._closed = False
-        # Fault supervision: the factory respawns a pool over the *current*
-        # registry membership (respawn after a fault serves the same queries
-        # the broken pool did — membership changes go through _ensure_pool).
-        self._supervisor = PoolSupervisor(
-            self.config.fault,
-            lambda: SharedMemoryPool.create_multi(
-                self.registry.query_states(), self.config.parallel
-            ),
-        )
+        #: pool breaks (at most one: a broken pool is never replaced) and the
+        #: in-flight epochs recovered parent-side after it
+        self._faults = 0
+        self._recovered_epochs = 0
         #: per-batch footprints captured at mutation time
         self._footprints: dict[int, tuple[int, int, dict[int, int]]] = {}
         self._pipeline = BatchPipeline(self, mode=self.config.pipeline)
@@ -682,17 +672,9 @@ class MultiQueryEngine:
     # ------------------------------------------------------------------ lifecycle
     @property
     def snapshot_exports(self) -> int:
-        """Total shared-memory snapshot publications over the engine lifetime.
-
-        Includes pools the supervisor retired after faults, so the count
-        stays monotonic across respawns.
-        """
+        """Total shared-memory snapshot publications over the engine lifetime."""
         current = self._pool.publish_count if self._pool is not None else 0
-        return (
-            self._exports_before_pool
-            + self._supervisor.retired_publish_count
-            + current
-        )
+        return self._exports_before_pool + current
 
     def _adopt_pool(self, pool: SharedMemoryPool | None) -> SharedMemoryPool | None:
         """Track ``pool`` (may be None) and arm a close-on-GC finalizer.
@@ -739,7 +721,6 @@ class MultiQueryEngine:
         if pool is not None:
             self._exports_before_pool += pool.publish_count
             pool.close()
-        self._exports_before_pool += self._supervisor.release_retired()
 
     def __enter__(self) -> MultiQueryEngine:
         return self
@@ -762,26 +743,18 @@ class MultiQueryEngine:
         parallel = self.config.parallel
         if self._closed or parallel.backend != "process" or parallel.num_workers <= 1:
             return None
-        if len(self.registry) == 0:
-            return None
-        if self._supervisor.level != "process":
-            # Fault-degraded engines stay off the process backend even
-            # across registry churn; the ladder is one-way per engine.
+        if len(self.registry) == 0 or self._faults:
+            # A broken pool is never replaced, not even across registry
+            # churn: the engine enumerates serially for the rest of its life.
             return None
         if self._pool_version == self.registry.version:
             # Same membership as the last attempt: reuse the pool, or stay on
-            # the fallback path if that attempt failed or the pool broke —
-            # retrying the full worker spawn every phase would pay the spawn
-            # cost (and emit the failure warning) once per batch.
-            pool = self._pool
-            if pool is not None and not pool.usable:
-                self._release_pool()
-                return None
-            return pool
+            # the fallback path if that attempt failed — retrying the full
+            # worker spawn every phase would pay the spawn cost (and emit the
+            # failure warning) once per batch.
+            return self._pool
         self._release_pool()
-        pool = self._supervisor.note_spawn(
-            SharedMemoryPool.create_multi(self.registry.query_states(), parallel)
-        )
+        pool = SharedMemoryPool.create_multi(self.registry.query_states(), parallel)
         self._adopt_pool(pool)
         self._pool_version = self.registry.version
         return pool
@@ -862,31 +835,21 @@ class MultiQueryEngine:
             pipeline.flush()
         return self._ensure_pool()
 
-    def pipeline_pool_broken(self) -> SharedMemoryPool | None:
-        """The pool failed: retire it and return a replacement, or None.
-
-        The supervisor terminates the broken pool (keeping its frozen
-        segments alive for redispatch) and respawns under the retry
-        budget; None means no replacement, so the pipeline recovers the
-        in-flight epochs parent-side and stops using the pool.
-        """
-        # The pool version is left alone: on respawn the replacement serves
-        # the same membership; on budget exhaustion the stale version plus
-        # the degraded level keep _ensure_pool from a respawn storm.
-        replacement = self._supervisor.replace(self._detach_pool())
-        return self._adopt_pool(replacement)
-
-    def pipeline_recovery_finished(self, redispatched: int, recovered: int) -> None:
-        """Recovery accounting: epochs redispatched to a replacement pool
-        vs recovered parent-side."""
-        self._supervisor.note_recovery(redispatched, recovered)
-        self._exports_before_pool += self._supervisor.release_retired()
+    def pipeline_pool_broken(self, recovered: int) -> None:
+        """The pool broke and ``recovered`` in-flight epochs were re-run
+        parent-side from its frozen segments: close it and go serial."""
+        self._faults += 1
+        self._recovered_epochs += recovered
+        self._release_pool()
 
     def fault_stats(self) -> dict[str, object]:
-        """Supervision counters: faults, respawns, degradations, level."""
-        stats = self._supervisor.stats.as_dict()
-        stats["level"] = self._supervisor.level
-        return stats
+        """Pool breaks, epochs recovered after them, and the backend
+        enumerating now (``"serial"`` once the pool broke)."""
+        return {
+            "faults": self._faults,
+            "recovered_epochs": self._recovered_epochs,
+            "level": "serial" if self._faults else "process",
+        }
 
     def pipeline_batch_applied(self, batch: CompletedBatch) -> None:
         """All of a batch's mutations are applied (enumeration may still run).
@@ -949,7 +912,6 @@ class MultiQueryEngine:
                 result.candidates_scanned += query_phase.candidates_scanned
                 result.enumerate_seconds += self._attributable_seconds(outcome)
                 result.enumeration_outcomes.append(outcome)
-                self._supervisor.record_outcome(outcome)
                 result.record(phase.positive, outcome.num_embeddings, outcome.embeddings)
         if footprint is not None:
             live_edges, placeholders, debi_bits = footprint

@@ -234,20 +234,18 @@ class MnemonicService:
         return self.broker.watermark
 
     def stats(self) -> dict[str, float]:
-        """Broker ingest counters plus batcher and fault-supervision state.
+        """Broker ingest counters plus batcher and pool-fault state.
 
-        Fault counters (``fault_*``) come from the engine's pool
-        supervisor: respawns, degradation-ladder level, recovered and
-        redispatched epochs — the dashboard view of self-healing.
+        The fault counters (``fault_faults``, ``fault_recovered_epochs``,
+        ``fault_level``) are the engine's :meth:`fault_stats`: whether the
+        worker pool broke, how many in-flight epochs were recovered, and
+        which backend enumerates now.
         """
         stats = self.broker.stats()
         stats["open_batch_events"] = self._batcher.pending_events
         stats["snapshots_processed"] = self._number
         for key, value in self.engine.fault_stats().items():
-            if key == "degradations":
-                stats["fault_degradations"] = len(value)  # type: ignore[arg-type]
-            else:
-                stats[f"fault_{key}"] = value  # type: ignore[assignment]
+            stats[f"fault_{key}"] = value  # type: ignore[assignment]
         return stats
 
     # ------------------------------------------------------------------ lifecycle

@@ -292,10 +292,8 @@ class SnapshotAttachment:
 
     def __init__(self) -> None:
         self._segments: dict[str, "SharedMemory"] = {}
-        #: cache key is (segment name, epoch): epoch numbers restart per
-        #: writer, so after a pool respawn an adopted epoch from the
-        #: retired writer may share a number with one from the new writer.
-        self._cached_key: tuple[str, int] | None = None
+        #: epoch of the cached views (one writer per attachment)
+        self._cached_epoch: int | None = None
         self._views: tuple | None = None
 
     def _segment(self, name: str) -> "SharedMemory":
@@ -324,8 +322,7 @@ class SnapshotAttachment:
         back (single-query engines), or a ``query_id -> tree`` mapping to
         get a ``query_id -> DEBI`` mapping (multi-query pool workers).
         """
-        cache_key = (descriptor["name"], descriptor["epoch"])
-        if cache_key == self._cached_key and self._views is not None:
+        if descriptor["epoch"] == self._cached_epoch and self._views is not None:
             return self._views
         from repro.core.debi import DEBI
         from repro.graph.adjacency import DynamicGraph
@@ -350,7 +347,7 @@ class SnapshotAttachment:
             )
         batch_edge_ids = set(arrays.pop("batch_edges").tolist())
         graph = DynamicGraph.attach_arrays({**descriptor["graph"], **arrays})
-        self._cached_key = cache_key
+        self._cached_epoch = descriptor["epoch"]
         self._views = (
             graph,
             next(iter(debis.values())) if single and debis else debis,
@@ -361,7 +358,7 @@ class SnapshotAttachment:
     def detach(self) -> None:
         """Drop the cached views and close every segment mapping."""
         self._views = None
-        self._cached_key = None
+        self._cached_epoch = None
         segments, self._segments = self._segments, {}
         for shm in segments.values():
             try:

@@ -59,11 +59,6 @@ class StreamConfig:
     window: float | None = None
     stride: float | None = None
 
-    @property
-    def max_batch_size(self) -> int:
-        """Alias naming the size cap next to ``max_batch_delay`` (== batch_size)."""
-        return self.batch_size
-
     def __post_init__(self) -> None:
         if isinstance(self.stream_type, str):
             self.stream_type = StreamType(self.stream_type)

@@ -1,48 +1,46 @@
-"""Chaos tests: the self-healing execution layer under injected faults.
+"""Chaos tests: the process pool's one fault response under injected faults.
 
-The contract under test (see ``repro.core.supervisor``): killed, hung or
-message-corrupting pool workers must never change a result.  With a
-respawn budget the supervisor replaces the pool and redispatches the
-in-flight epochs from their frozen shared-memory segments, so recovery
-is bit-identical to a fault-free run; when the budget is exhausted the
-engine degrades ``process -> serial``, still bit-identical.
+The contract under test (see ``repro.core.pipeline``): a pool that
+breaks — a killed worker, a torn result message — must never change a
+result.  The pipeline terminates the pool, re-enumerates every in-flight
+epoch parent-side from its frozen shared-memory segments, closes the
+pool, and the engine enumerates serially for the rest of its life.  All
+of it happens under the default configuration: there is nothing to opt
+into.
 
 Faults are injected deterministically through ``repro.utils.faults``:
-the plan is armed in the parent, consumed per pool *generation* at
-spawn time, and inherited by the forked workers.
+the plan is armed in the parent, consumed per pool at spawn time, and
+inherited by the forked workers.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import signal
 
 import pytest
 
 from repro.core.engine import EngineConfig, MnemonicEngine
-from repro.core.parallel import (
-    EnumerationOutcome,
-    EpochDeadlineError,
-    ParallelConfig,
-    PoolBrokenError,
-    WorkerStats,
-)
+from repro.core.parallel import ParallelConfig, PoolBrokenError, SharedMemoryPool
 from repro.core.registry import MultiQueryEngine
-from repro.core.supervisor import FaultPolicy, PoolSupervisor
 from repro.datasets import NetFlowConfig, generate_netflow_stream, graph_from_events
 from repro.query.generator import QueryGenerator
 from repro.streams.config import StreamConfig, StreamType
 from repro.streams.events import EventKind, StreamEvent
 from repro.utils import faults
-from repro.utils.validation import ConfigurationError
 
 pytestmark = pytest.mark.usefixtures("small_slices")
 
 pytest.importorskip("multiprocessing.shared_memory")
 
 POOL = ParallelConfig(backend="process", num_workers=2)
-#: no backoff sleeps in tests; generous budget unless a test overrides it
-HEAL = FaultPolicy(max_respawns=4, backoff_initial_seconds=0.0)
+#: one fault of each kind, in the first (and only) pool an engine spawns
+PLANS = {
+    "kill": lambda: faults.FaultPlan(kill_at_unit=2, kills=1),
+    "torn": lambda: faults.FaultPlan(torn_at_unit=1, torn_messages=1),
+}
+MODES = ("serial", "pipelined")
 
 
 @pytest.fixture(autouse=True)
@@ -65,159 +63,157 @@ def mixed_workload():
     return query, stream[:500], list(suffix) + deletes
 
 
-def run_engine(query, initial, events, pipeline="pipelined", parallel=None,
-               fault=None, batch_size=64):
-    config = EngineConfig(
-        stream=StreamConfig(batch_size=batch_size, stream_type=StreamType.INSERT_DELETE),
+def chaos_config(pipeline="pipelined", parallel=None):
+    return EngineConfig(
+        stream=StreamConfig(batch_size=64, stream_type=StreamType.INSERT_DELETE),
         parallel=parallel or ParallelConfig(),
         pipeline=pipeline,
-        fault=fault or FaultPolicy(),
     )
-    with MnemonicEngine(query, config=config) as engine:
+
+
+def identities(run_result):
+    pos = {e.identity() for s in run_result.snapshots for e in s.positive_embeddings}
+    neg = {e.identity() for s in run_result.snapshots for e in s.negative_embeddings}
+    return pos, neg
+
+
+def run_engine(query, initial, events, pipeline="pipelined", parallel=None):
+    with MnemonicEngine(query, config=chaos_config(pipeline, parallel)) as engine:
         if parallel is not None and engine._pool is None:
             pytest.skip("pool could not spawn in this environment")
         engine.load_initial(initial)
         result = engine.run(events)
         stats = engine.fault_stats()
-        totals = engine._supervisor.worker_totals
-    pos = {e.identity() for s in result.snapshots for e in s.positive_embeddings}
-    neg = {e.identity() for s in result.snapshots for e in s.negative_embeddings}
-    return pos, neg, stats, totals
+        assert engine._pool is None or stats["faults"] == 0
+    pos, neg = identities(result)
+    return pos, neg, stats
+
+
+def assert_went_serial(stats):
+    assert stats["faults"] == 1
+    assert stats["recovered_epochs"] >= 1
+    assert stats["level"] == "serial"
 
 
 @pytest.fixture(scope="module")
 def chaos_baseline():
     """Fault-free serial identities every chaos run must reproduce."""
     query, initial, events = mixed_workload()
-    pos, neg, _, _ = run_engine(query, initial, events, pipeline="serial")
+    pos, neg, stats = run_engine(query, initial, events, pipeline="serial")
     assert pos and neg, "chaos baseline must be non-vacuous"
+    assert stats == {"faults": 0, "recovered_epochs": 0, "level": "process"}
     return query, initial, events, pos, neg
 
 
-class TestKillRespawnRedispatch:
-    @pytest.mark.parametrize("pipeline", ["serial", "pipelined"])
-    @pytest.mark.parametrize("kills", [1, 2, 3])
-    def test_killed_workers_recover_bit_identically(
-        self, chaos_baseline, pipeline, kills
+@pytest.fixture(scope="module")
+def two_queries():
+    stream = generate_netflow_stream(NetFlowConfig(num_events=900, num_hosts=70, seed=13))
+    generator = QueryGenerator(graph_from_events(stream[:500]), seed=7)
+    return [generator.tree_query(3), generator.tree_query(4)]
+
+
+class TestOneFaultResponse:
+    @pytest.mark.parametrize("pipeline", MODES)
+    @pytest.mark.parametrize("kind", sorted(PLANS))
+    def test_fault_recovers_bit_identically_then_goes_serial(
+        self, chaos_baseline, kind, pipeline
     ):
         query, initial, events, base_pos, base_neg = chaos_baseline
-        with faults.injected(faults.FaultPlan(kill_at_unit=2, kills=kills)):
-            pos, neg, stats, _ = run_engine(
-                query, initial, events, pipeline=pipeline, parallel=POOL, fault=HEAL
-            )
-        assert pos == base_pos
-        assert neg == base_neg
-        assert stats["respawns"] >= 1
-        assert stats["faults"] >= kills
-        assert stats["redispatched_epochs"] >= 1
-        assert stats["level"] == "process"
-        assert stats["degradations"] == []
-
-    def test_respawn_is_silent_under_budget(self, chaos_baseline):
-        """Self-healing is not an error: no RuntimeWarning while the
-        budget holds (the legacy warning fires only on degradation)."""
-        import warnings
-
-        query, initial, events, base_pos, _ = chaos_baseline
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            with faults.injected(faults.FaultPlan(kill_at_unit=2, kills=1)):
-                pos, _, stats, _ = run_engine(
-                    query, initial, events, parallel=POOL, fault=HEAL
-                )
-        assert pos == base_pos
-        assert stats["respawns"] == 1
-
-
-class TestDeadlines:
-    def test_hung_worker_cut_off_by_epoch_deadline(self, chaos_baseline):
-        """A wedged worker must not deadlock the drain: the deadline
-        declares the pool broken and the respawn path recovers."""
-        query, initial, events, base_pos, base_neg = chaos_baseline
-        policy = FaultPolicy(
-            max_respawns=2, backoff_initial_seconds=0.0, epoch_deadline_seconds=0.5
-        )
-        with faults.injected(
-            faults.FaultPlan(hang_at_unit=1, hangs=1, hang_seconds=60.0)
-        ):
-            pos, neg, stats, _ = run_engine(
-                query, initial, events, parallel=POOL, fault=policy
-            )
-        assert pos == base_pos
-        assert neg == base_neg
-        assert stats["deadline_expiries"] >= 1
-        assert stats["respawns"] >= 1
-        assert stats["level"] == "process"
-
-    def test_pool_drain_raises_epoch_deadline_error(self):
-        """Pool-level view: a drain past its deadline raises the typed
-        subclass (so policy code can tell hangs from crashes)."""
-        query, initial, events = mixed_workload()
-        config = EngineConfig(parallel=POOL)
-        with faults.injected(
-            faults.FaultPlan(hang_at_unit=1, hangs=1, hang_seconds=60.0)
-        ):
-            with MnemonicEngine(query, config=config) as engine:
-                pool = engine._pool
-                if pool is None:
-                    pytest.skip("pool could not spawn in this environment")
-                engine.load_initial(initial)
-                handle = _dispatch_batch(engine, events)
-                with pytest.raises(EpochDeadlineError, match="deadline"):
-                    pool.drain(handle, deadline_seconds=0.3)
-                assert pool.deadline_expiries == 1
-                assert not pool.usable
-
-    def test_deadline_must_be_positive(self):
-        with pytest.raises(ConfigurationError):
-            FaultPolicy(epoch_deadline_seconds=0.0)
-
-
-class TestDegradationLadder:
-    def test_budget_exhaustion_degrades_to_serial(self, chaos_baseline):
-        """More kills than respawns: the run must finish enumerating
-        serially with the degradation recorded — and identical results."""
-        query, initial, events, base_pos, base_neg = chaos_baseline
-        policy = FaultPolicy(max_respawns=1, backoff_initial_seconds=0.0)
-        with pytest.warns(RuntimeWarning, match="pool failed"):
-            with faults.injected(faults.FaultPlan(kill_at_unit=2, kills=3)):
-                pos, neg, stats, _ = run_engine(
-                    query, initial, events, parallel=POOL, fault=policy
+        with pytest.warns(RuntimeWarning, match="pool failed") as record:
+            with faults.injected(PLANS[kind]()):
+                pos, neg, stats = run_engine(
+                    query, initial, events, pipeline=pipeline, parallel=POOL
                 )
         assert pos == base_pos
         assert neg == base_neg
-        assert stats["level"] == "serial"
-        assert stats["degradations"] == ["process->serial"]
-        assert stats["respawns"] == 1
+        assert_went_serial(stats)
+        assert sum("pool failed" in str(w.message) for w in record) == 1
 
-    def test_degraded_run_unlinks_every_shared_segment(self, chaos_baseline):
-        """No /dev/shm leak across retire + parent-side recovery + degrade.
+    @pytest.mark.parametrize("kind", sorted(PLANS))
+    def test_broken_pool_unlinks_every_shared_segment(self, chaos_baseline, kind):
+        """No /dev/shm leak across terminate + parent-side recovery + close.
 
         Regression test: parent-side epoch recovery used to install the
         worker-side resource-tracker patches in the *parent*, turning
-        every later segment unlink into a silent no-op — each degraded
-        run then leaked its writer segments until reboot.
+        every later segment unlink into a silent no-op — each broken
+        pool then leaked its writer segments until reboot.
         """
         if not os.path.isdir("/dev/shm"):
             pytest.skip("POSIX shared memory is not file-backed here")
         query, initial, events, _, _ = chaos_baseline
         before = {n for n in os.listdir("/dev/shm") if n.startswith("mnemonic_")}
-        policy = FaultPolicy(max_respawns=1, backoff_initial_seconds=0.0)
         with pytest.warns(RuntimeWarning, match="pool failed"):
-            with faults.injected(faults.FaultPlan(kill_at_unit=2, kills=3)):
-                run_engine(query, initial, events, parallel=POOL, fault=policy)
+            with faults.injected(PLANS[kind]()):
+                _, _, stats = run_engine(query, initial, events, parallel=POOL)
+        assert_went_serial(stats)
         after = {n for n in os.listdir("/dev/shm") if n.startswith("mnemonic_")}
         assert after - before == set()
 
-    def test_degradation_is_one_way(self):
-        supervisor = PoolSupervisor(FaultPolicy(), factory=None)
-        assert supervisor.level == "process"
-        assert supervisor.replace(None) is None
-        assert supervisor.level == "serial"
-        # Further faults cannot climb back up or step anywhere new.
-        assert supervisor.replace(None) is None
-        assert supervisor.level == "serial"
-        assert supervisor.stats.degradations == ["process->serial"]
+
+class TestMultiQueryChaos:
+    @staticmethod
+    def run_multi(queries, parallel, pipeline):
+        _, initial, events = mixed_workload()
+        with MultiQueryEngine(config=chaos_config(pipeline, parallel)) as engine:
+            ids = [engine.register(q) for q in queries]
+            engine.load_initial(initial)
+            result = engine.run(events)
+            stats = engine.fault_stats()
+        return {qid: identities(result.per_query[qid]) for qid in ids}, stats
+
+    @pytest.mark.parametrize("pipeline", MODES)
+    @pytest.mark.parametrize("kind", sorted(PLANS))
+    def test_fault_recovers_per_query(self, two_queries, kind, pipeline):
+        baseline, _ = self.run_multi(two_queries, ParallelConfig(), "serial")
+        with pytest.warns(RuntimeWarning, match="pool failed"):
+            with faults.injected(PLANS[kind]()):
+                chaotic, stats = self.run_multi(two_queries, POOL, pipeline)
+        assert chaotic == baseline
+        assert_went_serial(stats)
+
+    def test_register_after_fault_starts_no_worker(self, two_queries, monkeypatch):
+        """The serial fallback is for the engine's life: a membership
+        change after the fault, which would replace a healthy pool, must
+        not spawn one, and both queries still match a fault-free run."""
+        _, initial, events = mixed_workload()
+        half = len(events) // 2
+        first_query, late_query = two_queries
+
+        def run(parallel):
+            with MultiQueryEngine(config=chaos_config("pipelined", parallel)) as engine:
+                first = engine.register(first_query)
+                engine.load_initial(initial)
+                head = engine.run(events[:half])
+                assert engine.fault_stats()["faults"] == (1 if parallel else 0)
+                late = engine.register(late_query)
+                tail = engine.run(events[half:])
+                assert engine._pool is None
+                stats = engine.fault_stats()
+            head_pos, head_neg = identities(head.per_query[first])
+            tail_pos, tail_neg = identities(tail.per_query[first])
+            return {
+                first: (head_pos | tail_pos, head_neg | tail_neg),
+                late: identities(tail.per_query[late]),
+            }, stats
+
+        baseline, _ = run(None)
+        spawned = []
+        original = SharedMemoryPool.__init__
+
+        def counting_init(pool, *args, **kwargs):
+            spawned.append(pool)
+            original(pool, *args, **kwargs)
+
+        monkeypatch.setattr(SharedMemoryPool, "__init__", counting_init)
+        with pytest.warns(RuntimeWarning, match="pool failed"):
+            with faults.injected(PLANS["kill"]()):
+                chaotic, stats = run(POOL)
+        assert len(spawned) == 1, "a worker pool started after the fault"
+        assert not [p for p in multiprocessing.active_children()
+                    if p.name.startswith("mnemonic-pool")]
+        assert chaotic == baseline
+        assert all(pos for pos, _ in baseline.values()), "vacuous comparison"
+        assert_went_serial(stats)
 
 
 class TestTornMessages:
@@ -226,7 +222,7 @@ class TestTornMessages:
         PoolBrokenError naming the torn write, not as an unpack crash."""
         query, initial, events = mixed_workload()
         config = EngineConfig(parallel=POOL)
-        with faults.injected(faults.FaultPlan(torn_at_unit=1, torn_messages=1)):
+        with faults.injected(PLANS["torn"]()):
             with MnemonicEngine(query, config=config) as engine:
                 pool = engine._pool
                 if pool is None:
@@ -237,60 +233,9 @@ class TestTornMessages:
                     pool.drain(handle)
                 assert not pool.usable
 
-    def test_torn_message_recovers_bit_identically(self, chaos_baseline):
-        query, initial, events, base_pos, base_neg = chaos_baseline
-        with faults.injected(faults.FaultPlan(torn_at_unit=1, torn_messages=1)):
-            pos, neg, stats, _ = run_engine(
-                query, initial, events, parallel=POOL, fault=HEAL
-            )
-        assert pos == base_pos
-        assert neg == base_neg
-        assert stats["faults"] >= 1
-        assert stats["respawns"] >= 1
-
-
-class TestMultiQueryChaos:
-    def test_killed_workers_recover_per_query(self):
-        _, initial, events = mixed_workload()
-        stream = generate_netflow_stream(NetFlowConfig(num_events=900, num_hosts=70, seed=13))
-        graph = graph_from_events(stream[:500])
-        generator = QueryGenerator(graph, seed=7)
-        queries = [generator.tree_query(3), generator.tree_query(4)]
-
-        def run_multi(parallel, fault=None):
-            config = EngineConfig(
-                stream=StreamConfig(batch_size=64, stream_type=StreamType.INSERT_DELETE),
-                parallel=parallel,
-                pipeline="pipelined",
-                fault=fault or FaultPolicy(),
-            )
-            with MultiQueryEngine(config=config) as engine:
-                ids = [engine.register(q) for q in queries]
-                engine.load_initial(initial)
-                result = engine.run(events)
-                stats = engine.fault_stats()
-            identities = {
-                qid: {
-                    e.identity()
-                    for s in result.per_query[qid].snapshots
-                    for e in s.positive_embeddings
-                }
-                for qid in ids
-            }
-            return identities, stats
-
-        baseline, _ = run_multi(ParallelConfig())
-        with faults.injected(faults.FaultPlan(kill_at_unit=2, kills=1)):
-            chaotic, stats = run_multi(POOL, fault=HEAL)
-        if stats["respawns"] == 0 and stats["faults"] == 0:
-            pytest.skip("pool could not spawn in this environment")
-        assert chaotic == baseline
-        assert stats["respawns"] >= 1
-        assert stats["level"] == "process"
-
 
 class TestWorkerDeathDiagnostics:
-    """Satellite: PoolBrokenError must say which worker died and how."""
+    """PoolBrokenError must say which worker died and how."""
 
     def test_dead_worker_message_names_signal_and_pid(self):
         query, initial, events = mixed_workload()
@@ -311,8 +256,6 @@ class TestWorkerDeathDiagnostics:
             assert any(f"pid {pid}" in message for pid in pids), message
 
     def test_clean_exit_code_reported_without_signal_name(self):
-        from repro.core.parallel import SharedMemoryPool
-
         class Proc:
             name, pid, exitcode = "worker-3", 4242, 7
 
@@ -324,8 +267,6 @@ class TestWorkerDeathDiagnostics:
         assert "worker-3" in detail and "pid 4242" in detail
 
     def test_signal_death_described_by_name(self):
-        from repro.core.parallel import SharedMemoryPool
-
         class Proc:
             name, pid, exitcode = "worker-0", 99, -signal.SIGTERM
 
@@ -335,103 +276,13 @@ class TestWorkerDeathDiagnostics:
         assert "killed by SIGTERM" in SharedMemoryPool._describe_death(Proc())
 
 
-class TestWorkerStatsAcrossGenerations:
-    """Satellite: per-worker accounting must survive a respawn."""
-
-    def test_supervisor_accumulates_totals_per_generation(self):
-        supervisor = PoolSupervisor(FaultPolicy(), factory=None)
-        gen0 = EnumerationOutcome(
-            embeddings=[],
-            worker_stats=[
-                WorkerStats(worker_id=0, units_processed=5, embeddings_found=2,
-                            busy_seconds=0.5, generation=0),
-                WorkerStats(worker_id=1, units_processed=3, busy_seconds=0.1,
-                            generation=0),
-            ],
-            wall_seconds=1.0,
-        )
-        gen1 = EnumerationOutcome(
-            embeddings=[],
-            worker_stats=[
-                WorkerStats(worker_id=0, units_processed=7, embeddings_found=1,
-                            busy_seconds=0.2, generation=1),
-            ],
-            wall_seconds=1.0,
-        )
-        supervisor.record_outcome(gen0)
-        supervisor.record_outcome(gen1)
-        supervisor.record_outcome(gen1)  # accumulation, not replacement
-        totals = supervisor.worker_totals
-        assert totals[(0, 0)] == {"units": 5, "embeddings": 2, "busy_seconds": 0.5}
-        assert totals[(0, 1)]["units"] == 3
-        assert totals[(1, 0)] == {"units": 14, "embeddings": 2, "busy_seconds": 0.4}
-
-    def test_mean_utilisation_over_mixed_generation_stats(self):
-        outcome = EnumerationOutcome(
-            embeddings=[],
-            worker_stats=[
-                WorkerStats(worker_id=0, busy_seconds=0.8, generation=0),
-                WorkerStats(worker_id=0, busy_seconds=0.2, generation=1),
-                WorkerStats(worker_id=1, busy_seconds=2.0, generation=1),
-            ],
-            wall_seconds=1.0,
-        )
-        assert 0.0 <= outcome.mean_utilisation() <= 1.0
-
-    def test_engine_totals_span_generations_after_respawn(self, chaos_baseline):
-        """Killing the pool after it completed work must leave both the
-        old and the new generation visible in the supervisor's totals."""
-        query, initial, events, base_pos, _ = chaos_baseline
-        # Batches small enough that generation 0 completes phases before
-        # its armed kill (unit 60) fires.
-        with faults.injected(faults.FaultPlan(kill_at_unit=60, kills=1)):
-            pos, _, stats, totals = run_engine(
-                query, initial, events, parallel=POOL, fault=HEAL, batch_size=16
-            )
-        assert pos == base_pos
-        generations = {generation for generation, _ in totals}
-        if stats["respawns"] == 0:
-            pytest.skip("kill unit was never reached at this workload size")
-        assert len(generations) >= 2, totals
-        assert all(entry["units"] >= 0 for entry in totals.values())
-
-
-class TestFaultPolicyValidation:
-    def test_negative_budget_rejected(self):
-        with pytest.raises(ConfigurationError):
-            FaultPolicy(max_respawns=-1)
-
-    def test_backoff_validation(self):
-        with pytest.raises(ConfigurationError):
-            FaultPolicy(backoff_initial_seconds=-0.1)
-        with pytest.raises(ConfigurationError):
-            FaultPolicy(backoff_multiplier=0.5)
-        with pytest.raises(ConfigurationError):
-            FaultPolicy(backoff_initial_seconds=1.0, backoff_max_seconds=0.5)
-
-    def test_backoff_schedule_caps(self):
-        policy = FaultPolicy(
-            max_respawns=5, backoff_initial_seconds=0.1,
-            backoff_multiplier=2.0, backoff_max_seconds=0.3,
-        )
-        assert policy.backoff_seconds(1) == pytest.approx(0.1)
-        assert policy.backoff_seconds(2) == pytest.approx(0.2)
-        assert policy.backoff_seconds(3) == pytest.approx(0.3)  # capped
-        assert policy.backoff_seconds(4) == pytest.approx(0.3)
-
-    def test_default_policy_is_conservative(self):
-        policy = FaultPolicy()
-        assert policy.max_respawns == 0
-        assert policy.epoch_deadline_seconds is None
-
-
 class TestFaultInjectionFramework:
-    def test_budgets_consumed_per_generation(self):
+    def test_budgets_consumed_per_pool(self):
         faults.install(faults.FaultPlan(kill_at_unit=1, kills=2))
         faults.pool_spawning()
-        assert faults._ARMED.kill_at_unit == 1  # generation 0 armed
+        assert faults._ARMED.kill_at_unit == 1  # first pool armed
         faults.pool_spawning()
-        assert faults._ARMED.kill_at_unit == 1  # generation 1 armed
+        assert faults._ARMED.kill_at_unit == 1  # second pool armed
         faults.pool_spawning()
         assert faults._ARMED.kill_at_unit is None  # budget exhausted
         faults.clear()
@@ -451,6 +302,10 @@ class TestFaultInjectionFramework:
 
 
 class TestServiceFaultStats:
+    @staticmethod
+    def fault_keys(stats):
+        return {k: v for k, v in stats.items() if k.startswith("fault_")}
+
     def test_service_stats_surface_supervisor_counters(self):
         from repro.core.service import MnemonicService
         from repro.query.query_graph import QueryGraph
@@ -458,11 +313,28 @@ class TestServiceFaultStats:
         query = QueryGraph.from_edges([(0, 1)], node_labels={0: 1, 1: 2})
         with MnemonicEngine(query, config=EngineConfig()) as engine:
             service = MnemonicService(engine, capacity=16)
-            stats = service.stats()
-            assert stats["fault_level"] == "process"
-            assert stats["fault_respawns"] == 0
-            assert stats["fault_degradations"] == 0
+            assert self.fault_keys(service.stats()) == {
+                "fault_faults": 0, "fault_recovered_epochs": 0, "fault_level": "process",
+            }
             service.close()
+
+    def test_service_stats_after_a_kill(self, chaos_baseline):
+        from repro.core.service import MnemonicService
+
+        query, initial, events, _, _ = chaos_baseline
+        with faults.injected(PLANS["kill"]()):
+            with MnemonicEngine(query, config=chaos_config("serial", POOL)) as engine:
+                if engine._pool is None:
+                    pytest.skip("pool could not spawn in this environment")
+                engine.load_initial(initial)
+                with pytest.warns(RuntimeWarning, match="pool failed"):
+                    engine.run(events)
+                service = MnemonicService(engine, capacity=16)
+                stats = self.fault_keys(service.stats())
+                service.close()
+        assert stats["fault_faults"] == 1
+        assert stats["fault_recovered_epochs"] >= 1
+        assert stats["fault_level"] == "serial"
 
 
 def _dispatch_batch(engine, events, count=120):

@@ -144,8 +144,8 @@ def test_single_slice_phases_charge_what_serial_charges():
     _, serial = run_with(ParallelConfig())
     _, pooled = run_with(POOL)
     outcomes = [o for s in pooled.snapshots for o in s.enumeration_outcomes]
-    assert any(len(o.worker_stats) == 1 and o.worker_stats[0].generation == 0
-               and o.worker_stats[0].attach_seconds > 0 for o in outcomes), "no pool phase"
+    assert any(len(o.worker_stats) == 1 and o.worker_stats[0].attach_seconds > 0
+               for o in outcomes), "no pool phase"
     assert all(sum(w.kernel_calls for w in o.worker_stats) == 1 for o in outcomes)
     assert pooled.total_candidates_scanned == serial.total_candidates_scanned
 

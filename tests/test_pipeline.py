@@ -12,7 +12,12 @@ from __future__ import annotations
 import pytest
 
 from repro.core.engine import EngineConfig, MnemonicEngine
-from repro.core.parallel import ParallelConfig, PoolBrokenError, SharedMemoryPool
+from repro.core.parallel import (
+    DispatchedEpoch,
+    ParallelConfig,
+    PoolBrokenError,
+    SharedMemoryPool,
+)
 from repro.core.registry import MultiQueryEngine
 from repro.datasets import NetFlowConfig, generate_netflow_stream, graph_from_events
 from repro.query.generator import QueryGenerator
@@ -187,8 +192,9 @@ class TestEpochDispatch:
         with MnemonicEngine(query, config=config) as engine:
             if engine._pool is None:
                 pytest.skip("pool could not spawn in this environment")
+            stray = DispatchedEpoch(epoch=99, descriptor={}, units={})
             with pytest.raises(PoolBrokenError, match="not in flight"):
-                engine._pool.drain(99)
+                engine._pool.drain(stray)
 
 
 class TestSmallBatchSerialGate:
@@ -271,7 +277,7 @@ class TestSnapshotExportAccounting:
             engine.process_snapshot(first)
             exported = engine.snapshot_exports
             assert exported > 0, "first batch must publish at this scale"
-            engine.pipeline_pool_broken()  # what a mid-run failure triggers
+            engine.pipeline_pool_broken(recovered=0)  # what a mid-run failure triggers
             assert engine._pool is None
             assert engine.snapshot_exports == exported
 

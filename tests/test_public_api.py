@@ -15,7 +15,7 @@ from repro import EngineConfig, ParallelConfig, StreamConfig
 
 REPRO_ALL = {
     "MnemonicEngine", "MnemonicService", "MultiQueryEngine", "QueryRegistry", "CollectingSink",
-    "EngineConfig", "FaultPolicy", "ParallelConfig", "RunResult", "SnapshotResult",
+    "EngineConfig", "ParallelConfig", "RunResult", "SnapshotResult",
     "enumerate_static", "MatchDefinition", "DefaultMatchDefinition", "Embedding", "ResultSet",
     "DynamicGraph", "QueryGraph", "WILDCARD_LABEL", "StreamBroker", "StreamConfig",
     "StreamType", "StreamEvent", "StorageConfig", "StorageError", "ReplaySource",
@@ -24,7 +24,7 @@ REPRO_ALL = {
 GRAPH_ALL = {"DynamicGraph", "AttributeStore", "EdgeRecord", "Endpoint", "PlaceholderStats"}
 ENGINE_CONFIG_FIELDS = {
     "stream", "parallel", "pipeline", "use_degree_filter", "recycle_edge_ids",
-    "collect_embeddings", "storage", "fault",
+    "collect_embeddings", "storage",
 }
 STREAM_CONFIG_FIELDS = {"stream_type", "batch_size", "max_batch_delay", "window", "stride"}
 PARALLEL_CONFIG_FIELDS = {"backend", "num_workers"}

@@ -308,9 +308,6 @@ class TestAdaptiveBatching:
                          stride=1.0, max_batch_delay=1.0)
         assert StreamConfig(max_batch_delay=0.5).max_batch_delay == 0.5
 
-    def test_max_batch_size_alias(self):
-        assert StreamConfig(batch_size=7).max_batch_size == 7
-
     def test_delay_splits_batches_on_event_time_gaps(self):
         events = [StreamEvent.insert(i, i + 1, timestamp=ts)
                   for i, ts in enumerate([0.0, 0.1, 0.2, 3.0, 3.1, 9.0])]
