@@ -18,6 +18,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import signal
+import warnings
 
 import pytest
 
@@ -48,6 +49,16 @@ def _disarm_faults():
     """No armed plan may leak between tests, even when one fails."""
     yield
     faults.clear()
+
+
+@pytest.fixture(autouse=True)
+def _fast_liveness_poll(monkeypatch):
+    """Notice a dead worker after 0.1 s of silence instead of 1 s.
+
+    Only how soon the parent looks is changed: a live worker is never
+    reported dead, so every outcome stays the same.
+    """
+    monkeypatch.setattr(SharedMemoryPool, "_POLL_SECONDS", 0.1)
 
 
 def mixed_workload():
@@ -87,6 +98,26 @@ def run_engine(query, initial, events, pipeline="pipelined", parallel=None):
         assert engine._pool is None or stats["faults"] == 0
     pos, neg = identities(result)
     return pos, neg, stats
+
+
+def pool_phases(run_result):
+    """Enumeration phases a pool worker ran (recovered ones carry no worker stats)."""
+    return sum(
+        1 for s in run_result.snapshots for o in s.enumeration_outcomes if o.worker_stats
+    )
+
+
+def kill_workers(pool, count=None):
+    """SIGKILL the first ``count`` workers (all by default) and reap them."""
+    victims = pool._workers[:count]
+    for worker in victims:
+        os.kill(worker.pid, signal.SIGKILL)
+    for worker in victims:
+        worker.join(timeout=5)
+
+
+def shm_segments():
+    return {n for n in os.listdir("/dev/shm") if n.startswith("mnemonic_")}
 
 
 def assert_went_serial(stats):
@@ -148,6 +179,152 @@ class TestOneFaultResponse:
         assert_went_serial(stats)
         after = {n for n in os.listdir("/dev/shm") if n.startswith("mnemonic_")}
         assert after - before == set()
+
+    @pytest.mark.parametrize("pipeline", MODES)
+    def test_late_kill_keeps_pool_results_and_recovers_the_rest(
+        self, chaos_baseline, pipeline
+    ):
+        """A kill after several pool epochs: what the pool already
+        delivered and what the parent re-enumerates add up to the
+        fault-free result."""
+        query, initial, events, base_pos, base_neg = chaos_baseline
+        with pytest.warns(RuntimeWarning, match="pool failed"):
+            with faults.injected(faults.FaultPlan(kill_at_unit=60, kills=1)):
+                with MnemonicEngine(query, config=chaos_config(pipeline, POOL)) as engine:
+                    if engine._pool is None:
+                        pytest.skip("pool could not spawn in this environment")
+                    engine.load_initial(initial)
+                    result = engine.run(events)
+                    stats = engine.fault_stats()
+        assert pool_phases(result) >= 3, "the kill fired before the pool did any work"
+        assert identities(result) == (base_pos, base_neg)
+        assert_went_serial(stats)
+
+    @pytest.mark.parametrize("pipeline", MODES)
+    def test_unspent_kill_budget_never_fires(self, chaos_baseline, pipeline):
+        """A plan that would kill three pools breaks exactly one: the
+        engine never spawns a second pool for the rest to hit."""
+        query, initial, events, base_pos, base_neg = chaos_baseline
+        plan = faults.FaultPlan(kill_at_unit=2, kills=3)
+        with pytest.warns(RuntimeWarning, match="pool failed") as record:
+            with faults.injected(plan):
+                pos, neg, stats = run_engine(
+                    query, initial, events, pipeline=pipeline, parallel=POOL
+                )
+        assert plan.kills == 2, "a second pool was spawned"
+        assert (pos, neg) == (base_pos, base_neg)
+        assert_went_serial(stats)
+        assert sum("pool failed" in str(w.message) for w in record) == 1
+
+    @pytest.mark.parametrize("pipeline", MODES)
+    def test_failed_publish_recovers_bit_identically(
+        self, chaos_baseline, pipeline, monkeypatch
+    ):
+        """A snapshot publication that raises breaks the pool like a dead
+        worker: epochs already in flight are recovered, the phase that
+        could not be published runs serially."""
+        from repro.core.shared_snapshot import SharedSnapshotWriter
+
+        query, initial, events, base_pos, base_neg = chaos_baseline
+        original = SharedSnapshotWriter.publish
+        calls = []
+
+        def failing_publish(writer, *args, **kwargs):
+            calls.append(writer)
+            if len(calls) == 3:
+                raise OSError("no space left on device")
+            return original(writer, *args, **kwargs)
+
+        monkeypatch.setattr(SharedSnapshotWriter, "publish", failing_publish)
+        with pytest.warns(RuntimeWarning, match="snapshot publication failed"):
+            pos, neg, stats = run_engine(
+                query, initial, events, pipeline=pipeline, parallel=POOL
+            )
+        assert len(calls) == 3, "the engine published again after the failure"
+        assert (pos, neg) == (base_pos, base_neg)
+        assert stats["faults"] == 1 and stats["level"] == "serial"
+        # Serial mode drains every epoch before publishing the next, so
+        # only the pipelined mode has an epoch in flight to recover.
+        assert stats["recovered_epochs"] == (0 if pipeline == "serial" else 1)
+
+    def test_healthy_pool_run_reports_no_fault(self, chaos_baseline):
+        query, initial, events, base_pos, base_neg = chaos_baseline
+        with MnemonicEngine(query, config=chaos_config("pipelined", POOL)) as engine:
+            if engine._pool is None:
+                pytest.skip("pool could not spawn in this environment")
+            engine.load_initial(initial)
+            result = engine.run(events)
+            assert engine._pool is not None and engine._pool.usable
+            assert engine.fault_stats() == {
+                "faults": 0, "recovered_epochs": 0, "level": "process",
+            }
+        assert pool_phases(result) > 0
+        assert identities(result) == (base_pos, base_neg)
+
+
+class TestExternalWorkerDeath:
+    """Workers killed from outside the engine, not by an injected plan."""
+
+    @pytest.mark.parametrize("pipeline", MODES)
+    @pytest.mark.parametrize("victims", ["every", "one"])
+    def test_workers_killed_between_runs_never_change_results(self, pipeline, victims):
+        """With every worker dead the next epoch breaks the pool.  With
+        one dead, the survivor may pull every slice before the liveness
+        poll looks; either way the results are the fault-free ones."""
+        query, initial, events = mixed_workload()
+        half = len(events) // 2
+
+        def run(parallel, between=None):
+            with MnemonicEngine(query, config=chaos_config(pipeline, parallel)) as engine:
+                if parallel is not None and engine._pool is None:
+                    pytest.skip("pool could not spawn in this environment")
+                engine.load_initial(initial)
+                head = engine.run(events[:half])
+                if between is not None:
+                    between(engine._pool)
+                tail = engine.run(events[half:])
+                stats = engine.fault_stats()
+            head_pos, head_neg = identities(head)
+            tail_pos, tail_neg = identities(tail)
+            return (head_pos | tail_pos, head_neg | tail_neg), stats
+
+        baseline, _ = run(None)
+        count = None if victims == "every" else 1
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            chaotic, stats = run(POOL, between=lambda pool: kill_workers(pool, count))
+        assert chaotic == baseline
+        assert all(baseline), "vacuous comparison"
+        failures = [str(w.message) for w in record if "pool failed" in str(w.message)]
+        assert stats["faults"] == len(failures) <= 1
+        if victims == "every":
+            assert_went_serial(stats)
+            assert "SIGKILL" in failures[0]
+
+    def test_close_recovers_an_epoch_in_flight_on_a_dead_pool(self, chaos_baseline):
+        """A pipelined run abandoned with epochs in flight, then every
+        worker killed: ``close()`` joins those epochs, hits the dead pool,
+        recovers them parent-side and still unlinks every segment."""
+        if not os.path.isdir("/dev/shm"):
+            pytest.skip("POSIX shared memory is not file-backed here")
+        query, initial, events, _, _ = chaos_baseline
+        before = shm_segments()
+        engine = MnemonicEngine(query, config=chaos_config("pipelined", POOL))
+        try:
+            if engine._pool is None:
+                pytest.skip("pool could not spawn in this environment")
+            engine.load_initial(initial)
+            batches = engine._pipeline.run_stream(engine.initialize_stream(events))
+            next(batches)
+            assert engine._pipeline._pending, "no epoch in flight to recover"
+            kill_workers(engine._pool)
+            with pytest.warns(RuntimeWarning, match="pool failed"):
+                engine.close()
+            assert_went_serial(engine.fault_stats())
+            assert not engine._pipeline._pending
+        finally:
+            engine.close()
+        assert shm_segments() - before == set()
 
 
 class TestMultiQueryChaos:
@@ -214,6 +391,88 @@ class TestMultiQueryChaos:
         assert chaotic == baseline
         assert all(pos for pos, _ in baseline.values()), "vacuous comparison"
         assert_went_serial(stats)
+
+    def test_unregister_after_fault_starts_no_worker(self, two_queries, monkeypatch):
+        """Dropping a query after the fault changes the membership too;
+        the query that stays keeps matching a fault-free run, serially."""
+        _, initial, events = mixed_workload()
+        half = len(events) // 2
+
+        def run(parallel):
+            with MultiQueryEngine(config=chaos_config("pipelined", parallel)) as engine:
+                kept, dropped = (engine.register(q) for q in two_queries)
+                engine.load_initial(initial)
+                head = engine.run(events[:half])
+                engine.unregister(dropped)
+                tail = engine.run(events[half:])
+                assert engine._pool is None
+                assert list(tail.per_query) == [kept]
+                stats = engine.fault_stats()
+            head_pos, head_neg = identities(head.per_query[kept])
+            tail_pos, tail_neg = identities(tail.per_query[kept])
+            return (head_pos | tail_pos, head_neg | tail_neg), stats
+
+        baseline, _ = run(None)
+        spawned = []
+        original = SharedMemoryPool.__init__
+
+        def counting_init(pool, *args, **kwargs):
+            spawned.append(pool)
+            original(pool, *args, **kwargs)
+
+        monkeypatch.setattr(SharedMemoryPool, "__init__", counting_init)
+        with pytest.warns(RuntimeWarning, match="pool failed"):
+            with faults.injected(PLANS["kill"]()):
+                chaotic, stats = run(POOL)
+        assert len(spawned) == 1, "a worker pool started after the fault"
+        assert chaotic == baseline
+        assert all(baseline), "vacuous comparison"
+        assert_went_serial(stats)
+
+
+class TestBrokenPoolTeardown:
+    """What the recovery path relies on: a terminated pool's frozen
+    epochs stay attachable until :meth:`SharedMemoryPool.close`."""
+
+    def test_terminate_keeps_segments_attachable_until_close(self):
+        from repro.core.shared_snapshot import SnapshotAttachment
+
+        if not os.path.isdir("/dev/shm"):
+            pytest.skip("POSIX shared memory is not file-backed here")
+        query, initial, events = mixed_workload()
+        with MnemonicEngine(query, config=EngineConfig(parallel=POOL)) as engine:
+            pool = engine._pool
+            if pool is None:
+                pytest.skip("pool could not spawn in this environment")
+            engine.load_initial(initial)
+            handle = _dispatch_batch(engine, events)
+            pool.terminate()
+            assert not any(worker.is_alive() for worker in pool._workers)
+            segment = handle.descriptor["name"]
+            assert segment in shm_segments()
+            attachment = SnapshotAttachment()
+            tree = engine.pipeline_slots()[0].query_state.tree
+            graph, debis, batch_ids = attachment.views(handle.descriptor, {0: tree})
+            assert len(batch_ids) == 120
+            assert graph.num_edges == engine.graph.num_edges
+            attachment.detach()
+        assert segment not in shm_segments()
+
+    def test_terminated_pool_refuses_dispatch(self):
+        query, initial, events = mixed_workload()
+        with MnemonicEngine(query, config=EngineConfig(parallel=POOL)) as engine:
+            pool = engine._pool
+            if pool is None:
+                pytest.skip("pool could not spawn in this environment")
+            engine.load_initial(initial)
+            pool.terminate()
+            pool.terminate()  # idempotent
+            assert not pool.usable
+            with pytest.raises(PoolBrokenError, match="closed or broken"):
+                _dispatch_batch(engine, events)
+            assert pool.publish_count == 0
+            pool.close()
+            pool.close()  # idempotent after terminate, too
 
 
 class TestTornMessages:
