@@ -32,14 +32,13 @@ bit-identical positive *and* negative result sets to the serial mode,
 and every pool-dispatched phase must publish exactly one epoch (the
 double-buffered writer never publishes more or fewer).
 
-The ``service_parity`` gate protects the streaming service layer: on a
-boundary-invariant insert+delete stream, broker-fed runs (fixed-size
-batching through the producer thread) and adaptive runs (virtual-clock
-rate-controlled replay with ``max_batch_delay`` flushing) must produce
-positive and negative identity sets bit-identical to the fixed-batch
-serial engine, in both serial and pipelined modes; broker-fed runs must
-additionally leave ``candidates_scanned`` untouched and every run must
-report an ingest-to-result latency rollup.
+The ``service_parity`` gate protects the one live ingest path,
+``MnemonicService``: on a boundary-invariant insert+delete stream, a
+fixed-batch service run and an adaptive one (a virtual-clock open loop
+with ``max_batch_delay`` flushing) must produce positive and negative
+identity sets bit-identical to the fixed-batch serial engine; the fixed
+row must additionally leave ``candidates_scanned`` untouched and every
+service run must report an ingest-to-result latency rollup.
 
 The ``durability_parity`` gate protects the durable-state stack: a
 journaled, checkpointed, DEBI-spilling engine killed mid-stream and
@@ -95,10 +94,10 @@ MULTI_QUERY_GRAPH_SIZES = (5, 6)
 REGRESSION_TOLERANCE = 0.20
 
 #: figures gated against perf_baseline.json.  service_parity is excluded:
-#: its adaptive rows batch by arrival time, so their scan counts shift a
-#: little with thread interleaving — the gate instead asserts the strong
-#: invariants directly (identity-set equality; broker rows must match the
-#: serial scan count *exactly*) every run.
+#: its adaptive row batches by arrival time, so its scan count is not the
+#: serial run's — the gate instead asserts the strong invariants directly
+#: (identity-set equality; the fixed row must match the serial scan count
+#: *exactly*) every run.
 BASELINE_FIGURES = (
     "fig06", "fig08", "multi_query", "pipeline_parity", "kernel_parity"
 )
@@ -292,7 +291,7 @@ def run_pipeline_parity(stream) -> tuple[dict, list[str]]:
 def build_parity_mixed_stream(stream, prefix) -> list[StreamEvent]:
     """An insert+delete stream whose result identities are batch-boundary invariant.
 
-    The adaptive (broker-fed) runs batch by *arrival time*, so their
+    The adaptive service run batches by *arrival time*, so its
     batch boundaries legitimately differ from the fixed-size serial
     baseline; the gate therefore needs a stream whose aggregate positive
     and negative identity sets cannot depend on where batches split:
@@ -330,23 +329,23 @@ def build_parity_mixed_stream(stream, prefix) -> list[StreamEvent]:
 
 
 def run_service_parity(stream) -> tuple[dict, list[str]]:
-    """The service-layer gate: broker-fed / adaptive runs vs the fixed serial engine.
+    """The service-layer gate: MnemonicService runs vs the fixed serial engine.
 
-    Four configurations are compared against the fixed-batch serial
-    baseline on an insert+delete stream:
+    Two service configurations are compared against the fixed-batch
+    serial baseline on an insert+delete stream:
 
-    * ``broker`` (serial / pipelined): the same fixed-size batching, fed
-      through the StreamBroker's producer thread — batch boundaries are
-      identical, so positive and negative identity sets must match the
-      baseline exactly, and the serial row's ``candidates_scanned`` must
-      not move at all;
-    * ``adaptive`` (serial / pipelined): rate-controlled virtual-clock
-      replay with ``max_batch_delay`` flushing — boundaries differ, but
-      on the boundary-invariant mixed stream the identity sets must
-      still match bit-for-bit.
+    * ``service_fixed``: the same fixed-size batching, submitted to the
+      service at once — batch boundaries are identical, so positive and
+      negative identity sets must match the baseline exactly and
+      ``candidates_scanned`` must not move at all;
+    * ``service_adaptive``: a virtual-clock open loop at a uniform rate
+      with ``max_batch_delay`` flushing — boundaries differ, but on the
+      boundary-invariant mixed stream the identity sets must still match
+      bit-for-bit.
 
-    Every broker-fed run must also report an ingest-to-result latency
-    rollup (the accounting the fig18 benchmark builds on).
+    Every service run must also report an ingest-to-result latency
+    rollup (the accounting the fig18 benchmark builds on).  Pool
+    pipelining is covered by ``pipeline_parity``.
     """
     from repro.streams.clock import VirtualClock
 
@@ -356,7 +355,6 @@ def run_service_parity(stream) -> tuple[dict, list[str]]:
     )
     prefix = len(stream) - FIG06_SUFFIX
     mixed = build_parity_mixed_stream(stream, prefix)
-    parallel = ParallelConfig(backend="process", num_workers=2)
     adaptive_rate = 4000.0
     adaptive_delay = 4.5 / adaptive_rate  # ~5-event batches at uniform arrivals
     failures: list[str] = []
@@ -375,16 +373,10 @@ def run_service_parity(stream) -> tuple[dict, list[str]]:
                 f"negatives={len(base_neg)})"
             )
         runs = {
-            "broker_serial": dict(pipeline="serial"),
-            "broker_pipelined": dict(pipeline="pipelined", parallel=parallel),
-            "adaptive_serial": dict(
-                pipeline="serial", events_per_second=adaptive_rate,
-                max_batch_delay=adaptive_delay, clock=VirtualClock(),
-            ),
-            "adaptive_pipelined": dict(
-                pipeline="pipelined", parallel=parallel,
-                events_per_second=adaptive_rate,
-                max_batch_delay=adaptive_delay, clock=VirtualClock(),
+            "service_fixed": {},
+            "service_adaptive": dict(
+                events_per_second=adaptive_rate, max_batch_delay=adaptive_delay,
+                clock=VirtualClock(),
             ),
         }
         for mode, kwargs in runs.items():
@@ -398,21 +390,19 @@ def run_service_parity(stream) -> tuple[dict, list[str]]:
                 failures.append(f"{label}: positive results differ from fixed serial")
             if negative_identities(run.run_result) != base_neg:
                 failures.append(f"{label}: negative results differ from fixed serial")
-            if mode == "broker_serial":
-                # Identical batching AND identical backend: the scan
-                # counter must not move at all.  (The pipelined rows use
-                # the worker pool, where each worker pays its own first
-                # touch on the shared scan cache, so their counter is
-                # only comparable to other pool runs — pipeline_parity
-                # covers that comparison.)
-                if run.extra["candidates_scanned"] != baseline.extra["candidates_scanned"]:
-                    failures.append(
-                        f"{label}: candidates_scanned changed "
-                        f"({baseline.extra['candidates_scanned']} -> "
-                        f"{run.extra['candidates_scanned']})"
-                    )
+            if (
+                mode == "service_fixed"
+                and run.extra["candidates_scanned"] != baseline.extra["candidates_scanned"]
+            ):
+                # Identical batching on the same serial backend: the scan
+                # counter must not move at all.
+                failures.append(
+                    f"{label}: candidates_scanned changed "
+                    f"({baseline.extra['candidates_scanned']} -> "
+                    f"{run.extra['candidates_scanned']})"
+                )
             if not run.latency:
-                failures.append(f"{label}: broker-fed run reported no latency rollup")
+                failures.append(f"{label}: service run reported no latency rollup")
             metrics[f"{suite}.{mode}"] = {
                 "seconds": run.seconds,
                 "candidates_scanned": run.extra["candidates_scanned"],

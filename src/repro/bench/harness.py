@@ -21,14 +21,13 @@ from repro.core.api import MatchDefinition
 from repro.core.engine import EngineConfig, MnemonicEngine, RunResult
 from repro.core.parallel import ParallelConfig
 from repro.core.registry import MultiQueryEngine, MultiRunResult
+from repro.core.service import MnemonicService
 from repro.datasets.queries import graph_from_events
 from repro.query.query_graph import QueryGraph
 from repro.storage.config import StorageConfig
-from repro.streams.broker import StreamBroker
-from repro.streams.clock import Clock, WallClock
+from repro.streams.clock import Clock
 from repro.streams.config import StreamConfig, StreamType
 from repro.streams.events import EventKind, StreamEvent
-from repro.streams.sources import ListSource, ReplaySource, StreamSource
 
 
 #: floor for the timed section when computing rates: perf_counter deltas on
@@ -49,7 +48,7 @@ class BenchRun:
     #: auxiliary metrics (traversals, stored partials, index entries, ...)
     extra: dict = field(default_factory=dict)
     #: ingest-to-result latency rollup (count/mean/p50/p95/p99/max) for
-    #: broker-fed runs; empty when the stream carried no arrival stamps
+    #: service runs; empty for replays, which carry no arrival stamps
     latency: dict = field(default_factory=dict)
     #: the engine RunResult when the system is Mnemonic (None otherwise)
     run_result: RunResult | None = None
@@ -174,26 +173,22 @@ def run_service_stream(
     max_batch_delay: float | None = None,
     stream_type: StreamType = StreamType.INSERT_ONLY,
     events_per_second: float | None = None,
-    parallel: ParallelConfig | None = None,
     collect_embeddings: bool = False,
-    pipeline: str = "serial",
-    capacity: int = 4096,
     clock: Clock | None = None,
-    overload: str = "block",
     query_name: str = "query",
 ) -> BenchRun:
-    """Run the engine behind a :class:`~repro.streams.broker.StreamBroker`.
+    """Drive the streamed suffix through :class:`~repro.core.service.MnemonicService`.
 
-    This is the service-shaped counterpart of :func:`run_mnemonic_stream`:
-    the streamed suffix arrives through a bounded broker (fed by a
-    producer thread, so ingest overlaps mutation and enumeration), with
-    optional rate control (``events_per_second`` on ``clock``) and
-    adaptive batching (``max_batch_delay``).  The returned
-    :class:`BenchRun` carries the ingest-to-result latency rollup next
-    to the throughput metrics, plus the broker's backpressure counters —
-    including shed/rejected events under a non-default ``overload``
-    policy, so load-shedding runs report what they dropped next to the
-    latency they bought.
+    This is the service-shaped counterpart of :func:`run_mnemonic_stream`,
+    an open loop on ``clock``: event ``i`` is due ``i / events_per_second``
+    seconds after the loop starts (every event at once without a rate),
+    whatever the engine is doing.  Each turn submits every due event, but
+    never more than the broker holds (so a submit never blocks), then
+    polls; when nothing is due it sleeps to the next due time, and
+    ``drain()`` flushes the tail.  Adaptive batching (``max_batch_delay``)
+    seals on the same clock.  The returned :class:`BenchRun` carries the
+    ingest-to-result latency rollup next to the throughput metrics, plus
+    the broker's counters.
     """
     config = EngineConfig(
         stream=StreamConfig(
@@ -201,9 +196,7 @@ def run_service_stream(
             batch_size=batch_size,
             max_batch_delay=max_batch_delay,
         ),
-        parallel=parallel or ParallelConfig(),
         collect_embeddings=collect_embeddings,
-        pipeline=pipeline,
     )
     engine = MnemonicEngine(query, match_def=match_def, config=config)
     try:
@@ -211,23 +204,29 @@ def run_service_stream(
         suffix = list(stream[initial_prefix:])
         if prefix:
             engine.load_initial([e for e in prefix if e.kind is EventKind.INSERT])
-        clock = clock or WallClock()
-        source: StreamSource = ListSource(suffix)
-        if events_per_second is not None:
-            source = ReplaySource(suffix, events_per_second=events_per_second, clock=clock)
-        broker = StreamBroker(
-            source=source, capacity=capacity, clock=clock, overload=overload
-        )
-        start = time.perf_counter()
-        result = engine.run(broker)
-        elapsed = time.perf_counter() - start
-        latency = result.latency_summary() or {}
-        broker_stats = broker.stats()
-        if broker_stats["shed_events"] or broker_stats["rejected_puts"]:
-            # A latency rollup over survivors only is misleading; carry
-            # the drop counts alongside so tables can show both.
-            latency["shed_events"] = broker_stats["shed_events"]
-            latency["rejected_puts"] = broker_stats["rejected_puts"]
+        service = MnemonicService(engine, clock=clock)
+        clock = service.clock
+        results = []
+        submitted = 0
+        start_wall = time.perf_counter()
+        start = clock.now()
+        while submitted < len(suffix):
+            now = clock.now()
+            due = submitted
+            limit = min(len(suffix), submitted + service.broker.capacity)
+            while due < limit and (
+                events_per_second is None or start + due / events_per_second <= now
+            ):
+                due += 1
+            if due > submitted:
+                service.submit(suffix[submitted:due])
+                submitted = due
+            results.extend(service.poll())
+            if events_per_second is not None and submitted < len(suffix):
+                clock.sleep(start + submitted / events_per_second - clock.now())
+        results.extend(service.drain())
+        elapsed = time.perf_counter() - start_wall
+        result = RunResult(results)
         return BenchRun(
             system="Mnemonic-service",
             query_name=query_name,
@@ -238,12 +237,7 @@ def run_service_stream(
                 "filter_traversals": result.total_filter_traversals,
                 "candidates_scanned": result.total_candidates_scanned,
                 "snapshots": len(result.snapshots),
-                "offered_load": events_per_second,
-                "max_batch_delay": max_batch_delay,
-                "broker": broker.stats(),
-                "snapshot_exports": engine.snapshot_exports,
-                "enumeration_phases": engine.enumeration_phases_with_units,
-                "pool_phases": engine.pool_enumeration_phases,
+                "broker": service.broker.stats(),
             },
             latency=result.latency_summary() or {},
             run_result=result,

@@ -90,7 +90,7 @@ class MnemonicEngine(MultiQueryEngine):
         """Process the whole stream and return per-snapshot results (Algorithm 1).
 
         See :meth:`~repro.core.registry.MultiQueryEngine.run` for the
-        pipelined mode and broker-fed sources.
+        pipelined mode.
         """
         return RunResult([self._view(multi) for multi in super().run(source).snapshots])
 

@@ -114,10 +114,6 @@ class CompletedBatch:
     num_deletions: int
     insert_phase: PhaseOutcome | None = None
     delete_phase: PhaseOutcome | None = None
-    #: ingest stamp copied from the snapshot (broker-fed streams only)
-    first_arrival: float | None = None
-    #: stream-clock time at which the batch's results became available
-    completed_at: float | None = None
     #: the batch's events as columns (None for an empty half), kept so durable
     #: engines can journal the epoch at delivery time (sealing happens in
     #: stream order)
@@ -133,17 +129,6 @@ class CompletedBatch:
     @property
     def complete(self) -> bool:
         return all(p.complete for p in self.phases())
-
-
-def ingest_latency(batch: CompletedBatch) -> float | None:
-    """End-to-end latency of one batch: first event arrival -> results available.
-
-    None unless the stream carried arrival stamps *and* the run had a
-    stream clock to stamp completion with (i.e. broker-fed runs).
-    """
-    if batch.completed_at is None or batch.first_arrival is None:
-        return None
-    return max(batch.completed_at - batch.first_arrival, 0.0)
 
 
 @dataclass
@@ -216,43 +201,28 @@ class BatchPipeline:
 
         Sealed snapshots cache their own columnar decode; it is reused, so
         an ingest tier that already decoded (the journal, the sliding
-        window) shares the arrays with the engine.  When the snapshot
-        iterator exposes a ``clock`` (broker-fed generators do), every
-        yielded batch is stamped with the stream-clock time its results
-        became available, closing the ingest-to-result latency loop opened
-        by the snapshots' arrival stamps.
+        window) shares the arrays with the engine.
         """
-        clock = getattr(snapshots, "clock", None)
         if self.mode != "pipelined":
             for snapshot in snapshots:
                 batch = self.process_batch(
                     snapshot.number, snapshot.insert_columns(), snapshot.delete_columns()
                 )
-                batch.first_arrival = snapshot.first_arrival
                 self.host.pipeline_batch_applied(batch)
-                yield self._stamp_completed(batch, clock)
+                yield batch
             return
         inflight: deque[CompletedBatch] = deque()
         for snapshot in snapshots:
             batch = self._new_batch(
                 snapshot.number, snapshot.insert_columns(), snapshot.delete_columns()
             )
-            batch.first_arrival = snapshot.first_arrival
             self._run_phases(batch, overlap=True)
             self.host.pipeline_batch_applied(batch)
             inflight.append(batch)
             while inflight and inflight[0].complete:
-                yield self._stamp_completed(inflight.popleft(), clock)
+                yield inflight.popleft()
         self.flush()
-        while inflight:
-            yield self._stamp_completed(inflight.popleft(), clock)
-
-    @staticmethod
-    def _stamp_completed(batch: CompletedBatch, clock) -> CompletedBatch:
-        """Record the completion time of a batch that carries an ingest stamp."""
-        if clock is not None and batch.first_arrival is not None:
-            batch.completed_at = clock.now()
-        return batch
+        yield from inflight
 
     def flush(self) -> None:
         """Drain every dispatched epoch (oldest first); phases become complete."""

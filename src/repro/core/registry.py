@@ -50,7 +50,7 @@ from repro.core.debi import DEBI
 from repro.core.enumeration import EmbeddingArena, EnumerationContext, QueryState
 from repro.core.filtering import IndexManager
 from repro.core.parallel import EnumerationOutcome, ParallelConfig, SharedMemoryPool
-from repro.core.pipeline import BatchPipeline, CompletedBatch, ingest_latency
+from repro.core.pipeline import BatchPipeline, CompletedBatch
 from repro.core.results import Embeddings, ResultSet
 from repro.graph.adjacency import DynamicGraph, ranks_in_runs, stable_runs
 from repro.query.masking import MaskTable
@@ -61,7 +61,7 @@ from repro.storage.config import StorageConfig
 from repro.storage.journal import RecordKind
 from repro.storage.recovery import replay_epoch, replay_insertions
 from repro.storage.runtime import EngineStorage, StorageError
-from repro.streams.broker import producing
+from repro.streams.broker import StreamBroker
 from repro.streams.config import StreamConfig
 from repro.streams.events import EventColumns, EventKind, StreamEvent, coerce_insert
 from repro.streams.generator import Snapshot, SnapshotGenerator, initialize_stream
@@ -382,9 +382,9 @@ class SnapshotResult:
     live_edges: int = 0
     edge_placeholders: int = 0
     debi_bits: int = 0
-    #: end-to-end latency (stream clock): first event arrival -> results
-    #: available.  None when the stream carried no arrival stamps (plain
-    #: list replays); only broker-fed runs and the service facade fill it.
+    #: end-to-end latency (service clock): first event arrival -> results
+    #: available.  Only :class:`~repro.core.service.MnemonicService` fills
+    #: it; ``engine.run`` replays have no arrival stamps and leave None.
     ingest_latency_seconds: float | None = None
 
     def record(self, positive: bool, count: int, embeddings: Embeddings) -> None:
@@ -418,8 +418,8 @@ class MultiSnapshotResult:
     #: ``enumerate_seconds`` carry attributable busy time instead, so they
     #: do not sum to N times the wall on the pool backend
     enumerate_wall_seconds: float = 0.0
-    #: end-to-end latency (stream clock): first event arrival -> results
-    #: available for *all* queries (broker-fed streams only)
+    #: end-to-end latency (service clock): first event arrival -> results
+    #: available for *all* queries (service results only)
     ingest_latency_seconds: float | None = None
     per_query: dict[int, SnapshotResult] = field(default_factory=dict)
 
@@ -786,19 +786,19 @@ class MultiQueryEngine:
         mutation/DEBI/publish work with batch k's pool enumeration;
         per-query results are identical to the serial mode either way.
 
-        A :class:`~repro.streams.broker.StreamBroker` source is driven
-        end to end: its pull-mode producer thread is started (so event
-        arrival overlaps mutation *and* enumeration), every snapshot is
-        stamped with ingest-to-result latency, and an abandoned run
-        stops the producer instead of leaving it blocked on
-        backpressure.
+        ``source`` is replayed to completion; live traffic goes through
+        :class:`~repro.core.service.MnemonicService`.
         """
+        if isinstance(source, StreamBroker):
+            raise ConfigurationError(
+                "engine.run replays finite sources; live events go through "
+                "MnemonicService (submit/poll), which owns its StreamBroker"
+            )
         generator = self.initialize_stream(source)
-        with producing(source):
-            result = MultiRunResult()
-            for batch in self._pipeline.run_stream(generator):
-                result.add(self._deliver(self._result_from_batch(batch)))
-            return result
+        result = MultiRunResult()
+        for batch in self._pipeline.run_stream(generator):
+            result.add(self._deliver(self._result_from_batch(batch)))
+        return result
 
     def process_snapshot(self, snapshot: Snapshot) -> MultiSnapshotResult:
         """Apply one snapshot for all queries: insert batch first, then delete batch."""
@@ -882,7 +882,6 @@ class MultiQueryEngine:
             number=batch.number,
             num_insertions=batch.num_insertions,
             num_deletions=batch.num_deletions,
-            ingest_latency_seconds=ingest_latency(batch),
         )
         footprint = self._footprints.pop(batch.number, None)
         # Row membership is decided at *batch* time, not delivery time: in
@@ -898,7 +897,6 @@ class MultiQueryEngine:
                 number=batch.number,
                 num_insertions=batch.num_insertions,
                 num_deletions=batch.num_deletions,
-                ingest_latency_seconds=multi.ingest_latency_seconds,
             )
         for phase in batch.phases():
             multi.graph_update_seconds += phase.graph_update_seconds

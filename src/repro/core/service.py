@@ -1,22 +1,23 @@
 """The service facade: push events in, pull matched embeddings out.
 
 :class:`~repro.core.engine.MnemonicEngine` and
-:class:`~repro.core.registry.MultiQueryEngine` are *stream runners*:
-they consume a whole source in one blocking ``run()`` call.  A live
-service is shaped differently — application threads hand events over as
-they happen and periodically collect whatever results became ready.
-:class:`MnemonicService` is that shape, built from the same parts the
-streaming path uses (so semantics can never diverge):
+:class:`~repro.core.registry.MultiQueryEngine` replay a finite source in
+one blocking ``run()`` call.  A live service is shaped differently —
+application threads hand events over as they happen and periodically
+collect whatever results became ready.  :class:`MnemonicService` is that
+shape and the one live ingest path (``engine.run`` refuses a broker),
+built from the same parts replay uses (so semantics can never diverge):
 
 * :meth:`submit` stamps events through a bounded
-  :class:`~repro.streams.broker.StreamBroker` (push mode), giving the
-  service backpressure and arrival times for free;
+  :class:`~repro.streams.broker.StreamBroker`, giving the service
+  backpressure and arrival times for free;
 * a :class:`~repro.streams.generator.SnapshotBatcher` applies the
   engine's :class:`~repro.streams.StreamConfig` — including adaptive
   ``max_batch_delay`` batching — to decide when a snapshot is sealed;
 * :meth:`poll` pumps arrived events through the batcher, processes any
   sealed snapshots on the engine, and returns their results, each
-  stamped with ingest-to-result latency on the service's clock;
+  stamped with ingest-to-result latency on the service's clock — the
+  one place ``ingest_latency_seconds`` is filled;
 * :meth:`drain` additionally flushes the open partial batch, so every
   submitted event's outcome is accounted for.
 
@@ -33,7 +34,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterable, Union
 
 from repro.core.registry import MultiQueryEngine
-from repro.streams.broker import POLL_TIMEOUT, StreamBroker
+from repro.streams.broker import StreamBroker
 from repro.streams.clock import Clock
 from repro.streams.config import StreamType
 from repro.streams.events import StreamEvent
@@ -91,9 +92,6 @@ class MnemonicService:
         self.clock: Clock = self.broker.clock
         self._batcher = SnapshotBatcher(stream_config, self._next_number)
         self._number = 0
-        self._submitted = 0
-        #: events pumped out of the broker into the batcher so far
-        self._offered = 0
         self._closed = False
 
     # ------------------------------------------------------------------ durability
@@ -138,6 +136,9 @@ class MnemonicService:
         broker is full — overload surfaces as backpressure here, not as
         unbounded queueing.  Submission alone never processes anything;
         call :meth:`poll` or :meth:`drain` to turn events into results.
+        When a ``put`` fails partway (overload, timeout, closed broker)
+        the events queued before it stay queued and count as
+        :attr:`pending`.
         """
         if self._closed:
             raise ConfigurationError("cannot submit to a closed MnemonicService")
@@ -156,7 +157,6 @@ class MnemonicService:
                 event = StreamEvent.insert(*event)
             self.broker.put(event, timeout=timeout)
             accepted += 1
-        self._submitted += accepted
         return accepted
 
     # ------------------------------------------------------------------ results
@@ -171,12 +171,8 @@ class MnemonicService:
         pending; :meth:`drain` forces them through.
         """
         results: "list[ServiceResult]" = []
-        while True:
-            item = self.broker.poll(0.0)
-            if item is None or item is POLL_TIMEOUT:
-                break
+        while (item := self.broker.poll()) is not None:
             event, arrival = item
-            self._offered += 1
             for snapshot in self._batcher.offer(event, arrival):
                 results.append(self._process(snapshot))
         if self._batcher.deadline_expired(self.clock.now()):
@@ -224,9 +220,10 @@ class MnemonicService:
 
         An insert/delete pair elided *inside* one batch (a net no-op the
         engine never sees) counts as resolved the moment the delete
-        cancels the insert, not as forever-pending.
+        cancels the insert, not as forever-pending.  Events a full
+        broker shed or rejected are not waiting and do not count.
         """
-        return (self._submitted - self._offered) + self._batcher.pending_events
+        return self.broker.depth + self._batcher.pending_events
 
     @property
     def watermark(self) -> float:
@@ -272,4 +269,4 @@ class MnemonicService:
         else:
             # Unwinding: drop the ingest queue without processing more.
             self._closed = True
-            self.broker.stop()
+            self.broker.close()

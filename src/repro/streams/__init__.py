@@ -16,15 +16,15 @@ Three stream types are supported, matching the paper's evaluation:
   stride; edges are dropped from the tail of the window automatically
   (Figures 10, 15, 17 and Table III).
 
-For live-service scenarios the module additionally provides the
-ingestion layer that decouples event arrival from processing: a bounded
-:class:`~repro.streams.broker.StreamBroker` with backpressure and
-arrival stamping, :class:`~repro.streams.clock.Clock` implementations
-(wall and deterministic virtual time), and rate-controlled / file /
-push sources in :mod:`repro.streams.sources`.
+Finite sources (in-memory, file-backed and rate-controlled replay) live
+in :mod:`repro.streams.sources`.  For live traffic the module provides
+the pieces :class:`~repro.core.service.MnemonicService` is built from: a
+bounded :class:`~repro.streams.broker.StreamBroker` with backpressure
+and arrival stamping, and :class:`~repro.streams.clock.Clock`
+implementations (wall and deterministic virtual time).
 """
 
-from repro.streams.broker import POLL_TIMEOUT, BrokerClosedError, StreamBroker
+from repro.streams.broker import BrokerClosedError, StreamBroker
 from repro.streams.clock import Clock, VirtualClock, WallClock
 from repro.streams.config import StreamConfig, StreamType
 from repro.streams.events import (
@@ -44,7 +44,6 @@ from repro.streams.sources import (
     CSVTraceSource,
     IterableSource,
     ListSource,
-    PushSource,
     ReplaySource,
     StreamSource,
 )
@@ -63,11 +62,9 @@ __all__ = [
     "ListSource",
     "IterableSource",
     "CSVTraceSource",
-    "PushSource",
     "ReplaySource",
     "StreamBroker",
     "BrokerClosedError",
-    "POLL_TIMEOUT",
     "Clock",
     "WallClock",
     "VirtualClock",

@@ -1,52 +1,42 @@
-"""The stream broker: a bounded ingest queue decoupling arrival from processing.
+"""The stream broker: the service's bounded ingest queue.
 
 The paper's harness iterates a pre-materialised event list, so "ingest"
 is free and instantaneous.  A service is different: events *arrive*
-(from a socket, a message bus, a replayed trace) while the engine is
-busy mutating the graph and enumerating, and the two sides must be
-decoupled without letting an unbounded backlog hide overload.
+while the engine is busy mutating the graph and enumerating, and the
+two sides must be decoupled without letting an unbounded backlog hide
+overload.
 
-:class:`StreamBroker` is that decoupling point:
+:class:`StreamBroker` is that decoupling point inside
+:class:`~repro.core.service.MnemonicService`, the one live ingest path:
 
 * a **bounded ring buffer** of ``(event, arrival)`` pairs — arrival is
   stamped from the broker's :class:`~repro.streams.clock.Clock` at
   enqueue time and is the anchor of end-to-end latency accounting;
-* **two ingest modes**: *pull* (a producer thread iterates a
-  :class:`~repro.streams.sources.StreamSource` — e.g. a rate-controlled
-  :class:`~repro.streams.sources.ReplaySource` — so arrival overlaps
-  the engine's mutation and enumeration work) and *push* (callers
-  :meth:`put` events directly; this is what the
-  :class:`~repro.core.service.MnemonicService` facade uses);
-* **backpressure**: a full buffer blocks the producer instead of
-  dropping or buffering without bound, so offered load beyond the
-  engine's capacity shows up as producer stall (counted in
-  :attr:`blocked_puts`), not as silent memory growth;
+* **backpressure**: a full buffer blocks :meth:`put` (or sheds, or
+  rejects — see ``overload``) instead of buffering without bound, so
+  offered load beyond the engine's capacity shows up as submitter
+  stall (counted in :attr:`blocked_puts`), not as silent memory growth;
 * **watermark tracking**: the largest *event* timestamp enqueued so
   far, for consumers that reason about event time rather than arrival
   time.
 
-The broker is itself a :class:`~repro.streams.sources.StreamSource`
-(iterating it yields events until the stream is closed and drained), and
-additionally offers :meth:`poll` with a timeout — the primitive the
-adaptive batcher uses to flush a partial batch when no event arrives
-before its deadline.
+The consumer side is :meth:`poll`, which never waits: it hands over the
+next buffered pair or None.  Deadline sealing lives in the service's
+batcher, which checks its deadline on every ``poll``.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import deque
-from contextlib import contextmanager
-from typing import Iterator
 
 from repro.streams.clock import Clock, WallClock
 from repro.streams.events import StreamEvent
-from repro.streams.sources import StreamSource
 from repro.utils.validation import ReproError, check_in, check_positive
 
 
 class BrokerClosedError(ReproError):
-    """Raised when putting into a broker that has been closed or stopped."""
+    """Raised when putting into a broker that has been closed."""
 
 
 class BrokerOverloadError(ReproError):
@@ -57,29 +47,11 @@ class BrokerOverloadError(ReproError):
 OVERLOAD_POLICIES = ("block", "shed-oldest", "reject")
 
 
-class _Timeout:
-    """Sentinel type returned by :meth:`StreamBroker.poll` on timeout."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "<broker poll timeout>"
-
-
-#: returned by :meth:`StreamBroker.poll` when the timeout elapsed with no event
-POLL_TIMEOUT = _Timeout()
-
-
 class StreamBroker:
-    """A bounded, clock-stamping ingest queue between a source and the engine.
+    """A bounded, clock-stamping ingest queue between submitters and the service.
 
     Parameters
     ----------
-    source:
-        Optional pull-mode source.  When given, :meth:`ensure_started`
-        (called by the engines' ``run``) spawns a daemon producer thread
-        that iterates it and :meth:`put`\\ s every event, blocking on
-        backpressure.  Without a source the broker runs in push mode.
     capacity:
         Ring-buffer bound; what happens when it is reached is decided by
         ``overload``.
@@ -87,7 +59,7 @@ class StreamBroker:
         Arrival-stamp time source (defaults to :class:`WallClock`).
     overload:
         Full-buffer policy.  ``"block"`` (default) applies backpressure:
-        the producer waits for space.  ``"shed-oldest"`` drops the oldest
+        the submitter waits for space.  ``"shed-oldest"`` drops the oldest
         *buffered* event to make room — bounded staleness for sources
         where the newest data matters most (counted in
         :attr:`shed_events`).  ``"reject"`` refuses the incoming event
@@ -98,7 +70,6 @@ class StreamBroker:
 
     def __init__(
         self,
-        source: StreamSource | None = None,
         capacity: int = 4096,
         clock: Clock | None = None,
         overload: str = "block",
@@ -108,14 +79,10 @@ class StreamBroker:
         self.capacity = capacity
         self.overload = overload
         self.clock: Clock = clock or WallClock()
-        self._source = source
-        self._thread: threading.Thread | None = None
         self._buffer: deque[tuple[StreamEvent, float]] = deque()
         self._lock = threading.Lock()
         self._not_full = threading.Condition(self._lock)
-        self._not_empty = threading.Condition(self._lock)
         self._closed = False
-        self._aborted = False
         #: largest event timestamp enqueued so far (event time, not arrival time)
         self.watermark = float("-inf")
         self.enqueued = 0
@@ -128,7 +95,7 @@ class StreamBroker:
         self.rejected_puts = 0
         self.max_depth = 0
 
-    # ------------------------------------------------------------------ producer side
+    # ------------------------------------------------------------------ submitter side
     def put(self, event: StreamEvent, timeout: float | None = None) -> float:
         """Enqueue one event, blocking while the buffer is full; returns its arrival stamp.
 
@@ -151,7 +118,7 @@ class StreamBroker:
                     )
                 if self.overload == "shed-oldest":
                     # Make room by dropping the oldest *buffered* event:
-                    # the producer never stalls, at the cost of losing the
+                    # the submitter never stalls, at the cost of losing the
                     # stalest data.  The ledger invariant becomes
                     # ``enqueued - dequeued - shed_events == depth``.
                     self._buffer.popleft()
@@ -174,96 +141,32 @@ class StreamBroker:
             self.max_depth = max(self.max_depth, len(self._buffer))
             if event.timestamp > self.watermark:
                 self.watermark = event.timestamp
-            self._not_empty.notify()
             return arrival
 
     def close(self) -> None:
-        """No further events will arrive; consumers drain what is buffered."""
-        with self._lock:
-            self._closed = True
-            self._not_empty.notify_all()
-            self._not_full.notify_all()
+        """No further events will arrive; consumers drain what is buffered.
 
-    def stop(self, join_timeout: float | None = 1.0) -> None:
-        """Close *and* discard: wake a blocked producer, join its thread.
-
-        Buffered events are kept (a consumer may still drain them); the
-        producer's next :meth:`put` fails with :class:`BrokerClosedError`,
-        which the pull-mode thread treats as a normal shutdown.  The join
-        is bounded by ``join_timeout`` (real seconds): a producer mid
-        wall-clock sleep (e.g. a timestamp-faithful replay across a long
-        event gap) cannot be interrupted, so it is left to exit on its
-        next ``put`` — it is a daemon thread and holds no broker state.
+        A submitter blocked on backpressure wakes into
+        :class:`BrokerClosedError`.
         """
         with self._lock:
-            self._aborted = True
             self._closed = True
-            self._not_empty.notify_all()
             self._not_full.notify_all()
-        thread = self._thread
-        if thread is not None and thread is not threading.current_thread():
-            thread.join(join_timeout)
-
-    def join(self, timeout: float | None = None) -> None:
-        """Wait (real time) for the pull-mode producer thread to finish.
-
-        Useful when a test wants every arrival stamped before consumption
-        starts; a no-op in push mode.
-        """
-        thread = self._thread
-        if thread is not None and thread is not threading.current_thread():
-            thread.join(timeout)
-
-    def ensure_started(self) -> bool:
-        """Spawn the pull-mode producer thread once; True when this call started it."""
-        with self._lock:
-            if self._source is None or self._thread is not None or self._closed:
-                return False
-            self._thread = threading.Thread(
-                target=self._produce, name="stream-broker-producer", daemon=True
-            )
-        self._thread.start()
-        return True
-
-    def _produce(self) -> None:
-        try:
-            for event in self._source:
-                self.put(event)
-        except BrokerClosedError:
-            pass  # stop() aborted a blocked put: normal shutdown
-        finally:
-            self.close()
 
     # ------------------------------------------------------------------ consumer side
-    def poll(self, timeout: float | None = None):
-        """Next ``(event, arrival)`` pair, :data:`POLL_TIMEOUT`, or None.
+    def poll(self) -> tuple[StreamEvent, float] | None:
+        """The next buffered ``(event, arrival)`` pair, or None when nothing is buffered.
 
-        * an event is available (or arrives in time) — ``(event, arrival)``;
-        * the stream is closed and fully drained — ``None``;
-        * ``timeout`` clock-seconds elapsed first — :data:`POLL_TIMEOUT`
-          (the adaptive batcher's cue to flush a partial batch).
+        Never waits: the service pumps the broker empty on every
+        ``poll`` and then checks its batch deadline itself.
         """
-        with self._not_empty:
-            deadline = None if timeout is None else self.clock.now() + timeout
-            while not self._buffer:
-                if self._closed:
-                    return None
-                remaining = None if deadline is None else deadline - self.clock.now()
-                if remaining is not None and remaining <= 0:
-                    return POLL_TIMEOUT
-                self.clock.wait(self._not_empty, remaining)
+        with self._lock:
+            if not self._buffer:
+                return None
             item = self._buffer.popleft()
             self.dequeued += 1
             self._not_full.notify()
             return item
-
-    def __iter__(self) -> Iterator[StreamEvent]:
-        """Drain events (without arrival stamps) until closed and empty."""
-        while True:
-            item = self.poll(None)
-            if item is None:
-                return
-            yield item[0]
 
     # ------------------------------------------------------------------ introspection
     @property
@@ -271,11 +174,6 @@ class StreamBroker:
         """Events currently buffered (enqueued but not yet consumed)."""
         with self._lock:
             return len(self._buffer)
-
-    @property
-    def closed(self) -> bool:
-        with self._lock:
-            return self._closed
 
     def stats(self) -> dict[str, float]:
         """Ingest counters for benchmark tables and service dashboards."""
@@ -291,22 +189,3 @@ class StreamBroker:
                 "watermark": self.watermark,
             }
 
-
-@contextmanager
-def producing(source):
-    """Drive a (possibly-broker) stream source for the duration of a run.
-
-    The engines' ``run()`` methods wrap their consumption loop in this:
-    a :class:`StreamBroker` source gets its pull-mode producer thread
-    started (so arrival overlaps processing) and — if this call started
-    it — stopped on the way out, which also unblocks a producer stuck on
-    backpressure when a run is abandoned mid-stream.  Non-broker sources
-    pass through untouched.
-    """
-    broker = source if isinstance(source, StreamBroker) else None
-    started = broker.ensure_started() if broker is not None else False
-    try:
-        yield source
-    finally:
-        if started:
-            broker.stop()

@@ -23,7 +23,7 @@ class Clock(Protocol):
     """The time source used across the ingest path.
 
     ``wait(condition, timeout)`` is the broker's building block for
-    timed polls: it must return after at most ``timeout`` clock-seconds
+    backpressure waits: it must return after at most ``timeout`` clock-seconds
     (or when the condition is notified), with the condition's lock held
     on entry and exit, exactly like :meth:`threading.Condition.wait`.
     """
@@ -59,8 +59,8 @@ class VirtualClock:
     of blocking, so a rate-controlled replay or a batch-delay flush runs
     in microseconds of real time while observing exactly the virtual
     timeline the test scripted.  ``advance`` is the explicit test hook.
-    The clock is thread-safe: a producer thread replaying events and the
-    consuming generator may share one instance.
+    The clock is thread-safe: a thread submitting events and the thread
+    polling the service may share one instance.
     """
 
     def __init__(self, start: float = 0.0) -> None:

@@ -36,10 +36,10 @@ class StreamConfig:
         seconds passed since the batch's first event — whichever comes
         first — so batches stay small under low load (bounding per-event
         latency) and grow to ``batch_size`` under bursts (amortising
-        per-snapshot cost).  Time is arrival time when the source is a
-        :class:`~repro.streams.broker.StreamBroker` (its clock also
-        drives partial-batch flushes while the stream is idle), and the
-        events' own timestamps for plain sources.  ``None`` (default)
+        per-snapshot cost).  Time is broker arrival time under
+        :class:`~repro.core.service.MnemonicService` (whose ``poll`` also
+        flushes a partial batch while the stream is idle), and the
+        events' own timestamps for ``engine.run`` replays.  ``None`` (default)
         preserves fixed-size batching bit-identically.  Applies to
         ``INSERT_ONLY`` and ``INSERT_DELETE`` streams; ``SLIDING_WINDOW``
         snapshots are already time-driven by ``stride``.

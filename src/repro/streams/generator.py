@@ -23,11 +23,13 @@ The first two share one incremental implementation,
 :class:`SnapshotBatcher`, which also supports *adaptive batching*
 (:attr:`~repro.streams.StreamConfig.max_batch_delay`): a snapshot is
 sealed when the size cap is reached **or** its first event has been
-pending longer than the delay, whichever comes first.  When the source
-is a :class:`~repro.streams.broker.StreamBroker` the generator polls
-with a deadline so a partial batch is flushed even while the stream is
-idle, and every snapshot is stamped with the arrival time of its first
-event — the anchor of ingest-to-result latency accounting.  With
+pending longer than the delay, whichever comes first.  Every snapshot is
+stamped with the arrival time of its first event — the anchor of
+ingest-to-result latency accounting.  A replayed source has no arrival
+clock, so event time doubles as arrival time;
+:class:`~repro.core.service.MnemonicService`, the live ingest path,
+feeds the batcher broker arrival stamps instead and flushes a partial
+batch when its deadline passes while the stream is idle.  With
 ``max_batch_delay=None`` (the default) batching is fixed-size and
 bit-identical to the historical generator.
 """
@@ -38,8 +40,6 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from repro.streams.broker import POLL_TIMEOUT, StreamBroker
-from repro.streams.clock import Clock
 from repro.streams.config import StreamConfig, StreamType
 from repro.streams.events import EventColumns, EventKind, StreamEvent
 from repro.streams.sources import ListSource, StreamSource
@@ -107,9 +107,9 @@ class Snapshot:
 
 
 class SnapshotBatcher:
-    """Incremental insert/insert-delete batching shared by pull and push paths.
+    """Incremental insert/insert-delete batching: the one batcher.
 
-    :class:`SnapshotGenerator` drives it from an iterator;
+    :class:`SnapshotGenerator` drives it over a replayed source;
     :class:`~repro.core.service.MnemonicService` drives it one event at
     a time from ``submit()``/``poll()``.  Sealing rules:
 
@@ -117,8 +117,8 @@ class SnapshotBatcher:
     * delay (only when ``config.max_batch_delay`` is set): an incoming
       event whose arrival is ``max_batch_delay`` or more after the open
       batch's first arrival seals the pending batch *before* joining the
-      next one, and :meth:`flush` seals a partial batch when the caller's
-      deadline (see :meth:`poll_timeout`) expires with no event.
+      next one, and :meth:`flush` seals a partial batch when the caller
+      finds the :meth:`deadline` passed with no event.
 
     With ``max_batch_delay=None`` only the size rule fires, which is
     exactly the historical fixed-size behaviour.
@@ -167,13 +167,6 @@ class SnapshotBatcher:
             return None
         return self._first_arrival + self.config.max_batch_delay
 
-    def poll_timeout(self, now: float) -> float | None:
-        """How long a broker poll may wait before the open batch must flush."""
-        deadline = self.deadline()
-        if deadline is None:
-            return None
-        return max(deadline - now, 0.0)
-
     def deadline_expired(self, now: float) -> bool:
         deadline = self.deadline()
         return deadline is not None and now >= deadline
@@ -212,9 +205,9 @@ class SnapshotBatcher:
                     del self._pending_by_triple[triple]
                 if self.pending_events == 0:
                     # The cancellation emptied the open batch: drop its arrival
-                    # stamp, or the dead deadline would pin broker polls to a
-                    # zero timeout (a hot spin while idle) and the next event
-                    # would seal an empty snapshot with a bogus latency.
+                    # stamp, or the dead deadline would stay expired and the
+                    # next event would seal an empty snapshot with a bogus
+                    # latency.
                     self._first_arrival = None
         else:
             if self._insert_delete:
@@ -257,20 +250,6 @@ class SnapshotGenerator:
         self._snapshot_counter = 0
 
     # ------------------------------------------------------------------ public
-    @property
-    def clock(self) -> Clock | None:
-        """The arrival clock for latency stamping — broker sources only.
-
-        Only a broker-fed stream stamps snapshots with *clock* arrival
-        times; plain sources (including a bare :class:`ReplaySource`,
-        which also carries a ``clock`` attribute for pacing) fall back
-        to event timestamps, and subtracting those from a clock reading
-        would fabricate nonsense latencies — so no clock is exposed.
-        """
-        if isinstance(self.source, StreamBroker):
-            return self.source.clock
-        return None
-
     def __iter__(self) -> Iterator[Snapshot]:
         if self.config.stream_type is StreamType.SLIDING_WINDOW:
             yield from self._iter_sliding_window()
@@ -290,39 +269,14 @@ class SnapshotGenerator:
     def _iter_batched(self) -> Iterator[Snapshot]:
         """Insert-only / insert-delete batching (fixed-size or adaptive)."""
         batcher = SnapshotBatcher(self.config, self._next_number)
-        if isinstance(self.source, StreamBroker):
-            yield from self._iter_broker(batcher, self.source)
-        else:
-            # Plain sources have no arrival clock; event time doubles as
-            # arrival time, so an adaptive delay follows the events' own
-            # timestamps (deterministic, replayable).
-            for event in self.source:
-                yield from batcher.offer(event, arrival=event.timestamp)
+        # A replayed source has no arrival clock; event time doubles as
+        # arrival time, so an adaptive delay follows the events' own
+        # timestamps (deterministic, replayable).
+        for event in self.source:
+            yield from batcher.offer(event, arrival=event.timestamp)
         final = batcher.flush()
         if final is not None:
             yield final
-
-    def _iter_broker(self, batcher: SnapshotBatcher, broker: StreamBroker) -> Iterator[Snapshot]:
-        """Deadline-driven consumption: poll with the open batch's time budget.
-
-        A poll that times out means the open batch's first event has
-        been pending for ``max_batch_delay``: flush it even though the
-        size cap was never reached.  ``poll`` returning None means the
-        broker is closed and drained; the trailing partial batch is
-        flushed by the caller.
-        """
-        clock = broker.clock
-        while True:
-            item = broker.poll(batcher.poll_timeout(clock.now()))
-            if item is None:
-                return
-            if item is POLL_TIMEOUT:
-                snapshot = batcher.flush(sealed_at=clock.now())
-                if snapshot is not None:
-                    yield snapshot
-                continue
-            event, arrival = item
-            yield from batcher.offer(event, arrival)
 
     def _iter_sliding_window(self) -> Iterator[Snapshot]:
         window = float(self.config.window)  # type: ignore[arg-type]

@@ -1,26 +1,21 @@
-"""Stream sources: adapters that present events to the snapshot generator.
-
-Four families of source cover the scenarios between "replay a list" and
-"live service traffic":
+"""Stream sources: finite, replayable adapters for ``engine.run``.
 
 * :class:`ListSource` / :class:`IterableSource` — finite in-memory
   sources (the benchmark harness and tests);
 * :class:`CSVTraceSource` — a replayable file-backed trace;
 * :class:`ReplaySource` — rate-controlled replay of a finite source on
-  a :class:`~repro.streams.clock.Clock`, so offered-load experiments run
-  against real time (``WallClock``) or a deterministic virtual timeline
-  (``VirtualClock``) without wall-clock flakiness;
-* :class:`PushSource` — a thread-safe callback source that application
-  code pushes events into.
+  a :class:`~repro.streams.clock.Clock`, against real time
+  (``WallClock``) or a deterministic virtual timeline (``VirtualClock``).
 
-Any of them can feed a :class:`~repro.streams.broker.StreamBroker` so
-event arrival overlaps engine work.
+A source is replayed to completion by one ``engine.run`` call.  Live
+traffic — events that arrive while the engine works — goes through
+:class:`~repro.core.service.MnemonicService` instead, the one live
+ingest path.
 """
 
 from __future__ import annotations
 
 import csv
-import queue
 from typing import Iterable, Iterator, Protocol, Sequence
 
 from repro.streams.clock import Clock, WallClock
@@ -56,8 +51,8 @@ class IterableSource:
     generator-backed source silently yielded nothing, which made a
     re-run (e.g. a benchmark warm-up followed by the measured pass)
     process an empty stream without any error.  For traces too large to
-    materialise, stream them through a
-    :class:`~repro.streams.broker.StreamBroker` instead of replaying.
+    materialise, submit them to a
+    :class:`~repro.core.service.MnemonicService` in chunks instead.
     """
 
     def __init__(self, iterable: Iterable[StreamEvent]) -> None:
@@ -158,7 +153,7 @@ class ReplaySource:
 
     ``events_per_second``
         Uniform offered load: event ``i`` is due ``i / rate`` seconds
-        after the replay starts (the fig18 latency-vs-load benchmark).
+        after the replay starts.
     ``speed``
         Timestamp-faithful replay: inter-event gaps follow the events'
         own timestamps, scaled by ``speed`` (2.0 = twice as fast).
@@ -208,54 +203,3 @@ class ReplaySource:
                 self.clock.sleep(lag)
             yield event
 
-
-class PushSource:
-    """A thread-safe callback source: application code pushes, a consumer iterates.
-
-    The minimal adapter between "my code produces events" and the
-    iterator-shaped ingest path: :meth:`push` enqueues (blocking when a
-    ``maxsize`` bound is hit), :meth:`close` ends the stream, and
-    iteration yields events until closed and drained.  For arrival
-    stamping, backpressure counters and adaptive batching, prefer
-    pushing straight into a :class:`~repro.streams.broker.StreamBroker`
-    (via :class:`~repro.core.service.MnemonicService`); this class is
-    for simple pipelines that only need an iterable.
-    """
-
-    _WAKE = object()
-    #: how long a blocked consumer goes between closed-flag re-checks
-    _POLL_SECONDS = 0.05
-
-    def __init__(self, maxsize: int = 0) -> None:
-        self._queue: queue.Queue = queue.Queue(maxsize=maxsize)
-        self._closed = False
-
-    def push(self, event: StreamEvent) -> None:
-        if self._closed:
-            raise ConfigurationError("cannot push into a closed PushSource")
-        self._queue.put(event)
-
-    def close(self) -> None:
-        """End the stream; buffered events are still delivered.
-
-        Never blocks: consumers terminate off the ``closed`` flag, and
-        the queued marker (dropped when a bounded queue is full) only
-        wakes a blocked consumer early.
-        """
-        self._closed = True
-        try:
-            self._queue.put_nowait(self._WAKE)
-        except queue.Full:
-            pass  # a full queue means the consumer is about to wake anyway
-
-    def __iter__(self) -> Iterator[StreamEvent]:
-        while True:
-            try:
-                item = self._queue.get(timeout=self._POLL_SECONDS)
-            except queue.Empty:
-                if self._closed:
-                    return
-                continue
-            if item is self._WAKE:
-                continue  # re-check the flag; drains events racing in behind it
-            yield item

@@ -2,13 +2,12 @@
 
 The helpers in this package are deliberately small and dependency-free
 (beyond :mod:`numpy`).  They provide the growable bitsets backing DEBI,
-deterministic RNG construction for the synthetic datasets, lightweight
-timers used by the benchmark harness, and argument-validation helpers.
+deterministic RNG construction for the synthetic datasets, and
+argument-validation helpers.
 """
 
 from repro.utils.bitset import BitMatrix, BitVector
 from repro.utils.rng import make_rng, spawn_rngs
-from repro.utils.timers import Timeline, Timer, WallTimer
 from repro.utils.validation import (
     ConfigurationError,
     GraphError,
@@ -24,9 +23,6 @@ __all__ = [
     "BitVector",
     "make_rng",
     "spawn_rngs",
-    "Timeline",
-    "Timer",
-    "WallTimer",
     "ReproError",
     "ConfigurationError",
     "GraphError",

@@ -17,6 +17,7 @@ from repro.core.parallel import ParallelConfig
 from repro.datasets import NetFlowConfig, generate_netflow_stream, graph_from_events
 from repro.matchers import HomomorphismMatcher
 from repro.query.generator import QueryGenerator
+from repro.streams.clock import VirtualClock
 
 
 @pytest.fixture(scope="module")
@@ -59,10 +60,21 @@ class TestHarnessRunners:
         assert run.system == "Mnemonic-service"
         assert run.embeddings == baseline.embeddings
         assert run.extra["candidates_scanned"] == baseline.extra["candidates_scanned"]
-        assert run.latency  # broker-fed: every snapshot has an ingest latency
+        assert run.latency  # every service result carries an ingest latency
         assert run.latency["count"] == run.extra["snapshots"]
         assert run.latency["p50"] <= run.latency["p95"] <= run.latency["p99"]
         assert run.extra["broker"]["enqueued"] == len(stream) - 600
+
+    def test_service_runner_paces_arrivals_on_a_virtual_clock(self, workload):
+        query, stream = workload
+        clock = VirtualClock()
+        run = run_service_stream(query, stream, initial_prefix=600, batch_size=64,
+                                 events_per_second=1000.0, clock=clock)
+        # event i is due at i / 1000 s; processing costs no virtual time, so
+        # a full batch waits exactly for its 63 later arrivals
+        assert clock.now() == pytest.approx((len(stream) - 600 - 1) / 1000.0)
+        assert run.latency["max"] == pytest.approx(63 / 1000.0)
+        assert run.latency["count"] == run.extra["snapshots"] == -(-(len(stream) - 600) // 64)
 
     def test_turboflux_runner(self, workload):
         query, stream = workload

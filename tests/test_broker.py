@@ -1,25 +1,26 @@
-"""Unit tests for the stream broker, clocks and the richer sources."""
+"""Unit tests for the stream broker, clocks and the replayable sources."""
 
 import threading
 
 import pytest
 
-from repro.streams.broker import (
-    POLL_TIMEOUT,
-    BrokerClosedError,
-    BrokerOverloadError,
-    StreamBroker,
-)
+from repro.streams.broker import BrokerClosedError, BrokerOverloadError, StreamBroker
 from repro.streams.clock import VirtualClock, WallClock
-from repro.streams.config import StreamConfig, StreamType
 from repro.streams.events import StreamEvent
-from repro.streams.generator import SnapshotGenerator
-from repro.streams.sources import CSVTraceSource, PushSource, ReplaySource
+from repro.streams.sources import CSVTraceSource, ReplaySource
 from repro.utils.validation import ConfigurationError
 
 
 def _insert(i, ts=0.0):
     return StreamEvent.insert(i, i + 1, timestamp=ts)
+
+
+def _drain(broker):
+    """Sources of every event still buffered, oldest first."""
+    sources = []
+    while (item := broker.poll()) is not None:
+        sources.append(item[0].src)
+    return sources
 
 
 class TestVirtualClock:
@@ -41,45 +42,41 @@ class TestVirtualClock:
         assert clock.now() >= a
 
 
-class TestBrokerPushMode:
+class TestBrokerQueue:
     def test_put_poll_roundtrip_with_arrival_stamps(self):
         clock = VirtualClock()
         broker = StreamBroker(capacity=4, clock=clock)
         broker.put(_insert(1, ts=10.0))
         clock.advance(1.0)
         broker.put(_insert(2, ts=5.0))
-        event, arrival = broker.poll(0.0)
+        event, arrival = broker.poll()
         assert (event.src, arrival) == (1, 0.0)
-        event, arrival = broker.poll(0.0)
+        event, arrival = broker.poll()
         assert (event.src, arrival) == (2, 1.0)
         # watermark follows event time, not arrival time
         assert broker.watermark == 10.0
 
-    def test_poll_timeout_vs_closed(self):
+    def test_poll_on_an_empty_broker_returns_none_without_waiting(self):
         broker = StreamBroker(capacity=4, clock=VirtualClock())
-        assert broker.poll(0.0) is POLL_TIMEOUT
-        assert broker.poll(1.5) is POLL_TIMEOUT
-        assert broker.clock.now() == 1.5  # the timed wait advanced virtual time
-        broker.close()
-        assert broker.poll(0.0) is None
-        assert broker.poll(None) is None
+        assert broker.poll() is None
+        assert broker.clock.now() == 0.0  # polling never waits, not even on virtual time
+        assert broker.stats()["dequeued"] == 0
+        broker.put(_insert(1))
+        assert broker.poll()[0].src == 1
+        assert broker.poll() is None
 
     def test_close_drains_buffered_events(self):
+        empty = StreamBroker(capacity=4)
+        empty.close()
+        assert empty.poll() is None
         broker = StreamBroker(capacity=4)
         broker.put(_insert(1))
+        broker.put(_insert(2))
         broker.close()
-        event, _ = broker.poll(None)
-        assert event.src == 1
-        assert broker.poll(None) is None
+        assert _drain(broker) == [1, 2]
+        assert broker.poll() is None
         with pytest.raises(BrokerClosedError):
-            broker.put(_insert(2))
-
-    def test_iteration_yields_until_closed(self):
-        broker = StreamBroker(capacity=8)
-        for i in range(3):
-            broker.put(_insert(i))
-        broker.close()
-        assert [e.src for e in broker] == [0, 1, 2]
+            broker.put(_insert(3))
 
     def test_capacity_validated(self):
         with pytest.raises(ConfigurationError):
@@ -101,7 +98,7 @@ class TestBrokerBackpressure:
         thread.start()
         assert not third_in.wait(0.05)
         assert broker.blocked_puts == 1
-        event, _ = broker.poll(None)
+        event, _ = broker.poll()
         assert event.src == 0
         assert third_in.wait(2.0)
         thread.join(2.0)
@@ -113,27 +110,6 @@ class TestBrokerBackpressure:
         broker.put(_insert(0))
         with pytest.raises(TimeoutError):
             broker.put(_insert(1), timeout=0.5)
-
-    def test_stop_aborts_blocked_producer(self):
-        broker = StreamBroker(capacity=1)
-        broker.put(_insert(0))
-        failed = threading.Event()
-
-        def producer():
-            try:
-                broker.put(_insert(1))
-            except BrokerClosedError:
-                failed.set()
-
-        thread = threading.Thread(target=producer, daemon=True)
-        thread.start()
-        broker.stop()
-        assert failed.wait(2.0)
-        thread.join(2.0)
-        # Buffered events survive a stop; consumers can still drain them.
-        event, _ = broker.poll(None)
-        assert event.src == 0
-        assert broker.poll(None) is None
 
 
 class TestBrokerCloseRaces:
@@ -181,7 +157,7 @@ class TestBrokerCloseRaces:
         broker = StreamBroker(capacity=2)
         broker.put(_insert(0))
         broker.put(_insert(1))
-        consumed, _ = broker.poll(None)  # consumer takes one event...
+        consumed, _ = broker.poll()  # consumer takes one event...
         assert consumed.src == 0
         parked = threading.Event()
 
@@ -222,7 +198,7 @@ class TestBrokerOverloadPolicies:
         # enqueued - dequeued - shed_events == depth.
         assert stats["enqueued"] - stats["dequeued"] - stats["shed_events"] == stats["depth"]
         broker.close()
-        assert [e.src for e in broker] == [2, 3, 4]  # newest survive
+        assert _drain(broker) == [2, 3, 4]  # newest survive
 
     def test_reject_refuses_at_the_door(self):
         broker = StreamBroker(capacity=2, overload="reject")
@@ -235,39 +211,13 @@ class TestBrokerOverloadPolicies:
         assert stats["enqueued"] == 2
         assert stats["depth"] == 2
         # Overload is transient: space freed by the consumer re-admits.
-        broker.poll(None)
+        broker.poll()
         broker.put(_insert(3))
         broker.close()
-        assert [e.src for e in broker] == [1, 3]
+        assert _drain(broker) == [1, 3]
 
     def test_block_is_default_policy(self):
         assert StreamBroker(capacity=1).overload == "block"
-
-
-class TestBrokerPullMode:
-    def test_producer_thread_feeds_consumer(self):
-        events = [_insert(i, ts=float(i)) for i in range(100)]
-        broker = StreamBroker(source=iter(events), capacity=8)
-        assert broker.ensure_started()
-        assert not broker.ensure_started()  # idempotent
-        seen = [e.src for e in broker]
-        broker.stop()
-        assert seen == [e.src for e in events]
-        stats = broker.stats()
-        assert stats["enqueued"] == 100 and stats["dequeued"] == 100
-        assert stats["max_depth"] <= 8
-
-    def test_push_mode_has_no_producer(self):
-        broker = StreamBroker(capacity=4)
-        assert not broker.ensure_started()
-
-    def test_stop_mid_stream_unblocks_producer(self):
-        events = [_insert(i) for i in range(1000)]
-        broker = StreamBroker(source=iter(events), capacity=2)
-        broker.ensure_started()
-        broker.poll(None)
-        broker.stop()  # must join the (blocked) producer without hanging
-        assert broker.closed
 
 
 class TestReplaySource:
@@ -303,16 +253,16 @@ class TestReplaySource:
         with pytest.raises(ConfigurationError):
             ReplaySource([])
 
-    def test_through_broker_stamps_scheduled_arrivals(self):
+    def test_put_into_a_broker_stamps_scheduled_arrivals(self):
         clock = VirtualClock()
         source = ReplaySource([_insert(i) for i in range(4)],
                               events_per_second=2.0, clock=clock)
-        broker = StreamBroker(source=source, capacity=16, clock=clock)
-        broker.ensure_started()
+        broker = StreamBroker(capacity=16, clock=clock)
+        for event in source:
+            broker.put(event)
         arrivals = []
-        while (item := broker.poll(None)) is not None:
+        while (item := broker.poll()) is not None:
             arrivals.append(item[1])
-        broker.stop()
         assert arrivals == pytest.approx([0.0, 0.5, 1.0, 1.5])
 
 
@@ -360,30 +310,3 @@ class TestCSVTraceSource:
         with pytest.raises(ConfigurationError):
             list(CSVTraceSource(str(path)))
 
-
-class TestPushSource:
-    def test_push_then_iterate(self):
-        source = PushSource()
-        for i in range(3):
-            source.push(_insert(i))
-        source.close()
-        assert [e.src for e in source] == [0, 1, 2]
-        assert list(source) == []  # drained, still terminates
-        with pytest.raises(ConfigurationError):
-            source.push(_insert(9))
-
-    def test_feeds_generator_across_threads(self):
-        source = PushSource()
-        config = StreamConfig(stream_type=StreamType.INSERT_ONLY, batch_size=2)
-        generator = SnapshotGenerator(source, config)
-
-        def producer():
-            for i in range(5):
-                source.push(_insert(i))
-            source.close()
-
-        thread = threading.Thread(target=producer, daemon=True)
-        thread.start()
-        snapshots = generator.snapshots()
-        thread.join(2.0)
-        assert [s.insert_batch_size for s in snapshots] == [2, 2, 1]

@@ -1,12 +1,9 @@
-"""Unit tests for validation helpers, timers and RNG utilities."""
-
-import time
+"""Unit tests for validation helpers and RNG utilities."""
 
 import numpy as np
 import pytest
 
 from repro.utils.rng import make_rng, spawn_rngs
-from repro.utils.timers import Timeline, Timer, WallTimer
 from repro.utils.validation import (
     ConfigurationError,
     check_in,
@@ -45,59 +42,6 @@ class TestValidation:
         check_in("a", {"a", "b"}, "mode")
         with pytest.raises(ConfigurationError):
             check_in("c", {"a", "b"}, "mode")
-
-
-class TestTimers:
-    def test_walltimer_accumulates(self):
-        timer = WallTimer()
-        with timer:
-            time.sleep(0.01)
-        assert timer.elapsed >= 0.005
-        first = timer.elapsed
-        with timer:
-            time.sleep(0.01)
-        assert timer.elapsed > first
-
-    def test_walltimer_stop_without_start(self):
-        timer = WallTimer()
-        with pytest.raises(RuntimeError):
-            timer.stop()
-
-    def test_timer_phases_and_fraction(self):
-        timer = Timer()
-        with timer.phase("a"):
-            time.sleep(0.01)
-        with timer.phase("b"):
-            pass
-        assert timer.total("a") > 0
-        assert timer.counts["a"] == 1
-        assert 0 <= timer.fraction("b") <= 1
-        assert timer.fraction("missing") == 0.0
-
-    def test_timer_merge(self):
-        t1, t2 = Timer(), Timer()
-        with t1.phase("x"):
-            pass
-        with t2.phase("x"):
-            pass
-        with t2.phase("y"):
-            pass
-        t1.merge(t2)
-        assert t1.counts["x"] == 2
-        assert "y" in t1.totals
-
-    def test_timeline_normalised_and_mean(self):
-        timeline = Timeline()
-        timeline.record(0.5, timestamp=timeline._origin + 1.0)
-        timeline.record(1.0, timestamp=timeline._origin + 2.0)
-        normalised = timeline.normalised()
-        assert normalised[-1][0] == pytest.approx(1.0)
-        assert timeline.mean() == pytest.approx(0.75)
-
-    def test_timeline_empty(self):
-        timeline = Timeline()
-        assert timeline.normalised() == []
-        assert timeline.mean() == 0.0
 
 
 class TestRng:
