@@ -41,10 +41,11 @@ row must additionally leave ``candidates_scanned`` untouched and every
 service run must report an ingest-to-result latency rollup.
 
 The ``durability_parity`` gate protects the durable-state stack: a
-journaled, checkpointed, DEBI-spilling engine killed mid-stream and
-recovered with ``MnemonicEngine.open`` must reproduce the uninterrupted
-run's positive and negative identity multisets exactly, with real rows
-on the cold tier; spill and journal counters ride along in the metrics.
+journaled, checkpointed engine whose DEBI lives in its mmap'd file,
+killed mid-stream and recovered with ``MnemonicEngine.open``, must
+reproduce the uninterrupted run's positive and negative identity
+multisets exactly, with real rows in the DEBI file; DEBI file and journal
+counters ride along in the metrics.
 
 The ``self_healing_parity`` gate protects the one fault response: a run
 whose pool worker is deterministically SIGKILLed mid-stream (serial and
@@ -418,14 +419,14 @@ def run_service_parity(stream) -> tuple[dict, list[str]]:
 def run_durability_parity(stream) -> tuple[dict, list[str]]:
     """The durable-state gate: kill-and-recover mid-stream vs straight-through.
 
-    A durable engine (journal + checkpoints + spilled DEBI) processes
+    A durable engine (journal + checkpoints + on-disk DEBI) processes
     half the mixed insert+delete stream, is abandoned without a clean
     shutdown (``close()`` never seals or checkpoints), recovered with
     ``MnemonicEngine.open`` and fed the rest.  The union of pre-crash and
     post-recovery results must equal the uninterrupted durable run
-    bit-for-bit, the hot-row budget must actually force rows onto the
-    cold tier, and the journal must scan clean.  Spill/journal counters
-    are uploaded with the metrics row.
+    bit-for-bit, the recovered DEBI must hold rows in its file, and the
+    journal must scan clean.  DEBI file and journal counters are uploaded
+    with the metrics row.
 
     Not baseline-gated (like service_parity): the gate asserts the
     invariants directly every run.
@@ -466,8 +467,7 @@ def run_durability_parity(stream) -> tuple[dict, list[str]]:
                 return EngineConfig(
                     stream=stream_config, collect_embeddings=True,
                     storage=StorageConfig(
-                        directory=directory, checkpoint_interval=4,
-                        debi_hot_rows=256, debi_segment_rows=512,
+                        directory=directory, checkpoint_interval=4, debi_on_disk=True,
                     ),
                 )
 
@@ -517,7 +517,7 @@ def run_durability_parity(stream) -> tuple[dict, list[str]]:
                     f"{label}: recovered results differ from the uninterrupted run"
                 )
             if counters.get("spilled_rows", 0) <= 0:
-                failures.append(f"{label}: hot-row budget never forced a spill")
+                failures.append(f"{label}: no DEBI row reached the file")
             if straight_counters.get("checkpoints_written", 0) < 2:
                 failures.append(f"{label}: straight run cut "
                                 f"{straight_counters.get('checkpoints_written', 0)} "

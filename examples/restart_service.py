@@ -9,7 +9,7 @@ twice:
 1. a **first process** attaches a ``StorageConfig`` to the engine, so
    every delivered batch is sealed into an append-only CRC-framed
    journal, checkpoints are cut periodically, and (with
-   ``debi_hot_rows``) cold DEBI rows spill to mmap'd segment files.
+   ``debi_on_disk``) the DEBI's words live in a mmap'd file.
    It then "crashes" mid-stream: the engine is abandoned without a
    clean shutdown — nothing is flushed, sealed or checkpointed on the
    way out;
@@ -75,8 +75,7 @@ def durable_config(directory: Path) -> EngineConfig:
         storage=StorageConfig(
             directory=directory,
             checkpoint_interval=2,  # checkpoint every 2 sealed epochs
-            debi_hot_rows=16,       # tiny budget, to show spilling in action
-            debi_segment_rows=16,
+            debi_on_disk=True,      # the DEBI's words in debi/q0/rows.bin
         ),
     )
 
@@ -97,7 +96,7 @@ def main() -> None:
         print(f"  delivered {len(delivered)} batches, {matches_before} matches")
         print(f"  sealed {counters['sealed_epochs']} epochs, "
               f"{counters['checkpoints_written']} checkpoints, "
-              f"{counters['spilled_rows']} DEBI rows on the cold tier")
+              f"{counters['spilled_rows']} DEBI rows in its file")
         print("  ...crash! (no clean shutdown)")
         engine.close()  # releases file handles only; seals nothing
 

@@ -101,7 +101,7 @@ def run_mnemonic_stream(
     overlaps batch k+1's mutation/publish work with batch k's pool
     enumeration (results are bit-identical to serial).  Passing a
     ``storage`` config runs the engine durably (journal + checkpoints +
-    optional DEBI cold tier) and folds the storage counters into
+    optional on-disk DEBI) and folds the storage counters into
     ``extra`` so tables can report disk footprint next to throughput.
     The engine's pool-fault counters are in ``extra["fault_stats"]``.
     """
@@ -137,6 +137,7 @@ def run_mnemonic_stream(
             "placeholders": engine.graph.num_placeholders,
             "live_edges": engine.graph.num_edges,
             "debi_bits": engine.debi.total_bits_set(),
+            "debi_bytes": engine.debi.nbytes(),
             "snapshot_exports": engine.snapshot_exports,
             "enumeration_phases": engine.enumeration_phases_with_units,
             "pool_phases": engine.pool_enumeration_phases,

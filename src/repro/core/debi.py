@@ -152,25 +152,17 @@ class DEBI:
         return debi
 
     # ------------------------------------------------------------------ durability
-    def enable_spill(self, directory, hot_rows: int, segment_rows: int = 4096):
-        """Swap the row matrix for a tiered hot/cold store rooted at ``directory``.
+    def move_to_disk(self, path) -> None:
+        """Move the rows into a file-backed :class:`BitMatrix` at ``path``.
 
         The replacement happens in place (``self._bits`` is reassigned),
         so every holder of this DEBI — ``IndexManager``, enumeration
-        contexts, the snapshot writer — keeps working through the same
-        BitMatrix interface.  Existing content is carried over.
+        contexts, the snapshot writer, the native kernel — keeps working
+        on the same layout.  Existing content is carried over.
         """
-        from repro.storage.spill import TieredBitMatrix
-
-        tiered = TieredBitMatrix(
-            width=self._bits.width, directory=directory,
-            hot_rows=hot_rows, segment_rows=segment_rows,
-        )
-        rows, num_rows = self._bits.export_words()
-        if num_rows:
-            tiered.load_words(rows, num_rows)
-        self._bits = tiered
-        return tiered
+        on_disk = BitMatrix(self._bits.width, path=path)
+        on_disk.load_words(*self._bits.export_words())
+        self._bits = on_disk
 
     def restore_buffers(self, rows, num_rows: int, width: int, roots, root_bits: int) -> None:
         """Overwrite the index content from checkpointed word buffers, in place.
@@ -187,17 +179,12 @@ class DEBI:
         self._roots.load_words(roots, root_bits)
 
     def spill_stats(self) -> dict | None:
-        """Cold-tier counters, or None when the index is fully in memory."""
-        from repro.storage.spill import TieredBitMatrix
-
-        if not isinstance(self._bits, TieredBitMatrix):
+        """The rows held in the DEBI file and its size, or None when the rows are on the heap."""
+        if self._bits.path is None:
             return None
         return {
-            "spilled_rows": self._bits.spilled_rows,
-            "debi_disk_bytes": self._bits.disk_bytes,
-            "debi_hot_bytes": self._bits.nbytes(),
-            "cold_reads": self._bits.cold_reads,
-            "cold_writes": self._bits.cold_writes,
+            "spilled_rows": len(self._bits),
+            "debi_disk_bytes": self._bits.path.stat().st_size,
         }
 
     # ------------------------------------------------------------------ bulk

@@ -48,7 +48,6 @@ from repro.query.masking import MaskTable
 from repro.query.matching_order import ExtensionStep, MatchingOrder
 from repro.query.query_graph import WILDCARD_LABEL, QueryEdge, QueryGraph
 from repro.query.query_tree import QueryTree
-from repro.utils.bitset import BitMatrix
 from repro.utils.validation import check_positive
 
 
@@ -363,8 +362,8 @@ def decompose_batch(
     ``column_mask`` for a tree edge): with the stock ``edge_matcher`` a
     comparison of label columns gathered once, with a custom one a call
     per pair (:meth:`EnumerationContext.edge_match_mask`).  With the stock
-    matcher, a tree edge, the live graph and an in-memory DEBI it is one
-    native call (:func:`repro.core.native.decompose`) instead.
+    matcher, a tree edge and the live graph it is one native call
+    (:func:`repro.core.native.decompose`) instead.
     """
     query = context.query
     graph = context.graph
@@ -373,9 +372,8 @@ def decompose_batch(
     if ids.shape[0] == 0:
         return WorkUnits()
     stock = uses_default_edge_matcher(context.match_def)
-    if stock and tree.tree_edges and context.native_plan is not None and (
-        type(graph) is DynamicGraph and type(context.debi._bits) is BitMatrix
-    ) and (lib := native.library()) is not None:
+    if (stock and tree.tree_edges and context.native_plan is not None
+            and type(graph) is DynamicGraph and (lib := native.library()) is not None):
         return WorkUnits(*native.decompose(lib, graph, context.debi, context.native_plan.index, ids))
     if stock:
         src_labels, dst_labels = vertex_label_columns(
@@ -767,9 +765,9 @@ def columnar_enumerate(
     """Run ``units`` through a kernel; return ``(embeddings, count)``.
 
     The native kernel takes the call when it loaded, the graph is a live
-    :class:`DynamicGraph`, the DEBI an in-memory :class:`BitMatrix` and
-    the definition runs no Python callable; the numpy kernel takes the
-    rest.  Both return the same rows in the same order and charge the same.
+    :class:`DynamicGraph` and the definition runs no Python callable; the
+    numpy kernel takes the rest.  Both return the same rows in the same
+    order and charge the same.
 
     The numpy kernel emits one :class:`EmbeddingBlock` per start-edge
     group (per run of one that :func:`_expand` cut), copied out of the
@@ -800,9 +798,8 @@ def columnar_enumerate(
     # An overridden accept is the one slow path: it needs Embedding records.
     custom_accept = type(match_def).accept is not MatchDefinition.accept
     stock = uses_default_edge_matcher(match_def) and not (bind or custom_accept)
-    if stock and type(match_def).root_matcher is MatchDefinition.root_matcher and (
-        type(graph) is DynamicGraph and type(context.debi._bits) is BitMatrix
-    ) and (lib := native.library()) is not None:
+    if (stock and type(match_def).root_matcher is MatchDefinition.root_matcher
+            and type(graph) is DynamicGraph and (lib := native.library()) is not None):
         return _native_enumerate(lib, context, units, collect)
     if arena is None:
         arena = context.arena if context.arena is not None else EmbeddingArena(capacity=256)

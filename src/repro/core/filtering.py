@@ -25,10 +25,10 @@ behind (missed embeddings).  They prune at enumeration time instead
 the current degree is always available.
 
 For a stock definition (default ``edge_matcher`` and ``root_matcher``)
-over a live :class:`~repro.graph.adjacency.DynamicGraph` and an in-memory
-DEBI, both passes run in the native kernel (:mod:`repro.core.native`),
-with the same bits, roots and traversal count; the numpy passes below
-serve everything else.
+over a live :class:`~repro.graph.adjacency.DynamicGraph`, both passes run
+in the native kernel (:mod:`repro.core.native`), on the heap or the
+on-disk DEBI alike, with the same bits, roots and traversal count; the
+numpy passes below serve everything else.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ from repro.graph.adjacency import DynamicGraph, segment_counts
 from repro.graph.edge import EdgeColumns, EdgeRecord
 from repro.query.query_graph import WILDCARD_LABEL, QueryEdge, QueryGraph
 from repro.query.query_tree import QueryTree, TreeEdge
-from repro.utils.bitset import BitMatrix
 
 
 class IndexManager:
@@ -89,7 +88,7 @@ class IndexManager:
 
     def _native_library(self):
         """The kernel, when this pass may run natively (see the module docstring)."""
-        if self._stock and type(self.graph) is DynamicGraph and type(self.debi._bits) is BitMatrix:
+        if self._stock and type(self.graph) is DynamicGraph:
             return native.library()
         return None
 

@@ -351,7 +351,7 @@ class EngineConfig:
     recycle_edge_ids: bool = True
     #: keep embeddings in the per-snapshot results (disable to only count)
     collect_embeddings: bool = True
-    #: durable state: journal + checkpoints + spillable DEBI (None = volatile)
+    #: durable state: journal + checkpoints + optional on-disk DEBI (None = volatile)
     storage: StorageConfig | None = None
 
 
@@ -648,15 +648,10 @@ class MultiQueryEngine:
         return query_id
 
     def _attach_storage_to_query(self, query_id: int) -> None:
-        """Move a freshly built runtime's DEBI onto the cold tier if configured."""
-        if self._storage is None or self.config.storage.debi_hot_rows is None:
+        """Move a freshly built runtime's DEBI into its file if configured."""
+        if self._storage is None or not self.config.storage.debi_on_disk:
             return
-        runtime = self.registry.get(query_id).runtime
-        runtime.debi.enable_spill(
-            self._storage.debi_directory(query_id),
-            hot_rows=self.config.storage.debi_hot_rows,
-            segment_rows=self.config.storage.debi_segment_rows,
-        )
+        self.registry.get(query_id).runtime.debi.move_to_disk(self._storage.debi_path(query_id))
 
     def unregister(self, query_id: int) -> RunResult:
         """Drop a standing query; returns its accumulated results."""
@@ -978,7 +973,7 @@ class MultiQueryEngine:
         kind = EngineStorage.peek_kind(directory)
         built = next((c for c in (cls, *cls.__subclasses__()) if c._kind == kind), cls)
         recovered = EngineStorage.open_existing(config.storage, kind=built._kind)
-        # open_existing may fold persisted cold-tier geometry into the config.
+        # open_existing may fold the persisted debi_on_disk into the config.
         config = replace(config, storage=recovered.storage.config)
         state = recovered.checkpoint_state
         # The queries come from the checkpoint, not from constructor arguments.
@@ -1084,7 +1079,7 @@ class MultiQueryEngine:
         self._storage.checkpoint_now(self._checkpoint_state)
 
     def storage_counters(self) -> dict:
-        """Journal/checkpoint counters plus spill totals over every query's DEBI
+        """Journal/checkpoint counters plus DEBI file totals over every query
         (empty without storage)."""
         if self._storage is None:
             return {}

@@ -92,6 +92,7 @@ class MnemonicService:
         self.clock: Clock = self.broker.clock
         self._batcher = SnapshotBatcher(stream_config, self._next_number)
         self._number = 0
+        self._processed = 0
         self._closed = False
 
     # ------------------------------------------------------------------ durability
@@ -198,6 +199,7 @@ class MnemonicService:
 
     def _process(self, snapshot) -> "ServiceResult":
         result = self.engine.process_snapshot(snapshot)
+        self._processed += 1
         latency = None
         if snapshot.first_arrival is not None:
             latency = max(self.clock.now() - snapshot.first_arrival, 0.0)
@@ -233,14 +235,18 @@ class MnemonicService:
     def stats(self) -> dict[str, float]:
         """Broker ingest counters plus batcher and pool-fault state.
 
-        The fault counters (``fault_faults``, ``fault_recovered_epochs``,
+        ``snapshots_processed`` counts the batches this service delivered;
+        ``next_snapshot_number`` is the number the next sealed batch gets,
+        which a reopened durable service continues past the last sealed
+        epoch.  The fault counters (``fault_faults``, ``fault_recovered_epochs``,
         ``fault_level``) are the engine's :meth:`fault_stats`: whether the
         worker pool broke, how many in-flight epochs were recovered, and
         which backend enumerates now.
         """
         stats = self.broker.stats()
         stats["open_batch_events"] = self._batcher.pending_events
-        stats["snapshots_processed"] = self._number
+        stats["snapshots_processed"] = self._processed
+        stats["next_snapshot_number"] = self._number
         for key, value in self.engine.fault_stats().items():
             stats[f"fault_{key}"] = value  # type: ignore[assignment]
         return stats

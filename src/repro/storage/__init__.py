@@ -1,14 +1,15 @@
-"""Durable state for standing queries: spillable DEBI, journal, checkpoints.
+"""Durable state for standing queries: journal, checkpoints, an on-disk DEBI.
 
 The paper's Table III advertises a disk-backed DEBI with a storage/runtime
-trade-off; this package supplies the disk tier plus the recovery machinery
-that lets standing queries survive process restarts:
+trade-off; this package supplies the recovery machinery that lets
+standing queries survive process restarts.  The disk-backed DEBI itself is
+no separate layout: with ``StorageConfig.debi_on_disk`` a query's DEBI is
+the same :class:`repro.utils.bitset.BitMatrix`, its words in one
+memory-mapped file whose residency the page cache manages, so the native
+kernel serves it like any other.
 
 * :mod:`repro.storage.config` — :class:`StorageConfig`, the knob bundle
   attached to :class:`repro.core.engine.EngineConfig`;
-* :mod:`repro.storage.spill` — :class:`TieredBitMatrix`, a drop-in
-  replacement for :class:`repro.utils.bitset.BitMatrix` whose rows beyond
-  a hot budget live in mmap'd segment files;
 * :mod:`repro.storage.journal` — the append-only, CRC-framed epoch
   journal sealed once per delivered :class:`~repro.core.pipeline.CompletedBatch`;
 * :mod:`repro.storage.checkpoint` — atomic checkpoint files with JSON
@@ -22,13 +23,11 @@ that lets standing queries survive process restarts:
 from repro.storage.config import StorageConfig
 from repro.storage.journal import JournalRecord, RecordKind, scan_journal
 from repro.storage.runtime import EngineStorage, StorageError
-from repro.storage.spill import TieredBitMatrix
 
 __all__ = [
     "StorageConfig",
     "EngineStorage",
     "StorageError",
-    "TieredBitMatrix",
     "JournalRecord",
     "RecordKind",
     "scan_journal",

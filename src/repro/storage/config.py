@@ -16,8 +16,8 @@ class StorageConfig:
     ----------
     directory:
         Root directory for all durable state of one engine: ``meta.json``,
-        ``journal.log``, ``checkpoints/`` and per-query ``debi/`` segment
-        directories.  One engine per directory.
+        ``journal.log``, ``checkpoints/`` and, with ``debi_on_disk``, one
+        ``debi/q<id>/rows.bin`` file per query.  One engine per directory.
     checkpoint_interval:
         Take a checkpoint every this many sealed epochs (``None`` disables
         periodic checkpoints; the initial "checkpoint 0" written when the
@@ -31,13 +31,12 @@ class StorageConfig:
         per-epoch latency floor; the default (False) only flushes to the
         OS page cache, which survives process crashes — the failure mode
         the recovery suite simulates.
-    debi_hot_rows:
-        Hot-row budget per query: DEBI rows (edge ids) below this bound
-        stay in one RAM-resident numpy array, rows at or beyond it live in
-        mmap'd segment files.  ``None`` keeps the whole DEBI in memory
-        (journal + checkpoints still active).
-    debi_segment_rows:
-        Rows per cold segment file (8 bytes per row on disk).
+    debi_on_disk:
+        Keep each query's DEBI words in a memory-mapped file instead of
+        on the heap.  The page cache decides which rows stay resident, and
+        the native kernel reads and writes the file's pages directly.  The
+        file is scratch space: recovery rebuilds it from the checkpoint and
+        the journal, so it is never flushed for durability.
     keep_checkpoints:
         Number of most recent checkpoints to retain; older ones are
         pruned after a successful save.  At least 2 is recommended so a
@@ -47,8 +46,7 @@ class StorageConfig:
     directory: str | Path
     checkpoint_interval: int | None = 8
     fsync: bool = False
-    debi_hot_rows: int | None = None
-    debi_segment_rows: int = 4096
+    debi_on_disk: bool = False
     keep_checkpoints: int = 2
 
     def __post_init__(self) -> None:
@@ -57,14 +55,6 @@ class StorageConfig:
         if self.checkpoint_interval is not None and self.checkpoint_interval <= 0:
             raise ConfigurationError(
                 f"checkpoint_interval must be positive or None, got {self.checkpoint_interval}"
-            )
-        if self.debi_hot_rows is not None and self.debi_hot_rows <= 0:
-            raise ConfigurationError(
-                f"debi_hot_rows must be positive or None, got {self.debi_hot_rows}"
-            )
-        if self.debi_segment_rows <= 0:
-            raise ConfigurationError(
-                f"debi_segment_rows must be positive, got {self.debi_segment_rows}"
             )
         if self.keep_checkpoints < 1:
             raise ConfigurationError(

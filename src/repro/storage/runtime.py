@@ -3,10 +3,10 @@
 One :class:`EngineStorage` owns one directory::
 
     <directory>/
-        meta.json          engine kind ("single" | "multi") + format version
-        journal.log        CRC-framed epoch journal (append-only)
-        checkpoints/       ck_<seq>.pkl + ck_<seq>.json pairs
-        debi/q<id>/        cold-tier segment files per registered query
+        meta.json            engine kind ("single" | "multi") + format version
+        journal.log          CRC-framed epoch journal (append-only)
+        checkpoints/         ck_<seq>.pkl + ck_<seq>.json pairs
+        debi/q<id>/rows.bin  a query's DEBI words, with ``debi_on_disk``
 
 The engines call four hooks:
 
@@ -103,8 +103,8 @@ class EngineStorage:
     def meta_path(self) -> Path:
         return self.directory / "meta.json"
 
-    def debi_directory(self, query_id: int) -> Path:
-        return self.directory / "debi" / f"q{query_id}"
+    def debi_path(self, query_id: int) -> Path:
+        return self.directory / "debi" / f"q{query_id}" / "rows.bin"
 
     # ------------------------------------------------------------------ attach
     @staticmethod
@@ -145,11 +145,9 @@ class EngineStorage:
             json.dumps({
                 "kind": kind,
                 "format": FORMAT_VERSION,
-                # cold-tier geometry is structural state: a recovery that
-                # does not pass an explicit config re-adopts it, so a
-                # spilling engine stays spilling across restarts
-                "debi_hot_rows": config.debi_hot_rows,
-                "debi_segment_rows": config.debi_segment_rows,
+                # a recovery re-adopts it, so an engine that keeps its
+                # DEBI on disk keeps it there across restarts
+                "debi_on_disk": config.debi_on_disk,
             }),
             encoding="utf-8",
         )
@@ -175,12 +173,8 @@ class EngineStorage:
                 f"not {kind!r}; MultiQueryEngine.open recovers either kind"
             )
         meta = json.loads((directory / "meta.json").read_text(encoding="utf-8"))
-        if config.debi_hot_rows is None and meta.get("debi_hot_rows") is not None:
-            config = replace(
-                config,
-                debi_hot_rows=meta["debi_hot_rows"],
-                debi_segment_rows=meta.get("debi_segment_rows", config.debi_segment_rows),
-            )
+        if meta.get("debi_on_disk") and not config.debi_on_disk:
+            config = replace(config, debi_on_disk=True)
         storage = cls(config, kind)
         try:
             state, ck_meta = storage.checkpoints.load_latest()

@@ -17,9 +17,14 @@ Two classes are provided:
     addressed by edge id.  Because query graphs in this problem domain are
     small (|V_Q| <= 64 in all of the paper's workloads) each row fits in a
     single 64-bit word, which keeps per-edge updates a single array write.
+    Given a ``path``, the words live in one memory-mapped file instead of
+    the heap (the disk-backed DEBI of the paper's Table III); the page
+    cache decides which of them stay resident.
 """
 
 from __future__ import annotations
+
+from pathlib import Path
 
 import numpy as np
 
@@ -187,11 +192,18 @@ class BitMatrix:
     Rows are addressed by non-negative integer ids (edge ids).  Each row
     is a single 64-bit word, so reading or writing a full row is one array
     access and testing or flipping a single bit is O(1).
+
+    With a ``path`` the word array is an ``np.memmap`` over that file,
+    created (and any old content truncated) here and grown by
+    :meth:`reserve`; every other method is the same code either way.  The
+    file is scratch space, never read back by a later matrix.
     """
 
-    __slots__ = ("_rows", "_nrows", "width")
+    __slots__ = ("_rows", "_nrows", "width", "path")
 
-    def __init__(self, width: int, initial_rows: int = 1024) -> None:
+    def __init__(
+        self, width: int, initial_rows: int = 1024, path: str | Path | None = None
+    ) -> None:
         check_positive(width, "width")
         if width > _WORD_BITS:
             raise ValueError(
@@ -200,16 +212,26 @@ class BitMatrix:
             )
         check_positive(initial_rows, "initial_rows")
         self.width = width
-        self._rows = np.zeros(initial_rows, dtype=np.uint64)
+        self.path = None if path is None else Path(path)
+        if self.path is None:
+            self._rows = np.zeros(initial_rows, dtype=np.uint64)
+        else:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            self._rows = np.memmap(self.path, dtype=np.uint64, mode="w+", shape=(initial_rows,))
         self._nrows = 0
 
     # -- growth -----------------------------------------------------------
     def reserve(self, rows: int) -> None:
         """Make room for ``rows`` rows; the written range stays as it is."""
         if rows > self._rows.shape[0]:
-            grown = np.zeros(max(rows, self._rows.shape[0] * 2), dtype=np.uint64)
-            grown[: self._rows.shape[0]] = self._rows
-            self._rows = grown
+            size = max(rows, self._rows.shape[0] * 2)
+            if self.path is None:
+                grown = np.zeros(size, dtype=np.uint64)
+                grown[: self._rows.shape[0]] = self._rows
+                self._rows = grown
+            else:  # the file keeps the words; numpy extends it with zeros to ``size``
+                self._rows.flush()
+                self._rows = np.memmap(self.path, dtype=np.uint64, mode="r+", shape=(size,))
 
     def _ensure(self, row: int) -> None:
         self.reserve(row + 1)
@@ -289,6 +311,7 @@ class BitMatrix:
         check_positive(width, "width")
         matrix = cls.__new__(cls)
         matrix.width = width
+        matrix.path = None
         matrix._rows = np.asarray(rows, dtype=np.uint64)
         matrix._nrows = len(matrix._rows) if nrows is None else nrows
         return matrix
@@ -297,14 +320,13 @@ class BitMatrix:
         """Overwrite all content from an exported row buffer (in place).
 
         The writable inverse of :meth:`from_words`, used by checkpoint
-        restore: existing references to this matrix stay valid.
+        restore: existing references to this matrix stay valid, and a
+        file-backed matrix keeps its file.
         """
         rows = np.asarray(rows, dtype=np.uint64)
-        if rows.shape[0] > self._rows.shape[0]:
-            self._rows = np.array(rows, dtype=np.uint64, copy=True)
-        else:
-            self._rows[: rows.shape[0]] = rows
-            self._rows[rows.shape[0] :] = 0
+        self.reserve(rows.shape[0])
+        self._rows[: rows.shape[0]] = rows
+        self._rows[rows.shape[0] :] = 0
         self._nrows = nrows
 
     # -- bulk operations ----------------------------------------------------

@@ -42,6 +42,7 @@ from repro.matchers import (
     TemporalIsomorphismMatcher,
 )
 from repro.query.query_graph import QueryGraph
+from repro.storage.config import StorageConfig
 from repro.streams.config import StreamConfig, StreamType
 from repro.streams.events import StreamEvent
 from repro.utils.validation import ConfigurationError
@@ -310,16 +311,23 @@ class TestKernelMatchesReference:
         assert sum(len(pos) + len(neg) for _, rows in expected for pos, neg, _ in rows) > 0
         assert (native_calls[0] > 0) == (kernel == "native")
 
-    def test_a_spilled_debi_falls_back_to_numpy(self, rng, tmp_path, native_calls):
-        """A DEBI whose cold rows live on disk is read through Python: numpy serves it."""
+    def test_a_durable_on_disk_debi_runs_natively(
+        self, rng, tmp_path, native_calls, native_index_calls
+    ):
+        """A durable engine's DEBI in its mmap'd file is the same BitMatrix: the native
+        filter, decomposition and enumeration serve it, with the reference's rows."""
+        if native.library() is None:
+            pytest.skip(native.status())
         events = _random_events(rng, num_events=90)
         splits = list(_batches(events, rng))
         query = _QUERIES[1]
-        with MnemonicEngine(query) as engine:
-            engine.debi.enable_spill(tmp_path, hot_rows=4, segment_rows=4)
+        config = EngineConfig(storage=StorageConfig(directory=tmp_path, debi_on_disk=True))
+        with MnemonicEngine(query, config=config) as engine:
+            assert isinstance(engine.debi._bits._rows, np.memmap)
             assert _replay(engine, splits, _product_rows) == _reference_trace([(query, None)], splits)
             assert engine.debi.spill_stats()["spilled_rows"] > 0
-        assert native_calls[0] == 0
+        assert native_calls[0] > 0
+        assert all(n > 0 for n in native_index_calls.values()), native_index_calls
 
     def test_a_vertex_id_of_2_to_the_40_is_emitted_exactly(self, kernel, native_calls):
         big = 2**40
@@ -526,24 +534,24 @@ class TestIndexMatchesReference:
             native_index_calls, native_ran
         )
 
-    @pytest.mark.parametrize("case", ["spilled", "custom-edge-matcher", "custom-root-matcher",
+    @pytest.mark.parametrize("case", ["on-disk", "custom-edge-matcher", "custom-root-matcher",
                                       "single-node", "unpartitioned-labels"])
     def test_what_the_native_maintainer_serves(self, rng, tmp_path, case, native_index_calls):
-        """A spilled DEBI, a Python matcher and a query without a tree edge (one node
-        and its self-loop) fall back to numpy; stock pools over every label
-        (``label_partitioned=False``) stay native, and so does decomposition under a
-        custom ``root_matcher``."""
+        """A Python matcher and a query without a tree edge (one node and its
+        self-loop) fall back to numpy; a DEBI in its file and stock pools over every
+        label (``label_partitioned=False``) stay native, and so does decomposition
+        under a custom ``root_matcher``."""
         if native.library() is None:
             pytest.skip(native.status())
         make = {"custom-edge-matcher": EvenTimestampMatcher, "custom-root-matcher": RootIdMatcher,
                 "unpartitioned-labels": UnpartitionedMatcher}.get(case, IsomorphismMatcher)
         events = _random_events(rng, num_events=90, delete_share=0.35, self_loops=True)
-        spill = (lambda engine: engine.debi.enable_spill(tmp_path / str(id(engine)), 4, 4)) if (
-            case == "spilled") else None
+        on_disk = (lambda engine: engine.debi.move_to_disk(tmp_path / str(id(engine)))) if (
+            case == "on-disk") else None
         queries = [_query([(0, 0, -1, 0)], {0: 0})] if case == "single-node" else None
-        reached = self._replay_against_reference(rng, events, make, spill, queries)
+        reached = self._replay_against_reference(rng, events, make, on_disk, queries)
         assert reached or case == "single-node", "vacuous: no deletion ever reached the index"
-        filtered = case == "unpartitioned-labels"
+        filtered = case in ("on-disk", "unpartitioned-labels")
         decomposed = filtered or case == "custom-root-matcher"  # it never asks the root matcher
         assert {name: n > 0 for name, n in native_index_calls.items()} == {
             "filter_insert": filtered, "filter_delete": filtered, "decompose": decomposed

@@ -70,13 +70,10 @@ def snapshots_for(events, batch_size: int = BATCH):
     return list(SnapshotGenerator(ListSource(list(events)), config))
 
 
-def make_config(directory=None, pipeline: str = "serial", hot_rows: int | None = 8) -> EngineConfig:
+def make_config(directory=None, pipeline: str = "serial") -> EngineConfig:
     storage = None
     if directory is not None:
-        storage = StorageConfig(
-            directory=directory, checkpoint_interval=3,
-            debi_hot_rows=hot_rows, debi_segment_rows=4,
-        )
+        storage = StorageConfig(directory=directory, checkpoint_interval=3, debi_on_disk=True)
     return EngineConfig(
         stream=StreamConfig(stream_type=StreamType.INSERT_DELETE, batch_size=BATCH),
         pipeline=pipeline,
@@ -387,6 +384,27 @@ def test_service_crash_and_resume_via_submit(tmp_path):
     post = service.drain()
     service.engine.close()
     assert identity_counts(pre + post) == straight
+
+
+def test_reopened_service_counts_only_its_own_batches(tmp_path):
+    """Three batches, a reopen, one more: the new service processed one batch,
+    and its next snapshot number continues past the four sealed epochs."""
+    directory = tmp_path / "state"
+    events = [e for e in make_stream(seed=2211, length=40) if e.kind is EventKind.INSERT]
+    engine = MnemonicEngine(path_query(), config=make_config(directory))
+    service = MnemonicService(engine)
+    service.submit(events[: 3 * BATCH])
+    assert len(service.poll()) == 3
+    assert service.stats()["snapshots_processed"] == 3
+    engine.close()
+
+    service = MnemonicService.open(directory)
+    service.submit(events[3 * BATCH : 4 * BATCH])
+    assert [r.number for r in service.drain()] == [3]
+    stats = service.stats()
+    service.engine.close()
+    assert stats["snapshots_processed"] == 1
+    assert stats["next_snapshot_number"] == 4
 
 
 # ---------------------------------------------------------------------- guard rails

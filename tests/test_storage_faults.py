@@ -9,9 +9,9 @@ Three layers are attacked independently:
   and sidecar write), a corrupted payload, or a short payload must each
   fall back to the previous checkpoint; only a state directory with *no*
   usable checkpoint raises :class:`StorageError`;
-* the **tiered DEBI** — the hot/cold split is an implementation detail:
-  every operation must agree with the in-memory BitMatrix reference,
-  including after segment remaps (flush + drop + reopen of every mmap).
+* the **file-backed DEBI** — a BitMatrix whose words live in a mmap'd
+  file must agree with the heap BitMatrix on every operation, across the
+  remaps its growth makes, and must never read back a previous file.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from repro.storage.journal import (
     scan_journal,
 )
 from repro.storage.runtime import EngineStorage, StorageError
-from repro.storage.spill import TieredBitMatrix
 from repro.utils.bitset import BitMatrix
 from repro.utils.rng import make_rng
 
@@ -262,138 +261,153 @@ def test_kind_mismatch_detected(tmp_path):
         MnemonicEngine.open(multi)
 
 
-# ---------------------------------------------------------------------- tiered DEBI parity
-def reference_pair(tmp_path, width=8, hot_rows=16, segment_rows=8):
-    tiered = TieredBitMatrix(
-        width=width, directory=tmp_path / "tier",
-        hot_rows=hot_rows, segment_rows=segment_rows,
-    )
-    reference = BitMatrix(width=width, initial_rows=4)
-    return tiered, reference
-
-
-def assert_matrices_equal(tiered: TieredBitMatrix, reference: BitMatrix) -> None:
+# ---------------------------------------------------------------------- file-backed DEBI parity
+def assert_matrices_equal(on_disk: BitMatrix, reference: BitMatrix) -> None:
     ref_rows, ref_n = reference.export_words()
-    got_rows, got_n = tiered.export_words()
+    got_rows, got_n = on_disk.export_words()
     assert got_n == ref_n
-    np.testing.assert_array_equal(np.asarray(got_rows)[:got_n], np.asarray(ref_rows)[:ref_n])
-    assert tiered.count() == reference.count()
-    for col in range(tiered.width):
-        assert tiered.column_count(col) == reference.column_count(col)
+    np.testing.assert_array_equal(np.asarray(got_rows), np.asarray(ref_rows))
+    assert on_disk.count() == reference.count()
+    for col in range(on_disk.width):
+        assert on_disk.column_count(col) == reference.column_count(col)
         np.testing.assert_array_equal(
-            tiered.rows_with_column(col), reference.rows_with_column(col)
+            on_disk.rows_with_column(col), reference.rows_with_column(col)
         )
 
 
-def test_tiered_matrix_randomized_parity(tmp_path, rng_seed):
-    """Property test: a tiered matrix is indistinguishable from BitMatrix.
+def assert_file_backed(matrix: BitMatrix) -> None:
+    """The words are a map of the matrix's file, as large as the file."""
+    assert isinstance(matrix._rows, np.memmap)
+    assert matrix.path.stat().st_size == matrix._rows.shape[0] * 8
 
-    Random op soup over rows far beyond the hot budget; replay failures
-    with ``REPRO_TEST_SEED=<seed>``.
+
+def test_file_backed_matrix_randomized_parity(tmp_path, rng_seed):
+    """Property test: a file-backed matrix is indistinguishable from the heap one.
+
+    A random op soup over a row range that widens from 2 to 268, so the
+    file is grown (flushed and mapped again) at least five times on the
+    way; replay failures with ``REPRO_TEST_SEED=<seed>``.
     """
     rng = make_rng(rng_seed)
-    tiered, reference = reference_pair(tmp_path)
-    max_row = 200  # hot budget is 16: most rows live in cold segments
+    on_disk = BitMatrix(width=8, initial_rows=2, path=tmp_path / "debi" / "rows.bin")
+    reference = BitMatrix(width=8, initial_rows=2)
+    growths = 0
     for step in range(800):
-        op = rng.integers(7)
+        capacity = on_disk._rows.shape[0]
+        max_row = 2 + step // 3
+        op = rng.integers(8)
         row = int(rng.integers(max_row))
-        col = int(rng.integers(tiered.width))
+        col = int(rng.integers(on_disk.width))
+        probe = rng.integers(max_row, size=17).astype(np.int64)
         if op == 0:
-            tiered.set(row, col)
+            on_disk.set(row, col)
             reference.set(row, col)
         elif op == 1:
-            tiered.clear(row, col)
+            on_disk.clear(row, col)
             reference.clear(row, col)
         elif op == 2:
-            mask = int(rng.integers(1 << tiered.width))
-            tiered.set_row(row, mask)
+            mask = int(rng.integers(1 << on_disk.width))
+            on_disk.set_row(row, mask)
             reference.set_row(row, mask)
         elif op == 3:
-            tiered.clear_row(row)
+            on_disk.clear_row(row)
             reference.clear_row(row)
         elif op == 4:
-            assert tiered.get(row, col) == reference.get(row, col)
-            assert tiered.get_row(row) == reference.get_row(row)
-            assert tiered.row_any(row) == reference.row_any(row)
+            assert on_disk.get(row, col) == reference.get(row, col)
+            assert on_disk.get_row(row) == reference.get_row(row)
+            assert on_disk.row_any(row) == reference.row_any(row)
         elif op == 5:
-            probe = rng.integers(max_row, size=17).astype(np.int64)
             np.testing.assert_array_equal(
-                tiered.column_mask(probe, col), reference.column_mask(probe, col)
+                on_disk.column_mask(probe, col), reference.column_mask(probe, col)
             )
+            np.testing.assert_array_equal(on_disk.get_rows(probe), reference.get_rows(probe))
+        elif op == 6:
+            on_disk.set_rows_col(probe, col)
+            reference.set_rows_col(probe, col)
         else:
-            if rng.random() < 0.2:
-                tiered.remap()  # flush + reopen every segment mid-soup
-    assert_matrices_equal(tiered, reference)
-    assert tiered.spilled_rows > 0 and tiered.disk_bytes > 0
+            on_disk.clear_rows(probe)
+            reference.clear_rows(probe)
+        growths += on_disk._rows.shape[0] > capacity
+    assert growths >= 5
+    assert_file_backed(on_disk)
+    assert_matrices_equal(on_disk, reference)
 
 
-def test_tiered_matrix_remap_parity(tmp_path):
-    tiered, reference = reference_pair(tmp_path, hot_rows=4, segment_rows=4)
-    for row in range(40):
-        tiered.set(row, row % tiered.width)
-        reference.set(row, row % tiered.width)
-    before = tiered.export_words()
-    tiered.remap()
-    after = tiered.export_words()
-    np.testing.assert_array_equal(np.asarray(before[0]), np.asarray(after[0]))
-    assert_matrices_equal(tiered, reference)
-
-
-def test_tiered_matrix_load_words_round_trip(tmp_path):
+def test_file_backed_matrix_load_words_round_trip(tmp_path):
+    """A checkpoint restore writes through the file, growing and shrinking alike."""
     rng = make_rng(4142)
     words = rng.integers(1 << 8, size=50, dtype=np.uint64)
-    tiered, _ = reference_pair(tmp_path, hot_rows=8, segment_rows=8)
-    tiered.load_words(words, len(words))
-    got, n = tiered.export_words()
+    matrix = BitMatrix(width=8, initial_rows=8, path=tmp_path / "rows.bin")
+    matrix.load_words(words, len(words))
+    assert_file_backed(matrix)
+    got, n = matrix.export_words()
     assert n == len(words)
     np.testing.assert_array_equal(np.asarray(got), words)
-    # shrinking restore: stale cold content must not leak back
-    tiered.load_words(words[:10], 10)
-    got, n = tiered.export_words()
+    # shrinking restore: the rows beyond it must not leak back
+    capacity = matrix._rows.shape[0]
+    matrix.load_words(words[:10], 10)
+    assert_file_backed(matrix)
+    assert matrix._rows.shape[0] == capacity
+    got, n = matrix.export_words()
     assert n == 10
     np.testing.assert_array_equal(np.asarray(got), words[:10])
-    assert tiered.count() == int(np.unpackbits(words[:10].view(np.uint8)).sum())
+    assert matrix.get_row(20) == 0
+    assert matrix.count() == int(np.unpackbits(words[:10].view(np.uint8)).sum())
 
 
-def test_tiered_matrix_discards_stale_segments(tmp_path):
-    directory = tmp_path / "tier"
-    first = TieredBitMatrix(width=4, directory=directory, hot_rows=2, segment_rows=2)
+def test_file_backed_matrix_discards_stale_content(tmp_path):
+    path = tmp_path / "rows.bin"
+    first = BitMatrix(width=4, initial_rows=2, path=path)
     first.set(10, 1)
-    first.flush()
-    assert list(directory.glob("seg_*.bin"))
-    second = TieredBitMatrix(width=4, directory=directory, hot_rows=2, segment_rows=2)
-    assert not list(directory.glob("seg_*.bin"))
+    first._rows.flush()
+    assert path.stat().st_size == first._rows.shape[0] * 8 > 2 * 8
+    second = BitMatrix(width=4, initial_rows=2, path=path)
+    assert path.stat().st_size == 2 * 8
     assert second.get_row(10) == 0
+    second.reserve(11)
+    assert second.get_row(10) == 0 and int(np.asarray(second._rows).sum()) == 0
 
 
-def test_spilled_debi_remap_parity(tmp_path, rng_seed):
-    """A spilling engine remapped mid-stream matches an in-memory run.
+def test_debi_moved_to_disk_mid_stream_parity(tmp_path, rng_seed):
+    """An engine whose DEBI moves into its file between batches matches a heap run.
 
-    The remap (flush + drop + reopen of every cold segment) between
-    batches must be invisible to enumeration — same embeddings, same
-    DEBI content.
+    The move carries the rows over; from then on the same code writes the
+    file — same embeddings, same DEBI words.
     """
     rng = make_rng(rng_seed)
     events = make_stream(seed=int(rng.integers(2**31)), length=100)
     snapshots = snapshots_for(events)
     with MnemonicEngine(path_query(), config=make_config()) as engine:
         straight = identity_counts(run_snapshots(engine, snapshots))
-        straight_buffers = engine.debi.export_buffers()
-        straight_rows = np.array(straight_buffers["rows"], copy=True)
-        straight_n = straight_buffers["num_rows"]
+        rows, straight_n = engine.debi._bits.export_words()
+        straight_rows = np.array(rows, copy=True)
 
-    engine = MnemonicEngine(
-        path_query(), config=make_config(tmp_path / "state", hot_rows=4)
-    )
-    results = []
-    for snapshot in snapshots:
-        results.append(engine.process_snapshot(snapshot))
-        engine.debi._bits.remap()
-    assert identity_counts(results) == straight
-    buffers = engine.debi.export_buffers()
-    assert buffers["num_rows"] == straight_n
-    np.testing.assert_array_equal(
-        np.asarray(buffers["rows"])[:straight_n], straight_rows[:straight_n]
-    )
-    assert engine.debi.spill_stats()["spilled_rows"] > 0
+    half = len(snapshots) // 2
+    with MnemonicEngine(path_query(), config=make_config()) as engine:
+        results = run_snapshots(engine, snapshots[:half])
+        engine.debi.move_to_disk(tmp_path / "debi" / "rows.bin")
+        results += run_snapshots(engine, snapshots[half:])
+        assert identity_counts(results) == straight
+        assert_file_backed(engine.debi._bits)
+        rows, n = engine.debi._bits.export_words()
+        assert n == straight_n
+        np.testing.assert_array_equal(np.asarray(rows), straight_rows)
+        assert engine.debi.spill_stats() == {
+            "spilled_rows": n, "debi_disk_bytes": engine.debi._bits._rows.shape[0] * 8,
+        }
+
+
+def test_recovery_keeps_the_debi_on_disk(tmp_path):
+    """``meta.json`` records ``debi_on_disk``; an ``open`` without a config re-adopts it."""
+    directory = tmp_path / "state"
+    snapshots = snapshots_for(make_stream(seed=2207, length=40))
+    engine = MnemonicEngine(path_query(), config=make_config(directory))
+    run_snapshots(engine, snapshots[:3])
     engine.close()
+    assert json.loads((directory / "meta.json").read_text(encoding="utf-8"))["debi_on_disk"]
+    with MnemonicEngine.open(directory) as recovered:
+        assert recovered.config.storage.debi_on_disk
+        assert recovered.debi._bits.path == directory / "debi" / "q0" / "rows.bin"
+        assert_file_backed(recovered.debi._bits)
+        run_snapshots(recovered, snapshots[3:])
+        assert recovered.storage_counters()["spilled_rows"] == len(recovered.debi._bits) > 0
