@@ -466,9 +466,7 @@ def run_durability_parity(stream) -> tuple[dict, list[str]]:
             def make_config(directory):
                 return EngineConfig(
                     stream=stream_config, collect_embeddings=True,
-                    storage=StorageConfig(
-                        directory=directory, checkpoint_interval=4, debi_on_disk=True,
-                    ),
+                    storage=StorageConfig(directory=directory, checkpoint_interval=4),
                 )
 
             initial = [e for e in mixed[:prefix] if e.kind is EventKind.INSERT]

@@ -6,9 +6,9 @@ added to index maintenance and enumeration.  The reproduction runs each
 suite twice over the LANL-like stream:
 
 * fully in memory (the baseline the rest of the benchmarks use), and
-* durably, with ``debi_on_disk`` so every DEBI row lives in one mmap'd
-  file per query (the page cache decides what stays resident), the epoch
-  journal grows on disk, and checkpoints are cut mid-stream.
+* durably: every DEBI row lives in one mmap'd file per query (the page
+  cache decides what stays resident), the epoch journal grows on disk,
+  and checkpoints are cut mid-stream.
 
 The two runs must find the *identical* embedding multiset — where the
 words live is an implementation detail of the index, never a semantics
@@ -50,9 +50,7 @@ def test_table3_disk_debi(benchmark, lanl_workload, tmp_path):
             query, stream, batch_size=BATCH, stream_type=StreamType.INSERT_ONLY,
             collect_embeddings=True, query_name=suite,
         )
-        storage = StorageConfig(
-            directory=tmp_path / suite, checkpoint_interval=4, debi_on_disk=True
-        )
+        storage = StorageConfig(directory=tmp_path / suite, checkpoint_interval=4)
 
         def run_durable(query=query, suite=suite, storage=storage):
             return run_mnemonic_stream(

@@ -8,8 +8,8 @@ twice:
 
 1. a **first process** attaches a ``StorageConfig`` to the engine, so
    every delivered batch is sealed into an append-only CRC-framed
-   journal, checkpoints are cut periodically, and (with
-   ``debi_on_disk``) the DEBI's words live in a mmap'd file.
+   journal, checkpoints are cut periodically, and the DEBI's words
+   live in a mmap'd file.
    It then "crashes" mid-stream: the engine is abandoned without a
    clean shutdown — nothing is flushed, sealed or checkpointed on the
    way out;
@@ -72,10 +72,10 @@ def durable_config(directory: Path) -> EngineConfig:
     return EngineConfig(
         stream=StreamConfig(batch_size=BATCH),
         collect_embeddings=True,
+        # journal, checkpoints and the DEBI's words (debi/q0/rows.bin)
         storage=StorageConfig(
             directory=directory,
             checkpoint_interval=2,  # checkpoint every 2 sealed epochs
-            debi_on_disk=True,      # the DEBI's words in debi/q0/rows.bin
         ),
     )
 

@@ -648,8 +648,8 @@ class MultiQueryEngine:
         return query_id
 
     def _attach_storage_to_query(self, query_id: int) -> None:
-        """Move a freshly built runtime's DEBI into its file if configured."""
-        if self._storage is None or not self.config.storage.debi_on_disk:
+        """Move a freshly built runtime's DEBI into its file (durable engines)."""
+        if self._storage is None:
             return
         self.registry.get(query_id).runtime.debi.move_to_disk(self._storage.debi_path(query_id))
 
@@ -973,8 +973,6 @@ class MultiQueryEngine:
         kind = EngineStorage.peek_kind(directory)
         built = next((c for c in (cls, *cls.__subclasses__()) if c._kind == kind), cls)
         recovered = EngineStorage.open_existing(config.storage, kind=built._kind)
-        # open_existing may fold the persisted debi_on_disk into the config.
-        config = replace(config, storage=recovered.storage.config)
         state = recovered.checkpoint_state
         # The queries come from the checkpoint, not from constructor arguments.
         engine = built.__new__(built)

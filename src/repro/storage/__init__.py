@@ -3,9 +3,9 @@
 The paper's Table III advertises a disk-backed DEBI with a storage/runtime
 trade-off; this package supplies the recovery machinery that lets
 standing queries survive process restarts.  The disk-backed DEBI itself is
-no separate layout: with ``StorageConfig.debi_on_disk`` a query's DEBI is
-the same :class:`repro.utils.bitset.BitMatrix`, its words in one
-memory-mapped file whose residency the page cache manages, so the native
+no separate layout and no setting: a durable engine's DEBI is the same
+:class:`repro.utils.bitset.BitMatrix`, its words in one memory-mapped
+file per query whose residency the page cache manages, so the native
 kernel serves it like any other.
 
 * :mod:`repro.storage.config` — :class:`StorageConfig`, the knob bundle

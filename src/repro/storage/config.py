@@ -16,8 +16,13 @@ class StorageConfig:
     ----------
     directory:
         Root directory for all durable state of one engine: ``meta.json``,
-        ``journal.log``, ``checkpoints/`` and, with ``debi_on_disk``, one
-        ``debi/q<id>/rows.bin`` file per query.  One engine per directory.
+        ``journal.log``, ``checkpoints/`` and one ``debi/q<id>/rows.bin``
+        file per query, which holds that query's DEBI words (a
+        memory-mapped :class:`~repro.utils.bitset.BitMatrix`; the page
+        cache decides which rows stay resident, and the native kernel
+        reads and writes the file's pages directly).  The DEBI file is
+        scratch space: recovery rebuilds it from the checkpoint and the
+        journal, so it is never flushed.  One engine per directory.
     checkpoint_interval:
         Take a checkpoint every this many sealed epochs (``None`` disables
         periodic checkpoints; the initial "checkpoint 0" written when the
@@ -31,12 +36,6 @@ class StorageConfig:
         per-epoch latency floor; the default (False) only flushes to the
         OS page cache, which survives process crashes — the failure mode
         the recovery suite simulates.
-    debi_on_disk:
-        Keep each query's DEBI words in a memory-mapped file instead of
-        on the heap.  The page cache decides which rows stay resident, and
-        the native kernel reads and writes the file's pages directly.  The
-        file is scratch space: recovery rebuilds it from the checkpoint and
-        the journal, so it is never flushed for durability.
     keep_checkpoints:
         Number of most recent checkpoints to retain; older ones are
         pruned after a successful save.  At least 2 is recommended so a
@@ -46,7 +45,6 @@ class StorageConfig:
     directory: str | Path
     checkpoint_interval: int | None = 8
     fsync: bool = False
-    debi_on_disk: bool = False
     keep_checkpoints: int = 2
 
     def __post_init__(self) -> None:

@@ -6,7 +6,7 @@ One :class:`EngineStorage` owns one directory::
         meta.json            engine kind ("single" | "multi") + format version
         journal.log          CRC-framed epoch journal (append-only)
         checkpoints/         ck_<seq>.pkl + ck_<seq>.json pairs
-        debi/q<id>/rows.bin  a query's DEBI words, with ``debi_on_disk``
+        debi/q<id>/rows.bin  a query's DEBI words (scratch, rebuilt on recovery)
 
 The engines call four hooks:
 
@@ -142,13 +142,7 @@ class EngineStorage:
             )
         storage = cls(config, kind)
         storage.meta_path.write_text(
-            json.dumps({
-                "kind": kind,
-                "format": FORMAT_VERSION,
-                # a recovery re-adopts it, so an engine that keeps its
-                # DEBI on disk keeps it there across restarts
-                "debi_on_disk": config.debi_on_disk,
-            }),
+            json.dumps({"kind": kind, "format": FORMAT_VERSION}),
             encoding="utf-8",
         )
         storage._journal = JournalWriter(storage.journal_path, fsync=config.fsync)
@@ -163,8 +157,6 @@ class EngineStorage:
         False); the engine's ``open()`` replays ``records`` and then
         calls :meth:`finish_recovery`.
         """
-        from dataclasses import replace
-
         directory = config.path
         found_kind = cls.peek_kind(directory)
         if found_kind != kind:
@@ -172,9 +164,6 @@ class EngineStorage:
                 f"durable state at {directory} belongs to a {found_kind!r} engine, "
                 f"not {kind!r}; MultiQueryEngine.open recovers either kind"
             )
-        meta = json.loads((directory / "meta.json").read_text(encoding="utf-8"))
-        if meta.get("debi_on_disk") and not config.debi_on_disk:
-            config = replace(config, debi_on_disk=True)
         storage = cls(config, kind)
         try:
             state, ck_meta = storage.checkpoints.load_latest()

@@ -194,9 +194,12 @@ class BitMatrix:
     access and testing or flipping a single bit is O(1).
 
     With a ``path`` the word array is an ``np.memmap`` over that file,
-    created (and any old content truncated) here and grown by
-    :meth:`reserve`; every other method is the same code either way.  The
-    file is scratch space, never read back by a later matrix.
+    created here and grown by :meth:`reserve`; every other method is the
+    same code either way.  The file is scratch space, never read back by a
+    later matrix: construction unlinks whatever is at ``path`` and maps a
+    new file, so a matrix still mapping the old one keeps its own words.
+    The page cache keeps every map of the file coherent, so nothing is
+    flushed.
     """
 
     __slots__ = ("_rows", "_nrows", "width", "path")
@@ -217,6 +220,7 @@ class BitMatrix:
             self._rows = np.zeros(initial_rows, dtype=np.uint64)
         else:
             self.path.parent.mkdir(parents=True, exist_ok=True)
+            self.path.unlink(missing_ok=True)
             self._rows = np.memmap(self.path, dtype=np.uint64, mode="w+", shape=(initial_rows,))
         self._nrows = 0
 
@@ -230,7 +234,6 @@ class BitMatrix:
                 grown[: self._rows.shape[0]] = self._rows
                 self._rows = grown
             else:  # the file keeps the words; numpy extends it with zeros to ``size``
-                self._rows.flush()
                 self._rows = np.memmap(self.path, dtype=np.uint64, mode="r+", shape=(size,))
 
     def _ensure(self, row: int) -> None:

@@ -321,7 +321,7 @@ class TestKernelMatchesReference:
         events = _random_events(rng, num_events=90)
         splits = list(_batches(events, rng))
         query = _QUERIES[1]
-        config = EngineConfig(storage=StorageConfig(directory=tmp_path, debi_on_disk=True))
+        config = EngineConfig(storage=StorageConfig(directory=tmp_path))
         with MnemonicEngine(query, config=config) as engine:
             assert isinstance(engine.debi._bits._rows, np.memmap)
             assert _replay(engine, splits, _product_rows) == _reference_trace([(query, None)], splits)

@@ -73,7 +73,7 @@ def snapshots_for(events, batch_size: int = BATCH):
 def make_config(directory=None, pipeline: str = "serial") -> EngineConfig:
     storage = None
     if directory is not None:
-        storage = StorageConfig(directory=directory, checkpoint_interval=3, debi_on_disk=True)
+        storage = StorageConfig(directory=directory, checkpoint_interval=3)
     return EngineConfig(
         stream=StreamConfig(stream_type=StreamType.INSERT_DELETE, batch_size=BATCH),
         pipeline=pipeline,

@@ -11,12 +11,17 @@ Three layers are attacked independently:
   usable checkpoint raises :class:`StorageError`;
 * the **file-backed DEBI** — a BitMatrix whose words live in a mmap'd
   file must agree with the heap BitMatrix on every operation, across the
-  remaps its growth makes, and must never read back a previous file.
+  remaps its growth makes, must never read back a previous file, and
+  must never pull the pages out from under a matrix still mapping one.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -397,17 +402,72 @@ def test_debi_moved_to_disk_mid_stream_parity(tmp_path, rng_seed):
         }
 
 
-def test_recovery_keeps_the_debi_on_disk(tmp_path):
-    """``meta.json`` records ``debi_on_disk``; an ``open`` without a config re-adopts it."""
+def test_a_recovered_engine_keeps_its_debi_in_the_file(tmp_path):
+    """A durable engine's DEBI is always in its file: ``open`` needs no setting for it."""
     directory = tmp_path / "state"
     snapshots = snapshots_for(make_stream(seed=2207, length=40))
     engine = MnemonicEngine(path_query(), config=make_config(directory))
+    assert_file_backed(engine.debi._bits)
     run_snapshots(engine, snapshots[:3])
     engine.close()
-    assert json.loads((directory / "meta.json").read_text(encoding="utf-8"))["debi_on_disk"]
+    meta = json.loads((directory / "meta.json").read_text(encoding="utf-8"))
+    assert set(meta) == {"kind", "format"}
     with MnemonicEngine.open(directory) as recovered:
-        assert recovered.config.storage.debi_on_disk
         assert recovered.debi._bits.path == directory / "debi" / "q0" / "rows.bin"
         assert_file_backed(recovered.debi._bits)
         run_snapshots(recovered, snapshots[3:])
         assert recovered.storage_counters()["spilled_rows"] == len(recovered.debi._bits) > 0
+
+
+#: Run in a child process: a matrix whose file is truncated under it reads
+#: zeros, and past the new end of the file the process dies of SIGBUS.
+_OLD_MAP_SCRIPT = textwrap.dedent("""
+    import sys
+    from pathlib import Path
+
+    import numpy as np
+
+    from repro.core.engine import MnemonicEngine
+    from repro.utils.bitset import BitMatrix
+    from tests.test_recovery import make_config, make_stream, path_query, run_snapshots
+    from tests.test_recovery import snapshots_for
+
+    tmp = Path(sys.argv[1])
+    first = BitMatrix(width=8, initial_rows=4096, path=tmp / "rows.bin")
+    first.set_row(5, 0x5A)
+    first.set_row(4000, 0xA5)
+    second = BitMatrix(width=8, initial_rows=16, path=tmp / "rows.bin")
+    second.set_row(5, 0x01)
+    assert (first.get_row(5), first.get_row(4000)) == (0x5A, 0xA5)
+    assert second.get_row(5) == 0x01
+
+    # An engine abandoned by a crash, then reopened in the same process.
+    snapshots = snapshots_for(make_stream(seed=2209, length=120))
+    crashed = MnemonicEngine(path_query(), config=make_config(tmp / "state"))
+    run_snapshots(crashed, snapshots[:4])
+    crashed.close()
+    rows, n = crashed.debi._bits.export_words()
+    before = np.array(rows, copy=True)
+    recovered = MnemonicEngine.open(tmp / "state")
+    run_snapshots(recovered, snapshots[4:])
+    rows, n = crashed.debi._bits.export_words()
+    np.testing.assert_array_equal(np.asarray(rows), before)
+    after, _ = recovered.debi._bits.export_words()
+    assert not np.array_equal(np.asarray(after)[: len(before)], before)
+    recovered.close()
+    print("ok")
+""")
+
+
+def test_a_new_matrix_leaves_an_old_map_of_its_path_intact(tmp_path):
+    """Building a matrix over a path still mapped by another (a crashed engine
+    reopened in the same process) gives the new one a fresh file; the old map
+    keeps reading its own words."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+    child = subprocess.run(
+        [sys.executable, "-c", _OLD_MAP_SCRIPT, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert child.returncode == 0 and child.stdout.strip() == "ok", (
+        child.returncode, child.stderr[-2000:]
+    )
