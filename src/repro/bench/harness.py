@@ -101,7 +101,7 @@ def run_mnemonic_stream(
     overlaps batch k+1's mutation/publish work with batch k's pool
     enumeration (results are bit-identical to serial).  Passing a
     ``storage`` config runs the engine durably (journal + checkpoints +
-    optional on-disk DEBI) and folds the storage counters into
+    on-disk DEBI) and folds the storage counters into
     ``extra`` so tables can report disk footprint next to throughput.
     The engine's pool-fault counters are in ``extra["fault_stats"]``.
     """

@@ -143,6 +143,59 @@ class _PendingPhase:
     dispatched_at: float
 
 
+# ---------------------------------------------------------------------- mutation steps
+# The one order in which a batch mutates the graph and every query's DEBI:
+# the pipeline, ``load_initial`` and journal replay all call these two.
+def apply_insertions(
+    graph, slots: "dict[int, QueryRuntime]", columns: EventColumns, phase: PhaseOutcome
+) -> list[int]:
+    """Insert ``columns`` into the graph, then into every query's index.
+
+    Records the graph and per-query filter time (and traversals) in
+    ``phase``; returns the new edge ids.
+    """
+    start = time.perf_counter()
+    new_ids = graph.apply_insert_columns(
+        columns.src, columns.dst, columns.label, columns.timestamp,
+        columns.src_label, columns.dst_label,
+    )
+    phase.graph_update_seconds += time.perf_counter() - start
+    ids = np.asarray(new_ids, dtype=np.int64)
+    for qid, runtime in slots.items():
+        _filtered(phase, qid, runtime.index_manager.handle_insert_columns,
+                  ids, columns.src, columns.dst, columns.label)
+    return new_ids
+
+
+def apply_deletions(
+    graph, slots: "dict[int, QueryRuntime]", doomed: np.ndarray, phase: PhaseOutcome
+) -> None:
+    """Delete the resolved edge ids ``doomed`` from the graph and every index.
+
+    Each query first notes which doomed edges hold which DEBI bit (reads
+    the graph deletes do not affect); then the deletes apply in event
+    order (free-id parity), each DEBI clears the rows in one bulk write,
+    and each index repairs itself from the deleted edges.
+    """
+    start = time.perf_counter()
+    held = {qid: runtime.index_manager.held_bits(doomed) for qid, runtime in slots.items()}
+    deleted = graph.apply_delete_columns(doomed)
+    for runtime in slots.values():
+        runtime.debi.clear_edges(doomed)
+    phase.graph_update_seconds += time.perf_counter() - start
+    for qid, runtime in slots.items():
+        _filtered(phase, qid, runtime.index_manager.handle_deletions, deleted, held[qid])
+
+
+def _filtered(phase: PhaseOutcome, qid: int, update, *args) -> None:
+    """Run one query's index update, charging its time and traversals to ``phase``."""
+    query_phase = phase.per_query.setdefault(qid, QueryPhaseOutcome())
+    start = time.perf_counter()
+    frontier = update(*args)
+    query_phase.filter_seconds += time.perf_counter() - start
+    query_phase.filter_traversals += frontier.traversed_edges
+
+
 # ---------------------------------------------------------------------- the pipeline
 class BatchPipeline:
     """The single implementation of the per-batch execution loop.
@@ -231,25 +284,10 @@ class BatchPipeline:
 
     # ------------------------------------------------------------------ insert phase
     def _run_insert_phase(self, columns, overlap: bool) -> PhaseOutcome:
-        host = self.host
-        slots = host.pipeline_slots()
+        slots = self.host.pipeline_slots()
         phase = PhaseOutcome(positive=True, num_events=len(columns))
-
-        update_start = time.perf_counter()
-        new_ids = host.graph.apply_insert_columns(
-            columns.src, columns.dst, columns.label, columns.timestamp,
-            columns.src_label, columns.dst_label,
-        )
-        phase.graph_update_seconds += time.perf_counter() - update_start
-
-        ids_arr = np.asarray(new_ids, dtype=np.int64)
-
-        def index(runtime):
-            return runtime.index_manager.handle_insert_columns(
-                ids_arr, columns.src, columns.dst, columns.label
-            )
-
-        contexts, units = self._index_and_decompose(slots, phase, new_ids, True, index)
+        new_ids = apply_insertions(self.host.graph, slots, columns, phase)
+        contexts, units = self._decompose(slots, phase, new_ids, True)
         self._enumerate_phase(phase, slots, contexts, units, overlap=overlap)
         return phase
 
@@ -257,9 +295,8 @@ class BatchPipeline:
     def _run_delete_phase(self, columns: "EventColumns", overlap: bool) -> PhaseOutcome:
         from repro.core.registry import resolve_deletions
 
-        host = self.host
-        graph = host.graph
-        slots = host.pipeline_slots()
+        graph = self.host.graph
+        slots = self.host.pipeline_slots()
         phase = PhaseOutcome(positive=False, num_events=len(columns))
 
         resolve_start = time.perf_counter()
@@ -269,42 +306,17 @@ class BatchPipeline:
         # Enumerate (or dispatch) the embeddings about to be destroyed
         # before mutating anything: an inline run finishes right here; a
         # dispatched run reads the snapshot published by the dispatch,
-        # which freezes the pre-delete graph and DEBI.  No index callback:
-        # DEBI is refreshed *after* the deletions are applied below.
-        contexts, units = self._index_and_decompose(slots, phase, doomed.tolist(), False)
+        # which freezes the pre-delete graph and DEBI.  In pipelined mode
+        # the mutations below run while the workers are still enumerating
+        # that frozen epoch.
+        contexts, units = self._decompose(slots, phase, doomed.tolist(), False)
         self._enumerate_phase(phase, slots, contexts, units, overlap=overlap)
-
-        # One mutation pass, columns throughout: note per query which doomed
-        # edges hold which DEBI bit (reads are unaffected by the graph
-        # deletes), apply the deletes in event order (free-id parity), then
-        # clear all DEBI rows with one bulk write per query.  In pipelined
-        # mode this runs while the workers are still enumerating the epoch
-        # published above — they read the frozen pre-delete snapshot.
-        apply_start = time.perf_counter()
-        held = {qid: runtime.index_manager.held_bits(doomed) for qid, runtime in slots.items()}
-        deleted = graph.apply_delete_columns(doomed)
-        for runtime in slots.values():
-            runtime.debi.clear_edges(doomed)
-        phase.graph_update_seconds += time.perf_counter() - apply_start
-
-        for qid, runtime in slots.items():
-            query_phase = phase.per_query[qid]
-            filter_start = time.perf_counter()
-            frontier = runtime.index_manager.handle_deletions(deleted, held[qid])
-            query_phase.filter_seconds += time.perf_counter() - filter_start
-            query_phase.filter_traversals += frontier.traversed_edges
+        apply_deletions(graph, slots, doomed, phase)
         return phase
 
     # ------------------------------------------------------------------ shared plumbing
-    def _index_and_decompose(
-        self, slots, phase: PhaseOutcome, edge_ids: list[int], positive: bool, index=None
-    ):
-        """Per query: refresh the index (optional), build a context, decompose units.
-
-        ``index`` is the per-runtime DEBI refresh for insert phases;
-        delete phases pass None because their index update happens only
-        after the doomed embeddings are enumerated.
-        """
+    def _decompose(self, slots, phase: PhaseOutcome, edge_ids: list[int], positive: bool):
+        """Per query: build an enumeration context and decompose the batch into units."""
         from repro.core.enumeration import decompose_batch
 
         graph = self.host.graph
@@ -313,18 +325,12 @@ class BatchPipeline:
         units: dict[int, "WorkUnits"] = {}
         shared_cache: dict | None = {} if len(slots) > 1 else None
         for qid, runtime in slots.items():
-            query_phase = phase.per_query.setdefault(qid, QueryPhaseOutcome())
-            if index is not None:
-                filter_start = time.perf_counter()
-                frontier = index(runtime)
-                query_phase.filter_seconds += time.perf_counter() - filter_start
-                query_phase.filter_traversals += frontier.traversed_edges
             context = runtime.make_context(
                 graph, batch_ids, positive, shared_pool_cache=shared_cache
             )
             contexts[qid] = context
             units[qid] = decompose_batch(context, edge_ids)
-            query_phase.work_units += len(units[qid])
+            phase.per_query.setdefault(qid, QueryPhaseOutcome()).work_units += len(units[qid])
         return contexts, units
 
     def _amortized(self, total_units: int) -> bool:

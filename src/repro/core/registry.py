@@ -39,7 +39,7 @@ stay per-query; only the raw adjacency fetch is shared.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Generic, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
@@ -50,7 +50,13 @@ from repro.core.debi import DEBI
 from repro.core.enumeration import EmbeddingArena, EnumerationContext, QueryState
 from repro.core.filtering import IndexManager
 from repro.core.parallel import EnumerationOutcome, ParallelConfig, SharedMemoryPool
-from repro.core.pipeline import BatchPipeline, CompletedBatch
+from repro.core.pipeline import (
+    BatchPipeline,
+    CompletedBatch,
+    PhaseOutcome,
+    apply_deletions,
+    apply_insertions,
+)
 from repro.core.results import Embeddings, ResultSet
 from repro.graph.adjacency import DynamicGraph, ranks_in_runs, stable_runs
 from repro.query.masking import MaskTable
@@ -59,7 +65,6 @@ from repro.query.query_graph import QueryGraph
 from repro.query.query_tree import QueryTree
 from repro.storage.config import StorageConfig
 from repro.storage.journal import RecordKind
-from repro.storage.recovery import replay_epoch, replay_insertions
 from repro.storage.runtime import EngineStorage, StorageError
 from repro.streams.broker import StreamBroker
 from repro.streams.config import StreamConfig
@@ -351,8 +356,28 @@ class EngineConfig:
     recycle_edge_ids: bool = True
     #: keep embeddings in the per-snapshot results (disable to only count)
     collect_embeddings: bool = True
-    #: durable state: journal + checkpoints + optional on-disk DEBI (None = volatile)
+    #: durable state: journal, checkpoints and an on-disk DEBI (None = volatile)
     storage: StorageConfig | None = None
+
+    def to_json(self) -> dict:
+        """Every field as JSON values except the storage directory: what a
+        state directory's ``meta.json`` records of the engine that wrote it."""
+        data = asdict(self)
+        data["stream"]["stream_type"] = self.stream.stream_type.value
+        if data["storage"] is not None:
+            del data["storage"]["directory"]
+        return data
+
+    @classmethod
+    def from_json(cls, data: dict, directory) -> EngineConfig:
+        """Inverse of :meth:`to_json`, storing in ``directory``."""
+        data = dict(data)
+        return cls(
+            stream=StreamConfig(**data.pop("stream")),
+            parallel=ParallelConfig(**data.pop("parallel")),
+            storage=StorageConfig(directory=directory, **data.pop("storage")),
+            **data,
+        )
 
 
 # ---------------------------------------------------------------------- result shapes
@@ -590,7 +615,9 @@ class MultiQueryEngine:
             if _recovered is not None:
                 self._storage = _recovered.storage
             else:
-                self._storage = EngineStorage.create(self.config.storage, kind=self._kind)
+                self._storage = EngineStorage.create(
+                    self.config.storage, self._kind, self.config.to_json()
+                )
         self._snapshot_counter = 0
         self._adopt_pool(None)
         self._pool_version = -1
@@ -768,7 +795,7 @@ class MultiQueryEngine:
         """
         coerced = [coerce_insert(event) for event in events]
         columns = EventColumns.from_events(EventKind.INSERT, coerced) if coerced else None
-        replay_insertions(self.graph, self.pipeline_slots(), columns)
+        self._apply_mutations(columns, None)
         if self._storage is not None:
             self._storage.note_initial(columns)
         return len(coerced)
@@ -948,11 +975,15 @@ class MultiQueryEngine:
 
     # ------------------------------------------------------------------ durability
     @classmethod
-    def open(cls, directory, config: EngineConfig | None = None) -> MultiQueryEngine:
-        """Recover a durable engine from ``directory``, as the class that wrote it.
+    def open(cls, directory) -> MultiQueryEngine:
+        """Recover the durable engine in ``directory``, as the class and config that
+        wrote it.
 
-        Loads the newest usable checkpoint, replays the journal tail up to
-        the last sealed epoch (mutations only — no results are re-emitted),
+        ``meta.json`` records the writer's kind and its whole
+        :class:`EngineConfig`; the engine is rebuilt with exactly that
+        config, its storage directory set to ``directory``.  Loads the
+        newest usable checkpoint, replays the journal tail up to the last
+        sealed epoch (mutations only — no results are re-emitted),
         truncates any corrupt tail and reopens the journal for appends.
         Registered queries are rebuilt from the checkpoint with their
         original query ids; REGISTER/UNREGISTER journal records replay
@@ -961,18 +992,22 @@ class MultiQueryEngine:
         ``engine.recovery_info`` reports what happened; clients refeed the
         stream from ``recovery_info["last_sealed_number"] + 1``.
 
-        ``meta.json`` records the writer's kind: ``MultiQueryEngine.open``
-        of a single-query directory returns a
+        ``MultiQueryEngine.open`` of a single-query directory returns a
         :class:`~repro.core.engine.MnemonicEngine`, while
         ``MnemonicEngine.open`` of a multi-query one raises
-        :class:`~repro.utils.validation.ConfigurationError`.
+        :class:`~repro.utils.validation.ConfigurationError`.  A directory
+        of an older format records no config and raises
+        :class:`~repro.storage.runtime.StorageError`.
         """
-        config = config or EngineConfig()
-        storage_cfg = config.storage or StorageConfig(directory=directory)
-        config = replace(config, storage=replace(storage_cfg, directory=directory))
-        kind = EngineStorage.peek_kind(directory)
-        built = next((c for c in (cls, *cls.__subclasses__()) if c._kind == kind), cls)
-        recovered = EngineStorage.open_existing(config.storage, kind=built._kind)
+        recovered = EngineStorage.open_existing(directory)
+        kind = recovered.storage.kind
+        built = next((c for c in (cls, *cls.__subclasses__()) if c._kind == kind), None)
+        if built is None:
+            raise ConfigurationError(
+                f"durable state at {directory} belongs to a {kind!r} engine, "
+                f"not {cls._kind!r}; MultiQueryEngine.open recovers either kind"
+            )
+        config = EngineConfig.from_json(recovered.config, directory)
         state = recovered.checkpoint_state
         # The queries come from the checkpoint, not from constructor arguments.
         engine = built.__new__(built)
@@ -1011,17 +1046,24 @@ class MultiQueryEngine:
         self._attach_storage_to_query(query_id)
         self.registry.get(query_id).runtime.debi.restore_buffers(**entry["debi"])
 
+    def _apply_mutations(
+        self, insertions: EventColumns | None, deletions: EventColumns | None
+    ) -> None:
+        """A batch's graph and index mutations without enumeration: the
+        pipeline's own steps, for ``load_initial`` and journal replay."""
+        slots = self.pipeline_slots()
+        if insertions:
+            apply_insertions(self.graph, slots, insertions, PhaseOutcome(True, len(insertions)))
+        if deletions:
+            doomed = resolve_deletions(self.graph, deletions)
+            apply_deletions(self.graph, slots, doomed, PhaseOutcome(False, len(deletions)))
+
     def _replay_journal(self, recovered) -> None:
         for record in recovered.records:
-            slots = {qid: rq.runtime for qid, rq in self.registry.items()}
             if record.kind is RecordKind.INITIAL:
-                replay_insertions(self.graph, slots, EventColumns.from_tuples(record.data()))
+                self._apply_mutations(record.data(), None)
             elif record.kind is RecordKind.EPOCH:
-                inserts, deletes = record.data()
-                replay_epoch(
-                    self.graph, slots,
-                    EventColumns.from_tuples(inserts), EventColumns.from_tuples(deletes),
-                )
+                self._apply_mutations(*record.data())
             elif record.kind is RecordKind.REGISTER:
                 entry = record.data()
                 # A replayed registration rebuilds its index against the

@@ -100,23 +100,23 @@ class MnemonicService:
     def open(
         cls,
         directory,
-        config=None,
         capacity: int = 8192,
         clock: Clock | None = None,
     ) -> "MnemonicService":
         """Recover a durable engine from ``directory`` and wrap it in a service.
 
-        :meth:`~repro.core.registry.MultiQueryEngine.open` builds the
-        engine class the state directory's ``meta.json`` records (a
+        :meth:`~repro.core.registry.MultiQueryEngine.open` rebuilds the
+        engine the state directory's ``meta.json`` records — its class (a
         :class:`~repro.core.engine.MnemonicEngine` for single-query
-        state).  The recovered engine is owned by the caller, exactly as
-        with the normal constructor —
+        state) and its whole config, so the service batches the stream as
+        the one that wrote it did.  The recovered engine is owned by the
+        caller, exactly as with the normal constructor —
         reach it as ``service.engine`` (its ``recovery_info`` says where
         to resume the upstream feed: refeed everything after
         ``last_sealed_number``).  Snapshot numbering continues from the
         last sealed epoch so refed batches journal under fresh numbers.
         """
-        engine = MultiQueryEngine.open(directory, config=config)
+        engine = MultiQueryEngine.open(directory)
         service = cls(engine, capacity=capacity, clock=clock)
         last = (engine.recovery_info or {}).get("last_sealed_number")
         if last is not None:

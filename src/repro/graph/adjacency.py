@@ -159,12 +159,9 @@ class _Directory:
     ``kernel.c`` search the same columns and file new keys into reserved room.
     """
 
-    def __init__(self, keys: np.ndarray = _EMPTY_ARRAY, values: np.ndarray = _EMPTY_ARRAY):
+    def __init__(self) -> None:
         self.count = 0
         self.keys, self.values = _NO_KEYS, _NO_VALUES
-        if keys.shape[0]:
-            order = np.argsort(keys, kind="stable")
-            self.file(keys[order], values[order])
 
     def reserve(self, more: int) -> None:
         """Room for ``more`` new keys and the sentinel behind them."""
@@ -578,33 +575,6 @@ class DynamicGraph:
         self._num_live_edges = 0
         self.stats = PlaceholderStats()
 
-    def __setstate__(self, state: dict) -> None:
-        """Restore a pickled graph.  The CSR export journal older pickles carry (the
-        ``*_touched`` columns, ``_exported``, ``_export_count``) is dropped; one pickled
-        with a ``_vertex_position`` dict and per-side ``_keys`` / ``_parts`` / ``_recent``
-        directories (checkpoint format version 2) gets the directory columns rebuilt
-        from them."""
-        for name in [name for name in state if name.endswith("_touched")
-                     or name.startswith("_export")]:
-            del state[name]
-        position = state.pop("_vertex_position", None)
-        self.__dict__.update(state)
-        if position is None:
-            return
-        self._vertices = _Directory(np.fromiter(position, np.int64, len(position)),
-                                    np.arange(len(position), dtype=np.int64))
-        for arena in (self._out, self._in, self.free_ids):
-            arena.__dict__.pop("position")
-            arena.vertices = self._vertices
-        for side in (self._out, self._in):
-            recent = side.__dict__.pop("_recent")
-            keys = np.fromiter(recent, np.int64, len(recent))
-            parts = np.fromiter(recent.values(), np.int64, len(recent))
-            side.directory = _Directory(
-                np.concatenate([side.__dict__.pop("_keys")[:-1], keys]),
-                np.concatenate([side.__dict__.pop("_parts")[:-1], parts]),
-            )
-
     # ------------------------------------------------------------------ vertices
     def add_vertex(self, vertex: int, label: int = 0) -> int:
         """Register ``vertex`` with ``label`` (which later calls may not change); its position."""
@@ -884,8 +854,9 @@ class DynamicGraph:
         :meth:`FreeIdStacks.allocate`; partitions are created in event order).
         Columns are int64 (``timestamp`` float64) arrays of equal length;
         missing columns default to zeros.  A negative vertex id, an edge label
-        outside 32 bits or a vertex label its vertex does not hold is rejected
-        with :class:`GraphError` before anything is mutated.
+        outside 32 bits, a timestamp that is not finite or a vertex label its
+        vertex does not hold is rejected with :class:`GraphError` before
+        anything is mutated.
         """
         src_arr = np.ascontiguousarray(src, dtype=np.int64)
         n = int(src_arr.shape[0])
@@ -899,6 +870,9 @@ class DynamicGraph:
             np.zeros(n, dtype=np.float64) if timestamp is None
             else np.ascontiguousarray(timestamp, dtype=np.float64)
         )
+        finite = np.isfinite(ts_arr)
+        if not finite.all():
+            raise GraphError(f"timestamp {ts_arr[~finite][0]} is not finite")
         src_labels = zeros if src_label is None else np.ascontiguousarray(src_label, dtype=np.int64)
         dst_labels = zeros if dst_label is None else np.ascontiguousarray(dst_label, dtype=np.int64)
         native = _native()

@@ -15,9 +15,11 @@ kernel serves it like any other.
 * :mod:`repro.storage.checkpoint` — atomic checkpoint files with JSON
   sidecars and corruption fallback;
 * :mod:`repro.storage.runtime` — :class:`EngineStorage`, the per-engine
-  driver that owns all of the above;
-* :mod:`repro.storage.recovery` — journal replay mirroring the
-  :class:`~repro.core.pipeline.BatchPipeline` mutation order.
+  driver that owns all of the above and the directory's ``meta.json``,
+  which records the engine's kind and whole config.
+
+``open`` rebuilds that engine from ``meta.json``, the newest checkpoint
+and the journal tail, re-applied by the pipeline's own mutation steps.
 """
 
 from repro.storage.config import StorageConfig

@@ -8,7 +8,9 @@ the sidecar is written *after* the payload, so a crash mid-save leaves at
 worst a payload without a sidecar — which the loader treats as "no such
 checkpoint" and skips.  ``load_latest`` walks checkpoints newest-first
 and falls back past any that are missing a sidecar, fail the CRC, or do
-not unpickle; only if *no* checkpoint is usable does it raise.
+not unpickle; only if *no* checkpoint is usable does it raise.  The
+:data:`RETAINED` newest checkpoints are kept, so a corrupt newest one
+always has a predecessor to fall back to.
 """
 
 from __future__ import annotations
@@ -27,13 +29,14 @@ class CheckpointError(Exception):
 
 
 _CK_RE = re.compile(r"^ck_(\d+)\.pkl$")
+#: checkpoints kept after a save; older ones are pruned
+RETAINED = 2
 
 
 class CheckpointManager:
-    def __init__(self, directory: str | Path, keep: int = 2, fsync: bool = False) -> None:
+    def __init__(self, directory: str | Path, fsync: bool = False) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self.keep = keep
         self.fsync = fsync
 
     # -- paths ------------------------------------------------------------
@@ -77,7 +80,7 @@ class CheckpointManager:
         os.replace(tmp, path)
 
     def _prune(self) -> None:
-        for seq in self.sequence_numbers()[: -self.keep]:
+        for seq in self.sequence_numbers()[:-RETAINED]:
             self._payload_path(seq).unlink(missing_ok=True)
             self._sidecar_path(seq).unlink(missing_ok=True)
 

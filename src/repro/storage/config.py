@@ -12,6 +12,9 @@ from repro.utils.validation import ConfigurationError
 class StorageConfig:
     """Knobs for durable state, attached via ``EngineConfig.storage``.
 
+    ``meta.json`` records the engine's whole config (``directory`` aside),
+    so reopening the directory rebuilds the same engine, durability and all.
+
     Parameters
     ----------
     directory:
@@ -36,16 +39,11 @@ class StorageConfig:
         per-epoch latency floor; the default (False) only flushes to the
         OS page cache, which survives process crashes — the failure mode
         the recovery suite simulates.
-    keep_checkpoints:
-        Number of most recent checkpoints to retain; older ones are
-        pruned after a successful save.  At least 2 is recommended so a
-        corrupt latest checkpoint can fall back to its predecessor.
     """
 
     directory: str | Path
     checkpoint_interval: int | None = 8
     fsync: bool = False
-    keep_checkpoints: int = 2
 
     def __post_init__(self) -> None:
         if not str(self.directory):
@@ -53,10 +51,6 @@ class StorageConfig:
         if self.checkpoint_interval is not None and self.checkpoint_interval <= 0:
             raise ConfigurationError(
                 f"checkpoint_interval must be positive or None, got {self.checkpoint_interval}"
-            )
-        if self.keep_checkpoints < 1:
-            raise ConfigurationError(
-                f"keep_checkpoints must be >= 1, got {self.keep_checkpoints}"
             )
 
     @property

@@ -5,8 +5,9 @@ One journal file per engine.  Each record is framed as::
     magic(4) | kind(1) | epoch(8, signed LE) | length(4, LE) | crc32(4, LE) | payload
 
 where ``crc32`` covers the payload bytes only.  Payloads are pickled
-Python values — event-tuple lists for ``INITIAL``/``EPOCH`` records and
-query definitions for ``REGISTER``.  The framing lets the scanner detect
+Python values — a batch's :class:`~repro.streams.events.EventColumns`
+(None for an empty half) for ``INITIAL``/``EPOCH`` records and query
+definitions for ``REGISTER``.  The framing lets the scanner detect
 every corruption mode the fault-injection suite throws at it: a torn
 header (fewer than 21 bytes left), a clobbered magic, a truncated payload
 (declared length runs past EOF) and bit flips (CRC mismatch).  Scanning
@@ -34,8 +35,8 @@ HEADER_BYTES = _HEADER.size
 class RecordKind(IntEnum):
     """Journal record types."""
 
-    INITIAL = 1   #: ``load_initial`` bulk load (insert events, no enumeration)
-    EPOCH = 2     #: one sealed batch: (insert event tuples, delete event tuples)
+    INITIAL = 1   #: ``load_initial`` bulk load (insert columns, no enumeration)
+    EPOCH = 2     #: one sealed batch: (insert columns, delete columns)
     REGISTER = 3  #: multi-query: a query registered (payload: definition dict)
     UNREGISTER = 4  #: multi-query: a query retired (payload: query id)
 

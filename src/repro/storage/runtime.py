@@ -3,7 +3,8 @@
 One :class:`EngineStorage` owns one directory::
 
     <directory>/
-        meta.json            engine kind ("single" | "multi") + format version
+        meta.json            engine kind ("single" | "multi"), format version and
+                             the EngineConfig the engine was built with
         journal.log          CRC-framed epoch journal (append-only)
         checkpoints/         ck_<seq>.pkl + ck_<seq>.json pairs
         debi/q<id>/rows.bin  a query's DEBI words (scratch, rebuilt on recovery)
@@ -21,13 +22,14 @@ The engines call four hooks:
   double-apply them on refeed;
 * :meth:`note_initial` — ``load_initial``'s bulk insert (journaled as
   one ``INITIAL`` record, applied and sealed at once);
-* :meth:`checkpoint_if_due` / :meth:`checkpoint_now` — cadence.
+* :meth:`checkpoint_now` — an explicit checkpoint of a quiescent engine.
 
-Recovery (:meth:`open_existing`) loads the newest usable checkpoint,
-scans the journal from the checkpoint's recorded byte offset, and hands
-the decoded tail records to the engine's ``open()`` for replay.  The
-journal is truncated at the last intact record before appends resume, so
-a torn tail can never be half-replayed twice.
+Recovery (:meth:`open_existing`) reads the engine's kind and config
+from ``meta.json``, loads the newest usable checkpoint, scans the
+journal from the checkpoint's recorded byte offset, and hands all three
+to the engine's ``open()``, which rebuilds that engine and replays the
+tail records.  The journal is truncated at the last intact record before
+appends resume, so a torn tail can never be half-replayed twice.
 """
 
 from __future__ import annotations
@@ -35,19 +37,21 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.storage.checkpoint import CheckpointError, CheckpointManager
 from repro.storage.config import StorageConfig
 from repro.storage.journal import JournalRecord, JournalWriter, RecordKind, scan_journal
 from repro.utils.validation import ConfigurationError
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.streams.events import EventColumns
+
 ENGINE_KINDS = ("single", "multi")
-#: version 2: one checkpoint-state layout (a list of queries) for both kinds;
-#: version 3: the graph's vertex directory in arrays (version 2 still reads:
-#: ``DynamicGraph.__setstate__`` rebuilds it, and recovery rewrites meta.json)
-FORMAT_VERSION = 3
-READABLE_VERSIONS = (2, FORMAT_VERSION)
+#: version 4: ``meta.json`` records the engine's config and the journal
+#: pickles each batch's ``EventColumns``.  Older directories do not say
+#: how their engine was configured, so they are refused, not guessed at.
+FORMAT_VERSION = 4
 
 
 class StorageError(Exception):
@@ -59,17 +63,14 @@ class RecoveredState:
     """Everything ``Engine.open`` needs to rebuild and replay."""
 
     storage: "EngineStorage"
+    #: the engine config ``meta.json`` records, as JSON values
+    config: dict
     #: unpickled state of the newest usable checkpoint
     checkpoint_state: Any
     #: decoded journal records from the checkpoint offset to the last intact one
     records: list[JournalRecord]
     #: summary surfaced as ``engine.recovery_info``
     info: dict = field(default_factory=dict)
-
-
-def _payload(columns) -> list[tuple]:
-    """One phase's journal payload: its event tuples, none for an empty phase."""
-    return columns.event_tuples() if columns else []
 
 
 class EngineStorage:
@@ -79,11 +80,7 @@ class EngineStorage:
         self.config = config
         self.kind = kind
         self.directory = config.path
-        self.checkpoints = CheckpointManager(
-            self.directory / "checkpoints",
-            keep=config.keep_checkpoints,
-            fsync=config.fsync,
-        )
+        self.checkpoints = CheckpointManager(self.directory / "checkpoints", fsync=config.fsync)
         self._journal: JournalWriter | None = None
         #: False while ``open()`` replays the journal: hooks become no-ops
         self.recording = False
@@ -108,33 +105,28 @@ class EngineStorage:
 
     # ------------------------------------------------------------------ attach
     @staticmethod
-    def has_state(directory: str | Path) -> bool:
-        directory = Path(directory)
-        return (directory / "meta.json").exists() or (directory / "journal.log").exists()
-
-    @staticmethod
-    def peek_kind(directory: str | Path) -> str:
-        """Read the engine kind from an existing state directory (format-checked)."""
+    def read_meta(directory: str | Path) -> dict:
+        """An existing state directory's ``meta.json``: kind, format and config."""
         meta_path = Path(directory) / "meta.json"
         if not meta_path.exists():
             raise StorageError(f"no durable state at {directory} (meta.json missing)")
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
-        if meta.get("format") not in READABLE_VERSIONS:
+        if meta.get("format") != FORMAT_VERSION:
             raise StorageError(
                 f"durable state at {directory} has format version "
-                f"{meta.get('format')!r}; this build reads versions {READABLE_VERSIONS}"
+                f"{meta.get('format')!r}; this build reads version {FORMAT_VERSION}"
             )
-        kind = meta.get("kind")
-        if kind not in ENGINE_KINDS:
-            raise StorageError(f"unrecognised engine kind {kind!r} in {meta_path}")
-        return kind
+        if meta.get("kind") not in ENGINE_KINDS:
+            raise StorageError(f"unrecognised engine kind {meta.get('kind')!r} in {meta_path}")
+        return meta
 
     @classmethod
-    def create(cls, config: StorageConfig, kind: str) -> "EngineStorage":
-        """Attach a *fresh* engine to an empty (or new) directory."""
+    def create(cls, config: StorageConfig, kind: str, engine_config: dict) -> "EngineStorage":
+        """Attach a *fresh* engine to an empty (or new) directory; ``meta.json``
+        keeps ``engine_config`` (``EngineConfig.to_json``) for ``open``."""
         directory = config.path
         directory.mkdir(parents=True, exist_ok=True)
-        if cls.has_state(directory):
+        if (directory / "meta.json").exists() or (directory / "journal.log").exists():
             raise ConfigurationError(
                 f"storage directory {directory} already contains durable state; "
                 "recover it with MnemonicEngine.open / MultiQueryEngine.open / "
@@ -142,7 +134,7 @@ class EngineStorage:
             )
         storage = cls(config, kind)
         storage.meta_path.write_text(
-            json.dumps({"kind": kind, "format": FORMAT_VERSION}),
+            json.dumps({"kind": kind, "format": FORMAT_VERSION, "config": engine_config}),
             encoding="utf-8",
         )
         storage._journal = JournalWriter(storage.journal_path, fsync=config.fsync)
@@ -150,21 +142,17 @@ class EngineStorage:
         return storage
 
     @classmethod
-    def open_existing(cls, config: StorageConfig, kind: str) -> RecoveredState:
-        """Load the newest usable checkpoint + the intact journal tail.
+    def open_existing(cls, directory: str | Path) -> RecoveredState:
+        """Load the recorded config, the newest usable checkpoint and the intact
+        journal tail.
 
         The returned storage is still in replay mode (``recording`` is
         False); the engine's ``open()`` replays ``records`` and then
         calls :meth:`finish_recovery`.
         """
-        directory = config.path
-        found_kind = cls.peek_kind(directory)
-        if found_kind != kind:
-            raise ConfigurationError(
-                f"durable state at {directory} belongs to a {found_kind!r} engine, "
-                f"not {kind!r}; MultiQueryEngine.open recovers either kind"
-            )
-        storage = cls(config, kind)
+        meta = cls.read_meta(directory)
+        config = StorageConfig(directory=directory, **meta["config"]["storage"])
+        storage = cls(config, meta["kind"])
         try:
             state, ck_meta = storage.checkpoints.load_latest()
         except CheckpointError as exc:
@@ -189,16 +177,12 @@ class EngineStorage:
             "journal_valid_bytes": scan.valid_bytes,
         }
         return RecoveredState(
-            storage=storage, checkpoint_state=state, records=scan.records, info=info
+            storage=storage, config=meta["config"], checkpoint_state=state,
+            records=scan.records, info=info,
         )
 
     def finish_recovery(self, valid_bytes: int) -> None:
-        """Truncate the corrupt tail (if any), reopen the journal for appends and mark
-        the directory with this build's format, which its next checkpoint has."""
-        meta = json.loads(self.meta_path.read_text(encoding="utf-8"))
-        if meta.get("format") != FORMAT_VERSION:
-            self.meta_path.write_text(json.dumps({**meta, "format": FORMAT_VERSION}),
-                                      encoding="utf-8")
+        """Truncate the corrupt tail (if any) and reopen the journal for appends."""
         JournalWriter.truncate(self.journal_path, valid_bytes)
         self._journal = JournalWriter(self.journal_path, fsync=self.config.fsync)
         self.recording = True
@@ -208,12 +192,12 @@ class EngineStorage:
         if self.recording:
             self._applied += 1
 
-    def note_initial(self, events: Sequence) -> None:
+    def note_initial(self, columns: "EventColumns | None") -> None:
         """Journal a ``load_initial`` bulk insert (applied + sealed at once)."""
         if not self.recording:
             return
         assert self._journal is not None
-        self._journal.append(RecordKind.INITIAL, -1, _payload(events))
+        self._journal.append(RecordKind.INITIAL, -1, columns)
         self._applied += 1
         self._sealed += 1
         self._since_checkpoint += 1
@@ -221,17 +205,15 @@ class EngineStorage:
     def seal_epoch(
         self,
         number: int,
-        insertions: Sequence,
-        deletions: Sequence,
+        insertions: "EventColumns | None",
+        deletions: "EventColumns | None",
         state_fn: Callable[[], Any],
     ) -> None:
         """Journal one delivered batch; checkpoint when due and quiescent."""
         if not self.recording:
             return
         assert self._journal is not None
-        self._journal.append(
-            RecordKind.EPOCH, number, (_payload(insertions), _payload(deletions))
-        )
+        self._journal.append(RecordKind.EPOCH, number, (insertions, deletions))
         self._sealed += 1
         self._since_checkpoint += 1
         self._last_sealed_number = number
@@ -272,14 +254,6 @@ class EngineStorage:
         self._checkpoints_written += 1
 
     # ------------------------------------------------------------------ accounting
-    @property
-    def last_sealed_number(self) -> int | None:
-        return self._last_sealed_number
-
-    @property
-    def sealed_epochs(self) -> int:
-        return self._sealed
-
     def counters(self) -> dict:
         journal_bytes = (
             self.journal_path.stat().st_size if self.journal_path.exists() else 0

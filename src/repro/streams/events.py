@@ -155,25 +155,6 @@ class EventColumns:
             self.dst_label.tolist(),
         ))
 
-    def event_tuples(self) -> list[tuple]:
-        """The journal payload: one plain tuple per row (native ints/floats pickle compactly)."""
-        return list(zip(
-            repeat(int(self.kind)), self.src.tolist(), self.dst.tolist(), self.label.tolist(),
-            self.timestamp.tolist(), self.src_label.tolist(), self.dst_label.tolist(),
-        ))
-
-    @classmethod
-    def from_tuples(cls, rows: Sequence[tuple]) -> "EventColumns | None":
-        """Inverse of :meth:`event_tuples` (None for no rows)."""
-        if not rows:
-            return None
-        kind, src, dst, label, timestamp, src_label, dst_label = zip(*rows)
-        return cls(
-            EventKind(kind[0]), np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64),
-            np.array(label, dtype=np.int64), np.array(timestamp, dtype=np.float64),
-            np.array(src_label, dtype=np.int64), np.array(dst_label, dtype=np.int64),
-        )
-
 
 def encode_lsbench_triple(event: StreamEvent) -> tuple[int, int, int]:
     """Encode an event using the LSBench convention (negated endpoints = delete).

@@ -175,7 +175,7 @@ def brute_force_node_maps(
     return results
 
 
-def graph_from_tuples(edges, vertex_labels=None) -> DynamicGraph:
+def graph_from_edge_list(edges, vertex_labels=None) -> DynamicGraph:
     """Build a DynamicGraph from (src, dst[, label[, timestamp]]) tuples."""
     graph = DynamicGraph()
     for vertex, label in (vertex_labels or {}).items():

@@ -216,15 +216,19 @@ class TestBatchAPIs:
          "edge labels must fit a signed 32-bit integer"),
         (StreamEvent.insert(30, 11, src_label=0, dst_label=2),
          "vertex 11 already has label 1, cannot relabel to 2"),
-    ], ids=["negative", "fractional", "nan", "label", "relabel"])
+        (StreamEvent.insert(30, 31, 0, float("nan"), 0, 1), "timestamp nan is not finite"),
+        (StreamEvent.insert(30, 31, 0, float("inf"), 0, 1), "timestamp inf is not finite"),
+    ], ids=["negative", "fractional", "nan", "label", "relabel", "nan-timestamp",
+            "inf-timestamp"])
     @pytest.mark.parametrize("feed", ["run", "batch_inserts", "load_initial"])
     def test_hostile_vertex_id_refuses_the_whole_batch(self, feed, hostile, message):
         """DEBI roots are indexed by vertex id.  A negative one used to get into
         the graph and kill the index update behind it, and a fractional one used
         to be stored as the integer below it (``1.5`` registered vertex ``1`` and
         could complete a match); the partition directory packs an edge label
-        into 32 bits.  Now the batch a bad row rides in changes nothing, and
-        the engine carries on as if it had never come."""
+        into 32 bits; a NaN or infinite timestamp used to be stored as it came.
+        Now the batch a bad row rides in changes nothing, and the engine
+        carries on as if it had never come."""
         engine, untouched = MnemonicEngine(path_query()), MnemonicEngine(path_query())
         for each in (engine, untouched):
             each.batch_inserts(chain_events(10))

@@ -1,6 +1,5 @@
 """Unit tests for the dynamic multigraph store (adjacency lists, recycling)."""
 
-import copy
 import time
 
 import numpy as np
@@ -266,63 +265,6 @@ class TestRejectedBatchesMutateNothing:
                 graph.add_edge(src, dst, src_label=src_label, dst_label=dst_label)
             assert graph_state(graph) == before
             assert not graph.has_vertex(9), "the other endpoint was interned first"
-
-
-def version_2_state(graph) -> dict:
-    """``graph``'s pickled state in the checkpoint format 2 layout: a raw id ->
-    position dict, and per side a sorted key / partition array with a sentinel
-    plus a dict of partitions not filed yet (here: the newest one)."""
-    state = copy.deepcopy(graph).__getstate__()
-    count = state.pop("_vertices").count
-    position = dict(zip(graph._vertex_ids[:count].tolist(), range(count)))
-    state["_vertex_position"] = position
-    for name in ("_out", "_in", "free_ids"):
-        arena = state[name]
-        del arena.vertices
-        arena.position = position
-    for side in (state["_out"], state["_in"]):
-        directory = side.__dict__.pop("directory")
-        keys, parts = directory.keys[: directory.count], directory.values[: directory.count]
-        newest = int(parts.argmax())
-        side._recent = {int(keys[newest]): int(parts[newest])}
-        side._keys = np.append(np.delete(keys, newest), 2**63 - 1)
-        side._parts = np.append(np.delete(parts, newest), -1)
-    return state
-
-
-def test_a_version_2_pickle_restores():
-    graph = DynamicGraph()
-    ids = graph.apply_insert_columns([7, 3, 7, 9], [3, 9, 9, 7], [0, 1, 0, 2], [1.0, 2.0, 3.0, 4.0],
-                                     [1, 2, 1, 3], [2, 3, 3, 1])
-    graph.delete_edge(ids[1])
-    restored = DynamicGraph.__new__(DynamicGraph)
-    restored.__setstate__(version_2_state(graph))
-    restored.check_invariants()
-    assert graph_state(restored) == graph_state(graph)
-    assert [restored.vertex_label(v) for v in (7, 3, 9, 5)] == [1, 2, 3, 0]
-    assert restored.free_ids.stack(3) == [ids[1]]
-    assert restored.apply_insert_columns([3, 5], [9, 7], [1, 2]) == graph.apply_insert_columns(
-        [3, 5], [9, 7], [1, 2])
-    assert graph_state(restored) == graph_state(graph)
-
-
-def test_a_pickle_with_the_export_journal_restores():
-    """Graphs pickled before the CSR export went carry its journal: two touched
-    columns, the last export's extent and an export count.  They are dropped."""
-    graph = DynamicGraph()
-    ids = graph.apply_insert_columns([7, 3, 7, 9], [3, 9, 9, 7], [0, 1, 0, 2], [1.0, 2.0, 3.0, 4.0],
-                                     [1, 2, 1, 3], [2, 3, 3, 1])
-    graph.delete_edge(ids[1])
-    journal = {f"_{kind}_touched": np.ones(16, dtype=bool) for kind in ("edge", "vertex")}
-    state = {**copy.deepcopy(graph.__dict__), **journal, "_exported": (3, 4), "_export_count": 5}
-    restored = DynamicGraph.__new__(DynamicGraph)
-    restored.__setstate__(state)
-    restored.check_invariants()
-    assert vars(restored).keys() == vars(graph).keys()
-    assert graph_state(restored) == graph_state(graph)
-    assert restored.apply_insert_columns([3, 5], [9, 7], [1, 2]) == graph.apply_insert_columns(
-        [3, 5], [9, 7], [1, 2])
-    assert graph_state(restored) == graph_state(graph)
 
 
 def columns(graph) -> dict:

@@ -16,7 +16,7 @@ from repro.matchers import (
 )
 from repro.query.query_graph import WILDCARD_LABEL, QueryGraph
 from repro.streams.events import EventKind, StreamEvent
-from tests.conftest import brute_force_node_maps, graph_from_tuples
+from tests.conftest import brute_force_node_maps, graph_from_edge_list
 
 
 class TestDefaultEdgeMatcher:
@@ -84,7 +84,7 @@ class TestIsoVsHomo:
     def test_results_match_brute_force(self):
         events = self._events()
         query = self._query()
-        graph = graph_from_tuples(
+        graph = graph_from_edge_list(
             [(e.src, e.dst, e.label) for e in events],
             vertex_labels={1: 0, 2: 1, 3: 0, 4: 1},
         )

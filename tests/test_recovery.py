@@ -13,6 +13,7 @@ results, as identity multisets over (node_map, edge_map, sign).
 
 from __future__ import annotations
 
+import shutil
 from collections import Counter
 
 import pytest
@@ -235,10 +236,13 @@ def test_crash_mid_journal_append(tmp_path):
     assert scan.corruption is None
     last_offset = scan.records[-1].offset
     # Tear the last record at a few byte positions: inside the header,
-    # and inside the payload.
+    # and inside the payload.  Each cut tears a copy of the crashed
+    # directory, so no cut reads the checkpoints an earlier recovery wrote.
     for cut in (last_offset + 3, last_offset + 12, len(intact) - 1):
-        journal.write_bytes(intact[:cut])
-        recovered = MnemonicEngine.open(directory)
+        torn = tmp_path / f"torn{cut}"
+        shutil.copytree(directory, torn)
+        (torn / "journal.log").write_bytes(intact[:cut])
+        recovered = MnemonicEngine.open(torn)
         info = recovered.recovery_info
         assert info["corruption"] is not None
         assert info["last_sealed_number"] == crash_at - 2
@@ -416,10 +420,12 @@ def test_fresh_engine_refuses_existing_state(tmp_path):
         MnemonicEngine(path_query(), config=make_config(directory))
 
 
+@pytest.mark.parametrize("version", [1, 2, 3])
 @pytest.mark.parametrize("opener", [MnemonicEngine.open, MultiQueryEngine.open, MnemonicService.open])
-def test_previous_format_version_is_rejected(tmp_path, opener):
-    """A state directory written before the single checkpoint layout (format 1)
-    must fail loudly instead of being misread."""
+def test_previous_format_version_is_rejected(tmp_path, opener, version):
+    """A state directory of an older format (1: another checkpoint layout; 2
+    and 3: no recorded config, so opening it could only guess the engine's
+    settings) must fail loudly instead of being misread."""
     import json
 
     from repro.storage.runtime import StorageError
@@ -430,10 +436,63 @@ def test_previous_format_version_is_rejected(tmp_path, opener):
     engine.close()
     meta_path = directory / "meta.json"
     meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    assert meta["format"] == 3
-    meta_path.write_text(json.dumps({**meta, "format": 1}), encoding="utf-8")
-    with pytest.raises(StorageError, match="format version 1"):
+    assert meta["format"] == 4
+    meta_path.write_text(json.dumps({**meta, "format": version}), encoding="utf-8")
+    with pytest.raises(StorageError, match=f"format version {version}"):
         opener(directory)
+
+
+def test_open_rebuilds_the_config_the_engine_was_written_with(tmp_path):
+    """Every EngineConfig field off its default comes back from meta.json alone."""
+    from repro.core.parallel import ParallelConfig
+
+    directory = tmp_path / "state"
+    written = EngineConfig(
+        stream=StreamConfig(stream_type=StreamType.INSERT_DELETE, batch_size=7,
+                            max_batch_delay=0.25),
+        parallel=ParallelConfig(backend="process", num_workers=2),
+        pipeline="pipelined",
+        use_degree_filter=False,
+        recycle_edge_ids=False,
+        collect_embeddings=False,
+        storage=StorageConfig(directory=directory, checkpoint_interval=None, fsync=True),
+    )
+    MultiQueryEngine(config=written).close()
+    with MultiQueryEngine.open(directory) as recovered:
+        assert recovered.config == written
+        assert recovered.graph.recycle_edge_ids is False
+
+    window_dir = tmp_path / "window"
+    window = EngineConfig(
+        stream=StreamConfig(stream_type=StreamType.SLIDING_WINDOW, window=10.5, stride=0.5),
+        storage=StorageConfig(directory=window_dir, checkpoint_interval=3),
+    )
+    MnemonicEngine(path_query(), config=window).close()
+    with MultiQueryEngine.open(window_dir) as recovered:
+        assert recovered.config == window
+
+
+def test_a_reopened_service_batches_like_the_one_that_wrote_it(tmp_path):
+    """An insert/delete service with batch 4, reopened from its directory alone:
+    it takes deletions, and 4 inserts seal a batch without ``drain()``."""
+    directory = tmp_path / "state"
+    events = [e for e in make_stream(seed=2213, length=40) if e.kind is EventKind.INSERT]
+    engine = MnemonicEngine(path_query(), config=make_config(directory))
+    service = MnemonicService(engine)
+    service.submit(events[:BATCH])
+    assert len(service.poll()) == 1
+    engine.close()
+
+    service = MnemonicService.open(directory)
+    assert service.engine.config == make_config(directory)
+    victim = events[0]
+    service.submit(StreamEvent.delete(victim.src, victim.dst, victim.label))
+    service.submit(events[BATCH : 2 * BATCH - 1])
+    sealed = service.poll()
+    assert [(r.num_insertions, r.num_deletions) for r in sealed] == [(BATCH - 1, 1)]
+    service.submit(events[2 * BATCH : 3 * BATCH])
+    assert [r.num_insertions for r in service.poll()] == [BATCH]
+    service.engine.close()
 
 
 def test_single_query_state_without_its_query_is_rejected(tmp_path):

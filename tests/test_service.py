@@ -378,7 +378,7 @@ class TestMnemonicService:
         assert batcher.offer(StreamEvent.insert(3, 4), arrival=7.0) == []
         assert batcher.deadline() == pytest.approx(8.0)
 
-    def test_submit_rejects_nothing_but_handles_event_tuples(self):
+    def test_submit_takes_a_tuple_of_events(self):
         # Regression: a bare tuple OF StreamEvents was treated as one
         # coercible field-tuple, nesting events into a corrupt event.
         clock = VirtualClock()

@@ -148,7 +148,7 @@ def test_truncate_drops_tail_only(tmp_path):
 
 # ---------------------------------------------------------------------- checkpoint fallback
 def test_checkpoint_missing_sidecar_falls_back(tmp_path):
-    manager = CheckpointManager(tmp_path, keep=3)
+    manager = CheckpointManager(tmp_path)
     manager.save(1, {"v": 1}, {"journal_offset": 10})
     manager.save(2, {"v": 2}, {"journal_offset": 20})
     (tmp_path / "ck_000000000002.json").unlink()  # crash between payload+sidecar
@@ -157,7 +157,7 @@ def test_checkpoint_missing_sidecar_falls_back(tmp_path):
 
 
 def test_checkpoint_corrupt_payload_falls_back(tmp_path):
-    manager = CheckpointManager(tmp_path, keep=3)
+    manager = CheckpointManager(tmp_path)
     manager.save(1, {"v": 1}, {"journal_offset": 10})
     manager.save(2, {"v": 2}, {"journal_offset": 20})
     payload = tmp_path / "ck_000000000002.pkl"
@@ -169,7 +169,7 @@ def test_checkpoint_corrupt_payload_falls_back(tmp_path):
 
 
 def test_checkpoint_short_payload_falls_back(tmp_path):
-    manager = CheckpointManager(tmp_path, keep=3)
+    manager = CheckpointManager(tmp_path)
     manager.save(1, {"v": 1}, {"journal_offset": 10})
     manager.save(2, {"v": 2}, {"journal_offset": 20})
     payload = tmp_path / "ck_000000000002.pkl"
@@ -179,7 +179,7 @@ def test_checkpoint_short_payload_falls_back(tmp_path):
 
 
 def test_no_usable_checkpoint_raises(tmp_path):
-    manager = CheckpointManager(tmp_path, keep=2)
+    manager = CheckpointManager(tmp_path)
     with pytest.raises(CheckpointError):
         manager.load_latest()
     manager.save(1, {"v": 1}, {"journal_offset": 0})
@@ -189,7 +189,7 @@ def test_no_usable_checkpoint_raises(tmp_path):
 
 
 def test_checkpoint_prune_keeps_newest(tmp_path):
-    manager = CheckpointManager(tmp_path, keep=2)
+    manager = CheckpointManager(tmp_path)
     for seq in (1, 2, 3, 4):
         manager.save(seq, {"v": seq}, {"journal_offset": seq})
     assert manager.sequence_numbers() == [3, 4]
@@ -244,7 +244,7 @@ def test_engine_all_checkpoints_corrupt_raises(tmp_path):
 
 def test_open_without_state_raises(tmp_path):
     with pytest.raises(StorageError, match="no durable state"):
-        EngineStorage.peek_kind(tmp_path / "empty")
+        EngineStorage.read_meta(tmp_path / "empty")
 
 
 def test_kind_mismatch_detected(tmp_path):
@@ -411,7 +411,7 @@ def test_a_recovered_engine_keeps_its_debi_in_the_file(tmp_path):
     run_snapshots(engine, snapshots[:3])
     engine.close()
     meta = json.loads((directory / "meta.json").read_text(encoding="utf-8"))
-    assert set(meta) == {"kind", "format"}
+    assert set(meta) == {"kind", "format", "config"}
     with MnemonicEngine.open(directory) as recovered:
         assert recovered.debi._bits.path == directory / "debi" / "q0" / "rows.bin"
         assert_file_backed(recovered.debi._bits)
