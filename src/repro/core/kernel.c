@@ -18,6 +18,12 @@
  * fetched are reported as (charge key, anchor, raw size) for the caller to
  * charge through the memo the numpy kernel uses.
  *
+ * A count-only call walks no row it would discard at the end: the last (at
+ * most three) steps of an order that verify no edge and anchor no later step
+ * draw from pools their already bound anchors fix, so their completions are
+ * counted from the pools (count_tail).  A pool is still fetched, and charged,
+ * exactly when the walk would first have visited it.
+ *
  * DEBI maintenance (mn_filter_insert / mn_filter_delete) and work
  * decomposition (mn_decompose) are IndexManager.handle_insert_columns /
  * handle_deletions and decompose_batch of the numpy code on the same arrays:
@@ -75,7 +81,9 @@ typedef struct {
     Map batch, degree, charged, pool_at;
     Buf *rows, *charges, parts, pools;
     i64 count, scanned;
-    int collect, failed;
+    /* count-only: the current order's first counted step, or NULL */
+    const i64 *tail;
+    int collect, failed, overflow;
     /* DEBI maintenance: the tree edges (index plan), a set per frontier slot
      * and the membership of all of them */
     const i64 *te;
@@ -329,11 +337,18 @@ static int bound(const Kernel *k, i64 pos)
     return 0;
 }
 
+static int ascending(const void *a, const void *b)
+{
+    i64 x = *(const i64 *)a, y = *(const i64 *)b;
+    return (x > y) - (x < y);
+}
+
 /* The candidates of a step at an anchor position, fetched and charged on the
  * first visit and kept for the rest of the call: every pool entry that passes
  * the DEBI bit, the batch mask, the root bit and the f2/f3 rule, as (edge,
- * vertex position) pairs after their count.  Returns the offset of the count
- * in k->pools, or -1 when out of memory. */
+ * vertex position) pairs after their count -- for a counted step, as their
+ * vertices ascending under isomorphism and the count alone otherwise.
+ * Returns the offset of the count in k->pools, or -1 when out of memory. */
 static i64 candidates(Kernel *k, const i64 *step, i64 anchor)
 {
     u64 key = (u64)(step - k->plan) << 40 | (u64)anchor;
@@ -341,6 +356,7 @@ static i64 candidates(Kernel *k, const i64 *step, i64 anchor)
     if (at >= 0)
         return at;
     i64 node = step[0], column = step[4], masked = step[6];
+    int counted = k->tail && step >= k->tail;
     const Side *side = step[3] ? &k->out : &k->in, *other = step[3] ? &k->in : &k->out;
     at = k->pools.len;
     if (fill_parts(k, side, anchor, step[5]) || push(&k->pools, &none, 1))
@@ -353,11 +369,13 @@ static i64 candidates(Kernel *k, const i64 *step, i64 anchor)
             if ((column >= 0 && !debi_bit(k, e, column)) || (masked && map_get(&k->batch, (u64)e))
                 || (node == k->root && !root_bit(k, v)) || !degree_ok(k, node, v))
                 continue;
-            if (push(&k->pools, pair, 2))
+            if (counted ? k->injective && push(&k->pools, &v, 1) : push(&k->pools, pair, 2))
                 return -1;
             k->pools.data[at]++;
         }
     }
+    if (counted && k->injective)
+        qsort(k->pools.data + at + 1, (size_t)k->pools.data[at], sizeof(i64), ascending);
     k->parts.len = 0;
     /* a pool is charged once per (charge key, anchor) */
     u64 charge = (u64)step[7] << 48 | (u64)anchor;
@@ -366,6 +384,108 @@ static i64 candidates(Kernel *k, const i64 *step, i64 anchor)
         && (map_put(&k->charged, charge, 1) || push(k->charges, triple, 3)))
         return -1;
     return k->failed || map_put(&k->pool_at, key, at + 1) ? -1 : at;
+}
+
+/* Entries of a sorted vertex column whose vertex is bound. */
+static i64 on_bound(const Kernel *k, const i64 *col, i64 len)
+{
+    i64 total = 0;
+    for (i64 u = 0; len && u < k->n_nodes; u++)
+        if (k->vpos[u] >= 0)
+            total += lower_bound(col, len, k->vpos[u] + 1) - lower_bound(col, len, k->vpos[u]);
+    return total;
+}
+
+/* Over the unbound vertices in every sorted column that `mask` selects: the
+ * sum of the products of their multiplicities.  Linear in the columns. */
+static i64 shared(const Kernel *k, const i64 *const *col, const i64 *len, int mask)
+{
+    const i64 *at[3], *end[3];
+    i64 m = 0, total = 0;
+    for (int c = 0; c < 3; c++)
+        if (mask >> c & 1)
+            at[m] = col[c], end[m++] = col[c] + len[c];
+    for (i64 v = INT64_MIN;;) {
+        int equal = 1;
+        for (i64 c = 0; c < m; c++) {
+            while (at[c] < end[c] && *at[c] < v)
+                at[c]++;
+            if (at[c] == end[c])
+                return total;
+            equal &= *at[c] == v;
+            v = *at[c];
+        }
+        if (!equal)
+            continue;
+        i64 product = 1, skip = bound(k, v);
+        for (i64 c = 0; c < m; c++) {
+            const i64 *from = at[c];
+            while (at[c] < end[c] && *at[c] == v)
+                at[c]++;
+            product *= skip ? 1 : at[c] - from;
+        }
+        total += skip ? 0 : product;
+    }
+}
+
+/* Count-only: add the completions of the `left` (<= 3) steps from `step`, the
+ * order's counted tail.  Each draws from the pool its bound anchor fixes, so
+ * under homomorphism they are the product of the pool sizes; under
+ * isomorphism the tuples of distinct unbound vertices, by inclusion-exclusion
+ * over vertex collisions: n0 n1 - c01 for two pools and n0 n1 n2 - c01 n2 -
+ * c02 n1 - c12 n0 + 2 c012 for three (c: entry pairs or triples on one
+ * vertex, which parallel edges make multiplicities).  Pool j + 1 is fetched
+ * only when pools 0..j complete, exactly when the walk would first visit it.
+ * Every term is at most the product of the sizes, so a product past half of
+ * int64 is refused as an overflow. */
+static void count_tail(Kernel *k, const i64 *step, i64 left)
+{
+    i64 at[3], len[3], n[3], product = 1, total = 0, c01 = 0;
+    const i64 *col[3];
+    for (i64 j = 0; j < left; j++, step += 9) {
+        at[j] = candidates(k, step, k->vpos[step[1]]);
+        if (at[j] < 0) {
+            k->failed = 1;
+            return;
+        }
+        for (i64 i = 0; i <= j; i++)  /* the fetch may have moved the pools */
+            col[i] = k->pools.data + at[i] + 1, len[i] = col[i][-1];
+        n[j] = len[j] - (k->injective ? on_bound(k, col[j], len[j]) : 0);
+        if (__builtin_mul_overflow(product, n[j], &product) || product > INT64_MAX / 2) {
+            k->failed = k->overflow = 1;
+            return;
+        }
+        if (!k->injective || j == 0)
+            total = product;
+        else if (j == 1)
+            total = product - (c01 = shared(k, col, len, 3));
+        else
+            total = product - c01 * n[2] - shared(k, col, len, 5) * n[1]
+                - shared(k, col, len, 6) * n[0] + 2 * shared(k, col, len, 7);
+        if (total == 0)
+            return;
+    }
+    if (__builtin_add_overflow(k->count, total, &k->count))
+        k->failed = k->overflow = 1;
+}
+
+/* The first of the steps of an order a count-only call counts instead of
+ * walking, or NULL for none: at most the last three, none verifying an edge or
+ * anchoring a later step. */
+static const i64 *countable(const i64 *steps, i64 n)
+{
+    const i64 *last[3] = {NULL, NULL, NULL};
+    i64 t = 0;
+    for (i64 s = 0; s < n; s++, steps += 9 + 2 * steps[8])
+        last[0] = last[1], last[1] = last[2], last[2] = steps;
+    for (; t < 3 && t < n && !last[2 - t][8]; t++) {
+        int anchors = 0;
+        for (i64 later = 3 - t; later < 3; later++)
+            anchors |= last[later][1] == last[2 - t][0];
+        if (anchors)
+            break;
+    }
+    return t ? last[3 - t] : NULL;
 }
 
 /* Run `left` matching-order steps from `step` on the bound embedding.  A step
@@ -381,6 +501,10 @@ static void extend(Kernel *k, const i64 *step, i64 left)
             k->row[k->n_nodes + j] = k->eid[k->slots[j]];
         k->count++;
         k->failed |= k->collect && push(k->rows, k->row, k->n_nodes + k->nslots);
+        return;
+    }
+    if (step == k->tail) {
+        count_tail(k, step, left);
         return;
     }
     i64 node = step[0], nverify = step[8], at = candidates(k, step, k->vpos[step[1]]);
@@ -425,8 +549,8 @@ static void env_at(Kernel *k, const i64 *env)
  * order.  Fills totals with (embeddings, witness reads, groups) and groups
  * with (start edge, rows, offset of its first row in rows) per group that has
  * rows; with collect, rows gets every embedding as its vertices (query nodes
- * ascending) then its bound edges (query edges ascending).  Returns 0, or -1
- * when memory ran out. */
+ * ascending) then its bound edges (query edges ascending).  Returns 0, -1
+ * when memory ran out, or -2 when a count-only total would overflow int64. */
 int mn_enumerate(const i64 *env, const i64 *plan, const i64 *unit_edges, const i64 *unit_starts,
                  i64 n_units, int collect, i64 *groups, i64 *totals, Buf *rows, Buf *charges)
 {
@@ -462,7 +586,8 @@ int mn_enumerate(const i64 *env, const i64 *plan, const i64 *unit_edges, const i
         i64 src = order[0], dst = order[1], no_old = order[2], before = k.count;
         k.nslots = order[3], k.slots = order + 4;
         i64 nverify = k.slots[k.nslots];
-        const i64 *verify = k.slots + k.nslots + 1;
+        const i64 *verify = k.slots + k.nslots + 1, *steps = verify + 2 * nverify + 1;
+        k.tail = collect ? NULL : countable(steps, steps[-1]);
         groups[3 * n_groups] = start;
         groups[3 * n_groups + 2] = rows->len;
         for (i64 u = i; u < n_units && !k.failed; u++) {
@@ -476,7 +601,7 @@ int mn_enumerate(const i64 *env, const i64 *plan, const i64 *unit_edges, const i
                 continue;
             k.vpos[src] = a, k.vpos[dst] = b, k.eid[start] = e, k.used[0] = e, k.nused = 1;
             if (verified(&k, verify, nverify))
-                extend(&k, verify + 2 * nverify + 1, verify[2 * nverify]);
+                extend(&k, steps, steps[-1]);
             k.vpos[src] = k.vpos[dst] = -1;
         }
         groups[3 * n_groups + 1] = k.count - before;
@@ -486,7 +611,7 @@ int mn_enumerate(const i64 *env, const i64 *plan, const i64 *unit_edges, const i
     map_free(&k.batch), map_free(&k.degree), map_free(&k.charged), map_free(&k.pool_at);
     mn_free(&k.parts), mn_free(&k.pools);
     free(grouped), free(k.row), free(k.used), free(k.eid), free(k.vpos);
-    return k.failed ? -1 : 0;
+    return k.overflow ? -2 : k.failed ? -1 : 0;
 }
 
 /* ---------------------------------------------------------------- DEBI maintenance */

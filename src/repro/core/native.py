@@ -292,10 +292,10 @@ def run(lib: ctypes.CDLL, graph, debi, batch: set, program: np.ndarray, units, c
                               _address(out), ctypes.byref(rows), ctypes.byref(charges))
     rows_out, charges_out = _take(lib, rows), _take(lib, charges)
     if failed:
-        raise MemoryError("the native kernel ran out of memory")
+        raise (OverflowError("a match count overflows int64") if failed == -2
+               else MemoryError("the native kernel ran out of memory"))
     count, scanned, n_groups = out[:3].tolist()
-    groups = out[3 : 3 + 3 * n_groups].reshape(-1, 3)
-    return count, scanned, groups, rows_out, charges_out.reshape(-1, 3)
+    return count, scanned, out[3:].reshape(-1, 3)[:n_groups], rows_out, charges_out.reshape(-1, 3)
 
 
 def _mutate(entry, graph, *args) -> tuple[int, np.ndarray]:

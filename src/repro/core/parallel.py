@@ -26,7 +26,7 @@ Two backends are provided:
 There is no thread backend: the kernel is a sequence of short numpy
 calls, so Python threads convoy on the GIL and every measured thread
 count ran at 0.90-0.96x of ``serial``.  One returns only with a
-GIL-releasing kernel step and a measured win (ROADMAP item 1).
+GIL-releasing kernel step and a measured win.
 """
 
 from __future__ import annotations

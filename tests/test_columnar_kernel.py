@@ -19,6 +19,8 @@ a result block, once handed out, must not change when it is.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -501,6 +503,153 @@ class TestBlocksCrossTheResultQueue:
             assert _canonical(outcome.embeddings) == _canonical(serial)
             found += count
         assert found > 0, "vacuous: nothing was enumerated"
+
+
+# ---------------------------------------------------------------------- count-only tails
+def _leaves(k):
+    """A start edge 0 -> 1 (node labels 0, 1), then ``k`` wildcard-labelled leaves
+    on node 1: edge labels alternate with the wildcard, and the third points inward."""
+    edges = [(0, 1, -1, None)] + [
+        (2 + i, 1, -1, None) if i == 2 else (1, 2 + i, -1 if i % 2 else 0, None) for i in range(k)
+    ]
+    return _query(edges, {0: 0, 1: 1})
+
+
+#: trailing leaf runs of one to four steps (four: the kernel walks one and counts
+#: three), and a triangle with two leaves, whose closing step is walked
+_TAILS = [_leaves(1), _leaves(2), _leaves(3), _leaves(4),
+          _query([(0, 1, -1, 0), (1, 2, -1, 1), (2, 0, -1, 2), (2, 3, -1, None),
+                  (2, 4, 0, None)], {0: 0, 1: 1, 2: 0, 3: 1, 4: 1})]
+
+
+def _count_trace(query, make, splits, collect):
+    """Per batch phase, ``(positives, negatives, candidates_scanned)``, and per pool
+    charge the charge key and the anchors its context has then paid for."""
+    charges = []
+    charge = enumeration.EnumerationContext._charge_pools
+
+    def spy(context, key, anchors, sizes):
+        charge(context, key, anchors, sizes)
+        charges.append((key, sorted(context._charged_anchors[key])))
+
+    config = EngineConfig(collect_embeddings=collect)
+    with pytest.MonkeyPatch.context() as patch, MnemonicEngine(query, make(), config) as engine:
+        patch.setattr(enumeration.EnumerationContext, "_charge_pools", spy)
+        trace = _replay(engine, splits, lambda result: [
+            (result.num_positive, result.num_negative, result.candidates_scanned)
+        ])
+    return trace, charges
+
+
+def _hub_stream(spokes, labels):
+    """Pinned vertex 0 -> hub 1 (label 9), then hub -> spoke per ``(spoke, label)``."""
+    return [StreamEvent.insert(0, 1, 9, 0.0)] + [
+        StreamEvent.insert(1, spoke, label, 0.0) for spoke, label in zip(spokes, labels)
+    ]
+
+
+def _injective_tuples(pools, banned):
+    """The tuples taking one entry per pool, their vertices distinct and not ``banned``."""
+    return sum(len(set(pick)) == len(pick) and not banned & set(pick)
+               for pick in itertools.product(*pools))
+
+
+class TestCountOnlyTails:
+    """``collect=False`` counts an order's trailing leaf steps from their pools
+    instead of walking them: the count must be the walk's, and every pool must
+    be charged exactly when the walk would first have fetched it."""
+
+    @pytest.fixture(autouse=True)
+    def _native(self):
+        if native.library() is None:
+            pytest.skip(native.status())
+
+    @pytest.mark.parametrize("matcher", _STOCK)
+    @pytest.mark.parametrize("query", [*_QUERIES, *_TAILS])
+    def test_counts_and_charges_equal_the_walk(self, rng, query, matcher, native_calls):
+        """Random multigraph batches with deletes: the native count-only count is the
+        native collected one and the numpy kernel's, with the same scans and charges."""
+        events = _random_events(rng, num_events=120, deletes=True)
+        splits = [_fan_out(), *_batches(events, rng)]
+        make = _MATCHERS[matcher]
+        collected, collected_charges = _count_trace(query, make, splits, True)
+        counted, counted_charges = _count_trace(query, make, splits, False)
+        assert counted == collected and counted_charges == collected_charges
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(native, "_library", None)
+            calls = native_calls[0]
+            assert _count_trace(query, make, splits, False)[0] == counted
+            assert native_calls[0] == calls
+        assert any(rows[0][0] or rows[0][1] for _, rows in counted), "vacuous: nothing matched"
+
+    @pytest.mark.parametrize("matcher", _STOCK)
+    @pytest.mark.parametrize("leaves", [2, 3])
+    def test_one_vertex_in_two_and_three_pools_through_parallel_edges(self, matcher, leaves):
+        """Spoke 5 sits in every leaf pool, twice under label 0 and three times under
+        label 1, so the pair and triple collision terms are non-zero; hub -> pinned
+        puts a bound vertex into a pool."""
+        spokes = [5, 5, 5, 5, 5, 6, 7, 0]
+        labels = [0, 0, 1, 1, 1, 0, 1, 0]
+        query = _query([(0, 1, 9, None), *((1, 2 + i, (0, 1, -1)[i], None)
+                                           for i in range(leaves))])
+        pools = [[s for s, label in zip(spokes, labels) if want in (label, -1)]
+                 for want in (0, 1, -1)[:leaves]]
+        expected = (_injective_tuples(pools, {0, 1}) if matcher == "isomorphism"
+                    else int(np.prod([len(pool) for pool in pools])))
+        events = _hub_stream(spokes, labels)
+        for collect in (True, False):
+            config = EngineConfig(collect_embeddings=collect)
+            engine = MnemonicEngine(query, match_def=_MATCHERS[matcher](), config=config)
+            assert engine.batch_inserts(events).num_positive == expected
+        assert expected > 0
+
+    @pytest.mark.parametrize("matcher", _STOCK)
+    def test_a_cyclic_query_is_walked(self, matcher):
+        """A step that verifies an edge ends the countable tail: of the hub's four
+        spokes only the one with an edge back closes the triangle."""
+        query = _query([(0, 1, 9, None), (1, 2, 0, None), (2, 0, 1, None)])
+        events = _hub_stream([5, 5, 6, 7], [0, 0, 0, 0]) + [StreamEvent.insert(6, 0, 1, 0.0)]
+        for collect in (True, False):
+            config = EngineConfig(collect_embeddings=collect)
+            engine = MnemonicEngine(query, match_def=_MATCHERS[matcher](), config=config)
+            assert engine.batch_inserts(events).num_positive == 1
+
+    @pytest.mark.parametrize("matcher", _STOCK)
+    def test_an_empty_first_leaf_pool_leaves_its_sibling_uncharged(self, matcher):
+        """Under isomorphism the first leaf's only candidate is the bound pinned
+        vertex, so the walk never reaches the second leaf and never charges its pool;
+        under homomorphism it does, and both modes charge alike."""
+        query = _query([(0, 1, 9, None), (1, 2, 0, None), (1, 3, 1, None)])
+        engine = MnemonicEngine(query, match_def=_MATCHERS[matcher]())
+        first, second = engine.runtime.orders[0].steps
+        # the first leaf's pool holds only the pinned vertex 0, the second's vertex 7
+        engine.load_initial(_hub_stream([0, 7], [first.edge_label, second.edge_label]))
+        [pinned] = engine.graph.find_edges(0, 1)
+
+        def run(collect):
+            context = engine.runtime.make_context(engine.graph, {pinned}, True)
+            _, count = columnar_enumerate(context, decompose_batch(context, [pinned]), collect)
+            return count, context.candidates_scanned, context._charged_anchors
+
+        counted = run(False)
+        assert counted == run(True)
+        key = (second.anchor_is_src, second.debi_column, second.edge_label)
+        reached = matcher == "homomorphism"
+        assert counted[0] == reached and (1 in counted[2].get(key, ())) == reached
+
+    @pytest.mark.parametrize("matcher", _STOCK)
+    def test_a_large_hub_counts_in_closed_form(self, matcher, native_calls):
+        """Four leaves on a hub of 300 spokes, each reached by two parallel edges:
+        2^4 * 300 * 299 * 298 * 297 injective embeddings, 600^4 homomorphic ones."""
+        n = 300
+        query = _query([(0, 1, -1, None), *((1, 2 + i, -1, None) for i in range(4))])
+        events = _hub_stream([10 + i // 2 for i in range(2 * n)], [0] * 2 * n)
+        injective = 16 * n * (n - 1) * (n - 2) * (n - 3)
+        expected = injective if matcher == "isomorphism" else (2 * n) ** 4
+        config = EngineConfig(collect_embeddings=False)
+        engine = MnemonicEngine(query, match_def=_MATCHERS[matcher](), config=config)
+        assert engine.batch_inserts(events).num_positive == expected > 2**32
+        assert native_calls[0] > 0
 
 
 # ---------------------------------------------------------------------- index == reference
